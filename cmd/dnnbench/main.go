@@ -136,6 +136,8 @@ func main() {
 				fmt.Println("### GEMM kernel comparison ###")
 				res.Render(os.Stdout)
 			}
+			fmt.Println("### GEMM dispatch sweep ###")
+			bench.DispatchSweep().Render(os.Stdout)
 		case "mem":
 			for _, n := range []string{"mnist", "cifar"} {
 				if *netName != "" && n != *netName {

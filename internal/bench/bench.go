@@ -190,7 +190,11 @@ func classifyDist(l layers.Layer, batch int) simtime.Dist {
 // ModelsFromNet builds the analytic model inputs from a real network and
 // its measured serial per-layer times — the layer extents, parameter
 // counts and distribution classes come from the live layer objects, not
-// from assumptions.
+// from assumptions. A layer's serial time is the minimum over the
+// recorded iterations, not the mean: the model wants the undisturbed
+// time, and on a shared host one neighbour's burst multiplies a ~30 us
+// layer's single reading several times over, which the model then reads
+// as a layer with work to parallelize.
 func ModelsFromNet(n *net.Net, rec *profile.Recorder, batch int) []simtime.LayerModel {
 	var out []simtime.LayerModel
 	for _, l := range n.Layers() {
@@ -201,8 +205,8 @@ func ModelsFromNet(n *net.Net, rec *profile.Recorder, batch int) []simtime.Layer
 		d := classifyDist(l, batch)
 		out = append(out, simtime.LayerModel{
 			Name:        l.Name(),
-			FwdSerialUS: float64(rec.Mean(l.Name(), profile.Forward).Nanoseconds()) / 1000,
-			BwdSerialUS: float64(rec.Mean(l.Name(), profile.Backward).Nanoseconds()) / 1000,
+			FwdSerialUS: float64(rec.Stat(l.Name(), profile.Forward).Min.Nanoseconds()) / 1000,
+			BwdSerialUS: float64(rec.Stat(l.Name(), profile.Backward).Min.Nanoseconds()) / 1000,
 			FwdExtent:   l.ForwardExtent(),
 			BwdExtent:   l.BackwardExtent(),
 			ParamElems:  params,

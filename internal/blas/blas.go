@@ -9,14 +9,23 @@
 // Gemm is organised as three levels, the same structure OpenBLAS uses
 // (see PERFORMANCE.md for block sizes and measurements):
 //
-//   - Gemm / GemmRows: dispatch. Large shapes (useBlockedGemm) go to the
-//     cache-blocked kernel; tiny shapes run gemmRef, the original i-k-j
-//     loop, which also serves as the reference for differential tests.
+//   - Gemm / GemmRows: dispatch. Every product with at least two
+//     rank-1 steps (GemmIsBlocked, read off a measured sweep) goes to the
+//     cache-blocked kernel; an outer product runs gemmRef, the original
+//     i-k-j loop, which also serves as the reference for differential
+//     tests.
 //   - macro-tiles: the blocked kernel walks C in gemmMC x gemmNC tiles,
 //     packing gemmKC-deep panels of op(A) and op(B) into contiguous
 //     scratch (GemmScratch) so the inner loops read two linear streams.
-//   - micro-kernel: gemmKernel4x4 computes a 4x4 tile of C in registers
-//     with a rank-gemmKC update from one A panel and one B panel.
+//   - micro-kernel: gemmMicroKernel computes a gemmMR x gemmNR tile of C
+//     in registers with a rank-gemmKC update from one A panel and one B
+//     panel — sgemmKernel4x16 (AVX2+FMA assembly) where the CPU has it,
+//     microKernelScalar4x4 elsewhere, chosen once at init.
+//
+// The lowered convolution (conv.go: ConvForward, ConvBackwardWeights,
+// ConvBackwardCol) is a second driver over the same macro-tile loop: it
+// packs the B panels straight from the (C,H,W) image, so the im2col
+// matrix is never written, and reuses weight panels packed once per band.
 //
 // Two parallel granularities are provided, mirroring the paper's taxonomy
 // of parallelism sources (§3.1):
@@ -57,9 +66,10 @@ const (
 // op(A) is M x K, op(B) is K x N, C is M x N. lda/ldb/ldc are the leading
 // (row) strides of the *stored* matrices.
 //
-// Large shapes run the cache-blocked packed kernel (gemm_blocked.go) with
-// packing buffers drawn from a package pool; callers issuing many Gemms
-// in a loop should use GemmWithScratch to reuse one set of buffers.
+// All but outer products (GemmIsBlocked) run the cache-blocked packed
+// kernel (gemm_blocked.go) with packing buffers drawn from a package pool;
+// callers issuing many Gemms in a loop should use GemmWithScratch to reuse
+// one set of buffers.
 func Gemm(transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	checkGemm(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
 	gemmBand(nil, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
@@ -94,27 +104,42 @@ func GemmReference(transA, transB Transpose, m, n, k int, alpha float32, a []flo
 	gemmRef(transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
 }
 
+// GemmBlocked runs the blocked packed kernel unconditionally, bypassing
+// the dispatch — GemmReference's counterpart, for the ref-vs-blocked sweep
+// the dispatch predicate is chosen from (internal/bench) and for tests.
+func GemmBlocked(transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+	checkGemm(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
+	gemmDense(nil, transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
+}
+
 // gemmBand dispatches rows [rowLo, rowHi) to the blocked or reference
-// kernel. The choice ignores both the band and M (useBlockedGemm), so
+// kernel. The choice ignores both the band and M (GemmIsBlocked), so
 // every band of one logical Gemm takes the same path — a prerequisite for
-// bit-identical results at any worker count. A nil scratch borrows one
-// from the package pool only when the blocked path is taken.
+// bit-identical results at any worker count.
 func gemmBand(s *GemmScratch, transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
-	if !useBlockedGemm(n, k) {
+	if !GemmIsBlocked(m, n, k) {
 		gemmRef(transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, rowLo, rowHi)
 		return
 	}
+	gemmDense(s, transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, rowLo, rowHi)
+}
+
+// gemmDense runs rows [rowLo, rowHi) of a dense product on the blocked
+// kernel. A nil scratch borrows one from the package pool.
+func gemmDense(s *GemmScratch, transA, transB Transpose, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
 	if s == nil {
 		s = GetScratch()
 		defer PutScratch(s)
 	}
-	gemmBlocked(s, transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, rowLo, rowHi)
+	gemmBlocked(s, &gemmOp{transA: transA, transB: transB, n: n, k: k, alpha: alpha, beta: beta,
+		a: a, lda: lda, b: b, ldb: ldb, c: c, ldc: ldc}, rowLo, rowHi)
 }
 
 // gemmRef is the original i-k-j kernel with a row accumulator: B accesses
 // stay sequential and the axpyTo inner loop unrolls. It remains the
-// fallback for shapes too small to amortize packing, and the reference
-// implementation the blocked kernel is differentially tested against.
+// kernel for outer products (k = 1, nothing to block over) and the
+// reference implementation the blocked kernel is differentially tested
+// against.
 func gemmRef(transA, transB Transpose, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
 	for i := rowLo; i < rowHi; i++ {
 		ci := c[i*ldc : i*ldc+n]

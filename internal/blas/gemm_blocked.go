@@ -1,6 +1,9 @@
 package blas
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // This file implements the cache-blocked, panel-packed Gemm kernel — the
 // GotoBLAS/BLIS structure (Goto & van de Geijn, 2008) that OpenBLAS (the
@@ -8,9 +11,11 @@ import "sync"
 //
 //	for jc over N in steps of gemmNC:          // B column block
 //	  for pc over K in steps of gemmKC:        // depth block (fixed! see below)
-//	    pack op(B)[pc:pc+KC, jc:jc+NC] into nr-wide micro-panels (bp)
+//	    pack op(B)[pc:pc+KC, jc:jc+NC] into nr-wide micro-panels (bp),
+//	      from a dense matrix or straight from a convolution's image
 //	    for ic over the row band in steps of gemmMC:
-//	      pack op(A)[ic:ic+MC, pc:pc+KC] into mr-tall micro-panels (ap)
+//	      pack op(A)[ic:ic+MC, pc:pc+KC] into mr-tall micro-panels (ap),
+//	        or take the panels PackA packed ahead for a run of products
 //	      for jr over NC in steps of nr:       // bp micro-panel stays in L1
 //	        for ir over MC in steps of gemmMR:
 //	          micro-kernel: register-tiled rank-KC update of a C tile
@@ -41,8 +46,11 @@ import "sync"
 //   - partial edge tiles run the exact same micro-kernel on zero-padded
 //     packed panels (x + a*0 == x for finite a), and the writeback loop
 //     is the same code for full and partial tiles;
-//   - the blocked-vs-reference dispatch (useBlockedGemm) looks only at
-//     (n, k), which every band of the same Gemm shares.
+//   - the blocked-vs-reference dispatch (GemmIsBlocked) looks only at k,
+//     which every band of the same Gemm shares;
+//   - where a packed panel comes from — a dense operand, the (C,H,W) image
+//     of a lowered convolution (conv.go), or panels PackA left in the
+//     scratch — changes how it is filled, never what it holds.
 //
 // Consequently Gemm, GemmRows on any band partition, and GemmParallel at
 // any worker count all produce bit-identical C — the property
@@ -88,6 +96,12 @@ var (
 type GemmScratch struct {
 	ap []float32 // packed A block: up to gemmMC x gemmKC, mr-tall panels
 	bp []float32 // packed B block: up to gemmKC x gemmNC, nr-wide panels
+	// pa holds all of an op(A) that PackA packed ahead of a run of
+	// products sharing it (pm x pk; per KC block, every mr-tall panel).
+	pa     []float32
+	pm, pk int
+	// row stages one lowered row of a convolution's B block (conv.go).
+	row [gemmNC]float32
 	// acc is the micro-kernel's accumulator tile. It lives here rather
 	// than on gemmBlocked's stack because the kernel is invoked through
 	// the gemmMicroKernel package variable (the AVX dispatch), which
@@ -123,14 +137,24 @@ func GetScratch() *GemmScratch { return scratchPool.Get().(*GemmScratch) }
 // PutScratch returns a scratch obtained from GetScratch to the pool.
 func PutScratch(s *GemmScratch) { scratchPool.Put(s) }
 
-// useBlockedGemm decides between the blocked kernel and gemmRef. The
-// decision deliberately ignores M: GemmRows/GemmParallel and the coarse
-// engine split M into bands, and every band of one logical Gemm must take
-// the same path for the results to be bit-identical across worker counts.
-// Small-N/K problems stay on gemmRef, where packing would cost more than
-// it saves.
-func useBlockedGemm(n, k int) bool {
-	return n >= 4 && k >= 8 && n*k >= 4096
+// GemmIsBlocked reports whether Gemm runs an m x n x k product on the
+// blocked kernel (true) or on the reference kernel. The decision
+// deliberately ignores M: GemmRows/GemmParallel and the coarse engine
+// split M into bands (the inner-product layers pass the band height as
+// M), the serving path runs the same layer at batch 1 and batch 32, and
+// every one of those must take the same path for the results to be
+// bit-identical.
+//
+// The rule is read off the ref-vs-blocked sweep `dnnbench -figure gemm`
+// prints (PERFORMANCE.md §1): from M = 8 up the blocked kernel wins from
+// K = 4 at every N — N = 1 included — and from K = 2 wherever N fills a
+// micro-tile (K = 2 with N <= 4 is a draw), rising to 15-50x at K = 256.
+// Only K = 1, an outer product with nothing to reuse a packed panel for,
+// stays on the reference kernel. (At M = 1 the reference kernel is the
+// faster one below N = 16, by microseconds at most; no shape a net emits
+// is there.)
+func GemmIsBlocked(_, _, k int) bool {
+	return k >= 2
 }
 
 // gemmScaleRows applies C = beta*C over the row band; used for the
@@ -150,50 +174,107 @@ func gemmScaleRows(n int, beta float32, c []float32, ldc, rowLo, rowHi int) {
 	}
 }
 
-// gemmBlocked computes rows [rowLo, rowHi) of C = alpha*op(A)*op(B) +
-// beta*C with the blocked/packed kernel. The caller has validated the
-// arguments (checkGemm) and the dispatch predicate (useBlockedGemm).
-func gemmBlocked(s *GemmScratch, transA, transB Transpose, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
+// gemmOp is one product on the blocked kernel: C = alpha*op(A)*op(B) +
+// beta*C, plus where the packed panels come from. The plain Gemm entry
+// points fill in the dense fields only; the lowered convolution (conv.go)
+// sets conv and bias, and leaves a nil after a PackA.
+type gemmOp struct {
+	transA, transB Transpose
+	n, k           int
+	alpha, beta    float32
+	a              []float32 // nil: the panels PackA left in the scratch
+	lda            int
+	b              []float32
+	ldb            int
+	// conv non-nil: b is a (C,H,W) image and op(B) its lowered (im2col)
+	// matrix under conv — transposed if transB — packed straight from the
+	// image, so the matrix is never written; ldb is unused.
+	conv *ConvGeom
+	c    []float32
+	ldc  int
+	// bias non-nil: bias[i] is added to row i of C once its last KC block
+	// is in, in the tile's own writeback pass.
+	bias []float32
+}
+
+// PackA packs all of op(A) (m x k) into the scratch in the layout
+// gemmBlocked reads: per KC block, every mr-tall micro-panel. A run of
+// products sharing A (a band's samples all multiply the same weights)
+// then packs it once instead of once per product; the panels stay valid
+// until the next PackA on this scratch.
+func (s *GemmScratch) PackA(transA Transpose, m, k int, a []float32, lda int) {
+	arows, acols := m, k
+	if transA == Trans {
+		arows, acols = k, m
+	}
+	if m <= 0 || k <= 0 || lda < acols || len(a) < (arows-1)*lda+acols {
+		panic(fmt.Sprintf("blas: PackA: bad operand: m=%d k=%d transA=%v lda=%d len=%d", m, k, transA == Trans, lda, len(a)))
+	}
+	mp := roundUp(m, gemmMR)
+	if cap(s.pa) < mp*k {
+		s.pa = make([]float32, mp*k)
+	}
+	s.pa = s.pa[:mp*k]
+	for pc := 0; pc < k; pc += gemmKC {
+		packA(s.pa[mp*pc:], transA, a, lda, 0, m, pc, min(gemmKC, k-pc))
+	}
+	s.pm, s.pk = m, k
+}
+
+// gemmBlocked computes rows [rowLo, rowHi) of op with the blocked/packed
+// kernel. The caller has validated the operands; with pre-packed A the
+// band must start on a micro-panel boundary.
+func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 	if rowLo >= rowHi {
 		return
 	}
-	if alpha == 0 || k == 0 {
-		gemmScaleRows(n, beta, c, ldc, rowLo, rowHi)
+	n, k := op.n, op.k
+	if op.alpha == 0 || k == 0 {
+		gemmScaleRows(n, op.beta, op.c, op.ldc, rowLo, rowHi)
 		return
 	}
 	nr := gemmNR
-	mcMax := gemmMC
-	if band := rowHi - rowLo; band < mcMax {
-		mcMax = band
-	}
-	ncMax := gemmNC
-	if n < ncMax {
-		ncMax = n
-	}
-	kcMax := gemmKC
-	if k < kcMax {
-		kcMax = k
-	}
-	s.ensure(roundUp(mcMax, gemmMR)*kcMax, roundUp(ncMax, nr)*kcMax)
+	mcMax := min(gemmMC, rowHi-rowLo)
+	kcMax := min(gemmKC, k)
+	s.ensure(roundUp(mcMax, gemmMR)*kcMax, roundUp(min(gemmNC, n), nr)*kcMax)
 	acc := &s.acc
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
 			firstK := pc == 0
-			packB(s.bp, transB, b, ldb, pc, kc, jc, nc)
+			var bias []float32
+			if pc+kc == k {
+				bias = op.bias
+			}
+			switch {
+			case op.conv == nil:
+				packB(s.bp, op.transB, op.b, op.ldb, pc, kc, jc, nc)
+			case op.transB == NoTrans:
+				packBConv(s.bp, s.row[:], op.conv, op.b, pc, kc, jc, nc)
+			default:
+				packBConvT(s.bp, op.conv, op.b, pc, kc, jc, nc)
+			}
 			for ic := rowLo; ic < rowHi; ic += gemmMC {
 				mc := min(gemmMC, rowHi-ic)
-				packA(s.ap, transA, a, lda, ic, mc, pc, kc)
+				ap := s.ap
+				if op.a != nil {
+					packA(ap, op.transA, op.a, op.lda, ic, mc, pc, kc)
+				} else {
+					ap = s.pa[roundUp(s.pm, gemmMR)*pc+ic*kc:]
+				}
 				for jr := 0; jr < nc; jr += nr {
 					nrr := min(nr, nc-jr)
 					bpPanel := s.bp[(jr/nr)*kc*nr:]
 					for ir := 0; ir < mc; ir += gemmMR {
 						mrr := min(gemmMR, mc-ir)
-						apPanel := s.ap[(ir/gemmMR)*kc*gemmMR:]
-						gemmMicroKernel(apPanel, bpPanel, kc, acc)
-						writebackTile(acc, nr, alpha, beta, firstK,
-							c[(ic+ir)*ldc+jc+jr:], ldc, mrr, nrr)
+						gemmMicroKernel(ap[ir*kc:], bpPanel, kc, acc)
+						var tileBias []float32
+						if bias != nil {
+							tileBias = bias[ic+ir:]
+						}
+						writebackTile(acc, nr, op.alpha, op.beta, firstK, tileBias,
+							op.c[(ic+ir)*op.ldc+jc+jr:], op.ldc, mrr, nrr)
 					}
 				}
 			}
@@ -203,26 +284,40 @@ func gemmBlocked(s *GemmScratch, transA, transB Transpose, n, k int, alpha float
 
 // writebackTile folds one accumulated micro-tile into C:
 // C = beta*C + alpha*acc on the first KC block, C += alpha*acc on the
-// rest. mrr/nrr clip edge tiles; acc rows are gemmNR wide. This is the
-// only code that writes C on the blocked path, shared by every
-// micro-kernel, which keeps edge and full tiles bit-identical.
-func writebackTile(acc *[gemmMR * gemmNRMax]float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, mrr, nrr int) {
+// rest, then C += bias[row] when the caller passes the row biases (last
+// KC block only). mrr/nrr clip edge tiles; acc rows are gemmNR wide. This
+// is the only code that writes C on the blocked path, shared by every
+// micro-kernel, which keeps edge and full tiles bit-identical. The bias
+// is a second rounding step over the finished row, not part of the
+// alpha*acc expression, so it equals a separate add pass over C bit for
+// bit (also where the compiler fuses multiply-adds).
+func writebackTile(acc *[gemmMR * gemmNRMax]float32, nr int, alpha, beta float32, firstK bool, bias []float32, c []float32, ldc, mrr, nrr int) {
 	for i := 0; i < mrr; i++ {
 		ci := c[i*ldc : i*ldc+nrr]
-		ai := acc[i*nr:]
+		ai := acc[i*nr : i*nr+nrr]
+		ci = ci[:len(ai)]
 		switch {
 		case !firstK:
-			for j := range ci {
-				ci[j] += alpha * ai[j]
+			for j, v := range ai {
+				ci[j] += alpha * v
 			}
+		case beta == 0 && alpha == 1:
+			// What every layer's forward product asks for; 1*v is v.
+			copy(ci, ai)
 		case beta == 0:
 			// beta == 0 must not read C (it may hold garbage/NaN).
-			for j := range ci {
-				ci[j] = alpha * ai[j]
+			for j, v := range ai {
+				ci[j] = alpha * v
 			}
 		default:
+			for j, v := range ai {
+				ci[j] = beta*ci[j] + alpha*v
+			}
+		}
+		if bias != nil {
+			bv := bias[i]
 			for j := range ci {
-				ci[j] = beta*ci[j] + alpha*ai[j]
+				ci[j] += bv
 			}
 		}
 	}
@@ -233,38 +328,53 @@ func writebackTile(acc *[gemmMR * gemmNRMax]float32, nr int, alpha, beta float32
 // values, zero-padded when the block has fewer than mr rows left. The
 // zero padding is what lets edge tiles share the full micro-kernel.
 func packA(dst []float32, transA Transpose, a []float32, lda, ic, mc, pc, kc int) {
-	idx := 0
 	for ir := 0; ir < mc; ir += gemmMR {
 		rows := min(gemmMR, mc-ir)
-		if transA == NoTrans {
-			base := (ic + ir) * lda
-			for l := 0; l < kc; l++ {
-				col := base + pc + l
-				for i := 0; i < rows; i++ {
-					dst[idx] = a[col+i*lda]
-					idx++
-				}
-				for i := rows; i < gemmMR; i++ {
-					dst[idx] = 0
-					idx++
-				}
-			}
-		} else {
+		panel := dst[ir*kc : (ir+gemmMR)*kc]
+		switch {
+		case transA == Trans:
 			// op(A)[i, l] = A[l, i]: row pc+l of the stored matrix is
 			// contiguous over i, so the pack is a strided gather of
 			// mr-length runs.
 			for l := 0; l < kc; l++ {
-				src := a[(pc+l)*lda+ic+ir:]
-				for i := 0; i < rows; i++ {
-					dst[idx] = src[i]
-					idx++
+				copyPad(panel[l*gemmMR:l*gemmMR+gemmMR], a[(pc+l)*lda+ic+ir:][:rows])
+			}
+		case rows == gemmMR:
+			base := (ic+ir)*lda + pc
+			interleave4(panel, gemmMR, a[base:base+kc], a[base+lda:base+lda+kc],
+				a[base+2*lda:base+2*lda+kc], a[base+3*lda:base+3*lda+kc])
+		default:
+			base := (ic+ir)*lda + pc
+			for l := 0; l < kc; l++ {
+				g := panel[l*gemmMR : l*gemmMR+gemmMR]
+				for i := range g {
+					g[i] = 0
 				}
-				for i := rows; i < gemmMR; i++ {
-					dst[idx] = 0
-					idx++
+				for i := 0; i < rows; i++ {
+					g[i] = a[base+i*lda+l]
 				}
 			}
 		}
+	}
+}
+
+// copyPad copies src into the front of dst and zeroes the rest: one group
+// of a micro-panel, zero-padded at the block's edge.
+func copyPad(dst, src []float32) {
+	for i := copy(dst, src); i < len(dst); i++ {
+		dst[i] = 0
+	}
+}
+
+// interleave4 writes dst[l*stride+i] = r_i[l] for four equally long rows:
+// the transposing step of both packers (four rows of A into an mr-tall
+// panel, four stored rows of a transposed B into four columns of an
+// nr-wide one), four sequential read streams and one write stream.
+func interleave4(dst []float32, stride int, r0, r1, r2, r3 []float32) {
+	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+	for l, v := range r0 {
+		g := dst[l*stride : l*stride+4 : l*stride+4]
+		g[0], g[1], g[2], g[3] = v, r1[l], r2[l], r3[l]
 	}
 }
 
@@ -273,34 +383,32 @@ func packA(dst []float32, transA Transpose, a []float32, lda, ic, mc, pc, kc int
 // values, zero-padded on the right edge.
 func packB(dst []float32, transB Transpose, b []float32, ldb, pc, kc, jc, nc int) {
 	nr := gemmNR
-	idx := 0
 	for jr := 0; jr < nc; jr += nr {
 		cols := min(nr, nc-jr)
+		panel := dst[(jr/nr)*kc*nr : (jr/nr+1)*kc*nr]
 		if transB == NoTrans {
 			for l := 0; l < kc; l++ {
-				src := b[(pc+l)*ldb+jc+jr:]
-				for j := 0; j < cols; j++ {
-					dst[idx] = src[j]
-					idx++
-				}
-				for j := cols; j < nr; j++ {
-					dst[idx] = 0
-					idx++
-				}
+				copyPad(panel[l*nr:l*nr+nr], b[(pc+l)*ldb+jc+jr:][:cols])
 			}
-		} else {
-			// op(B)[l, j] = B[j, l]: column panels of op(B) are rows of
-			// the stored matrix, read with stride ldb.
-			base := (jc + jr) * ldb
-			for l := 0; l < kc; l++ {
-				col := base + pc + l
-				for j := 0; j < cols; j++ {
-					dst[idx] = b[col+j*ldb]
-					idx++
+			continue
+		}
+		// op(B)[l, j] = B[j, l]: column j of the panel is row jc+jr+j of
+		// the stored matrix, transposed in four rows at a time.
+		j := 0
+		for ; j+4 <= cols; j += 4 {
+			base := (jc+jr+j)*ldb + pc
+			interleave4(panel[j:], nr, b[base:base+kc], b[base+ldb:base+ldb+kc],
+				b[base+2*ldb:base+2*ldb+kc], b[base+3*ldb:base+3*ldb+kc])
+		}
+		for ; j < nr; j++ {
+			if j < cols {
+				src := b[(jc+jr+j)*ldb+pc:][:kc]
+				for l, v := range src {
+					panel[l*nr+j] = v
 				}
-				for j := cols; j < nr; j++ {
-					dst[idx] = 0
-					idx++
+			} else {
+				for l := 0; l < kc; l++ {
+					panel[l*nr+j] = 0
 				}
 			}
 		}

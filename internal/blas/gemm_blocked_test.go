@@ -85,7 +85,7 @@ func TestBlockedGemmDifferential(t *testing.T) {
 func TestBlockedGemmAlphaZero(t *testing.T) {
 	r := rng.New(12, 12)
 	m, n, k := 9, 130, 40 // blocked-path shape
-	if !useBlockedGemm(n, k) {
+	if !GemmIsBlocked(m, n, k) {
 		t.Fatal("shape unexpectedly below blocked threshold")
 	}
 	c0 := randomSlice(r, m*n)
@@ -108,7 +108,7 @@ func TestBlockedGemmAlphaZero(t *testing.T) {
 func TestBlockedGemmBandInvariance(t *testing.T) {
 	r := rng.New(13, 13)
 	m, n, k := 23, 129, 300
-	if !useBlockedGemm(n, k) {
+	if !GemmIsBlocked(m, n, k) {
 		t.Fatal("shape unexpectedly below blocked threshold")
 	}
 	a := randomSlice(r, m*k)
@@ -128,13 +128,13 @@ func TestBlockedGemmBandInvariance(t *testing.T) {
 	}
 }
 
-// TestGemmParallelBlockedBitIdentical is the parallel counterpart on a
-// shape large enough for the blocked path (the original parallel test's
-// 37x29x31 stays on gemmRef).
+// TestGemmParallelBlockedBitIdentical is the parallel counterpart, with a
+// transposed B, an N that is not a multiple of the micro-tile and worker
+// counts beyond the number of micro-panels.
 func TestGemmParallelBlockedBitIdentical(t *testing.T) {
 	r := rng.New(14, 14)
 	m, n, k := 37, 141, 97
-	if !useBlockedGemm(n, k) {
+	if !GemmIsBlocked(m, n, k) {
 		t.Fatal("shape unexpectedly below blocked threshold")
 	}
 	a := randomSlice(r, m*k)
@@ -256,4 +256,82 @@ func BenchmarkGemmNetShapes(b *testing.B) {
 			})
 		}
 	}
+}
+
+// FuzzGemm drives random shapes, transposes, alpha/beta and leading
+// strides through the dispatching Gemm and, dispatch aside, through the
+// blocked kernel, with gemmRef as the oracle. It checks the values (the
+// two kernels sum in different orders, hence the K-scaled tolerance), that
+// C's padding columns are never written, and that a random row-band split
+// reproduces the full call bit for bit. The seed corpus straddles the
+// dispatch boundary (k = 1 | 2), the boundary it replaced (n*k = 4096,
+// with LeNet's conv2-bwdX just under it) and every blocking constant.
+func FuzzGemm(f *testing.F) {
+	for _, s := range []struct {
+		m, n, k uint16
+		flags   uint8
+	}{
+		{37, 29, 1, 0}, {37, 29, 2, 0}, {1, 1, 2, 3}, // the dispatch boundary
+		{500, 64, 50, 1}, {9, 64, 63, 0}, {9, 64, 64, 2}, // the old one; flags 1 = transA (conv2-bwdX)
+		{4, 4, 257, 0}, {67, 129, 263, 3}, {65, 17, 9, 1}, {3, 513, 5, 2}, // MR/NR/MC/KC/NC edges
+		{20, 576, 25, 0}, {50, 500, 64, 2}, {8, 10, 500, 2}, // LeNet conv1-fwd, conv2-bwdW, ip2-fwd at batch 8
+	} {
+		f.Add(s.m, s.n, s.k, s.flags, uint8(1), uint8(0), uint8(3), uint8(5), uint8(7), uint64(17))
+	}
+	alphas := []float32{1, 0.75, -1.5, 0}
+	betas := []float32{0, 1, 0.5}
+	f.Fuzz(func(t *testing.T, m16, n16, k16 uint16, flags, alphaSel, betaSel, padA, padB, padC uint8, seed uint64) {
+		m, n, k := int(m16%520), int(n16%600), int(k16%520)
+		if m*n*k > 4<<20 {
+			t.Skip("too large to be worth a fuzz iteration")
+		}
+		ta, tb := Transpose(flags&1 != 0), Transpose(flags&2 != 0)
+		alpha, beta := alphas[int(alphaSel)%len(alphas)], betas[int(betaSel)%len(betas)]
+		arows, acols := storage(ta, m, k)
+		brows, bcols := storage(tb, k, n)
+		lda, ldb, ldc := acols+int(padA%9), bcols+int(padB%9), n+int(padC%9)
+		lda, ldb, ldc = max(lda, 1), max(ldb, 1), max(ldc, 1)
+		r := rng.New(seed, 41)
+		a := randomSlice(r, arows*lda)
+		b := randomSlice(r, brows*ldb)
+		c0 := randomSlice(r, m*ldc)
+		want := append([]float32(nil), c0...)
+		gemmRef(ta, tb, n, k, alpha, a, lda, b, ldb, beta, want, ldc, 0, m)
+		tol := 2e-6*float64(k+1) + 1e-6
+
+		for name, gemm := range map[string]func([]float32){
+			"Gemm":        func(c []float32) { Gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) },
+			"GemmBlocked": func(c []float32) { GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) },
+		} {
+			got := append([]float32(nil), c0...)
+			gemm(got)
+			for i := 0; i < m; i++ {
+				row := got[i*ldc : (i+1)*ldc]
+				if d := maxAbsDiff(row[:n], want[i*ldc:i*ldc+n]); d > tol {
+					t.Fatalf("%s m=%d n=%d k=%d ta=%v tb=%v alpha=%v beta=%v: row %d off by %g (tol %g)",
+						name, m, n, k, ta, tb, alpha, beta, i, d, tol)
+				}
+				for j := n; j < ldc; j++ {
+					if row[j] != c0[i*ldc+j] {
+						t.Fatalf("%s m=%d n=%d k=%d: C padding clobbered at (%d,%d)", name, m, n, k, i, j)
+					}
+				}
+			}
+		}
+
+		full := append([]float32(nil), c0...)
+		Gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, full, ldc)
+		banded := append([]float32(nil), c0...)
+		cut := 0
+		if m > 0 {
+			cut = int(seed % uint64(m+1))
+		}
+		GemmRows(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, 0, cut)
+		GemmRows(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, cut, m)
+		for i := range full {
+			if full[i] != banded[i] {
+				t.Fatalf("m=%d n=%d k=%d cut=%d: banded result differs from full at %d", m, n, k, cut, i)
+			}
+		}
+	})
 }

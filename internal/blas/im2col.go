@@ -11,36 +11,18 @@ package blas
 //
 // stored row-major, where outH = (height + 2*padH - kernelH)/strideH + 1 and
 // similarly for outW. Elements read from the padding region are zero.
+//
+// The lowered convolution layer no longer calls this — it packs GEMM
+// panels straight from the image (conv.go) with the same row walker — so
+// Im2col remains as the Tuned engine's lowering and as the oracle the
+// implicit GEMM is differentially tested against.
 func Im2col(im []float32, channels, height, width, kernelH, kernelW, padH, padW, strideH, strideW int, col []float32) {
-	outH := ConvOutSize(height, kernelH, padH, strideH)
-	outW := ConvOutSize(width, kernelW, padW, strideW)
-	idx := 0
-	for c := 0; c < channels; c++ {
-		chIm := im[c*height*width:]
-		for kh := 0; kh < kernelH; kh++ {
-			for kw := 0; kw < kernelW; kw++ {
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*strideH - padH + kh
-					if ih < 0 || ih >= height {
-						for ow := 0; ow < outW; ow++ {
-							col[idx] = 0
-							idx++
-						}
-						continue
-					}
-					rowBase := ih * width
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*strideW - padW + kw
-						if iw < 0 || iw >= width {
-							col[idx] = 0
-						} else {
-							col[idx] = chIm[rowBase+iw]
-						}
-						idx++
-					}
-				}
-			}
-		}
+	g := ConvGeom{channels, height, width, kernelH, kernelW, padH, padW, strideH, strideW}
+	outW, ohw := g.OutW(), g.Cols()
+	r := g.cursor(0)
+	for row, rows := 0, g.Rows(); row < rows; row++ {
+		g.lower(col[row*ohw:(row+1)*ohw], 1, im, r, 0, 0, outW, ohw)
+		g.next(&r)
 	}
 }
 
@@ -50,28 +32,37 @@ func Im2col(im []float32, channels, height, width, kernelH, kernelW, padH, padW,
 //
 // The destination image is NOT zeroed first; callers accumulate into a
 // zeroed (or privatized) buffer.
+//
+// Like ConvGeom.lower, it clips each output row's run against the image
+// once instead of bounds-testing every entry; at stride 1 the run is a
+// straight accumulate over contiguous pixels.
 func Col2im(col []float32, channels, height, width, kernelH, kernelW, padH, padW, strideH, strideW int, im []float32) {
 	outH := ConvOutSize(height, kernelH, padH, strideH)
 	outW := ConvOutSize(width, kernelW, padW, strideW)
 	idx := 0
 	for c := 0; c < channels; c++ {
-		chIm := im[c*height*width:]
+		chIm := im[c*height*width : (c+1)*height*width]
 		for kh := 0; kh < kernelH; kh++ {
 			for kw := 0; kw < kernelW; kw++ {
+				iw := kw - padW
+				lo, hi := clipRun(iw, strideW, width, outW) // output columns that land inside the image
 				for oh := 0; oh < outH; oh++ {
 					ih := oh*strideH - padH + kh
-					if ih < 0 || ih >= height {
-						idx += outW
-						continue
-					}
-					rowBase := ih * width
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*strideW - padW + kw
-						if iw >= 0 && iw < width {
-							chIm[rowBase+iw] += col[idx]
+					if ih >= 0 && ih < height && lo < hi {
+						src := col[idx+lo : idx+hi]
+						dst := chIm[ih*width+iw+lo*strideW:]
+						if strideW == 1 {
+							dst = dst[:len(src)]
+							for t, v := range src {
+								dst[t] += v
+							}
+						} else {
+							for t, v := range src {
+								dst[t*strideW] += v
+							}
 						}
-						idx++
 					}
+					idx += outW
 				}
 			}
 		}

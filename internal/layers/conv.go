@@ -29,7 +29,8 @@ type ConvConfig struct {
 	// Lowered selects the im2col+GEMM implementation (Caffe's CPU path)
 	// for the sequential/coarse engines instead of the direct loop nest;
 	// the coalesced unit becomes one sample and each worker privatizes a
-	// column buffer (see conv_lowered.go).
+	// GEMM scratch, not a column matrix: the lowering happens inside the
+	// GEMM's panel packing (see conv_lowered.go).
 	Lowered bool
 }
 
@@ -94,6 +95,7 @@ type Convolution struct {
 	// Cached geometry, valid after SetUp/Reshape.
 	num, channels, height, width int
 	outH, outW                   int
+	geom                         blas.ConvGeom // the same, as the lowered path's GEMM driver takes it
 
 	propagateDown bool
 
@@ -103,8 +105,8 @@ type Convolution struct {
 	// across calls so the tuned hot path allocates nothing in steady state.
 	colBuf  []float32
 	dcolBuf []float32
-	// cols hands out per-worker private column buffers for the lowered
-	// path (Algorithm 4's object privatization).
+	// cols hands out per-worker private dcol buffers for the lowered
+	// path's backward pass (Algorithm 4's object privatization).
 	cols colBuffers
 }
 
@@ -157,8 +159,10 @@ func (l *Convolution) Reshape(bottom, top []*blob.Blob) {
 	if l.channels != l.params[0].Dim(1) {
 		panic(fmt.Sprintf("layer %s: channel count changed from %d to %d", l.name, l.params[0].Dim(1), l.channels))
 	}
-	l.outH = blas.ConvOutSize(l.height, l.cfg.KernelH, l.cfg.PadH, l.cfg.StrideH)
-	l.outW = blas.ConvOutSize(l.width, l.cfg.KernelW, l.cfg.PadW, l.cfg.StrideW)
+	l.geom = blas.ConvGeom{Channels: l.channels, Height: l.height, Width: l.width,
+		KernelH: l.cfg.KernelH, KernelW: l.cfg.KernelW, PadH: l.cfg.PadH, PadW: l.cfg.PadW,
+		StrideH: l.cfg.StrideH, StrideW: l.cfg.StrideW}
+	l.outH, l.outW = l.geom.OutH(), l.geom.OutW()
 	if l.outH <= 0 || l.outW <= 0 {
 		panic(fmt.Sprintf("layer %s: output size %dx%d not positive", l.name, l.outH, l.outW))
 	}

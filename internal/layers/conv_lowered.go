@@ -7,16 +7,18 @@ import (
 	"coarsegrain/internal/blob"
 )
 
-// The lowered convolution path: im2col + GEMM per sample, which is what
-// Caffe's CPU convolution actually does (the direct loop nest in conv.go
-// models the "research-stage" code the paper's introduction motivates).
-// Enable with ConvConfig.Lowered.
+// The lowered convolution path: Caffe's CPU convolution, one GEMM per
+// sample on the im2col matrix of its image (the direct loop nest in
+// conv.go models the "research-stage" code the paper's introduction
+// motivates). Enable with ConvConfig.Lowered.
 //
-// Inside a coarse-grain parallel region every worker lowers its own
-// samples, so each needs a private column buffer — exactly the "object
-// privatization" step of Algorithm 4 (line 2). The buffers come from a
-// sync.Pool, which gives per-worker reuse without the layer knowing the
-// team size.
+// The matrix itself is never written: blas.ConvForward and
+// blas.ConvBackwardWeights pack the GEMM's panels straight from the image
+// (implicit GEMM, blas/conv.go). What a worker privatizes inside a
+// coarse-grain region — the "object privatization" step of Algorithm 4
+// (line 2) — is therefore one blas.GemmScratch, holding the packed panels
+// and the weights packed once for the whole band, plus, in the backward
+// pass, the dcol = Wᵀ·dTop matrix that Col2im scatters.
 
 // colBuf wraps one pooled buffer. The pool stores these pointers rather
 // than []float32 values: boxing a slice header into the pool's
@@ -24,7 +26,8 @@ import (
 // zero-alloc steady state (SERVING.md) cannot afford.
 type colBuf struct{ data []float32 }
 
-// colBuffers hands out column/scratch buffers of at least n floats.
+// colBuffers hands out dcol buffers of at least n floats, so each worker
+// of a parallel region reuses one without the layer knowing the team size.
 type colBuffers struct{ pool sync.Pool }
 
 func (c *colBuffers) get(n int) *colBuf {
@@ -41,64 +44,51 @@ func (c *colBuffers) get(n int) *colBuf {
 
 func (c *colBuffers) put(b *colBuf) { c.pool.Put(b) }
 
-// forwardLoweredRange computes samples [lo, hi) via im2col+GEMM. One
-// GemmScratch serves the whole band: the packed-panel buffers of the
-// blocked kernel are reused sample to sample (the GEMM shape is constant
-// across the band), exactly like the column buffer.
+// forwardLoweredRange computes samples [lo, hi): W is packed once into
+// the band's scratch, then each sample is one implicit GEMM with the bias
+// added in its writeback.
 func (l *Convolution) forwardLoweredRange(lo, hi int, bottom, top *blob.Blob) {
 	o := l.cfg.NumOutput
-	ckk := l.channels * l.cfg.KernelH * l.cfg.KernelW
-	ohw := l.outH * l.outW
+	ckk, ohw := l.geom.Rows(), l.outH*l.outW
 	chw := l.channels * l.height * l.width
-	w := l.params[0].Data()
-	cb := l.cols.get(ckk * ohw)
-	defer l.cols.put(cb)
-	col := cb.data
+	var bias []float32
+	if !l.cfg.NoBias {
+		bias = l.params[1].Data()
+	}
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
+	gs.PackA(blas.NoTrans, o, ckk, l.params[0].Data(), ckk)
 	for s := lo; s < hi; s++ {
-		im := bottom.Data()[s*chw:]
-		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
-		out := top.Data()[s*o*ohw : (s+1)*o*ohw]
-		blas.GemmWithScratch(gs, blas.NoTrans, blas.NoTrans, o, ohw, ckk, 1, w, ckk, col, ohw, 0, out, ohw)
-		if !l.cfg.NoBias {
-			bias := l.params[1].Data()
-			for oc := 0; oc < o; oc++ {
-				blas.AddScalar(out[oc*ohw:(oc+1)*ohw], bias[oc])
-			}
-		}
+		blas.ConvForward(gs, &l.geom, o, bottom.Data()[s*chw:(s+1)*chw], bias,
+			top.Data()[s*o*ohw:(s+1)*o*ohw])
 	}
 }
 
 // backwardLoweredRange computes gradients for samples [lo, hi) via GEMMs:
-// dW += dTop·colᵀ, dcol = Wᵀ·dTop, then col2im scatters dcol into the
-// bottom gradient. Parameter gradients accumulate into the (possibly
-// privatized) paramGrads blobs.
+// dW += dTop·colᵀ (col implicit), dcol = Wᵀ·dTop with Wᵀ packed once for
+// the band, then col2im scatters dcol into the bottom gradient. Parameter
+// gradients accumulate into the (possibly privatized) paramGrads blobs.
 func (l *Convolution) backwardLoweredRange(lo, hi int, bottom, top *blob.Blob, paramGrads []*blob.Blob) {
 	o := l.cfg.NumOutput
-	ckk := l.channels * l.cfg.KernelH * l.cfg.KernelW
-	ohw := l.outH * l.outW
+	ckk, ohw := l.geom.Rows(), l.outH*l.outW
 	chw := l.channels * l.height * l.width
-	w := l.params[0].Data()
 	wGrad := paramGrads[0].Diff()
 	var bGrad []float32
 	if !l.cfg.NoBias {
 		bGrad = paramGrads[1].Diff()
 	}
-	cb := l.cols.get(ckk * ohw)
-	defer l.cols.put(cb)
-	dcb := l.cols.get(ckk * ohw)
-	defer l.cols.put(dcb)
-	col, dcol := cb.data, dcb.data
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
+	var dcol []float32
+	if l.propagateDown {
+		dcb := l.cols.get(ckk * ohw)
+		defer l.cols.put(dcb)
+		dcol = dcb.data
+		gs.PackA(blas.Trans, ckk, o, l.params[0].Data(), ckk)
+	}
 	for s := lo; s < hi; s++ {
-		im := bottom.Data()[s*chw:]
 		outDiff := top.Diff()[s*o*ohw : (s+1)*o*ohw]
-		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
-		blas.GemmWithScratch(gs, blas.NoTrans, blas.Trans, o, ckk, ohw, 1, outDiff, ohw, col, ohw, 1, wGrad, ckk)
+		blas.ConvBackwardWeights(gs, &l.geom, o, outDiff, bottom.Data()[s*chw:(s+1)*chw], wGrad)
 		if bGrad != nil {
 			for oc := 0; oc < o; oc++ {
 				var sum float32
@@ -111,7 +101,7 @@ func (l *Convolution) backwardLoweredRange(lo, hi int, bottom, top *blob.Blob, p
 		if !l.propagateDown {
 			continue
 		}
-		blas.GemmWithScratch(gs, blas.Trans, blas.NoTrans, ckk, ohw, o, 1, w, ckk, outDiff, ohw, 0, dcol, ohw)
+		blas.ConvBackwardCol(gs, &l.geom, o, outDiff, dcol)
 		inDiff := bottom.Diff()[s*chw : (s+1)*chw]
 		for i := range inDiff {
 			inDiff[i] = 0

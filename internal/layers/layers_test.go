@@ -885,6 +885,73 @@ func TestConvLoweredMatchesDirect(t *testing.T) {
 	}
 }
 
+// The lowered path's implicit GEMM against the layer that still lowers
+// the old way: the Tuned engine's Im2col + GemmParallel + bias pass. Both
+// passes must agree bit for bit, on ragged lowered bands, with and without
+// bias and propagation, on geometries with padding, stride, non-square
+// kernels and an outW no micro-tile divides.
+func TestConvLoweredBitIdenticalToTuned(t *testing.T) {
+	r := rng.New(63, 1)
+	pool := par.NewPool(3)
+	defer pool.Close()
+	for ci, cfg := range []ConvConfig{
+		{NumOutput: 6, Kernel: 5},                                              // LeNet-like, no padding
+		{NumOutput: 5, Kernel: 3, Pad: 1, NoBias: true},                        // padded, no bias
+		{NumOutput: 4, KernelH: 3, KernelW: 2, PadH: 2, StrideH: 2},            // non-square, pad beyond need
+		{NumOutput: 7, Kernel: 3, Pad: 2, Stride: 2, DisablePropagation: true}, // strided, dW only
+		{NumOutput: 3, Kernel: 1},                                              // 1x1
+	} {
+		mk := func(lowered bool) (*Convolution, *blob.Blob, []*blob.Blob) {
+			c := cfg
+			c.Lowered, c.WeightFiller, c.RNG = lowered, GaussianFiller{Std: 0.3}, rng.New(9, uint64(ci))
+			c.BiasFiller = GaussianFiller{Std: 0.3}
+			l, err := NewConvolution("c", c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bottom := blob.New(5, 12, 9, 11) // ckk = 300 at kernel 5: two KC blocks
+			return l, bottom, setup(t, l, []*blob.Blob{bottom})
+		}
+		lt, bt, tt := mk(false)
+		ll, bl, tl := mk(true)
+		for i := range bt.Data() {
+			v := r.Range(-1, 1)
+			bt.Data()[i], bl.Data()[i] = v, v
+		}
+		lt.ForwardTuned(pool, []*blob.Blob{bt}, tt)
+		for lo := 0; lo < 5; lo += 2 {
+			ll.ForwardRange(lo, min(lo+2, 5), []*blob.Blob{bl}, tl)
+		}
+		for i, v := range tt[0].Data() {
+			if tl[0].Data()[i] != v {
+				t.Fatalf("config %d: lowered forward differs from tuned at %d: %v vs %v", ci, i, tl[0].Data()[i], v)
+			}
+		}
+		for i := range tt[0].Diff() {
+			g := r.Range(-1, 1)
+			tt[0].Diff()[i], tl[0].Diff()[i] = g, g
+		}
+		lt.BackwardTuned(pool, []*blob.Blob{bt}, tt)
+		for lo := 0; lo < 5; lo += 3 {
+			ll.BackwardRange(lo, min(lo+3, 5), []*blob.Blob{bl}, tl, ll.Params())
+		}
+		if !cfg.DisablePropagation {
+			for i, v := range bt.Diff() {
+				if bl.Diff()[i] != v {
+					t.Fatalf("config %d: lowered bottom grad differs from tuned at %d: %v vs %v", ci, i, bl.Diff()[i], v)
+				}
+			}
+		}
+		for pi := range lt.Params() {
+			for i, v := range lt.Params()[pi].Diff() {
+				if ll.Params()[pi].Diff()[i] != v {
+					t.Fatalf("config %d: lowered param %d grad differs from tuned at %d", ci, pi, i)
+				}
+			}
+		}
+	}
+}
+
 func TestConvLoweredGradientCheck(t *testing.T) {
 	r := rng.New(62, 1)
 	l, err := NewConvolution("c", ConvConfig{NumOutput: 2, Kernel: 3, Pad: 1, Lowered: true,

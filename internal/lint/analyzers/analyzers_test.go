@@ -43,6 +43,10 @@ func TestHotAllocServePath(t *testing.T) {
 	lint.Fixture(t, HotAlloc, "servehot")
 }
 
+func TestHotAllocKernelPackage(t *testing.T) {
+	lint.Fixture(t, HotAlloc, "blashot")
+}
+
 func TestTraceNilCallSites(t *testing.T) {
 	lint.Fixture(t, TraceNil, "tracenil")
 }

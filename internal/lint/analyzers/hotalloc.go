@@ -32,27 +32,38 @@ import (
 // daemon, and the server's zero-alloc steady-state contract (SERVING.md)
 // depends on them staying allocation-free after warm-up.
 //
+// The kernel package is the fourth: everything in a package named blas —
+// the lowered convolution's driver (ConvForward, ConvBackward*), the panel
+// packers it and Gemm share (packA/packB/packBConv*, PackA, lower,
+// interleave4), Im2col/Col2im, the level-1 helpers — runs once per sample
+// per layer per pass, whatever its name. The whole package is held to the
+// standard rather than a list of names, so a packer added later cannot
+// slip past by being called something new.
+//
 // Deliberate allocations (e.g. one-time growth amortized across batches)
 // are waived with `//dnnlint:ignore hotalloc <why>`.
 var HotAlloc = &lint.Analyzer{
 	Name: "hotalloc",
 	Doc: "flags make/append/new and fmt.* calls inside loops of Forward*/Backward*/GEMM " +
-		"functions, guard.Monitor Check*/scan* methods, and serve.replica Infer* / " +
-		"serve.feeder Read* methods (allocation in the per-iteration hot path)",
+		"functions, every function of the blas kernel package, guard.Monitor Check*/scan* " +
+		"methods, and serve.replica Infer* / serve.feeder Read* methods (allocation in the " +
+		"per-iteration hot path)",
 	Run: runHotAlloc,
 }
 
-// hotFunc reports whether a function name marks per-iteration hot code.
-// Test entry points are exempt even when their names mention a kernel
+// hotFunc reports whether a function marks per-iteration hot code: by
+// name anywhere, or by living in the kernel package (kernelPkg). Test
+// entry points are exempt even when their names mention a kernel
 // (TestGemmAgainstNaive builds inputs in loops by design).
-func hotFunc(name string) bool {
+func hotFunc(name string, kernelPkg bool) bool {
 	for _, p := range []string{"Test", "Benchmark", "Fuzz", "Example"} {
 		if strings.HasPrefix(name, p) {
 			return false
 		}
 	}
 	lower := strings.ToLower(name)
-	return strings.HasPrefix(lower, "forward") ||
+	return kernelPkg ||
+		strings.HasPrefix(lower, "forward") ||
 		strings.HasPrefix(lower, "backward") ||
 		strings.Contains(lower, "gemm")
 }
@@ -112,13 +123,14 @@ func isServeHot(pass *lint.Pass, fd *ast.FuncDecl) bool {
 }
 
 func runHotAlloc(pass *lint.Pass) {
+	kernelPkg := pass.Pkg != nil && pass.Pkg.Name() == "blas"
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if !hotFunc(fd.Name.Name) && !isGuardScan(pass, fd) && !isServeHot(pass, fd) {
+			if !hotFunc(fd.Name.Name, kernelPkg) && !isGuardScan(pass, fd) && !isServeHot(pass, fd) {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -65,13 +65,13 @@ func newReplica(rank int, s *Server) (*replica, error) {
 		return nil, fmt.Errorf("serve: replica %d build: %w", rank, err)
 	}
 	specs = StripTraining(specs)
-	n, err := net.NewForward(specs, nil)
-	if err != nil {
-		return nil, fmt.Errorf("serve: replica %d: %w", rank, err)
-	}
+	// Size the net for MaxBatch before it is built: a builder's own batch
+	// (the zoo nets default to their training batch, 64 or 100) would
+	// allocate every activation blob at that size first, and a later
+	// shrink keeps the larger buffers.
 	var dl *layers.Data
-	for _, l := range n.Layers() {
-		if d, ok := l.(*layers.Data); ok {
+	for _, sp := range specs {
+		if d, ok := sp.Layer.(*layers.Data); ok {
 			dl = d
 			break
 		}
@@ -79,9 +79,10 @@ func newReplica(rank int, s *Server) (*replica, error) {
 	if dl == nil {
 		return nil, fmt.Errorf("serve: replica %d: network has no Data layer", rank)
 	}
-	if dl.BatchSize() != s.cfg.MaxBatch {
-		dl.SetBatchSize(s.cfg.MaxBatch)
-		n.Reshape()
+	dl.SetBatchSize(s.cfg.MaxBatch)
+	n, err := net.NewForward(specs, nil)
+	if err != nil {
+		return nil, fmt.Errorf("serve: replica %d: %w", rank, err)
 	}
 	sb := n.Blob(s.cfg.ScoreBlob)
 	if sb == nil {

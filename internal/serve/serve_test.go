@@ -258,6 +258,37 @@ func TestRoutingUnderConcurrency(t *testing.T) {
 	wg.Wait()
 }
 
+// TestReplicaBuiltAtMaxBatch: a builder that names its own, larger batch
+// (the zoo nets default to their training batch) must not make a replica
+// allocate its activations at that size before shrinking to MaxBatch —
+// the buffers would stay that large for the life of the server.
+func TestReplicaBuiltAtMaxBatch(t *testing.T) {
+	const maxBatch, builderBatch = 4, 64
+	cfg := testConfig(maxBatch, time.Millisecond)
+	inner := cfg.Build
+	cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
+		specs, err := inner(src)
+		if err != nil {
+			return nil, err
+		}
+		d, err := layers.NewData("data", src, builderBatch)
+		specs[0].Layer = d
+		return specs, err
+	}
+	s := newTestServer(t, cfg)
+	for _, rep := range s.replicas {
+		conv1 := rep.net.Blob("conv1") // 4 maps of 12x12 per sample
+		if got, want := conv1.Cap(), maxBatch*4*12*12; got != want {
+			t.Fatalf("replica %d: conv1 holds %d floats, want %d (MaxBatch %d, not the builder's %d)",
+				rep.rank, got, want, maxBatch, builderBatch)
+		}
+	}
+	s.Start()
+	if got := doSample(t, s, 3); len(got) != 10 {
+		t.Fatalf("%d scores, want 10", len(got))
+	}
+}
+
 // TestStripTraining checks the tail-stripping used by every replica
 // build.
 func TestStripTraining(t *testing.T) {

@@ -204,3 +204,69 @@ func TestLoweredConvVariantMatchesDirect(t *testing.T) {
 		t.Fatalf("lowered LeNet loss %v vs direct %v", lb, la)
 	}
 }
+
+// TestLoweredLeNetCoarseSweep pins the implicit-GEMM convolution to the
+// engine contracts at worker counts that cut the batch of 14 into even,
+// ragged and single-sample bands: the forward pass (every activation and
+// the loss) and every activation gradient are bit-identical to the
+// sequential engine, and the parameter gradients follow the ordered-reduce
+// contract — bit-deterministic at a fixed worker count, within float
+// summation tolerance of sequential across worker counts.
+func TestLoweredLeNetCoarseSweep(t *testing.T) {
+	const batch = 14
+	run := func(eng core.Engine) (*net.Net, float64) {
+		src := data.NewSyntheticMNIST(64, 5)
+		specs, err := LeNet(src, Options{BatchSize: batch, Seed: 5, LoweredConv: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := net.New(specs, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.ZeroParamDiffs()
+		return n, n.ForwardBackward()
+	}
+	activations := []string{"conv1", "pool1", "conv2", "pool2", "ip1", "ip2"}
+	seq, seqLoss := run(core.NewSequential())
+	for _, p := range []int{1, 2, 3, 4, 7} {
+		eng := core.NewCoarse(p)
+		got, loss := run(eng)
+		again, _ := run(eng)
+		eng.Close()
+		if loss != seqLoss {
+			t.Fatalf("P=%d: loss %v, sequential %v", p, loss, seqLoss)
+		}
+		for _, name := range activations {
+			g, w := got.Blob(name), seq.Blob(name)
+			for i, v := range w.Data() {
+				if g.Data()[i] != v {
+					t.Fatalf("P=%d: %s activation differs from sequential at %d: %v vs %v", p, name, i, g.Data()[i], v)
+				}
+			}
+			for i, v := range w.Diff() {
+				if g.Diff()[i] != v {
+					t.Fatalf("P=%d: %s gradient differs from sequential at %d: %v vs %v", p, name, i, g.Diff()[i], v)
+				}
+			}
+		}
+		for pi, w := range seq.Params() {
+			g, a := got.Params()[pi].Diff(), again.Params()[pi].Diff()
+			var scale float32
+			for _, v := range w.Diff() {
+				if v < 0 {
+					v = -v
+				}
+				scale = max(scale, v)
+			}
+			for i, v := range w.Diff() {
+				if g[i] != a[i] {
+					t.Fatalf("P=%d: %s gradient not deterministic at %d: %v vs %v", p, seq.ParamNames()[pi], i, g[i], a[i])
+				}
+				if d := g[i] - v; d > 1e-4*scale || d < -1e-4*scale {
+					t.Fatalf("P=%d: %s gradient %v vs sequential %v at %d (scale %v)", p, seq.ParamNames()[pi], g[i], v, i, scale)
+				}
+			}
+		}
+	}
+}

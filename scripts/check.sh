@@ -3,9 +3,12 @@
 # determinism/parallelism contract linter; LINTING.md is the canonical
 # catalogue of its analyzers and this script's self-tests follow its
 # order), the full test suite (including Example tests), race-detector
-# passes over the parallel substrate (the BLAS band kernels, the worker
-# pool, the span tracer, the instrumented net loop, the coarse engine and
-# the serving layer), the reduction determinism sweep (the
+# passes over the parallel substrate (the BLAS band kernels and implicit-GEMM
+# convolution driver with its differential tests, the lowered layer and its
+# coarse-engine sweep, the worker pool, the span tracer, the instrumented
+# net loop, the coarse engine and the serving layer), a 5-second FuzzGemm
+# smoke (random shapes/transposes/strides through both kernels, gemmRef as
+# oracle), the reduction determinism sweep (the
 # element-parallel ordered merge must stay bit-identical to the serial
 # ordered merge at every worker count) plus a dedicated race pass over
 # the spin-then-park barrier, a tracing smoke run that must produce valid
@@ -41,8 +44,10 @@ go build -o "$tmpdir/dnnlint" ./cmd/dnnlint
 # One probe per analyzer, in the catalogue order of LINTING.md §1–9
 # (parbody, orderedreduce, blobalias, hotalloc, tracenil, transerr,
 # gorolife, phasespan, chanmisuse); parbody and hotalloc get second
-# probes for their interprocedural v2 extensions (interproc, hotcall)
-# and hotalloc a third for the serving path (servehot). The probes
+# probes for their interprocedural v2 extensions (interproc, hotcall),
+# and hotalloc a third for the serving path (servehot) and a fourth for
+# the blas kernel package — the conv driver and the panel packers
+# (blashot). The probes
 # reuse the dnnlint binary built above — one `go build`, many runs.
 echo "== dnnlint self-test (each seeded violation must be flagged) =="
 lint_probe() { # lint_probe <analyzer> <fixture-pkg>
@@ -59,6 +64,7 @@ lint_probe blobalias blobalias
 lint_probe hotalloc hotalloc
 lint_probe hotalloc hotcall
 lint_probe hotalloc servehot
+lint_probe hotalloc blashot
 lint_probe tracenil tracenil
 lint_probe transerr transerr
 lint_probe gorolife gorolife
@@ -72,9 +78,13 @@ go test ./...
 echo "== go test -run Example (doc examples) =="
 go test -run Example ./...
 
-echo "== go test -race (blas, par, trace, net, core, guard, faultinject, serve, transport, dist) =="
-go test -race -count=1 ./internal/blas ./internal/par ./internal/trace ./internal/net ./internal/core \
+echo "== go test -race (blas, layers, par, trace, net, core, guard, faultinject, serve, transport, dist) =="
+go test -race -count=1 ./internal/blas ./internal/layers ./internal/par ./internal/trace ./internal/net ./internal/core \
 	./internal/guard ./internal/faultinject ./internal/serve ./internal/transport ./internal/dist
+go test -race -count=1 -run 'TestLoweredLeNetCoarseSweep' ./internal/zoo
+
+echo "== FuzzGemm smoke (5 s: both kernels vs gemmRef, band invariance, C padding) =="
+go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 5s ./internal/blas
 
 echo "== reduction determinism sweep (OrderedSlices bit-identical across P) =="
 go test -count=1 -run 'TestOrderedSlicesBitIdenticalToOrdered|TestOrderedSlicesMergeBitIdenticalAcrossWorkers' \
