@@ -138,6 +138,12 @@ func main() {
 			}
 			fmt.Println("### GEMM dispatch sweep ###")
 			bench.DispatchSweep().Render(os.Stdout)
+			fmt.Println("### Lowered conv operand sweep ###")
+			sweep, err := bench.ConvSweep()
+			if err != nil {
+				return err
+			}
+			sweep.Render(os.Stdout)
 		case "mem":
 			for _, n := range []string{"mnist", "cifar"} {
 				if *netName != "" && n != *netName {

@@ -461,6 +461,51 @@ func TestZooShapesAllBlocked(t *testing.T) {
 	}
 }
 
+// TestZooConvsTakeGather keeps every zoo convolution on the gather path,
+// forward and dW: a geometry change in a zoo net (a stride, a 3x3 kernel)
+// that sends a product back to the panel packers should be a decision, not
+// a silent 2x on that layer.
+func TestZooConvsTakeGather(t *testing.T) {
+	for netName, want := range map[string]int{"mnist": 2, "cifar": 3} {
+		convs, err := ZooConvs(netName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(convs) != want {
+			t.Fatalf("%s: %d convolutions, want %d", netName, len(convs), want)
+		}
+		for _, c := range convs {
+			fwd, dw := blas.ConvGathers(c.Geom)
+			if !fwd || !dw {
+				t.Errorf("%s %+v: gathers forward=%v dW=%v, want both", c.Name, c.Geom, fwd, dw)
+			}
+			if f, _ := blas.NewConvPlan(c.Geom).LaneUse(); f != 1 {
+				t.Errorf("%s: forward lane use %.2f, want 1 (outW %d is a whole number of lane groups)", c.Name, f, c.Geom.OutW())
+			}
+		}
+	}
+}
+
+func TestConvSweepRow(t *testing.T) {
+	g := blas.ConvGeom{Channels: 2, Height: 8, Width: 8, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}
+	row := timeConv(ZooConv{"tiny", g, 4})
+	if row.FwdGatherUS <= 0 || row.FwdPackedUS <= 0 || row.DWGatherUS <= 0 || row.DWPackedUS <= 0 {
+		t.Fatalf("untimed product: %+v", row)
+	}
+	if !row.FwdGathers || !row.DWGathers || row.FwdUse <= 0 || row.DWUse <= 0 || row.DWUse > 1 {
+		t.Fatalf("dispatch/lane columns: %+v", row)
+	}
+	g.StrideW = 2
+	if row := timeConv(ZooConv{"strided", g, 4}); row.FwdGatherUS != 0 || row.FwdGathers || row.FwdPackedUS <= 0 {
+		t.Fatalf("a forward product at StrideW 2 cannot gather: %+v", row)
+	}
+	var buf bytes.Buffer
+	(&ConvSweepResult{Rows: []ConvSweepRow{row}}).Render(&buf)
+	if !strings.Contains(buf.String(), "tiny") {
+		t.Fatalf("render: %q", buf.String())
+	}
+}
+
 func TestDispatchSweepShape(t *testing.T) {
 	res := dispatchSweep([]int{1, 8}, []int{4, 16}, []int{1, 8})
 	if len(res.Speedup) != 2 || len(res.Speedup[0]) != 2 || len(res.Speedup[0][0]) != 2 {

@@ -207,42 +207,21 @@ func dispatchSweep(ms, ns, ks []int) *DispatchSweepResult {
 	return res
 }
 
-type gemmFunc func(ta, tb blas.Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int)
-
-// timeGemmPair returns the throughput of the reference and of the blocked
-// kernel on shape s in MFLOP/s. The two are timed in alternating windows
-// of a few milliseconds and each keeps its best window, so a neighbour's
-// burst on a shared host lands on both or on neither.
-func timeGemmPair(s GemmShape) (ref, blocked float64) {
-	arows, acols := s.M, s.K
-	if s.TransA == blas.Trans {
-		arows, acols = s.K, s.M
-	}
-	brows, bcols := s.K, s.N
-	if s.TransB == blas.Trans {
-		brows, bcols = s.N, s.K
-	}
-	r := rng.New(11, 11)
-	a := make([]float32, arows*acols)
-	b := make([]float32, brows*bcols)
-	c := make([]float32, s.M*s.N)
-	for i := range a {
-		a[i] = r.Range(-1, 1)
-	}
-	for i := range b {
-		b[i] = r.Range(-1, 1)
-	}
-	run := func(f gemmFunc, reps int) time.Duration {
+// timePair returns the seconds one call of each of two kernels takes. The
+// two are timed in alternating windows of a few milliseconds and each
+// keeps its best window, so a neighbour's burst on a shared host lands on
+// both or on neither.
+func timePair(kernels [2]func()) (secs [2]float64) {
+	run := func(f func(), reps int) time.Duration {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			f(s.TransA, s.TransB, s.M, s.N, s.K, 1, a, acols, b, bcols, 0, c, s.N)
+			f()
 		}
 		return time.Since(start)
 	}
 	// Per kernel: a repetition count filling a ~3 ms window, then the
 	// best of five alternating windows.
 	const window = 3 * time.Millisecond
-	kernels := [2]gemmFunc{blas.GemmReference, blas.GemmBlocked}
 	var reps [2]int
 	var best [2]time.Duration
 	for i, f := range kernels {
@@ -259,8 +238,175 @@ func timeGemmPair(s GemmShape) (ref, blocked float64) {
 			}
 		}
 	}
-	mflops := func(i int) float64 {
-		return 2 * float64(s.M) * float64(s.N) * float64(s.K) * float64(reps[i]) / best[i].Seconds() / 1e6
+	for i := range secs {
+		secs[i] = best[i].Seconds() / float64(reps[i])
 	}
-	return mflops(0), mflops(1)
+	return secs
+}
+
+func randomFloats(r *rng.RNG, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = r.Range(-1, 1)
+	}
+	return out
+}
+
+// timeGemmPair returns the throughput of the reference and of the blocked
+// kernel on shape s in MFLOP/s.
+func timeGemmPair(s GemmShape) (ref, blocked float64) {
+	arows, acols := s.M, s.K
+	if s.TransA == blas.Trans {
+		arows, acols = s.K, s.M
+	}
+	brows, bcols := s.K, s.N
+	if s.TransB == blas.Trans {
+		brows, bcols = s.N, s.K
+	}
+	r := rng.New(11, 11)
+	a := randomFloats(r, arows*acols)
+	b := randomFloats(r, brows*bcols)
+	c := make([]float32, s.M*s.N)
+	secs := timePair([2]func(){
+		func() { blas.GemmReference(s.TransA, s.TransB, s.M, s.N, s.K, 1, a, acols, b, bcols, 0, c, s.N) },
+		func() { blas.GemmBlocked(s.TransA, s.TransB, s.M, s.N, s.K, 1, a, acols, b, bcols, 0, c, s.N) },
+	})
+	flops := 2 * float64(s.M) * float64(s.N) * float64(s.K)
+	return flops / secs[0] / 1e6, flops / secs[1] / 1e6
+}
+
+// ZooConv is one lowered convolution of a zoo net: its per-sample
+// geometry and output channel count.
+type ZooConv struct {
+	Name string
+	Geom blas.ConvGeom
+	O    int
+}
+
+// ZooConvs derives the convolutions of a zoo net ("mnist" or "cifar") from
+// the net itself, as ZooShapes derives their GEMMs.
+func ZooConvs(netName string) ([]ZooConv, error) {
+	o := Options{Net: netName, Batch: 1}
+	if err := o.normalize(); err != nil {
+		return nil, err
+	}
+	specs, err := zoo.Build(o.Net, sourceFor(o), zoo.Options{BatchSize: o.Batch, Seed: 1, LoweredConv: true})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := net.New(specs, core.NewSequential()); err != nil {
+		return nil, err
+	}
+	var out []ZooConv
+	for _, spec := range specs {
+		if c, ok := spec.Layer.(*layers.Convolution); ok {
+			out = append(out, ZooConv{netName + "." + c.Name(), c.Geom(), c.Params()[0].Dim(0)})
+		}
+	}
+	return out, nil
+}
+
+// ConvSweepRow is one convolution's two gatherable products, each timed
+// with the lowered matrix gathered in place and with it packed into
+// panels, both forced past blas.ConvGathers.
+type ConvSweepRow struct {
+	ZooConv
+	// Microseconds per sample; FwdGatherUS is 0 where the forward product
+	// cannot gather (StrideW != 1).
+	FwdGatherUS, FwdPackedUS, DWGatherUS, DWPackedUS float64
+	// FwdUse and DWUse are the gathered kernels' lane utilisation
+	// (blas.ConvPlan.LaneUse); FwdGathers and DWGathers what dispatch picks.
+	FwdUse, DWUse         float64
+	FwdGathers, DWGathers bool
+}
+
+// ConvSweepResult is the measurement blas.ConvGathers is read off.
+type ConvSweepResult struct{ Rows []ConvSweepRow }
+
+// Render prints the sweep, one line per convolution.
+func (r *ConvSweepResult) Render(w io.Writer) {
+	fmt.Fprintln(w, "== lowered conv operand sweep: gathered vs packed B, us/sample each forced (this host) ==")
+	fmt.Fprintf(w, "%-22s %5s %5s | %9s %9s %7s %5s %7s | %9s %9s %7s %5s %7s\n", "conv (C,HxW,k,p,s)", "O", "outW",
+		"fwd gath", "fwd pack", "pk/gath", "lanes", "uses", "dW gath", "dW pack", "pk/gath", "lanes", "uses")
+	uses := func(gather bool) string {
+		if gather {
+			return "gather"
+		}
+		return "packed"
+	}
+	for _, c := range r.Rows {
+		g := c.Geom
+		fwd := fmt.Sprintf("%9s %9.1f %7s %5s", "-", c.FwdPackedUS, "-", "-")
+		if c.FwdGatherUS > 0 {
+			fwd = fmt.Sprintf("%9.1f %9.1f %6.2fx %4.0f%%", c.FwdGatherUS, c.FwdPackedUS, ratio(c.FwdPackedUS, c.FwdGatherUS), 100*c.FwdUse)
+		}
+		fmt.Fprintf(w, "%-22s %5d %5d | %s %7s | %9.1f %9.1f %6.2fx %4.0f%% %7s\n",
+			c.Name, c.O, g.OutW(), fwd, uses(c.FwdGathers),
+			c.DWGatherUS, c.DWPackedUS, ratio(c.DWPackedUS, c.DWGatherUS), 100*c.DWUse, uses(c.DWGathers))
+	}
+}
+
+// sweepGeoms are the geometries beside the zoo's that show where each
+// product's choice could flip: output rows that leave a lane group mostly
+// empty, kernel rows of 1, 3 and 7 columns, a strided convolution.
+var sweepGeoms = []ZooConv{
+	{"c16,12x12,k5 outW=8", blas.ConvGeom{Channels: 16, Height: 12, Width: 12, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}, 32},
+	{"c16,9x9,k5 outW=5", blas.ConvGeom{Channels: 16, Height: 9, Width: 9, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}, 32},
+	{"c16,14x14,k3 outW=12", blas.ConvGeom{Channels: 16, Height: 14, Width: 14, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}, 32},
+	{"c16,16x16,k3,p1", blas.ConvGeom{Channels: 16, Height: 16, Width: 16, KernelH: 3, KernelW: 3, PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}, 32},
+	{"c16,16x16,k4,p1", blas.ConvGeom{Channels: 16, Height: 16, Width: 16, KernelH: 4, KernelW: 4, PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}, 32},
+	{"c64,16x16,k1", blas.ConvGeom{Channels: 64, Height: 16, Width: 16, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}, 32},
+	{"c8,28x28,k7,p3", blas.ConvGeom{Channels: 8, Height: 28, Width: 28, KernelH: 7, KernelW: 7, PadH: 3, PadW: 3, StrideH: 1, StrideW: 1}, 16},
+	{"c16,31x31,k5,p2,s2", blas.ConvGeom{Channels: 16, Height: 31, Width: 31, KernelH: 5, KernelW: 5, PadH: 2, PadW: 2, StrideH: 2, StrideW: 2}, 32},
+	{"c3,227x227,k11,s4", blas.ConvGeom{Channels: 3, Height: 227, Width: 227, KernelH: 11, KernelW: 11, StrideH: 4, StrideW: 4}, 96},
+}
+
+// ConvSweep times every zoo convolution and the extra sweep geometries.
+func ConvSweep() (*ConvSweepResult, error) {
+	var convs []ZooConv
+	for _, netName := range []string{"mnist", "cifar"} {
+		zc, err := ZooConvs(netName)
+		if err != nil {
+			return nil, err
+		}
+		convs = append(convs, zc...)
+	}
+	res := &ConvSweepResult{}
+	for _, c := range append(convs, sweepGeoms...) {
+		//dnnlint:ignore hotalloc benchmark harness: fresh operands per timed kernel by design
+		res.Rows = append(res.Rows, timeConv(c))
+	}
+	return res, nil
+}
+
+func timeConv(c ZooConv) ConvSweepRow {
+	g, o := c.Geom, c.O
+	ckk, ohw := g.Rows(), g.Cols()
+	r := rng.New(12, 12)
+	im := randomFloats(r, g.Channels*g.Height*g.Width)
+	w := randomFloats(r, o*ckk)
+	dTop := randomFloats(r, o*ohw)
+	out := make([]float32, o*ohw)
+	wGrad := make([]float32, o*ckk)
+	gather, packed := blas.NewConvPlanForced(g, true), blas.NewConvPlanForced(g, false)
+	row := ConvSweepRow{ZooConv: c}
+	row.FwdGathers, row.DWGathers = blas.ConvGathers(g)
+	row.FwdUse, row.DWUse = gather.LaneUse()
+	s := blas.GetScratch()
+	defer blas.PutScratch(s)
+	s.PackA(blas.NoTrans, o, ckk, w, ckk)
+	fwd := timePair([2]func(){
+		func() { blas.ConvForward(s, gather, o, im, nil, out) },
+		func() { blas.ConvForward(s, packed, o, im, nil, out) },
+	})
+	row.FwdPackedUS = fwd[1] * 1e6
+	if row.FwdUse > 0 { // else both timed the packed path
+		row.FwdGatherUS = fwd[0] * 1e6
+	}
+	dw := timePair([2]func(){
+		func() { blas.ConvBackwardWeights(s, gather, o, dTop, im, wGrad) },
+		func() { blas.ConvBackwardWeights(s, packed, o, dTop, im, wGrad) },
+	})
+	row.DWGatherUS, row.DWPackedUS = dw[0]*1e6, dw[1]*1e6
+	return row
 }

@@ -23,9 +23,26 @@
 //     microKernelScalar4x4 elsewhere, chosen once at init.
 //
 // The lowered convolution (conv.go: ConvForward, ConvBackwardWeights,
-// ConvBackwardCol) is a second driver over the same macro-tile loop: it
-// packs the B panels straight from the (C,H,W) image, so the im2col
-// matrix is never written, and reuses weight panels packed once per band.
+// ConvBackwardData) is a second driver over the same macro-tile loop that
+// never forms the im2col matrix. The matrix is separable over the sample's
+// zero-bordered image — col[k, n] = P[off(k) + pix(n)] — so the forward
+// and weight-gradient products read their B operand in place through
+// gemmGatherKernel, the same micro-kernel taking a base per lane group and
+// an offset per rank-1 step instead of a packed panel: one bordered copy
+// per sample, no panel pack. A lane group's spare lanes read whatever
+// follows in the image and are dropped in the writeback; lanes never mix,
+// so they are harmless. What is still packed: the weights (once per band,
+// GemmScratch.PackA), dTop, and the B panels of the geometries ConvGathers
+// turns away (forward at StrideW != 1, dW under five kernel columns). The
+// input gradient produces dcol = Wᵀ·dTop gemmMC rows at a time and
+// scatters each strip while it is cache-resident — strips rather than a
+// fused writeback because Col2im's summation order is dcol's row order,
+// which a strip keeps and a tile does not. Every route is bit for bit
+// Im2col, the blocked Gemm and Col2im.
+//
+// MaxPoolWindows (pool.go) is the one kernel here that is not linear
+// algebra: max pooling's window scan, eight windows to a vector, here
+// because the CPUID dispatch and the assembly live here.
 //
 // Two parallel granularities are provided, mirroring the paper's taxonomy
 // of parallelism sources (§3.1):

@@ -11,8 +11,11 @@ package blas
 // in gemm_blocked.go.
 func init() {
 	if hasAVX2FMA() {
-		gemmNR = 16
+		gemmNR, gemmGW = 16, 8
 		gemmMicroKernel = microKernelAVX4x16
+		gemmGatherKernel = gatherKernelAVX4x16
+		maxPool8 = maxPool8AVX2
+		addRuns = addRunsVec
 	}
 }
 
@@ -53,4 +56,34 @@ func sgemmKernel4x16(ap, bp *float32, kc int, acc *[gemmMR * gemmNRMax]float32)
 
 func microKernelAVX4x16(ap, bp []float32, kc int, acc *[gemmMR * gemmNRMax]float32) {
 	sgemmKernel4x16(&ap[0], &bp[0], kc, acc)
+}
+
+// sgemmGather4x16 (assembly) is sgemmKernel4x16 reading its B rows in
+// place: acc[i*16+j] = sum over l of ap[l*4+i] * b[off[l]+j%8], b = b0 for
+// the lanes j < 8 and b1 for the rest. The caller vouches that every
+// off[l]+8 is inside both.
+//
+//go:noescape
+func sgemmGather4x16(ap, b0, b1 *float32, off *int32, kc int, acc *[gemmMR * gemmNRMax]float32)
+
+func gatherKernelAVX4x16(ap, p []float32, b0, b1 int, off []int32, acc *[gemmMR * gemmNRMax]float32) {
+	sgemmGather4x16(&ap[0], &p[b0], &p[b1], &off[0], len(off), acc)
+}
+
+// maxPool8AVX2 (assembly) is MaxPoolWindows for eight windows, one per
+// lane; see pool.go.
+//
+//go:noescape
+func maxPool8AVX2(src *float32, base, w, rows, kw, sw int, out *float32, idx *int32)
+
+// addRunsAVX2 (assembly) is addRunsGo's loops on raw pointers.
+//
+//go:noescape
+func addRunsAVX2(dst, src *float32, runs, n, ds, ss int)
+
+// addRunsVec bounds-checks the last run once, then hands the assembly
+// pointers.
+func addRunsVec(dst, src []float32, runs, n, ds, ss int) {
+	_, _ = dst[(runs-1)*ds+n-1], src[(runs-1)*ss+n-1]
+	addRunsAVX2(&dst[0], &src[0], runs, n, ds, ss)
 }

@@ -12,7 +12,9 @@ import (
 //	for jc over N in steps of gemmNC:          // B column block
 //	  for pc over K in steps of gemmKC:        // depth block (fixed! see below)
 //	    pack op(B)[pc:pc+KC, jc:jc+NC] into nr-wide micro-panels (bp),
-//	      from a dense matrix or straight from a convolution's image
+//	      from a dense matrix or straight from a convolution's image —
+//	      or pack nothing: a B packed ahead, or one the gather kernel
+//	      reads in place (then jc is a single block)
 //	    for ic over the row band in steps of gemmMC:
 //	      pack op(A)[ic:ic+MC, pc:pc+KC] into mr-tall micro-panels (ap),
 //	        or take the panels PackA packed ahead for a run of products
@@ -50,7 +52,12 @@ import (
 //     which every band of the same Gemm shares;
 //   - where a packed panel comes from — a dense operand, the (C,H,W) image
 //     of a lowered convolution (conv.go), or panels PackA left in the
-//     scratch — changes how it is filled, never what it holds.
+//     scratch — changes how it is filled, never what it holds; and the
+//     gather kernel, which reads a convolution's B rows out of the bordered
+//     image instead of a panel, feeds each lane the values the panel would
+//     have held, in the same order. How the N dimension is cut into tiles
+//     (gemmNC blocks of nr columns, or lane groups that follow the image's
+//     rows) never enters a lane's sum.
 //
 // Consequently Gemm, GemmRows on any band partition, and GemmParallel at
 // any worker count all produce bit-identical C — the property
@@ -83,9 +90,18 @@ const (
 // gemm_amd64.go), and never changed afterwards — see the determinism
 // contract above. The kernel accumulates a gemmMR x gemmNR product tile
 // into acc (row stride gemmNR) without touching C.
+//
+// gemmGatherKernel is the same kernel reading its B rows in place (see
+// gatherB in conv.go): step l takes each gemmGW-lane group of the tile
+// from p[b+off[l]:], b0 for the first group and b1 for the second (the
+// scalar tile is a single group and ignores b1). Same accumulators, same
+// order, so a lane ends up with what the packed kernel would compute from
+// a panel holding the same values.
 var (
-	gemmNR          = 4
-	gemmMicroKernel = microKernelScalar4x4
+	gemmNR           = 4
+	gemmGW           = 4
+	gemmMicroKernel  = microKernelScalar4x4
+	gemmGatherKernel = gatherKernelScalar4x4
 )
 
 // GemmScratch holds the packing buffers of the blocked kernel so callers
@@ -102,6 +118,10 @@ type GemmScratch struct {
 	pm, pk int
 	// row stages one lowered row of a convolution's B block (conv.go).
 	row [gemmNC]float32
+	// img is one sample's zero-bordered image, the buffer the gather kernel
+	// reads a convolution's op(B) from; strip is gemmMC rows of a
+	// convolution's dcol on their way into the bottom gradient (conv.go).
+	img, strip []float32
 	// acc is the micro-kernel's accumulator tile. It lives here rather
 	// than on gemmBlocked's stack because the kernel is invoked through
 	// the gemmMicroKernel package variable (the AVX dispatch), which
@@ -175,23 +195,31 @@ func gemmScaleRows(n int, beta float32, c []float32, ldc, rowLo, rowHi int) {
 }
 
 // gemmOp is one product on the blocked kernel: C = alpha*op(A)*op(B) +
-// beta*C, plus where the packed panels come from. The plain Gemm entry
-// points fill in the dense fields only; the lowered convolution (conv.go)
-// sets conv and bias, and leaves a nil after a PackA.
+// beta*C, plus where the operands come from. The plain Gemm entry points
+// fill in the dense fields only; the lowered convolution (conv.go) sets
+// gather or conv, bias and cRow0, and leaves a (b) nil after a PackA
+// (packBAhead).
 type gemmOp struct {
 	transA, transB Transpose
 	n, k           int
 	alpha, beta    float32
 	a              []float32 // nil: the panels PackA left in the scratch
 	lda            int
-	b              []float32
+	b              []float32 // nil: the panels packBAhead left in the scratch
 	ldb            int
+	// gather non-nil: b is a bordered image and op(B) is read from it in
+	// place by the gather kernel; nothing is packed and transB, ldb are
+	// unused.
+	gather *gatherB
 	// conv non-nil: b is a (C,H,W) image and op(B) its lowered (im2col)
 	// matrix under conv — transposed if transB — packed straight from the
 	// image, so the matrix is never written; ldb is unused.
 	conv *ConvGeom
 	c    []float32
 	ldc  int
+	// cRow0 is the row of C that c starts at: a strip product hands in
+	// only the rows it computes.
+	cRow0 int
 	// bias non-nil: bias[i] is added to row i of C once its last KC block
 	// is in, in the tile's own writeback pass.
 	bias []float32
@@ -221,6 +249,18 @@ func (s *GemmScratch) PackA(transA Transpose, m, k int, a []float32, lda int) {
 	s.pm, s.pk = m, k
 }
 
+// packBAhead packs all of a dense op(B) (k x n) into the scratch's B
+// buffer: per KC block, every nr-wide micro-panel — PackA's counterpart
+// for a B that several row strips of one product share. Valid until the
+// next product on this scratch that packs its own B.
+func (s *GemmScratch) packBAhead(transB Transpose, n, k int, b []float32, ldb int) {
+	np := roundUp(n, gemmNR)
+	s.ensure(0, np*k)
+	for pc := 0; pc < k; pc += gemmKC {
+		packB(s.bp[np*pc:], transB, b, ldb, pc, min(gemmKC, k-pc), 0, n)
+	}
+}
+
 // gemmBlocked computes rows [rowLo, rowHi) of op with the blocked/packed
 // kernel. The caller has validated the operands; with pre-packed A the
 // band must start on a micro-panel boundary.
@@ -236,10 +276,16 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 	nr := gemmNR
 	mcMax := min(gemmMC, rowHi-rowLo)
 	kcMax := min(gemmKC, k)
-	s.ensure(roundUp(mcMax, gemmMR)*kcMax, roundUp(min(gemmNC, n), nr)*kcMax)
+	// The column blocking bounds the B block packed here; a B gathered in
+	// place or packed ahead is one block.
+	ncMax, bpLen := gemmNC, roundUp(min(gemmNC, n), nr)*kcMax
+	if op.gather != nil || op.b == nil {
+		ncMax, bpLen = n, 0
+	}
+	s.ensure(roundUp(mcMax, gemmMR)*kcMax, bpLen)
 	acc := &s.acc
-	for jc := 0; jc < n; jc += gemmNC {
-		nc := min(gemmNC, n-jc)
+	for jc := 0; jc < n; jc += ncMax {
+		nc := min(ncMax, n-jc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
 			firstK := pc == 0
@@ -247,13 +293,17 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 			if pc+kc == k {
 				bias = op.bias
 			}
+			bp := s.bp
 			switch {
+			case op.gather != nil:
+			case op.b == nil:
+				bp = s.bp[roundUp(n, nr)*pc:]
 			case op.conv == nil:
-				packB(s.bp, op.transB, op.b, op.ldb, pc, kc, jc, nc)
+				packB(bp, op.transB, op.b, op.ldb, pc, kc, jc, nc)
 			case op.transB == NoTrans:
-				packBConv(s.bp, s.row[:], op.conv, op.b, pc, kc, jc, nc)
+				packBConv(bp, s.row[:], op.conv, op.b, pc, kc, jc, nc)
 			default:
-				packBConvT(s.bp, op.conv, op.b, pc, kc, jc, nc)
+				packBConvT(bp, op.conv, op.b, pc, kc, jc, nc)
 			}
 			for ic := rowLo; ic < rowHi; ic += gemmMC {
 				mc := min(gemmMC, rowHi-ic)
@@ -263,9 +313,13 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 				} else {
 					ap = s.pa[roundUp(s.pm, gemmMR)*pc+ic*kc:]
 				}
+				if op.gather != nil {
+					s.gatherTiles(op, ap, ic, mc, pc, kc, firstK, bias)
+					continue
+				}
 				for jr := 0; jr < nc; jr += nr {
 					nrr := min(nr, nc-jr)
-					bpPanel := s.bp[(jr/nr)*kc*nr:]
+					bpPanel := bp[(jr/nr)*kc*nr:]
 					for ir := 0; ir < mc; ir += gemmMR {
 						mrr := min(gemmMR, mc-ir)
 						gemmMicroKernel(ap[ir*kc:], bpPanel, kc, acc)
@@ -273,10 +327,49 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 						if bias != nil {
 							tileBias = bias[ic+ir:]
 						}
-						writebackTile(acc, nr, op.alpha, op.beta, firstK, tileBias,
-							op.c[(ic+ir)*op.ldc+jc+jr:], op.ldc, mrr, nrr)
+						writebackTile(acc[:], nr, op.alpha, op.beta, firstK, tileBias,
+							op.c[(ic+ir-op.cRow0)*op.ldc+jc+jr:], op.ldc, mrr, nrr)
 					}
 				}
+			}
+		}
+	}
+}
+
+// gatherTiles is gemmBlocked's tile loop pair for a gathered op(B): one
+// packed A block (mc x kc at row ic, depth pc) against every lane group,
+// gemmNR/gemmGW groups to a tile. Each group is written back at its own
+// columns with its own clip — the lanes past a ragged group's n read
+// whatever follows in the image and are dropped here, exactly as the
+// zero-padded lanes of a packed edge tile are — and two groups that are
+// neighbours in C go back as the one tile they form.
+func (s *GemmScratch) gatherTiles(op *gemmOp, ap []float32, ic, mc, pc, kc int, firstK bool, bias []float32) {
+	groups := op.gather.groups
+	steps := op.gather.steps[pc : pc+kc]
+	nr, gw := gemmNR, gemmGW
+	acc := &s.acc
+	for gi := 0; gi < len(groups); gi += nr / gw {
+		g0 := groups[gi]
+		g1, n1 := g0, 0 // the tile's second group; a dropped repeat of the first when it has none
+		if nr > gw && gi+1 < len(groups) {
+			g1 = groups[gi+1]
+			n1 = int(g1.n)
+		}
+		n0 := int(g0.n)
+		if n0 == gw && g1.col == g0.col+g0.n {
+			n0, n1 = n0+n1, 0
+		}
+		for ir := 0; ir < mc; ir += gemmMR {
+			mrr := min(gemmMR, mc-ir)
+			gemmGatherKernel(ap[ir*kc:], op.b, int(g0.base), int(g1.base), steps, acc)
+			var tileBias []float32
+			if bias != nil {
+				tileBias = bias[ic+ir:]
+			}
+			crow := op.c[(ic+ir-op.cRow0)*op.ldc:]
+			writebackTile(acc[:], nr, op.alpha, op.beta, firstK, tileBias, crow[g0.col:], op.ldc, mrr, n0)
+			if n1 > 0 {
+				writebackTile(acc[gw:], nr, op.alpha, op.beta, firstK, tileBias, crow[g1.col:], op.ldc, mrr, n1)
 			}
 		}
 	}
@@ -285,13 +378,14 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 // writebackTile folds one accumulated micro-tile into C:
 // C = beta*C + alpha*acc on the first KC block, C += alpha*acc on the
 // rest, then C += bias[row] when the caller passes the row biases (last
-// KC block only). mrr/nrr clip edge tiles; acc rows are gemmNR wide. This
+// KC block only). mrr/nrr clip edge tiles; acc rows are nr apart (acc may
+// start inside the tile, at a lane group). This
 // is the only code that writes C on the blocked path, shared by every
 // micro-kernel, which keeps edge and full tiles bit-identical. The bias
 // is a second rounding step over the finished row, not part of the
 // alpha*acc expression, so it equals a separate add pass over C bit for
 // bit (also where the compiler fuses multiply-adds).
-func writebackTile(acc *[gemmMR * gemmNRMax]float32, nr int, alpha, beta float32, firstK bool, bias []float32, c []float32, ldc, mrr, nrr int) {
+func writebackTile(acc []float32, nr int, alpha, beta float32, firstK bool, bias []float32, c []float32, ldc, mrr, nrr int) {
 	for i := 0; i < mrr; i++ {
 		ci := c[i*ldc : i*ldc+nrr]
 		ai := acc[i*nr : i*nr+nrr]
@@ -429,6 +523,45 @@ func microKernelScalar4x4(ap, bp []float32, kc int, acc *[gemmMR * gemmNRMax]flo
 	for l := 0; l < kc; l++ {
 		al := ap[4*l : 4*l+4 : 4*l+4]
 		bl := bp[4*l : 4*l+4 : 4*l+4]
+		a0, a1, a2, a3 := al[0], al[1], al[2], al[3]
+		b0, b1, b2, b3 := bl[0], bl[1], bl[2], bl[3]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c02 += a0 * b2
+		c03 += a0 * b3
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c12 += a1 * b2
+		c13 += a1 * b3
+		c20 += a2 * b0
+		c21 += a2 * b1
+		c22 += a2 * b2
+		c23 += a2 * b3
+		c30 += a3 * b0
+		c31 += a3 * b1
+		c32 += a3 * b2
+		c33 += a3 * b3
+	}
+	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
+	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
+	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
+	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
+}
+
+// gatherKernelScalar4x4 is microKernelScalar4x4 with row l of the B panel
+// read in place at p[base+off[l]:]: one 4-lane group per tile, so b1 is
+// unused. The accumulation is the packed kernel's, expression for
+// expression.
+func gatherKernelScalar4x4(ap, p []float32, base, _ int, off []int32, acc *[gemmMR * gemmNRMax]float32) {
+	var c00, c01, c02, c03 float32
+	var c10, c11, c12, c13 float32
+	var c20, c21, c22, c23 float32
+	var c30, c31, c32, c33 float32
+	ap = ap[: 4*len(off) : 4*len(off)]
+	p = p[base:]
+	for l, o := range off {
+		al := ap[4*l : 4*l+4 : 4*l+4]
+		bl := p[o : o+4 : o+4]
 		a0, a1, a2, a3 := al[0], al[1], al[2], al[3]
 		b0, b1, b2, b3 := bl[0], bl[1], bl[2], bl[3]
 		c00 += a0 * b0

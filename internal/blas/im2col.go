@@ -33,38 +33,58 @@ func Im2col(im []float32, channels, height, width, kernelH, kernelW, padH, padW,
 // The destination image is NOT zeroed first; callers accumulate into a
 // zeroed (or privatized) buffer.
 //
-// Like ConvGeom.lower, it clips each output row's run against the image
-// once instead of bounds-testing every entry; at stride 1 the run is a
-// straight accumulate over contiguous pixels.
+// Like ConvGeom.lower, it clips runs against the image instead of
+// bounds-testing every entry; at stride 1 a run is a straight accumulate
+// over contiguous pixels.
 func Col2im(col []float32, channels, height, width, kernelH, kernelW, padH, padW, strideH, strideW int, im []float32) {
-	outH := ConvOutSize(height, kernelH, padH, strideH)
-	outW := ConvOutSize(width, kernelW, padW, strideW)
-	idx := 0
-	for c := 0; c < channels; c++ {
-		chIm := im[c*height*width : (c+1)*height*width]
-		for kh := 0; kh < kernelH; kh++ {
-			for kw := 0; kw < kernelW; kw++ {
-				iw := kw - padW
-				lo, hi := clipRun(iw, strideW, width, outW) // output columns that land inside the image
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*strideH - padH + kh
-					if ih >= 0 && ih < height && lo < hi {
-						src := col[idx+lo : idx+hi]
-						dst := chIm[ih*width+iw+lo*strideW:]
-						if strideW == 1 {
-							dst = dst[:len(src)]
-							for t, v := range src {
-								dst[t] += v
-							}
-						} else {
-							for t, v := range src {
-								dst[t*strideW] += v
-							}
-						}
+	g := ConvGeom{channels, height, width, kernelH, kernelW, padH, padW, strideH, strideW}
+	g.scatter(col, g.cursor(0), g.Rows(), im)
+}
+
+// scatter adds rows consecutive rows of a lowered matrix, the first of
+// them row r and at col[0], into the image: Col2im's loop, which
+// ConvBackwardData runs a strip of rows at a time. A lowered row is outH
+// runs, one per output row, each clipped against the image the same way;
+// at stride 1 the runs of the output rows that land inside the image go to
+// addRuns in one call.
+func (g *ConvGeom) scatter(col []float32, r rowCursor, rows int, im []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	for ; rows > 0; rows-- {
+		chIm := im[r.c*g.Height*g.Width : (r.c+1)*g.Height*g.Width]
+		iw := r.kw - g.PadW
+		lo, hi := clipRun(iw, g.StrideW, g.Width, outW)               // output columns that land inside the image
+		ohLo, ohHi := clipRun(r.kh-g.PadH, g.StrideH, g.Height, outH) // output rows that do
+		if lo < hi && ohLo < ohHi {
+			src := col[ohLo*outW+lo:]
+			dst := chIm[(ohLo*g.StrideH-g.PadH+r.kh)*g.Width+iw+lo*g.StrideW:]
+			if g.StrideW == 1 {
+				addRuns(dst, src, ohHi-ohLo, hi-lo, g.StrideH*g.Width, outW)
+			} else {
+				for ; ohLo < ohHi; ohLo++ {
+					for t, v := range src[:hi-lo] {
+						dst[t*g.StrideW] += v
 					}
-					idx += outW
+					if ohLo+1 < ohHi {
+						src, dst = src[outW:], dst[g.StrideH*g.Width:]
+					}
 				}
 			}
+		}
+		col = col[outH*outW:]
+		g.next(&r)
+	}
+}
+
+// addRuns adds runs runs of n floats into dst: dst[k*ds+i] += src[k*ss+i].
+// The AVX2 build swaps in a vector loop (gemm_amd64.go); a plain float
+// add, lane by lane, so the sums are the same bits either way.
+var addRuns = addRunsGo
+
+func addRunsGo(dst, src []float32, runs, n, ds, ss int) {
+	for k := 0; k < runs; k++ {
+		d, s := dst[k*ds:k*ds+n], src[k*ss:k*ss+n]
+		for i, v := range s {
+			d[i] += v
 		}
 	}
 }

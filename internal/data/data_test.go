@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"coarsegrain/internal/layers"
 )
 
 func TestInMemoryAddRead(t *testing.T) {
@@ -339,5 +343,45 @@ func TestLoadCIFAR10AutoDetect(t *testing.T) {
 	syn, real2 := LoadCIFAR10(t.TempDir(), 13, 1)
 	if real2 || syn.Len() != 13 {
 		t.Fatal("fallback failed")
+	}
+}
+
+// TestSyntheticSamplesPinned: sample i of each synthetic source is the
+// bytes it has always been (CRC-32 of the little-endian float bits,
+// recorded before Read stopped heap-allocating its per-sample generator),
+// and Read allocates nothing.
+func TestSyntheticSamplesPinned(t *testing.T) {
+	type pin struct {
+		i, label int
+		crc      uint32
+	}
+	for _, src := range []struct {
+		name string
+		s    layers.Source
+		pins []pin
+	}{
+		{"mnist", NewSyntheticMNIST(100, 7), []pin{{0, 0, 0x06441008}, {1, 1, 0x01c35cc5}, {13, 3, 0x28ccbbc2}, {99, 9, 0xc3a152fa}}},
+		{"cifar", NewSyntheticCIFAR(100, 7), []pin{{0, 0, 0x5b512d54}, {1, 1, 0x41603d39}, {13, 3, 0x6cf1fb52}, {99, 9, 0x2af3abd8}}},
+	} {
+		n := 1
+		for _, d := range src.s.SampleShape() {
+			n *= d
+		}
+		out := make([]float32, n)
+		for _, p := range src.pins {
+			label := src.s.Read(p.i, out)
+			h := crc32.NewIEEE()
+			var b [4]byte
+			for _, v := range out {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				h.Write(b[:])
+			}
+			if label != p.label || h.Sum32() != p.crc {
+				t.Errorf("%s sample %d: label %d crc %#08x, pinned label %d crc %#08x", src.name, p.i, label, h.Sum32(), p.label, p.crc)
+			}
+		}
+		if a := testing.AllocsPerRun(20, func() { src.s.Read(13, out) }); a != 0 {
+			t.Errorf("%s Read allocates %v times per sample, want 0", src.name, a)
+		}
 	}
 }

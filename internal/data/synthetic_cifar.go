@@ -55,7 +55,7 @@ var cifarClasses = [10]struct {
 
 // Read implements layers.Source.
 func (d *SyntheticCIFAR) Read(i int, out []float32) int {
-	r := rng.New(d.seed, uint64(i)+1)
+	r := rng.Seeded(d.seed, uint64(i)+1)
 	label := i % 10
 	c := &cifarClasses[label]
 

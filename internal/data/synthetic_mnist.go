@@ -49,7 +49,7 @@ func (d *SyntheticMNIST) Classes() int { return 10 }
 // Read implements layers.Source: renders digit (i mod 10) with
 // deterministic per-sample jitter, thickness and noise.
 func (d *SyntheticMNIST) Read(i int, out []float32) int {
-	r := rng.New(d.seed, uint64(i)+1)
+	r := rng.Seeded(d.seed, uint64(i)+1)
 	label := i % 10
 	for p := range out {
 		out[p] = 0

@@ -95,7 +95,7 @@ type Convolution struct {
 	// Cached geometry, valid after SetUp/Reshape.
 	num, channels, height, width int
 	outH, outW                   int
-	geom                         blas.ConvGeom // the same, as the lowered path's GEMM driver takes it
+	plan                         *blas.ConvPlan // the same, with the lowered path's gather tables
 
 	propagateDown bool
 
@@ -105,9 +105,6 @@ type Convolution struct {
 	// across calls so the tuned hot path allocates nothing in steady state.
 	colBuf  []float32
 	dcolBuf []float32
-	// cols hands out per-worker private dcol buffers for the lowered
-	// path's backward pass (Algorithm 4's object privatization).
-	cols colBuffers
 }
 
 // NewConvolution creates a convolution layer. It returns an error for
@@ -122,6 +119,9 @@ func NewConvolution(name string, cfg ConvConfig) (*Convolution, error) {
 		propagateDown: !cfg.DisablePropagation,
 	}, nil
 }
+
+// Geom returns the layer's per-sample geometry (valid after SetUp).
+func (l *Convolution) Geom() blas.ConvGeom { return l.plan.ConvGeom }
 
 // SetPropagateDown lets the net disable the input-gradient computation
 // when the bottom blob needs no gradient (e.g. it comes from a data layer).
@@ -159,19 +159,30 @@ func (l *Convolution) Reshape(bottom, top []*blob.Blob) {
 	if l.channels != l.params[0].Dim(1) {
 		panic(fmt.Sprintf("layer %s: channel count changed from %d to %d", l.name, l.params[0].Dim(1), l.channels))
 	}
-	l.geom = blas.ConvGeom{Channels: l.channels, Height: l.height, Width: l.width,
+	geom := blas.ConvGeom{Channels: l.channels, Height: l.height, Width: l.width,
 		KernelH: l.cfg.KernelH, KernelW: l.cfg.KernelW, PadH: l.cfg.PadH, PadW: l.cfg.PadW,
 		StrideH: l.cfg.StrideH, StrideW: l.cfg.StrideW}
-	l.outH, l.outW = l.geom.OutH(), l.geom.OutW()
+	if l.plan == nil || l.plan.ConvGeom != geom { // a batch-size Reshape keeps the plan
+		l.plan = blas.NewConvPlan(geom)
+	}
+	l.outH, l.outW = geom.OutH(), geom.OutW()
 	if l.outH <= 0 || l.outW <= 0 {
 		panic(fmt.Sprintf("layer %s: output size %dx%d not positive", l.name, l.outH, l.outW))
 	}
 	top[0].Reshape(l.num, l.cfg.NumOutput, l.outH, l.outW)
-	colLen := l.channels * l.cfg.KernelH * l.cfg.KernelW * l.outH * l.outW
+}
+
+// tunedCol returns the tuned path's column buffer, grown on first use: the
+// direct and lowered paths never lower a sample into memory, so a net that
+// does not run on the Tuned engine should not hold one K x N matrix per
+// convolution (1.3 MB on CIFAR-10-full) for it.
+func (l *Convolution) tunedCol() []float32 {
+	colLen := l.plan.Rows() * l.plan.Cols()
 	if cap(l.colBuf) < colLen {
 		l.colBuf = make([]float32, colLen)
 	}
 	l.colBuf = l.colBuf[:colLen]
+	return l.colBuf
 }
 
 // ForwardExtent implements Layer: in the direct implementation the
@@ -425,12 +436,13 @@ func (l *Convolution) ForwardTuned(p *par.Pool, bottom, top []*blob.Blob) {
 	ckk := l.channels * l.cfg.KernelH * l.cfg.KernelW
 	ohw := l.outH * l.outW
 	w := l.params[0].Data()
+	col := l.tunedCol()
 	for s := 0; s < l.num; s++ {
 		im := bottom[0].Data()[s*l.channels*l.height*l.width:]
 		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, l.colBuf)
+			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
 		out := top[0].Data()[s*o*ohw : (s+1)*o*ohw]
-		blas.GemmParallel(p, blas.NoTrans, blas.NoTrans, o, ohw, ckk, 1, w, ckk, l.colBuf, ohw, 0, out, ohw)
+		blas.GemmParallel(p, blas.NoTrans, blas.NoTrans, o, ohw, ckk, 1, w, ckk, col, ohw, 0, out, ohw)
 		if !l.cfg.NoBias {
 			bias := l.params[1].Data()
 			p.For(o, func(olo, ohi, _ int) {
@@ -452,17 +464,18 @@ func (l *Convolution) BackwardTuned(p *par.Pool, bottom, top []*blob.Blob) {
 	chw := l.channels * l.height * l.width
 	w := l.params[0].Data()
 	wGrad := l.params[0].Diff()
-	if cap(l.dcolBuf) < len(l.colBuf) {
-		l.dcolBuf = make([]float32, len(l.colBuf))
+	col := l.tunedCol()
+	if cap(l.dcolBuf) < len(col) {
+		l.dcolBuf = make([]float32, len(col))
 	}
-	dcol := l.dcolBuf[:len(l.colBuf)]
+	dcol := l.dcolBuf[:len(col)]
 	for s := 0; s < l.num; s++ {
 		im := bottom[0].Data()[s*chw:]
 		outDiff := top[0].Diff()[s*o*ohw : (s+1)*o*ohw]
 		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, l.colBuf)
+			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
 		// dW (O x CKK) += dTop (O x OHW) * col^T (OHW x CKK).
-		blas.GemmParallel(p, blas.NoTrans, blas.Trans, o, ckk, ohw, 1, outDiff, ohw, l.colBuf, ohw, 1, wGrad, ckk)
+		blas.GemmParallel(p, blas.NoTrans, blas.Trans, o, ckk, ohw, 1, outDiff, ohw, col, ohw, 1, wGrad, ckk)
 		if !l.cfg.NoBias {
 			bGrad := l.params[1].Diff()
 			for oc := 0; oc < o; oc++ {

@@ -2,7 +2,6 @@ package layers
 
 import (
 	"fmt"
-	"math"
 
 	"coarsegrain/internal/blas"
 	"coarsegrain/internal/blob"
@@ -144,12 +143,62 @@ func (l *Pooling) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 
 // forwardPlane pools one (s,c) plane. plane is the flattened (s*C + c).
 func (l *Pooling) forwardPlane(plane int, bottom, top *blob.Blob) {
-	in := bottom.Data()[plane*l.height*l.width:]
-	out := top.Data()[plane*l.outH*l.outW:]
-	var mask []int32
+	in := bottom.Data()[plane*l.height*l.width : (plane+1)*l.height*l.width]
+	out := top.Data()[plane*l.outH*l.outW : (plane+1)*l.outH*l.outW]
 	if l.cfg.Method == MaxPool {
-		mask = l.mask[plane*l.outH*l.outW:]
+		l.maxPlane(in, out, l.mask[plane*l.outH*l.outW:(plane+1)*l.outH*l.outW])
+	} else {
+		l.avePlane(in, out)
 	}
+}
+
+// interiorCols returns the output columns [lo, hi) whose window lies
+// wholly inside an input row; the ones before and after are clipped by the
+// padding or by a ragged (ceil-mode) last window.
+func (l *Pooling) interiorCols() (lo, hi int) {
+	sw := l.cfg.StrideW
+	if last := l.width + l.cfg.PadW - l.cfg.KernelW; last >= 0 {
+		hi = min(l.outW, last/sw+1)
+	}
+	return min((l.cfg.PadW+sw-1)/sw, hi), hi
+}
+
+// maxPlane is MAX pooling of one plane, an output row at a time: the
+// interior columns are one run of unclipped windows, which
+// blas.MaxPoolWindows scans eight to a vector; each column the padding or
+// a ragged last window clips goes in on its own, as the smaller window
+// that is left of it. Either way a window is scanned in row-major order
+// with a strict >: the first of equal maxima wins, a NaN never does, and
+// an all-NaN or empty window yields -Inf and mask -1.
+func (l *Pooling) maxPlane(in, out []float32, mask []int32) {
+	w, kw, sw, padW := l.width, l.cfg.KernelW, l.cfg.StrideW, l.cfg.PadW
+	lo, hi := l.interiorCols()
+	for oh := 0; oh < l.outH; oh++ {
+		hs := oh*l.cfg.StrideH - l.cfg.PadH
+		he := min(hs+l.cfg.KernelH, l.height)
+		hs = max(hs, 0)
+		o, m := out[oh*l.outW:(oh+1)*l.outW], mask[oh*l.outW:(oh+1)*l.outW]
+		if lo < hi {
+			blas.MaxPoolWindows(in, hs*w+lo*sw-padW, w, he-hs, kw, sw, hi-lo, o[lo:hi], m[lo:hi])
+		}
+		for ow := 0; ow < l.outW; ow++ {
+			if ow == lo {
+				ow = hi // past the interior run
+				if ow == l.outW {
+					break
+				}
+			}
+			ws := max(ow*sw-padW, 0)
+			we := min(ow*sw-padW+kw, w)
+			blas.MaxPoolWindows(in, hs*w+ws, w, he-hs, we-ws, sw, 1, o[ow:], m[ow:])
+		}
+	}
+}
+
+// avePlane is AVE pooling of one plane: the clipped window's sum, added in
+// row-major order, over the full (padded) window size as Caffe does.
+func (l *Pooling) avePlane(in, out []float32) {
+	area := float32(l.cfg.KernelH * l.cfg.KernelW)
 	for oh := 0; oh < l.outH; oh++ {
 		hs := oh*l.cfg.StrideH - l.cfg.PadH
 		he := min(hs+l.cfg.KernelH, l.height)
@@ -158,31 +207,13 @@ func (l *Pooling) forwardPlane(plane int, bottom, top *blob.Blob) {
 			ws := ow*l.cfg.StrideW - l.cfg.PadW
 			we := min(ws+l.cfg.KernelW, l.width)
 			ws = max(ws, 0)
-			oidx := oh*l.outW + ow
-			switch l.cfg.Method {
-			case MaxPool:
-				best := float32(math.Inf(-1))
-				bestIdx := int32(-1)
-				for ih := hs; ih < he; ih++ {
-					for iw := ws; iw < we; iw++ {
-						if v := in[ih*l.width+iw]; v > best {
-							best = v
-							bestIdx = int32(ih*l.width + iw)
-						}
-					}
+			var sum float32
+			for ih := hs; ih < he; ih++ {
+				for iw := ws; iw < we; iw++ {
+					sum += in[ih*l.width+iw]
 				}
-				out[oidx] = best
-				mask[oidx] = bestIdx
-			case AvePool:
-				// Caffe AVE divides by the full (padded) window size.
-				var sum float32
-				for ih := hs; ih < he; ih++ {
-					for iw := ws; iw < we; iw++ {
-						sum += in[ih*l.width+iw]
-					}
-				}
-				out[oidx] = sum / float32(l.cfg.KernelH*l.cfg.KernelW)
 			}
+			out[oh*l.outW+ow] = sum / area
 		}
 	}
 }

@@ -24,8 +24,15 @@ const pcgMultiplier = 6364136223846793005
 // New returns a generator seeded with seed on stream seq. Distinct seq
 // values yield independent streams even under the same seed.
 func New(seed, seq uint64) *RNG {
-	r := &RNG{inc: (seq << 1) | 1}
-	r.state = 0
+	r := Seeded(seed, seq)
+	return &r
+}
+
+// Seeded is New returning the generator by value: a caller that draws a
+// short private stream per item (a data source rendering sample i) keeps
+// it in a local variable, and nothing is heap-allocated.
+func Seeded(seed, seq uint64) RNG {
+	r := RNG{inc: (seq << 1) | 1}
 	r.Uint32()
 	r.state += seed
 	r.Uint32()

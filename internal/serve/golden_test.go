@@ -13,17 +13,22 @@ import (
 // same sample's scores from a batch-of-1 server. The property rests on
 // per-sample independence of every serving-path layer plus the blocked
 // GEMM's row-band invariance (PR 1), so any future layer or kernel
-// change that breaks row independence fails here first.
+// change that breaks row independence fails here first. The batch of 19
+// goes through the replica as bands of 8, 8 and 3 (inferBand), through a
+// net whose activations are sized for one band, not for the batch.
 func TestGoldenBatchedMatchesSerial(t *testing.T) {
 	serial := newTestServer(t, testConfig(1, time.Millisecond))
 	serial.Start()
-	const n = 8
+	const n = 2*inferBand + 3
 	want := make([][]float32, n)
 	for i := 0; i < n; i++ {
 		want[i] = doSample(t, serial, i)
 	}
 
 	batched := newTestServer(t, testConfig(n, time.Hour))
+	if got, want := batched.replicas[0].net.Blob("conv1").Cap(), inferBand*4*12*12; got != want {
+		t.Fatalf("conv1 holds %d floats, want %d: one band of %d samples, not the batch of %d", got, want, inferBand, n)
+	}
 	batched.Start()
 	got := make([][]float32, n)
 	var wg sync.WaitGroup

@@ -1,14 +1,19 @@
 #!/bin/sh
-# check.sh — the repository's pre-commit gate: vet, build, dnnlint (the
+# check.sh — the repository's pre-commit gate: vet (the root module and the
+# nested benchmark/ module, which `./...` does not reach), build, dnnlint (the
 # determinism/parallelism contract linter; LINTING.md is the canonical
 # catalogue of its analyzers and this script's self-tests follow its
-# order), the full test suite (including Example tests), race-detector
+# order), the full test suite (including Example tests) and the benchmark
+# module's own (so an internal/ API change that breaks the benchmark fails
+# here, not at the gate that runs it), race-detector
 # passes over the parallel substrate (the BLAS band kernels and implicit-GEMM
 # convolution driver with its differential tests, the lowered layer and its
 # coarse-engine sweep, the worker pool, the span tracer, the instrumented
 # net loop, the coarse engine and the serving layer), a 5-second FuzzGemm
 # smoke (random shapes/transposes/strides through both kernels, gemmRef as
-# oracle), the reduction determinism sweep (the
+# oracle) and a 5-second FuzzConv smoke (random convolution geometries
+# through the gathered and the packed lowering on both kernels, the naive
+# lowering as oracle), the reduction determinism sweep (the
 # element-parallel ordered merge must stay bit-identical to the serial
 # ordered merge at every worker count) plus a dedicated race pass over
 # the spin-then-park barrier, a tracing smoke run that must produce valid
@@ -27,8 +32,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== go vet =="
+echo "== go vet (root module, benchmark module) =="
 go vet ./...
+go vet -C benchmark ./...
 
 echo "== go build =="
 go build ./...
@@ -75,6 +81,9 @@ echo "seeded violations detected, as required"
 echo "== go test =="
 go test ./...
 
+echo "== go test -C benchmark (the nested module builds against internal/ and its oracles hold) =="
+go test -C benchmark ./...
+
 echo "== go test -run Example (doc examples) =="
 go test -run Example ./...
 
@@ -85,6 +94,9 @@ go test -race -count=1 -run 'TestLoweredLeNetCoarseSweep' ./internal/zoo
 
 echo "== FuzzGemm smoke (5 s: both kernels vs gemmRef, band invariance, C padding) =="
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 5s ./internal/blas
+
+echo "== FuzzConv smoke (5 s: gathered and packed lowering, both kernels, vs the naive lowering bit for bit) =="
+go test -run '^$' -fuzz '^FuzzConv$' -fuzztime 5s ./internal/blas
 
 echo "== reduction determinism sweep (OrderedSlices bit-identical across P) =="
 go test -count=1 -run 'TestOrderedSlicesBitIdenticalToOrdered|TestOrderedSlicesMergeBitIdenticalAcrossWorkers' \
