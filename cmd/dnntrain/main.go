@@ -126,7 +126,7 @@ func main() {
 		fatal(err)
 	}
 
-	eng, err := engineByName(*engine, *workers)
+	eng, err := core.EngineByName(*engine, *workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -310,21 +310,6 @@ func main() {
 	}
 	if mon != nil && mon.Err() != nil {
 		fatal(mon.Err())
-	}
-}
-
-func engineByName(name string, workers int) (core.Engine, error) {
-	switch name {
-	case "sequential", "seq":
-		return core.NewSequential(), nil
-	case "coarse":
-		return core.NewCoarse(workers), nil
-	case "fine":
-		return core.NewFine(workers), nil
-	case "tuned":
-		return core.NewTuned(workers), nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (sequential|coarse|fine|tuned)", name)
 	}
 }
 

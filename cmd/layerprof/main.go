@@ -97,18 +97,9 @@ func run(o options, w io.Writer) error {
 		return err
 	}
 
-	var eng core.Engine
-	switch o.Engine {
-	case "sequential", "seq":
-		eng = core.NewSequential()
-	case "coarse":
-		eng = core.NewCoarse(o.Workers)
-	case "fine":
-		eng = core.NewFine(o.Workers)
-	case "tuned":
-		eng = core.NewTuned(o.Workers)
-	default:
-		return fmt.Errorf("unknown engine %q", o.Engine)
+	eng, err := core.EngineByName(o.Engine, o.Workers)
+	if err != nil {
+		return err
 	}
 	defer eng.Close()
 

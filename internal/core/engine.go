@@ -31,6 +31,8 @@
 package core
 
 import (
+	"fmt"
+
 	"coarsegrain/internal/blob"
 	"coarsegrain/internal/layers"
 )
@@ -54,6 +56,23 @@ type Engine interface {
 	ScratchBytes() int64
 	// Close releases the worker team.
 	Close()
+}
+
+// EngineByName builds the engine a command's -engine flag names, with
+// the given worker team (ignored by "sequential").
+func EngineByName(name string, workers int) (Engine, error) {
+	switch name {
+	case "sequential", "seq":
+		return NewSequential(), nil
+	case "coarse":
+		return NewCoarse(workers), nil
+	case "fine":
+		return NewFine(workers), nil
+	case "tuned":
+		return NewTuned(workers), nil
+	default:
+		return nil, fmt.Errorf("unknown engine %q (sequential|coarse|fine|tuned)", name)
+	}
 }
 
 // forwardHooks runs the serial prepare hook, the supplied parallel body,

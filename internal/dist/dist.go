@@ -54,11 +54,13 @@
 //
 // Failures beyond a transient frame — a crashed rank, a hang, a
 // partition — surface as transport.ErrPeerDown (or unwind via
-// transport.Interrupt) and are handled one level up: the elastic
-// supervisor in elastic.go detects them with heartbeats, fences the
-// group at the last completed iteration, and re-forms a smaller (or,
-// on rejoin, larger) membership that resumes from the fenced
-// checkpoint. Options.Epoch and Options.StartIter exist so a re-formed
+// transport.Interrupt) and are handled one level up, in RunElastic
+// (elastic.go), the one loop that drives a Node to its target
+// iteration: when its configuration allows the membership to change it
+// supervises — detects them with heartbeats, fences the group at the
+// last completed iteration, and re-forms a smaller (or, on rejoin,
+// larger) membership that resumes from the fenced checkpoint — and when
+// it does not (the rigid case) it returns the error at once. Options.Epoch and Options.StartIter exist so a re-formed
 // Node is indistinguishable from one freshly built for a clean run
 // resumed at that iteration — which is the whole determinism argument
 // for degraded continuation.

@@ -43,6 +43,25 @@
 // the lockstep protocol guarantees about bit-identical training holds
 // for the degraded (or re-grown) run too.
 //
+// # The rigid case
+//
+// RunElastic is the one loop that drives a rank to its target
+// iteration, and a plain fixed-membership run is its degenerate
+// configuration rather than a second loop. A run is supervised exactly
+// when its configuration leaves the supervisor something to do: the
+// group may shrink (MinRanks below the initial membership), evicted
+// ranks may come back (Rejoin), stragglers may be evicted
+// (IterDeadline), or a base rank starts outside the membership and will
+// ask to join. When none of that holds, no failure is survivable and no
+// membership change can ever be decided, so nothing watches: no
+// listener, pinger or responder goroutine runs, no control frame
+// crosses the wire, no FenceDir is needed, and a lockstep error is
+// returned at once instead of after a FenceTimeout spent waiting for a
+// fence that cannot come. What is left is build, (on resume) load and
+// SyncWeights, Step to the target, snapshot — wire traffic and timing
+// of a hand-written NewRoot/NewWorker + Step loop, which
+// TestUnsupervisedRunIsThePlainLoop pins bitwise.
+//
 // # Commit rule under stragglers
 //
 // An iteration either commits — every contribution folded in ascending
@@ -74,7 +93,8 @@ import (
 // (rank, size), with the data pipeline already skipped startIter batches
 // (layers.Data.Skip) — the elastic supervisor calls it at every
 // membership change, and a clean-resume run must be able to call it with
-// identical arguments and get an identical net.
+// identical arguments and get an identical net. RunElastic only ever
+// calls it on the goroutine RunElastic itself was called on.
 type RebuildFunc func(rank, size, startIter int) (*net.Net, error)
 
 // ElasticConfig configures RunElastic. Every rank of the base mesh must
@@ -97,11 +117,14 @@ type ElasticConfig struct {
 	Members []int
 	// StartIter resumes iteration numbering at this point (0 = fresh).
 	StartIter int
-	// ResumePath, on the coordinator, loads this solver snapshot before
-	// the first iteration; the initial weight sync ships its weights.
+	// ResumePath is the solver snapshot the coordinator loads before the
+	// first iteration; the initial weight sync ships its weights. Every
+	// rank passes it (only rank 0 opens the file): in the rigid case its
+	// presence is what tells a worker that a sync precedes the first
+	// step.
 	ResumePath string
 	// FenceDir is where the coordinator writes fence checkpoints
-	// (required on rank 0).
+	// (required on rank 0 of a supervised run).
 	FenceDir string
 	// SnapshotPath, when set on the coordinator, receives the final
 	// solver state on successful completion (dnntrain-compatible).
@@ -109,7 +132,9 @@ type ElasticConfig struct {
 	// Keep bounds checkpoint retention in FenceDir (<= 0 keeps all).
 	Keep int
 	// MinRanks aborts the run when a fence would shrink the membership
-	// below it (default 1 — degrade all the way to solo).
+	// below it (default 1 — degrade all the way to solo). At or above
+	// the initial membership size no shrink is allowed at all, which —
+	// absent Rejoin, IterDeadline and joiners — is the rigid case.
 	MinRanks int
 	// Rejoin makes an evicted rank re-enter the joining state instead of
 	// returning; a crashed rank can never rejoin (its endpoint is gone).
@@ -130,6 +155,10 @@ type ElasticConfig struct {
 	// JoinWait bounds how long a non-member keeps asking to join
 	// (default FenceTimeout).
 	JoinWait time.Duration
+	// OnCommit, when set, is called on the coordinator's run goroutine
+	// after every committed iteration with the committed-update count
+	// and that iteration's global loss — a live view of Report.Losses.
+	OnCommit func(iter int, loss float64)
 }
 
 func (c ElasticConfig) withDefaults(size int) ElasticConfig {
@@ -216,6 +245,24 @@ func decodeMembers(payload []float32) []int {
 	return out
 }
 
+// Supervised reports whether the configuration leaves a supervisor
+// anything to decide over a base mesh of size ranks — see "The rigid
+// case" in the package comment. RunElastic computes it; it is exported
+// so a caller can tell its user which kind of run they asked for.
+func (c ElasticConfig) Supervised(size int) bool {
+	c = c.withDefaults(size)
+	return c.MinRanks < len(c.Members) || c.Rejoin || c.IterDeadline > 0 || len(c.Members) < size
+}
+
+// opensWithSync reports whether the run's first act is a weight sync —
+// asked by the coordinator and by every worker, who must agree. A
+// supervised group always syncs; a rigid one only has weights to ship
+// when the coordinator just loaded some, since every rank seeded the
+// same initial values.
+func opensWithSync(c ElasticConfig, supervised bool) bool {
+	return supervised || c.ResumePath != ""
+}
+
 func containsRank(members []int, r int) bool {
 	for _, m := range members {
 		if m == r {
@@ -253,14 +300,15 @@ func RunElastic(t transport.Transport, cfg ElasticConfig) (*Report, error) {
 	if !sort.IntsAreSorted(cfg.Members) {
 		return nil, fmt.Errorf("dist: initial membership %v not ascending", cfg.Members)
 	}
+	supervised := cfg.Supervised(t.Size())
 	if t.Rank() == 0 {
-		if cfg.FenceDir == "" {
-			return nil, fmt.Errorf("dist: coordinator needs a FenceDir for fence checkpoints")
+		if supervised && cfg.FenceDir == "" {
+			return nil, fmt.Errorf("dist: coordinator of a supervised run needs a FenceDir for fence checkpoints")
 		}
-		c := &coordinator{base: t, cfg: cfg}
+		c := &coordinator{base: t, cfg: cfg, supervised: supervised}
 		return c.run()
 	}
-	w := &elasticWorker{base: t, cfg: cfg}
+	w := &elasticWorker{base: t, cfg: cfg, supervised: supervised}
 	return w.run()
 }
 
@@ -312,8 +360,9 @@ type ackMsg struct {
 }
 
 type coordinator struct {
-	base transport.Transport
-	cfg  ElasticConfig
+	base       transport.Transport
+	cfg        ElasticConfig
+	supervised bool
 
 	mu       sync.Mutex
 	members  []int // current membership, base ranks ascending
@@ -370,18 +419,20 @@ func (c *coordinator) run() (*Report, error) {
 
 	// Monitoring goroutines: one control listener per base peer (the
 	// single consumer of that link's control queue) plus the pinger.
-	for p := 1; p < size; p++ {
+	if c.supervised {
+		for p := 1; p < size; p++ {
+			c.wg.Add(1)
+			go c.listen(p)
+		}
 		c.wg.Add(1)
-		go c.listen(p)
+		go c.ping()
 	}
-	c.wg.Add(1)
-	go c.ping()
 	defer func() {
 		close(c.stop)
 		c.wg.Wait()
 	}()
 
-	needSync := true
+	needSync := opensWithSync(c.cfg, c.supervised)
 	for c.node.Iter() < c.cfg.Iters {
 		if downs, joins := c.pendingChanges(); len(downs)+len(joins) > 0 {
 			if err := c.fence(downs, joins); err != nil {
@@ -413,6 +464,9 @@ func (c *coordinator) run() (*Report, error) {
 		}
 		c.committed.Store(int64(c.node.Iter()))
 		c.report.Losses = append(c.report.Losses, ls...)
+		if c.cfg.OnCommit != nil {
+			c.cfg.OnCommit(c.node.Iter(), ls[0])
+		}
 	}
 	c.report.FinalSize = c.node.Size()
 	c.report.Weights = weightsCopy(c.node.Net())
@@ -425,9 +479,13 @@ func (c *coordinator) run() (*Report, error) {
 }
 
 // recover attributes a lockstep failure to membership changes and
-// fences; when no peer can be blamed within the fence timeout, the
-// original error is returned — fail loud, never spin.
+// fences; when no peer can be blamed within the fence timeout — or at
+// once in the rigid case, where nobody is looking for one — the original
+// error is returned: fail loud, never spin.
 func (c *coordinator) recover(err error) error {
+	if !c.supervised {
+		return err
+	}
 	var pde *transport.PeerDownError
 	if errors.As(err, &pde) && pde.Rank != 0 {
 		c.markDown(pde.Rank, pde.Cause)
@@ -813,8 +871,9 @@ type memberInfo struct {
 }
 
 type elasticWorker struct {
-	base transport.Transport
-	cfg  ElasticConfig
+	base       transport.Transport
+	cfg        ElasticConfig
+	supervised bool
 
 	info     atomic.Pointer[memberInfo]
 	progress atomic.Int64
@@ -840,8 +899,10 @@ func (w *elasticWorker) run() (*Report, error) {
 	w.adopted.Store(-1)
 	w.progress.Store(int64(w.cfg.StartIter))
 
-	w.wg.Add(1)
-	go w.respond()
+	if w.supervised {
+		w.wg.Add(1)
+		go w.respond()
+	}
 	defer func() {
 		close(w.stop)
 		w.wg.Wait()
@@ -857,12 +918,14 @@ func (w *elasticWorker) run() (*Report, error) {
 		}
 		w.setInfo(nd, w.cfg.Members)
 		w.adopted.Store(0)
-		if err := nd.SyncWeights(); err != nil {
-			var out adoptOutcome
-			if nd, out = w.awaitAndAdopt(); out == adoptEvicted {
-				return &Report{Evicted: true}, nil
-			} else if out == adoptNoFence {
-				return nil, err
+		if opensWithSync(w.cfg, w.supervised) {
+			if err := nd.SyncWeights(); err != nil {
+				var out adoptOutcome
+				if nd, out = w.awaitAndAdopt(); out == adoptEvicted {
+					return &Report{Evicted: true}, nil
+				} else if out == adoptNoFence {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -918,8 +981,11 @@ const (
 )
 
 // awaitAndAdopt handles a lockstep failure: wait for the fence that
-// explains it and adopt it.
+// explains it and adopt it. No fence can come in the rigid case.
 func (w *elasticWorker) awaitAndAdopt() (*Node, adoptOutcome) {
+	if !w.supervised {
+		return nil, adoptNoFence
+	}
 	deadline := time.Now().Add(w.cfg.FenceTimeout)
 	for {
 		remain := time.Until(deadline)

@@ -590,3 +590,100 @@ func TestElasticCrashCompressedRingBitIdentical(t *testing.T) {
 	requireBitIdentical(t, "coordinator weights", reports[0].Weights, refW)
 	requireBitIdentical(t, "survivor weights", reports[1].Weights, refW)
 }
+
+// rigidCfg is the degenerate configuration: MinRanks at the group size,
+// no Rejoin, no deadline, everyone a member — and no FenceDir, which only
+// a supervised coordinator needs. The fence timeout is far beyond any
+// test's patience, so a run that waited on it would be caught.
+func rigidCfg(k, iters int) ElasticConfig {
+	return ElasticConfig{
+		Iters: iters,
+		Rebuild: func(rank, size, startIter int) (*net.Net, error) {
+			n, err := shardNetE(rank, size)
+			if err == nil {
+				skipData(n, startIter)
+			}
+			return n, err
+		},
+		Solver:       solverCfg(),
+		MinRanks:     k,
+		FenceTimeout: time.Minute,
+	}
+}
+
+// The rigid case of RunElastic is the plain lockstep loop: at every k
+// its losses and every rank's weights are bit-identical to a
+// hand-written NewRoot/NewWorker + Step loop (runDist), and the control
+// plane stays silent — no ping, pong, fence or ack ever crosses a link.
+func TestUnsupervisedRunIsThePlainLoop(t *testing.T) {
+	for _, k := range []int{1, 2, 3} {
+		refW, refL := runDist(t, localGroup(k), Options{}, testIters)
+
+		cfg := rigidCfg(k, testIters)
+		if cfg.Supervised(k) {
+			t.Fatalf("k=%d: MinRanks = group size must not be supervised", k)
+		}
+		meters := make([]*transport.Meter, k)
+		trs := make([]transport.Transport, k)
+		for r, l := range transport.NewLocalGroup(k) {
+			meters[r] = transport.NewMeter(l)
+			trs[r] = meters[r]
+		}
+		var commits []int
+		cfg.OnCommit = func(iter int, loss float64) {
+			commits = append(commits, iter)
+			if loss != refL[iter-1] {
+				t.Errorf("k=%d: OnCommit(%d) loss %v, want %v", k, iter, loss, refL[iter-1])
+			}
+		}
+		reports, errs, done := startElastic(trs, cfg)
+		for _, d := range done {
+			<-d
+		}
+		for r, tr := range trs {
+			tr.Close()
+			if errs[r] != nil {
+				t.Fatalf("k=%d rank %d: %v", k, r, errs[r])
+			}
+			requireBitIdentical(t, fmt.Sprintf("k=%d rank %d weights", k, r), reports[r].Weights, refW)
+			if n := meters[r].CtrlFrames(); n != 0 {
+				t.Fatalf("k=%d rank %d sent %d control frames, want none", k, r, n)
+			}
+			if n := meters[r].SentFrames(transport.KindSync); n != 0 {
+				t.Fatalf("k=%d rank %d sent %d weight-sync frames on a fresh run, want none", k, r, n)
+			}
+		}
+		requireSameLosses(t, fmt.Sprintf("k=%d losses", k), reports[0].Losses, refL)
+		if len(commits) != testIters || commits[0] != 1 || commits[testIters-1] != testIters {
+			t.Fatalf("k=%d: OnCommit saw iterations %v, want 1..%d", k, commits, testIters)
+		}
+		if len(reports[0].Fences) != 0 || reports[0].FinalSize != k {
+			t.Fatalf("k=%d: report %+v, want no fences at size %d", k, reports[0], k)
+		}
+	}
+}
+
+// A rigid run has nobody to fence a failure away, so a lockstep error
+// comes back at once: here rank 1 hangs at iteration 2, the operator
+// (the group runner, in dnncluster) closes the endpoints, and both ranks
+// return their typed errors long before FenceTimeout.
+func TestUnsupervisedRunFailsAtOnce(t *testing.T) {
+	locals := localGroup(2)
+	hung := transport.NewChaos(locals[1], transport.ChaosConfig{Mode: transport.ChaosHang, AtIter: 2}, 1)
+	trs := []transport.Transport{locals[0], hung}
+	_, errs, done := startElastic(trs, rigidCfg(2, testIters))
+	for !hung.Fired() {
+		time.Sleep(time.Millisecond)
+	}
+	for r, tr := range trs {
+		tr.Close()
+		select {
+		case <-done[r]:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("rank %d still running 2s after its endpoint closed", r)
+		}
+		if !errors.Is(errs[r], transport.ErrClosed) {
+			t.Fatalf("rank %d returned %v, want an error wrapping ErrClosed", r, errs[r])
+		}
+	}
+}

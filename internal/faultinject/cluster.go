@@ -7,8 +7,8 @@ package faultinject
 // (victim, trigger iteration, partition cut) drawn from the same seeded
 // stream, so a cluster failure drill replays bit-identically from its
 // seed. The elastic supervisor (internal/dist.RunElastic) is the code
-// under test; cmd/dnncluster's -chaos-* flags feed these plans into
-// real runs.
+// under test; dnncluster's -chaos-* flags (internal/cluster) feed these
+// plans into real runs.
 
 import (
 	"fmt"
@@ -59,20 +59,28 @@ func (in *Injector) ClusterScenario(ranks, iters int, mode transport.ChaosMode) 
 	return s, nil
 }
 
-// Wrap applies the scenario to a group's transports (index = base
-// rank): the victim's endpoint is wrapped in a transport.Chaos carrying
-// the planned failure, every other endpoint is untouched. Returns the
-// victim's Chaos handle so tests can assert on TriggerIter and Fired.
-func (s ClusterScenario) Wrap(group []transport.Transport) (*transport.Chaos, error) {
-	if s.Victim <= 0 || s.Victim >= len(group) {
-		return nil, fmt.Errorf("faultinject: victim rank %d outside group of %d", s.Victim, len(group))
-	}
-	ch := transport.NewChaos(group[s.Victim], transport.ChaosConfig{
+// Chaos wraps one endpoint — the victim's — in the transport.Chaos
+// carrying the planned failure: the single place a scenario becomes a
+// transport.ChaosConfig, for a whole in-process group (Wrap) and for a
+// TCP worker that is told it is the victim (internal/cluster) alike.
+func (s ClusterScenario) Chaos(t transport.Transport) *transport.Chaos {
+	return transport.NewChaos(t, transport.ChaosConfig{
 		Mode:          s.Mode,
 		AtIter:        s.AtIter,
 		Peers:         s.Peers,
 		StraggleDelay: s.Delay,
 	}, 0)
+}
+
+// Wrap applies the scenario to a group's transports (index = base
+// rank): the victim's endpoint is replaced by its Chaos wrapper, every
+// other endpoint is untouched. Returns the victim's Chaos handle so
+// tests can assert on TriggerIter and Fired.
+func (s ClusterScenario) Wrap(group []transport.Transport) (*transport.Chaos, error) {
+	if s.Victim <= 0 || s.Victim >= len(group) {
+		return nil, fmt.Errorf("faultinject: victim rank %d outside group of %d", s.Victim, len(group))
+	}
+	ch := s.Chaos(group[s.Victim])
 	group[s.Victim] = ch
 	return ch, nil
 }

@@ -173,3 +173,35 @@ func okEncodedHandled(c *transport.Conn, cod transport.Codec, m transport.Msg) i
 	}
 	return 0
 }
+
+// --- decorators that embed the link they wrap -------------------------
+
+// counted is the shape of internal/transport's decorators (Flaky, Chaos,
+// View, Meter): it embeds the link and redefines only Send, so Recv and
+// the control plane are the embedded link's methods, promoted. A
+// promoted method is still the transport's, and so is its error.
+type counted struct {
+	*transport.Conn
+	sent int
+}
+
+func (w *counted) Send(m transport.Msg) error {
+	w.sent++
+	return w.Conn.Send(m)
+}
+
+func dropThroughDecorator(w *counted, m transport.Msg) {
+	w.Send(m)      // want `error from Send \(which forwards a transport Send error\) is discarded`
+	w.Recv()       // want `error from transport\.Recv is discarded`
+	w.RecvCtrl()   // want `error from transport\.RecvCtrl is discarded`
+	w.Conn.Send(m) // want `error from transport\.Send is discarded`
+	w.SendCtrl(m)  // want `error from transport\.SendCtrl is discarded`
+}
+
+func okDecoratorHandled(w *counted, m transport.Msg) error {
+	if err := w.Send(m); err != nil {
+		return err
+	}
+	_, err := w.Recv()
+	return err
+}

@@ -109,20 +109,26 @@ func TreeDepth(n, fanout int) int {
 	return depth
 }
 
-// Predict models one training iteration on k replicas with a fan-out-f
-// reduction tree and an uncompressed f32 wire.
-func (m ClusterMachine) Predict(w ClusterWorkload, replicas, fanout int) ClusterPrediction {
-	return m.PredictEx(w, replicas, fanout, "tree", 1)
+// ClusterShape is the point of internal/dist's design space one
+// prediction is for: how many replicas, and how their gradients travel.
+type ClusterShape struct {
+	// Replicas is the group size k (values below 1 mean 1).
+	Replicas int
+	// Fanout is the reduction tree's fan-out (values below 1 mean 1).
+	Fanout int
+	// Topology is the gradient-exchange route: "tree" (also the zero
+	// value) or "ring".
+	Topology string
+	// WireScale is the codec's bytes-on-wire ratio for encoded gradient
+	// frames (1 for f32, also the zero value; ~0.5 for f16, ~0.26 for
+	// int8) — callers measure it from transport.Codec.WireLen so the
+	// model and the implementation cannot drift. It applies only to the
+	// legs that carry encoded contributions; reduced gradients and
+	// weights always cross as raw f32, exactly as in the implementation.
+	WireScale float64
 }
 
-// PredictEx extends Predict across the gradient-exchange design space
-// internal/dist implements: topology is "tree" or "ring", and wireScale
-// is the codec's bytes-on-wire ratio for encoded gradient frames (1 for
-// f32, ~0.5 for f16, ~0.26 for int8 — callers measure it from
-// transport.Codec.WireLen so the model and the implementation cannot
-// drift). wireScale applies only to the legs that carry encoded
-// contributions; reduced gradients and weights always cross as raw f32,
-// exactly as in the implementation.
+// Predict models one training iteration of the given shape.
 //
 // The ring modeled here is dist's deterministic relay ring, not the
 // textbook partial-sum ring: contributions travel bit-unchanged to
@@ -136,7 +142,8 @@ func (m ClusterMachine) Predict(w ClusterWorkload, replicas, fanout int) Cluster
 // all-gather leg is the textbook one — (k-1)/k of the reduced bytes per
 // link, raw f32 — and the tree term shrinks to the weight broadcast,
 // the only master-state traffic left on the tree under the ring.
-func (m ClusterMachine) PredictEx(w ClusterWorkload, replicas, fanout int, topology string, wireScale float64) ClusterPrediction {
+func (m ClusterMachine) Predict(w ClusterWorkload, g ClusterShape) ClusterPrediction {
+	replicas, fanout, wireScale := g.Replicas, g.Fanout, g.WireScale
 	if replicas < 1 {
 		replicas = 1
 	}
@@ -170,7 +177,7 @@ func (m ClusterMachine) PredictEx(w ClusterWorkload, replicas, fanout int, topol
 	msgs := float64(w.ParamTensors)
 	d := float64(p.TreeDepth)
 
-	if topology == "ring" {
+	if g.Topology == "ring" {
 		// Relay-ring reduce-scatter: each link carries every rank's own
 		// (k-1) contributions plus the relays passing through — summed
 		// over origin distances, k(k-1)/2 frames and (k-1)/2 of the
@@ -182,7 +189,7 @@ func (m ClusterMachine) PredictEx(w ClusterWorkload, replicas, fanout int, topol
 		// the bytes per link — plus the weight broadcast, which stays on
 		// the tree (master state takes the lowest-latency route).
 		allGather := (k-1)*msgs*m.LatencyUS + paramMB*(k-1)/k/m.LinkMBps*1e6
-		p.TreeUS = allGather + d*(msgs*m.LatencyUS + paramMB/m.LinkMBps*1e6)
+		p.TreeUS = allGather + d*(msgs*m.LatencyUS+paramMB/m.LinkMBps*1e6)
 	} else {
 		// Reduce-scatter: every rank ships (k-1)/k of its (encoded)
 		// gradient bytes and receives as much, in (k-1) per-tensor
@@ -204,12 +211,6 @@ func (m ClusterMachine) PredictEx(w ClusterWorkload, replicas, fanout int, topol
 	p.TotalUS = p.ComputeUS + (p.ScatterUS - p.HiddenUS) + p.TreeUS
 	p.Speedup = w.ComputeUS / p.TotalUS
 	return p
-}
-
-// ClusterSpeedup returns the modeled speedup of k replicas over the
-// serial run — the cluster analogue of Machine.Speedup.
-func (m ClusterMachine) ClusterSpeedup(w ClusterWorkload, replicas, fanout int) float64 {
-	return m.Predict(w, replicas, fanout).Speedup
 }
 
 // RecoveryPrediction breaks one elastic fence (internal/dist.RunElastic
@@ -256,7 +257,7 @@ func (m ClusterMachine) PredictRecovery(w ClusterWorkload, survivors, fanout int
 	p.CheckpointUS = 2 * paramMB / diskMBps * 1e6 // write at the fence, read at the rebuild
 	d := float64(TreeDepth(survivors, fanout))
 	p.SyncUS = d * (msgs*m.LatencyUS + paramMB/m.LinkMBps*1e6)
-	p.RedoUS = m.Predict(w, survivors, fanout).TotalUS
+	p.RedoUS = m.Predict(w, ClusterShape{Replicas: survivors, Fanout: fanout}).TotalUS
 	p.TotalUS = p.DetectUS + p.CheckpointUS + p.SyncUS + p.RedoUS
 	return p
 }

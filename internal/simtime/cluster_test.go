@@ -33,7 +33,7 @@ func lenetLikeWorkload() ClusterWorkload {
 
 func TestPredictSingleReplicaIsBaseline(t *testing.T) {
 	m := LocalCluster(4)
-	p := m.Predict(lenetLikeWorkload(), 1, 2)
+	p := m.Predict(lenetLikeWorkload(), ClusterShape{Replicas: 1, Fanout: 2})
 	if p.Speedup != 1 {
 		t.Fatalf("k=1 speedup = %v, want exactly 1", p.Speedup)
 	}
@@ -45,9 +45,9 @@ func TestPredictSingleReplicaIsBaseline(t *testing.T) {
 func TestPredictScalesWithCores(t *testing.T) {
 	w := lenetLikeWorkload()
 	m := LocalCluster(16)
-	s2 := m.ClusterSpeedup(w, 2, 2)
-	s4 := m.ClusterSpeedup(w, 4, 2)
-	s8 := m.ClusterSpeedup(w, 8, 2)
+	s2 := m.Predict(w, ClusterShape{Replicas: 2, Fanout: 2}).Speedup
+	s4 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2}).Speedup
+	s8 := m.Predict(w, ClusterShape{Replicas: 8, Fanout: 2}).Speedup
 	if !(s2 > 1.5 && s4 > s2 && s8 > s4) {
 		t.Fatalf("compute-bound workload should scale: s2=%v s4=%v s8=%v", s2, s4, s8)
 	}
@@ -62,7 +62,7 @@ func TestPredictOversubscribedHostDoesNotSpeedUp(t *testing.T) {
 	// acceptance scenario for the container measurement).
 	m := LocalCluster(1)
 	for _, k := range []int{2, 4} {
-		p := m.Predict(lenetLikeWorkload(), k, 2)
+		p := m.Predict(lenetLikeWorkload(), ClusterShape{Replicas: k, Fanout: 2})
 		if p.Speedup > 1 {
 			t.Fatalf("k=%d on 1 core predicts speedup %v > 1", k, p.Speedup)
 		}
@@ -74,7 +74,7 @@ func TestPredictOversubscribedHostDoesNotSpeedUp(t *testing.T) {
 
 func TestPredictTermsCompose(t *testing.T) {
 	m := LocalCluster(4)
-	p := m.Predict(lenetLikeWorkload(), 4, 2)
+	p := m.Predict(lenetLikeWorkload(), ClusterShape{Replicas: 4, Fanout: 2})
 	sum := p.ComputeUS + (p.ScatterUS - p.HiddenUS) + p.TreeUS
 	if p.TotalUS != sum {
 		t.Fatalf("TotalUS %v != composed terms %v", p.TotalUS, sum)
@@ -92,7 +92,7 @@ func TestPredictSlowLinkHurts(t *testing.T) {
 	fast := ClusterMachine{Cores: 16, LinkMBps: 3000, LatencyUS: 8, OverlapFraction: 0.5}
 	slow := fast
 	slow.LinkMBps = 10
-	if sf, ss := fast.ClusterSpeedup(w, 8, 2), slow.ClusterSpeedup(w, 8, 2); ss >= sf {
+	if sf, ss := fast.Predict(w, ClusterShape{Replicas: 8, Fanout: 2}).Speedup, slow.Predict(w, ClusterShape{Replicas: 8, Fanout: 2}).Speedup; ss >= sf {
 		t.Fatalf("slow link speedup %v >= fast link %v", ss, sf)
 	}
 }
@@ -105,8 +105,8 @@ func TestPredictTreeBeatsFlatStarAtScale(t *testing.T) {
 	// Here: compare the tree term directly across fan-outs at fixed k.
 	m := ClusterMachine{Cores: 64, LinkMBps: 110, LatencyUS: 50, OverlapFraction: 0}
 	w := lenetLikeWorkload()
-	deep := m.Predict(w, 64, 2)  // depth 6
-	flat := m.Predict(w, 64, 63) // depth 1
+	deep := m.Predict(w, ClusterShape{Replicas: 64, Fanout: 2})  // depth 6
+	flat := m.Predict(w, ClusterShape{Replicas: 64, Fanout: 63}) // depth 1
 	if deep.TreeDepth <= flat.TreeDepth {
 		t.Fatalf("depths: tree %d vs flat %d", deep.TreeDepth, flat.TreeDepth)
 	}
@@ -131,9 +131,9 @@ func TestPredictRecoveryTermsCompose(t *testing.T) {
 	if sum := p.DetectUS + p.CheckpointUS + p.SyncUS + p.RedoUS; p.TotalUS != sum {
 		t.Fatalf("TotalUS %v != sum of terms %v", p.TotalUS, sum)
 	}
-	if p.RedoUS != m.Predict(w, 3, 2).TotalUS {
+	if p.RedoUS != m.Predict(w, ClusterShape{Replicas: 3, Fanout: 2}).TotalUS {
 		t.Fatalf("redo term %v, want one survivor-membership iteration %v",
-			p.RedoUS, m.Predict(w, 3, 2).TotalUS)
+			p.RedoUS, m.Predict(w, ClusterShape{Replicas: 3, Fanout: 2}).TotalUS)
 	}
 }
 
@@ -160,23 +160,24 @@ func TestPredictRecoveryScalesWithModelAndDisk(t *testing.T) {
 	}
 }
 
-func TestPredictExTreeF32MatchesPredict(t *testing.T) {
+func TestPredictShapeDefaultsAreTreeF32(t *testing.T) {
 	m := LocalCluster(4)
 	w := lenetLikeWorkload()
 	for _, k := range []int{1, 2, 4, 8} {
-		a, b := m.Predict(w, k, 2), m.PredictEx(w, k, 2, "tree", 1)
+		a := m.Predict(w, ClusterShape{Replicas: k, Fanout: 2})
+		b := m.Predict(w, ClusterShape{Replicas: k, Fanout: 2, Topology: "tree", WireScale: 1})
 		if a != b {
-			t.Fatalf("k=%d: PredictEx(tree, 1) %+v != Predict %+v", k, b, a)
+			t.Fatalf("k=%d: explicit tree/f32 %+v != zero-valued shape %+v", k, b, a)
 		}
 	}
 }
 
-func TestPredictExCompressionShrinksScatterOnly(t *testing.T) {
+func TestPredictCompressionShrinksScatterOnly(t *testing.T) {
 	m := LocalCluster(4)
 	w := lenetLikeWorkload()
 	for _, topo := range []string{"tree", "ring"} {
-		f32 := m.PredictEx(w, 4, 2, topo, 1)
-		int8 := m.PredictEx(w, 4, 2, topo, 0.26)
+		f32 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: topo, WireScale: 1})
+		int8 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: topo, WireScale: 0.26})
 		if int8.ScatterUS >= f32.ScatterUS {
 			t.Fatalf("%s: int8 scatter %v not below f32 %v", topo, int8.ScatterUS, f32.ScatterUS)
 		}
@@ -194,24 +195,24 @@ func TestPredictExCompressionShrinksScatterOnly(t *testing.T) {
 // bitwise determinism: at k=4 its f32 reduce-scatter moves (k-1)/2 = 1.5
 // of the gradient per link vs the tree's (k-1)/k = 0.75. The model must
 // price that honestly — and show int8 compression (0.26) buying it back.
-func TestPredictExRingCostsMoreThanTreeUncompressed(t *testing.T) {
+func TestPredictRingCostsMoreThanTreeUncompressed(t *testing.T) {
 	// Bandwidth-bound regime so byte counts dominate.
 	m := ClusterMachine{Cores: 16, LinkMBps: 110, LatencyUS: 1, OverlapFraction: 0}
 	w := lenetLikeWorkload()
-	ringF32 := m.PredictEx(w, 4, 2, "ring", 1)
-	treeF32 := m.PredictEx(w, 4, 2, "tree", 1)
+	ringF32 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: "ring", WireScale: 1})
+	treeF32 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: "tree", WireScale: 1})
 	if ringF32.ScatterUS <= treeF32.ScatterUS {
 		t.Fatalf("relay ring f32 scatter %v not above tree %v", ringF32.ScatterUS, treeF32.ScatterUS)
 	}
-	ringInt8 := m.PredictEx(w, 4, 2, "ring", 0.26)
+	ringInt8 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: "ring", WireScale: 0.26})
 	if ringInt8.ScatterUS >= treeF32.ScatterUS {
 		t.Fatalf("int8 ring scatter %v should undercut f32 tree %v", ringInt8.ScatterUS, treeF32.ScatterUS)
 	}
 }
 
-func TestPredictExTermsCompose(t *testing.T) {
+func TestPredictRingTermsCompose(t *testing.T) {
 	m := LocalCluster(4)
-	p := m.PredictEx(lenetLikeWorkload(), 4, 2, "ring", 0.5)
+	p := m.Predict(lenetLikeWorkload(), ClusterShape{Replicas: 4, Fanout: 2, Topology: "ring", WireScale: 0.5})
 	sum := p.ComputeUS + (p.ScatterUS - p.HiddenUS) + p.TreeUS
 	if p.TotalUS != sum {
 		t.Fatalf("TotalUS %v != composed terms %v", p.TotalUS, sum)

@@ -54,6 +54,17 @@ func (m ChaosMode) String() string {
 	}
 }
 
+// ParseChaosMode is the inverse of ChaosMode.String over the defined
+// modes: the spelling a drill is configured with ("none", "crash", ...).
+func ParseChaosMode(name string) (ChaosMode, error) {
+	for m := ChaosNone; m <= ChaosStraggle; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return ChaosNone, fmt.Errorf("transport: unknown chaos mode %q (none|crash|hang|partition|straggle)", name)
+}
+
 // ChaosConfig configures one injected cluster failure.
 type ChaosConfig struct {
 	Mode ChaosMode
@@ -77,9 +88,12 @@ type ChaosConfig struct {
 // Chaos removes (or degrades) a whole rank, which is what the elastic
 // fault-tolerance layer in internal/dist exists to survive.
 type Chaos struct {
-	inner Transport
-	cfg   ChaosConfig
-	cut   map[int]bool
+	// Transport is the wrapped endpoint; Rank, Size, Interrupt and
+	// Resume are its own, every operation a failure can bite is
+	// redefined below.
+	Transport
+	cfg ChaosConfig
+	cut map[int]bool
 
 	fired     atomic.Bool
 	lastSlept atomic.Int64 // last iteration a straggle sleep ran for
@@ -105,7 +119,7 @@ func NewChaos(t Transport, cfg ChaosConfig, seed uint64) *Chaos {
 	for _, p := range cfg.Peers {
 		cut[p] = true
 	}
-	c := &Chaos{inner: t, cfg: cfg, cut: cut, stopped: make(chan struct{})}
+	c := &Chaos{Transport: t, cfg: cfg, cut: cut, stopped: make(chan struct{})}
 	c.lastSlept.Store(-1)
 	return c
 }
@@ -137,7 +151,7 @@ func (c *Chaos) arm(tag Tag) bool {
 func (c *Chaos) crash() {
 	c.closeOnce.Do(func() {
 		close(c.stopped)
-		c.inner.Close()
+		c.Transport.Close()
 	})
 }
 
@@ -160,12 +174,6 @@ func (c *Chaos) straggleSleep(iter int) {
 	}
 }
 
-// Rank implements Transport.
-func (c *Chaos) Rank() int { return c.inner.Rank() }
-
-// Size implements Transport.
-func (c *Chaos) Size() int { return c.inner.Size() }
-
 // Send implements Transport, injecting the configured failure first.
 func (c *Chaos) Send(to int, tag Tag, payload []float32) error {
 	if c.arm(tag) {
@@ -184,7 +192,7 @@ func (c *Chaos) Send(to int, tag Tag, payload []float32) error {
 			c.straggleSleep(tag.Iter())
 		}
 	}
-	return c.inner.Send(to, tag, payload)
+	return c.Transport.Send(to, tag, payload)
 }
 
 // Recv implements Transport.
@@ -199,7 +207,7 @@ func (c *Chaos) Recv(from int, tag Tag, buf []float32) error {
 			return ErrClosed
 		}
 	}
-	return c.inner.Recv(from, tag, buf)
+	return c.Transport.Recv(from, tag, buf)
 }
 
 // SendCtrl implements Transport. Control sends obey the current failure
@@ -219,7 +227,7 @@ func (c *Chaos) SendCtrl(to int, tag Tag, payload []float32) error {
 			}
 		}
 	}
-	return c.inner.SendCtrl(to, tag, payload)
+	return c.Transport.SendCtrl(to, tag, payload)
 }
 
 // RecvCtrl implements Transport.
@@ -233,14 +241,8 @@ func (c *Chaos) RecvCtrl(from int, timeout time.Duration) (Tag, []float32, error
 			return 0, nil, ErrClosed
 		}
 	}
-	return c.inner.RecvCtrl(from, timeout)
+	return c.Transport.RecvCtrl(from, timeout)
 }
-
-// Interrupt implements Transport.
-func (c *Chaos) Interrupt(err error) { c.inner.Interrupt(err) }
-
-// Resume implements Transport.
-func (c *Chaos) Resume() { c.inner.Resume() }
 
 // Close implements Transport; it also unblocks a hung or straggling
 // endpoint.
@@ -248,7 +250,7 @@ func (c *Chaos) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		close(c.stopped)
-		err = c.inner.Close()
+		err = c.Transport.Close()
 	})
 	return err
 }

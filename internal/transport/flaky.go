@@ -39,8 +39,13 @@ type FlakyStats struct {
 // injected fault, a flaky run must still converge to the bit-identical
 // training result — asserted by the dist test suite.
 type Flaky struct {
-	inner Transport
-	cfg   FlakyConfig
+	// Transport is the wrapped endpoint. Flaky redefines only Send, so
+	// everything else — Recv, the control plane (the fault model targets
+	// the lock-step data plane, and the fencing protocol already
+	// tolerates shed control frames by re-sending), Interrupt, Resume,
+	// Close — reaches it through the embedding.
+	Transport
+	cfg FlakyConfig
 
 	mu    sync.Mutex
 	r     *rng.RNG
@@ -54,7 +59,7 @@ func NewFlaky(t Transport, cfg FlakyConfig, seed uint64) *Flaky {
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 2 * time.Millisecond
 	}
-	return &Flaky{inner: t, cfg: cfg, r: rng.New(seed, 0xF1A2B)}
+	return &Flaky{Transport: t, cfg: cfg, r: rng.New(seed, 0xF1A2B)}
 }
 
 // Stats returns the fault counts so far.
@@ -63,12 +68,6 @@ func (f *Flaky) Stats() FlakyStats {
 	defer f.mu.Unlock()
 	return f.stats
 }
-
-// Rank implements Transport.
-func (f *Flaky) Rank() int { return f.inner.Rank() }
-
-// Size implements Transport.
-func (f *Flaky) Size() int { return f.inner.Size() }
 
 // Send implements Transport, possibly dropping, duplicating or delaying
 // the frame first.
@@ -96,37 +95,11 @@ func (f *Flaky) Send(to int, tag Tag, payload []float32) error {
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	if err := f.inner.Send(to, tag, payload); err != nil {
+	if err := f.Transport.Send(to, tag, payload); err != nil {
 		return err
 	}
 	if dup {
-		return f.inner.Send(to, tag, payload)
+		return f.Transport.Send(to, tag, payload)
 	}
 	return nil
 }
-
-// Recv implements Transport.
-func (f *Flaky) Recv(from int, tag Tag, buf []float32) error {
-	return f.inner.Recv(from, tag, buf)
-}
-
-// SendCtrl implements Transport. Control frames pass through unfaulted:
-// the fault model targets the lock-step data plane, and the elastic
-// fencing protocol already tolerates shed control frames by re-sending.
-func (f *Flaky) SendCtrl(to int, tag Tag, payload []float32) error {
-	return f.inner.SendCtrl(to, tag, payload)
-}
-
-// RecvCtrl implements Transport.
-func (f *Flaky) RecvCtrl(from int, timeout time.Duration) (Tag, []float32, error) {
-	return f.inner.RecvCtrl(from, timeout)
-}
-
-// Interrupt implements Transport.
-func (f *Flaky) Interrupt(err error) { f.inner.Interrupt(err) }
-
-// Resume implements Transport.
-func (f *Flaky) Resume() { f.inner.Resume() }
-
-// Close implements Transport.
-func (f *Flaky) Close() error { return f.inner.Close() }

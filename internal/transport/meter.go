@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Meter wraps a Transport and counts data-plane payload traffic per
 // message kind — the measurement layer behind the compression claims in
@@ -19,9 +16,10 @@ import (
 // is sent exactly once per link — Recv-side counting would double-count
 // the duplicates the inbox discards. Control-plane traffic (SendCtrl) is
 // counted in frames only; its payloads are a few words of heartbeat
-// state and never carry gradient.
+// state and never carry gradient. The receive side, Interrupt, Resume
+// and Close are the embedded endpoint's own.
 type Meter struct {
-	inner Transport
+	Transport
 
 	words      [KindCount]atomic.Int64
 	frames     [KindCount]atomic.Int64
@@ -29,17 +27,11 @@ type Meter struct {
 }
 
 // NewMeter wraps inner with per-kind traffic accounting.
-func NewMeter(inner Transport) *Meter { return &Meter{inner: inner} }
-
-// Rank implements Transport.
-func (m *Meter) Rank() int { return m.inner.Rank() }
-
-// Size implements Transport.
-func (m *Meter) Size() int { return m.inner.Size() }
+func NewMeter(inner Transport) *Meter { return &Meter{Transport: inner} }
 
 // Send implements Transport, counting the payload against tag's kind.
 func (m *Meter) Send(to int, tag Tag, payload []float32) error {
-	err := m.inner.Send(to, tag, payload)
+	err := m.Transport.Send(to, tag, payload)
 	if err == nil {
 		k := tag.Kind()
 		m.words[k].Add(int64(len(payload)))
@@ -48,33 +40,14 @@ func (m *Meter) Send(to int, tag Tag, payload []float32) error {
 	return err
 }
 
-// Recv implements Transport.
-func (m *Meter) Recv(from int, tag Tag, buf []float32) error {
-	return m.inner.Recv(from, tag, buf)
-}
-
-// SendCtrl implements Transport.
+// SendCtrl implements Transport, counting the frame.
 func (m *Meter) SendCtrl(to int, tag Tag, payload []float32) error {
-	err := m.inner.SendCtrl(to, tag, payload)
+	err := m.Transport.SendCtrl(to, tag, payload)
 	if err == nil {
 		m.ctrlFrames.Add(1)
 	}
 	return err
 }
-
-// RecvCtrl implements Transport.
-func (m *Meter) RecvCtrl(from int, timeout time.Duration) (Tag, []float32, error) {
-	return m.inner.RecvCtrl(from, timeout)
-}
-
-// Interrupt implements Transport.
-func (m *Meter) Interrupt(err error) { m.inner.Interrupt(err) }
-
-// Resume implements Transport.
-func (m *Meter) Resume() { m.inner.Resume() }
-
-// Close implements Transport.
-func (m *Meter) Close() error { return m.inner.Close() }
 
 // SentWords returns the float32 payload words successfully sent under
 // kind k.
@@ -88,6 +61,10 @@ func (m *Meter) SentFrames(k Kind) int64 { return m.frames[k].Load() }
 // (4 bytes per word; framing overhead is transport-specific and
 // excluded).
 func (m *Meter) SentBytes(k Kind) int64 { return 4 * m.SentWords(k) }
+
+// CtrlFrames returns the control-plane frames successfully sent — zero
+// for a run no supervisor watched (dist.RunElastic's rigid case).
+func (m *Meter) CtrlFrames() int64 { return m.ctrlFrames.Load() }
 
 // GradBytes returns the bytes of gradient contributions this rank put on
 // the wire: the scatter frames of the tree path (KindGrad) plus the

@@ -438,6 +438,21 @@ func TestChaosCrashAtIteration(t *testing.T) {
 	}
 }
 
+// ParseChaosMode is String's inverse on every defined mode — the two
+// spell the -chaos-mode vocabulary in one place — and rejects the rest.
+func TestParseChaosModeInvertsString(t *testing.T) {
+	for m := ChaosNone; m <= ChaosStraggle; m++ {
+		if got, err := ParseChaosMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseChaosMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "Crash", "chaos(9)"} {
+		if _, err := ParseChaosMode(bad); err == nil {
+			t.Errorf("ParseChaosMode(%q) accepted an undefined mode", bad)
+		}
+	}
+}
+
 func TestChaosSeededTriggerIsDeterministic(t *testing.T) {
 	g := NewLocalGroup(2)
 	defer g[0].Close()

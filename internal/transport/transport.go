@@ -48,10 +48,23 @@
 // NewLocalGroup wires Size in-process endpoints (goroutine-per-replica,
 // used by tests and dnncluster's single-process mode); ListenTCP /
 // DialTCP build a full mesh of TCP connections across processes via a
-// coordinator rendezvous; NewFlaky wraps any Transport with seeded,
-// reproducible drop/delay/duplicate faults; NewChaos wraps one with
-// seeded crash/hang/partition/straggle failures; NewView re-ranks a
-// subset of a group after an elastic membership change (ROBUSTNESS.md).
+// coordinator rendezvous.
+//
+// # Decorators
+//
+// Four types wrap another Transport: NewFlaky adds seeded, reproducible
+// drop/delay/duplicate faults to Send; NewChaos injects one seeded
+// crash/hang/partition/straggle failure; NewView re-ranks a subset of a
+// group after an elastic membership change (ROBUSTNESS.md); NewMeter
+// counts what a rank puts on the wire. Each embeds the Transport it
+// wraps and defines only the methods whose behaviour it changes, so
+// whatever it does not mention — and any method the interface grows —
+// passes through by construction rather than by a hand-written
+// forwarder (TestInjectorsPassAllKindsThrough is the audit). They stay
+// four types because they compose (dnncluster stacks Flaky under Chaos
+// under dist's View) and each has one job: a single type branching on
+// two fault models would be harder to reason about than two that each
+// know one.
 package transport
 
 import (

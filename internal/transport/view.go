@@ -19,7 +19,10 @@ import (
 // from an abandoned view can never alias the new one's: receivers
 // discard them as stale by epoch.
 type View struct {
-	base    Transport
+	// Transport is the base endpoint. Interrupt and Resume are its own
+	// (a view has no queues to poison); everything that names a rank is
+	// redefined below to speak view ranks.
+	Transport
 	members []int // base ranks, strictly ascending
 	rank    int   // this endpoint's view rank: index into members
 }
@@ -48,7 +51,7 @@ func NewView(base Transport, members []int) (*View, error) {
 	if rank < 0 {
 		return nil, fmt.Errorf("transport: base rank %d not in view members %v", base.Rank(), members)
 	}
-	return &View{base: base, members: append([]int(nil), members...), rank: rank}, nil
+	return &View{Transport: base, members: append([]int(nil), members...), rank: rank}, nil
 }
 
 // Members returns the view's base ranks in view-rank order.
@@ -74,7 +77,7 @@ func (v *View) Send(to int, tag Tag, payload []float32) error {
 	if err != nil {
 		return err
 	}
-	return v.base.Send(base, tag, payload)
+	return v.Transport.Send(base, tag, payload)
 }
 
 // Recv implements Transport.
@@ -83,7 +86,7 @@ func (v *View) Recv(from int, tag Tag, buf []float32) error {
 	if err != nil {
 		return err
 	}
-	return v.base.Recv(base, tag, buf)
+	return v.Transport.Recv(base, tag, buf)
 }
 
 // SendCtrl implements Transport.
@@ -92,7 +95,7 @@ func (v *View) SendCtrl(to int, tag Tag, payload []float32) error {
 	if err != nil {
 		return err
 	}
-	return v.base.SendCtrl(base, tag, payload)
+	return v.Transport.SendCtrl(base, tag, payload)
 }
 
 // RecvCtrl implements Transport.
@@ -101,14 +104,8 @@ func (v *View) RecvCtrl(from int, timeout time.Duration) (Tag, []float32, error)
 	if err != nil {
 		return 0, nil, err
 	}
-	return v.base.RecvCtrl(base, timeout)
+	return v.Transport.RecvCtrl(base, timeout)
 }
-
-// Interrupt implements Transport.
-func (v *View) Interrupt(err error) { v.base.Interrupt(err) }
-
-// Resume implements Transport.
-func (v *View) Resume() { v.base.Resume() }
 
 // Close implements Transport. It is a no-op: the base endpoint outlives
 // its views (the elastic supervisor builds a fresh view per membership
