@@ -60,10 +60,10 @@ func main() {
 	flag.IntVar(&c.Iters, "iters", 100, "training iterations")
 	flag.IntVar(&c.Display, "display", 20, "print loss every N iterations (root only)")
 	flag.StringVar(&c.Model, "model", "", "network prototxt file")
-	flag.StringVar(&c.Zoo, "zoo", "lenet", "built-in network instead of -model: lenet | cifar10-full")
+	flag.StringVar(&c.Zoo, "zoo", "lenet", "built-in network: lenet | cifar10-full (-model, when given, wins)")
 	flag.StringVar(&c.Engine, "engine", "sequential", "per-rank execution engine: sequential | coarse | fine | tuned")
 	flag.IntVar(&c.Workers, "workers", 1, "per-rank engine worker count")
-	flag.IntVar(&c.Batch, "batch", 0, "global batch size (split across replicas; default 64 MNIST / 100 CIFAR)")
+	flag.IntVar(&c.Batch, "batch", 0, "global batch size, split across replicas (default: the -model file's batch_size, else 64 lenet / 100 cifar10-full)")
 	flag.IntVar(&c.Samples, "samples", 0, "synthetic dataset size (default: 32 global batches)")
 	flag.Uint64Var(&c.Seed, "seed", 1, "weight/data seed (must match across all ranks)")
 	flag.StringVar(&c.DataDir, "data", "", "directory with real dataset files")

@@ -13,14 +13,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
-	"coarsegrain/internal/layers"
 	"coarsegrain/internal/metrics"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/snapshot"
 	"coarsegrain/internal/solver"
 	"coarsegrain/internal/zoo"
@@ -37,37 +33,21 @@ func main() {
 		seed     = flag.Uint64("seed", 2, "seed for the synthetic test stream")
 		workers  = flag.Int("workers", 1, "coarse workers for the forward passes")
 		dataDir  = flag.String("data", "", "directory with real dataset files")
-		scores   = flag.String("scores", "", "score blob for the confusion matrix (default: ip2 for lenet, ip1 for cifar)")
+		scores   = flag.String("scores", "", "score blob for the confusion matrix (default: the loss layer's input)")
 	)
 	flag.Parse()
 	if *snapPath == "" {
 		fatal(fmt.Errorf("need -snapshot"))
 	}
 
-	ref := *zooName + *model
-	var src layers.Source
-	if strings.Contains(ref, "cifar") {
-		src, _ = data.LoadCIFAR10(*dataDir, *samples, *seed)
-	} else {
-		src, _ = data.LoadMNIST(*dataDir, *samples, *seed)
+	m, err := zoo.Load(zoo.Ref{
+		Zoo: *zooName, Model: *model, DataDir: *dataDir,
+		Samples: *samples, Seed: *seed, Batch: *batch,
+	})
+	if err != nil {
+		fatal(err)
 	}
-
-	var specs []net.LayerSpec
-	var err error
-	switch {
-	case *zooName != "":
-		specs, err = zoo.Build(*zooName, src, zoo.Options{BatchSize: *batch, Seed: *seed, Accuracy: true})
-	case *model != "":
-		raw, rerr := os.ReadFile(*model)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		specs, err = prototxt.ParseNet(string(raw), prototxt.BuildOptions{
-			Source: src, Seed: *seed, BatchOverride: *batch,
-		})
-	default:
-		fatal(fmt.Errorf("need -model or -zoo"))
-	}
+	specs, err := m.Specs(m.Source, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -97,23 +77,19 @@ func main() {
 		fmt.Printf("mean accuracy: %.4f\n", acc)
 	}
 
-	// Confusion matrix over the score blob, when one can be named.
+	// Confusion matrix over the score blob: the one the loss reads,
+	// unless -scores names another.
 	sb := *scores
 	if sb == "" {
-		switch {
-		case strings.Contains(*zooName, "lenet") || strings.Contains(*zooName, "mnist"):
-			sb = "ip2"
-		case strings.Contains(*zooName, "cifar"):
-			sb = "ip1"
-		}
-	}
-	if sb != "" {
-		cm, err := metrics.Collect(n, sb, "label", *batches)
-		if err != nil {
+		if sb, err = m.ScoreBlob(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nconfusion matrix (%s vs label):\n%s", sb, cm)
 	}
+	cm, err := metrics.Collect(n, sb, "label", *batches)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("\nconfusion matrix (%s vs label):\n%s", sb, cm)
 }
 
 func fatal(err error) {

@@ -28,7 +28,6 @@ import (
 
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/serve"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
@@ -45,10 +44,9 @@ func main() {
 		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "deadline the oldest queued request waits for a batch to fill")
 		replicas = flag.Int("replicas", 1, "pre-warmed forward-only net replicas sharing one weight copy")
 		queue    = flag.Int("queue", 0, "admission queue depth (default 4*max-batch)")
-		scores   = flag.String("scores", "", "score blob name (default: ip2 for lenet, ip1 for cifar)")
-		shape    = flag.String("shape", "", "per-sample input shape as C,H,W (default from -zoo)")
-		classes  = flag.Int("classes", 0, "output classes (default from -zoo)")
-		lowered  = flag.Bool("lowered", true, "use the im2col+GEMM convolution path (amortizes best across batches)")
+		scores   = flag.String("scores", "", "score blob name (default: the loss layer's input)")
+		shape    = flag.String("shape", "", "per-sample input shape as C,H,W (default: the model's dataset)")
+		classes  = flag.Int("classes", 0, "output classes (default: the model's dataset)")
 		seed     = flag.Uint64("seed", 1, "weight-init seed (overwritten by the snapshot; kept for reproducible builds)")
 		traceOut = flag.String("trace", "", "write a Chrome trace of batch/request spans here on shutdown")
 	)
@@ -56,18 +54,31 @@ func main() {
 	if *snapPath == "" {
 		fatal(fmt.Errorf("need -snapshot (train one with: dnntrain -zoo lenet -iters 500 -snapshot model.cgdnn)"))
 	}
-	if *zooName == "" && *model == "" {
-		fatal(fmt.Errorf("need -model or -zoo"))
-	}
 
-	cfg, err := buildConfig(*zooName, *model, *scores, *shape, *classes, *seed, *lowered)
+	// One sample is enough to learn the input shape and class count.
+	m, err := zoo.Load(zoo.Ref{Zoo: *zooName, Model: *model, Seed: *seed, Samples: 1})
 	if err != nil {
 		fatal(err)
 	}
-	cfg.MaxBatch = *maxBatch
-	cfg.MaxDelay = *maxDelay
-	cfg.Replicas = *replicas
-	cfg.QueueDepth = *queue
+	cfg := serve.Config{
+		Model: m.Name, SampleShape: m.Source.SampleShape(), Classes: m.Source.Classes(), ScoreBlob: *scores,
+		// The replica constructor sizes the net; the batch built here is irrelevant.
+		Build:    func(src layers.Source) ([]net.LayerSpec, error) { return m.Specs(src, 0) },
+		MaxBatch: *maxBatch, MaxDelay: *maxDelay, Replicas: *replicas, QueueDepth: *queue,
+	}
+	if *shape != "" {
+		if cfg.SampleShape, err = parseShape(*shape); err != nil {
+			fatal(err)
+		}
+	}
+	if *classes > 0 {
+		cfg.Classes = *classes
+	}
+	if cfg.ScoreBlob == "" {
+		if cfg.ScoreBlob, err = m.ScoreBlob(); err != nil {
+			fatal(err)
+		}
+	}
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New(*replicas)
@@ -123,63 +134,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("dnnserve: wrote %d spans to %s\n", tracer.Len(), *traceOut)
-	}
-}
-
-// buildConfig assembles the serve.Config for a zoo or prototxt model.
-// The builder's batch size is corrected to MaxBatch by the replica
-// constructor, so the value passed here is irrelevant.
-func buildConfig(zooName, model, scoreBlob, shapeFlag string, classes int, seed uint64, lowered bool) (serve.Config, error) {
-	cfg := serve.Config{Classes: classes, ScoreBlob: scoreBlob}
-	switch {
-	case strings.Contains(zooName, "lenet") || strings.Contains(zooName, "mnist"):
-		cfg.SampleShape = []int{1, 28, 28}
-		setDefault(&cfg, 10, "ip2")
-	case strings.Contains(zooName, "cifar"):
-		cfg.SampleShape = []int{3, 32, 32}
-		setDefault(&cfg, 10, "ip1")
-	}
-	if shapeFlag != "" {
-		shape, err := parseShape(shapeFlag)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.SampleShape = shape
-	}
-	if len(cfg.SampleShape) == 0 {
-		return cfg, fmt.Errorf("need -shape C,H,W for -model nets")
-	}
-	if cfg.Classes <= 0 {
-		return cfg, fmt.Errorf("need -classes for -model nets")
-	}
-	if cfg.ScoreBlob == "" {
-		return cfg, fmt.Errorf("need -scores for -model nets")
-	}
-	switch {
-	case zooName != "":
-		cfg.Model = zooName
-		cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
-			return zoo.Build(zooName, src, zoo.Options{Seed: seed, LoweredConv: lowered})
-		}
-	default:
-		raw, err := os.ReadFile(model)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Model = model
-		cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
-			return prototxt.ParseNet(string(raw), prototxt.BuildOptions{Source: src, Seed: seed})
-		}
-	}
-	return cfg, nil
-}
-
-func setDefault(cfg *serve.Config, classes int, scoreBlob string) {
-	if cfg.Classes == 0 {
-		cfg.Classes = classes
-	}
-	if cfg.ScoreBlob == "" {
-		cfg.ScoreBlob = scoreBlob
 	}
 }
 

@@ -6,7 +6,10 @@
 //	dnntrain -zoo cifar10-full -engine sequential -iters 100
 //
 // Data comes from real MNIST/CIFAR files under -data when present, and
-// from the deterministic synthetic generators otherwise.
+// from the deterministic synthetic generators otherwise. The reference is
+// resolved by zoo.Load, as in every command: dataset from the zoo net or
+// the prototxt's base name (-dataset overrides), batch from -batch, else
+// the file's batch_size, else the zoo default, convolutions lowered.
 //
 // With -trace out.json the whole run is recorded by the span tracer
 // (internal/trace) and exported as Chrome trace-event JSON — load it in
@@ -34,13 +37,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
 	"coarsegrain/internal/faultinject"
 	"coarsegrain/internal/guard"
-	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/par"
 	"coarsegrain/internal/prototxt"
@@ -83,45 +83,15 @@ func main() {
 	)
 	flag.Parse()
 
-	// Pick the dataset: explicit flag, else infer from the model name.
-	dataset := *datasetF
-	if dataset == "" {
-		ref := *zooName + *model
-		if strings.Contains(ref, "cifar") {
-			dataset = "cifar"
-		} else {
-			dataset = "mnist"
-		}
+	m, err := zoo.Load(zoo.Ref{
+		Zoo: *zooName, Model: *model, Dataset: *datasetF, DataDir: *dataDir,
+		Samples: *samples, Seed: *seed, Batch: *batch,
+	})
+	if err != nil {
+		fatal(err)
 	}
-	var src layers.Source
-	var real bool
-	if dataset == "cifar" {
-		src, real = data.LoadCIFAR10(*dataDir, *samples, *seed)
-	} else {
-		src, real = data.LoadMNIST(*dataDir, *samples, *seed)
-	}
-	if real {
-		fmt.Printf("dataset: real %s (%d samples)\n", dataset, src.Len())
-	} else {
-		fmt.Printf("dataset: synthetic %s (%d samples)\n", dataset, src.Len())
-	}
-
-	var specs []net.LayerSpec
-	var err error
-	switch {
-	case *zooName != "":
-		specs, err = zoo.Build(*zooName, src, zoo.Options{BatchSize: *batch, Seed: *seed, Accuracy: true})
-	case *model != "":
-		raw, rerr := os.ReadFile(*model)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		specs, err = prototxt.ParseNet(string(raw), prototxt.BuildOptions{
-			Source: src, Seed: *seed, BatchOverride: *batch,
-		})
-	default:
-		fatal(fmt.Errorf("need -model or -zoo"))
-	}
+	fmt.Printf("dataset: %s\n", m.DataString())
+	specs, err := m.Specs(m.Source, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -139,10 +109,7 @@ func main() {
 	fmt.Printf("network (%d layers, engine %s/%d workers):\n%s",
 		len(specs), eng.Name(), eng.Workers(), n)
 
-	cfg := zoo.LeNetSolver()
-	if dataset == "cifar" {
-		cfg = zoo.CIFARFullSolver()
-	}
+	cfg := m.Solver
 	if *solverP != "" {
 		raw, rerr := os.ReadFile(*solverP)
 		if rerr != nil {

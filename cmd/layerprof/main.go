@@ -19,14 +19,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
-	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/profile"
-	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
 )
@@ -34,16 +30,12 @@ import (
 // options collects everything main parses from flags, so tests can call
 // run directly with a synthetic configuration.
 type options struct {
-	Model, Zoo string
-	Engine     string
-	Workers    int
-	Iters      int
-	Warmup     int
-	Batch      int
-	Samples    int
-	Seed       uint64
-	DataDir    string
-	TracePath  string
+	zoo.Ref   // -model | -zoo, -batch, -samples, -seed, -data
+	Engine    string
+	Workers   int
+	Iters     int
+	Warmup    int
+	TracePath string
 }
 
 func main() {
@@ -69,30 +61,11 @@ func main() {
 
 // run performs the profile and writes the report to w.
 func run(o options, w io.Writer) error {
-	ref := o.Zoo + o.Model
-	var src layers.Source
-	if strings.Contains(ref, "cifar") {
-		src, _ = data.LoadCIFAR10(o.DataDir, o.Samples, o.Seed)
-	} else {
-		src, _ = data.LoadMNIST(o.DataDir, o.Samples, o.Seed)
+	m, err := zoo.Load(o.Ref)
+	if err != nil {
+		return err
 	}
-
-	var specs []net.LayerSpec
-	var err error
-	switch {
-	case o.Zoo != "":
-		specs, err = zoo.Build(o.Zoo, src, zoo.Options{BatchSize: o.Batch, Seed: o.Seed})
-	case o.Model != "":
-		raw, rerr := os.ReadFile(o.Model)
-		if rerr != nil {
-			return rerr
-		}
-		specs, err = prototxt.ParseNet(string(raw), prototxt.BuildOptions{
-			Source: src, Seed: o.Seed, BatchOverride: o.Batch,
-		})
-	default:
-		return fmt.Errorf("need -model or -zoo")
-	}
+	specs, err := m.Specs(m.Source, 0)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coarsegrain/internal/trace"
+	"coarsegrain/internal/zoo"
 )
 
 // TestRunGoldenTableStructure profiles LeNet on a tiny synthetic batch and
@@ -15,8 +16,8 @@ import (
 func TestRunGoldenTableStructure(t *testing.T) {
 	var out strings.Builder
 	err := run(options{
-		Zoo: "lenet", Engine: "coarse", Workers: 2,
-		Iters: 2, Warmup: 1, Batch: 4, Samples: 8, Seed: 1,
+		Ref:    zoo.Ref{Zoo: "lenet", Batch: 4, Samples: 8, Seed: 1},
+		Engine: "coarse", Workers: 2, Iters: 2, Warmup: 1,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +56,8 @@ func TestRunWithTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
 	var out strings.Builder
 	err := run(options{
-		Zoo: "lenet", Engine: "coarse", Workers: 2,
-		Iters: 2, Warmup: 1, Batch: 4, Samples: 8, Seed: 1,
+		Ref:    zoo.Ref{Zoo: "lenet", Batch: 4, Samples: 8, Seed: 1},
+		Engine: "coarse", Workers: 2, Iters: 2, Warmup: 1,
 		TracePath: path,
 	}, &out)
 	if err != nil {
@@ -83,7 +84,7 @@ func TestRunWithTrace(t *testing.T) {
 
 func TestRunUnknownEngine(t *testing.T) {
 	var out strings.Builder
-	if err := run(options{Zoo: "lenet", Engine: "warp"}, &out); err == nil {
+	if err := run(options{Ref: zoo.Ref{Zoo: "lenet"}, Engine: "warp"}, &out); err == nil {
 		t.Fatal("expected error for unknown engine")
 	}
 }

@@ -11,17 +11,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"runtime"
 	"strings"
 	"time"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/profile"
-	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/solver"
+	"coarsegrain/internal/zoo"
 )
 
 // levels is the paper's §4.2.1 decomposition of the CIFAR-10 network.
@@ -44,14 +42,13 @@ func main() {
 	)
 	flag.Parse()
 
-	src, real := data.LoadCIFAR10(*dataDir, *samples, 11)
-	fmt.Printf("CIFAR-10 source: real=%v, %d samples\n", real, src.Len())
-
-	raw, err := os.ReadFile(*model)
+	// The loader every command goes through: the dataset follows the
+	// file's name, the net is built on the lowered convolution, and the
+	// solver is Caffe's cifar10_full_solver.
+	m, err := zoo.Load(zoo.Ref{Model: *model, DataDir: *dataDir, Samples: *samples, Seed: 11, Batch: *batch})
 	check(err)
-	specs, err := prototxt.ParseNet(string(raw), prototxt.BuildOptions{
-		Source: src, Seed: 11, BatchOverride: *batch,
-	})
+	fmt.Printf("CIFAR-10 source: %s\n", m.DataString())
+	specs, err := m.Specs(m.Source, 0)
 	check(err)
 
 	engine := core.NewCoarse(*workers)
@@ -60,9 +57,7 @@ func main() {
 	check(err)
 	fmt.Printf("built %d-layer CIFAR-10-full from %s\n", len(specs), *model)
 
-	s, err := solver.New(solver.Config{
-		Type: solver.SGD, BaseLR: 0.001, Momentum: 0.9, WeightDecay: 0.004, LRPolicy: "fixed",
-	}, network)
+	s, err := solver.New(m.Solver, network)
 	check(err)
 
 	start := time.Now()

@@ -29,7 +29,7 @@ const (
 
 func trace(engine core.Engine) []float64 {
 	src := data.NewSyntheticMNIST(256, seed)
-	specs, err := zoo.LeNet(src, zoo.Options{BatchSize: batch, Seed: seed})
+	specs, err := zoo.LeNet(src, zoo.Options{BatchSize: batch, Seed: seed, LoweredConv: true})
 	check(err)
 	n, err := net.New(specs, engine)
 	check(err)

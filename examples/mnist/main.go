@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/profile"
 	"coarsegrain/internal/solver"
@@ -32,17 +31,20 @@ func main() {
 	)
 	flag.Parse()
 
-	src, real := data.LoadMNIST(*dataDir, *samples, 7)
-	fmt.Printf("MNIST source: real=%v, %d samples\n", real, src.Len())
+	// The loader every command goes through: real MNIST under -data when
+	// present, LeNet on the lowered convolution, the Caffe solver.
+	m, err := zoo.Load(zoo.Ref{Zoo: "lenet", DataDir: *dataDir, Samples: *samples, Seed: 7, Batch: *batch})
+	check(err)
+	fmt.Printf("MNIST source: %s\n", m.DataString())
 
-	// Train LeNet with the coarse-grain engine and the Caffe solver.
+	// Train LeNet with the coarse-grain engine.
 	engine := core.NewCoarse(*workers)
 	defer engine.Close()
-	specs, err := zoo.LeNet(src, zoo.Options{BatchSize: *batch, Seed: 7, Accuracy: true})
+	specs, err := m.Specs(m.Source, 0)
 	check(err)
 	network, err := net.New(specs, engine)
 	check(err)
-	s, err := solver.New(zoo.LeNetSolver(), network)
+	s, err := solver.New(m.Solver, network)
 	check(err)
 
 	fmt.Printf("training LeNet, batch %d, %d workers\n", *batch, *workers)
@@ -77,7 +79,7 @@ func main() {
 		func() core.Engine { return core.NewTuned(*workers) },
 	} {
 		e := mk()
-		fresh, err := zoo.LeNet(data.Subset{Src: src, N: src.Len()}, zoo.Options{BatchSize: *batch, Seed: 7})
+		fresh, err := m.Specs(m.Source, 0)
 		check(err)
 		n2, err := net.New(fresh, e)
 		check(err)

@@ -39,7 +39,7 @@ func main() {
 	cfg := solver.Config{Type: solver.SGD, BaseLR: 0.01, Momentum: 0.9}
 
 	// Reference: one device over the full global batch.
-	specs, err := zoo.LeNet(src, zoo.Options{BatchSize: *globalBatch, Seed: seed})
+	specs, err := zoo.LeNet(src, zoo.Options{BatchSize: *globalBatch, Seed: seed, LoweredConv: true})
 	check(err)
 	single, err := net.New(specs, nil)
 	check(err)
@@ -55,7 +55,7 @@ func main() {
 	for r := 0; r < *replicas; r++ {
 		shard, err := data.NewShard(src, r, *replicas, *globalBatch)
 		check(err)
-		rspecs, err := zoo.LeNet(shard, zoo.Options{BatchSize: shard.LocalBatch(), Seed: seed})
+		rspecs, err := zoo.LeNet(shard, zoo.Options{BatchSize: shard.LocalBatch(), Seed: seed, LoweredConv: true})
 		check(err)
 		eng := core.NewCoarse(*workers)
 		engines = append(engines, eng)

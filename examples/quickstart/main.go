@@ -30,7 +30,7 @@ func main() {
 	dataL, err := layers.NewData("data", src, 32)
 	check(err)
 	conv, err := layers.NewConvolution("conv", layers.ConvConfig{
-		NumOutput: 8, Kernel: 5, Stride: 2,
+		NumOutput: 8, Kernel: 5, Stride: 2, Lowered: true,
 		WeightFiller: layers.XavierFiller{}, RNG: seed.Split(1),
 	})
 	check(err)

@@ -20,12 +20,10 @@ import (
 	"time"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/profile"
 	"coarsegrain/internal/simtime"
-	"coarsegrain/internal/solver"
 	"coarsegrain/internal/zoo"
 )
 
@@ -56,27 +54,25 @@ type Options struct {
 	Measure bool
 	// Machine overrides the modeled hardware (DefaultMachine otherwise).
 	Machine *simtime.Machine
+
+	// model is Net resolved by normalize: the dataset (real files when
+	// present, synthetic otherwise) and the Caffe solver it ships with.
+	model *zoo.Model
 }
 
 func (o *Options) normalize() error {
-	switch o.Net {
-	case "", "mnist", "lenet":
+	if o.Net == "" {
 		o.Net = "mnist"
-	case "cifar", "cifar10", "cifar10-full":
-		o.Net = "cifar"
-	default:
-		return fmt.Errorf("bench: unknown net %q", o.Net)
 	}
-	if o.Batch == 0 {
-		if o.Net == "mnist" {
-			o.Batch = 64
-		} else {
-			o.Batch = 100
-		}
+	m, err := zoo.Resolve(zoo.Ref{Zoo: o.Net, Batch: o.Batch, Seed: o.Seed, DataDir: o.DataDir})
+	if err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
+	o.Net, o.Batch, o.model = m.Dataset, m.Batch, m
 	if o.Samples == 0 {
 		o.Samples = 4 * o.Batch
 	}
+	m.LoadData(o.Samples)
 	if o.Iterations == 0 {
 		o.Iterations = 3
 	}
@@ -93,32 +89,11 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// sourceFor returns the benchmark's data source (real files when present,
-// synthetic otherwise).
-func sourceFor(o Options) layers.Source {
-	if o.Net == "mnist" {
-		src, _ := data.LoadMNIST(o.DataDir, o.Samples, o.Seed)
-		return src
-	}
-	src, _ := data.LoadCIFAR10(o.DataDir, o.Samples, o.Seed)
-	return src
-}
-
-// buildNet constructs the selected benchmark network with a fresh source.
+// buildNet constructs the selected benchmark network on the direct
+// convolution: the paper's figures are about that loop nest, whatever
+// the front ends run (zoo.Model.Specs builds the lowered one).
 func buildNet(o Options, eng core.Engine) (*net.Net, error) {
-	specs, err := zoo.Build(o.Net, sourceFor(o), zoo.Options{BatchSize: o.Batch, Seed: o.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return net.New(specs, eng)
-}
-
-// solverFor returns the Caffe solver configuration of the benchmark.
-func solverFor(o Options) solver.Config {
-	if o.Net == "mnist" {
-		return zoo.LeNetSolver()
-	}
-	return zoo.CIFARFullSolver()
+	return buildNetVariant(o, eng, false)
 }
 
 // MeasureSerial runs the network under the sequential engine and returns

@@ -106,7 +106,7 @@ func commRun(o Options, replicas int, topo, wire string) (CommRow, error) {
 	}
 	nets := make([]*net.Net, replicas)
 	for r := 0; r < replicas; r++ {
-		shard, err := data.NewShard(sourceFor(o), r, replicas, o.Batch)
+		shard, err := data.NewShard(o.model.Source, r, replicas, o.Batch)
 		if err != nil {
 			return row, err
 		}
@@ -135,7 +135,7 @@ func commRun(o Options, replicas int, topo, wire string) (CommRow, error) {
 			var nd *dist.Node
 			var err error
 			if r == 0 {
-				nd, err = dist.NewRoot(trs[r], nets[r], solverFor(o), opts)
+				nd, err = dist.NewRoot(trs[r], nets[r], o.model.Solver, opts)
 			} else {
 				nd, err = dist.NewWorker(trs[r], nets[r], opts)
 			}

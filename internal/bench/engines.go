@@ -95,8 +95,7 @@ func EngineComparison(o Options) (*EngineComparisonResult, error) {
 
 // buildNetVariant is buildNet with control over the conv implementation.
 func buildNetVariant(o Options, eng core.Engine, lowered bool) (*net.Net, error) {
-	src := sourceFor(o)
-	specs, err := zoo.Build(o.Net, src, zoo.Options{BatchSize: o.Batch, Seed: o.Seed, LoweredConv: lowered})
+	specs, err := zoo.Build(o.Net, o.model.Source, zoo.Options{BatchSize: o.Batch, Seed: o.Seed, LoweredConv: lowered})
 	if err != nil {
 		return nil, err
 	}

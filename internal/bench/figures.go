@@ -386,7 +386,7 @@ func Convergence(o Options, iters int) (*ConvergenceResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := solver.New(solverFor(o), n)
+		s, err := solver.New(o.model.Solver, n)
 		if err != nil {
 			return nil, err
 		}

@@ -61,7 +61,7 @@ func ZooShapes(netName string, batch int) ([]GemmShape, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
 	}
-	specs, err := zoo.Build(o.Net, sourceFor(o), zoo.Options{BatchSize: o.Batch, Seed: 1, LoweredConv: true})
+	specs, err := zoo.Build(o.Net, o.model.Source, zoo.Options{BatchSize: o.Batch, Seed: 1, LoweredConv: true})
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +290,7 @@ func ZooConvs(netName string) ([]ZooConv, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
 	}
-	specs, err := zoo.Build(o.Net, sourceFor(o), zoo.Options{BatchSize: o.Batch, Seed: 1, LoweredConv: true})
+	specs, err := zoo.Build(o.Net, o.model.Source, zoo.Options{BatchSize: o.Batch, Seed: 1, LoweredConv: true})
 	if err != nil {
 		return nil, err
 	}

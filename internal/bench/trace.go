@@ -57,7 +57,7 @@ func TraceCapture(o Options, path string) (*TraceCaptureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := solver.New(solverFor(o), n)
+	s, err := solver.New(o.model.Solver, n)
 	if err != nil {
 		return nil, err
 	}

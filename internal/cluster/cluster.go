@@ -21,8 +21,6 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"time"
 
 	"coarsegrain/internal/core"
@@ -31,8 +29,6 @@ import (
 	"coarsegrain/internal/faultinject"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/prototxt"
-	"coarsegrain/internal/solver"
 	"coarsegrain/internal/transport"
 	"coarsegrain/internal/zoo"
 )
@@ -50,15 +46,11 @@ type Config struct {
 	Iters    int
 	Display  int
 
-	Model   string
-	Zoo     string
+	// The model and data: -model | -zoo, -dataset, -data, -samples,
+	// -seed, and -batch, which here is the global batch the ranks share.
+	zoo.Ref
 	Engine  string
 	Workers int
-	Batch   int
-	Samples int
-	Seed    uint64
-	DataDir string
-	Dataset string
 
 	Addr     string
 	AddrFile string
@@ -106,40 +98,20 @@ func Run(c Config, out io.Writer) error {
 	}
 }
 
-// datasetName resolves the dataset the same way dnntrain does: explicit
-// flag wins, else inferred from the model reference.
-func (c Config) datasetName() string {
-	if c.Dataset != "" {
-		return c.Dataset
+// load resolves the model once for this process (a prototxt is read and
+// parsed here, not per rank per rebuild) and loads the global sample
+// stream the size ranks shard. The sample count is rounded up to a whole
+// number of global batches so shard epochs align (a data.NewShard
+// requirement).
+func (c Config) load(size int, out io.Writer) (*zoo.Model, error) {
+	m, err := zoo.Resolve(c.Ref)
+	if err != nil {
+		return nil, err
 	}
-	if strings.Contains(c.Zoo+c.Model, "cifar") {
-		return "cifar"
+	gb := m.Batch
+	if gb%size != 0 {
+		return nil, fmt.Errorf("global batch %d of %s not divisible by %d replicas (pick -batch accordingly)", gb, m.Name, size)
 	}
-	return "mnist"
-}
-
-func (c Config) globalBatch() int {
-	if c.Batch > 0 {
-		return c.Batch
-	}
-	if c.datasetName() == "cifar" {
-		return 100
-	}
-	return 64
-}
-
-func (c Config) solverConfig() solver.Config {
-	if c.datasetName() == "cifar" {
-		return zoo.CIFARFullSolver()
-	}
-	return zoo.LeNetSolver()
-}
-
-// source builds the global sample stream every rank shards. The sample
-// count is rounded up to a whole number of global batches so shard
-// epochs align (a data.NewShard requirement).
-func (c Config) source(out io.Writer) (layers.Source, error) {
-	gb := c.globalBatch()
 	n := c.Samples
 	if n <= 0 {
 		n = 32 * gb
@@ -147,22 +119,12 @@ func (c Config) source(out io.Writer) (layers.Source, error) {
 	if rem := n % gb; rem != 0 {
 		n += gb - rem
 	}
-	var src layers.Source
-	var real bool
-	if c.datasetName() == "cifar" {
-		src, real = data.LoadCIFAR10(c.DataDir, n, c.Seed)
-	} else {
-		src, real = data.LoadMNIST(c.DataDir, n, c.Seed)
+	m.LoadData(n)
+	if m.Source.Len()%gb != 0 {
+		return nil, fmt.Errorf("dataset length %d not divisible by global batch %d (pick -batch or -samples accordingly)", m.Source.Len(), gb)
 	}
-	if src.Len()%gb != 0 {
-		return nil, fmt.Errorf("dataset length %d not divisible by global batch %d (pick -batch or -samples accordingly)", src.Len(), gb)
-	}
-	kind := "synthetic"
-	if real {
-		kind = "real"
-	}
-	fmt.Fprintf(out, "dataset: %s %s (%d samples, global batch %d)\n", kind, c.datasetName(), src.Len(), gb)
-	return src, nil
+	fmt.Fprintf(out, "dataset: %s, global batch %d\n", m.DataString(), gb)
+	return m, nil
 }
 
 // buildRankNet constructs rank r's network of a k-rank group: the
@@ -170,28 +132,14 @@ func (c Config) source(out io.Writer) (layers.Source, error) {
 // skipped past the startIter batches a resumed (or fenced) run already
 // consumed. Identical seeds on every rank are what make the initial
 // weights — and therefore the whole run — bitwise reproducible.
-func (c Config) buildRankNet(src layers.Source, r, k, startIter int) (*net.Net, core.Engine, error) {
-	shard, err := data.NewShard(src, r, k, c.globalBatch())
+func (c Config) buildRankNet(m *zoo.Model, r, k, startIter int) (*net.Net, core.Engine, error) {
+	shard, err := data.NewShard(m.Source, r, k, m.Batch)
 	if err != nil {
 		return nil, nil, err
 	}
-	var specs []net.LayerSpec
-	if c.Model != "" {
-		raw, err := os.ReadFile(c.Model)
-		if err != nil {
-			return nil, nil, err
-		}
-		specs, err = prototxt.ParseNet(string(raw), prototxt.BuildOptions{
-			Source: shard, Seed: c.Seed, BatchOverride: shard.LocalBatch(),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		specs, err = zoo.Build(c.Zoo, shard, zoo.Options{BatchSize: shard.LocalBatch(), Seed: c.Seed})
-		if err != nil {
-			return nil, nil, err
-		}
+	specs, err := m.Specs(shard, shard.LocalBatch())
+	if err != nil {
+		return nil, nil, err
 	}
 	eng, err := core.EngineByName(c.Engine, c.Workers)
 	if err != nil {
@@ -210,17 +158,16 @@ func (c Config) buildRankNet(src layers.Source, r, k, startIter int) (*net.Net, 
 	return n, eng, nil
 }
 
-// elasticConfig is the rank-independent part of what c asks of
-// dist.RunElastic over a base mesh of size ranks; Config.Rank adds the
-// Rebuild callback and the coordinator's paths.
+// elasticConfig is the rank- and model-independent part of what c asks
+// of dist.RunElastic over a base mesh of size ranks; Config.Rank adds the
+// solver, the Rebuild callback and the coordinator's paths.
 func (c Config) elasticConfig(size int) dist.ElasticConfig {
 	minRanks := c.MinRanks
 	if minRanks <= 0 {
 		minRanks = size
 	}
 	return dist.ElasticConfig{
-		Iters:  c.Iters,
-		Solver: c.solverConfig(),
+		Iters: c.Iters,
 		Opts: dist.Options{
 			Fanout:    c.Fanout,
 			NoOverlap: c.NoOverlap,

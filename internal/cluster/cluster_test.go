@@ -10,8 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"coarsegrain/internal/data"
+	"coarsegrain/internal/dist"
+	"coarsegrain/internal/net"
+	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/transport"
+	"coarsegrain/internal/zoo"
 )
 
 // testConfig is dnncluster's flag defaults scaled down to test time:
@@ -20,8 +25,8 @@ import (
 func testConfig() Config {
 	return Config{
 		Role: "local", Replicas: 3, Fanout: 2, Reduce: "tree", GradWire: "f32",
-		Iters: 5, Display: 2, Zoo: "lenet", Engine: "sequential", Workers: 1,
-		Batch: 6, Samples: 12, Seed: 1,
+		Iters: 5, Display: 2, Engine: "sequential", Workers: 1,
+		Ref:       zoo.Ref{Zoo: "lenet", Batch: 6, Samples: 12, Seed: 1},
 		ChaosMode: "none", ChaosRank: -1, ChaosIter: -1, ChaosSeed: 1, FlakySeed: 1,
 	}
 }
@@ -225,5 +230,78 @@ func TestRankFailureFailsRunPromptly(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("supervised=%v: run still blocked 5s after rank 0 failed", supervised)
 		}
+	}
+}
+
+// A -model run is the same nets through dist directly: two ranks over
+// configs/lenet.prototxt, no -batch — so the file's batch_size 64 is the
+// global batch — commit the losses and leave the weights that NewRoot +
+// NewWorker stepping prototxt.ParseNet's shard nets do, bit for bit. The
+// same file cannot be split three ways, and says so before any rank runs.
+func TestModelRunMatchesDistDirectly(t *testing.T) {
+	const model, k, iters = "../../configs/lenet.prototxt", 2, 2
+	c := testConfig()
+	c.Ref = zoo.Ref{Model: model, Zoo: "lenet", Seed: 3} // dnncluster's -zoo default stays set
+	c.Replicas, c.Iters = k, iters
+	res := mustRunGroup(t, c)
+
+	raw, err := os.ReadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := data.NewSyntheticMNIST(32*64, 3) // the run's default: 32 global batches
+	trs := transport.NewLocalGroup(k)
+	var want dist.Report
+	errs := make(chan error, k)
+	for r := 0; r < k; r++ {
+		go func(r int) {
+			errs <- func() error {
+				defer trs[r].Close()
+				shard, err := data.NewShard(src, r, k, 64)
+				if err != nil {
+					return err
+				}
+				specs, err := prototxt.ParseNet(string(raw), prototxt.BuildOptions{Source: shard, Seed: 3, BatchOverride: 32})
+				if err != nil {
+					return err
+				}
+				n, err := net.New(specs, nil)
+				if err != nil {
+					return err
+				}
+				if r != 0 {
+					nd, err := dist.NewWorker(trs[r], n, dist.Options{Fanout: 2})
+					if err == nil {
+						_, err = nd.Step(iters)
+					}
+					return err
+				}
+				nd, err := dist.NewRoot(trs[r], n, zoo.LeNetSolver(), dist.Options{Fanout: 2})
+				if err != nil {
+					return err
+				}
+				if want.Losses, err = nd.Step(iters); err != nil {
+					return err
+				}
+				for _, p := range n.Params() {
+					want.Weights = append(want.Weights, append([]float32(nil), p.Data()...))
+				}
+				return nil
+			}()
+		}(r)
+	}
+	for r := 0; r < k; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(res.Report.Losses, want.Losses) || !reflect.DeepEqual(res.Report.Weights, want.Weights) {
+		t.Fatalf("-model run diverged from dist: losses %v vs %v", res.Report.Losses, want.Losses)
+	}
+
+	c.Replicas = 3
+	if _, err := RunGroup(c, logWriter{t}); err == nil || !strings.Contains(err.Error(), "global batch 64") ||
+		!strings.Contains(err.Error(), "not divisible by 3 replicas") {
+		t.Fatalf("batch_size 64 over 3 replicas: %v", err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // replica count compare the model's predicted iteration speedup with a
 // measured in-process run of the same group runner -role local uses.
 func Predict(c Config, out io.Writer) error {
-	src, err := c.source(out)
+	model, err := c.load(1, out)
 	if err != nil {
 		return err
 	}
@@ -28,11 +28,11 @@ func Predict(c Config, out io.Writer) error {
 
 	// Calibration: serial full-batch stepping, which is also the
 	// measured baseline (dist with k=1 is bit-identical to it).
-	n, eng, err := c.buildRankNet(src, 0, 1, 0)
+	n, eng, err := c.buildRankNet(model, 0, 1, 0)
 	if err != nil {
 		return err
 	}
-	s, err := solver.New(c.solverConfig(), n)
+	s, err := solver.New(model.Solver, n)
 	if err != nil {
 		eng.Close()
 		return err
@@ -72,8 +72,8 @@ func Predict(c Config, out io.Writer) error {
 		{dist.TopologyRing, "int8"},
 	}
 	for _, k := range []int{2, 4} {
-		if c.globalBatch()%k != 0 {
-			fmt.Fprintf(out, "%-9d skipped: global batch %d not divisible\n", k, c.globalBatch())
+		if model.Batch%k != 0 {
+			fmt.Fprintf(out, "%-9d skipped: global batch %d not divisible\n", k, model.Batch)
 			continue
 		}
 		for _, combo := range combos {
@@ -93,7 +93,7 @@ func Predict(c Config, out io.Writer) error {
 			run.Replicas, run.Iters, run.Reduce, run.GradWire = k, calIters, combo.topo, combo.wire
 			run.Snapshot, run.Trace, run.Resume, run.ChaosMode = "", "", "", ""
 			run.MinRanks, run.Rejoin, run.IterDeadline = 0, false, 0
-			res, err := runGroup(run, src, io.Discard)
+			res, err := runGroup(run, model, io.Discard)
 			if err != nil {
 				return err
 			}

@@ -10,11 +10,11 @@ import (
 
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/dist"
-	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/snapshot"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/transport"
+	"coarsegrain/internal/zoo"
 )
 
 // Rank drives this process's rank of the base mesh t from its start
@@ -25,8 +25,9 @@ import (
 // supervised run's PhaseRecover fence/adopt spans land in one -trace
 // file. Rank 0 also prints the losses as they commit, the fences, and
 // writes the final snapshot.
-func (c Config) Rank(t transport.Transport, src layers.Source, out io.Writer) (*dist.Report, error) {
+func (c Config) Rank(t transport.Transport, m *zoo.Model, out io.Writer) (*dist.Report, error) {
 	cfg := c.elasticConfig(t.Size())
+	cfg.Solver = m.Solver
 	if c.Resume != "" {
 		var err error
 		if cfg.StartIter, err = snapshot.PeekSolverIter(c.Resume); err != nil {
@@ -46,7 +47,7 @@ func (c Config) Rank(t transport.Transport, src layers.Source, out io.Writer) (*
 		}
 	}()
 	cfg.Rebuild = func(rank, size, iter int) (*net.Net, error) {
-		n, eng, err := c.buildRankNet(src, rank, size, iter)
+		n, eng, err := c.buildRankNet(m, rank, size, iter)
 		if err != nil {
 			return nil, err
 		}
@@ -121,20 +122,20 @@ type GroupResult struct {
 // every endpoint is closed at once so no peer is left blocked on it, and
 // its error is returned once all ranks have unwound.
 func RunGroup(c Config, out io.Writer) (*GroupResult, error) {
-	src, err := c.source(out)
+	if c.Replicas < 1 {
+		return nil, fmt.Errorf("need -replicas >= 1")
+	}
+	m, err := c.load(c.Replicas, out)
 	if err != nil {
 		return nil, err
 	}
-	return runGroup(c, src, out)
+	return runGroup(c, m, out)
 }
 
 // runGroup is RunGroup over an already loaded dataset (Predict runs
 // several groups over one).
-func runGroup(c Config, src layers.Source, out io.Writer) (*GroupResult, error) {
+func runGroup(c Config, m *zoo.Model, out io.Writer) (*GroupResult, error) {
 	k := c.Replicas
-	if k < 1 {
-		return nil, fmt.Errorf("need -replicas >= 1")
-	}
 	scenario, err := c.chaosScenario(k)
 	if err != nil {
 		return nil, err
@@ -173,7 +174,7 @@ func runGroup(c Config, src layers.Source, out io.Writer) (*GroupResult, error) 
 			if r != 0 {
 				rc.Trace = "" // one trace file: the root's
 			}
-			rpt, err := rc.Rank(trs[r], src, out)
+			rpt, err := rc.Rank(trs[r], m, out)
 			outcomes <- outcome{r, rpt, err}
 		}(r)
 	}
@@ -227,7 +228,7 @@ func RunCoordinator(c Config, out io.Writer) error {
 			return err
 		}
 	}
-	src, err := c.source(out)
+	m, err := c.load(c.Replicas, out)
 	if err != nil {
 		return err
 	}
@@ -236,7 +237,7 @@ func RunCoordinator(c Config, out io.Writer) error {
 		return err
 	}
 	defer t.Close()
-	_, err = c.Rank(c.wrapFlaky(t), src, out)
+	_, err = c.Rank(c.wrapFlaky(t), m, out)
 	return err
 }
 
@@ -260,7 +261,7 @@ func RunWorker(c Config, out io.Writer) error {
 	}
 	defer tcp.Close()
 	fmt.Fprintf(out, "joined as rank %d of %d\n", tcp.Rank(), tcp.Size())
-	src, err := c.source(out)
+	m, err := c.load(tcp.Size(), out)
 	if err != nil {
 		return err
 	}
@@ -271,7 +272,7 @@ func RunWorker(c Config, out io.Writer) error {
 		fmt.Fprintf(out, "chaos: %s (this rank)\n", s)
 		t = s.Chaos(t)
 	}
-	_, err = c.Rank(t, src, out)
+	_, err = c.Rank(t, m, out)
 	return err
 }
 

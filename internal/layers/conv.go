@@ -123,6 +123,10 @@ func NewConvolution(name string, cfg ConvConfig) (*Convolution, error) {
 // Geom returns the layer's per-sample geometry (valid after SetUp).
 func (l *Convolution) Geom() blas.ConvGeom { return l.plan.ConvGeom }
 
+// Lowered reports whether the sequential/coarse engines run the layer as
+// the implicit GEMM (ConvConfig.Lowered) rather than the direct loop nest.
+func (l *Convolution) Lowered() bool { return l.cfg.Lowered }
+
 // SetPropagateDown lets the net disable the input-gradient computation
 // when the bottom blob needs no gradient (e.g. it comes from a data layer).
 func (l *Convolution) SetPropagateDown(flags []bool) {

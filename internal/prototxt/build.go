@@ -26,7 +26,7 @@ type BuildOptions struct {
 // Both `layer { ... }` (current Caffe) and `layers { ... }` (legacy) field
 // names are accepted.
 func BuildNet(doc *Message, opt BuildOptions) ([]net.LayerSpec, error) {
-	layerMsgs := append(doc.All("layer"), doc.All("layers")...)
+	layerMsgs := layerBlocks(doc)
 	if len(layerMsgs) == 0 {
 		return nil, fmt.Errorf("prototxt: no layer blocks")
 	}
@@ -54,6 +54,35 @@ func ParseNet(src string, opt BuildOptions) ([]net.LayerSpec, error) {
 	return BuildNet(doc, opt)
 }
 
+// layerBlocks lists doc's layers in build order: `layer` blocks, then
+// legacy `layers` blocks.
+func layerBlocks(doc *Message) []Value {
+	return append(doc.All("layer"), doc.All("layers")...)
+}
+
+// BatchSize returns the batch_size of doc's first Data layer: the batch
+// the net trains at when no BatchOverride replaces it.
+func BatchSize(doc *Message) (int, error) {
+	for _, lv := range layerBlocks(doc) {
+		if lv.Msg == nil {
+			continue
+		}
+		if typ := lv.Msg.String("type", ""); typ == "Data" || typ == "DATA" {
+			return dataBatch(lv.Msg)
+		}
+	}
+	return 0, fmt.Errorf("prototxt: no Data layer")
+}
+
+// dataBatch reads a Data layer's batch_size (Caffe's default 64 is kept
+// for a layer that names none).
+func dataBatch(m *Message) (int, error) {
+	if dp := m.Msg("data_param"); dp != nil {
+		return dp.Int("batch_size", 64)
+	}
+	return 64, nil
+}
+
 func buildLayer(m *Message, opt BuildOptions, r *rng.RNG) (net.LayerSpec, error) {
 	name := m.String("name", "")
 	typ := m.String("type", "")
@@ -74,11 +103,9 @@ func buildLayer(m *Message, opt BuildOptions, r *rng.RNG) (net.LayerSpec, error)
 		if opt.Source == nil {
 			return net.LayerSpec{}, fmt.Errorf("prototxt: layer %s: no data source provided", name)
 		}
-		batch := 64
-		if dp := m.Msg("data_param"); dp != nil {
-			if batch, err = dp.Int("batch_size", batch); err != nil {
-				return net.LayerSpec{}, err
-			}
+		var batch int
+		if batch, err = dataBatch(m); err != nil {
+			return net.LayerSpec{}, err
 		}
 		if opt.BatchOverride > 0 {
 			batch = opt.BatchOverride
@@ -112,7 +139,10 @@ func buildLayer(m *Message, opt BuildOptions, r *rng.RNG) (net.LayerSpec, error)
 		}
 		l, err = layers.NewData(name, src, batch)
 	case "Convolution", "CONVOLUTION":
-		cfg := layers.ConvConfig{RNG: r}
+		// Always the lowered implementation: the format has no way to
+		// ask for the direct loop nest, which is a paper-figure
+		// ablation (zoo.Options) and not a property of a model.
+		cfg := layers.ConvConfig{RNG: r, Lowered: true}
 		if cp := m.Msg("convolution_param"); cp != nil {
 			if cfg.NumOutput, err = cp.Int("num_output", 0); err != nil {
 				return net.LayerSpec{}, err

@@ -362,3 +362,23 @@ layer { name: "up" type: "Deconvolution" bottom: "c" top: "up"
 		t.Fatalf("unexpected loss %v", loss)
 	}
 }
+
+// BatchSize reads what BuildNet would build at: the first Data layer's
+// batch_size, Caffe's 64 when it names none, an error when there is no
+// Data layer to size.
+func TestBatchSize(t *testing.T) {
+	for src, want := range map[string]int{
+		`layer { name: "d" type: "Data" data_param { batch_size: 24 } }`: 24,
+		`layers { name: "d" type: DATA }`:                                64,
+		`layer { name: "r" type: "ReLU" }`:                               0,
+	} {
+		doc, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := BatchSize(doc)
+		if got != want || (err == nil) != (want > 0) {
+			t.Errorf("%s: batch %d (%v), want %d", src, got, err, want)
+		}
+	}
+}

@@ -608,6 +608,51 @@ func TestHistoryRestoredExactly(t *testing.T) {
 	}
 }
 
+// Direct and lowered convolution share one weight layout, so a snapshot
+// written from the direct-conv net (what dnntrain built before zoo.Load
+// made lowered the front ends' only path) resumes in the loader's lowered
+// net — solver state included — and steps to the same loss within float
+// tolerance.
+func TestDirectConvSnapshotLoadsIntoLoadedNet(t *testing.T) {
+	m, err := zoo.Load(zoo.Ref{Zoo: "lenet", Samples: 16, Seed: 4, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSolver := func(specs []net.LayerSpec, err error) *solver.Solver {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := net.New(specs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := solver.New(m.Solver, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	direct := newSolver(zoo.LeNet(m.Source, zoo.Options{BatchSize: 8, Seed: 4, Accuracy: true}))
+	direct.Step(2)
+	path := filepath.Join(t.TempDir(), "direct.cgdnn")
+	if err := SaveSolverFile(path, direct); err != nil {
+		t.Fatal(err)
+	}
+	lowered := newSolver(m.Specs(m.Source, 0))
+	if err := LoadSolverFile(path, lowered); err != nil {
+		t.Fatal(err)
+	}
+	if lowered.Iter() != 2 {
+		t.Fatalf("resumed at iteration %d, want 2", lowered.Iter())
+	}
+	// Both data cursors sit at batch 0 of the 2-batch epoch.
+	dl, ll := direct.Step(1)[0], lowered.Step(1)[0]
+	if rel := (dl - ll) / dl; rel > 1e-5 || rel < -1e-5 {
+		t.Fatalf("loss after resume: lowered %v vs direct %v", ll, dl)
+	}
+}
+
 // FuzzReadSections asserts the reader's no-panic contract on arbitrary
 // bytes: corrupt input must produce errors, never a crash.
 func FuzzReadSections(f *testing.F) {

@@ -1,16 +1,25 @@
 // Package zoo builds the two benchmark networks of the paper's evaluation
 // exactly as shipped with Caffe: the LeNet MNIST classifier (9 layers,
 // Figure 3 top) and the CIFAR-10-full CNN (14 layers, Figure 3 bottom),
-// plus their Caffe solver configurations.
+// plus their Caffe solver configurations — and Load (load.go), the one
+// place a front end's -zoo | -model reference becomes a data source, a
+// batch, a solver and a network builder.
 package zoo
 
 import (
 	"fmt"
 
+	"coarsegrain/internal/data"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/rng"
 	"coarsegrain/internal/solver"
+)
+
+// The Caffe training batch sizes, the default of Options.BatchSize.
+const (
+	lenetBatch = 64
+	cifarBatch = 100
 )
 
 // Options configures a network build.
@@ -33,7 +42,7 @@ type Options struct {
 // Figures 4-6.
 func LeNet(src layers.Source, opt Options) ([]net.LayerSpec, error) {
 	if opt.BatchSize == 0 {
-		opt.BatchSize = 64
+		opt.BatchSize = lenetBatch
 	}
 	r := rng.New(opt.Seed, 100)
 	dataL, err := layers.NewData("mnist", src, opt.BatchSize)
@@ -113,7 +122,7 @@ func LeNetSolver() solver.Config {
 // followed by ip1(10) and the softmax loss — 14 layers including data.
 func CIFARFull(src layers.Source, opt Options) ([]net.LayerSpec, error) {
 	if opt.BatchSize == 0 {
-		opt.BatchSize = 100
+		opt.BatchSize = cifarBatch
 	}
 	r := rng.New(opt.Seed, 200)
 	dataL, err := layers.NewData("cifar", src, opt.BatchSize)
@@ -199,14 +208,33 @@ func CIFARFullSolver() solver.Config {
 	}
 }
 
-// Build is a convenience that constructs one of the named zoo networks.
-func Build(name string, src layers.Source, opt Options) ([]net.LayerSpec, error) {
+// entry is one zoo network with the dataset, batch and solver Caffe ships
+// it with. The dataset names double as network names ("mnist" is LeNet),
+// so one table answers both "which net" and "which data".
+type entry struct {
+	dataset string
+	batch   int
+	build   func(layers.Source, Options) ([]net.LayerSpec, error)
+	solver  func() solver.Config
+	load    func(dir string, n int, seed uint64) (layers.Source, bool)
+}
+
+func lookup(name string) (entry, error) {
 	switch name {
 	case "lenet", "mnist":
-		return LeNet(src, opt)
+		return entry{"mnist", lenetBatch, LeNet, LeNetSolver, data.LoadMNIST}, nil
 	case "cifar", "cifar10", "cifar10-full":
-		return CIFARFull(src, opt)
+		return entry{"cifar", cifarBatch, CIFARFull, CIFARFullSolver, data.LoadCIFAR10}, nil
 	default:
-		return nil, fmt.Errorf("zoo: unknown network %q (have lenet, cifar10-full)", name)
+		return entry{}, fmt.Errorf("zoo: unknown network %q (have lenet, cifar10-full)", name)
 	}
+}
+
+// Build is a convenience that constructs one of the named zoo networks.
+func Build(name string, src layers.Source, opt Options) ([]net.LayerSpec, error) {
+	e, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.build(src, opt)
 }

@@ -21,6 +21,8 @@
 # fault-injection suite, a seeded corrupt-checkpoint recovery smoke and a
 # guard NaN-poison smoke, a serving smoke (SERVING.md): dnnserve on a
 # random port answering a dnnload probe and draining cleanly on SIGTERM,
+# once for -zoo lenet and once for a dnntrain -model configs/lenet.prototxt
+# snapshot served and dnneval'd with no -shape/-classes/-scores,
 # and a distributed smoke (DISTRIBUTED.md): a coordinator + 2 workers
 # over loopback TCP whose final snapshot must be bit-identical to the
 # single-process run with ring-topology and compressed-wire CRC pins,
@@ -131,25 +133,36 @@ echo "== guard smoke: injected gradient NaN must be caught and skipped =="
 	grep -q "1 faults (1 skipped" || { echo "FAIL: guard missed the injected NaN" >&2; exit 1; }
 echo "injected NaN caught and skipped, as required"
 
-echo "== serving smoke: dnnserve answers a dnnload probe, drains on SIGTERM =="
+echo "== serving smoke: dnnserve answers a dnnload probe, drains on SIGTERM (zoo and prototxt models) =="
 go build -o "$tmpdir/dnnserve" ./cmd/dnnserve
 go build -o "$tmpdir/dnnload" ./cmd/dnnload
+go build -o "$tmpdir/dnneval" ./cmd/dnneval
+serve_smoke() { # serve_smoke <dnnserve model and snapshot flags>
+	rm -f "$tmpdir/serve.addr"
+	"$tmpdir/dnnserve" "$@" -addr 127.0.0.1:0 -addr-file "$tmpdir/serve.addr" >"$tmpdir/serve.log" 2>&1 &
+	serve_pid=$!
+	for _ in $(seq 1 100); do
+		[ -s "$tmpdir/serve.addr" ] && break
+		sleep 0.1
+	done
+	[ -s "$tmpdir/serve.addr" ] || { echo "FAIL: dnnserve $* never published its address" >&2; cat "$tmpdir/serve.log" >&2; exit 1; }
+	"$tmpdir/dnnload" -addr "$(cat "$tmpdir/serve.addr")" -probe ||
+		{ echo "FAIL: dnnload probe rejected the response of dnnserve $*" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
+	kill -TERM "$serve_pid"
+	wait "$serve_pid" || { echo "FAIL: dnnserve $* did not exit cleanly on SIGTERM" >&2; cat "$tmpdir/serve.log" >&2; exit 1; }
+	grep -q "draining" "$tmpdir/serve.log" || { echo "FAIL: SIGTERM drain message missing" >&2; exit 1; }
+}
 "$tmpdir/dnntrain" -zoo lenet -iters 10 -samples 8 -batch 8 -display 10 -workers 2 \
 	-snapshot "$tmpdir/lenet.cgdnn" >/dev/null
-"$tmpdir/dnnserve" -zoo lenet -snapshot "$tmpdir/lenet.cgdnn" \
-	-addr 127.0.0.1:0 -addr-file "$tmpdir/serve.addr" >"$tmpdir/serve.log" 2>&1 &
-serve_pid=$!
-for _ in $(seq 1 100); do
-	[ -s "$tmpdir/serve.addr" ] && break
-	sleep 0.1
-done
-[ -s "$tmpdir/serve.addr" ] || { echo "FAIL: dnnserve never published its address" >&2; cat "$tmpdir/serve.log" >&2; exit 1; }
-"$tmpdir/dnnload" -addr "$(cat "$tmpdir/serve.addr")" -probe ||
-	{ echo "FAIL: dnnload probe rejected the serve response" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
-kill -TERM "$serve_pid"
-wait "$serve_pid" || { echo "FAIL: dnnserve did not exit cleanly on SIGTERM" >&2; cat "$tmpdir/serve.log" >&2; exit 1; }
-grep -q "draining" "$tmpdir/serve.log" || { echo "FAIL: SIGTERM drain message missing" >&2; exit 1; }
-echo "probe answered and SIGTERM drained, as required"
+serve_smoke -zoo lenet -snapshot "$tmpdir/lenet.cgdnn"
+# The prototxt leg: the same front door must need no -shape/-classes/-scores
+# for the repo's own configs, and dnneval must find the score blob itself.
+"$tmpdir/dnntrain" -model configs/lenet.prototxt -solver configs/lenet_solver.prototxt -iters 10 \
+	-snapshot "$tmpdir/m.cgdnn" >/dev/null
+serve_smoke -model configs/lenet.prototxt -snapshot "$tmpdir/m.cgdnn"
+"$tmpdir/dnneval" -model configs/lenet.prototxt -snapshot "$tmpdir/m.cgdnn" -batches 2 |
+	grep -q "confusion matrix (ip2 vs label)" || { echo "FAIL: dnneval -model printed no confusion matrix" >&2; exit 1; }
+echo "probes answered, SIGTERM drained, prototxt model served and evaluated with no shape flags, as required"
 
 echo "== distributed smoke: 3-rank TCP run bit-identical to in-process run =="
 # Coordinator + 2 workers over loopback TCP must write the exact bytes
