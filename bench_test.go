@@ -245,20 +245,6 @@ func BenchmarkFigure5IP1(b *testing.B) {
 	}
 }
 
-// --- Ablation A-red: ordered vs tree gradient reduction ---
-
-func BenchmarkAblationReduction(b *testing.B) {
-	for _, mode := range []core.ReductionMode{core.OrderedReduction, core.TreeReduction} {
-		for _, t := range []int{4, 16} {
-			b.Run(fmt.Sprintf("%s/threads=%d", mode, t), func(b *testing.B) {
-				eng := core.NewCoarseWithReduction(t, mode)
-				defer eng.Close()
-				layerBench(b, mkIP1(b), eng, true)
-			})
-		}
-	}
-}
-
 // --- Substrate benches: the BLAS kernels behind every layer ---
 
 func BenchmarkGemm(b *testing.B) {

@@ -16,13 +16,14 @@
 //	dnncluster -role worker -addr-file /tmp/coord.addr -zoo lenet -iters 100
 //
 // Every role builds the same seeded network over its shard of the global
-// batch, so a k-rank run — local or TCP, any -fanout, even with -flaky-*
-// faults injected — produces snapshots bit-identical to the
-// single-process replica trainer with k replicas (the determinism
-// contract tested in internal/dist and internal/cluster). -snapshot
-// writes the root's final solver state in the same format as dnntrain;
-// -trace records PhaseComm spans next to compute spans
-// (OBSERVABILITY.md).
+// batch, on the coarse engine with -workers ranks (default 1, which is
+// the sequential run bit for bit), so a k-rank run — local or TCP, any
+// -fanout, even with -flaky-* faults injected — produces snapshots
+// bit-identical to the single-process replica trainer with k replicas
+// (the determinism contract tested in internal/dist and
+// internal/cluster). -snapshot writes the root's final solver state in
+// the same format as dnntrain; -trace records PhaseComm spans next to
+// compute spans (OBSERVABILITY.md).
 //
 // There is one run path. By default the group is rigid: every rank is
 // needed, nothing watches them, and any rank's failure ends the run
@@ -61,8 +62,7 @@ func main() {
 	flag.IntVar(&c.Display, "display", 20, "print loss every N iterations (root only)")
 	flag.StringVar(&c.Model, "model", "", "network prototxt file")
 	flag.StringVar(&c.Zoo, "zoo", "lenet", "built-in network: lenet | cifar10-full (-model, when given, wins)")
-	flag.StringVar(&c.Engine, "engine", "sequential", "per-rank execution engine: sequential | coarse | fine | tuned")
-	flag.IntVar(&c.Workers, "workers", 1, "per-rank engine worker count")
+	flag.IntVar(&c.Workers, "workers", 1, "per-rank coarse engine worker count (1: each rank runs sequentially)")
 	flag.IntVar(&c.Batch, "batch", 0, "global batch size, split across replicas (default: the -model file's batch_size, else 64 lenet / 100 cifar10-full)")
 	flag.IntVar(&c.Samples, "samples", 0, "synthetic dataset size (default: 32 global batches)")
 	flag.Uint64Var(&c.Seed, "seed", 1, "weight/data seed (must match across all ranks)")

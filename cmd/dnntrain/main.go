@@ -1,9 +1,11 @@
 // Command dnntrain trains a network defined in a Caffe-style prototxt file
-// (or one of the built-in zoo networks) under a chosen execution engine:
+// (or one of the built-in zoo networks) on the paper's coarse-grain
+// engine with -workers ranks; -workers 1 is the sequential run bit for
+// bit:
 //
 //	dnntrain -model configs/lenet.prototxt -solver configs/lenet_solver.prototxt \
-//	         -engine coarse -workers 8 -iters 500
-//	dnntrain -zoo cifar10-full -engine sequential -iters 100
+//	         -workers 8 -iters 500
+//	dnntrain -zoo cifar10-full -workers 1 -iters 100
 //
 // Data comes from real MNIST/CIFAR files under -data when present, and
 // from the deterministic synthetic generators otherwise. The reference is
@@ -16,7 +18,7 @@
 // chrome://tracing or https://ui.perfetto.dev to see every layer, phase,
 // schedule band and worker rank on a timeline (see OBSERVABILITY.md):
 //
-//	dnntrain -zoo lenet -engine coarse -workers 8 -iters 50 -trace out.json
+//	dnntrain -zoo lenet -workers 8 -iters 50 -trace out.json
 //
 // Fault tolerance (see ROBUSTNESS.md): -snapshot-every writes crash-safe
 // checkpoints into -snapshot-dir with a keep-last-K retention policy,
@@ -55,8 +57,7 @@ func main() {
 		model    = flag.String("model", "", "network prototxt file")
 		solverP  = flag.String("solver", "", "solver prototxt file")
 		zooName  = flag.String("zoo", "", "built-in network instead of -model: lenet | cifar10-full")
-		engine   = flag.String("engine", "coarse", "execution engine: sequential | coarse | fine | tuned")
-		workers  = flag.Int("workers", 4, "worker count for parallel engines")
+		workers  = flag.Int("workers", 4, "coarse engine worker count (1: the sequential run)")
 		iters    = flag.Int("iters", 200, "training iterations")
 		display  = flag.Int("display", 20, "print loss every N iterations")
 		batch    = flag.Int("batch", 0, "override batch size")
@@ -96,10 +97,7 @@ func main() {
 		fatal(err)
 	}
 
-	eng, err := core.EngineByName(*engine, *workers)
-	if err != nil {
-		fatal(err)
-	}
+	eng := core.NewCoarse(*workers)
 	defer eng.Close()
 
 	n, err := net.New(specs, eng)

@@ -16,8 +16,8 @@ import (
 func TestRunGoldenTableStructure(t *testing.T) {
 	var out strings.Builder
 	err := run(options{
-		Ref:    zoo.Ref{Zoo: "lenet", Batch: 4, Samples: 8, Seed: 1},
-		Engine: "coarse", Workers: 2, Iters: 2, Warmup: 1,
+		Ref:     zoo.Ref{Zoo: "lenet", Batch: 4, Samples: 8, Seed: 1},
+		Workers: 2, Iters: 2, Warmup: 1,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestRunWithTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
 	var out strings.Builder
 	err := run(options{
-		Ref:    zoo.Ref{Zoo: "lenet", Batch: 4, Samples: 8, Seed: 1},
-		Engine: "coarse", Workers: 2, Iters: 2, Warmup: 1,
+		Ref:     zoo.Ref{Zoo: "lenet", Batch: 4, Samples: 8, Seed: 1},
+		Workers: 2, Iters: 2, Warmup: 1,
 		TracePath: path,
 	}, &out)
 	if err != nil {
@@ -82,16 +82,24 @@ func TestRunWithTrace(t *testing.T) {
 	}
 }
 
-func TestRunUnknownEngine(t *testing.T) {
+// TestRunDefaultsToOneWorker pins the plain invocation to the serial
+// baseline: with no -workers the profile is coarse(1), which is the
+// sequential execution bit for bit.
+func TestRunDefaultsToOneWorker(t *testing.T) {
+	o := parseFlags([]string{"-zoo", "lenet", "-batch", "4", "-samples", "8", "-iters", "1"})
 	var out strings.Builder
-	if err := run(options{Ref: zoo.Ref{Zoo: "lenet"}, Engine: "warp"}, &out); err == nil {
-		t.Fatal("expected error for unknown engine")
+	if err := run(o, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); !strings.Contains(got, "engine coarse, 1 workers, 1 timed iterations") ||
+		!strings.Contains(got, "privatization scratch: 0.0 KB") {
+		t.Fatalf("default profile is not the 1-worker baseline:\n%s", got)
 	}
 }
 
 func TestRunNeedsModelOrZoo(t *testing.T) {
 	var out strings.Builder
-	if err := run(options{Engine: "sequential"}, &out); err == nil {
+	if err := run(options{Workers: 1}, &out); err == nil {
 		t.Fatal("expected error when neither -model nor -zoo given")
 	}
 }

@@ -17,8 +17,8 @@ import (
 
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/profile"
 	"coarsegrain/internal/solver"
+	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
 )
 
@@ -68,17 +68,19 @@ func main() {
 	fmt.Printf("trained %d iterations in %v\n\n", *iters, time.Since(start).Round(time.Millisecond))
 
 	// Per-level profile (the paper's three-level analysis).
-	rec := profile.NewRecorder()
-	network.SetRecorder(rec)
+	tr := trace.NewWithCapacity(engine.Workers(), trace.IterCapacity(1, len(specs)))
+	network.SetTracer(tr)
 	network.ZeroParamDiffs()
 	network.ForwardBackward()
-	network.SetRecorder(nil)
-	total := float64(rec.TotalMean().Microseconds())
+	network.SetTracer(nil)
+	perLayer, err := trace.PerLayer(tr)
+	check(err)
+	total := float64(perLayer.Total().Microseconds())
 	fmt.Println("per-level profile:")
 	for li, names := range levels {
 		var us float64
 		for _, nm := range names {
-			us += float64((rec.Mean(nm, profile.Forward) + rec.Mean(nm, profile.Backward)).Microseconds())
+			us += float64(perLayer.Cost(nm).Microseconds())
 		}
 		fmt.Printf("  level %d  %-28s %10.0f us (%4.1f%%)\n", li, strings.Join(names, "+"), us, us/total*100)
 	}

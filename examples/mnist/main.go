@@ -16,8 +16,8 @@ import (
 
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/profile"
 	"coarsegrain/internal/solver"
+	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
 )
 
@@ -58,15 +58,17 @@ func main() {
 	fmt.Printf("trained in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	// Per-layer profile under the trained weights (Figure 4's view).
-	rec := profile.NewRecorder()
-	network.SetRecorder(rec)
+	tr := trace.NewWithCapacity(engine.Workers(), trace.IterCapacity(3, len(specs)))
+	network.SetTracer(tr)
 	for i := 0; i < 3; i++ {
 		network.ZeroParamDiffs()
 		network.ForwardBackward()
 	}
-	network.SetRecorder(nil)
+	network.SetTracer(nil)
+	perLayer, err := trace.PerLayer(tr)
+	check(err)
 	fmt.Println("per-layer profile (coarse engine):")
-	fmt.Print(rec.Table())
+	fmt.Print(perLayer.Table())
 
 	// Engine comparison on identical weights: every engine computes the
 	// same loss (bitwise for coarse; within float tolerance for the

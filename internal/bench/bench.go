@@ -22,8 +22,8 @@ import (
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/profile"
 	"coarsegrain/internal/simtime"
+	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
 )
 
@@ -97,8 +97,9 @@ func buildNet(o Options, eng core.Engine) (*net.Net, error) {
 }
 
 // MeasureSerial runs the network under the sequential engine and returns
-// the net plus a recorder holding mean per-layer forward/backward times.
-func MeasureSerial(o Options) (*net.Net, *profile.Recorder, error) {
+// the net plus the per-layer forward/backward times of the timed
+// iterations, read off a tracer sized to hold them all.
+func MeasureSerial(o Options) (*net.Net, *trace.LayerTimes, error) {
 	if err := o.normalize(); err != nil {
 		return nil, nil, err
 	}
@@ -106,43 +107,41 @@ func MeasureSerial(o Options) (*net.Net, *profile.Recorder, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := profile.NewRecorder()
 	for i := 0; i < o.Warmup; i++ {
 		n.ZeroParamDiffs()
 		n.ForwardBackward()
 	}
-	n.SetRecorder(rec)
+	tr := trace.NewWithCapacity(1, trace.IterCapacity(o.Iterations, len(n.Layers())))
+	n.SetTracer(tr)
 	for i := 0; i < o.Iterations; i++ {
 		n.ZeroParamDiffs()
 		n.ForwardBackward()
 	}
-	n.SetRecorder(nil)
-	return n, rec, nil
+	n.SetTracer(nil)
+	lt, err := trace.PerLayer(tr)
+	return n, lt, err
 }
 
-// MeasureEngine times full iterations of the network under an arbitrary
-// engine, returning the recorder (per-layer) and the mean iteration time.
-func MeasureEngine(o Options, eng core.Engine) (*profile.Recorder, time.Duration, error) {
+// MeasureEngine returns the mean wall-clock time of one full iteration
+// of the network under an arbitrary engine.
+func MeasureEngine(o Options, eng core.Engine) (time.Duration, error) {
 	if err := o.normalize(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	n, err := buildNet(o, eng)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	rec := profile.NewRecorder()
 	for i := 0; i < o.Warmup; i++ {
 		n.ZeroParamDiffs()
 		n.ForwardBackward()
 	}
-	n.SetRecorder(rec)
 	start := time.Now()
 	for i := 0; i < o.Iterations; i++ {
 		n.ZeroParamDiffs()
 		n.ForwardBackward()
 	}
-	mean := time.Since(start) / time.Duration(o.Iterations)
-	return rec, mean, nil
+	return time.Since(start) / time.Duration(o.Iterations), nil
 }
 
 // classifyDist maps a layer to its data-thread distribution class, the
@@ -170,7 +169,7 @@ func classifyDist(l layers.Layer, batch int) simtime.Dist {
 // time, and on a shared host one neighbour's burst multiplies a ~30 us
 // layer's single reading several times over, which the model then reads
 // as a layer with work to parallelize.
-func ModelsFromNet(n *net.Net, rec *profile.Recorder, batch int) []simtime.LayerModel {
+func ModelsFromNet(n *net.Net, lt *trace.LayerTimes, batch int) []simtime.LayerModel {
 	var out []simtime.LayerModel
 	for _, l := range n.Layers() {
 		params := 0
@@ -180,8 +179,8 @@ func ModelsFromNet(n *net.Net, rec *profile.Recorder, batch int) []simtime.Layer
 		d := classifyDist(l, batch)
 		out = append(out, simtime.LayerModel{
 			Name:        l.Name(),
-			FwdSerialUS: float64(rec.Stat(l.Name(), profile.Forward).Min.Nanoseconds()) / 1000,
-			BwdSerialUS: float64(rec.Stat(l.Name(), profile.Backward).Min.Nanoseconds()) / 1000,
+			FwdSerialUS: float64(lt.Fwd[l.Name()].Min.Nanoseconds()) / 1000,
+			BwdSerialUS: float64(lt.Bwd[l.Name()].Min.Nanoseconds()) / 1000,
 			FwdExtent:   l.ForwardExtent(),
 			BwdExtent:   l.BackwardExtent(),
 			ParamElems:  params,

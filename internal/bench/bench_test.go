@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"coarsegrain/internal/blas"
-	"coarsegrain/internal/profile"
 )
 
 // fastMNIST returns options sized so the experiments run in test time.
@@ -40,35 +39,37 @@ func TestOptionsNormalize(t *testing.T) {
 }
 
 func TestMeasureSerialRecordsEveryLayer(t *testing.T) {
-	n, rec, err := MeasureSerial(fastMNIST())
+	o := fastMNIST()
+	o.Iterations = 3
+	n, lt, err := MeasureSerial(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Layers()) != len(n.Layers()) {
-		t.Fatalf("recorded %d of %d layers", len(rec.Layers()), len(n.Layers()))
+	if len(lt.Names) != len(n.Layers()) {
+		t.Fatalf("recorded %d of %d layers", len(lt.Names), len(n.Layers()))
 	}
-	// The paper's Figure 4 observation: convolutional layers dominate.
-	if rec.Mean("conv1", profile.Forward) == 0 {
-		t.Fatal("conv1 forward not timed")
+	// Every timed iteration, and only those, is in the table.
+	if st := lt.Fwd["conv1"]; st.Count != 3 || st.Mean() == 0 {
+		t.Fatalf("conv1 forward: %+v", st)
 	}
 }
 
 // Paper §4.1.1: "convolutional and pooling layers always account for
 // almost 80% of total execution time".
 func TestConvAndPoolDominate(t *testing.T) {
-	_, rec, err := MeasureSerial(fastMNIST())
+	_, lt, err := MeasureSerial(fastMNIST())
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := float64(rec.TotalMean())
+	total := float64(lt.Total())
 	var convPool float64
 	for _, l := range []string{"conv1", "conv2", "pool1", "pool2"} {
-		convPool += float64(rec.Mean(l, profile.Forward) + rec.Mean(l, profile.Backward))
+		convPool += float64(lt.Cost(l))
 	}
 	if frac := convPool / total; frac < 0.6 {
 		t.Fatalf("conv+pool account for only %.0f%% of iteration time", frac*100)
 	}
-	dom := DominatingLayers(rec, 0.6)
+	dom := lt.Dominating(0.6)
 	if len(dom) == 0 || len(dom) > 5 {
 		t.Fatalf("dominating layers: %v", dom)
 	}
@@ -76,11 +77,11 @@ func TestConvAndPoolDominate(t *testing.T) {
 
 func TestModelsFromNetStructure(t *testing.T) {
 	o := fastMNIST()
-	n, rec, err := MeasureSerial(o)
+	n, lt, err := MeasureSerial(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := ModelsFromNet(n, rec, o.Batch)
+	models := ModelsFromNet(n, lt, o.Batch)
 	if len(models) != 9 {
 		t.Fatalf("LeNet models: %d", len(models))
 	}

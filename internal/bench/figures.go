@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/profile"
 	"coarsegrain/internal/simtime"
 	"coarsegrain/internal/solver"
 )
@@ -64,11 +62,11 @@ func PerLayerTimes(o Options) (*PerLayerResult, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
 	}
-	n, rec, err := MeasureSerial(o)
+	n, lt, err := MeasureSerial(o)
 	if err != nil {
 		return nil, err
 	}
-	models := ModelsFromNet(n, rec, o.Batch)
+	models := ModelsFromNet(n, lt, o.Batch)
 	res := &PerLayerResult{
 		Net:             o.Net,
 		Threads:         o.Threads,
@@ -85,7 +83,7 @@ func PerLayerTimes(o Options) (*PerLayerResult, error) {
 		res.BwdUS[t] = bwd
 		if o.Measure && t > 1 {
 			eng := core.NewCoarse(t)
-			_, mean, err := MeasureEngine(o, eng)
+			mean, err := MeasureEngine(o, eng)
 			eng.Close()
 			if err != nil {
 				return nil, err
@@ -226,11 +224,11 @@ func Overall(o Options) (*OverallResult, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
 	}
-	n, rec, err := MeasureSerial(o)
+	n, lt, err := MeasureSerial(o)
 	if err != nil {
 		return nil, err
 	}
-	models := ModelsFromNet(n, rec, o.Batch)
+	models := ModelsFromNet(n, lt, o.Batch)
 	plain, cudnn := GPUProfilesFor(o.Net)
 	res := &OverallResult{
 		Net:            o.Net,
@@ -251,7 +249,7 @@ func Overall(o Options) (*OverallResult, error) {
 	}
 	var serialMean float64
 	if o.Measure {
-		_, sm, err := MeasureEngine(o, core.NewSequential())
+		sm, err := MeasureEngine(o, core.NewSequential())
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +259,7 @@ func Overall(o Options) (*OverallResult, error) {
 		res.CoarseModeled[t] = o.Machine.Speedup(models, t)
 		if o.Measure && t > 1 {
 			eng := core.NewCoarse(t)
-			_, mean, err := MeasureEngine(o, eng)
+			mean, err := MeasureEngine(o, eng)
 			eng.Close()
 			if err != nil {
 				return nil, err
@@ -271,14 +269,14 @@ func Overall(o Options) (*OverallResult, error) {
 	}
 	if o.Measure {
 		fe := core.NewFine(maxInt(o.Threads))
-		_, fm, err := MeasureEngine(o, fe)
+		fm, err := MeasureEngine(o, fe)
 		fe.Close()
 		if err != nil {
 			return nil, err
 		}
 		res.FineMeasured = serialMean / float64(fm.Microseconds())
 		te := core.NewTuned(maxInt(o.Threads))
-		_, tm, err := MeasureEngine(o, te)
+		tm, err := MeasureEngine(o, te)
 		te.Close()
 		if err != nil {
 			return nil, err
@@ -472,11 +470,11 @@ func Ablation(o Options) (*AblationResult, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
 	}
-	n, rec, err := MeasureSerial(o)
+	n, lt, err := MeasureSerial(o)
 	if err != nil {
 		return nil, err
 	}
-	models := ModelsFromNet(n, rec, o.Batch)
+	models := ModelsFromNet(n, lt, o.Batch)
 	// Largest parameterized layer drives the reduction cost.
 	largest := 0
 	for _, m := range models {
@@ -512,23 +510,4 @@ func Ablation(o Options) (*AblationResult, error) {
 		res.UncoalescedSpeedup[t] = o.Machine.Speedup(unco, t)
 	}
 	return res, nil
-}
-
-// DominatingLayers returns the layers accounting for at least frac of the
-// serial iteration time, most expensive first — used to verify the paper's
-// "conv+pool account for ~80%" observation.
-func DominatingLayers(rec *profile.Recorder, frac float64) []string {
-	names := rec.SortedLayersByCost()
-	total := float64(rec.TotalMean())
-	var out []string
-	var acc float64
-	for _, n := range names {
-		out = append(out, n)
-		acc += float64(rec.Mean(n, profile.Forward) + rec.Mean(n, profile.Backward))
-		if acc/total >= frac {
-			break
-		}
-	}
-	sort.Strings(out)
-	return out
 }

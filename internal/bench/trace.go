@@ -23,9 +23,8 @@ type TraceCaptureResult struct {
 	Workers int
 	Iters   int
 	Spans   int
-	Dropped int64
 	// LayerTable is the paper-style per-layer table derived from the
-	// trace's driver spans (identical format to profile.Recorder.Table).
+	// trace's driver spans (trace.PerLayer, the layout layerprof prints).
 	LayerTable string
 	// Utilization is the worker-utilization/imbalance report.
 	Utilization string
@@ -35,8 +34,7 @@ type TraceCaptureResult struct {
 func (r *TraceCaptureResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s traced run: %d iterations, coarse engine, %d workers ==\n",
 		r.Net, r.Iters, r.Workers)
-	fmt.Fprintf(w, "%d spans (%d dropped) -> %s (chrome://tracing or https://ui.perfetto.dev)\n\n",
-		r.Spans, r.Dropped, r.Path)
+	fmt.Fprintf(w, "%d spans -> %s (chrome://tracing or https://ui.perfetto.dev)\n\n", r.Spans, r.Path)
 	fmt.Fprint(w, r.LayerTable)
 	fmt.Fprintln(w)
 	fmt.Fprint(w, r.Utilization)
@@ -45,7 +43,9 @@ func (r *TraceCaptureResult) Render(w io.Writer) {
 // TraceCapture trains the benchmark network under the coarse engine with
 // the span tracer attached and writes Chrome trace-event JSON to path.
 // The worker count is the maximum of o.Threads; o.Warmup untraced
-// iterations run first so the trace shows steady-state behavior.
+// iterations run first so the trace shows steady-state behavior, and the
+// rings are sized for o.Iterations so no span of the timed window is
+// dropped.
 func TraceCapture(o Options, path string) (*TraceCaptureResult, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
@@ -63,7 +63,7 @@ func TraceCapture(o Options, path string) (*TraceCaptureResult, error) {
 	}
 	s.Step(o.Warmup)
 
-	tr := trace.New(workers)
+	tr := trace.NewWithCapacity(workers, trace.IterCapacity(o.Iterations, len(n.Layers())))
 	s.SetTracer(tr)
 	s.Step(o.Iterations)
 	s.SetTracer(nil)
@@ -71,13 +71,16 @@ func TraceCapture(o Options, path string) (*TraceCaptureResult, error) {
 	if err := tr.WriteChromeTraceFile(path); err != nil {
 		return nil, err
 	}
+	lt, err := trace.PerLayer(tr)
+	if err != nil {
+		return nil, err
+	}
 	spans := tr.Snapshot()
 	var util strings.Builder
 	trace.WriteUtilizationReport(&util, spans, workers)
 	return &TraceCaptureResult{
 		Net: o.Net, Path: path, Workers: workers, Iters: o.Iterations,
-		Spans: len(spans), Dropped: tr.Dropped(),
-		LayerTable:  trace.LayerRecorder(spans).Table(),
+		Spans: len(spans), LayerTable: lt.Table(),
 		Utilization: util.String(),
 	}, nil
 }

@@ -49,8 +49,7 @@ type Config struct {
 	// The model and data: -model | -zoo, -dataset, -data, -samples,
 	// -seed, and -batch, which here is the global batch the ranks share.
 	zoo.Ref
-	Engine  string
-	Workers int
+	Workers int // per-rank coarse engine team
 
 	Addr     string
 	AddrFile string
@@ -141,10 +140,7 @@ func (c Config) buildRankNet(m *zoo.Model, r, k, startIter int) (*net.Net, core.
 	if err != nil {
 		return nil, nil, err
 	}
-	eng, err := core.EngineByName(c.Engine, c.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
+	eng := core.NewCoarse(c.Workers)
 	n, err := net.New(specs, eng)
 	if err != nil {
 		eng.Close()

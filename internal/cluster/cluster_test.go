@@ -25,7 +25,7 @@ import (
 func testConfig() Config {
 	return Config{
 		Role: "local", Replicas: 3, Fanout: 2, Reduce: "tree", GradWire: "f32",
-		Iters: 5, Display: 2, Engine: "sequential", Workers: 1,
+		Iters: 5, Display: 2, Workers: 1,
 		Ref:       zoo.Ref{Zoo: "lenet", Batch: 6, Samples: 12, Seed: 1},
 		ChaosMode: "none", ChaosRank: -1, ChaosIter: -1, ChaosSeed: 1, FlakySeed: 1,
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"coarsegrain/internal/blob"
@@ -10,56 +9,10 @@ import (
 	"coarsegrain/internal/trace"
 )
 
-// ReductionMode selects how privatized gradients are merged.
-type ReductionMode int
-
-const (
-	// OrderedReduction merges private gradients in worker-rank order
-	// (Algorithm 5's `omp for ordered`), giving a bit-deterministic result
-	// for a fixed worker count — the mode the paper recommends while a
-	// network is being tuned and debugged.
-	OrderedReduction ReductionMode = iota
-	// TreeReduction merges pairwise in parallel (the "reduction-based
-	// solution" the paper mentions as valid once convergence is ensured).
-	// Cheaper at high worker counts, but float non-associativity means the
-	// result may differ in the last bits between runs with different
-	// worker counts.
-	TreeReduction
-)
-
-// String implements fmt.Stringer.
-func (m ReductionMode) String() string {
-	if m == TreeReduction {
-		return "tree"
-	}
-	return "ordered"
-}
-
-// Schedule selects the loop-scheduling policy of the coarse engine.
-type Schedule int
-
-const (
-	// StaticSchedule is the OpenMP default the paper uses: contiguous
-	// ceil(n/P) chunks with a fixed work-to-rank mapping, which the
-	// ordered reduction turns into deterministic training.
-	StaticSchedule Schedule = iota
-	// DynamicSchedule claims chunks from a shared counter. It absorbs
-	// irregular iteration costs but loses the fixed mapping, so gradient
-	// accumulation order (and hence the last float bits of the loss
-	// trace) varies between runs — provided as an ablation.
-	DynamicSchedule
-)
-
-// String implements fmt.Stringer.
-func (s Schedule) String() string {
-	if s == DynamicSchedule {
-		return "dynamic"
-	}
-	return "static"
-}
-
 // Coarse is the paper's contribution: batch-level (coarse-grain)
-// parallelization of the generic layer loop nest.
+// parallelization of the generic layer loop nest, in the one
+// configuration the paper's convergence argument rests on — static
+// schedule plus ordered reduction.
 //
 // Forward (Algorithm 4): the serial prepare hook runs first (data layers
 // load their batch here, sequentially, exactly as in Caffe); then the
@@ -69,48 +22,33 @@ func (s Schedule) String() string {
 // Backward (Algorithm 5): each worker receives private, zero-initialized
 // gradient blobs for the layer's parameters ("object privatization"),
 // processes its static chunk, and the private gradients are merged into
-// the shared parameter diffs. The default OrderedReduction merge is
-// itself parallel: the layer's parameters are viewed as one flat element
-// space, sliced across the team with par.Pool.OrderedSlices, and each
-// worker folds ranks 0..P-1 *in rank order* over its own slice — every
-// element keeps the exact accumulation order of the serial ordered
-// merge, so the result is bit-deterministic for a fixed worker count
-// while the reduce's critical path shrinks by a factor of P. All
-// fork/join edges run on the pool's spin-then-park barrier (par.Pool),
-// not channels. The same rank-ordered fold is what internal/dist
-// stretches across process boundaries (DISTRIBUTED.md).
+// the shared parameter diffs. The merge is itself parallel: the layer's
+// parameters are viewed as one flat element space, sliced across the team
+// with par.Pool.OrderedSlices, and each worker folds ranks 0..P-1 *in
+// rank order* over its own slice — every element keeps the exact
+// accumulation order of the serial ordered merge, so the result is
+// bit-deterministic for a fixed worker count while the reduce's critical
+// path shrinks by a factor of P. All fork/join edges run on the pool's
+// spin-then-park barrier (par.Pool), not channels. The same rank-ordered
+// fold is what internal/dist stretches across process boundaries
+// (DISTRIBUTED.md).
+//
+// With one worker every range runs inline on the caller and nothing is
+// privatized, so Coarse(1) is the sequential execution bit for bit.
 //
 // The engine is network-agnostic: it never inspects layer types, only the
 // generic extents/ranges — which is the property that makes the
 // parallelization immediately available for new layer types (§3.3).
 type Coarse struct {
-	pool      *par.Pool
-	arenas    []arena // one per worker rank
-	reduction ReductionMode
-	schedule  Schedule
-	tracer    *trace.Tracer
+	pool   *par.Pool
+	arenas []arena // one per worker rank
+	tracer *trace.Tracer
 }
 
 // NewCoarse creates a coarse-grain engine with the given worker count.
 func NewCoarse(workers int) *Coarse {
 	p := par.NewPool(workers)
 	return &Coarse{pool: p, arenas: make([]arena, p.Workers())}
-}
-
-// NewCoarseWithReduction creates a coarse engine using the given merge
-// strategy (OrderedReduction is the default of NewCoarse).
-func NewCoarseWithReduction(workers int, mode ReductionMode) *Coarse {
-	e := NewCoarse(workers)
-	e.reduction = mode
-	return e
-}
-
-// NewCoarseWithSchedule creates a coarse engine using the given loop
-// scheduling policy (StaticSchedule is the default of NewCoarse).
-func NewCoarseWithSchedule(workers int, sched Schedule) *Coarse {
-	e := NewCoarse(workers)
-	e.schedule = sched
-	return e
 }
 
 // Name implements Engine.
@@ -126,29 +64,14 @@ func (e *Coarse) SetTracer(t *trace.Tracer) {
 	e.pool.SetTracer(t)
 }
 
-// Schedule returns the configured loop scheduling policy.
-func (e *Coarse) Schedule() Schedule { return e.schedule }
-
-// parFor dispatches a worksharing loop under the configured schedule.
-func (e *Coarse) parFor(n int, body func(lo, hi, rank int)) {
-	if e.schedule == DynamicSchedule {
-		e.pool.ForDynamic(n, par.DefaultDynamicChunk(n, e.pool.Workers()), body)
-		return
-	}
-	e.pool.For(n, body)
-}
-
 // Workers implements Engine.
 func (e *Coarse) Workers() int { return e.pool.Workers() }
-
-// Reduction returns the configured merge strategy.
-func (e *Coarse) Reduction() ReductionMode { return e.reduction }
 
 // Forward implements Engine.
 func (e *Coarse) Forward(l layers.Layer, bottom, top []*blob.Blob) {
 	forwardHooks(l, bottom, top, func() {
 		if n := l.ForwardExtent(); n > 0 {
-			e.parFor(n, func(lo, hi, _ int) {
+			e.pool.For(n, func(lo, hi, _ int) {
 				l.ForwardRange(lo, hi, bottom, top)
 			})
 		}
@@ -167,7 +90,7 @@ func (e *Coarse) Backward(l layers.Layer, bottom, top []*blob.Blob) {
 		// Nothing to privatize: bottom-diff writes are disjoint by the
 		// layer contract, so the plain parallel loop is already race-free.
 		backwardHooks(l, bottom, top, func() {
-			e.parFor(n, func(lo, hi, _ int) {
+			e.pool.For(n, func(lo, hi, _ int) {
 				l.BackwardRange(lo, hi, bottom, top, params)
 			})
 		})
@@ -180,89 +103,55 @@ func (e *Coarse) Backward(l layers.Layer, bottom, top []*blob.Blob) {
 	// Object privatization (Algorithm 5 lines 3-5): per-rank private
 	// gradient blobs, zero-initialized inside the parallel region.
 	privs := make([][]*blob.Blob, workers)
-	var next int64
-	dynChunk := par.DefaultDynamicChunk(n, workers)
 	e.pool.Region(func(rank int) {
 		pg := make([]*blob.Blob, len(params))
 		for i, p := range params {
 			pg[i] = e.arenas[rank].take(p.Shape())
 		}
 		privs[rank] = pg
-		if e.schedule == DynamicSchedule {
-			for {
-				lo := int(atomic.AddInt64(&next, int64(dynChunk))) - dynChunk
-				if lo >= n {
-					return
-				}
-				hi := lo + dynChunk
-				if hi > n {
-					hi = n
-				}
-				l.BackwardRange(lo, hi, bottom, top, pg)
-			}
-		}
 		lo, hi := par.Chunk(n, workers, rank)
 		if lo < hi {
 			l.BackwardRange(lo, hi, bottom, top, pg)
 		}
 	})
 
-	// Gradient merge (Algorithm 5 lines 22-23).
+	// Gradient merge (Algorithm 5 lines 22-23), element-parallel: view the
+	// layer's params as one flat element space, slice it across workers,
+	// and let each worker fold ranks 0..P-1 in rank order over its own
+	// slice (par.OrderedSlices). Every element keeps the exact
+	// accumulation order of the serial ordered merge — the result stays
+	// bit-deterministic — while the reduce's critical path shrinks from
+	// O(|params|·P) to O(|params|·P/P).
 	var mergeStart time.Time
 	if e.tracer.Enabled() {
 		mergeStart = time.Now()
+		// Label the per-worker merge spans as reduce-phase work so the
+		// trace report shows the reduce section scaling with P.
+		e.tracer.SetScope(l.Name(), trace.PhaseReduce)
 	}
-	switch e.reduction {
-	case OrderedReduction:
-		// Element-parallel ordered merge: view the layer's params as one
-		// flat element space, slice it across workers, and let each worker
-		// fold ranks 0..P-1 in rank order over its own slice
-		// (par.OrderedSlices). Every element keeps the exact accumulation
-		// order of the serial ordered merge — the result stays
-		// bit-deterministic — while the reduce's critical path shrinks
-		// from O(|params|·P) to O(|params|·P/P).
-		offsets := make([]int, len(params)+1)
-		for i, p := range params {
-			offsets[i+1] = offsets[i] + p.Count()
-		}
-		if e.tracer.Enabled() {
-			// Label the per-worker merge spans as reduce-phase work so the
-			// trace report shows the reduce section scaling with P.
-			e.tracer.SetScope(l.Name(), trace.PhaseReduce)
-		}
-		e.pool.OrderedSlices(offsets[len(params)], func(lo, hi, rank int) {
-			pg := privs[rank]
-			for i, p := range params {
-				plo, phi := lo-offsets[i], hi-offsets[i]
-				if plo < 0 {
-					plo = 0
-				}
-				if c := p.Count(); phi > c {
-					phi = c
-				}
-				if plo < phi {
-					p.AccumulateDiffRange(pg[i], plo, phi)
-				}
-			}
-		})
-	case TreeReduction:
-		e.pool.ReduceTree(func(dst, src int) {
-			for i := range params {
-				privs[dst][i].AccumulateDiffFrom(privs[src][i])
-			}
-		})
-		for i, p := range params {
-			p.AccumulateDiffFrom(privs[0][i])
-		}
+	offsets := make([]int, len(params)+1)
+	for i, p := range params {
+		offsets[i+1] = offsets[i] + p.Count()
 	}
+	e.pool.OrderedSlices(offsets[len(params)], func(lo, hi, rank int) {
+		pg := privs[rank]
+		for i, p := range params {
+			plo, phi := lo-offsets[i], hi-offsets[i]
+			if plo < 0 {
+				plo = 0
+			}
+			if c := p.Count(); phi > c {
+				phi = c
+			}
+			if plo < phi {
+				p.AccumulateDiffRange(pg[i], plo, phi)
+			}
+		}
+	})
 	if tr := e.tracer; tr.Enabled() {
-		var elems int
-		for _, p := range params {
-			elems += p.Count()
-		}
 		tr.Record(trace.Span{
 			Name: l.Name(), Phase: trace.PhaseReduce, Rank: trace.RankDriver, Band: -1,
-			Lo: 0, Hi: elems, Start: tr.Stamp(mergeStart), Dur: time.Since(mergeStart),
+			Lo: 0, Hi: offsets[len(params)], Start: tr.Stamp(mergeStart), Dur: time.Since(mergeStart),
 		})
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"coarsegrain/internal/blob"
 	"coarsegrain/internal/layers"
+	"coarsegrain/internal/par"
 	"coarsegrain/internal/rng"
 )
 
@@ -137,9 +138,15 @@ func TestCoarseBackwardMatchesSequential(t *testing.T) {
 	}
 }
 
+// The A-red ablation on real gradients: privatize the conv layer's
+// backward exactly as Coarse does, merge the private copies with the
+// unordered pairwise par.Pool.ReduceTree instead of the rank-ordered fold,
+// and check the result stays within float-summation tolerance of
+// Coarse's ordered reduction.
 func TestTreeReductionCloseToOrdered(t *testing.T) {
+	const workers = 4
 	lRef, botRef, topRef := buildConv(t, 9)
-	eo := NewCoarseWithReduction(4, OrderedReduction)
+	eo := NewCoarse(workers)
 	eo.Forward(lRef, botRef, topRef)
 	seedTopDiff(topRef, 9)
 	for _, p := range lRef.Params() {
@@ -149,19 +156,41 @@ func TestTreeReductionCloseToOrdered(t *testing.T) {
 	eo.Close()
 
 	l, bot, top := buildConv(t, 9)
-	et := NewCoarseWithReduction(4, TreeReduction)
-	if et.Reduction() != TreeReduction {
-		t.Fatal("reduction mode lost")
-	}
-	et.Forward(l, bot, top)
+	NewSequential().Forward(l, bot, top)
 	seedTopDiff(top, 9)
-	for _, p := range l.Params() {
+	params := l.Params()
+	for _, p := range params {
 		p.ZeroDiff()
 	}
-	et.Backward(l, bot, top)
-	et.Close()
-	for pi := range l.Params() {
-		if d := maxAbsDiff(l.Params()[pi].Diff(), lRef.Params()[pi].Diff()); d > 1e-4 {
+	if p, ok := any(l).(layers.BackwardPreparer); ok {
+		p.BackwardPrepare(bot, top)
+	}
+	n := l.BackwardExtent()
+	privs := make([][]*blob.Blob, workers)
+	for rank := range privs {
+		privs[rank] = make([]*blob.Blob, len(params))
+		for i, p := range params {
+			privs[rank][i] = blob.NewDiffOnly(p.Shape()...)
+		}
+		if lo, hi := par.Chunk(n, workers, rank); lo < hi {
+			l.BackwardRange(lo, hi, bot, top, privs[rank])
+		}
+	}
+	pool := par.NewPool(workers)
+	pool.ReduceTree(func(dst, src int) {
+		for i := range params {
+			privs[dst][i].AccumulateDiffFrom(privs[src][i])
+		}
+	})
+	pool.Close()
+	for i, p := range params {
+		p.AccumulateDiffFrom(privs[0][i])
+	}
+	if f, ok := any(l).(layers.BackwardFinisher); ok {
+		f.BackwardFinish(bot, top)
+	}
+	for pi := range params {
+		if d := maxAbsDiff(params[pi].Diff(), lRef.Params()[pi].Diff()); d > 1e-4 {
 			t.Fatalf("tree reduction param %d deviates by %g", pi, d)
 		}
 	}
@@ -323,11 +352,5 @@ func TestCoarseBackwardNoParams(t *testing.T) {
 	}
 	if e.ScratchBytes() != 0 {
 		t.Fatal("param-less backward should not allocate scratch")
-	}
-}
-
-func TestReductionModeString(t *testing.T) {
-	if OrderedReduction.String() != "ordered" || TreeReduction.String() != "tree" {
-		t.Fatal("ReductionMode.String wrong")
 	}
 }

@@ -5,18 +5,21 @@ import (
 	"go/parser"
 	"go/token"
 	"testing"
+
+	"coarsegrain/internal/par"
+	"coarsegrain/internal/trace"
 )
 
 // TestBackwardNeverRoutesThroughForDynamic pins the structural invariant
 // behind convergence invariance (ROADMAP: bit-identical gradients at any
-// worker count): the gradient path of the coarse engine must never hand
-// work to Pool.ForDynamic, whose chunk-to-rank mapping changes run to
-// run. Dynamic scheduling inside Backward is instead inlined over the
-// *private* per-rank gradients (the atomic-counter loop inside Region),
-// and the cross-rank merge goes through Ordered/ReduceTree only. If a
-// refactor reroutes Backward through ForDynamic, gradients stay
-// race-free but stop being deterministic — a bug no unit test on values
-// reliably catches, so we assert the shape of the code itself.
+// worker count): the gradient path of the coarse engine may hand work to
+// the pool only through the static, rank-ordered methods. A dynamic
+// schedule (the ForDynamic this test is named after, deleted with the
+// knob that used it) changes the chunk-to-rank mapping run to run, and an
+// unordered merge (ReduceTree) re-associates the sum; either keeps the
+// gradients race-free but stops them being deterministic — a bug no unit
+// test on values reliably catches, so we assert the shape of the code
+// itself.
 func TestBackwardNeverRoutesThroughForDynamic(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "coarse.go", nil, 0)
@@ -24,13 +27,11 @@ func TestBackwardNeverRoutesThroughForDynamic(t *testing.T) {
 		t.Fatalf("parse coarse.go: %v", err)
 	}
 
-	// Pool methods the gradient path is allowed to use. ForDynamic is
-	// deliberately absent; parFor (which may dispatch to ForDynamic for
-	// rank-agnostic forward/bottom-diff loops) is allowed only in the
-	// no-params early return, before any gradient accumulation exists.
-	allowed := map[string]bool{
-		"Region": true, "Ordered": true, "OrderedSlices": true, "ReduceTree": true, "Workers": true,
-	}
+	// Pool methods the gradient path is allowed to use: For (the
+	// no-privatization path, whose bottom-diff writes are disjoint),
+	// Region (privatized compute over par.Chunk bands), OrderedSlices (the
+	// rank-ordered merge) and Workers.
+	allowed := map[string]bool{"Region": true, "OrderedSlices": true, "For": true, "Workers": true}
 
 	var backward *ast.FuncDecl
 	for _, d := range f.Decls {
@@ -53,30 +54,35 @@ func TestBackwardNeverRoutesThroughForDynamic(t *testing.T) {
 		if !ok {
 			return true
 		}
-		if sel.Sel.Name == "ForDynamic" {
-			pos := fset.Position(call.Pos())
-			t.Errorf("%s: Coarse.Backward calls ForDynamic: dynamic chunk-to-rank "+
-				"assignment makes the gradient reduction order vary between runs", pos)
-		}
 		// Any e.pool.<Method> call must come from the allowed set.
-		if inner, ok := sel.X.(*ast.SelectorExpr); ok && inner.Sel.Name == "pool" {
-			if !allowed[sel.Sel.Name] {
-				pos := fset.Position(call.Pos())
-				t.Errorf("%s: Coarse.Backward calls pool.%s, outside the deterministic "+
-					"set %v", pos, sel.Sel.Name, []string{"Region", "Ordered", "ReduceTree", "Workers"})
-			}
+		if inner, ok := sel.X.(*ast.SelectorExpr); ok && inner.Sel.Name == "pool" && !allowed[sel.Sel.Name] {
+			t.Errorf("%s: Coarse.Backward calls pool.%s, outside the deterministic set %v",
+				fset.Position(call.Pos()), sel.Sel.Name, allowed)
 		}
 		return true
 	})
 }
 
 // TestCoarseDefaultsToStaticSchedule pins the runtime side of the same
-// contract: the default engine construction must select the static
-// schedule the paper's convergence argument assumes.
+// contract: every band of a coarse forward is the static chunk
+// par.Chunk assigns to its rank — the fixed work-to-rank mapping the
+// paper's convergence argument assumes.
 func TestCoarseDefaultsToStaticSchedule(t *testing.T) {
-	e := NewCoarse(4)
+	const workers = 4
+	l, bot, top := buildConv(t, 43)
+	e := NewCoarse(workers)
 	defer e.Close()
-	if e.Schedule() != StaticSchedule {
-		t.Fatalf("NewCoarse schedule = %v, want StaticSchedule", e.Schedule())
+	tr := trace.New(workers)
+	e.SetTracer(tr)
+	e.Forward(l, bot, top)
+	n := l.ForwardExtent()
+	spans := tr.Snapshot()
+	if len(spans) != workers {
+		t.Fatalf("got %d band spans, want %d", len(spans), workers)
+	}
+	for _, s := range spans {
+		if lo, hi := par.Chunk(n, workers, s.Rank); s.Band != s.Rank || s.Lo != lo || s.Hi != hi {
+			t.Fatalf("rank %d ran band %d [%d,%d), want the static chunk [%d,%d)", s.Rank, s.Band, s.Lo, s.Hi, lo, hi)
+		}
 	}
 }

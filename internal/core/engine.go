@@ -1,15 +1,21 @@
 // Package core implements the paper's primary contribution: the execution
 // engines that parallelize a layer's forward and backward passes.
 //
-// Four engines mirror the paper's four measured configurations:
+// Coarse is the engine: the coarse-grain, batch-level parallelization
+// (§3) — the layer's coalesced loop is statically scheduled across a
+// worker team, parameter gradients are privatized per worker and merged
+// with an ordered reduction (Algorithms 4 and 5). It is
+// *network-agnostic*: it only uses the generic Layer interface, never a
+// layer-specific kernel. Every command builds NewCoarse(-workers); one
+// worker is the sequential run bit for bit.
+//
+// The other three engines reproduce the paper's comparison points. Fine
+// and Tuned are constructed only by the experiment harness
+// (internal/bench), the examples and tests; Sequential is also what a net
+// built with a nil engine runs — each serving replica, whose parallelism
+// is across replicas:
 //
 //   - Sequential — the serial baseline every speedup is measured against.
-//   - Coarse — the coarse-grain, batch-level parallelization (§3): the
-//     layer's coalesced loop is statically scheduled across a worker team,
-//     parameter gradients are privatized per worker and merged with an
-//     ordered reduction (Algorithms 4 and 5). This engine is
-//     *network-agnostic*: it only uses the generic Layer interface, never
-//     a layer-specific kernel.
 //   - Fine — the plain-GPU analogue: layers providing a fine-grain
 //     implementation (parallelism inside the BLAS/inner loops, §3.1.1/
 //     §3.1.2) use it; the rest run serially.
@@ -31,8 +37,6 @@
 package core
 
 import (
-	"fmt"
-
 	"coarsegrain/internal/blob"
 	"coarsegrain/internal/layers"
 )
@@ -56,23 +60,6 @@ type Engine interface {
 	ScratchBytes() int64
 	// Close releases the worker team.
 	Close()
-}
-
-// EngineByName builds the engine a command's -engine flag names, with
-// the given worker team (ignored by "sequential").
-func EngineByName(name string, workers int) (Engine, error) {
-	switch name {
-	case "sequential", "seq":
-		return NewSequential(), nil
-	case "coarse":
-		return NewCoarse(workers), nil
-	case "fine":
-		return NewFine(workers), nil
-	case "tuned":
-		return NewTuned(workers), nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (sequential|coarse|fine|tuned)", name)
-	}
 }
 
 // forwardHooks runs the serial prepare hook, the supplied parallel body,

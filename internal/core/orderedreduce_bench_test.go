@@ -15,8 +15,11 @@ import (
 // 5's ordered gradient merge on a LeNet-sized parameter set (~431k
 // elements): "sequential" is the historical rank-at-a-time
 // Pool.Ordered fold (serial section O(|params|·P)); "slices" is the
-// element-parallel Pool.OrderedSlices fold that Coarse.Backward now
-// uses.
+// element-parallel Pool.OrderedSlices fold that Coarse.Backward uses.
+// "tree" is the A-red ablation (DESIGN.md): the unordered pairwise
+// Pool.ReduceTree fold of the private copies (log P depth, last bits
+// depend on P) followed by the root's fold into the parameters — the
+// merge no engine runs, measured here so the ablation has a number.
 //
 // ns/op is wall time, which on a host with fewer CPUs than P cannot
 // show the parallel win (the folds serialize). critpath-ns/op is the
@@ -92,6 +95,19 @@ func BenchmarkOrderedReduce(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(crit)/float64(b.N), "critpath-ns/op")
+		})
+
+		b.Run(fmt.Sprintf("tree/P=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pool.ReduceTree(func(dst, src int) {
+					for pi := range params {
+						privs[dst][pi].AccumulateDiffFrom(privs[src][pi])
+					}
+				})
+				for pi, p := range params {
+					p.AccumulateDiffFrom(privs[0][pi])
+				}
+			}
 		})
 		pool.Close()
 	}

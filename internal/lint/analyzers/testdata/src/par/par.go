@@ -36,11 +36,6 @@ func (p *Pool) ForTiles(n, tile int, body func(lo, hi, rank int)) {
 	body(0, n, 0)
 }
 
-// ForDynamic runs body with dynamic chunk claiming.
-func (p *Pool) ForDynamic(n, chunk int, body func(lo, hi, rank int)) {
-	body(0, n, 0)
-}
-
 // Region runs body once per rank.
 func (p *Pool) Region(body func(rank int)) {
 	for r := 0; r < p.workers; r++ {

@@ -24,10 +24,6 @@ func bad(p *par.Pool, out []float32, m map[int]float32) {
 		scratch = append(scratch, out[lo]) // want `write to captured "scratch" inside Pool\.ForTiles closure`
 	})
 
-	p.ForDynamic(len(out), 4, func(lo, hi, rank int) {
-		out[0] = 1 // want `write to captured "out\[\.\.\.\]" inside Pool\.ForDynamic closure`
-	})
-
 	type state struct{ n int }
 	var shared state
 	p.Region(func(rank int) {

@@ -17,7 +17,6 @@ import (
 	"coarsegrain/internal/blob"
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/layers"
-	"coarsegrain/internal/profile"
 	"coarsegrain/internal/trace"
 )
 
@@ -52,9 +51,8 @@ type Net struct {
 	// needsBackward[i] reports whether layer i participates in backprop.
 	needsBackward []bool
 
-	engine   core.Engine
-	recorder *profile.Recorder
-	tracer   *trace.Tracer
+	engine core.Engine
+	tracer *trace.Tracer
 
 	// forwardOnly marks inference nets built by NewForward: activation
 	// blobs carry no gradient buffers and Backward panics.
@@ -284,13 +282,12 @@ func (n *Net) SetEngine(e core.Engine) {
 // Engine returns the current execution engine.
 func (n *Net) Engine() core.Engine { return n.engine }
 
-// SetRecorder attaches a per-layer timing recorder (nil detaches).
-func (n *Net) SetRecorder(r *profile.Recorder) { n.recorder = r }
-
 // SetTracer attaches a span tracer (nil detaches): every layer×phase
 // engine call becomes a driver span carrying the layer's FLOP/byte
 // counters, and the tracer is propagated to the engine (and through it
 // to the worker pool) so parallel engines add per-worker band spans.
+// The tracer is the net's only per-layer timer; trace.PerLayer turns its
+// driver spans into the per-layer table.
 // Attach before training, never while a pass is in flight.
 func (n *Net) SetTracer(t *trace.Tracer) {
 	n.tracer = t
@@ -329,10 +326,9 @@ func (n *Net) ParamNames() []string { return n.paramNames }
 
 // Forward runs the full forward pass (Algorithm 1 lines 3-7, the
 // inherently sequential layer loop) and returns the weighted loss.
-// When neither a recorder nor a tracer is attached, the loop takes no
-// clock readings at all.
+// Without a tracer the loop takes no clock readings at all.
 func (n *Net) Forward() float64 {
-	timed := n.recorder != nil || n.tracer.Enabled()
+	timed := n.tracer.Enabled()
 	for i, spec := range n.specs {
 		var start time.Time
 		if timed {
@@ -341,11 +337,7 @@ func (n *Net) Forward() float64 {
 		}
 		n.engine.Forward(spec.Layer, n.bottoms[i], n.tops[i])
 		if timed {
-			d := time.Since(start)
-			if n.recorder != nil {
-				n.recorder.Add(spec.Layer.Name(), profile.Forward, d)
-			}
-			n.recordLayerSpan(i, trace.PhaseForward, start, d)
+			n.recordLayerSpan(i, trace.PhaseForward, start, time.Since(start))
 		}
 	}
 	return n.Loss()
@@ -356,9 +348,6 @@ func (n *Net) Forward() float64 {
 // pass touches.
 func (n *Net) recordLayerSpan(i int, phase trace.Phase, start time.Time, d time.Duration) {
 	tr := n.tracer
-	if !tr.Enabled() {
-		return
-	}
 	spec := n.specs[i]
 	s := trace.Span{
 		Name: spec.Layer.Name(), Phase: phase, Rank: trace.RankDriver, Band: -1,
@@ -438,7 +427,7 @@ func (n *Net) Backward() {
 		w := n.specs[i].Layer.(layers.LossWeighter).LossWeight()
 		n.tops[i][0].Diff()[0] = w
 	}
-	timed := n.recorder != nil || n.tracer.Enabled()
+	timed := n.tracer.Enabled()
 	for i := len(n.specs) - 1; i >= 0; i-- {
 		if !n.needsBackward[i] {
 			continue
@@ -450,11 +439,7 @@ func (n *Net) Backward() {
 		}
 		n.engine.Backward(n.specs[i].Layer, n.bottoms[i], n.tops[i])
 		if timed {
-			d := time.Since(start)
-			if n.recorder != nil {
-				n.recorder.Add(n.specs[i].Layer.Name(), profile.Backward, d)
-			}
-			n.recordLayerSpan(i, trace.PhaseBackward, start, d)
+			n.recordLayerSpan(i, trace.PhaseBackward, start, time.Since(start))
 		}
 		if n.backwardHook != nil && n.paramLo[i+1] > n.paramLo[i] {
 			n.backwardHook(n.paramLo[i], n.paramLo[i+1])

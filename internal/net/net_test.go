@@ -8,8 +8,8 @@ import (
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/data"
 	"coarsegrain/internal/layers"
-	"coarsegrain/internal/profile"
 	"coarsegrain/internal/rng"
+	"coarsegrain/internal/trace"
 )
 
 // tinyNet builds a small conv net on synthetic MNIST-like data:
@@ -148,24 +148,29 @@ func TestNetOutputErrors(t *testing.T) {
 	}
 }
 
+// TestNetRecorderCollectsAllLayers checks the net's one per-layer timer:
+// with a tracer attached, trace.PerLayer sees every layer's passes.
 func TestNetRecorderCollectsAllLayers(t *testing.T) {
 	n := tinyNet(t, 8, 5, nil)
-	rec := profile.NewRecorder()
-	n.SetRecorder(rec)
+	tr := trace.New(1)
+	n.SetTracer(tr)
 	n.ForwardBackward()
-	ls := rec.Layers()
-	if len(ls) != 6 {
-		t.Fatalf("recorded %d layers: %v", len(ls), ls)
+	lt, err := trace.PerLayer(tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec.Stat("conv1", profile.Forward).Count != 1 {
+	if len(lt.Names) != 6 {
+		t.Fatalf("recorded %d layers: %v", len(lt.Names), lt.Names)
+	}
+	if lt.Fwd["conv1"].Count != 1 {
 		t.Fatal("conv1 forward not recorded")
 	}
-	if rec.Stat("conv1", profile.Backward).Count != 1 {
+	if lt.Bwd["conv1"].Count != 1 {
 		t.Fatal("conv1 backward not recorded")
 	}
 	// Accuracy has no backward (extent 0) and the data layer does not
 	// backprop, so they are skipped in the backward pass.
-	if rec.Stat("data", profile.Backward).Count != 0 {
+	if lt.Bwd["data"].Count != 0 {
 		t.Fatal("data backward should be skipped")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/profile"
 	"coarsegrain/internal/trace"
 )
 
@@ -151,35 +150,6 @@ func TestTraceSequentialEngine(t *testing.T) {
 	}
 	if workerSpans == 0 {
 		t.Fatal("tracer did not reach the swapped-in coarse engine's pool")
-	}
-}
-
-// TestRecorderAndTracerCoexist checks the legacy profile.Recorder path
-// is unchanged when both instruments are attached.
-func TestRecorderAndTracerCoexist(t *testing.T) {
-	eng := core.NewCoarse(2)
-	defer eng.Close()
-	n := tinyNet(t, 4, 1, eng)
-	tr := trace.New(2)
-	n.SetTracer(tr)
-	rec := profile.NewRecorder()
-	n.SetRecorder(rec)
-	n.ZeroParamDiffs()
-	n.ForwardBackward()
-	if len(rec.Layers()) == 0 {
-		t.Fatal("recorder saw no layers")
-	}
-	// The tracer's LayerRecorder bridge sees the same layers in the same
-	// order as the directly attached recorder.
-	bridged := trace.LayerRecorder(tr.Snapshot())
-	a, b := rec.Layers(), bridged.Layers()
-	if len(a) != len(b) {
-		t.Fatalf("layer sets differ: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("layer order differs: %v vs %v", a, b)
-		}
 	}
 }
 

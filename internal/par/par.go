@@ -80,8 +80,9 @@ func NewDefaultPool() *Pool { return NewPool(runtime.GOMAXPROCS(0)) }
 func (p *Pool) Workers() int { return p.workers }
 
 // SetTracer attaches (or, with nil, detaches) a span tracer. Worker
-// spans carry the tracer's current scope, the executing rank, the band
-// index and the iteration sub-range. Must be called while no region is
+// spans carry the tracer's current scope, the executing rank (which is
+// also the band: every schedule here is static) and the iteration
+// sub-range. Must be called while no region is
 // in flight; create the tracer with at least Workers() ranks or worker
 // spans beyond its team size are dropped.
 func (p *Pool) SetTracer(t *trace.Tracer) { p.tracer = t }
@@ -89,24 +90,20 @@ func (p *Pool) SetTracer(t *trace.Tracer) { p.tracer = t }
 // Tracer returns the attached tracer (nil when tracing is off).
 func (p *Pool) Tracer() *trace.Tracer { return p.tracer }
 
-// traced wraps a loop body so each invocation records one worker span.
-// band maps an invocation to its schedule-band index (the rank under
-// static scheduling, the chunk index under dynamic).
-func (p *Pool) traced(body func(lo, hi, rank int), band func(lo, rank int) int) func(lo, hi, rank int) {
+// traced wraps a loop body so each invocation records one worker span;
+// under static scheduling the band is the executing rank.
+func (p *Pool) traced(body func(lo, hi, rank int)) func(lo, hi, rank int) {
 	tr := p.tracer
 	name, phase := tr.Scope()
 	return func(lo, hi, rank int) {
 		start := time.Now()
 		body(lo, hi, rank)
 		tr.Record(trace.Span{
-			Name: name, Phase: phase, Rank: rank, Band: band(lo, rank),
+			Name: name, Phase: phase, Rank: rank, Band: rank,
 			Lo: lo, Hi: hi, Start: tr.Stamp(start), Dur: time.Since(start),
 		})
 	}
 }
-
-// staticBand is the band index of a static-schedule invocation: the rank.
-func staticBand(_, rank int) int { return rank }
 
 // Close shuts the team down. The pool must not be used afterwards: a
 // parallel region on a closed pool panics. Closing an already-closed
@@ -209,7 +206,7 @@ func (p *Pool) For(n int, body func(lo, hi, rank int)) {
 		return
 	}
 	if p.tracer.Enabled() {
-		body = p.traced(body, staticBand)
+		body = p.traced(body)
 	}
 	if p.workers == 1 {
 		body(0, n, 0)
@@ -250,7 +247,7 @@ func (p *Pool) ForTiles(n, tile int, body func(lo, hi, rank int)) {
 	}
 	tiles := (n + tile - 1) / tile
 	if p.tracer.Enabled() {
-		body = p.traced(body, staticBand)
+		body = p.traced(body)
 	}
 	if p.workers == 1 || tiles == 1 {
 		body(0, n, 0)
@@ -347,7 +344,7 @@ func (p *Pool) OrderedSlices(n int, merge func(lo, hi, rank int)) {
 	if p.tracer.Enabled() {
 		// One span per worker covering its whole rank fold: Band is the
 		// folding worker's rank, Lo/Hi its element slice.
-		fold = p.traced(fold, staticBand)
+		fold = p.traced(fold)
 	}
 	if workers == 1 {
 		fold(0, n, 0)
@@ -365,8 +362,9 @@ func (p *Pool) OrderedSlices(n int, merge func(lo, hi, rank int)) {
 // combine(dst, src) must fold partial src into partial dst. Tree reduction
 // is the *unordered* alternative the paper mentions — cheaper in parallel
 // (log P depth) but not guaranteed to reproduce the sequential value
-// because float addition is not associative. It is provided for the
-// ablation study (A-red in DESIGN.md).
+// because float addition is not associative. No engine uses it: it is
+// the tree arm of the A-red ablation (DESIGN.md), measured by
+// internal/core's BenchmarkOrderedReduce and modeled by bench.Ablation.
 func (p *Pool) ReduceTree(combine func(dst, src int)) {
 	for stride := 1; stride < p.workers; stride *= 2 {
 		// The k-th pair of this stride is (2*stride*k, 2*stride*k+stride);

@@ -2,6 +2,8 @@ package par
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -330,6 +332,39 @@ func TestReduceTree(t *testing.T) {
 		want := int64(workers * (workers + 1) / 2)
 		if parts[0] != want {
 			t.Fatalf("workers=%d: tree reduce = %d, want %d", workers, parts[0], want)
+		}
+		p.Close()
+	}
+
+	// On float partials the tree re-associates the sum, so it may differ
+	// from the rank-ordered fold in the last bits, but only there (the
+	// A-red claim EXPERIMENTS.md records).
+	const n = 4096
+	for _, workers := range []int{2, 3, 4, 8} {
+		p := NewPool(workers)
+		r := rand.New(rand.NewSource(int64(workers)))
+		parts := make([][]float32, workers)
+		for w := range parts {
+			parts[w] = make([]float32, n)
+			for i := range parts[w] {
+				parts[w][i] = r.Float32()*2 - 1
+			}
+		}
+		ordered := make([]float32, n)
+		p.Ordered(func(rank int) {
+			for i, v := range parts[rank] {
+				ordered[i] += v
+			}
+		})
+		p.ReduceTree(func(dst, src int) {
+			for i, v := range parts[src] {
+				parts[dst][i] += v
+			}
+		})
+		for i := range ordered {
+			if d := math.Abs(float64(parts[0][i] - ordered[i])); d > 1e-4 {
+				t.Fatalf("workers=%d: tree fold deviates from the ordered fold by %g at %d", workers, d, i)
+			}
 		}
 		p.Close()
 	}

@@ -75,25 +75,6 @@ func TestForRecordsWorkerSpans(t *testing.T) {
 	}
 }
 
-func TestForDynamicRecordsChunkBands(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	tr := trace.New(2)
-	p.SetTracer(tr)
-	tr.SetScope("ip1", trace.PhaseBackward)
-	p.ForDynamic(10, 2, func(lo, hi, rank int) {})
-	bands := map[int]bool{}
-	for _, s := range tr.Snapshot() {
-		if s.Band != s.Lo/2 {
-			t.Fatalf("dynamic band %d for lo %d", s.Band, s.Lo)
-		}
-		bands[s.Band] = true
-	}
-	if len(bands) != 5 {
-		t.Fatalf("saw %d distinct bands, want 5", len(bands))
-	}
-}
-
 func TestRegionRecordsPerRankSpans(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

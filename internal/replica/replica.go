@@ -25,11 +25,11 @@
 //
 // # Observability
 //
-// Each replica's network accepts its own instruments — attach a
-// profile.Recorder or a trace.Tracer to an individual replica's net to
-// measure within-device behavior (each replica has a private engine and
-// worker team, so tracers must not be shared across replicas; the
-// tracer's shards are keyed by one pool's ranks). Cross-device timing —
+// Each replica's network accepts its own tracer — attach a trace.Tracer
+// to an individual replica's net to measure within-device behavior,
+// per-layer table included (trace.PerLayer). Each replica has a private
+// engine and worker team, so tracers must not be shared across replicas
+// (the tracer's shards are keyed by one pool's ranks). Cross-device timing —
 // the synchronous merge barrier — is visible as the gap between a
 // replica's last backward span and the next iteration's first forward
 // span. See OBSERVABILITY.md.

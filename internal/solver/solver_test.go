@@ -51,6 +51,10 @@ func buildNet(t *testing.T, seed uint64, eng core.Engine) *net.Net {
 	return n
 }
 
+// BuildTestNet exposes buildNet to bitwise_test.go, which imports zoo
+// (and through it this package) and so must be an external test.
+var BuildTestNet = buildNet
+
 func TestConfigValidation(t *testing.T) {
 	n := buildNet(t, 1, nil)
 	cases := []Config{
@@ -235,23 +239,6 @@ func TestConvergenceInvariance(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("workers=%d: repeated runs differ at iter %d: %v vs %v", w, i, a[i], b[i])
 			}
-		}
-	}
-}
-
-// At 1 worker the coarse engine must be bit-identical to sequential.
-func TestCoarseOneWorkerBitwiseSequential(t *testing.T) {
-	n1 := buildNet(t, 8, core.NewSequential())
-	s1, _ := New(Config{Type: SGD, BaseLR: 0.01, Momentum: 0.9}, n1)
-	ref := s1.Step(20)
-	e := core.NewCoarse(1)
-	defer e.Close()
-	n2 := buildNet(t, 8, e)
-	s2, _ := New(Config{Type: SGD, BaseLR: 0.01, Momentum: 0.9}, n2)
-	got := s2.Step(20)
-	for i := range ref {
-		if ref[i] != got[i] {
-			t.Fatalf("coarse(1) differs from sequential at iter %d: %v vs %v", i, got[i], ref[i])
 		}
 	}
 }

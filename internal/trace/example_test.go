@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"coarsegrain/internal/profile"
 	"coarsegrain/internal/trace"
 )
 
@@ -33,8 +32,8 @@ func ExampleTracer() {
 
 	spans := tr.Snapshot()
 	fmt.Printf("%d spans, %d dropped\n", len(spans), tr.Dropped())
-	rec := trace.LayerRecorder(spans) // the profile.Recorder bridge
-	fmt.Printf("conv1 forward mean: %v\n", rec.Mean("conv1", profile.Forward))
+	layers, _ := trace.PerLayer(tr) // the per-layer table's aggregate
+	fmt.Printf("conv1 forward mean: %v\n", layers.Fwd["conv1"].Mean())
 	trace.WriteUtilizationReport(os.Stdout, spans, tr.Workers())
 
 	// Output:

@@ -1,14 +1,14 @@
 package trace
 
-// This file derives the two textual reports from a span snapshot:
+// This file derives the textual reports from a span snapshot:
 //
-//   - LayerRecorder folds the driver-side layer spans back into a
-//     profile.Recorder, so consumers of the paper-style per-layer table
-//     (cmd/layerprof, PERFORMANCE.md) keep the exact output format the
-//     profile package has always produced;
-//   - UtilizationReport is new: it compares the time each worker rank was
-//     busy inside a layer's parallel regions against the driver-observed
-//     wall time of those regions, yielding per-layer utilization and the
+//   - PerLayer folds the driver-side layer spans into the paper-style
+//     per-layer table (cmd/layerprof, the Figure 4/7 experiments): count,
+//     mean and minimum per layer and phase, each layer's share of the
+//     iteration, and the layers that dominate it;
+//   - UtilizationReport compares the time each worker rank was busy
+//     inside a layer's parallel regions against the driver-observed wall
+//     time of those regions, yielding per-layer utilization and the
 //     static-schedule imbalance the paper's §4.2 scalability discussion
 //     attributes the efficiency losses to.
 
@@ -16,30 +16,114 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
-
-	"coarsegrain/internal/profile"
 )
 
-// LayerRecorder aggregates the driver-side layer spans of a snapshot
-// into a profile.Recorder, preserving first-seen (network) order. The
-// recorder's Table/Mean/SortedLayersByCost then behave exactly as if the
-// net had recorded into it directly — the API-compatibility bridge
-// between the tracer and the existing per-layer tooling.
-func LayerRecorder(spans []Span) *profile.Recorder {
-	rec := profile.NewRecorder()
-	for _, s := range spans {
-		if s.Rank != RankDriver {
+// LayerStat aggregates the driver spans of one layer and phase.
+type LayerStat struct {
+	Count      int
+	Total, Min time.Duration
+}
+
+// Mean returns the average duration (0 when nothing was recorded).
+func (s LayerStat) Mean() time.Duration {
+	if s.Count == 0 {
+		return 0
+	}
+	return s.Total / time.Duration(s.Count)
+}
+
+// LayerTimes is the per-layer view of a trace. A layer absent from a
+// phase (the data layer's backward) reads as the zero LayerStat.
+type LayerTimes struct {
+	Names    []string // first-seen (network) order
+	Fwd, Bwd map[string]LayerStat
+}
+
+// PerLayer aggregates the driver-side forward and backward spans t
+// holds into per-layer times. It refuses a tracer that dropped spans: a
+// wrapped ring keeps only the newest window, so the table would average
+// the tail of the run and start mid-network. Size the rings for the run
+// with NewWithCapacity and IterCapacity.
+func PerLayer(t *Tracer) (*LayerTimes, error) {
+	if d := t.Dropped(); d > 0 {
+		return nil, fmt.Errorf("trace: %d spans dropped (a ring of %d per writer wrapped); per-layer table withheld", d, cap(t.shards[0].buf))
+	}
+	lt := &LayerTimes{Fwd: map[string]LayerStat{}, Bwd: map[string]LayerStat{}}
+	for _, s := range t.Snapshot() {
+		m := lt.Fwd
+		switch {
+		case s.Rank != RankDriver:
+			continue
+		case s.Phase == PhaseBackward:
+			m = lt.Bwd
+		case s.Phase != PhaseForward:
 			continue
 		}
-		switch s.Phase {
-		case PhaseForward:
-			rec.Add(s.Name, profile.Forward, s.Dur)
-		case PhaseBackward:
-			rec.Add(s.Name, profile.Backward, s.Dur)
+		_, seenF := lt.Fwd[s.Name]
+		if _, seenB := lt.Bwd[s.Name]; !seenF && !seenB {
+			lt.Names = append(lt.Names, s.Name)
+		}
+		st := m[s.Name]
+		if st.Count == 0 || s.Dur < st.Min {
+			st.Min = s.Dur
+		}
+		st.Count++
+		st.Total += s.Dur
+		m[s.Name] = st
+	}
+	return lt, nil
+}
+
+// Cost is a layer's mean forward plus mean backward time.
+func (lt *LayerTimes) Cost(name string) time.Duration {
+	return lt.Fwd[name].Mean() + lt.Bwd[name].Mean()
+}
+
+// Total is the sum of every layer's Cost — the mean cost of one full
+// iteration.
+func (lt *LayerTimes) Total() time.Duration {
+	var t time.Duration
+	for _, n := range lt.Names {
+		t += lt.Cost(n)
+	}
+	return t
+}
+
+// Dominating returns the most expensive layers, costliest first, that
+// together account for at least frac of Total — the paper's observation
+// that conv and pool layers take ~80% of an iteration.
+func (lt *LayerTimes) Dominating(frac float64) []string {
+	names := append([]string(nil), lt.Names...)
+	sort.SliceStable(names, func(i, j int) bool { return lt.Cost(names[i]) > lt.Cost(names[j]) })
+	total := float64(lt.Total())
+	var acc time.Duration
+	for i, n := range names {
+		if acc += lt.Cost(n); float64(acc) >= frac*total {
+			return names[:i+1]
 		}
 	}
-	return rec
+	return names
+}
+
+// Table renders a fixed-width per-layer table of mean microseconds, in the
+// style of the paper's Figures 4 and 7 (absolute layer times plus relative
+// weight of the total).
+func (lt *LayerTimes) Table() string {
+	var b strings.Builder
+	total := lt.Total()
+	fmt.Fprintf(&b, "%-12s %14s %14s %8s\n", "layer", "fwd (us)", "bwd (us)", "weight")
+	for _, n := range lt.Names {
+		rel := 0.0
+		if total > 0 {
+			rel = float64(lt.Cost(n)) / float64(total) * 100
+		}
+		fmt.Fprintf(&b, "%-12s %14.1f %14.1f %7.1f%%\n", n,
+			float64(lt.Fwd[n].Mean().Microseconds()), float64(lt.Bwd[n].Mean().Microseconds()), rel)
+	}
+	fmt.Fprintf(&b, "%-12s %14s %14s\n", "TOTAL", fmt.Sprintf("%.1f", float64(total.Microseconds())), "")
+	return b.String()
 }
 
 // regionKey identifies one aggregated parallel-region family.

@@ -4,31 +4,177 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"coarsegrain/internal/profile"
 )
 
-func TestLayerRecorderMatchesProfileSemantics(t *testing.T) {
-	tr := buildSample()
-	rec := LayerRecorder(tr.Snapshot())
+// perLayerOf records spans in order, as driver spans unless they name a
+// worker rank (1), and aggregates them.
+func perLayerOf(t *testing.T, spans ...Span) *LayerTimes {
+	t.Helper()
+	tr := New(2)
+	for i, s := range spans {
+		if s.Rank == 0 {
+			s.Rank = RankDriver
+		}
+		s.Start = time.Duration(i)
+		tr.Record(s)
+	}
+	lt, err := PerLayer(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lt
+}
 
-	// Only driver-side forward/backward spans count, first-seen order.
-	if got := rec.Layers(); len(got) != 2 || got[0] != "conv1" || got[1] != "ip1" {
+// TestPerLayerOnSample pins the aggregate against buildSample: only driver
+// forward/backward spans count, layers keep first-seen order, and the
+// table is the paper-style layout.
+func TestPerLayerOnSample(t *testing.T) {
+	lt, err := PerLayer(buildSample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lt.Names; len(got) != 2 || got[0] != "conv1" || got[1] != "ip1" {
 		t.Fatalf("layers = %v", got)
 	}
-	// buildSample records two 10us forward driver spans per layer.
-	if got := rec.Mean("conv1", profile.Forward); got != 10*time.Microsecond {
-		t.Fatalf("conv1 fwd mean = %v", got)
+	// buildSample records two 10us forward and two 12us backward driver
+	// spans per layer.
+	if st := lt.Fwd["conv1"]; st.Count != 2 || st.Mean() != 10*time.Microsecond || st.Min != 10*time.Microsecond {
+		t.Fatalf("conv1 fwd = %+v", st)
 	}
-	if got := rec.Mean("conv1", profile.Backward); got != 12*time.Microsecond {
+	if got := lt.Bwd["conv1"].Mean(); got != 12*time.Microsecond {
 		t.Fatalf("conv1 bwd mean = %v", got)
 	}
-	// The rendered table is the profile package's format verbatim.
-	table := rec.Table()
-	for _, want := range []string{"layer", "fwd (us)", "bwd (us)", "weight", "conv1", "ip1", "TOTAL"} {
+	if lt.Total() != 44*time.Microsecond {
+		t.Fatalf("total = %v", lt.Total())
+	}
+	table := lt.Table()
+	for _, want := range []string{"layer", "fwd (us)", "bwd (us)", "weight", "conv1", "ip1", "50.0%", "TOTAL", "44.0"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+// TestPerLayerStats checks count, total, min and mean per phase; worker
+// spans and non-compute phases are ignored.
+func TestPerLayerStats(t *testing.T) {
+	lt := perLayerOf(t,
+		Span{Name: "conv1", Phase: PhaseForward, Dur: 30 * time.Microsecond},
+		Span{Name: "conv1", Phase: PhaseForward, Dur: 10 * time.Microsecond},
+		Span{Name: "conv1", Phase: PhaseBackward, Dur: 100 * time.Microsecond},
+		Span{Name: "conv1", Phase: PhaseForward, Rank: 1, Dur: time.Hour}, // worker span: ignored
+		Span{Name: "conv1", Phase: PhaseReduce, Dur: time.Hour},
+	)
+	st := lt.Fwd["conv1"]
+	if st.Count != 2 || st.Total != 40*time.Microsecond || st.Min != 10*time.Microsecond || st.Mean() != 20*time.Microsecond {
+		t.Fatalf("conv1 fwd %+v", st)
+	}
+	if st := lt.Bwd["conv1"]; st.Count != 1 || st.Mean() != 100*time.Microsecond {
+		t.Fatalf("conv1 bwd %+v", st)
+	}
+}
+
+func TestPerLayerFirstSeenOrder(t *testing.T) {
+	lt := perLayerOf(t,
+		Span{Name: "b", Phase: PhaseForward, Dur: time.Microsecond},
+		Span{Name: "a", Phase: PhaseForward, Dur: time.Microsecond},
+		Span{Name: "b", Phase: PhaseBackward, Dur: time.Microsecond},
+	)
+	if got := lt.Names; len(got) != 2 || got[0] != "b" || got[1] != "a" {
+		t.Fatalf("order %v", got)
+	}
+}
+
+// TestPerLayerMissingIsZero: a layer or phase never recorded reads as the
+// zero LayerStat, whose mean is 0.
+func TestPerLayerMissingIsZero(t *testing.T) {
+	lt := perLayerOf(t, Span{Name: "a", Phase: PhaseForward, Dur: time.Microsecond})
+	if lt.Bwd["a"] != (LayerStat{}) || lt.Fwd["nope"].Count != 0 || lt.Cost("nope") != 0 {
+		t.Fatal("missing layer/phase should read as zero")
+	}
+	if (LayerStat{}).Mean() != 0 {
+		t.Fatal("zero stat mean should be 0")
+	}
+}
+
+// TestPerLayerTotal: the iteration total sums every layer's forward and
+// backward means.
+func TestPerLayerTotal(t *testing.T) {
+	lt := perLayerOf(t,
+		Span{Name: "a", Phase: PhaseForward, Dur: 10 * time.Microsecond},
+		Span{Name: "a", Phase: PhaseBackward, Dur: 20 * time.Microsecond},
+		Span{Name: "b", Phase: PhaseForward, Dur: 5 * time.Microsecond},
+	)
+	if lt.Total() != 35*time.Microsecond {
+		t.Fatalf("total %v", lt.Total())
+	}
+}
+
+// TestPerLayerTable: the table lists every layer with its relative weight
+// and a TOTAL row.
+func TestPerLayerTable(t *testing.T) {
+	lt := perLayerOf(t,
+		Span{Name: "conv1", Phase: PhaseForward, Dur: 75 * time.Microsecond},
+		Span{Name: "conv1", Phase: PhaseBackward},
+		Span{Name: "loss", Phase: PhaseForward, Dur: 25 * time.Microsecond},
+	)
+	tbl := lt.Table()
+	for _, want := range []string{"conv1", "loss", "75.0", "TOTAL"} {
+		if !strings.Contains(tbl, want) {
+			t.Fatalf("table missing %q:\n%s", want, tbl)
+		}
+	}
+	if !strings.Contains(tbl, "75.0%") {
+		t.Fatalf("relative weight missing:\n%s", tbl)
+	}
+}
+
+func TestPerLayerDominating(t *testing.T) {
+	tr := New(1)
+	for i, c := range []struct {
+		name string
+		us   int
+	}{{"small", 1}, {"big", 100}, {"mid", 10}} {
+		tr.Record(Span{Name: c.name, Phase: PhaseForward, Rank: RankDriver, Start: time.Duration(i),
+			Dur: time.Duration(c.us) * time.Microsecond})
+	}
+	lt, err := PerLayer(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lt.Dominating(0.8); len(got) != 1 || got[0] != "big" {
+		t.Fatalf("80%%: %v", got)
+	}
+	if got := lt.Dominating(1); len(got) != 3 || got[0] != "big" || got[1] != "mid" || got[2] != "small" {
+		t.Fatalf("100%%: %v", got)
+	}
+}
+
+// TestPerLayerRefusesWrappedRing: once a ring wraps, the table would
+// average only the tail window and start mid-network, so PerLayer must
+// report the dropped spans instead; a ring sized with IterCapacity holds
+// the whole run.
+func TestPerLayerRefusesWrappedRing(t *testing.T) {
+	record := func(tr *Tracer, iters int) {
+		for it := 0; it < iters; it++ {
+			for _, l := range []string{"data", "conv1", "ip1"} {
+				tr.Record(Span{Name: l, Phase: PhaseForward, Rank: RankDriver, Dur: time.Microsecond})
+			}
+		}
+	}
+	small := NewWithCapacity(1, 4)
+	record(small, 3)
+	if _, err := PerLayer(small); err == nil || !strings.Contains(err.Error(), "5 spans dropped") {
+		t.Fatalf("wrapped ring: err = %v", err)
+	}
+	sized := NewWithCapacity(1, IterCapacity(3, 3))
+	record(sized, 3)
+	lt, err := PerLayer(sized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lt.Names[0] != "data" || lt.Fwd["data"].Count != 3 {
+		t.Fatalf("sized ring: %v %+v", lt.Names, lt.Fwd["data"])
 	}
 }
 

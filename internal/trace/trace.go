@@ -1,12 +1,11 @@
 // Package trace is the span-based observability subsystem behind the
-// repository's measurement methodology (OBSERVABILITY.md). It subsumes
-// and extends package profile: where a profile.Recorder aggregates serial
-// per-layer wall-clock means, a Tracer records every timed interval as a
-// Span carrying (layer, phase, schedule band, worker rank, iteration
-// range, duration, FLOP/byte counters), which is what the paper's §4
-// analysis actually needs — band-level parallelism, worker imbalance and
-// the serial sections are invisible to an aggregate mean but obvious on a
-// timeline.
+// repository's measurement methodology (OBSERVABILITY.md), and the one
+// per-layer timer: a Tracer records every timed interval as a Span
+// carrying (layer, phase, schedule band, worker rank, iteration range,
+// duration, FLOP/byte counters), and PerLayer folds the driver spans back
+// into the paper's per-layer table. That is what the paper's §4 analysis
+// needs — band-level parallelism, worker imbalance and the serial
+// sections are invisible to an aggregate mean but obvious on a timeline.
 //
 // # Recording model
 //
@@ -47,8 +46,8 @@ const (
 	// PhaseBackward is a backward pass.
 	PhaseBackward
 	// PhaseReduce is the coarse engine's gradient merge (Algorithm 5's
-	// ordered reduction or the tree ablation) — the serial section the
-	// paper's §3.2.1 overhead analysis singles out.
+	// ordered reduction) — the serial section the paper's §3.2.1
+	// overhead analysis singles out.
 	PhaseReduce
 	// PhaseUpdate is the solver's updateCoefficients step.
 	PhaseUpdate
@@ -169,9 +168,8 @@ type Span struct {
 	Phase Phase
 	// Rank is the worker rank that executed the interval, or RankDriver.
 	Rank int
-	// Band is the static-schedule band (chunk) index within the parallel
-	// region — the rank for static scheduling, the chunk index for
-	// dynamic — or -1 when the span is not a worksharing band.
+	// Band is the static-schedule band of a worker span — the executing
+	// rank — the peer rank of a comm span, or -1 otherwise.
 	Band int
 	// Lo and Hi delimit the coalesced iteration sub-range the span
 	// covered (Lo == Hi when not applicable). PhaseIteration spans store
@@ -195,6 +193,12 @@ func (s Span) End() time.Duration { return s.Start + s.Dur }
 // per span it bounds each shard to ~1.6 MB; a 200-iteration LeNet run
 // records well under half of it per worker.
 const DefaultShardCapacity = 1 << 14
+
+// IterCapacity is the per-writer ring size that holds iters training
+// iterations of a net with the given layer count without wrapping: per
+// iteration a writer records at most three spans per layer (forward,
+// backward, reduce) plus the solver's iteration, update and guard spans.
+func IterCapacity(iters, layers int) int { return iters * (3*layers + 3) }
 
 // shard is a single-writer span ring. pos is the overwrite cursor once
 // the ring has wrapped (it then indexes the oldest span).

@@ -15,7 +15,8 @@
 # through the gathered and the packed lowering on both kernels, the naive
 # lowering as oracle), the reduction determinism sweep (the
 # element-parallel ordered merge must stay bit-identical to the serial
-# ordered merge at every worker count) plus a dedicated race pass over
+# ordered merge at every worker count), one pass of the A-red ablation
+# benchmark (ordered vs tree merge) plus a dedicated race pass over
 # the spin-then-park barrier, a tracing smoke run that must produce valid
 # Chrome trace-event JSON, the robustness drills (ROBUSTNESS.md): the
 # fault-injection suite, a seeded corrupt-checkpoint recovery smoke and a
@@ -104,6 +105,9 @@ go test -run '^$' -fuzz '^FuzzConv$' -fuzztime 5s ./internal/blas
 echo "== reduction determinism sweep (OrderedSlices bit-identical across P) =="
 go test -count=1 -run 'TestOrderedSlicesBitIdenticalToOrdered|TestOrderedSlicesMergeBitIdenticalAcrossWorkers' \
 	./internal/par ./internal/core
+
+echo "== reduction ablation (A-red): ordered vs tree merge, one pass so the bench cannot rot =="
+go test -run '^$' -bench BenchmarkOrderedReduce -benchtime 1x ./internal/core
 
 echo "== barrier stress under race (spin-then-park fork/join) =="
 go test -race -count=1 -run 'TestBarrier|TestOrderedSlices|TestPanic|TestRegion' ./internal/par
