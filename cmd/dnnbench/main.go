@@ -18,12 +18,8 @@
 // are modeled by the calibrated machine model (add -measure on a real
 // multicore host for wall-clock numbers as well).
 //
-// With -trace out.json, dnnbench instead runs a short traced training
-// capture (coarse engine, highest -threads count) and writes Chrome
-// trace-event JSON plus the derived per-layer and worker-utilization
-// tables — see OBSERVABILITY.md:
-//
-//	dnnbench -trace out.json -net mnist -threads 8 -iters 10
+// A traced run (Chrome trace-event JSON, per-layer table, worker
+// utilization) is layerprof -trace; see OBSERVABILITY.md.
 package main
 
 import (
@@ -49,7 +45,6 @@ func main() {
 		dataDir = flag.String("data", "", "directory with real MNIST/CIFAR files (synthetic otherwise)")
 		measure = flag.Bool("measure", false, "also measure real parallel wall-clock runs")
 		convIt  = flag.Int("conv-iters", 20, "training iterations for the convergence experiment")
-		trcPath = flag.String("trace", "", "capture mode: write a Chrome trace of a short training run here instead of running figures")
 	)
 	flag.Parse()
 
@@ -67,15 +62,6 @@ func main() {
 			Iterations: *iters, Warmup: *warmup,
 			Threads: ths, Seed: *seed, DataDir: *dataDir, Measure: *measure,
 		}
-	}
-
-	if *trcPath != "" {
-		res, err := bench.TraceCapture(baseOpt("mnist"), *trcPath)
-		if err != nil {
-			fatal(err)
-		}
-		res.Render(os.Stdout)
-		return
 	}
 
 	run := func(fig string) error {

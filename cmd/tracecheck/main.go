@@ -1,9 +1,9 @@
 // Command tracecheck validates a Chrome trace-event JSON file produced by
-// the span tracer (dnntrain/dnnbench/layerprof -trace) and prints a short
+// the span tracer (dnntrain/layerprof -trace) and prints a short
 // summary. It exits non-zero when the file is not a well-formed trace, so
 // CI can use it to smoke-test the tracing pipeline:
 //
-//	dnnbench -trace out.json -iters 2 && tracecheck out.json
+//	layerprof -zoo lenet -workers 2 -iters 2 -trace out.json && tracecheck out.json
 package main
 
 import (

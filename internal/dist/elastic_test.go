@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"coarsegrain/internal/data"
+	"coarsegrain/internal/faultinject"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/replica"
@@ -229,14 +230,19 @@ func TestElasticCrashKillOneOfThreeBitIdentical(t *testing.T) {
 
 	_, ref3L := elasticReplicaBaseline(t, 3, total)
 
-	locals := localGroup(3)
-	chaos := transport.NewChaos(locals[2], transport.ChaosConfig{
-		Mode: transport.ChaosCrash, AtIter: -1, IterSpan: 5,
-	}, 46)
-	if chaos.TriggerIter() != 3 {
-		t.Fatalf("seeded trigger = %d, want 3 (seeded chaos must replay exactly)", chaos.TriggerIter())
+	// The drill is drawn the way dnncluster's -chaos-seed draws it.
+	s, err := faultinject.New(6).ClusterScenario(3, 5, transport.ChaosCrash)
+	if err != nil {
+		t.Fatal(err)
 	}
-	trs := []transport.Transport{locals[0], locals[1], chaos}
+	if s.Victim != 2 || s.AtIter != 3 {
+		t.Fatalf("seeded scenario = %v, want rank 2 at iteration 3 (seeded chaos must replay exactly)", s)
+	}
+	trs := localGroup(3)
+	chaos, err := s.Wrap(trs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	reports, errs, done := startElastic(trs, elasticCfg(total, dir))
 	for _, d := range done {
@@ -351,7 +357,7 @@ func TestElasticStragglerEvictedDeterministically(t *testing.T) {
 	locals := localGroup(3)
 	chaos := transport.NewChaos(locals[2], transport.ChaosConfig{
 		Mode: transport.ChaosStraggle, AtIter: 4, StraggleDelay: 1500 * time.Millisecond,
-	}, 1)
+	})
 	trs := []transport.Transport{locals[0], locals[1], chaos}
 
 	cfg := elasticCfg(total, dir)
@@ -402,7 +408,7 @@ func TestElasticHangDetectedAsDead(t *testing.T) {
 	locals := localGroup(3)
 	chaos := transport.NewChaos(locals[1], transport.ChaosConfig{
 		Mode: transport.ChaosHang, AtIter: 3,
-	}, 1)
+	})
 	trs := []transport.Transport{locals[0], chaos, locals[2]}
 
 	cfg := elasticCfg(total, dir)
@@ -447,7 +453,7 @@ func TestElasticPartitionDetected(t *testing.T) {
 	locals := localGroup(3)
 	chaos := transport.NewChaos(locals[1], transport.ChaosConfig{
 		Mode: transport.ChaosPartition, Peers: []int{0}, AtIter: 2,
-	}, 1)
+	})
 	trs := []transport.Transport{locals[0], chaos, locals[2]}
 
 	reports, errs, done := startElastic(trs, elasticCfg(total, dir))
@@ -539,8 +545,8 @@ func TestRunElasticValidation(t *testing.T) {
 	}
 }
 
-// Elastic recovery composes with the compressed ring: a seeded crash of
-// 1 of k=3 under f16 wire + ring topology must fence and resume exactly
+// Elastic recovery composes with the compressed ring: a crash of 1 of
+// k=3 at iteration 3 under f16 wire + ring topology must fence and resume exactly
 // like the uncompressed tree path does — and the post-fence run must be
 // bit-identical to a clean 2-rank resume using the same codec and
 // topology. The load-bearing detail is the error-feedback residual:
@@ -554,12 +560,7 @@ func TestElasticCrashCompressedRingBitIdentical(t *testing.T) {
 	opts := Options{Topology: TopologyRing, GradWire: "f16"}
 
 	locals := localGroup(3)
-	chaos := transport.NewChaos(locals[2], transport.ChaosConfig{
-		Mode: transport.ChaosCrash, AtIter: -1, IterSpan: 5,
-	}, 46)
-	if chaos.TriggerIter() != 3 {
-		t.Fatalf("seeded trigger = %d, want 3 (seeded chaos must replay exactly)", chaos.TriggerIter())
-	}
+	chaos := transport.NewChaos(locals[2], transport.ChaosConfig{Mode: transport.ChaosCrash, AtIter: 3})
 	trs := []transport.Transport{locals[0], locals[1], chaos}
 
 	cfg := elasticCfg(total, dir)
@@ -669,7 +670,7 @@ func TestUnsupervisedRunIsThePlainLoop(t *testing.T) {
 // return their typed errors long before FenceTimeout.
 func TestUnsupervisedRunFailsAtOnce(t *testing.T) {
 	locals := localGroup(2)
-	hung := transport.NewChaos(locals[1], transport.ChaosConfig{Mode: transport.ChaosHang, AtIter: 2}, 1)
+	hung := transport.NewChaos(locals[1], transport.ChaosConfig{Mode: transport.ChaosHang, AtIter: 2})
 	trs := []transport.Transport{locals[0], hung}
 	_, errs, done := startElastic(trs, rigidCfg(2, testIters))
 	for !hung.Fired() {

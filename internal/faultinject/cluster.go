@@ -69,7 +69,7 @@ func (s ClusterScenario) Chaos(t transport.Transport) *transport.Chaos {
 		AtIter:        s.AtIter,
 		Peers:         s.Peers,
 		StraggleDelay: s.Delay,
-	}, 0)
+	})
 }
 
 // Wrap applies the scenario to a group's transports (index = base

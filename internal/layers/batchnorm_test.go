@@ -41,27 +41,6 @@ func TestBatchNormNormalizesTrainMode(t *testing.T) {
 	}
 }
 
-func TestBatchNormGradientTrainMode(t *testing.T) {
-	r := rng.New(72, 1)
-	l, err := NewBatchNorm("bn", BNConfig{Eps: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bottom := randomBlob(r, -1, 1, 4, 3, 2, 2)
-	gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, true, 1e-3, 3e-2)
-}
-
-func TestBatchNormGradientTestMode(t *testing.T) {
-	r := rng.New(73, 1)
-	l, err := NewBatchNorm("bn", BNConfig{Eps: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetTrain(false)
-	bottom := randomBlob(r, -1, 1, 4, 3, 2, 2)
-	gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, true, 1e-3, 2e-2)
-}
-
 func TestBatchNormTestModeUsesMovingStats(t *testing.T) {
 	r := rng.New(74, 1)
 	l, err := NewBatchNorm("bn", BNConfig{Momentum: 0.5})

@@ -30,23 +30,6 @@ func TestEltwiseSumForwardBackward(t *testing.T) {
 	}
 }
 
-func TestEltwiseProdGradient(t *testing.T) {
-	r := rng.New(21, 1)
-	l := NewEltwise("e", EltwiseProd, nil)
-	a := randomBlob(r, 0.5, 1.5, 3, 4)
-	b := randomBlob(r, 0.5, 1.5, 3, 4)
-	gradCheck(t, l, []*blob.Blob{a, b}, []bool{true, true}, false, 1e-3, 2e-2)
-}
-
-func TestEltwiseSumGradient(t *testing.T) {
-	r := rng.New(22, 1)
-	l := NewEltwise("e", EltwiseSum, []float32{0.5, 2, -1})
-	a := randomBlob(r, -1, 1, 2, 5)
-	b := randomBlob(r, -1, 1, 2, 5)
-	c := randomBlob(r, -1, 1, 2, 5)
-	gradCheck(t, l, []*blob.Blob{a, b, c}, []bool{true, true, true}, false, 1e-3, 2e-2)
-}
-
 func TestEltwiseMaxRoutesGradient(t *testing.T) {
 	l := NewEltwise("e", EltwiseMax, nil)
 	a := blob.New(1, 3)
@@ -146,14 +129,6 @@ func TestConcatValidation(t *testing.T) {
 	if err := l.SetUp(nil, []*blob.Blob{blob.New()}); err == nil {
 		t.Fatal("no bottoms accepted")
 	}
-}
-
-func TestConcatGradient(t *testing.T) {
-	r := rng.New(24, 1)
-	l := NewConcat("c")
-	a := randomBlob(r, -1, 1, 2, 2, 3, 3)
-	b := randomBlob(r, -1, 1, 2, 4, 3, 3)
-	gradCheck(t, l, []*blob.Blob{a, b}, []bool{true, true}, false, 1e-3, 2e-2)
 }
 
 // --- Flatten ---

@@ -20,6 +20,11 @@ type BuildOptions struct {
 	// BatchOverride, when positive, replaces every Data layer's
 	// batch_size.
 	BatchOverride int
+	// DirectConv builds every Convolution on the paper's direct loop
+	// nest instead of the lowered (im2col+GEMM) path. It is the
+	// paper-figure ablation zoo.Options.LoweredConv forwards, not a
+	// property of a model, so the format has no syntax for it.
+	DirectConv bool
 }
 
 // BuildNet constructs net layer specs from a parsed prototxt document.
@@ -139,10 +144,7 @@ func buildLayer(m *Message, opt BuildOptions, r *rng.RNG) (net.LayerSpec, error)
 		}
 		l, err = layers.NewData(name, src, batch)
 	case "Convolution", "CONVOLUTION":
-		// Always the lowered implementation: the format has no way to
-		// ask for the direct loop nest, which is a paper-figure
-		// ablation (zoo.Options) and not a property of a model.
-		cfg := layers.ConvConfig{RNG: r, Lowered: true}
+		cfg := layers.ConvConfig{RNG: r, Lowered: !opt.DirectConv}
 		if cp := m.Msg("convolution_param"); cp != nil {
 			if cfg.NumOutput, err = cp.Int("num_output", 0); err != nil {
 				return net.LayerSpec{}, err

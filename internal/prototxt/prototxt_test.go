@@ -145,7 +145,7 @@ func TestBuildNetFromLeNetConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 9 {
+	if len(specs) != 10 { // Figure 3's 9 and the Accuracy layer
 		t.Fatalf("LeNet prototxt produced %d layers", len(specs))
 	}
 	n, err := net.New(specs, nil)
@@ -170,7 +170,7 @@ func TestBuildNetFromCIFARConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 14 {
+	if len(specs) != 15 { // Figure 3's 14 and the Accuracy layer
 		t.Fatalf("CIFAR prototxt produced %d layers", len(specs))
 	}
 	n, err := net.New(specs, nil)

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"coarsegrain/internal/rng"
 )
 
 // ChaosMode selects the failure a Chaos wrapper injects.
@@ -69,11 +67,9 @@ func ParseChaosMode(name string) (ChaosMode, error) {
 type ChaosConfig struct {
 	Mode ChaosMode
 	// AtIter is the training iteration whose first data-plane operation
-	// triggers the failure. Negative means pick one from the seed in
-	// [0, IterSpan) — seeded chaos that replays exactly.
+	// triggers the failure. A seeded drill draws it (and the victim)
+	// with faultinject.ClusterScenario.
 	AtIter int
-	// IterSpan bounds the seeded trigger choice (default 8).
-	IterSpan int
 	// Peers lists the base ranks a partition cuts (ChaosPartition only).
 	Peers []int
 	// StraggleDelay is the per-iteration slowdown (ChaosStraggle only,
@@ -81,7 +77,7 @@ type ChaosConfig struct {
 	StraggleDelay time.Duration
 }
 
-// Chaos wraps a Transport with one seeded, reproducible failure —
+// Chaos wraps a Transport with one reproducible failure —
 // crash, hang, partition, or straggle — triggered when the data plane
 // first touches the configured iteration. It is the cluster-level
 // member of the faultinject family: Flaky perturbs individual frames,
@@ -103,15 +99,8 @@ type Chaos struct {
 
 var _ Transport = (*Chaos)(nil)
 
-// NewChaos wraps t with the configured failure. seed drives the trigger
-// choice when cfg.AtIter is negative.
-func NewChaos(t Transport, cfg ChaosConfig, seed uint64) *Chaos {
-	if cfg.IterSpan <= 0 {
-		cfg.IterSpan = 8
-	}
-	if cfg.AtIter < 0 {
-		cfg.AtIter = rng.New(seed, 0xC4A05).Intn(cfg.IterSpan)
-	}
+// NewChaos wraps t with the configured failure.
+func NewChaos(t Transport, cfg ChaosConfig) *Chaos {
 	if cfg.StraggleDelay <= 0 {
 		cfg.StraggleDelay = 250 * time.Millisecond
 	}
@@ -124,8 +113,7 @@ func NewChaos(t Transport, cfg ChaosConfig, seed uint64) *Chaos {
 	return c
 }
 
-// TriggerIter returns the resolved trigger iteration (after any seeded
-// choice).
+// TriggerIter returns the configured trigger iteration.
 func (c *Chaos) TriggerIter() int { return c.cfg.AtIter }
 
 // Fired reports whether the failure has triggered.

@@ -17,7 +17,7 @@ import (
 func TestInjectorsPassAllKindsThrough(t *testing.T) {
 	wrap := map[string]func(tr Transport) Transport{
 		"chaos-none": func(tr Transport) Transport {
-			return NewChaos(tr, ChaosConfig{Mode: ChaosNone}, 1)
+			return NewChaos(tr, ChaosConfig{Mode: ChaosNone})
 		},
 		"flaky-clean": func(tr Transport) Transport {
 			return NewFlaky(tr, FlakyConfig{}, 1)

@@ -124,6 +124,7 @@ type tcpWriter struct {
 	queue  [][]byte
 	err    error
 	closed bool
+	exited bool // loop has returned: its bytes are flushed, or its link failed
 }
 
 func newTCPWriter() *tcpWriter {
@@ -147,8 +148,15 @@ func (w *tcpWriter) enqueue(b []byte) error {
 }
 
 // loop drains the queue onto conn until closed (after a final flush) or
-// a write error (recorded for subsequent enqueues).
+// a write error (recorded for subsequent enqueues), and then marks
+// itself exited for closeFlush.
 func (w *tcpWriter) loop(conn gonet.Conn) {
+	defer func() {
+		w.mu.Lock()
+		w.exited = true
+		w.cond.Broadcast()
+		w.mu.Unlock()
+	}()
 	bw := bufio.NewWriter(conn)
 	for {
 		w.mu.Lock()
@@ -165,7 +173,6 @@ func (w *tcpWriter) loop(conn gonet.Conn) {
 			}
 		}
 		if w.err != nil || (w.closed && len(w.queue) == 0) {
-			w.cond.Broadcast()
 			w.mu.Unlock()
 			bw.Flush()
 			return
@@ -192,11 +199,13 @@ func (w *tcpWriter) fail(err error) {
 }
 
 // closeFlush marks the writer closed and waits until the loop has
-// drained the queue (or failed), so Close never cuts off in-flight
-// frames — but only up to limit: a peer that stopped reading would
-// otherwise park Close forever behind full kernel buffers. On timeout
-// the remaining frames are abandoned (the caller tears the socket down
-// next, which unblocks the loop goroutine's pending write).
+// drained the queue, flushed its buffer and returned (or failed), so
+// Close never cuts off in-flight frames — an empty queue is not enough,
+// the last frames may still sit in the loop's bufio.Writer. It waits
+// only up to limit: a peer that stopped reading would otherwise park
+// Close forever behind full kernel buffers. On timeout the remaining
+// frames are abandoned (the caller tears the socket down next, which
+// unblocks the loop goroutine's pending write).
 func (w *tcpWriter) closeFlush(limit time.Duration) {
 	w.mu.Lock()
 	w.closed = true
@@ -207,7 +216,7 @@ func (w *tcpWriter) closeFlush(limit time.Duration) {
 		w.mu.Unlock()
 	})
 	deadline := time.Now().Add(limit)
-	for len(w.queue) > 0 && w.err == nil && time.Now().Before(deadline) {
+	for !w.exited && time.Now().Before(deadline) {
 		w.cond.Wait()
 	}
 	wake.Stop()
@@ -252,7 +261,7 @@ func newTCP(rank int, conns []gonet.Conn) *TCP {
 		t.writers[peer] = newTCPWriter()
 		t.inboxes[peer] = newInbox()
 		t.ctrls[peer] = newCtrlQueue()
-		//dnnlint:ignore gorolife joined by the closeFlush cond handshake: Close drains the queue and loop exits on the closed flag
+		//dnnlint:ignore gorolife joined by the closeFlush cond handshake: loop exits on the closed flag and Close waits (bounded) for its exited mark
 		go t.writers[peer].loop(conn)
 		t.readers.Add(1)
 		go t.readLoop(peer, conn)

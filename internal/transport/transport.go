@@ -53,8 +53,9 @@
 // # Decorators
 //
 // Four types wrap another Transport: NewFlaky adds seeded, reproducible
-// drop/delay/duplicate faults to Send; NewChaos injects one seeded
-// crash/hang/partition/straggle failure; NewView re-ranks a subset of a
+// drop/delay/duplicate faults to Send; NewChaos injects one
+// crash/hang/partition/straggle failure at a configured iteration
+// (faultinject.ClusterScenario draws a seeded one); NewView re-ranks a subset of a
 // group after an elastic membership change (ROBUSTNESS.md); NewMeter
 // counts what a rank puts on the wire. Each embeds the Transport it
 // wraps and defines only the methods whose behaviour it changes, so

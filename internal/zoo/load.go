@@ -24,35 +24,32 @@ type Ref struct {
 	DataDir string // searched for the real dataset files; synthetic data otherwise
 	Samples int    // synthetic dataset size, and the cap on a real one
 	Seed    uint64 // weight initialization and synthetic data
-	Batch   int    // > 0 overrides the prototxt's batch_size / the zoo default
+	Batch   int    // > 0 overrides the prototxt's batch_size
 }
 
 // Model is a resolved Ref.
 type Model struct {
 	Name    string        // the zoo name or the prototxt path, for display
 	Dataset string        // "mnist" or "cifar"
-	Batch   int           // Ref.Batch, else the prototxt's batch_size, else the zoo default
+	Batch   int           // Ref.Batch, else the prototxt's batch_size
 	Solver  solver.Config // the solver Caffe ships for the dataset
 	Source  layers.Source // set by LoadData
 	Real    bool          // Source was read from files under Ref.DataDir
 
 	ref  Ref
-	doc  *prototxt.Message // parsed once; nil for a zoo net
-	net  entry             // the zoo net, when doc is nil
+	doc  *prototxt.Message // the -model file or the zoo net's configs file, parsed once
 	data entry
 }
 
 // Resolve does everything about ref that needs no dataset: it validates
 // the zoo name or reads and parses the prototxt (once — Specs rebuilds
-// from the parsed document), and settles the dataset, batch and solver.
-// Callers whose sample count depends on the batch call it and then
-// LoadData; everyone else calls Load.
+// from the parsed document; a zoo name is its embedded configs file),
+// and settles the dataset, batch and solver. Callers whose sample count
+// depends on the batch call it and then LoadData; everyone else calls
+// Load.
 func Resolve(ref Ref) (*Model, error) {
 	m := &Model{Name: ref.Zoo, Dataset: ref.Dataset, Batch: ref.Batch, ref: ref}
-	var (
-		err      error
-		defBatch int // what the net trains at when -batch does not say
-	)
+	var err error
 	switch {
 	case ref.Model != "":
 		m.Name = ref.Model
@@ -61,9 +58,6 @@ func Resolve(ref Ref) (*Model, error) {
 			return nil, rerr
 		}
 		if m.doc, err = prototxt.Parse(string(raw)); err != nil {
-			return nil, fmt.Errorf("%s: %w", ref.Model, err)
-		}
-		if defBatch, err = prototxt.BatchSize(m.doc); err != nil {
 			return nil, fmt.Errorf("%s: %w", ref.Model, err)
 		}
 		if m.Dataset == "" {
@@ -75,22 +69,29 @@ func Resolve(ref Ref) (*Model, error) {
 			}
 		}
 	case ref.Zoo != "":
-		if m.net, err = lookup(ref.Zoo); err != nil {
+		e, lerr := lookup(ref.Zoo)
+		if lerr != nil {
+			return nil, lerr
+		}
+		if m.doc, err = e.net(); err != nil {
 			return nil, err
 		}
-		defBatch = m.net.batch
 		if m.Dataset == "" {
-			m.Dataset = m.net.dataset
+			m.Dataset = e.dataset
 		}
 	default:
 		return nil, fmt.Errorf("need -model or -zoo")
+	}
+	fileBatch, err := prototxt.BatchSize(m.doc)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", m.Name, err)
 	}
 	if m.data, err = lookup(m.Dataset); err != nil {
 		return nil, fmt.Errorf("unknown dataset %q (have mnist, cifar)", m.Dataset)
 	}
 	m.Dataset, m.Solver = m.data.dataset, m.data.solver()
 	if m.Batch <= 0 {
-		m.Batch = defBatch
+		m.Batch = fileBatch
 	}
 	return m, nil
 }
@@ -129,10 +130,7 @@ func (m *Model) Specs(src layers.Source, batch int) ([]net.LayerSpec, error) {
 	if batch <= 0 {
 		batch = m.Batch
 	}
-	if m.doc != nil {
-		return prototxt.BuildNet(m.doc, prototxt.BuildOptions{Source: src, Seed: m.ref.Seed, BatchOverride: batch})
-	}
-	return m.net.build(src, Options{BatchSize: batch, Seed: m.ref.Seed, Accuracy: true, LoweredConv: true})
+	return prototxt.BuildNet(m.doc, prototxt.BuildOptions{Source: src, Seed: m.ref.Seed, BatchOverride: batch})
 }
 
 // ScoreBlob names the blob holding the per-sample class scores, for

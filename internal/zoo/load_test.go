@@ -18,7 +18,7 @@ const (
 )
 
 // TestLoadResolvesEveryFrontEndDefault is the table the six front ends
-// used to each carry a piece of: for a zoo name and for its prototxt twin
+// used to each carry a piece of: for a zoo name and for its configs file
 // the loader must settle the same dataset, batch, input shape, class
 // count, score blob and solver — and build lowered convolutions only.
 func TestLoadResolvesEveryFrontEndDefault(t *testing.T) {
@@ -121,6 +121,30 @@ func TestLoadedLeNetIsLoweredZooLeNet(t *testing.T) {
 	wl, wp := trainTwoSteps(t, want, LeNetSolver())
 	if !reflect.DeepEqual(gl, wl) || !reflect.DeepEqual(gp, wp) {
 		t.Fatalf("loader-built LeNet diverged from zoo.LeNet: losses %v vs %v", gl, wl)
+	}
+}
+
+// -zoo NAME is its configs file: the same dataset, batch and solver, and
+// the same net bit for bit through two solver steps.
+func TestZooIsItsConfigsFile(t *testing.T) {
+	for zooName, file := range map[string]string{"lenet": lenetFile, "cifar10-full": cifarFile} {
+		var losses [2][]float64
+		var params [2][][]float32
+		for i, ref := range []Ref{{Zoo: zooName}, {Model: file}} {
+			ref.Samples, ref.Seed, ref.Batch = 16, 7, 4
+			m, err := Load(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs, err := m.Specs(m.Source, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses[i], params[i] = trainTwoSteps(t, specs, m.Solver)
+		}
+		if !reflect.DeepEqual(losses[0], losses[1]) || !reflect.DeepEqual(params[0], params[1]) {
+			t.Errorf("-zoo %s diverged from -model %s: losses %v vs %v", zooName, file, losses[0], losses[1])
+		}
 	}
 }
 

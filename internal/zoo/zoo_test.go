@@ -5,6 +5,7 @@ import (
 
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/data"
+	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/solver"
 )
@@ -158,6 +159,66 @@ func TestSolverConfigsValid(t *testing.T) {
 	}
 	if _, err := solver.New(CIFARFullSolver(), n); err != nil {
 		t.Fatalf("CIFARFullSolver config invalid: %v", err)
+	}
+}
+
+// The solvers now come from configs/*_solver.prototxt; they must be the
+// Go literals they replaced, field by field.
+func TestSolversMatchCaffeLiterals(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want solver.Config
+	}{
+		{"lenet", LeNetSolver(), solver.Config{
+			Type: solver.SGD, BaseLR: 0.01, Momentum: 0.9, WeightDecay: 0.0005,
+			LRPolicy: "inv", Gamma: 0.0001, Power: 0.75,
+		}},
+		{"cifar10-full", CIFARFullSolver(), solver.Config{
+			Type: solver.SGD, BaseLR: 0.001, Momentum: 0.9, WeightDecay: 0.004,
+			LRPolicy: "fixed",
+		}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s solver %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// The zero Options are the paper-figure build: direct convolutions, the
+// file's batch, no Accuracy layer; Accuracy: true adds exactly that one
+// spec back.
+func TestZeroOptionsAndAccuracy(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		src    layers.Source
+		batch  int
+		layers int
+	}{
+		{"lenet", data.NewSyntheticMNIST(8, 1), 64, 9},
+		{"cifar10-full", data.NewSyntheticCIFAR(8, 1), 100, 14},
+	} {
+		plain, err := Build(c.name, c.src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		withAcc, err := Build(c.name, c.src, Options{Accuracy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plain) != c.layers || len(withAcc) != c.layers+1 {
+			t.Errorf("%s: %d specs, %d with Accuracy, want %d and %d", c.name, len(plain), len(withAcc), c.layers, c.layers+1)
+		}
+		if _, ok := withAcc[c.layers].Layer.(*layers.Accuracy); !ok {
+			t.Errorf("%s: last spec with Accuracy is %s", c.name, withAcc[c.layers].Layer.Name())
+		}
+		for _, sp := range plain {
+			if conv, ok := sp.Layer.(*layers.Convolution); ok && conv.Lowered() {
+				t.Errorf("%s: zero Options built %s lowered", c.name, conv.Name())
+			}
+			if d, ok := sp.Layer.(*layers.Data); ok && d.BatchSize() != c.batch {
+				t.Errorf("%s: zero Options batch %d, want the file's %d", c.name, d.BatchSize(), c.batch)
+			}
+		}
 	}
 }
 

@@ -17,8 +17,11 @@
 # element-parallel ordered merge must stay bit-identical to the serial
 # ordered merge at every worker count), one pass of the A-red ablation
 # benchmark (ordered vs tree merge) plus a dedicated race pass over
-# the spin-then-park barrier, a tracing smoke run that must produce valid
-# Chrome trace-event JSON, the robustness drills (ROBUSTNESS.md): the
+# the spin-then-park barrier, a tracing smoke run (layerprof -trace) that
+# must produce valid Chrome trace-event JSON, the one-definition pin
+# (dnntrain -zoo lenet|cifar10-full must write the snapshot bytes that
+# -model configs/lenet.prototxt|cifar10_full.prototxt writes), the
+# robustness drills (ROBUSTNESS.md): the
 # fault-injection suite, a seeded corrupt-checkpoint recovery smoke and a
 # guard NaN-poison smoke, a serving smoke (SERVING.md): dnnserve on a
 # random port answering a dnnload probe and draining cleanly on SIGTERM,
@@ -91,7 +94,7 @@ go test -C benchmark ./...
 echo "== go test -run Example (doc examples) =="
 go test -run Example ./...
 
-echo "== go test -race (blas, layers, par, trace, net, core, guard, faultinject, serve, transport, dist, cluster) =="
+echo "== go test -race (blas, layers, par, trace, net, core, guard, faultinject, serve, transport incl. Close-delivers-every-frame, dist, cluster) =="
 go test -race -count=1 ./internal/blas ./internal/layers ./internal/par ./internal/trace ./internal/net ./internal/core \
 	./internal/guard ./internal/faultinject ./internal/serve ./internal/transport ./internal/dist ./internal/cluster
 go test -race -count=1 -run 'TestLoweredLeNetCoarseSweep' ./internal/zoo
@@ -115,14 +118,27 @@ go test -race -count=1 -run 'TestBarrier|TestOrderedSlices|TestPanic|TestRegion'
 echo "== fault-injection suite (deterministic drills + e2e crash recovery) =="
 go test -count=1 ./internal/faultinject ./internal/snapshot
 
-echo "== trace smoke: dnnbench -trace | tracecheck =="
-go build -o "$tmpdir/dnnbench" ./cmd/dnnbench
+echo "== trace smoke: layerprof -trace | tracecheck =="
+go build -o "$tmpdir/layerprof" ./cmd/layerprof
 go build -o "$tmpdir/tracecheck" ./cmd/tracecheck
-"$tmpdir/dnnbench" -trace "$tmpdir/out.json" -net mnist -threads 2 -iters 2 -batch 4 -samples 8 >/dev/null
+"$tmpdir/layerprof" -zoo lenet -workers 2 -iters 2 -batch 4 -samples 8 -trace "$tmpdir/out.json" >/dev/null
 "$tmpdir/tracecheck" "$tmpdir/out.json"
 
-echo "== recovery smoke: corrupt newest checkpoint, resume must fall back =="
+echo "== one definition per model: -zoo NAME writes the bytes -model configs/FILE writes =="
 go build -o "$tmpdir/dnntrain" ./cmd/dnntrain
+zoo_pin() { # zoo_pin <zoo name> <configs file>
+	"$tmpdir/dnntrain" -zoo "$1" -workers 1 -iters 4 -samples 16 -batch 8 -snapshot "$tmpdir/zoo.cgdnn" >/dev/null
+	"$tmpdir/dnntrain" -model "configs/$2" -workers 1 -iters 4 -samples 16 -batch 8 -snapshot "$tmpdir/file.cgdnn" >/dev/null
+	zoo_crc="$(cksum <"$tmpdir/zoo.cgdnn")"
+	file_crc="$(cksum <"$tmpdir/file.cgdnn")"
+	[ "$zoo_crc" = "$file_crc" ] ||
+		{ echo "FAIL: -zoo $1 snapshot CRC ($zoo_crc) != -model configs/$2 CRC ($file_crc)" >&2; exit 1; }
+	echo "-zoo $1 == -model configs/$2 (cksum $zoo_crc)"
+}
+zoo_pin lenet lenet.prototxt
+zoo_pin cifar10-full cifar10_full.prototxt
+
+echo "== recovery smoke: corrupt newest checkpoint, resume must fall back =="
 "$tmpdir/dnntrain" -zoo lenet -iters 20 -snapshot-every 10 -snapshot-dir "$tmpdir/ck" \
 	-samples 8 -batch 8 -display 10 -workers 2 >/dev/null
 out="$("$tmpdir/dnntrain" -zoo lenet -resume "$tmpdir/ck" -inject-corrupt-resume -inject-seed 7 \
