@@ -15,11 +15,14 @@ import (
 // total weight.
 type elementwise struct {
 	base
-	// fwd maps an input value to an output value.
-	fwd func(x float32) float32
-	// bwd maps (input value, output value, output gradient) to the input
-	// gradient.
-	bwd func(x, y, dy float32) float32
+	// forward writes the activation of in[i] to out[i].
+	forward func(in, out []float32)
+	// backward writes to dx[i] the input gradient at input x[i], output
+	// y[i] and output gradient dy[i].
+	//
+	// Both kernels are per element, so out may alias in (and dx alias dy,
+	// x alias y) — in-place layers.
+	backward func(x, y, dy, dx []float32)
 
 	extent, plane int
 	propagateDown bool
@@ -61,11 +64,11 @@ func (l *elementwise) ForwardExtent() int { return l.extent }
 
 // ForwardRange implements Layer.
 func (l *elementwise) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
-	in := bottom[0].Data()
-	out := top[0].Data()
-	for i := lo * l.plane; i < hi*l.plane; i++ {
-		out[i] = l.fwd(in[i])
-	}
+	l.forwardElems(lo*l.plane, hi*l.plane, bottom[0], top[0])
+}
+
+func (l *elementwise) forwardElems(lo, hi int, bottom, top *blob.Blob) {
+	l.forward(bottom.Data()[lo:hi], top.Data()[lo:hi])
 }
 
 // BackwardExtent implements Layer.
@@ -78,25 +81,19 @@ func (l *elementwise) BackwardExtent() int {
 
 // BackwardRange implements Layer.
 func (l *elementwise) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.Blob) {
-	in := bottom[0].Data()
-	out := top[0].Data()
-	outDiff := top[0].Diff()
-	inDiff := bottom[0].Diff()
-	for i := lo * l.plane; i < hi*l.plane; i++ {
-		inDiff[i] = l.bwd(in[i], out[i], outDiff[i])
-	}
+	l.backwardElems(lo*l.plane, hi*l.plane, bottom[0], top[0])
+}
+
+func (l *elementwise) backwardElems(lo, hi int, bottom, top *blob.Blob) {
+	l.backward(bottom.Data()[lo:hi], top.Data()[lo:hi], top.Diff()[lo:hi], bottom.Diff()[lo:hi])
 }
 
 // ForwardFine implements FineForwarder: elementwise kernels map perfectly
 // to fine-grain threads (the paper's ReLU GPU speedups); we split the flat
 // element range.
 func (l *elementwise) ForwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	in := bottom[0].Data()
-	out := top[0].Data()
-	p.For(len(in), func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			out[i] = l.fwd(in[i])
-		}
+	p.For(bottom[0].Count(), func(lo, hi, _ int) {
+		l.forwardElems(lo, hi, bottom[0], top[0])
 	})
 }
 
@@ -105,14 +102,8 @@ func (l *elementwise) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
 	if !l.propagateDown {
 		return
 	}
-	in := bottom[0].Data()
-	out := top[0].Data()
-	outDiff := top[0].Diff()
-	inDiff := bottom[0].Diff()
-	p.For(len(in), func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			inDiff[i] = l.bwd(in[i], out[i], outDiff[i])
-		}
+	p.For(bottom[0].Count(), func(lo, hi, _ int) {
+		l.backwardElems(lo, hi, bottom[0], top[0])
 	})
 }
 
@@ -120,47 +111,89 @@ func (l *elementwise) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
 // optional leaky negative slope (Caffe negative_slope).
 func NewReLU(name string, negativeSlope float32) *elementwise {
 	return &elementwise{
-		base: base{name: name, typ: "ReLU"},
-		fwd: func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return negativeSlope * x
-		},
-		bwd: func(x, _, dy float32) float32 {
-			if x > 0 {
-				return dy
-			}
-			return negativeSlope * dy
-		},
+		base:          base{name: name, typ: "ReLU"},
+		forward:       func(in, out []float32) { reluForward(negativeSlope, in, out) },
+		backward:      func(x, _, dy, dx []float32) { reluBackward(negativeSlope, x, dy, dx) },
 		propagateDown: true,
+	}
+}
+
+// reluForward writes x if x > 0, else slope·x. The product is taken for
+// every element and x selected over it, so there is no branch on the data
+// to mispredict; the bits are those of the branching form: −0 for a
+// negative x at slope 0, and a NaN passed through. The select is over the
+// values' bits, both taken before the test, because that is the form the
+// compiler turns into a conditional move (it does not for floats).
+func reluForward(slope float32, in, out []float32) {
+	out = out[:len(in)]
+	for i, x := range in {
+		y, xb := math.Float32bits(slope*x), math.Float32bits(x)
+		if x > 0 {
+			y = xb
+		}
+		out[i] = math.Float32frombits(y)
+	}
+}
+
+// reluBackward writes dy where the input was positive, else slope·dy,
+// selected as reluForward selects.
+func reluBackward(slope float32, x, dy, dx []float32) {
+	dy, dx = dy[:len(x)], dx[:len(x)]
+	for i, v := range x {
+		g, dyb := math.Float32bits(slope*dy[i]), math.Float32bits(dy[i])
+		if v > 0 {
+			g = dyb
+		}
+		dx[i] = math.Float32frombits(g)
 	}
 }
 
 // NewSigmoid creates a logistic sigmoid layer: y = 1/(1+exp(-x)).
 func NewSigmoid(name string) *elementwise {
 	return &elementwise{
-		base: base{name: name, typ: "Sigmoid"},
-		fwd: func(x float32) float32 {
-			return float32(1 / (1 + math.Exp(-float64(x))))
-		},
-		bwd: func(_, y, dy float32) float32 {
-			return dy * y * (1 - y)
-		},
+		base:          base{name: name, typ: "Sigmoid"},
+		forward:       sigmoidForward,
+		backward:      sigmoidBackward,
 		propagateDown: true,
+	}
+}
+
+func sigmoidForward(in, out []float32) {
+	out = out[:len(in)]
+	for i, x := range in {
+		out[i] = float32(1 / (1 + math.Exp(-float64(x))))
+	}
+}
+
+// sigmoidBackward differentiates through the output: dy·y·(1−y).
+func sigmoidBackward(_, y, dy, dx []float32) {
+	dy, dx = dy[:len(y)], dx[:len(y)]
+	for i, v := range y {
+		dx[i] = dy[i] * v * (1 - v)
 	}
 }
 
 // NewTanH creates a hyperbolic tangent layer.
 func NewTanH(name string) *elementwise {
 	return &elementwise{
-		base: base{name: name, typ: "TanH"},
-		fwd: func(x float32) float32 {
-			return float32(math.Tanh(float64(x)))
-		},
-		bwd: func(_, y, dy float32) float32 {
-			return dy * (1 - y*y)
-		},
+		base:          base{name: name, typ: "TanH"},
+		forward:       tanhForward,
+		backward:      tanhBackward,
 		propagateDown: true,
+	}
+}
+
+func tanhForward(in, out []float32) {
+	out = out[:len(in)]
+	for i, x := range in {
+		out[i] = float32(math.Tanh(float64(x)))
+	}
+}
+
+// tanhBackward differentiates through the output: dy·(1−y²).
+func tanhBackward(_, y, dy, dx []float32) {
+	dy, dx = dy[:len(y)], dx[:len(y)]
+	for i, v := range y {
+		dx[i] = dy[i] * (1 - v*v)
 	}
 }

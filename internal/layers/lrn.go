@@ -112,32 +112,80 @@ func (l *LRN) forwardSample(s int, bottom, top *blob.Blob) {
 	l.forwardColumns(in, out, sc, 0, hw)
 }
 
+// lrnBlock is how many spatial positions the LRN kernels carry through the
+// channel loop together: their running window sums and scale powers live
+// in stack arrays of this size, so a pass allocates nothing.
+const lrnBlock = 256
+
 // forwardColumns normalizes spatial positions [plo, phi) of one sample.
-// Splitting by column keeps the sliding-window recurrence per position.
+// Each position keeps its own sliding window sum over the channel axis;
+// the positions of a block advance through the channels together, so
+// every inner loop walks one contiguous channel row. Per position the
+// float operations, and their order, are those of a loop over that
+// position's channels alone.
 func (l *LRN) forwardColumns(in, out, sc []float32, plo, phi int) {
 	hw := l.height * l.width
 	half := l.cfg.LocalSize / 2
 	alphaOverN := l.cfg.Alpha / float32(l.cfg.LocalSize)
-	for p := plo; p < phi; p++ {
-		// Sliding sum of squares over the channel axis at position p.
-		var sum float32
+	k, negBeta := l.cfg.K, -float64(l.cfg.Beta)
+	var sums [lrnBlock]float32
+	var pows [lrnBlock]float64
+	for b0 := plo; b0 < phi; b0 += lrnBlock {
+		b1 := min(b0+lrnBlock, phi)
+		sum, pw := sums[:b1-b0], pows[:b1-b0]
+		clear(sum)
 		for c := 0; c <= half && c < l.channels; c++ {
-			v := in[c*hw+p]
-			sum += v * v
+			addSquares(sum, in[c*hw+b0:])
 		}
 		for c := 0; c < l.channels; c++ {
-			sc[c*hw+p] = l.cfg.K + alphaOverN*sum
-			out[c*hw+p] = in[c*hw+p] * float32(math.Pow(float64(sc[c*hw+p]), -float64(l.cfg.Beta)))
+			o := c*hw + b0
+			x, y, s := in[o:o+len(sum)], out[o:o+len(sum)], sc[o:o+len(sum)]
+			for j, v := range sum {
+				s[j] = k + alphaOverN*v
+			}
+			powRow(pw, s, negBeta)
+			for j, p := range pw {
+				y[j] = x[j] * float32(p)
+			}
 			// Slide: add channel c+half+1, drop channel c-half.
 			if nc := c + half + 1; nc < l.channels {
-				v := in[nc*hw+p]
-				sum += v * v
+				addSquares(sum, in[nc*hw+b0:])
 			}
 			if oc := c - half; oc >= 0 {
-				v := in[oc*hw+p]
-				sum -= v * v
+				subSquares(sum, in[oc*hw+b0:])
 			}
 		}
+	}
+}
+
+// powRow sets p[j] = s[j]^e. The float64 arguments are staged in p before
+// the calls: converting each float32 straight into the argument register
+// (CVTSS2SD writes only its low lane) would make it wait for the previous
+// call's result still held there, chaining every Pow behind the one
+// before; a float64 load starts each call afresh, so calls overlap.
+func powRow(p []float64, s []float32, e float64) {
+	p = p[:len(s)]
+	for j, v := range s {
+		p[j] = float64(v)
+	}
+	for j, v := range p {
+		p[j] = math.Pow(v, e)
+	}
+}
+
+// addSquares adds row[j]² to sum[j].
+func addSquares(sum, row []float32) {
+	row = row[:len(sum)]
+	for j, v := range row {
+		sum[j] += v * v
+	}
+}
+
+// subSquares subtracts row[j]² from sum[j].
+func subSquares(sum, row []float32) {
+	row = row[:len(sum)]
+	for j, v := range row {
+		sum[j] -= v * v
 	}
 }
 
@@ -171,29 +219,57 @@ func (l *LRN) backwardSample(s int, bottom, top *blob.Blob) {
 // [plo, phi) of one sample using the standard LRN derivative:
 //
 //	dx_c = dy_c * scale_c^{-β} − (2αβ/n) x_c Σ_{c'∈win(c)} dy_{c'} y_{c'} / scale_{c'}
+//
+// It walks channel rows of a block of positions as forwardColumns does,
+// with the same per-position operations as a loop over one position.
 func (l *LRN) backwardColumns(in, inDiff, out, outDiff, sc []float32, plo, phi int) {
 	hw := l.height * l.width
 	half := l.cfg.LocalSize / 2
 	ratio := 2 * l.cfg.Alpha * l.cfg.Beta / float32(l.cfg.LocalSize)
-	for p := plo; p < phi; p++ {
+	negBeta := -float64(l.cfg.Beta)
+	var sums [lrnBlock]float32
+	var pows [lrnBlock]float64
+	for b0 := plo; b0 < phi; b0 += lrnBlock {
+		b1 := min(b0+lrnBlock, phi)
+		sum, pw := sums[:b1-b0], pows[:b1-b0]
+		clear(sum)
 		// Sliding sum of dy*y/scale over the channel window.
-		var sum float32
 		for c := 0; c <= half && c < l.channels; c++ {
-			i := c*hw + p
-			sum += outDiff[i] * out[i] / sc[i]
+			o := c*hw + b0
+			addRatios(sum, outDiff[o:], out[o:], sc[o:])
 		}
 		for c := 0; c < l.channels; c++ {
-			i := c*hw + p
-			inDiff[i] = outDiff[i]*float32(math.Pow(float64(sc[i]), -float64(l.cfg.Beta))) - ratio*in[i]*sum
+			o := c*hw + b0
+			dy, x, dx := outDiff[o:o+len(sum)], in[o:o+len(sum)], inDiff[o:o+len(sum)]
+			powRow(pw, sc[o:o+len(sum)], negBeta)
+			for j, v := range sum {
+				dx[j] = dy[j]*float32(pw[j]) - ratio*x[j]*v
+			}
 			if nc := c + half + 1; nc < l.channels {
-				j := nc*hw + p
-				sum += outDiff[j] * out[j] / sc[j]
+				o := nc*hw + b0
+				addRatios(sum, outDiff[o:], out[o:], sc[o:])
 			}
 			if oc := c - half; oc >= 0 {
-				j := oc*hw + p
-				sum -= outDiff[j] * out[j] / sc[j]
+				o := oc*hw + b0
+				subRatios(sum, outDiff[o:], out[o:], sc[o:])
 			}
 		}
+	}
+}
+
+// addRatios adds dy[j]*y[j]/s[j] to sum[j].
+func addRatios(sum, dy, y, s []float32) {
+	dy, y, s = dy[:len(sum)], y[:len(sum)], s[:len(sum)]
+	for j := range sum {
+		sum[j] += dy[j] * y[j] / s[j]
+	}
+}
+
+// subRatios subtracts dy[j]*y[j]/s[j] from sum[j].
+func subRatios(sum, dy, y, s []float32) {
+	dy, y, s = dy[:len(sum)], y[:len(sum)], s[:len(sum)]
+	for j := range sum {
+		sum[j] -= dy[j] * y[j] / s[j]
 	}
 }
 

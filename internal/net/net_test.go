@@ -424,9 +424,17 @@ func TestBranchingDAGTrains(t *testing.T) {
 }
 
 // In-place layers: Caffe runs ReLU with top == bottom. The net must
-// alias the blob, and training must match the out-of-place variant.
+// alias the blob, and training must match the out-of-place variant bit for
+// bit — for every activation, since their range kernels then read and
+// write one buffer (forward: in = out; backward: x = y, dy = dx).
 func TestInPlaceReLUMatchesOutOfPlace(t *testing.T) {
-	build := func(inPlace bool) *Net {
+	activations := map[string]func() layers.Layer{
+		"ReLU":      func() layers.Layer { return layers.NewReLU("act", 0) },
+		"LeakyReLU": func() layers.Layer { return layers.NewReLU("act", 0.1) },
+		"Sigmoid":   func() layers.Layer { return layers.NewSigmoid("act") },
+		"TanH":      func() layers.Layer { return layers.NewTanH("act") },
+	}
+	build := func(act layers.Layer, inPlace bool) *Net {
 		src := data.NewSyntheticMNIST(128, 50)
 		d, err := layers.NewData("data", src, 8)
 		if err != nil {
@@ -451,7 +459,7 @@ func TestInPlaceReLUMatchesOutOfPlace(t *testing.T) {
 		n, err := New([]LayerSpec{
 			{Layer: d, Tops: []string{"data", "label"}},
 			{Layer: conv, Bottoms: []string{"data"}, Tops: []string{"conv"}},
-			{Layer: layers.NewReLU("relu1", 0), Bottoms: []string{"conv"}, Tops: []string{reluTop}},
+			{Layer: act, Bottoms: []string{"conv"}, Tops: []string{reluTop}},
 			{Layer: ip, Bottoms: []string{ipBottom}, Tops: []string{"ip"}},
 			{Layer: layers.NewSoftmaxWithLoss("loss"), Bottoms: []string{"ip", "label"}, Tops: []string{"loss"}},
 		}, nil)
@@ -460,32 +468,34 @@ func TestInPlaceReLUMatchesOutOfPlace(t *testing.T) {
 		}
 		return n
 	}
-	ref := build(false)
-	n := build(true)
-	// Blob is aliased, not duplicated.
-	if n.Blob("relu") != nil {
-		t.Fatal("in-place net created a separate relu blob")
-	}
-	// Identical training trajectories.
-	for i := 0; i < 5; i++ {
-		ref.ZeroParamDiffs()
-		n.ZeroParamDiffs()
-		lossRef := ref.ForwardBackward()
-		loss := n.ForwardBackward()
-		if loss != lossRef {
-			t.Fatalf("iter %d: in-place loss %v != %v", i, loss, lossRef)
+	for name, act := range activations {
+		ref := build(act(), false)
+		n := build(act(), true)
+		// Blob is aliased, not duplicated.
+		if n.Blob("relu") != nil {
+			t.Fatalf("%s: in-place net created a separate relu blob", name)
 		}
-		for pi := range ref.Params() {
-			a, b := ref.Params()[pi].Diff(), n.Params()[pi].Diff()
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("iter %d: param %d grad differs in place", i, pi)
-				}
+		// Identical training trajectories.
+		for i := 0; i < 5; i++ {
+			ref.ZeroParamDiffs()
+			n.ZeroParamDiffs()
+			lossRef := ref.ForwardBackward()
+			loss := n.ForwardBackward()
+			if loss != lossRef {
+				t.Fatalf("%s iter %d: in-place loss %v != %v", name, i, loss, lossRef)
 			}
-			ref.Params()[pi].ScaleDiff(0.1)
-			n.Params()[pi].ScaleDiff(0.1)
-			ref.Params()[pi].Update()
-			n.Params()[pi].Update()
+			for pi := range ref.Params() {
+				a, b := ref.Params()[pi].Diff(), n.Params()[pi].Diff()
+				for j := range a {
+					if a[j] != b[j] {
+						t.Fatalf("%s iter %d: param %d grad differs in place", name, i, pi)
+					}
+				}
+				ref.Params()[pi].ScaleDiff(0.1)
+				n.Params()[pi].ScaleDiff(0.1)
+				ref.Params()[pi].Update()
+				n.Params()[pi].Update()
+			}
 		}
 	}
 }

@@ -13,10 +13,13 @@
 # smoke (random shapes/transposes/strides through both kernels, gemmRef as
 # oracle) and a 5-second FuzzConv smoke (random convolution geometries
 # through the gathered and the packed lowering on both kernels, the naive
-# lowering as oracle), the reduction determinism sweep (the
-# element-parallel ordered merge must stay bit-identical to the serial
-# ordered merge at every worker count), one pass of the A-red ablation
-# benchmark (ordered vs tree merge) plus a dedicated race pass over
+# lowering as oracle), a 5-second FuzzLRN smoke (random channel counts,
+# windows, plane sizes, splits and constants through LRN's block kernels,
+# the position-at-a-time loops as oracle), the reduction determinism sweep
+# (the element-parallel ordered merge must stay bit-identical to the serial
+# ordered merge at every worker count), one pass each of the A-red
+# ablation benchmark (ordered vs tree merge) and of the LRN and ReLU layer
+# benchmarks at CIFAR-10-full's norm1/relu1 shapes, plus a dedicated race pass over
 # the spin-then-park barrier, a tracing smoke run (layerprof -trace) that
 # must produce valid Chrome trace-event JSON, the one-definition pin
 # (dnntrain -zoo lenet|cifar10-full must write the snapshot bytes that
@@ -105,12 +108,18 @@ go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 5s ./internal/blas
 echo "== FuzzConv smoke (5 s: gathered and packed lowering, both kernels, vs the naive lowering bit for bit) =="
 go test -run '^$' -fuzz '^FuzzConv$' -fuzztime 5s ./internal/blas
 
+echo "== FuzzLRN smoke (5 s: LRN's block kernels vs the position-at-a-time loops bit for bit) =="
+go test -run '^$' -fuzz '^FuzzLRN$' -fuzztime 5s ./internal/layers
+
 echo "== reduction determinism sweep (OrderedSlices bit-identical across P) =="
 go test -count=1 -run 'TestOrderedSlicesBitIdenticalToOrdered|TestOrderedSlicesMergeBitIdenticalAcrossWorkers' \
 	./internal/par ./internal/core
 
 echo "== reduction ablation (A-red): ordered vs tree merge, one pass so the bench cannot rot =="
 go test -run '^$' -bench BenchmarkOrderedReduce -benchtime 1x ./internal/core
+
+echo "== layer benchmarks (LRN at norm1, ReLU at relu1), one pass so they cannot rot =="
+go test -run '^$' -bench 'BenchmarkLRN|BenchmarkReLU' -benchtime 1x ./internal/layers
 
 echo "== barrier stress under race (spin-then-park fork/join) =="
 go test -race -count=1 -run 'TestBarrier|TestOrderedSlices|TestPanic|TestRegion' ./internal/par
