@@ -196,26 +196,33 @@ func (l *Pooling) maxPlane(in, out []float32, mask []int32) {
 }
 
 // avePlane is AVE pooling of one plane: the clipped window's sum, added in
-// row-major order, over the full (padded) window size as Caffe does.
+// row-major order, over the window's size as Caffe counts it (aveSpan).
 func (l *Pooling) avePlane(in, out []float32) {
-	area := float32(l.cfg.KernelH * l.cfg.KernelW)
 	for oh := 0; oh < l.outH; oh++ {
-		hs := oh*l.cfg.StrideH - l.cfg.PadH
-		he := min(hs+l.cfg.KernelH, l.height)
-		hs = max(hs, 0)
+		hs, he, hn := aveSpan(oh, l.height, l.cfg.KernelH, l.cfg.StrideH, l.cfg.PadH)
 		for ow := 0; ow < l.outW; ow++ {
-			ws := ow*l.cfg.StrideW - l.cfg.PadW
-			we := min(ws+l.cfg.KernelW, l.width)
-			ws = max(ws, 0)
+			ws, we, wn := aveSpan(ow, l.width, l.cfg.KernelW, l.cfg.StrideW, l.cfg.PadW)
 			var sum float32
 			for ih := hs; ih < he; ih++ {
 				for iw := ws; iw < we; iw++ {
 					sum += in[ih*l.width+iw]
 				}
 			}
-			out[oh*l.outW+ow] = sum / area
+			out[oh*l.outW+ow] = sum / float32(hn*wn)
 		}
 	}
+}
+
+// aveSpan returns, along one axis of n inputs, the inputs [s, e) that the
+// window of output o covers, and the window's extent for the average: as
+// in Caffe's pool_size, the window clipped to the padded axis [-pad,
+// n+pad), so padding counts but the part of a ragged (ceil-mode) last
+// window past the padding does not. A window that starts past the padded
+// axis covers nothing and counts 1, so it averages to 0.
+func aveSpan(o, n, kernel, stride, pad int) (s, e, extent int) {
+	s = o*stride - pad
+	e = min(s+kernel, n+pad)
+	return max(s, 0), min(e, n), max(e-s, 1)
 }
 
 // BackwardExtent implements Layer: same (sample, channel) granularity —
@@ -250,14 +257,11 @@ func (l *Pooling) backwardPlane(plane int, bottom, top *blob.Blob) {
 			}
 		}
 	case AvePool:
-		scale := 1 / float32(l.cfg.KernelH*l.cfg.KernelW)
 		for oh := 0; oh < l.outH; oh++ {
-			hs := max(oh*l.cfg.StrideH-l.cfg.PadH, 0)
-			he := min(oh*l.cfg.StrideH-l.cfg.PadH+l.cfg.KernelH, l.height)
+			hs, he, hn := aveSpan(oh, l.height, l.cfg.KernelH, l.cfg.StrideH, l.cfg.PadH)
 			for ow := 0; ow < l.outW; ow++ {
-				ws := max(ow*l.cfg.StrideW-l.cfg.PadW, 0)
-				we := min(ow*l.cfg.StrideW-l.cfg.PadW+l.cfg.KernelW, l.width)
-				g := outDiff[oh*l.outW+ow] * scale
+				ws, we, wn := aveSpan(ow, l.width, l.cfg.KernelW, l.cfg.StrideW, l.cfg.PadW)
+				g := outDiff[oh*l.outW+ow] * (1 / float32(hn*wn))
 				for ih := hs; ih < he; ih++ {
 					for iw := ws; iw < we; iw++ {
 						inDiff[ih*l.width+iw] += g

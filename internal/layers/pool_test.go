@@ -12,7 +12,8 @@ import (
 // forwardPlaneNaive is the pooling forward loop as it stood before max
 // pooling moved to blas.MaxPoolWindows — per-window clipping, the Method
 // switch inside the pixel loops, a compare-and-branch per element — kept
-// as the oracle forwardPlane must match bit for bit, mask included.
+// as the oracle forwardPlane must match bit for bit, mask included. Its
+// AVE divisor is Caffe's pool_size, written as Caffe writes it.
 func (l *Pooling) forwardPlaneNaive(plane int, bottom, top *blob.Blob, maskOut []int32) {
 	in := bottom.Data()[plane*l.height*l.width:]
 	out := top.Data()[plane*l.outH*l.outW:]
@@ -47,7 +48,15 @@ func (l *Pooling) forwardPlaneNaive(plane int, bottom, top *blob.Blob, maskOut [
 						sum += in[ih*l.width+iw]
 					}
 				}
-				out[oidx] = sum / float32(l.cfg.KernelH*l.cfg.KernelW)
+				// Caffe's pool_size: the window clipped to the padded
+				// input; one that lies wholly past it averages to 0.
+				poolH := min(oh*l.cfg.StrideH-l.cfg.PadH+l.cfg.KernelH, l.height+l.cfg.PadH) - (oh*l.cfg.StrideH - l.cfg.PadH)
+				poolW := min(ow*l.cfg.StrideW-l.cfg.PadW+l.cfg.KernelW, l.width+l.cfg.PadW) - (ow*l.cfg.StrideW - l.cfg.PadW)
+				poolSize := max(poolH, 0) * max(poolW, 0)
+				if poolSize == 0 {
+					poolSize = 1
+				}
+				out[oidx] = sum / float32(poolSize)
 			}
 		}
 	}
@@ -129,6 +138,78 @@ func TestPoolForwardMatchesNaive(t *testing.T) {
 				if m == MaxPool && l.mask[i] != wantMask[i] {
 					t.Fatalf("%s: mask[%d] = %d, old loop %d", name, i, l.mask[i], wantMask[i])
 				}
+			}
+		}
+	}
+}
+
+// TestAvePoolDividesLikeCaffe: AVE pooling divides each window's sum by
+// Caffe's pool_size — the window clipped to the padded input — so a ragged
+// ceil-mode last window divides by what it covers and a padded one counts
+// its padding, in both passes. Values are hand-computed on v(h, w) = h·W + w.
+func TestAvePoolDividesLikeCaffe(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		hw       int
+		cfg      PoolConfig
+		outHW    int
+		checks   [][3]float32 // output row, column, value
+		gradAt   [2]int       // output whose gradient is 1 in the backward check
+		gradTo   [][2]int     // the inputs it reaches
+		gradSize float32      // the pool size it is divided by
+	}{
+		{
+			// CIFAR-10-full's pool2: 16 -> 8, the last row and column of
+			// windows cover 2 of 3 inputs.
+			name: "16x16 k3 s2", hw: 16, cfg: PoolConfig{Method: AvePool, Kernel: 3, Stride: 2}, outHW: 8,
+			checks: [][3]float32{
+				{0, 0, (0 + 1 + 2 + 16 + 17 + 18 + 32 + 33 + 34) / float32(9)}, // interior: 153/9
+				{0, 7, (14 + 15 + 30 + 31 + 46 + 47) / float32(6)},             // edge: 183/6
+				{7, 7, (238 + 239 + 254 + 255) / float32(4)},                   // corner: 986/4
+			},
+			gradAt: [2]int{7, 0}, gradTo: [][2]int{{14, 0}, {14, 1}, {14, 2}, {15, 0}, {15, 1}, {15, 2}}, gradSize: 6,
+		},
+		{
+			// Padding counts: rows/columns -1..1 are three, the last window
+			// (3..5, clipped to the padded 3..4) two.
+			name: "4x4 k3 s2 pad 1", hw: 4, cfg: PoolConfig{Method: AvePool, Kernel: 3, Stride: 2, Pad: 1}, outHW: 3,
+			checks: [][3]float32{
+				{0, 0, (0 + 1 + 4 + 5) / float32(9)},
+				{0, 2, (3 + 7) / float32(6)},
+				{1, 1, (5 + 6 + 7 + 9 + 10 + 11 + 13 + 14 + 15) / float32(9)},
+				{2, 2, 15 / float32(4)},
+			},
+			gradAt: [2]int{2, 2}, gradTo: [][2]int{{3, 3}}, gradSize: 4,
+		},
+	} {
+		l, err := NewPooling("p", c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bottom := blob.New(1, 1, c.hw, c.hw)
+		for i := range bottom.Data() {
+			bottom.Data()[i] = float32(i)
+		}
+		tops := setup(t, l, []*blob.Blob{bottom})
+		if s := tops[0].Shape(); s[2] != c.outHW || s[3] != c.outHW {
+			t.Fatalf("%s: output shape %v", c.name, s)
+		}
+		runForward(l, []*blob.Blob{bottom}, tops)
+		for _, ck := range c.checks {
+			if got := tops[0].At(0, 0, int(ck[0]), int(ck[1])); got != ck[2] {
+				t.Fatalf("%s: out(%v, %v) = %v, want %v", c.name, ck[0], ck[1], got, ck[2])
+			}
+		}
+		tops[0].ZeroDiff()
+		tops[0].Diff()[c.gradAt[0]*c.outHW+c.gradAt[1]] = 1
+		l.BackwardRange(0, l.BackwardExtent(), []*blob.Blob{bottom}, tops, nil)
+		want := make([]float32, bottom.Count())
+		for _, in := range c.gradTo {
+			want[in[0]*c.hw+in[1]] = 1 / c.gradSize
+		}
+		for i, w := range want {
+			if g := bottom.Diff()[i]; g != w {
+				t.Fatalf("%s: dx(%d, %d) = %v, want %v", c.name, i/c.hw, i%c.hw, g, w)
 			}
 		}
 	}
