@@ -11,7 +11,7 @@
 //	dnnbench -figure mem      # §3.2.1 privatization memory
 //	dnnbench -figure conv     # convergence invariance
 //	dnnbench -figure ablation # reduction & coalescing ablations
-//	dnnbench -figure comm     # gradient exchange: topology x wire bytes/step
+//	dnnbench -figure comm     # gradient exchange: bytes/step per wire format
 //	dnnbench -figure all      # everything
 //
 // Serial per-layer costs are measured on this host; multi-thread numbers

@@ -17,13 +17,17 @@
 //
 // Every role builds the same seeded network over its shard of the global
 // batch, on the coarse engine with -workers ranks (default 1, which is
-// the sequential run bit for bit), so a k-rank run — local or TCP, any
-// -fanout, even with -flaky-* faults injected — produces snapshots
-// bit-identical to the single-process replica trainer with k replicas
-// (the determinism contract tested in internal/dist and
-// internal/cluster). -snapshot writes the root's final solver state in
-// the same format as dnntrain; -trace records PhaseComm spans next to
-// compute spans (OBSERVABILITY.md).
+// the sequential run bit for bit). Gradients are reduced by one route:
+// each slice owner folds the k contributions in rank order, and the
+// reduction tree (-fanout) gathers the result to rank 0 and broadcasts
+// the new weights. So a k-rank run — local or TCP, any -fanout, even
+// with -flaky-* faults injected — produces the same snapshot bytes as
+// the in-process ordered fold over k shards (the determinism contract
+// tested in internal/dist and internal/cluster). -grad-wire f16|int8
+// compresses the gradient contributions on the wire; each format is
+// deterministic on its own. -snapshot writes the root's final solver
+// state in the same format as dnntrain; -trace records PhaseComm spans
+// next to compute spans (OBSERVABILITY.md).
 //
 // There is one run path. By default the group is rigid: every rank is
 // needed, nothing watches them, and any rank's failure ends the run
@@ -56,7 +60,6 @@ func main() {
 	flag.StringVar(&c.Role, "role", "local", "local | coordinator | worker")
 	flag.IntVar(&c.Replicas, "replicas", 2, "total rank count (local and coordinator roles)")
 	flag.IntVar(&c.Fanout, "fanout", 2, "reduction tree fan-out")
-	flag.StringVar(&c.Reduce, "reduce", "tree", "gradient exchange topology: tree | ring")
 	flag.StringVar(&c.GradWire, "grad-wire", "f32", "gradient wire format: f32 | f16 | int8 (lossy formats use error feedback)")
 	flag.IntVar(&c.Iters, "iters", 100, "training iterations")
 	flag.IntVar(&c.Display, "display", 20, "print loss every N iterations (root only)")

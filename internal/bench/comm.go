@@ -1,13 +1,13 @@
 package bench
 
 // The communication-cost figure behind DISTRIBUTED.md §9 and the
-// PERFORMANCE.md comm-bytes table: for each gradient-exchange topology ×
-// wire format, run a real in-process distributed group with metered
-// transports and report the gradient bytes that actually crossed the
-// wire per iteration beside the measured step time. Bytes are counted at
-// the transport layer (transport.Meter), not computed from the codec's
-// nominal ratio, so framing overhead (int8 group scale words, odd-tail
-// padding) and the ring's relay traffic are all in the number.
+// PERFORMANCE.md comm-bytes table: for each gradient wire format, run a
+// real in-process distributed group with metered transports and report
+// the gradient bytes that actually crossed the wire per iteration beside
+// the measured step time. Bytes are counted at the transport layer
+// (transport.Meter), not computed from the codec's nominal ratio, so
+// framing overhead (int8 group scale words, odd-tail padding) is in the
+// number.
 
 import (
 	"fmt"
@@ -22,21 +22,18 @@ import (
 	"coarsegrain/internal/zoo"
 )
 
-// CommRow is one measured (topology, wire format) configuration.
+// CommRow is one measured wire format.
 type CommRow struct {
-	Topology string
-	Wire     string
-	// GradBytesPerIter is the gradient traffic (KindGrad + KindRing
-	// frames) summed over all ranks, per iteration, as metered at the
-	// transport layer.
+	Wire string
+	// GradBytesPerIter is the gradient traffic (KindGrad frames) summed
+	// over all ranks, per iteration, as metered at the transport layer.
 	GradBytesPerIter int64
 	// StepUS is the measured mean wall time of one lockstep iteration.
 	StepUS float64
 }
 
-// CommResult holds the comm figure: every topology × wire combination
-// over the same model, group size and seed, so rows differ only in the
-// exchange configuration.
+// CommResult holds the comm figure: every wire format over the same
+// model, group size and seed, so rows differ only in the wire format.
 type CommResult struct {
 	Net        string
 	Replicas   int
@@ -45,27 +42,25 @@ type CommResult struct {
 }
 
 // Render prints the comm table. The reduction column is each row's
-// bytes-on-wire ratio against the same topology's f32 row — the
-// apples-to-apples compression factor (the ring moves more bytes than
-// the tree at the same wire format; that is the relay price, visible by
-// comparing f32 rows across topologies).
+// bytes-on-wire ratio against the f32 row — the compression factor as
+// measured, framing included.
 func (r *CommResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s gradient exchange: bytes on wire and step time (%d replicas, %d iters) ==\n",
 		r.Net, r.Replicas, r.Iterations)
-	fmt.Fprintf(w, "%-8s %-6s %14s %10s %12s\n", "reduce", "wire", "grad-KB/iter", "reduction", "step-ms")
-	f32 := map[string]float64{}
+	fmt.Fprintf(w, "%-6s %14s %10s %12s\n", "wire", "grad-KB/iter", "reduction", "step-ms")
+	var f32 float64
 	for _, row := range r.Rows {
 		if row.Wire == "f32" {
-			f32[row.Topology] = float64(row.GradBytesPerIter)
+			f32 = float64(row.GradBytesPerIter)
 		}
 	}
 	for _, row := range r.Rows {
 		red := "-"
-		if base, ok := f32[row.Topology]; ok && row.GradBytesPerIter > 0 && row.Wire != "f32" {
-			red = fmt.Sprintf("%.2fx", base/float64(row.GradBytesPerIter))
+		if f32 > 0 && row.GradBytesPerIter > 0 && row.Wire != "f32" {
+			red = fmt.Sprintf("%.2fx", f32/float64(row.GradBytesPerIter))
 		}
-		fmt.Fprintf(w, "%-8s %-6s %14.1f %10s %12.2f\n",
-			row.Topology, row.Wire, float64(row.GradBytesPerIter)/1024, red, row.StepUS/1e3)
+		fmt.Fprintf(w, "%-6s %14.1f %10s %12.2f\n",
+			row.Wire, float64(row.GradBytesPerIter)/1024, red, row.StepUS/1e3)
 	}
 }
 
@@ -83,21 +78,19 @@ func Comm(o Options) (*CommResult, error) {
 		return nil, fmt.Errorf("bench: batch %d not divisible by %d replicas", o.Batch, replicas)
 	}
 	res := &CommResult{Net: o.Net, Replicas: replicas, Iterations: o.Iterations}
-	for _, topo := range []string{dist.TopologyTree, dist.TopologyRing} {
-		for _, wire := range []string{"f32", "f16", "int8"} {
-			row, err := commRun(o, replicas, topo, wire)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s/%s: %w", topo, wire, err)
-			}
-			res.Rows = append(res.Rows, row)
+	for _, wire := range []string{"f32", "f16", "int8"} {
+		row, err := commRun(o, replicas, wire)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", wire, err)
 		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
 // commRun executes one configuration and meters it.
-func commRun(o Options, replicas int, topo, wire string) (CommRow, error) {
-	row := CommRow{Topology: topo, Wire: wire}
+func commRun(o Options, replicas int, wire string) (CommRow, error) {
+	row := CommRow{Wire: wire}
 	meters := make([]*transport.Meter, replicas)
 	trs := make([]transport.Transport, replicas)
 	for i, l := range transport.NewLocalGroup(replicas) {
@@ -119,7 +112,7 @@ func commRun(o Options, replicas int, topo, wire string) (CommRow, error) {
 		}
 	}
 
-	opts := dist.Options{Topology: topo, GradWire: wire}
+	opts := dist.Options{GradWire: wire}
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex

@@ -15,7 +15,9 @@
 // Whether a run is supervised — heartbeats, fences, eviction — is not a
 // switch here: dist derives it from -min-ranks, -rejoin and
 // -iter-deadline, and MinRanks defaults to the group size, which is the
-// rigid case.
+// rigid case. Nor is the gradient route: dist has one (point-to-point
+// to the slice owners, then the reduction tree), so Fanout shapes the
+// tree and GradWire picks the wire format of the contributions.
 package cluster
 
 import (
@@ -41,7 +43,6 @@ type Config struct {
 	Role     string // local | coordinator | worker
 	Replicas int
 	Fanout   int
-	Reduce   string
 	GradWire string
 	Iters    int
 	Display  int
@@ -167,7 +168,6 @@ func (c Config) elasticConfig(size int) dist.ElasticConfig {
 		Opts: dist.Options{
 			Fanout:    c.Fanout,
 			NoOverlap: c.NoOverlap,
-			Topology:  c.Reduce,
 			GradWire:  c.GradWire,
 		},
 		ResumePath:   c.Resume,

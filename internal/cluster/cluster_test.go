@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,7 +25,7 @@ import (
 // groups the tests form), 5 iterations.
 func testConfig() Config {
 	return Config{
-		Role: "local", Replicas: 3, Fanout: 2, Reduce: "tree", GradWire: "f32",
+		Role: "local", Replicas: 3, Fanout: 2, GradWire: "f32",
 		Iters: 5, Display: 2, Workers: 1,
 		Ref:       zoo.Ref{Zoo: "lenet", Batch: 6, Samples: 12, Seed: 1},
 		ChaosMode: "none", ChaosRank: -1, ChaosIter: -1, ChaosSeed: 1, FlakySeed: 1,
@@ -66,38 +67,50 @@ func requireSameFile(t *testing.T, label, got, want string) {
 
 // (a) A coordinator and two workers over loopback TCP — the roles as
 // separate processes run them, here as goroutines — write the snapshot
-// bytes the in-process group writes, on the tree and on the ring, and
-// the ring's are the tree's.
+// bytes the in-process group writes.
 func TestTCPRolesMatchLocalGroup(t *testing.T) {
 	dir := t.TempDir()
-	for _, reduce := range []string{"tree", "ring"} {
-		local := testConfig()
-		local.Reduce = reduce
-		local.Snapshot = filepath.Join(dir, reduce+"-local.cgdnn")
-		mustRunGroup(t, local)
+	local := testConfig()
+	local.Snapshot = filepath.Join(dir, "local.cgdnn")
+	mustRunGroup(t, local)
 
-		coord := local
-		coord.Role, coord.Addr = "coordinator", "127.0.0.1:0"
-		coord.AddrFile = filepath.Join(dir, reduce+".addr")
-		coord.Snapshot = filepath.Join(dir, reduce+"-tcp.cgdnn")
-		worker := coord
-		worker.Role, worker.Addr, worker.Snapshot = "worker", "", ""
+	coord := local
+	coord.Role, coord.Addr = "coordinator", "127.0.0.1:0"
+	coord.AddrFile = filepath.Join(dir, "coord.addr")
+	coord.Snapshot = filepath.Join(dir, "tcp.cgdnn")
+	worker := coord
+	worker.Role, worker.Addr, worker.Snapshot = "worker", "", ""
 
-		errs := make(chan error, 3)
-		for _, c := range []Config{coord, worker, worker} {
-			go func(c Config) { errs <- Run(c, logWriter{t}) }(c)
-		}
-		for i := 0; i < 3; i++ {
-			if err := <-errs; err != nil {
-				t.Errorf("%s: a TCP role failed: %v", reduce, err)
-			}
-		}
-		if t.Failed() {
-			t.FailNow()
-		}
-		requireSameFile(t, reduce+" TCP vs local", coord.Snapshot, local.Snapshot)
+	errs := make(chan error, 3)
+	for _, c := range []Config{coord, worker, worker} {
+		go func(c Config) { errs <- Run(c, logWriter{t}) }(c)
 	}
-	requireSameFile(t, "ring vs tree", filepath.Join(dir, "ring-local.cgdnn"), filepath.Join(dir, "tree-local.cgdnn"))
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("a TCP role failed: %v", err)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	requireSameFile(t, "TCP vs local", coord.Snapshot, local.Snapshot)
+}
+
+// Ranks compose with the coarse engine: with -workers 2 each rank runs
+// batch-level parallel workers inside its shard, and the group's loss
+// trace stays the -workers 1 trace within float rounding (the engine's
+// band merge reorders sums; the cross-rank fold does not).
+func TestRanksComposeWithCoarseEngine(t *testing.T) {
+	serial := mustRunGroup(t, testConfig())
+	c := testConfig()
+	c.Workers = 2
+	banded := mustRunGroup(t, c)
+	for i, want := range serial.Report.Losses {
+		got := banded.Report.Losses[i]
+		if rel := math.Abs(got-want) / want; rel > 1e-5 {
+			t.Fatalf("iteration %d: -workers 2 loss %v vs -workers 1 %v (rel %g)", i, got, want, rel)
+		}
+	}
 }
 
 // (b) Stopping at iteration F and resuming from that snapshot is the

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"coarsegrain/internal/dist"
 	"coarsegrain/internal/simtime"
 	"coarsegrain/internal/solver"
 	"coarsegrain/internal/transport"
@@ -56,33 +55,26 @@ func Predict(c Config, out io.Writer) error {
 	m := simtime.LocalCluster(runtime.NumCPU())
 	fmt.Fprintf(out, "calibration: %.1f ms/iter serial, %d param elems in %d tensors, %d cores\n",
 		float64(serialPer.Microseconds())/1e3, w.ParamElems, w.ParamTensors, runtime.NumCPU())
-	fmt.Fprintf(out, "%-9s %-8s %-6s %-6s %-12s %-12s %-12s %-10s\n",
-		"replicas", "reduce", "wire", "fanout", "pred-ms/it", "meas-ms/it", "pred-spdup", "meas-spdup")
-	fmt.Fprintf(out, "%-9d %-8s %-6s %-6s %-12.2f %-12.2f %-12.2f %-10.2f\n",
-		1, "-", "-", "-", float64(serialPer.Microseconds())/1e3, float64(serialPer.Microseconds())/1e3, 1.0, 1.0)
+	fmt.Fprintf(out, "%-9s %-6s %-6s %-12s %-12s %-12s %-10s\n",
+		"replicas", "wire", "fanout", "pred-ms/it", "meas-ms/it", "pred-spdup", "meas-spdup")
+	fmt.Fprintf(out, "%-9d %-6s %-6s %-12.2f %-12.2f %-12.2f %-10.2f\n",
+		1, "-", "-", float64(serialPer.Microseconds())/1e3, float64(serialPer.Microseconds())/1e3, 1.0, 1.0)
 
-	// The design space the model covers: the tree baseline, the relay
-	// ring at f32 (pricing the determinism relays), and the compressed
-	// ring (the codec buying the relay bytes back). WireScale comes from
-	// the codec's own WireLen so the model can never drift from the
-	// implementation's framing.
-	combos := []struct{ topo, wire string }{
-		{dist.TopologyTree, "f32"},
-		{dist.TopologyRing, "f32"},
-		{dist.TopologyRing, "int8"},
-	}
+	// The design space the model covers: the tree at f32 and with the
+	// int8 wire. WireScale comes from the codec's own WireLen so the
+	// model can never drift from the implementation's framing.
 	for _, k := range []int{2, 4} {
 		if model.Batch%k != 0 {
 			fmt.Fprintf(out, "%-9d skipped: global batch %d not divisible\n", k, model.Batch)
 			continue
 		}
-		for _, combo := range combos {
-			codec, err := transport.CodecByName(combo.wire)
+		for _, wire := range []string{"f32", "int8"} {
+			codec, err := transport.CodecByName(wire)
 			if err != nil {
 				return err
 			}
 			pred := m.Predict(w, simtime.ClusterShape{
-				Replicas: k, Fanout: c.Fanout, Topology: combo.topo,
+				Replicas: k, Fanout: c.Fanout,
 				WireScale: float64(codec.WireLen(w.ParamElems)) / float64(w.ParamElems),
 			})
 			// The measured column: what -role local does with these
@@ -90,7 +82,7 @@ func Predict(c Config, out io.Writer) error {
 			// from launch to the last rank's return (net construction
 			// included — milliseconds against calIters iterations).
 			run := c
-			run.Replicas, run.Iters, run.Reduce, run.GradWire = k, calIters, combo.topo, combo.wire
+			run.Replicas, run.Iters, run.GradWire = k, calIters, wire
 			run.Snapshot, run.Trace, run.Resume, run.ChaosMode = "", "", "", ""
 			run.MinRanks, run.Rejoin, run.IterDeadline = 0, false, 0
 			res, err := runGroup(run, model, io.Discard)
@@ -98,8 +90,8 @@ func Predict(c Config, out io.Writer) error {
 				return err
 			}
 			measuredPer := res.Elapsed / time.Duration(calIters)
-			fmt.Fprintf(out, "%-9d %-8s %-6s %-6d %-12.2f %-12.2f %-12.2f %-10.2f\n",
-				k, combo.topo, combo.wire, c.Fanout, pred.TotalUS/1e3,
+			fmt.Fprintf(out, "%-9d %-6s %-6d %-12.2f %-12.2f %-12.2f %-10.2f\n",
+				k, wire, c.Fanout, pred.TotalUS/1e3,
 				float64(measuredPer.Microseconds())/1e3,
 				pred.Speedup, float64(serialPer)/float64(measuredPer))
 		}

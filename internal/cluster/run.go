@@ -71,8 +71,8 @@ func (c Config) Rank(t transport.Transport, m *zoo.Model, out io.Writer) (*dist.
 			kind = fmt.Sprintf("supervised: heartbeats and fences, down to %d rank(s)", cfg.MinRanks)
 		}
 		tree := dist.NewTree(t.Size(), c.Fanout)
-		fmt.Fprintf(out, "training to iteration %d: %d replicas, %s reduce, %s wire, fanout %d, tree depth %d (%s)\n",
-			c.Iters, t.Size(), c.Reduce, c.GradWire, tree.Fanout(), tree.Depth(), kind)
+		fmt.Fprintf(out, "training to iteration %d: %d replicas, %s wire, fanout %d, tree depth %d (%s)\n",
+			c.Iters, t.Size(), c.GradWire, tree.Fanout(), tree.Depth(), kind)
 	}
 	rpt, err := dist.RunElastic(t, cfg)
 	if err != nil {

@@ -2,34 +2,40 @@
 // replicas — one per transport rank, in one process or many — train in
 // lockstep on disjoint shards of every global batch, and a deterministic
 // gradient reduction keeps the k-replica run bit-identical to the
-// single-process replica.Trainer at every replica count, tree shape and
-// transport (DISTRIBUTED.md). It generalizes internal/replica across
-// process boundaries the same way replica generalized the coarse engine
-// across devices.
+// reference ordered fold at every replica count, tree shape and
+// transport (DISTRIBUTED.md). It is the repository's only cross-replica
+// reduction; the coarse engine's ordered band merge is the within-net
+// one.
 //
 // # The reduction and its determinism argument
 //
 // Floating-point addition is not associative, so "sum the gradients" is
 // only reproducible if every element is accumulated in a fixed order.
-// The single-process baselines already enforce one: replica.Trainer
-// folds replica gradients into the master in ascending rank order, and
-// par.Pool.OrderedSlices showed the fold can be element-sliced across
-// workers without changing a bit, because each element still sees
-// ranks 0,1,…,k-1 in order. Package dist reuses exactly that shape as
-// an ordered reduce-scatter: every parameter's element space is sliced
-// across ranks with par.Chunk, each slice owner receives the k-1 peer
-// contributions for its slice and folds them — own gradient included —
-// in ascending rank order, then scales by 1/k. All arithmetic happens
-// at owners; the reduction Tree then only moves finished bytes (reduced
-// slices up to the root, updated weights down), so the tree's fan-out
-// affects latency, never values. The root applies the solver update to
-// the full assembled gradient and broadcasts the new weights bitwise.
+// The reference fixes one: run ForwardBackward on every shard, add the
+// shard gradients into rank 0's in ascending rank order, scale by 1/k,
+// update. par.Pool.OrderedSlices showed such a fold can be element-sliced
+// across workers without changing a bit, because each element still
+// sees ranks 0,1,…,k-1 in order. Package dist reuses exactly that shape
+// as an ordered reduce-scatter: every parameter's element space is
+// sliced across ranks with par.Chunk, each slice owner receives the k-1
+// peer contributions for its slice and folds them — own gradient
+// included — in ascending rank order, then scales by 1/k. All arithmetic
+// happens at owners; the reduction Tree then only moves finished bytes
+// (reduced slices up to the root, updated weights down), so the tree's
+// fan-out affects latency, never values. The root applies the solver
+// update to the full assembled gradient and broadcasts the new weights
+// bitwise.
 //
 // Consequences, asserted by this package's tests: a k-replica dist run
-// is bit-identical to replica.Trainer with k replicas (same fold, same
+// is bit-identical to the reference fold with k shards (same fold, same
 // scale, same update); a 1-replica dist run is bit-identical to plain
 // solver.Step; and Local vs TCP vs any fan-out vs flaky-with-retry all
 // produce the same snapshots to the last bit.
+//
+// Options.GradWire changes only how a contribution crosses the wire
+// (f16, or int8 with error feedback): it is encoded once at its origin
+// and decoded once at its slice owner, and the fold, the tree and the
+// determinism argument are unchanged.
 //
 // # Communication/compute overlap
 //
@@ -54,16 +60,18 @@
 //
 // Failures beyond a transient frame — a crashed rank, a hang, a
 // partition — surface as transport.ErrPeerDown (or unwind via
-// transport.Interrupt) and are handled one level up, in RunElastic
+// transport.Interrupt). They are handled one level up, in RunElastic
 // (elastic.go), the one loop that drives a Node to its target
-// iteration: when its configuration allows the membership to change it
-// supervises — detects them with heartbeats, fences the group at the
-// last completed iteration, and re-forms a smaller (or, on rejoin,
-// larger) membership that resumes from the fenced checkpoint — and when
-// it does not (the rigid case) it returns the error at once. Options.Epoch and Options.StartIter exist so a re-formed
-// Node is indistinguishable from one freshly built for a clean run
-// resumed at that iteration — which is the whole determinism argument
-// for degraded continuation.
+// iteration. In the rigid case, where the membership may not change, it
+// returns the error at once. Otherwise it supervises: it detects
+// failures with heartbeats, fences the group at the last completed
+// iteration, and re-forms a smaller (or, on rejoin, larger) membership
+// that resumes from the fenced checkpoint.
+//
+// Options.Epoch and Options.StartIter exist so a re-formed Node is
+// indistinguishable from one freshly built for a clean run resumed at
+// that iteration. That is the whole determinism argument for degraded
+// continuation.
 package dist
 
 import (
@@ -96,22 +104,6 @@ func DefaultRetry() RetryConfig {
 	return RetryConfig{MaxAttempts: 16, BaseBackoff: 20 * time.Microsecond, MaxBackoff: 2 * time.Millisecond}
 }
 
-// Gradient-exchange topologies (Options.Topology).
-const (
-	// TopologyTree routes gradient contributions point-to-point to their
-	// slice owners and moves reduced slices through the heap-numbered
-	// reduction tree — the default, lowest-latency shape.
-	TopologyTree = "tree"
-	// TopologyRing relays gradient contributions hop-by-hop around a
-	// ring (reduce-scatter), then circulates the reduced chunks the same
-	// way (all-gather): every rank talks only to its two neighbors, the
-	// shape FireCaffe-style bandwidth-bound clusters want. The f32 ring
-	// is bit-identical to the tree because the fold at each chunk owner
-	// is the same rank-ordered fold — the ring changes who carries the
-	// bytes, never the arithmetic (DISTRIBUTED.md §9).
-	TopologyRing = "ring"
-)
-
 // Options configures a Node.
 type Options struct {
 	// Fanout is the reduction tree's fan-out (default 2).
@@ -132,10 +124,6 @@ type Options struct {
 	// built with StartIter F so its tags, and therefore its protocol
 	// state, match a clean run resumed there.
 	StartIter int
-	// Topology selects the gradient-exchange route: TopologyTree
-	// (default) or TopologyRing. Every rank of a group must agree, like
-	// Fanout.
-	Topology string
 	// GradWire names the gradient wire format: "f32" (default,
 	// identity), "f16" (packed binary16) or "int8" (grouped max-abs
 	// quantization) — see transport.CodecByName. Lossy formats carry a
@@ -158,9 +146,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Retry.MaxBackoff < o.Retry.BaseBackoff {
 		o.Retry.MaxBackoff = o.Retry.BaseBackoff
-	}
-	if o.Topology == "" {
-		o.Topology = TopologyTree
 	}
 	return o
 }
@@ -223,15 +208,6 @@ type Node struct {
 	decBuf      []float32
 	wireBuf     []float32
 	wireRecvBuf []float32
-
-	// Ring-topology state: the two neighbors, and stage[pi] — the
-	// decoded peer contributions to this rank's slice of parameter pi,
-	// one slot per origin rank, held until the whole relay stream has
-	// been consumed so the fold can run in ascending rank order
-	// regardless of arrival order (the OrderedSlices discipline).
-	ringNext int
-	ringPrev int
-	stage    [][]float32
 }
 
 // NewRoot creates the coordinator node (transport rank 0): it owns the
@@ -304,18 +280,6 @@ func newNode(t transport.Transport, n *net.Net, s *solver.Solver, opts Options) 
 	nd.accBuf = make([]float32, maxChunk)
 	nd.recvBuf = make([]float32, maxChunk)
 
-	switch opts.Topology {
-	case TopologyTree:
-	case TopologyRing:
-		// KindRing tags pack origin<<8|owner into the 16-bit origin
-		// field, so a relayed frame stays distinguishable from the
-		// relaying rank's own contributions on the same link.
-		if size > 256 {
-			return nil, fmt.Errorf("dist: ring topology supports at most 256 ranks, got %d", size)
-		}
-	default:
-		return nil, fmt.Errorf("dist: unknown topology %q (want %q or %q)", opts.Topology, TopologyTree, TopologyRing)
-	}
 	codec, err := transport.CodecByName(opts.GradWire)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -331,32 +295,8 @@ func newNode(t transport.Transport, n *net.Net, s *solver.Solver, opts Options) 
 		nd.wireBuf = make([]float32, codec.WireLen(maxChunk))
 		nd.wireRecvBuf = make([]float32, codec.WireLen(maxChunk))
 	}
-	if opts.Topology == TopologyRing && size > 1 {
-		nd.ringNext = (nd.rank + 1) % size
-		nd.ringPrev = (nd.rank - 1 + size) % size
-		if nd.wireRecvBuf == nil {
-			nd.wireRecvBuf = make([]float32, maxChunk) // f32 ring relays raw chunks
-		}
-		nd.stage = make([][]float32, len(params))
-		for pi, p := range params {
-			if lo, hi := par.Chunk(p.Count(), size, nd.rank); hi > lo {
-				nd.stage[pi] = make([]float32, size*(hi-lo))
-			}
-		}
-	}
 	return nd, nil
 }
-
-// stageFor returns the staging slot for origin's contribution to this
-// rank's slice of parameter pi.
-func (nd *Node) stageFor(pi, origin int) []float32 {
-	n := len(nd.stage[pi]) / nd.size
-	return nd.stage[pi][origin*n : (origin+1)*n]
-}
-
-// ringOrigin packs a ring frame's (origin, owner) pair into the tag's
-// 16-bit origin field.
-func ringOrigin(origin, owner int) int { return origin<<8 | owner }
 
 // Rank returns this node's rank.
 func (nd *Node) Rank() int { return nd.rank }
@@ -399,11 +339,10 @@ func (nd *Node) Net() *net.Net { return nd.network }
 func (nd *Node) Solver() *solver.Solver { return nd.sol }
 
 // Step runs iters lockstep iterations. The root returns the global
-// losses (the rank-ordered mean of replica losses, matching
-// replica.Trainer); workers return their local shard losses. Every
-// rank of the group must call Step with the same iters. A transport
-// error aborts mid-run with the losses completed so far — fail-loud,
-// never silently desynchronized.
+// losses (the rank-ordered mean of shard losses); workers return their
+// local shard losses. Every rank of the group must call Step with the
+// same iters. A transport error aborts mid-run with the losses completed
+// so far — fail-loud, never silently desynchronized.
 func (nd *Node) Step(iters int) ([]float64, error) {
 	losses := make([]float64, 0, iters)
 	for i := 0; i < iters; i++ {
@@ -465,24 +404,10 @@ func (nd *Node) step() (float64, error) {
 		}
 	}
 
-	// Reduce: own every slice this rank is responsible for. The ring
-	// path first drains the relay stream (staging what it owns,
-	// forwarding the rest); both paths end in the same rank-ordered
-	// fold.
-	if nd.opts.Topology == TopologyRing {
-		if err := nd.ringConsume(); err != nil {
-			return 0, err
-		}
-	}
-
 	// Workers report their shard loss to the root (as raw float64 bits,
-	// so the global mean is computed from exact values). This must come
-	// after ringConsume: data links are strict FIFO, and rank 0's ring
-	// predecessor shares its loss link with the relay stream — a loss
-	// frame sent before the relays would sit mid-stream and trip the
-	// root's tag discipline. (Under the tree the link carries gradient
-	// slices, all sent during scatter above, so the order is the same
-	// either way.)
+	// so the global mean is computed from exact values). Data links are
+	// strict FIFO, so the loss frame queues behind this rank's gradient
+	// slices to the root, all sent during the scatter above.
 	if nd.rank != 0 {
 		lossBits := encodeF64(loss)
 		tag := nd.tag(transport.KindLoss, 0, nd.rank)
@@ -501,8 +426,8 @@ func (nd *Node) step() (float64, error) {
 	}
 	nd.span("fold", -1, folded, foldStart)
 
-	// Global loss at the root: the rank-ordered sum replica.Trainer
-	// computes, divided by k.
+	// Global loss at the root: the rank-ordered sum of shard losses,
+	// divided by k.
 	globalLoss := loss
 	if nd.rank == 0 {
 		sum := loss
@@ -517,15 +442,9 @@ func (nd *Node) step() (float64, error) {
 		globalLoss = sum / float64(nd.size)
 	}
 
-	// Route the reduced slices — up the tree to the root, or all the way
-	// around the ring — update at the root, broadcast the new weights
-	// down the tree (weights are master state; they always take the
-	// lowest-latency route).
-	if nd.opts.Topology == TopologyRing {
-		if err := nd.ringAllGather(); err != nil {
-			return 0, err
-		}
-	} else if err := nd.gather(); err != nil {
+	// Route the reduced slices up the tree to the root, update there,
+	// broadcast the new weights down the tree.
+	if err := nd.gather(); err != nil {
 		return 0, err
 	}
 	if nd.rank == 0 {
@@ -538,40 +457,16 @@ func (nd *Node) step() (float64, error) {
 	return globalLoss, nil
 }
 
-// scatterParam ships parameter pi's gradient slices toward their owners
-// (asynchronously; the transport queues them) — point-to-point under the
-// tree topology, to the ring successor under the ring. Safe to call from
-// the backward hook: it runs on the driving goroutine between engine
-// calls, so the trace single-writer contract holds.
+// scatterParam ships parameter pi's gradient slices point-to-point to
+// their owners (asynchronously; the transport queues them). Safe to call
+// from the backward hook: it runs on the driving goroutine between
+// engine calls, so the trace single-writer contract holds.
 func (nd *Node) scatterParam(pi int) error {
 	nd.sent[pi] = true
 	p := nd.network.Params()[pi]
 	diff := p.Diff()
 	start := nd.now()
 	shipped := 0
-	if nd.opts.Topology == TopologyRing {
-		// Own contributions enter the ring in owner-distance order
-		// 1..k-1; ringConsume on the successor expects exactly this
-		// sequence (it is block b=0 of the link's relay stream).
-		for d := 1; d < nd.size; d++ {
-			o := (nd.rank + d) % nd.size
-			lo, hi := par.Chunk(p.Count(), nd.size, o)
-			if lo == hi {
-				continue
-			}
-			payload := diff[lo:hi]
-			if nd.codec != nil {
-				payload = nd.encodeChunk(pi, lo, hi, diff)
-			}
-			tag := nd.tag(transport.KindRing, pi, ringOrigin(nd.rank, o))
-			if err := nd.sendRetry(nd.ringNext, tag, payload); err != nil {
-				return err
-			}
-			shipped += hi - lo
-		}
-		nd.span("scatter", nd.ringNext, shipped, start)
-		return nil
-	}
 	for o := 0; o < nd.size; o++ {
 		if o == nd.rank {
 			continue
@@ -632,7 +527,7 @@ func (nd *Node) decodeInto(dst, wire []float32, from int) {
 
 // foldParam reduces this rank's slice of parameter pi: contributions
 // from ranks 0..size-1 are folded in ascending rank order — the exact
-// per-element accumulation order of replica.Trainer's combine and of
+// per-element accumulation order of the reference fold and of
 // par.Pool.OrderedSlices — then scaled by 1/k, in place. Returns the
 // slice's element count.
 func (nd *Node) foldParam(pi int) (int, error) {
@@ -650,12 +545,8 @@ func (nd *Node) foldParam(pi int) (int, error) {
 		switch {
 		case r == nd.rank:
 			// The own contribution never crosses the wire and is folded
-			// uncompressed under every codec — identically in tree and
-			// ring mode, so the topology/codec pair can't skew whose
-			// gradient gets quantized.
+			// uncompressed under every codec.
 			src = diff[lo:hi]
-		case nd.opts.Topology == TopologyRing:
-			src = nd.stageFor(pi, r) // decoded by ringConsume
 		case nd.codec != nil:
 			wire := nd.wireRecvBuf[:nd.codec.WireLen(n)]
 			tag := nd.tag(transport.KindGrad, pi, r)

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"coarsegrain/internal/data"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/replica"
 	"coarsegrain/internal/rng"
 	"coarsegrain/internal/solver"
 	"coarsegrain/internal/transport"
@@ -28,10 +28,10 @@ func solverCfg() solver.Config {
 	return solver.Config{Type: solver.SGD, BaseLR: 0.01, Momentum: 0.9}
 }
 
-// tinySpecsE mirrors the replica package's equivalence-test network:
-// conv 4x5x5/2 -> relu -> ip 10 -> loss, seeded weights. Error-returning
-// so elastic Rebuild closures (which run off the test goroutine) can
-// use it; tinySpecs wraps it for direct test use.
+// tinySpecsE is the equivalence-test network: conv 4x5x5/2 -> relu ->
+// ip 10 -> loss, seeded weights. Error-returning so elastic Rebuild
+// closures (which run off the test goroutine) can use it; tinySpecs
+// wraps it for direct test use.
 func tinySpecsE(src layers.Source, batch int) ([]net.LayerSpec, error) {
 	d, err := layers.NewData("data", src, batch)
 	if err != nil {
@@ -72,9 +72,9 @@ func tinySpecs(t testing.TB, src layers.Source, batch int) []net.LayerSpec {
 // seeded architecture over shard r of the global batch.
 func shardNetE(r, k int) (*net.Net, error) {
 	// Round the global batch down to a multiple of k so odd group sizes
-	// (k=3 in the ring tests) shard evenly, and trim the source to a
-	// whole number of batches; powers of two keep the original batch of
-	// 16 over the full source exactly.
+	// (k=3) shard evenly, and trim the source to a whole number of
+	// batches; powers of two keep the original batch of 16 over the full
+	// source exactly.
 	gb := globalBatch - globalBatch%k
 	src := data.NewSyntheticMNIST(gb*(sourceLen/globalBatch), dataSeed)
 	shard, err := data.NewShard(src, r, k, gb)
@@ -180,39 +180,108 @@ func localGroup(k int) []transport.Transport {
 	return out
 }
 
-// replicaBaseline runs the single-process replica.Trainer on identical
-// shards and returns its final master weights and loss trace — the
-// reference every distributed run must match bitwise.
-func replicaBaseline(t testing.TB, k, iters int) ([][]float32, []float64) {
+// tcpGroup rendezvouses a k-rank loopback-TCP group.
+func tcpGroup(t testing.TB, k int) []transport.Transport {
 	t.Helper()
-	reps := make([]*net.Net, k)
-	for r := 0; r < k; r++ {
-		reps[r] = shardNet(t, r, k)
-	}
-	tr, err := replica.New(reps, solverCfg())
+	coord, err := transport.NewCoordinator("127.0.0.1:0", k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	losses := tr.Step(iters)
-	return copyWeights(tr.Master()), losses
+	trs := make([]transport.Transport, k)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tr, err := coord.Wait()
+		if err == nil {
+			trs[0] = tr
+		}
+	}()
+	for w := 1; w < k; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := transport.DialTCP(coord.Addr())
+			if err == nil {
+				trs[tr.Rank()] = tr
+			}
+		}()
+	}
+	wg.Wait()
+	for r, tr := range trs {
+		if tr == nil {
+			t.Fatalf("rank %d failed to rendezvous", r)
+		}
+	}
+	return trs
 }
 
-// The tentpole contract: a k-replica distributed run over the in-process
-// transport is bit-identical — weights and loss trace — to the
-// single-process replica.Trainer, for every k and tree fan-out.
+// replicaBaseline is the reference every distributed run must match
+// bitwise: k shard nets built by build in one process, each running
+// ForwardBackward, their gradients added into rank 0's in ascending
+// rank order, scaled by 1/k, one solver update on rank 0, and the new
+// weights copied to the other shards. It shares no code with Node — it
+// is the ordered fold written out, the oracle the reduce-scatter and
+// the tree must reproduce. Returns rank 0's final weights and the loss
+// trace (the rank-ordered mean of shard losses).
+func replicaBaseline(t testing.TB, k, iters int, build func(r, k int) (*net.Net, error)) ([][]float32, []float64) {
+	t.Helper()
+	nets := make([]*net.Net, k)
+	for r := range nets {
+		n, err := build(r, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[r] = n
+	}
+	s, err := solver.New(solverCfg(), nets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := make([]float64, iters)
+	for it := range losses {
+		var sum float64
+		for _, n := range nets {
+			n.ZeroParamDiffs()
+			sum += n.ForwardBackward()
+		}
+		for pi, p := range nets[0].Params() {
+			for _, n := range nets[1:] {
+				p.AccumulateDiffFrom(n.Params()[pi])
+			}
+			p.ScaleDiff(1 / float32(k))
+		}
+		s.UpdateFromGradients()
+		for _, n := range nets[1:] {
+			for pi, p := range n.Params() {
+				p.CopyDataFrom(nets[0].Params()[pi])
+			}
+		}
+		losses[it] = sum / float64(k)
+	}
+	return copyWeights(nets[0]), losses
+}
+
+// The tentpole contract: a k-replica distributed run is bit-identical —
+// weights and loss trace — to the in-process ordered fold
+// (replicaBaseline), for every k, tree fan-out and transport.
 func TestDistMatchesReplicaTrainerBitwise(t *testing.T) {
-	for _, k := range []int{2, 4} {
-		refW, refL := replicaBaseline(t, k, testIters)
+	for _, k := range []int{2, 3, 4} {
+		refW, refL := replicaBaseline(t, k, testIters, shardNetE)
 		for _, fanout := range []int{1, 2, 3} {
-			t.Run(fmt.Sprintf("k%d_fanout%d", k, fanout), func(t *testing.T) {
-				w, l := runDist(t, localGroup(k), Options{Fanout: fanout}, testIters)
-				requireBitIdentical(t, "weights", w, refW)
-				for i := range refL {
-					if l[i] != refL[i] {
-						t.Fatalf("loss trace diverged at iter %d: %v vs %v", i, l[i], refL[i])
-					}
-				}
-			})
+			for _, tc := range []struct {
+				suffix string
+				group  func() []transport.Transport
+			}{
+				{"", func() []transport.Transport { return localGroup(k) }},
+				{"_tcp", func() []transport.Transport { return tcpGroup(t, k) }},
+			} {
+				t.Run(fmt.Sprintf("k%d_fanout%d%s", k, fanout, tc.suffix), func(t *testing.T) {
+					w, l := runDist(t, tc.group(), Options{Fanout: fanout}, testIters)
+					requireBitIdentical(t, "weights", w, refW)
+					requireSameLosses(t, "losses", l, refL)
+				})
+			}
 		}
 	}
 }
@@ -234,9 +303,31 @@ func TestDistSingleRankMatchesSolverBitwise(t *testing.T) {
 
 	w, l := runDist(t, localGroup(1), Options{}, testIters)
 	requireBitIdentical(t, "weights", w, refW)
-	for i := range refL {
-		if l[i] != refL[i] {
-			t.Fatalf("loss trace diverged at iter %d: %v vs %v", i, l[i], refL[i])
+	requireSameLosses(t, "losses", l, refL)
+}
+
+// The multi-device convergence-invariance claim: k ranks over shards of
+// the global batch follow the loss trace of one device over the whole
+// batch. Not bitwise — the sum is parenthesized per shard — but within
+// float rounding.
+func TestDistMatchesSingleDevice(t *testing.T) {
+	const iters = 12
+	src := data.NewSyntheticMNIST(sourceLen, dataSeed)
+	single, err := net.New(tinySpecs(t, src, globalBatch), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := solver.New(solverCfg(), single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := s.Step(iters)
+	for _, k := range []int{2, 4} {
+		_, got := runDist(t, localGroup(k), Options{}, iters)
+		for i := range ref {
+			if rel := math.Abs(got[i]-ref[i]) / math.Max(ref[i], 1e-12); rel > 1e-4 {
+				t.Fatalf("k=%d: trace diverged at iter %d: %v vs %v (rel %g)", k, i, got[i], ref[i], rel)
+			}
 		}
 	}
 }
@@ -247,44 +338,9 @@ func TestDistTCPMatchesLocalBitwise(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			refW, refL := runDist(t, localGroup(k), Options{}, testIters)
-
-			coord, err := transport.NewCoordinator("127.0.0.1:0", k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trs := make([]transport.Transport, k)
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				tr, err := coord.Wait()
-				if err == nil {
-					trs[0] = tr
-				}
-			}()
-			for w := 1; w < k; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					tr, err := transport.DialTCP(coord.Addr())
-					if err == nil {
-						trs[tr.Rank()] = tr
-					}
-				}()
-			}
-			wg.Wait()
-			for r, tr := range trs {
-				if tr == nil {
-					t.Fatalf("rank %d failed to rendezvous", r)
-				}
-			}
-			w, l := runDist(t, trs, Options{}, testIters)
+			w, l := runDist(t, tcpGroup(t, k), Options{}, testIters)
 			requireBitIdentical(t, "weights", w, refW)
-			for i := range refL {
-				if l[i] != refL[i] {
-					t.Fatalf("TCP loss trace diverged at iter %d: %v vs %v", i, l[i], refL[i])
-				}
-			}
+			requireSameLosses(t, "TCP losses", l, refL)
 		})
 	}
 }
@@ -313,11 +369,7 @@ func TestDistFlakyConvergesBitwise(t *testing.T) {
 	}
 	w, l := runDist(t, flaky, Options{}, testIters)
 	requireBitIdentical(t, "weights", w, refW)
-	for i := range refL {
-		if l[i] != refL[i] {
-			t.Fatalf("flaky loss trace diverged at iter %d: %v vs %v", i, l[i], refL[i])
-		}
-	}
+	requireSameLosses(t, "flaky losses", l, refL)
 }
 
 // When faults exceed the retry budget the run must fail loudly, not

@@ -11,7 +11,6 @@ import (
 	"coarsegrain/internal/faultinject"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/replica"
 	"coarsegrain/internal/snapshot"
 	"coarsegrain/internal/transport"
 )
@@ -37,26 +36,6 @@ func elasticShardNetE(r, k int) (*net.Net, error) {
 		return nil, err
 	}
 	return net.New(specs, nil)
-}
-
-// elasticReplicaBaseline is the uninterrupted single-process reference
-// for a k-rank run over elasticBatch shards.
-func elasticReplicaBaseline(t *testing.T, k, iters int) ([][]float32, []float64) {
-	t.Helper()
-	reps := make([]*net.Net, k)
-	for r := 0; r < k; r++ {
-		n, err := elasticShardNetE(r, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps[r] = n
-	}
-	tr, err := replica.New(reps, solverCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	losses := tr.Step(iters)
-	return copyWeights(tr.Master()), losses
 }
 
 // skipData advances every data layer's cursor by batches whole batches,
@@ -228,7 +207,7 @@ func TestElasticCrashKillOneOfThreeBitIdentical(t *testing.T) {
 	const total = 10
 	dir := t.TempDir()
 
-	_, ref3L := elasticReplicaBaseline(t, 3, total)
+	_, ref3L := replicaBaseline(t, 3, total, elasticShardNetE)
 
 	// The drill is drawn the way dnncluster's -chaos-seed draws it.
 	s, err := faultinject.New(6).ClusterScenario(3, 5, transport.ChaosCrash)
@@ -545,19 +524,18 @@ func TestRunElasticValidation(t *testing.T) {
 	}
 }
 
-// Elastic recovery composes with the compressed ring: a crash of 1 of
-// k=3 at iteration 3 under f16 wire + ring topology must fence and resume exactly
-// like the uncompressed tree path does — and the post-fence run must be
-// bit-identical to a clean 2-rank resume using the same codec and
-// topology. The load-bearing detail is the error-feedback residual:
-// survivors rebuild their Node at the fence, which zeroes the residual,
-// exactly matching the fresh residual a clean resume starts with. A
-// residual carried across the fence would diverge from the reference on
-// the first post-fence iteration.
-func TestElasticCrashCompressedRingBitIdentical(t *testing.T) {
+// Elastic recovery composes with a compressed wire: a crash of 1 of k=3
+// at iteration 3 under the f16 wire must fence and resume exactly like
+// the f32 path does — and the post-fence run must be bit-identical to a
+// clean 2-rank resume using the same codec. The load-bearing detail is
+// the error-feedback residual: survivors rebuild their Node at the
+// fence, which zeroes the residual, exactly matching the fresh residual
+// a clean resume starts with. A residual carried across the fence would
+// diverge from the reference on the first post-fence iteration.
+func TestElasticCrashCompressedBitIdentical(t *testing.T) {
 	const total = 10
 	dir := t.TempDir()
-	opts := Options{Topology: TopologyRing, GradWire: "f16"}
+	opts := Options{GradWire: "f16"}
 
 	locals := localGroup(3)
 	chaos := transport.NewChaos(locals[2], transport.ChaosConfig{Mode: transport.ChaosCrash, AtIter: 3})

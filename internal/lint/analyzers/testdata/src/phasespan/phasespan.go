@@ -75,16 +75,16 @@ func goodPaired(tr *trace.Tracer) {
 	tr.End()
 }
 
-// --- comm sub-phase spans (dist codec/ring instrumentation) -----------
+// --- comm sub-phase spans (dist exchange and codec instrumentation) ---
 
-// The dist node records its exchange sub-phases — scatter, relay, fold,
-// gather, and under a lossy wire format encode/decode — as named spans
+// The dist node records its exchange sub-phases — scatter, fold, gather,
+// bcast, and under a lossy wire format encode/decode — as named spans
 // under PhaseComm. The names are span labels, not phases: only the
 // Phase field is held to the vocabulary.
 func goodCommSpans(tr *trace.Tracer) {
 	tr.Record(trace.Span{Name: "encode", Phase: trace.PhaseComm})
 	tr.Record(trace.Span{Name: "decode", Phase: trace.PhaseComm})
-	tr.Record(trace.Span{Name: "relay", Phase: trace.PhaseComm})
+	tr.Record(trace.Span{Name: "gather", Phase: trace.PhaseComm})
 }
 
 func badCommSpanLiteral(tr *trace.Tracer) {

@@ -110,15 +110,13 @@ func TreeDepth(n, fanout int) int {
 }
 
 // ClusterShape is the point of internal/dist's design space one
-// prediction is for: how many replicas, and how their gradients travel.
+// prediction is for: how many replicas, the tree they reduce over, and
+// the wire format their gradients travel in.
 type ClusterShape struct {
 	// Replicas is the group size k (values below 1 mean 1).
 	Replicas int
 	// Fanout is the reduction tree's fan-out (values below 1 mean 1).
 	Fanout int
-	// Topology is the gradient-exchange route: "tree" (also the zero
-	// value) or "ring".
-	Topology string
 	// WireScale is the codec's bytes-on-wire ratio for encoded gradient
 	// frames (1 for f32, also the zero value; ~0.5 for f16, ~0.26 for
 	// int8) — callers measure it from transport.Codec.WireLen so the
@@ -129,19 +127,6 @@ type ClusterShape struct {
 }
 
 // Predict models one training iteration of the given shape.
-//
-// The ring modeled here is dist's deterministic relay ring, not the
-// textbook partial-sum ring: contributions travel bit-unchanged to
-// their chunk owner, so a chunk originating at distance d occupies d
-// links instead of being folded into a running partial at each hop.
-// Summing over origins, every link carries (k-1)/2 of the gradient
-// bytes in k(k-1)/2 frames per tensor — ~k/2 times the textbook ring's
-// (k-1)/k bytes. That is the honest price of bitwise determinism under
-// relays; compression is what buys it back (int8 at k=4 ships fewer
-// bytes per link than an uncompressed textbook ring would). The
-// all-gather leg is the textbook one — (k-1)/k of the reduced bytes per
-// link, raw f32 — and the tree term shrinks to the weight broadcast,
-// the only master-state traffic left on the tree under the ring.
 func (m ClusterMachine) Predict(w ClusterWorkload, g ClusterShape) ClusterPrediction {
 	replicas, fanout, wireScale := g.Replicas, g.Fanout, g.WireScale
 	if replicas < 1 {
@@ -177,36 +162,20 @@ func (m ClusterMachine) Predict(w ClusterWorkload, g ClusterShape) ClusterPredic
 	msgs := float64(w.ParamTensors)
 	d := float64(p.TreeDepth)
 
-	if g.Topology == "ring" {
-		// Relay-ring reduce-scatter: each link carries every rank's own
-		// (k-1) contributions plus the relays passing through — summed
-		// over origin distances, k(k-1)/2 frames and (k-1)/2 of the
-		// encoded gradient bytes per tensor per link. Links run
-		// concurrently; one link's budget is the bound.
-		p.ScatterUS = k*(k-1)/2*msgs*m.LatencyUS + paramMB*(k-1)/2*wireScale/m.LinkMBps*1e6
-		p.HiddenUS = math.Min(m.OverlapFraction*p.ScatterUS, w.BackwardFrac*p.ComputeUS)
-		// Ring all-gather of the reduced slices — raw f32, (k-1)/k of
-		// the bytes per link — plus the weight broadcast, which stays on
-		// the tree (master state takes the lowest-latency route).
-		allGather := (k-1)*msgs*m.LatencyUS + paramMB*(k-1)/k/m.LinkMBps*1e6
-		p.TreeUS = allGather + d*(msgs*m.LatencyUS+paramMB/m.LinkMBps*1e6)
-	} else {
-		// Reduce-scatter: every rank ships (k-1)/k of its (encoded)
-		// gradient bytes and receives as much, in (k-1) per-tensor
-		// messages each way. The links are full-duplex and distinct
-		// sender/receiver pairs run concurrently, so one rank's send
-		// budget is the bound.
-		p.ScatterUS = (k-1)*msgs*m.LatencyUS + paramMB*(k-1)/k*wireScale/m.LinkMBps*1e6
-		// The layer hook ships slices while backward still runs; the
-		// hidden share is capped by the backward window itself.
-		p.HiddenUS = math.Min(m.OverlapFraction*p.ScatterUS, w.BackwardFrac*p.ComputeUS)
+	// Reduce-scatter: every rank ships (k-1)/k of its (encoded) gradient
+	// bytes and receives as much, in (k-1) per-tensor messages each way.
+	// The links are full-duplex and distinct sender/receiver pairs run
+	// concurrently, so one rank's send budget is the bound.
+	p.ScatterUS = (k-1)*msgs*m.LatencyUS + paramMB*(k-1)/k*wireScale/m.LinkMBps*1e6
+	// The layer hook ships slices while backward still runs; the hidden
+	// share is capped by the backward window itself.
+	p.HiddenUS = math.Min(m.OverlapFraction*p.ScatterUS, w.BackwardFrac*p.ComputeUS)
 
-		// Tree gather + broadcast: each of the depth levels forwards the
-		// full reduced vector (gather up, weights down), level by level.
-		// Depth is what the fan-out buys: a flat star (fanout k-1) pays
-		// one huge level, a binary tree log2(k) small ones.
-		p.TreeUS = 2 * d * (msgs*m.LatencyUS + paramMB/m.LinkMBps*1e6)
-	}
+	// Tree gather + broadcast: each of the depth levels forwards the full
+	// reduced vector (gather up, weights down), level by level. Depth is
+	// what the fan-out buys: a flat star (fanout k-1) pays one huge
+	// level, a binary tree log2(k) small ones.
+	p.TreeUS = 2 * d * (msgs*m.LatencyUS + paramMB/m.LinkMBps*1e6)
 
 	p.TotalUS = p.ComputeUS + (p.ScatterUS - p.HiddenUS) + p.TreeUS
 	p.Speedup = w.ComputeUS / p.TotalUS

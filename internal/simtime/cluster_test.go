@@ -165,7 +165,7 @@ func TestPredictShapeDefaultsAreTreeF32(t *testing.T) {
 	w := lenetLikeWorkload()
 	for _, k := range []int{1, 2, 4, 8} {
 		a := m.Predict(w, ClusterShape{Replicas: k, Fanout: 2})
-		b := m.Predict(w, ClusterShape{Replicas: k, Fanout: 2, Topology: "tree", WireScale: 1})
+		b := m.Predict(w, ClusterShape{Replicas: k, Fanout: 2, WireScale: 1})
 		if a != b {
 			t.Fatalf("k=%d: explicit tree/f32 %+v != zero-valued shape %+v", k, b, a)
 		}
@@ -175,49 +175,16 @@ func TestPredictShapeDefaultsAreTreeF32(t *testing.T) {
 func TestPredictCompressionShrinksScatterOnly(t *testing.T) {
 	m := LocalCluster(4)
 	w := lenetLikeWorkload()
-	for _, topo := range []string{"tree", "ring"} {
-		f32 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: topo, WireScale: 1})
-		int8 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: topo, WireScale: 0.26})
-		if int8.ScatterUS >= f32.ScatterUS {
-			t.Fatalf("%s: int8 scatter %v not below f32 %v", topo, int8.ScatterUS, f32.ScatterUS)
-		}
-		// The gather/broadcast legs carry raw f32 either way.
-		if int8.TreeUS != f32.TreeUS {
-			t.Fatalf("%s: compression changed the raw-f32 legs: %v vs %v", topo, int8.TreeUS, f32.TreeUS)
-		}
-		if int8.TotalUS >= f32.TotalUS {
-			t.Fatalf("%s: int8 total %v not below f32 %v", topo, int8.TotalUS, f32.TotalUS)
-		}
+	f32 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, WireScale: 1})
+	int8 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, WireScale: 0.26})
+	if int8.ScatterUS >= f32.ScatterUS {
+		t.Fatalf("int8 scatter %v not below f32 %v", int8.ScatterUS, f32.ScatterUS)
 	}
-}
-
-// The relay ring pays ~k/2 times the textbook ring's scatter bytes for
-// bitwise determinism: at k=4 its f32 reduce-scatter moves (k-1)/2 = 1.5
-// of the gradient per link vs the tree's (k-1)/k = 0.75. The model must
-// price that honestly — and show int8 compression (0.26) buying it back.
-func TestPredictRingCostsMoreThanTreeUncompressed(t *testing.T) {
-	// Bandwidth-bound regime so byte counts dominate.
-	m := ClusterMachine{Cores: 16, LinkMBps: 110, LatencyUS: 1, OverlapFraction: 0}
-	w := lenetLikeWorkload()
-	ringF32 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: "ring", WireScale: 1})
-	treeF32 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: "tree", WireScale: 1})
-	if ringF32.ScatterUS <= treeF32.ScatterUS {
-		t.Fatalf("relay ring f32 scatter %v not above tree %v", ringF32.ScatterUS, treeF32.ScatterUS)
+	// The gather/broadcast legs carry raw f32 either way.
+	if int8.TreeUS != f32.TreeUS {
+		t.Fatalf("compression changed the raw-f32 legs: %v vs %v", int8.TreeUS, f32.TreeUS)
 	}
-	ringInt8 := m.Predict(w, ClusterShape{Replicas: 4, Fanout: 2, Topology: "ring", WireScale: 0.26})
-	if ringInt8.ScatterUS >= treeF32.ScatterUS {
-		t.Fatalf("int8 ring scatter %v should undercut f32 tree %v", ringInt8.ScatterUS, treeF32.ScatterUS)
-	}
-}
-
-func TestPredictRingTermsCompose(t *testing.T) {
-	m := LocalCluster(4)
-	p := m.Predict(lenetLikeWorkload(), ClusterShape{Replicas: 4, Fanout: 2, Topology: "ring", WireScale: 0.5})
-	sum := p.ComputeUS + (p.ScatterUS - p.HiddenUS) + p.TreeUS
-	if p.TotalUS != sum {
-		t.Fatalf("TotalUS %v != composed terms %v", p.TotalUS, sum)
-	}
-	if p.HiddenUS > p.ScatterUS {
-		t.Fatalf("hidden %v exceeds scatter %v", p.HiddenUS, p.ScatterUS)
+	if int8.TotalUS >= f32.TotalUS {
+		t.Fatalf("int8 total %v not below f32 %v", int8.TotalUS, f32.TotalUS)
 	}
 }

@@ -166,7 +166,7 @@ type Utilization struct {
 // Reduce rows aggregate the element-parallel ordered merge's per-worker
 // fold spans against the driver's merge wall time, so the reduce section
 // shows up with its own utilization instead of hiding inside backward.
-// Comm rows (internal/dist's scatter/relay/fold/gather and the codec's
+// Comm rows (internal/dist's scatter/fold/gather/bcast and the codec's
 // encode/decode) are driver-side costs with no worker busy time: they
 // report wall time, span count, and distinct peers in Bands, with Util
 // and Imbalance zero. Compute phases without worker spans (sequential
@@ -202,7 +202,7 @@ func ComputeUtilization(spans []Span, workers int) []Utilization {
 			// Comm spans are driver-side only (the dist node runs on the
 			// driving goroutine): wall time is the cost, Band is the peer
 			// rank, and there is no worker busy time to normalize. One
-			// row per sub-phase — scatter/relay/fold/gather and, under a
+			// row per sub-phase — scatter/fold/gather/bcast and, under a
 			// lossy wire format, encode/decode — so the codec's CPU cost
 			// is visible beside the wire time it bought.
 			st := get(k)

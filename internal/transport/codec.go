@@ -13,18 +13,22 @@ import (
 // the transport never needs to know whether a payload is raw or encoded.
 //
 // Contracts every Codec must honor (internal/dist's determinism proof
-// leans on all three):
+// leans on the first three; FuzzCodec checks all four):
 //
 //   - Deterministic: Encode and Decode are pure functions of their
 //     inputs. Same gradient in, same bits out, on every rank and every
 //     run.
 //   - Zero-alloc: Encode packs src into dst[:WireLen(len(src))] and
-//     Decode unpacks src into dst, both caller-allocated. The hot path
-//     in internal/dist preallocates every buffer once per run.
+//     Decode unpacks src into dst, both caller-allocated. Neither
+//     touches a word past those bounds. The hot path in internal/dist
+//     preallocates every buffer once per run.
 //   - Self-contained frames: a message decodes from its own words alone
-//     (the int8 scales travel inside the frame), so a frame relayed
-//     bit-unchanged around the ring decodes at the owner exactly as it
-//     would have at the first hop.
+//     (the int8 scales travel inside the frame), so the slice owner
+//     needs no codec state shared with the sender, and a retried or
+//     duplicated frame decodes exactly as the original.
+//   - Non-finite stays non-finite: a NaN or ±Inf source element never
+//     decodes to a finite value, so a diverging rank's gradient reaches
+//     the fold (and the divergence guard) as what it is.
 //
 // Lossy codecs (f16, int8) are paired with an error-feedback residual in
 // internal/dist: the quantization error of each sent chunk is kept
@@ -194,7 +198,10 @@ const Int8GroupLen = 256
 // after one word carrying the scale itself. Rounding is half-away-from-
 // zero, so q is an odd function of x and the codec cannot introduce a
 // systematic sign bias. A group of all zeros encodes scale 0 and decodes
-// to exact zeros.
+// to exact zeros. A group holding any NaN or ±Inf encodes a NaN scale
+// and decodes to all NaN: no max-abs scale can represent it, and
+// anything finite (or an Inf of the wrong sign) would hide the
+// divergence from the receiver.
 type Int8Codec struct{}
 
 // Name implements Codec.
@@ -224,12 +231,23 @@ func (Int8Codec) Encode(dst, src []float32) {
 		}
 		grp := src[:g]
 		var maxabs float32
+		nan := false
 		for _, v := range grp {
 			if a := float32(math.Abs(float64(v))); a > maxabs {
 				maxabs = a
+			} else if a != a {
+				nan = true
 			}
 		}
 		scale := maxabs / 127
+		switch {
+		case nan || math.IsInf(float64(maxabs), 1):
+			scale = float32(math.NaN()) // q × NaN decodes NaN whatever q holds
+		case math.IsInf(float64(127*scale), 1):
+			// Only maxabs = MaxFloat32 rounds to a scale whose 127×
+			// overflows; one ulp down keeps the group's decode finite.
+			scale = math.Nextafter32(scale, 0)
+		}
 		dst[di] = scale
 		di++
 		var inv float64

@@ -1,9 +1,16 @@
 package transport
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
+
+// int8SubnormalSlack is the absolute error Int8Codec adds to its
+// half-scale bound when a group's scale lands in the float32 subnormal
+// range (maxabs below ~2^-119): the scale itself is then rounded to a
+// multiple of 2^-149, and each of up to 127 steps inherits that error.
+const int8SubnormalSlack = 0x1p-142
 
 // gradLike fills out with a deterministic gradient-shaped signal: mixed
 // magnitudes across several decades, signs alternating irregularly, a
@@ -41,8 +48,8 @@ func TestF16SpecialValuesRoundTrip(t *testing.T) {
 		{1, 1},
 		{-1, -1},
 		{0.5, 0.5},
-		{65504, 65504},             // largest f16 normal
-		{65505, 65504},             // rounds back down
+		{65504, 65504},                // largest f16 normal
+		{65505, 65504},                // rounds back down
 		{65520, float32(math.Inf(1))}, // midpoint rounds to even = Inf
 		{1e30, float32(math.Inf(1))},  // overflow saturates
 		{-1e30, float32(math.Inf(-1))},
@@ -178,6 +185,165 @@ func TestInt8AllZeroGroupDecodesExact(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		if dec[i] != 0 {
 			t.Fatalf("zero group element %d decoded to %g", i, dec[i])
+		}
+	}
+}
+
+// TestInt8CodecCarriesNonFinite pins what a diverging rank's gradient
+// looks like after the wire: f16 keeps NaN and ±Inf element by element,
+// and int8 — whose max-abs scale cannot represent them — turns the whole
+// group into NaN. Neither may decode a non-finite element to a finite
+// value or flip an Inf's sign; a finite group keeps its exact bits.
+func TestInt8CodecCarriesNonFinite(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	inputs := [][]float32{
+		{1, nan, 0.5, -0.25},
+		{nan, nan, nan, nan},
+		{1, inf, 0.5, -0.25},
+		{1, -inf, 0.5, -0.25},
+	}
+	for _, codec := range []Codec{F16Codec{}, Int8Codec{}} {
+		for _, src := range inputs {
+			wire := make([]float32, codec.WireLen(len(src)))
+			dec := make([]float32, len(src))
+			codec.Encode(wire, src)
+			codec.Decode(dec, wire)
+			for i, x := range src {
+				got := float64(dec[i])
+				switch {
+				case codec.Name() == "int8":
+					if !math.IsNaN(got) {
+						t.Errorf("int8 %v: element %d decoded %g, want the whole group NaN", src, i, got)
+					}
+				case math.IsNaN(float64(x)) && !math.IsNaN(got):
+					t.Errorf("f16 %v: NaN element %d decoded %g", src, i, got)
+				case math.IsInf(float64(x), 0) && got != float64(x):
+					t.Errorf("f16 %v: %g element %d decoded %g", src, x, i, got)
+				}
+			}
+		}
+	}
+	// The NaN scale is confined to its own group: the next group of the
+	// same frame keeps the finite encoding's exact bits.
+	src := make([]float32, Int8GroupLen+4)
+	copy(src[Int8GroupLen:], []float32{1, 0.5, -0.25, 0.125})
+	clean := append([]float32(nil), src...)
+	src[0] = float32(math.NaN())
+	codec := Int8Codec{}
+	wire, cleanWire := make([]float32, codec.WireLen(len(src))), make([]float32, codec.WireLen(len(src)))
+	codec.Encode(wire, src)
+	codec.Encode(cleanWire, clean)
+	for i := codec.WireLen(Int8GroupLen); i < len(wire); i++ {
+		if math.Float32bits(wire[i]) != math.Float32bits(cleanWire[i]) {
+			t.Fatalf("wire word %d of the finite group changed: %08x vs %08x", i, math.Float32bits(wire[i]), math.Float32bits(cleanWire[i]))
+		}
+	}
+}
+
+// FuzzCodec feeds arbitrary float32 bit patterns through every codec's
+// Encode and Decode and checks the Codec contracts: Encode writes
+// exactly WireLen(n) words (a word past the end stays poisoned, every
+// word before it is written the same whatever the buffer held), f32
+// round-trips bit for bit, a finite element stays within the codec's
+// documented error (f16: round-to-nearest-even, saturating to ±Inf from
+// 65520; int8: half the group's wire scale, plus the float32 rounding of
+// the decoded q × scale), and a non-finite element never decodes finite
+// (int8: the whole group decodes NaN). The n elements cycle through
+// raw's words, so a short input still spans several int8 groups.
+//
+//	go test -run '^$' -fuzz '^FuzzCodec$' -fuzztime 5s ./internal/transport
+func FuzzCodec(f *testing.F) {
+	words := func(vs ...float32) []byte {
+		b := make([]byte, 4*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+		}
+		return b
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	f.Add(words(1, nan, 0.5, -0.25), uint16(4))
+	f.Add(words(1, inf, 0.5, -0.25), uint16(Int8GroupLen+3))
+	f.Add(words(math.MaxFloat32, -1, 65519, 65520, 5.9604645e-8, 1e-45), uint16(7))
+	f.Add(words(0.125, -3e-5, 0, 7), uint16(2*Int8GroupLen+1))
+	f.Fuzz(func(t *testing.T, raw []byte, n16 uint16) {
+		if len(raw) < 4 {
+			return
+		}
+		n := int(n16) % (3*Int8GroupLen + 1)
+		src := make([]float32, n)
+		for i := range src {
+			j := 4 * (i % (len(raw) / 4))
+			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[j:]))
+		}
+		for _, codec := range []Codec{F32Codec{}, F16Codec{}, Int8Codec{}} {
+			wl := codec.WireLen(n)
+			a, b := make([]float32, wl+1), make([]float32, wl+1)
+			for i := range a {
+				a[i], b[i] = math.Float32frombits(0x7fc0dead), math.Float32frombits(0xffc0beef)
+			}
+			codec.Encode(a, src)
+			codec.Encode(b, src)
+			if math.Float32bits(a[wl]) != 0x7fc0dead || math.Float32bits(b[wl]) != 0xffc0beef {
+				t.Fatalf("%s: Encode of %d elements wrote past WireLen %d", codec.Name(), n, wl)
+			}
+			for i := 0; i < wl; i++ {
+				if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+					t.Fatalf("%s: wire word %d depends on the buffer's old contents (not written?)", codec.Name(), i)
+				}
+			}
+			dec := make([]float32, n)
+			codec.Decode(dec, a[:wl])
+			checkDecoded(t, codec, src, a[:wl], dec)
+		}
+	})
+}
+
+// checkDecoded asserts dec = Decode(wire), wire = Encode(src) against
+// codec's contract, element by element.
+func checkDecoded(t *testing.T, codec Codec, src, wire, dec []float32) {
+	t.Helper()
+	for lo := 0; lo < len(src); lo += Int8GroupLen {
+		grp := src[lo:min(lo+Int8GroupLen, len(src))]
+		groupFinite := true
+		for _, x := range grp {
+			groupFinite = groupFinite && !math.IsNaN(float64(x)) && !math.IsInf(float64(x), 0)
+		}
+		scale := 0.0
+		if codec.Name() == "int8" {
+			scale = float64(wire[codec.WireLen(lo)])
+		}
+		for j, x := range grp {
+			i, xf, gf := lo+j, float64(x), float64(dec[lo+j])
+			switch codec.Name() {
+			case "f32":
+				if math.Float32bits(dec[i]) != math.Float32bits(x) {
+					t.Fatalf("f32 element %d: %08x decoded %08x", i, math.Float32bits(x), math.Float32bits(dec[i]))
+				}
+			case "f16":
+				switch {
+				case math.IsNaN(xf):
+					if !math.IsNaN(gf) {
+						t.Fatalf("f16 element %d: NaN decoded %g", i, gf)
+					}
+				case math.Abs(xf) >= 65520: // Inf, or saturates to it
+					if gf != math.Copysign(math.Inf(1), xf) {
+						t.Fatalf("f16 element %d: %g decoded %g, want a same-signed Inf", i, xf, gf)
+					}
+				case math.Abs(gf-xf) > math.Abs(xf)/2048+math.Ldexp(1, -25):
+					t.Fatalf("f16 element %d: %g decoded %g, beyond half an f16 ulp", i, xf, gf)
+				}
+			case "int8":
+				switch {
+				case !groupFinite:
+					if !math.IsNaN(gf) {
+						t.Fatalf("int8 element %d (%g) of a non-finite group decoded %g, want NaN", i, xf, gf)
+					}
+				case math.IsNaN(gf) || math.IsInf(gf, 0):
+					t.Fatalf("int8 element %d: finite %g decoded %g", i, xf, gf)
+				case math.Abs(gf-xf) > scale/2*(1+1e-9)+math.Abs(gf)*0x1p-24+int8SubnormalSlack:
+					t.Fatalf("int8 element %d: %g decoded %g, beyond half the scale %g", i, xf, gf, scale)
+				}
+			}
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Local is the in-process Transport: every rank lives in the same
-// process (one goroutine per replica, as in internal/replica) and links
-// are plain shared-memory FIFOs. It is the reference fabric — fully
+// process (one goroutine per rank) and links are plain shared-memory
+// FIFOs. It is the reference fabric — fully
 // deterministic in the values it delivers, race-testable, and free of
 // real I/O so simtime can model a run over it — and it is what
 // dnncluster's single-process mode and the dist test suite use. The TCP

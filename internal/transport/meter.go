@@ -67,10 +67,7 @@ func (m *Meter) SentBytes(k Kind) int64 { return 4 * m.SentWords(k) }
 func (m *Meter) CtrlFrames() int64 { return m.ctrlFrames.Load() }
 
 // GradBytes returns the bytes of gradient contributions this rank put on
-// the wire: the scatter frames of the tree path (KindGrad) plus the
-// ring's relay frames (KindRing). This is the quantity the codec
-// compresses; reduced slices, weight broadcasts and losses are f32 by
-// design and excluded.
-func (m *Meter) GradBytes() int64 {
-	return m.SentBytes(KindGrad) + m.SentBytes(KindRing)
-}
+// the wire: its scatter frames (KindGrad). This is the quantity the
+// codec compresses; reduced slices, weight broadcasts and losses are
+// f32 by design and excluded.
+func (m *Meter) GradBytes() int64 { return m.SentBytes(KindGrad) }

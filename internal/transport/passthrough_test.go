@@ -8,8 +8,8 @@ import (
 
 // TestInjectorsPassAllKindsThrough is the future-proofing audit for the
 // fault injectors: Chaos and Flaky must forward every message kind —
-// including ones added after they were written, such as KindRing —
-// byte-for-byte when no fault fires. Both wrappers are deliberately
+// including ones added after they were written — byte-for-byte when no
+// fault fires. Both wrappers are deliberately
 // kind-agnostic (Chaos switches on its ChaosMode, Flaky rolls its dice
 // per Send), and this test iterates 0..KindCount so adding a kind
 // without passthrough coverage is impossible: the new kind lands here
@@ -73,8 +73,9 @@ func requireSameWords(t *testing.T, k Kind, got, want []float32) {
 
 // TestMeterCountsPerKind pins the transport-layer byte accounting that
 // backs the compression measurements: words are attributed to the tag's
-// kind, only successful sends count, and KindRing (an encoded frame)
-// accumulates into GradBytes beside KindGrad.
+// kind, only successful sends count, and GradBytes counts the scatter
+// frames (KindGrad) alone — reduced slices travelling up the tree
+// (KindGather) are f32 master state, not codec traffic.
 func TestMeterCountsPerKind(t *testing.T) {
 	locals := NewLocalGroup(2)
 	m := NewMeter(locals[1])
@@ -89,7 +90,7 @@ func TestMeterCountsPerKind(t *testing.T) {
 	}
 	send(KindGrad, 100)
 	send(KindGrad, 28)
-	send(KindRing, 64)
+	send(KindGather, 64)
 	send(KindBcast, 1000)
 
 	if got := m.SentWords(KindGrad); got != 128 {
@@ -98,8 +99,8 @@ func TestMeterCountsPerKind(t *testing.T) {
 	if got := m.SentFrames(KindGrad); got != 2 {
 		t.Errorf("SentFrames(KindGrad) = %d, want 2", got)
 	}
-	if got := m.GradBytes(); got != 4*(128+64) {
-		t.Errorf("GradBytes = %d, want %d", got, 4*(128+64))
+	if got := m.GradBytes(); got != 4*128 {
+		t.Errorf("GradBytes = %d, want %d", got, 4*128)
 	}
 	if got := m.SentBytes(KindBcast); got != 4000 {
 		t.Errorf("SentBytes(KindBcast) = %d, want 4000", got)
@@ -115,24 +116,5 @@ func TestMeterCountsPerKind(t *testing.T) {
 	}
 	if got := fm.SentWords(KindGrad); got != 0 {
 		t.Errorf("dropped send counted: SentWords = %d, want 0", got)
-	}
-}
-
-// TestKindRingTagging pins KindRing's place in the protocol: data plane,
-// taggable (MakeTagE must accept every kind below KindCount), and
-// distinct in String() output for trace/debug legibility.
-func TestKindRingTagging(t *testing.T) {
-	if KindRing.Ctrl() {
-		t.Error("KindRing must travel on the data plane")
-	}
-	tag := MakeTagE(KindRing, 3, 7, 2, 0x0102) // origin<<8|owner packing
-	if tag.Kind() != KindRing || tag.Epoch() != 3 || tag.Iter() != 7 || tag.Param() != 2 || tag.Origin() != 0x0102 {
-		t.Errorf("KindRing tag fields scrambled: %v", tag)
-	}
-	if KindRing.String() != "ring" {
-		t.Errorf("KindRing.String() = %q, want ring", KindRing.String())
-	}
-	for k := Kind(0); k < KindCount; k++ {
-		MakeTagE(k, 0, 0, 0, 0) // must not panic for any defined kind
 	}
 }

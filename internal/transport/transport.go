@@ -93,15 +93,6 @@ const (
 	// fence or resume, re-seeding every member with the coordinator's
 	// weights before lock-step stepping restarts.
 	KindSync
-	// KindRing is an encoded gradient contribution relayed hop-by-hop
-	// around the ring topology during the ring reduce-scatter. Its origin
-	// field packs origin<<8|owner (both < 256 — the ring path caps the
-	// group at 256 ranks) because a relayed frame must stay distinguishable
-	// from the relaying rank's own contributions on the same link. The
-	// payload is codec-encoded wire words, not raw f32 gradient, and the
-	// epoch field in the tag keeps stale compressed chunks from aliasing
-	// across elastic membership changes.
-	KindRing
 	// KindPing is a coordinator heartbeat probe (control plane).
 	KindPing
 	// KindPong answers a ping; its payload carries the worker's training
@@ -151,8 +142,6 @@ func (k Kind) String() string {
 		return "loss"
 	case KindSync:
 		return "sync"
-	case KindRing:
-		return "ring"
 	case KindPing:
 		return "ping"
 	case KindPong:

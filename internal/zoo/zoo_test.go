@@ -270,8 +270,8 @@ func TestLoweredConvVariantMatchesDirect(t *testing.T) {
 // engine contracts at worker counts that cut the batch of 14 into even,
 // ragged and single-sample bands: the forward pass (every activation and
 // the loss) and every activation gradient are bit-identical to the
-// sequential engine, and the parameter gradients follow the ordered-reduce
-// contract — bit-deterministic at a fixed worker count, within float
+// sequential engine, and the parameter gradients follow the ordered
+// reduction contract — bit-deterministic at a fixed worker count, within float
 // summation tolerance of sequential across worker counts.
 func TestLoweredLeNetCoarseSweep(t *testing.T) {
 	const batch = 14

@@ -15,7 +15,10 @@
 # through the gathered and the packed lowering on both kernels, the naive
 # lowering as oracle), a 5-second FuzzLRN smoke (random channel counts,
 # windows, plane sizes, splits and constants through LRN's block kernels,
-# the position-at-a-time loops as oracle), the reduction determinism sweep
+# the position-at-a-time loops as oracle), a 5-second FuzzCodec smoke
+# (arbitrary float32 bits through every gradient wire format: exact
+# WireLen, documented error bounds, non-finite in stays non-finite out),
+# the reduction determinism sweep
 # (the element-parallel ordered merge must stay bit-identical to the serial
 # ordered merge at every worker count), one pass each of the A-red
 # ablation benchmark (ordered vs tree merge) and of the LRN and ReLU layer
@@ -32,7 +35,8 @@
 # snapshot served and dnneval'd with no -shape/-classes/-scores,
 # and a distributed smoke (DISTRIBUTED.md): a coordinator + 2 workers
 # over loopback TCP whose final snapshot must be bit-identical to the
-# single-process run with ring-topology and compressed-wire CRC pins,
+# single-process run, a compressed-wire smoke (f16 and int8 each
+# deterministic and distinct from f32, f32 and int8 CRCs pinned),
 # plus a supervised smoke that crashes 1 of 3 ranks
 # mid-run and requires the survivors' final snapshot to be bit-identical
 # to a clean 2-rank resume from the fence checkpoint, and a rank-failure
@@ -110,6 +114,9 @@ go test -run '^$' -fuzz '^FuzzConv$' -fuzztime 5s ./internal/blas
 
 echo "== FuzzLRN smoke (5 s: LRN's block kernels vs the position-at-a-time loops bit for bit) =="
 go test -run '^$' -fuzz '^FuzzLRN$' -fuzztime 5s ./internal/layers
+
+echo "== FuzzCodec smoke (5 s: every gradient wire format on arbitrary float32 bits: WireLen, error bounds, non-finite kept) =="
+go test -run '^$' -fuzz '^FuzzCodec$' -fuzztime 5s ./internal/transport
 
 echo "== reduction determinism sweep (OrderedSlices bit-identical across P) =="
 go test -count=1 -run 'TestOrderedSlicesBitIdenticalToOrdered|TestOrderedSlicesMergeBitIdenticalAcrossWorkers' \
@@ -219,28 +226,32 @@ local_crc="$(cksum <"$tmpdir/local.cgdnn")"
 	{ echo "FAIL: TCP snapshot CRC ($tcp_crc) != local snapshot CRC ($local_crc)" >&2; exit 1; }
 echo "TCP and in-process snapshots bit-identical (cksum $tcp_crc), as required"
 
-echo "== ring + compressed wire smoke: f32 ring == tree; int8 deterministic, != f32 =="
-# DISTRIBUTED.md section 9: the ring topology relays contributions
-# bit-unchanged, so an f32 ring run writes the exact snapshot the tree
-# run writes; an int8 (error-feedback) run is deterministic — identical
-# across reruns — but trains on quantized bits, so its snapshot must
-# differ from f32's. Both pins through the real CLI, CRC-checked.
-"$tmpdir/dnncluster" -role local -replicas 3 -reduce ring -batch 48 -samples 48 -iters 4 \
-	-zoo lenet -display 4 -snapshot "$tmpdir/ring.cgdnn" >/dev/null
-ring_crc="$(cksum <"$tmpdir/ring.cgdnn")"
-[ "$ring_crc" = "$local_crc" ] ||
-	{ echo "FAIL: f32 ring snapshot CRC ($ring_crc) != tree CRC ($local_crc)" >&2; exit 1; }
-"$tmpdir/dnncluster" -role local -replicas 3 -reduce ring -grad-wire int8 -batch 48 \
-	-samples 48 -iters 4 -zoo lenet -display 4 -snapshot "$tmpdir/int8-a.cgdnn" >/dev/null
-"$tmpdir/dnncluster" -role local -replicas 3 -reduce ring -grad-wire int8 -batch 48 \
-	-samples 48 -iters 4 -zoo lenet -display 4 -snapshot "$tmpdir/int8-b.cgdnn" >/dev/null
-int8a_crc="$(cksum <"$tmpdir/int8-a.cgdnn")"
-int8b_crc="$(cksum <"$tmpdir/int8-b.cgdnn")"
-[ "$int8a_crc" = "$int8b_crc" ] ||
-	{ echo "FAIL: int8 ring reruns differ ($int8a_crc vs $int8b_crc)" >&2; exit 1; }
-[ "$int8a_crc" != "$local_crc" ] ||
-	{ echo "FAIL: int8 snapshot identical to f32 ($int8a_crc) — compression not applied?" >&2; exit 1; }
-echo "f32 ring == tree; int8 ring deterministic and distinct from f32 (cksum $int8a_crc), as required"
+echo "== compressed-wire smoke: f16 and int8 over the tree, deterministic and distinct from f32 =="
+# DISTRIBUTED.md section 9: a lossy wire (error feedback) is deterministic
+# — identical across reruns — but trains on quantized bits, so its
+# snapshot must differ from f32's. The f32 and int8 CRCs are also pinned
+# to the bytes this run wrote while dist still carried a second (relay
+# ring) route and an in-process replica trainer beside the tree
+# (linux/amd64): the tree was the default route all along, so deleting
+# the others may not move a bit. Through the real CLI, CRC-checked.
+[ "$local_crc" = "1587190054 3449072" ] ||
+	{ echo "FAIL: f32 3-rank snapshot CRC ($local_crc) moved from the pinned 1587190054 3449072" >&2; exit 1; }
+for wire in f16 int8; do
+	for run in a b; do
+		"$tmpdir/dnncluster" -role local -replicas 3 -grad-wire "$wire" -batch 48 -samples 48 -iters 4 \
+			-zoo lenet -display 4 -snapshot "$tmpdir/$wire-$run.cgdnn" >/dev/null
+	done
+	a_crc="$(cksum <"$tmpdir/$wire-a.cgdnn")"
+	b_crc="$(cksum <"$tmpdir/$wire-b.cgdnn")"
+	[ "$a_crc" = "$b_crc" ] ||
+		{ echo "FAIL: $wire reruns differ ($a_crc vs $b_crc)" >&2; exit 1; }
+	[ "$a_crc" != "$local_crc" ] ||
+		{ echo "FAIL: $wire snapshot identical to f32 ($a_crc) — compression not applied?" >&2; exit 1; }
+	echo "$wire deterministic and distinct from f32 (cksum $a_crc)"
+done
+[ "$a_crc" = "119604507 3449072" ] ||
+	{ echo "FAIL: int8 3-rank snapshot CRC ($a_crc) moved from the pinned 119604507 3449072" >&2; exit 1; }
+echo "f32 and int8 CRCs match their pins, as required"
 
 echo "== supervised smoke: kill 1 of 3 ranks, recover bit-identical to a clean 2-rank resume =="
 # ROBUSTNESS.md's cluster contract: crash a worker mid-run of a
