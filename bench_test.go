@@ -29,11 +29,12 @@ import (
 // threadCounts is the paper's evaluated worker set.
 var threadCounts = []int{1, 2, 4, 8, 12, 16}
 
-// buildLeNet builds the MNIST benchmark net on an engine.
-func buildLeNet(b *testing.B, batch int, eng core.Engine) *net.Net {
+// buildLeNet builds the MNIST benchmark net on an engine, on the direct
+// or (lowered) the im2col+GEMM convolution.
+func buildLeNet(b *testing.B, batch int, eng core.Engine, lowered bool) *net.Net {
 	b.Helper()
 	src := data.NewSyntheticMNIST(4*batch, 1)
-	specs, err := zoo.LeNet(src, zoo.Options{BatchSize: batch, Seed: 1})
+	specs, err := zoo.LeNet(src, zoo.Options{BatchSize: batch, Seed: 1, LoweredConv: lowered})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,11 +46,11 @@ func buildLeNet(b *testing.B, batch int, eng core.Engine) *net.Net {
 }
 
 // buildCIFAR builds the CIFAR-10-full benchmark net (reduced batch so the
-// direct convolutions fit benchmark time).
-func buildCIFAR(b *testing.B, batch int, eng core.Engine) *net.Net {
+// direct convolutions fit benchmark time), like buildLeNet.
+func buildCIFAR(b *testing.B, batch int, eng core.Engine, lowered bool) *net.Net {
 	b.Helper()
 	src := data.NewSyntheticCIFAR(4*batch, 1)
-	specs, err := zoo.CIFARFull(src, zoo.Options{BatchSize: batch, Seed: 1})
+	specs, err := zoo.CIFARFull(src, zoo.Options{BatchSize: batch, Seed: 1, LoweredConv: lowered})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,25 +79,27 @@ func BenchmarkFigure6MNISTCoarse(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", t), func(b *testing.B) {
 			eng := core.NewCoarse(t)
 			defer eng.Close()
-			iterate(b, buildLeNet(b, 64, eng))
+			iterate(b, buildLeNet(b, 64, eng, false))
 		})
 	}
 }
 
 func BenchmarkFigure6MNISTSequential(b *testing.B) {
-	iterate(b, buildLeNet(b, 64, core.NewSequential()))
+	iterate(b, buildLeNet(b, 64, core.NewSequential(), false))
 }
 
 func BenchmarkFigure6MNISTFine(b *testing.B) {
 	eng := core.NewFine(16)
 	defer eng.Close()
-	iterate(b, buildLeNet(b, 64, eng))
+	iterate(b, buildLeNet(b, 64, eng, false))
 }
 
-func BenchmarkFigure6MNISTTuned(b *testing.B) {
-	eng := core.NewTuned(16)
+// BenchmarkFigure6MNISTFineLowered is the cuDNN-GPU analogue: the fine
+// engine on the lowered convolution.
+func BenchmarkFigure6MNISTFineLowered(b *testing.B) {
+	eng := core.NewFine(16)
 	defer eng.Close()
-	iterate(b, buildLeNet(b, 64, eng))
+	iterate(b, buildLeNet(b, 64, eng, true))
 }
 
 // --- Figures 7 & 9 (CIFAR-10) ---
@@ -106,19 +109,19 @@ func BenchmarkFigure9CIFARCoarse(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", t), func(b *testing.B) {
 			eng := core.NewCoarse(t)
 			defer eng.Close()
-			iterate(b, buildCIFAR(b, 16, eng))
+			iterate(b, buildCIFAR(b, 16, eng, false))
 		})
 	}
 }
 
 func BenchmarkFigure9CIFARSequential(b *testing.B) {
-	iterate(b, buildCIFAR(b, 16, core.NewSequential()))
+	iterate(b, buildCIFAR(b, 16, core.NewSequential(), false))
 }
 
-func BenchmarkFigure9CIFARTuned(b *testing.B) {
-	eng := core.NewTuned(16)
+func BenchmarkFigure9CIFARFineLowered(b *testing.B) {
+	eng := core.NewFine(16)
 	defer eng.Close()
-	iterate(b, buildCIFAR(b, 16, eng))
+	iterate(b, buildCIFAR(b, 16, eng, true))
 }
 
 // --- Figures 5 & 8: per-layer passes (the dominating layers) ---
@@ -346,7 +349,7 @@ func BenchmarkTrainingStep(b *testing.B) {
 		b.Run(fmt.Sprintf("coarse/threads=%d", t), func(b *testing.B) {
 			eng := core.NewCoarse(t)
 			defer eng.Close()
-			n := buildLeNet(b, 16, eng)
+			n := buildLeNet(b, 16, eng, false)
 			s, err := solver.New(zoo.LeNetSolver(), n)
 			if err != nil {
 				b.Fatal(err)

@@ -1,7 +1,8 @@
 // MNIST example: trains the paper's LeNet benchmark network and compares
-// the four execution engines (sequential, coarse-grain batch-parallel,
-// fine-grain BLAS-parallel, tuned im2col+GEMM) on identical weights — the
-// workload of the paper's Figures 4-6.
+// the three execution engines (sequential, coarse-grain batch-parallel,
+// fine-grain layer-parallel) on identical weights, every one of them on
+// the lowered im2col+GEMM convolution the loader builds — the workload of
+// the paper's Figures 4-6.
 //
 //	go run ./examples/mnist              # synthetic MNIST
 //	go run ./examples/mnist -data ~/mnist -iters 500
@@ -71,14 +72,13 @@ func main() {
 	fmt.Print(perLayer.Table())
 
 	// Engine comparison on identical weights: every engine computes the
-	// same loss (bitwise for coarse; within float tolerance for the
-	// fine/tuned kernels, whose operation order differs).
+	// same loss bit for bit — the forward pass has no reduction, and the
+	// fine split of each product keeps every element's operation order.
 	fmt.Println("\nengine comparison (same weights, same batch):")
 	for _, mk := range []func() core.Engine{
 		func() core.Engine { return core.NewSequential() },
 		func() core.Engine { return core.NewCoarse(*workers) },
 		func() core.Engine { return core.NewFine(*workers) },
-		func() core.Engine { return core.NewTuned(*workers) },
 	} {
 		e := mk()
 		fresh, err := m.Specs(m.Source, 0)

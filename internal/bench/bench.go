@@ -90,10 +90,15 @@ func (o *Options) normalize() error {
 }
 
 // buildNet constructs the selected benchmark network on the direct
-// convolution: the paper's figures are about that loop nest, whatever
-// the front ends run (zoo.Model.Specs builds the lowered one).
-func buildNet(o Options, eng core.Engine) (*net.Net, error) {
-	return buildNetVariant(o, eng, false)
+// convolution — the loop nest the paper's figures are about, whatever the
+// front ends run (zoo.Model.Specs builds the lowered one) — or, with
+// lowered, on the im2col+GEMM convolution.
+func buildNet(o Options, eng core.Engine, lowered bool) (*net.Net, error) {
+	specs, err := zoo.Build(o.Net, o.model.Source, zoo.Options{BatchSize: o.Batch, Seed: o.Seed, LoweredConv: lowered})
+	if err != nil {
+		return nil, err
+	}
+	return net.New(specs, eng)
 }
 
 // MeasureSerial runs the network under the sequential engine and returns
@@ -103,7 +108,7 @@ func MeasureSerial(o Options) (*net.Net, *trace.LayerTimes, error) {
 	if err := o.normalize(); err != nil {
 		return nil, nil, err
 	}
-	n, err := buildNet(o, core.NewSequential())
+	n, err := buildNet(o, core.NewSequential(), false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,26 +127,29 @@ func MeasureSerial(o Options) (*net.Net, *trace.LayerTimes, error) {
 	return n, lt, err
 }
 
-// MeasureEngine returns the mean wall-clock time of one full iteration
-// of the network under an arbitrary engine.
-func MeasureEngine(o Options, eng core.Engine) (time.Duration, error) {
+// MeasureEngine returns the mean wall-clock time of one full iteration of
+// the network, on the direct or (lowered) the im2col+GEMM convolution,
+// under an arbitrary engine, and the last iteration's loss. Nothing
+// updates the weights, so the loss depends only on the net and the data.
+func MeasureEngine(o Options, eng core.Engine, lowered bool) (time.Duration, float64, error) {
 	if err := o.normalize(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	n, err := buildNet(o, eng)
+	n, err := buildNet(o, eng, lowered)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	for i := 0; i < o.Warmup; i++ {
 		n.ZeroParamDiffs()
 		n.ForwardBackward()
 	}
 	start := time.Now()
+	var loss float64
 	for i := 0; i < o.Iterations; i++ {
 		n.ZeroParamDiffs()
-		n.ForwardBackward()
+		loss = n.ForwardBackward()
 	}
-	return time.Since(start) / time.Duration(o.Iterations), nil
+	return time.Since(start) / time.Duration(o.Iterations), loss, nil
 }
 
 // classifyDist maps a layer to its data-thread distribution class, the

@@ -340,8 +340,8 @@ func TestMeasureModeFillsWallClock(t *testing.T) {
 	if _, ok := res.CoarseMeasured[2]; !ok {
 		t.Fatal("measured mode did not record wall-clock speedup")
 	}
-	if res.FineMeasured <= 0 || res.TunedMeasured <= 0 {
-		t.Fatal("fine/tuned engines not measured")
+	if res.FineMeasured <= 0 || res.FineLoweredMeasured <= 0 {
+		t.Fatal("fine engine not measured on both convolutions")
 	}
 }
 
@@ -363,13 +363,23 @@ func TestEngineComparison(t *testing.T) {
 			t.Fatalf("%s: loss %v", row.Name, row.Loss)
 		}
 	}
-	// All configurations compute (nearly) the same function.
+	// All configurations compute (nearly) the same function, and with no
+	// update in between, every engine on one kernel exactly the same.
 	base := res.Rows[0].Loss
-	for _, row := range res.Rows[1:] {
+	kernelLoss := map[string]float64{}
+	for _, row := range res.Rows {
 		rel := (row.Loss - base) / base
 		if rel > 1e-3 || rel < -1e-3 {
 			t.Fatalf("%s: loss %v deviates from %v", row.Name, row.Loss, base)
 		}
+		kernel := row.Name[strings.LastIndex(row.Name, "/")+1:]
+		if want, ok := kernelLoss[kernel]; ok && row.Loss != want {
+			t.Fatalf("%s: loss %v, not the %v of the other %s rows", row.Name, row.Loss, want, kernel)
+		}
+		kernelLoss[kernel] = row.Loss
+	}
+	if len(kernelLoss) != 2 {
+		t.Fatalf("kernels: %v", kernelLoss)
 	}
 	// The lowered convolution is an algorithmic win even on one core.
 	var direct, lowered float64
@@ -386,7 +396,7 @@ func TestEngineComparison(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)
-	if !strings.Contains(buf.String(), "tuned") {
+	if !strings.Contains(buf.String(), "fine/2/lowered-conv") {
 		t.Fatal("render missing rows")
 	}
 }

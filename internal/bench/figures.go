@@ -83,7 +83,7 @@ func PerLayerTimes(o Options) (*PerLayerResult, error) {
 		res.BwdUS[t] = bwd
 		if o.Measure && t > 1 {
 			eng := core.NewCoarse(t)
-			mean, err := MeasureEngine(o, eng)
+			mean, _, err := MeasureEngine(o, eng, false)
 			eng.Close()
 			if err != nil {
 				return nil, err
@@ -175,10 +175,11 @@ type OverallResult struct {
 	CoarseModeled map[int]float64
 	// CoarseMeasured[t] is the wall-clock overall speedup (Measure mode).
 	CoarseMeasured map[int]float64
-	// FineMeasured / TunedMeasured are the wall-clock speedups of the
-	// fine-grain goroutine engines (plain-GPU / cuDNN analogues) on this
-	// host (Measure mode).
-	FineMeasured, TunedMeasured float64
+	// FineMeasured / FineLoweredMeasured are the wall-clock speedups of
+	// the fine-grain goroutine engine on the direct and on the lowered
+	// convolution (plain-GPU / cuDNN analogues) on this host (Measure
+	// mode).
+	FineMeasured, FineLoweredMeasured float64
 	// PlainGPU / CuDNNGPU are the modeled overall GPU speedups under the
 	// paper-calibrated per-layer profiles.
 	PlainGPU, CuDNNGPU float64
@@ -205,8 +206,8 @@ func (r *OverallResult) Render(w io.Writer) {
 	if r.FineMeasured > 0 {
 		fmt.Fprintf(w, "fine engine (this host): %5.2fx measured\n", r.FineMeasured)
 	}
-	if r.TunedMeasured > 0 {
-		fmt.Fprintf(w, "tuned engine (this host): %5.2fx measured\n", r.TunedMeasured)
+	if r.FineLoweredMeasured > 0 {
+		fmt.Fprintf(w, "fine engine, lowered conv (this host): %5.2fx measured\n", r.FineLoweredMeasured)
 	}
 	fmt.Fprintln(w, "\n-- GPU layer scalability (calibrated from the paper) --")
 	fmt.Fprintf(w, "%-8s %10s %10s %10s %10s\n", "layer", "plain-f", "plain-b", "cudnn-f", "cudnn-b")
@@ -249,7 +250,7 @@ func Overall(o Options) (*OverallResult, error) {
 	}
 	var serialMean float64
 	if o.Measure {
-		sm, err := MeasureEngine(o, core.NewSequential())
+		sm, _, err := MeasureEngine(o, core.NewSequential(), false)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +260,7 @@ func Overall(o Options) (*OverallResult, error) {
 		res.CoarseModeled[t] = o.Machine.Speedup(models, t)
 		if o.Measure && t > 1 {
 			eng := core.NewCoarse(t)
-			mean, err := MeasureEngine(o, eng)
+			mean, _, err := MeasureEngine(o, eng, false)
 			eng.Close()
 			if err != nil {
 				return nil, err
@@ -268,20 +269,16 @@ func Overall(o Options) (*OverallResult, error) {
 		}
 	}
 	if o.Measure {
-		fe := core.NewFine(maxInt(o.Threads))
-		fm, err := MeasureEngine(o, fe)
-		fe.Close()
-		if err != nil {
-			return nil, err
+		// Fine on the direct net, then on the lowered one.
+		for i, dst := range []*float64{&res.FineMeasured, &res.FineLoweredMeasured} {
+			fe := core.NewFine(maxInt(o.Threads))
+			fm, _, err := MeasureEngine(o, fe, i == 1)
+			fe.Close()
+			if err != nil {
+				return nil, err
+			}
+			*dst = serialMean / float64(fm.Microseconds())
 		}
-		res.FineMeasured = serialMean / float64(fm.Microseconds())
-		te := core.NewTuned(maxInt(o.Threads))
-		tm, err := MeasureEngine(o, te)
-		te.Close()
-		if err != nil {
-			return nil, err
-		}
-		res.TunedMeasured = serialMean / float64(tm.Microseconds())
 	}
 	return res, nil
 }
@@ -328,7 +325,7 @@ func Memory(o Options) (*MemoryResult, error) {
 	res := &MemoryResult{Net: o.Net, Threads: o.Threads, ScratchBytes: map[int]int64{}}
 	for _, t := range o.Threads {
 		eng := core.NewCoarse(t)
-		n, err := buildNet(o, eng)
+		n, err := buildNet(o, eng, false)
 		if err != nil {
 			eng.Close()
 			return nil, err
@@ -380,7 +377,7 @@ func Convergence(o Options, iters int) (*ConvergenceResult, error) {
 		iters = 20
 	}
 	train := func(eng core.Engine) ([]float64, error) {
-		n, err := buildNet(o, eng)
+		n, err := buildNet(o, eng, false)
 		if err != nil {
 			return nil, err
 		}

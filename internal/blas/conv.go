@@ -418,38 +418,46 @@ func ConvBackwardWeights(s *GemmScratch, p *ConvPlan, o int, dTop, im, wGrad []f
 	gemmBlocked(s, &op, 0, o)
 }
 
-// ConvBackwardData computes one sample's bottom gradient dX (Channels x
-// Height x Width, overwritten) = Col2im(Wᵀ · dTop). Wᵀ must have been
-// packed into s with s.PackA(Trans, p.Rows(), o, w, p.Rows()).
+// ConvBackwardData computes channels [c0, c1) of one sample's bottom
+// gradient dX (Channels x Height x Width; those channels overwritten, the
+// rest untouched) = Col2im(Wᵀ · dTop). The rows of Wᵀ that feed them must
+// have been packed into s: with kk = KernelH*KernelW,
+// s.PackA(Trans, (c1-c0)*kk, o, w[c0*kk:], p.Rows()) — for the whole image,
+// c0 = 0 and c1 = Channels, that is all of Wᵀ.
 //
 // dcol = Wᵀ·dTop (Rows x Cols) is produced gemmMC rows at a time into the
 // scratch and each strip is scattered while it is still in cache, so the
 // Rows x Cols matrix never exists. The strips go in ascending row order,
 // which is the order Col2im adds in: an element of dX receives at most one
 // term from each row of dcol, so row order is the whole of its summation
-// order, and dX is bit for bit Col2im of the full matrix. Scattering from
-// the tile writeback instead — true fusion — would add in tile order, rows
-// 4-7 of one block of columns before rows 0-3 of the next, and an element
-// fed by both would round differently.
-func ConvBackwardData(s *GemmScratch, p *ConvPlan, o int, dTop, dX []float32) {
-	ckk, ohw := p.Rows(), p.Cols()
-	chw := p.Channels * p.Height * p.Width
-	checkPacked(s, "ConvBackwardData", ckk, o)
+// order, and dX is bit for bit Col2im of the full matrix wherever the
+// strips are cut — which is why a channel range, whose strips start at row
+// c0*kk, gives the same bits as the whole image. Scattering from the tile
+// writeback instead — true fusion — would add in tile order, rows 4-7 of
+// one block of columns before rows 0-3 of the next, and an element fed by
+// both would round differently.
+func ConvBackwardData(s *GemmScratch, p *ConvPlan, o int, dTop, dX []float32, c0, c1 int) {
+	kk, ohw, hw := p.KernelH*p.KernelW, p.Cols(), p.Height*p.Width
+	if c0 < 0 || c1 > p.Channels || c0 >= c1 {
+		panic(fmt.Sprintf("blas: ConvBackwardData: channel range [%d, %d) of %d", c0, c1, p.Channels))
+	}
+	rows := (c1 - c0) * kk
+	checkPacked(s, "ConvBackwardData", rows, o)
 	checkLen("ConvBackwardData dTop", len(dTop), o*ohw)
-	checkLen("ConvBackwardData dX", len(dX), chw)
+	checkLen("ConvBackwardData dX", len(dX), p.Channels*hw)
 	if cap(s.strip) < gemmMC*ohw {
 		//dnnlint:ignore hotalloc grow-once scratch, amortized across every later sample of this geometry
 		s.strip = make([]float32, gemmMC*ohw)
 	}
 	strip := s.strip[:gemmMC*ohw]
 	s.packBAhead(NoTrans, ohw, o, dTop, ohw)
-	clear(dX[:chw])
+	clear(dX[c0*hw : c1*hw])
 	op := gemmOp{n: ohw, k: o, alpha: 1, c: strip, ldc: ohw}
-	for ic := 0; ic < ckk; ic += gemmMC {
-		mc := min(gemmMC, ckk-ic)
+	for ic := 0; ic < rows; ic += gemmMC {
+		mc := min(gemmMC, rows-ic)
 		op.cRow0 = ic
 		gemmBlocked(s, &op, ic, ic+mc)
-		p.scatter(strip, p.cursor(ic), mc, dX)
+		p.scatter(strip, p.cursor(c0*kk+ic), mc, dX)
 	}
 }
 

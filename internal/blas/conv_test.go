@@ -215,7 +215,7 @@ func (c *convCase) check(t *testing.T, r *rng.RNG, name string, p *ConvPlan) {
 
 	gotX := randomSlice(r, len(c.im))
 	s.PackA(Trans, ckk, o, c.w, ckk)
-	ConvBackwardData(s, p, o, c.dTop, gotX)
+	ConvBackwardData(s, p, o, c.dTop, gotX, 0, c.g.Channels)
 	bitEqual(t, name+" dX", gotX, c.wantX)
 }
 
@@ -312,7 +312,7 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 		s := &GemmScratch{}
 		s.PackA(Trans, ckk, o, w, ckk)
 		dX := randomSlice(r, g.Channels*hw)
-		ConvBackwardData(s, NewConvPlan(g), o, dTop, dX)
+		ConvBackwardData(s, NewConvPlan(g), o, dTop, dX, 0, g.Channels)
 
 		dcol := make([]float32, ckk*ohw)
 		GemmBlocked(Trans, NoTrans, ckk, ohw, o, 1, w, ckk, dTop, ohw, 0, dcol, ohw)
@@ -329,8 +329,21 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 			}
 			s.PackA(Trans, kk, o, wc, kk)
 			one := make([]float32, hw)
-			ConvBackwardData(s, NewConvPlan(g1), o, dTop, one)
+			ConvBackwardData(s, NewConvPlan(g1), o, dTop, one, 0, 1)
 			bitEqual(t, fmt.Sprintf("channel %d alone", c), dX[c*hw:(c+1)*hw], one)
+		}
+
+		// A channel range of the full convolution (what a Fine band computes)
+		// writes those channels' bits and leaves every other channel alone.
+		for _, cr := range [][2]int{{0, 1}, {0, 3}, {2, 5}, {3, 7}, {6, 7}} {
+			c0, c1 := cr[0], cr[1]
+			s.PackA(Trans, (c1-c0)*kk, o, w[c0*kk:], ckk)
+			got := randomSlice(r, g.Channels*hw)
+			before := append([]float32(nil), got...)
+			ConvBackwardData(s, NewConvPlan(g), o, dTop, got, c0, c1)
+			bitEqual(t, fmt.Sprintf("channels [%d,%d)", c0, c1), got[c0*hw:c1*hw], dX[c0*hw:c1*hw])
+			bitEqual(t, fmt.Sprintf("channels before %d", c0), got[:c0*hw], before[:c0*hw])
+			bitEqual(t, fmt.Sprintf("channels from %d", c1), got[c1*hw:], before[c1*hw:])
 		}
 	}
 	t.Run("active-kernel", check)
@@ -375,7 +388,7 @@ func TestConvPackedAMismatchPanics(t *testing.T) {
 			t.Fatal("ConvBackwardData accepted a scratch packed for the forward pass")
 		}
 	}()
-	ConvBackwardData(s, NewConvPlan(g), 4, make([]float32, 4*g.Cols()), make([]float32, 2*6*6))
+	ConvBackwardData(s, NewConvPlan(g), 4, make([]float32, 4*g.Cols()), make([]float32, 2*6*6), 0, 2)
 }
 
 // BenchmarkConvLowered times one sample's three conv products on the zoo
@@ -432,7 +445,7 @@ func BenchmarkConvLowered(b *testing.B) {
 				gemmDense(s, Trans, NoTrans, ohw, o, 1, w, ckk, dTop, ohw, 0, dcol, ohw, 0, ckk)
 				col2im(dcol, g, inDiff)
 			}},
-			{"bwdX/implicit", func() { s.PackA(Trans, ckk, o, w, ckk) }, func() { ConvBackwardData(s, plan, o, dTop, inDiff) }},
+			{"bwdX/implicit", func() { s.PackA(Trans, ckk, o, w, ckk) }, func() { ConvBackwardData(s, plan, o, dTop, inDiff, 0, g.Channels) }},
 		} {
 			b.Run(l.name+"/"+bm.name, func(b *testing.B) {
 				bm.prep()

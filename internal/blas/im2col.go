@@ -2,8 +2,7 @@ package blas
 
 // Im2col lowers a (channels, height, width) image into a column matrix so
 // that a convolution becomes a single Gemm, the standard lowering used by
-// Caffe's convolutional layers (and the basis of the cuDNN-analogue
-// "FineTuned" engine in this repository).
+// Caffe's convolutional layers.
 //
 // The output col has shape
 //
@@ -12,10 +11,12 @@ package blas
 // stored row-major, where outH = (height + 2*padH - kernelH)/strideH + 1 and
 // similarly for outW. Elements read from the padding region are zero.
 //
-// The lowered convolution layer no longer calls this — it packs GEMM
-// panels straight from the image (conv.go) with the same row walker — so
-// Im2col remains as the Tuned engine's lowering and as the oracle the
-// implicit GEMM is differentially tested against.
+// No layer calls this: every convolution-shaped product (Convolution under
+// every engine, Deconvolution) is one of conv.go's three, which read the
+// lowered matrix out of the image with the same row walker and never
+// write it. Im2col and Col2im remain as the oracle those products are
+// differentially tested against and as the lowering the benchmark
+// module's kernel probes time.
 func Im2col(im []float32, channels, height, width, kernelH, kernelW, padH, padW, strideH, strideW int, col []float32) {
 	g := ConvGeom{channels, height, width, kernelH, kernelW, padH, padW, strideH, strideW}
 	outW, ohw := g.OutW(), g.Cols()

@@ -13,8 +13,15 @@ import (
 // buildConv creates a deterministic convolution layer with its blobs.
 func buildConv(t *testing.T, seed uint64) (*layers.Convolution, []*blob.Blob, []*blob.Blob) {
 	t.Helper()
+	return buildConvKernel(t, seed, false)
+}
+
+// buildConvKernel is buildConv on the direct loop nest or (lowered) the
+// im2col+GEMM products.
+func buildConvKernel(t *testing.T, seed uint64, lowered bool) (*layers.Convolution, []*blob.Blob, []*blob.Blob) {
+	t.Helper()
 	l, err := layers.NewConvolution("conv", layers.ConvConfig{
-		NumOutput: 4, Kernel: 3, Pad: 1,
+		NumOutput: 4, Kernel: 3, Pad: 1, Lowered: lowered,
 		WeightFiller: layers.GaussianFiller{Std: 0.2}, RNG: rng.New(seed, 1),
 	})
 	if err != nil {
@@ -58,7 +65,6 @@ func TestEngineNames(t *testing.T) {
 		{NewSequential(), "sequential", 1},
 		{NewCoarse(4), "coarse", 4},
 		{NewFine(4), "fine", 4},
-		{NewTuned(4), "tuned", 4},
 	} {
 		if tc.e.Name() != tc.name || tc.e.Workers() != tc.w {
 			t.Fatalf("engine %T: name %q workers %d", tc.e, tc.e.Name(), tc.e.Workers())
@@ -196,54 +202,66 @@ func TestTreeReductionCloseToOrdered(t *testing.T) {
 	}
 }
 
-func TestFineAndTunedMatchSequential(t *testing.T) {
-	lRef, botRef, topRef := buildConv(t, 11)
-	seq := NewSequential()
-	seq.Forward(lRef, botRef, topRef)
-	seedTopDiff(topRef, 11)
-	for _, p := range lRef.Params() {
-		p.ZeroDiff()
-	}
-	seq.Backward(lRef, botRef, topRef)
-
-	for _, mk := range []func() Engine{
-		func() Engine { return NewFine(4) },
-		func() Engine { return NewTuned(4) },
-	} {
-		e := mk()
-		l, bot, top := buildConv(t, 11)
-		e.Forward(l, bot, top)
-		if d := maxAbsDiff(top[0].Data(), topRef[0].Data()); d > 1e-4 {
-			t.Fatalf("%s: forward deviates by %g", e.Name(), d)
+// Fine against Sequential on each convolution kernel: on the direct loop
+// nest within float tolerance (its fine backward adds in another order),
+// on the lowered products bit for bit — a Fine band computes whole rows of
+// each GEMM and whole channels of dX, in the sequential range's order.
+func TestFineMatchesSequential(t *testing.T) {
+	for _, lowered := range []bool{false, true} {
+		fwdTol, gradTol := 1e-4, 1e-3
+		if lowered {
+			fwdTol, gradTol = 0, 0
 		}
-		seedTopDiff(top, 11)
-		for _, p := range l.Params() {
+		lRef, botRef, topRef := buildConvKernel(t, 11, lowered)
+		seq := NewSequential()
+		seq.Forward(lRef, botRef, topRef)
+		seedTopDiff(topRef, 11)
+		for _, p := range lRef.Params() {
 			p.ZeroDiff()
 		}
-		e.Backward(l, bot, top)
-		if d := maxAbsDiff(bot[0].Diff(), botRef[0].Diff()); d > 1e-4 {
-			t.Fatalf("%s: bottom grad deviates by %g", e.Name(), d)
-		}
-		for pi := range l.Params() {
-			if d := maxAbsDiff(l.Params()[pi].Diff(), lRef.Params()[pi].Diff()); d > 1e-3 {
-				t.Fatalf("%s: param %d grad deviates by %g", e.Name(), pi, d)
+		seq.Backward(lRef, botRef, topRef)
+
+		for _, w := range []int{2, 3, 4} {
+			e := NewFine(w)
+			l, bot, top := buildConvKernel(t, 11, lowered)
+			e.Forward(l, bot, top)
+			if d := maxAbsDiff(top[0].Data(), topRef[0].Data()); d > fwdTol {
+				t.Fatalf("fine/%d lowered=%v: forward deviates by %g", w, lowered, d)
 			}
+			seedTopDiff(top, 11)
+			for _, p := range l.Params() {
+				p.ZeroDiff()
+			}
+			e.Backward(l, bot, top)
+			if d := maxAbsDiff(bot[0].Diff(), botRef[0].Diff()); d > fwdTol {
+				t.Fatalf("fine/%d lowered=%v: bottom grad deviates by %g", w, lowered, d)
+			}
+			for pi := range l.Params() {
+				if d := maxAbsDiff(l.Params()[pi].Diff(), lRef.Params()[pi].Diff()); d > gradTol {
+					t.Fatalf("fine/%d lowered=%v: param %d grad deviates by %g", w, lowered, pi, d)
+				}
+			}
+			e.Close()
 		}
-		e.Close()
 	}
 }
 
-// Gradients must ACCUMULATE across Backward calls under every engine (the
-// solver zeroes them once per iteration, not per layer call).
+// Gradients must ACCUMULATE across Backward calls under every engine and
+// convolution kernel (the solver zeroes them once per iteration, not per
+// layer call).
 func TestBackwardAccumulates(t *testing.T) {
-	for _, mk := range []func() Engine{
-		func() Engine { return NewSequential() },
-		func() Engine { return NewCoarse(3) },
-		func() Engine { return NewFine(3) },
-		func() Engine { return NewTuned(3) },
+	for _, tc := range []struct {
+		mk      func() Engine
+		lowered bool
+	}{
+		{func() Engine { return NewSequential() }, false},
+		{func() Engine { return NewCoarse(3) }, false},
+		{func() Engine { return NewFine(3) }, false},
+		{func() Engine { return NewCoarse(3) }, true},
+		{func() Engine { return NewFine(3) }, true},
 	} {
-		e := mk()
-		l, bot, top := buildConv(t, 13)
+		e := tc.mk()
+		l, bot, top := buildConvKernel(t, 13, tc.lowered)
 		e.Forward(l, bot, top)
 		seedTopDiff(top, 13)
 		for _, p := range l.Params() {
@@ -256,7 +274,7 @@ func TestBackwardAccumulates(t *testing.T) {
 			want := 2 * once[i]
 			got := l.Params()[0].Diff()[i]
 			if math.Abs(float64(got-want)) > 1e-3*math.Max(1, math.Abs(float64(want))) {
-				t.Fatalf("%s: gradient did not accumulate: %v vs 2*%v", e.Name(), got, once[i])
+				t.Fatalf("%s lowered=%v: gradient did not accumulate: %v vs 2*%v", e.Name(), tc.lowered, got, once[i])
 			}
 		}
 		e.Close()

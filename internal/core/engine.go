@@ -9,18 +9,22 @@
 // layer-specific kernel. Every command builds NewCoarse(-workers); one
 // worker is the sequential run bit for bit.
 //
-// The other three engines reproduce the paper's comparison points. Fine
-// and Tuned are constructed only by the experiment harness
-// (internal/bench), the examples and tests; Sequential is also what a net
-// built with a nil engine runs — each serving replica, whose parallelism
-// is across replicas:
+// The other two engines reproduce the paper's comparison points. Fine is
+// constructed only by the experiment harness (internal/bench), the
+// examples and tests; Sequential is also what a net built with a nil
+// engine runs — each serving replica, whose parallelism is across
+// replicas:
 //
 //   - Sequential — the serial baseline every speedup is measured against.
 //   - Fine — the plain-GPU analogue: layers providing a fine-grain
 //     implementation (parallelism inside the BLAS/inner loops, §3.1.1/
 //     §3.1.2) use it; the rest run serially.
-//   - Tuned — the cuDNN analogue: like Fine, but layers providing a
-//     restructured optimized kernel (im2col+GEMM convolution) use that.
+//
+// The convolution kernel is the other axis of the paper's comparison and
+// a property of the net, not of the engine: a net built with lowered
+// convolutions (layers.ConvConfig.Lowered, the im2col+GEMM restructuring
+// that stands in for cuDNN) runs them under all three engines, so Fine on
+// a lowered net is the cuDNN-GPU analogue.
 //
 // Engines are deliberately unaware of networks and solvers; package net
 // composes them.
@@ -29,8 +33,8 @@
 //
 // Engines that run parallel work accept a span tracer via an optional
 // SetTracer(*trace.Tracer) method (package net propagates it): Coarse
-// traces its worker regions and gradient reductions, Fine and Tuned
-// forward the tracer to their pool so BLAS-level tile bands appear as
+// traces its worker regions and gradient reductions, Fine forwards the
+// tracer to its pool so BLAS-level tile bands appear as
 // worker spans. Sequential runs on the driver alone, so only the
 // driver-side layer spans recorded by package net exist for it. A nil
 // tracer costs nothing; see OBSERVABILITY.md.

@@ -14,27 +14,19 @@ import (
 // contrasts with the network-agnostic coarse approach. Layers without a
 // fine implementation fall back to serial execution.
 //
-// With tuned=true the engine becomes the cuDNN analogue: layers providing
-// a restructured optimized kernel (TunedForwarder/TunedBackwarder — the
-// im2col+GEMM convolution) use it in preference to the plain fine kernel.
+// The kernel a layer runs is the layer's own choice: on a net built with
+// lowered convolutions (layers.ConvConfig.Lowered), Fine splits the
+// im2col+GEMM products across its pool — the cuDNN-GPU analogue; on a
+// direct-convolution net, the loop nest's channel loops.
 type Fine struct {
-	pool  *par.Pool
-	tuned bool
+	pool *par.Pool
 }
 
-// NewFine creates the plain fine-grain engine.
+// NewFine creates the fine-grain engine.
 func NewFine(workers int) *Fine { return &Fine{pool: par.NewPool(workers)} }
 
-// NewTuned creates the tuned fine-grain engine (cuDNN analogue).
-func NewTuned(workers int) *Fine { return &Fine{pool: par.NewPool(workers), tuned: true} }
-
 // Name implements Engine.
-func (e *Fine) Name() string {
-	if e.tuned {
-		return "tuned"
-	}
-	return "fine"
-}
+func (e *Fine) Name() string { return "fine" }
 
 // Workers implements Engine.
 func (e *Fine) Workers() int { return e.pool.Workers() }
@@ -47,12 +39,6 @@ func (e *Fine) SetTracer(t *trace.Tracer) { e.pool.SetTracer(t) }
 // Forward implements Engine.
 func (e *Fine) Forward(l layers.Layer, bottom, top []*blob.Blob) {
 	forwardHooks(l, bottom, top, func() {
-		if e.tuned {
-			if tf, ok := l.(layers.TunedForwarder); ok {
-				tf.ForwardTuned(e.pool, bottom, top)
-				return
-			}
-		}
 		if ff, ok := l.(layers.FineForwarder); ok {
 			ff.ForwardFine(e.pool, bottom, top)
 			return
@@ -65,12 +51,6 @@ func (e *Fine) Forward(l layers.Layer, bottom, top []*blob.Blob) {
 
 // Backward implements Engine.
 func (e *Fine) Backward(l layers.Layer, bottom, top []*blob.Blob) {
-	if e.tuned {
-		if tb, ok := l.(layers.TunedBackwarder); ok {
-			backwardHooks(l, bottom, top, func() { tb.BackwardTuned(e.pool, bottom, top) })
-			return
-		}
-	}
 	if fb, ok := l.(layers.FineBackwarder); ok {
 		backwardHooks(l, bottom, top, func() { fb.BackwardFine(e.pool, bottom, top) })
 		return
@@ -82,7 +62,7 @@ func (e *Fine) Backward(l layers.Layer, bottom, top []*blob.Blob) {
 	}
 }
 
-// ScratchBytes implements Engine: the fine engines privatize nothing.
+// ScratchBytes implements Engine: the fine engine privatizes nothing.
 func (e *Fine) ScratchBytes() int64 { return 0 }
 
 // Close implements Engine.

@@ -20,17 +20,18 @@ type ConvConfig struct {
 	PadH, PadW         int
 	Stride             int
 	StrideH, StrideW   int
-	BiasTerm           bool // NOTE: set via NewConvolution default (true); see WithoutBias
 	NoBias             bool // disable the bias term
 	WeightFiller       Filler
 	BiasFiller         Filler
 	RNG                *rng.RNG
 	DisablePropagation bool // skip gradient w.r.t. bottom (first conv after data)
-	// Lowered selects the im2col+GEMM implementation (Caffe's CPU path)
-	// for the sequential/coarse engines instead of the direct loop nest;
-	// the coalesced unit becomes one sample and each worker privatizes a
-	// GEMM scratch, not a column matrix: the lowering happens inside the
-	// GEMM's panel packing (see conv_lowered.go).
+	// Lowered selects the im2col+GEMM implementation (Caffe's CPU path,
+	// the cuDNN analogue) instead of the direct loop nest, under every
+	// engine: the coarse unit becomes one sample, a Fine band a run of
+	// output channels, and each worker privatizes a GEMM scratch, not a
+	// column matrix — the lowering happens inside the GEMM (see
+	// conv_lowered.go). Deconvolution ignores it: it always runs on the
+	// lowered products.
 	Lowered bool
 }
 
@@ -86,8 +87,8 @@ func (c *ConvConfig) normalize() error {
 // respect to the input accumulates contributions from all output channels
 // of the same sample and must stay within one worker to remain race-free.
 //
-// The layer additionally implements the tuned (cuDNN-analogue) path:
-// im2col lowering plus GEMM, with the GEMM rows split across the pool.
+// With ConvConfig.Lowered the same passes run as im2col+GEMM instead
+// (conv_lowered.go), under the coarse and the Fine engine alike.
 type Convolution struct {
 	base
 	cfg ConvConfig
@@ -98,13 +99,6 @@ type Convolution struct {
 	plan                         *blas.ConvPlan // the same, with the lowered path's gather tables
 
 	propagateDown bool
-
-	// Scratch for the tuned path: one column buffer (samples are processed
-	// serially in that path, parallelism is inside the GEMM), plus its
-	// backward twin holding dcol = W^T * dTop before col2im. Both persist
-	// across calls so the tuned hot path allocates nothing in steady state.
-	colBuf  []float32
-	dcolBuf []float32
 }
 
 // NewConvolution creates a convolution layer. It returns an error for
@@ -123,8 +117,8 @@ func NewConvolution(name string, cfg ConvConfig) (*Convolution, error) {
 // Geom returns the layer's per-sample geometry (valid after SetUp).
 func (l *Convolution) Geom() blas.ConvGeom { return l.plan.ConvGeom }
 
-// Lowered reports whether the sequential/coarse engines run the layer as
-// the implicit GEMM (ConvConfig.Lowered) rather than the direct loop nest.
+// Lowered reports whether the layer runs as the implicit GEMM
+// (ConvConfig.Lowered) rather than the direct loop nest.
 func (l *Convolution) Lowered() bool { return l.cfg.Lowered }
 
 // SetPropagateDown lets the net disable the input-gradient computation
@@ -176,19 +170,6 @@ func (l *Convolution) Reshape(bottom, top []*blob.Blob) {
 	top[0].Reshape(l.num, l.cfg.NumOutput, l.outH, l.outW)
 }
 
-// tunedCol returns the tuned path's column buffer, grown on first use: the
-// direct and lowered paths never lower a sample into memory, so a net that
-// does not run on the Tuned engine should not hold one K x N matrix per
-// convolution (1.3 MB on CIFAR-10-full) for it.
-func (l *Convolution) tunedCol() []float32 {
-	colLen := l.plan.Rows() * l.plan.Cols()
-	if cap(l.colBuf) < colLen {
-		l.colBuf = make([]float32, colLen)
-	}
-	l.colBuf = l.colBuf[:colLen]
-	return l.colBuf
-}
-
 // ForwardExtent implements Layer: in the direct implementation the
 // (sample, output-channel) loops are coalesced, giving S*O small work
 // units (Algorithm 4's civ loop); the lowered implementation's unit is one
@@ -203,7 +184,7 @@ func (l *Convolution) ForwardExtent() int {
 // ForwardRange implements Layer.
 func (l *Convolution) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 	if l.cfg.Lowered {
-		l.forwardLoweredRange(lo, hi, bottom[0], top[0])
+		l.forwardLowered(lo, hi, 0, l.cfg.NumOutput, bottom[0], top[0])
 		return
 	}
 	for civ := lo; civ < hi; civ++ {
@@ -325,8 +306,13 @@ func (l *Convolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramG
 // ForwardFine implements FineForwarder: the plain-GPU analogue. Samples
 // are walked serially and the output-channel loop of each sample is split
 // across workers — inner-loop parallelism with the modest granularity the
-// paper observes for Caffe's native GPU convolution kernels.
+// paper observes for Caffe's native GPU convolution kernels. A lowered
+// layer splits the output channels once, each band running every sample.
 func (l *Convolution) ForwardFine(p *par.Pool, bottom, top []*blob.Blob) {
+	if l.cfg.Lowered {
+		p.For(l.cfg.NumOutput, func(olo, ohi, _ int) { l.forwardLowered(0, l.num, olo, ohi, bottom[0], top[0]) })
+		return
+	}
 	for s := 0; s < l.num; s++ {
 		s := s
 		p.For(l.cfg.NumOutput, func(olo, ohi, _ int) {
@@ -340,8 +326,12 @@ func (l *Convolution) ForwardFine(p *par.Pool, bottom, top []*blob.Blob) {
 // BackwardFine implements FineBackwarder: per sample, the output-channel
 // loop of the weight/bias gradient is split across workers (each worker
 // owns disjoint rows of the weight gradient); the input gradient is then
-// accumulated serially per sample.
+// accumulated serially per sample. A lowered layer is backwardFineLowered.
 func (l *Convolution) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
+	if l.cfg.Lowered {
+		l.backwardFineLowered(p, bottom[0], top[0])
+		return
+	}
 	kh, kw := l.cfg.KernelH, l.cfg.KernelW
 	ph, pw := l.cfg.PadH, l.cfg.PadW
 	sh, sw := l.cfg.StrideH, l.cfg.StrideW
@@ -429,79 +419,6 @@ func (l *Convolution) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
 				}
 			}
 		})
-	}
-}
-
-// ForwardTuned implements TunedForwarder: the cuDNN analogue. Each sample
-// is lowered with im2col and the convolution becomes one GEMM,
-// W (O x CKK) * col (CKK x OHW), with GEMM rows split across the pool.
-func (l *Convolution) ForwardTuned(p *par.Pool, bottom, top []*blob.Blob) {
-	o := l.cfg.NumOutput
-	ckk := l.channels * l.cfg.KernelH * l.cfg.KernelW
-	ohw := l.outH * l.outW
-	w := l.params[0].Data()
-	col := l.tunedCol()
-	for s := 0; s < l.num; s++ {
-		im := bottom[0].Data()[s*l.channels*l.height*l.width:]
-		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
-		out := top[0].Data()[s*o*ohw : (s+1)*o*ohw]
-		blas.GemmParallel(p, blas.NoTrans, blas.NoTrans, o, ohw, ckk, 1, w, ckk, col, ohw, 0, out, ohw)
-		if !l.cfg.NoBias {
-			bias := l.params[1].Data()
-			p.For(o, func(olo, ohi, _ int) {
-				for oc := olo; oc < ohi; oc++ {
-					blas.AddScalar(out[oc*ohw:(oc+1)*ohw], bias[oc])
-				}
-			})
-		}
-	}
-}
-
-// BackwardTuned implements TunedBackwarder: dW += dTop * col^T and
-// dcol = W^T * dTop per sample, followed by col2im scattering; all GEMMs
-// are row-parallel.
-func (l *Convolution) BackwardTuned(p *par.Pool, bottom, top []*blob.Blob) {
-	o := l.cfg.NumOutput
-	ckk := l.channels * l.cfg.KernelH * l.cfg.KernelW
-	ohw := l.outH * l.outW
-	chw := l.channels * l.height * l.width
-	w := l.params[0].Data()
-	wGrad := l.params[0].Diff()
-	col := l.tunedCol()
-	if cap(l.dcolBuf) < len(col) {
-		l.dcolBuf = make([]float32, len(col))
-	}
-	dcol := l.dcolBuf[:len(col)]
-	for s := 0; s < l.num; s++ {
-		im := bottom[0].Data()[s*chw:]
-		outDiff := top[0].Diff()[s*o*ohw : (s+1)*o*ohw]
-		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
-		// dW (O x CKK) += dTop (O x OHW) * col^T (OHW x CKK).
-		blas.GemmParallel(p, blas.NoTrans, blas.Trans, o, ckk, ohw, 1, outDiff, ohw, col, ohw, 1, wGrad, ckk)
-		if !l.cfg.NoBias {
-			bGrad := l.params[1].Diff()
-			for oc := 0; oc < o; oc++ {
-				var sum float32
-				row := outDiff[oc*ohw : (oc+1)*ohw]
-				for _, v := range row {
-					sum += v
-				}
-				bGrad[oc] += sum
-			}
-		}
-		if !l.propagateDown {
-			continue
-		}
-		// dcol (CKK x OHW) = W^T (CKK x O) * dTop (O x OHW).
-		blas.GemmParallel(p, blas.Trans, blas.NoTrans, ckk, ohw, o, 1, w, ckk, outDiff, ohw, 0, dcol, ohw)
-		inDiff := bottom[0].Diff()[s*chw : (s+1)*chw]
-		for i := range inDiff {
-			inDiff[i] = 0
-		}
-		blas.Col2im(dcol, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, inDiff)
 	}
 }
 

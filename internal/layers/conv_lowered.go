@@ -3,12 +3,14 @@ package layers
 import (
 	"coarsegrain/internal/blas"
 	"coarsegrain/internal/blob"
+	"coarsegrain/internal/par"
 )
 
 // The lowered convolution path: Caffe's CPU convolution, one GEMM per
 // sample on the im2col matrix of its image (the direct loop nest in
 // conv.go models the "research-stage" code the paper's introduction
-// motivates). Enable with ConvConfig.Lowered.
+// motivates). Enable with ConvConfig.Lowered; it applies under every
+// engine.
 //
 // Neither the matrix nor its gradient is ever written: blas.ConvForward
 // and blas.ConvBackwardWeights read the GEMM's B operand out of the image
@@ -18,24 +20,31 @@ import (
 // step of Algorithm 4 (line 2) — is therefore one blas.GemmScratch,
 // holding the weights packed once for the whole band, one bordered image
 // and one strip.
+//
+// Under the Fine engine the same three products are cut the other way:
+// forward and dW split the output-channel rows of W across the pool, dX
+// splits the input channels, and every band walks all samples. Each row
+// of a blocked GEMM and each channel of dX is computed as in the full
+// product, so a Fine band's bits are the coarse range's bits.
 
-// forwardLoweredRange computes samples [lo, hi): W is packed once into
-// the band's scratch, then each sample is one implicit GEMM with the bias
-// added in its writeback.
-func (l *Convolution) forwardLoweredRange(lo, hi int, bottom, top *blob.Blob) {
-	o := l.cfg.NumOutput
+// forwardLowered computes output channels [olo, ohi) of samples [lo, hi):
+// W's rows [olo, ohi) are packed once into the band's scratch, then each
+// sample is one implicit GEMM with the bias added in its writeback. A
+// coarse-grain band is (lo, hi, 0, O), a Fine band (0, S, olo, ohi).
+func (l *Convolution) forwardLowered(lo, hi, olo, ohi int, bottom, top *blob.Blob) {
+	o, rows := l.cfg.NumOutput, ohi-olo
 	ckk, ohw := l.plan.Rows(), l.outH*l.outW
 	chw := l.channels * l.height * l.width
 	var bias []float32
 	if !l.cfg.NoBias {
-		bias = l.params[1].Data()
+		bias = l.params[1].Data()[olo:ohi]
 	}
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
-	gs.PackA(blas.NoTrans, o, ckk, l.params[0].Data(), ckk)
+	gs.PackA(blas.NoTrans, rows, ckk, l.params[0].Data()[olo*ckk:], ckk)
 	for s := lo; s < hi; s++ {
-		blas.ConvForward(gs, l.plan, o, bottom.Data()[s*chw:(s+1)*chw], bias,
-			top.Data()[s*o*ohw:(s+1)*o*ohw])
+		blas.ConvForward(gs, l.plan, rows, bottom.Data()[s*chw:(s+1)*chw], bias,
+			top.Data()[(s*o+olo)*ohw:(s*o+ohi)*ohw])
 	}
 }
 
@@ -44,33 +53,71 @@ func (l *Convolution) forwardLoweredRange(lo, hi int, bottom, top *blob.Blob) {
 // once for the band. Parameter gradients accumulate into the (possibly
 // privatized) paramGrads blobs.
 func (l *Convolution) backwardLoweredRange(lo, hi int, bottom, top *blob.Blob, paramGrads []*blob.Blob) {
-	o := l.cfg.NumOutput
-	ckk, ohw := l.plan.Rows(), l.outH*l.outW
-	chw := l.channels * l.height * l.width
-	wGrad := paramGrads[0].Diff()
-	var bGrad []float32
-	if !l.cfg.NoBias {
-		bGrad = paramGrads[1].Diff()
-	}
+	o, ckk := l.cfg.NumOutput, l.plan.Rows()
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
 	if l.propagateDown {
 		gs.PackA(blas.Trans, ckk, o, l.params[0].Data(), ckk)
 	}
 	for s := lo; s < hi; s++ {
-		outDiff := top.Diff()[s*o*ohw : (s+1)*o*ohw]
-		blas.ConvBackwardWeights(gs, l.plan, o, outDiff, bottom.Data()[s*chw:(s+1)*chw], wGrad)
-		if bGrad != nil {
-			for oc := 0; oc < o; oc++ {
-				var sum float32
-				for _, v := range outDiff[oc*ohw : (oc+1)*ohw] {
-					sum += v
-				}
-				bGrad[oc] += sum
-			}
-		}
+		l.paramGradLowered(gs, s, 0, o, bottom, top, paramGrads)
 		if l.propagateDown {
-			blas.ConvBackwardData(gs, l.plan, o, outDiff, bottom.Diff()[s*chw:(s+1)*chw])
+			l.dataGradLowered(gs, s, 0, l.channels, bottom, top)
 		}
 	}
+}
+
+// backwardFineLowered is backwardLoweredRange over the whole batch, cut
+// for the Fine engine: dW and db by output-channel rows, then dX by input
+// channels, each band packing only the rows of W (or Wᵀ) it multiplies.
+func (l *Convolution) backwardFineLowered(p *par.Pool, bottom, top *blob.Blob) {
+	o, ckk, kk := l.cfg.NumOutput, l.plan.Rows(), l.cfg.KernelH*l.cfg.KernelW
+	p.For(o, func(olo, ohi, _ int) {
+		gs := blas.GetScratch()
+		defer blas.PutScratch(gs)
+		for s := 0; s < l.num; s++ {
+			l.paramGradLowered(gs, s, olo, ohi, bottom, top, l.params)
+		}
+	})
+	if !l.propagateDown {
+		return
+	}
+	p.For(l.channels, func(c0, c1, _ int) {
+		gs := blas.GetScratch()
+		defer blas.PutScratch(gs)
+		gs.PackA(blas.Trans, (c1-c0)*kk, o, l.params[0].Data()[c0*kk:], ckk)
+		for s := 0; s < l.num; s++ {
+			l.dataGradLowered(gs, s, c0, c1, bottom, top)
+		}
+	})
+}
+
+// paramGradLowered accumulates sample s's share of weight-gradient rows
+// [olo, ohi) and of the matching bias-gradient entries into paramGrads.
+func (l *Convolution) paramGradLowered(gs *blas.GemmScratch, s, olo, ohi int, bottom, top *blob.Blob, paramGrads []*blob.Blob) {
+	o, ckk, ohw := l.cfg.NumOutput, l.plan.Rows(), l.outH*l.outW
+	chw := l.channels * l.height * l.width
+	outDiff := top.Diff()[(s*o+olo)*ohw : (s*o+ohi)*ohw]
+	blas.ConvBackwardWeights(gs, l.plan, ohi-olo, outDiff, bottom.Data()[s*chw:(s+1)*chw],
+		paramGrads[0].Diff()[olo*ckk:ohi*ckk])
+	if l.cfg.NoBias {
+		return
+	}
+	bGrad := paramGrads[1].Diff()
+	for oc := olo; oc < ohi; oc++ {
+		var sum float32
+		for _, v := range outDiff[(oc-olo)*ohw : (oc-olo+1)*ohw] {
+			sum += v
+		}
+		bGrad[oc] += sum
+	}
+}
+
+// dataGradLowered writes channels [c0, c1) of sample s's bottom gradient;
+// gs holds those channels' rows of Wᵀ.
+func (l *Convolution) dataGradLowered(gs *blas.GemmScratch, s, c0, c1 int, bottom, top *blob.Blob) {
+	o, ohw := l.cfg.NumOutput, l.outH*l.outW
+	chw := l.channels * l.height * l.width
+	blas.ConvBackwardData(gs, l.plan, o, top.Diff()[s*o*ohw:(s+1)*o*ohw],
+		bottom.Diff()[s*chw:(s+1)*chw], c0, c1)
 }

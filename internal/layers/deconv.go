@@ -3,8 +3,8 @@ package layers
 import (
 	"fmt"
 
+	"coarsegrain/internal/blas"
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/rng"
 )
 
 // Deconvolution (transposed convolution) upsamples its input: each input
@@ -18,7 +18,19 @@ import (
 // argument is about: no optimized library kernel existed for it, yet the
 // coarse engine parallelizes it through the generic contract.
 //
-// The weight blob has Caffe's deconvolution shape (C_in, C_out, KH, KW).
+// It is Convolution's adjoint and runs on the same three lowered products
+// with their roles swapped, as Caffe's DeconvolutionLayer does. The weight
+// blob has Caffe's deconvolution shape (C_in, C_out, KH, KW), which read
+// as a C_in x (C_out*KH*KW) matrix is the weight matrix of a convolution
+// from C_out channels to C_in; plan is that convolution, over this layer's
+// output geometry, so its output is this layer's input (OutH x OutW is
+// H x W). Then, per sample,
+//
+//	y  = Col2im(Wᵀ·x) + b     blas.ConvBackwardData, then the bias
+//	dW += x · lowered(dy)ᵀ    blas.ConvBackwardWeights, x in dTop's place
+//	dx = W · lowered(dy)      blas.ConvForward of dy
+//	db += Σ dy
+//
 // Both passes coalesce over samples: the forward scatter touches every
 // output channel of a sample (so one sample is the race-free unit), and
 // the backward gather likewise couples all input channels.
@@ -26,8 +38,8 @@ type Deconvolution struct {
 	base
 	cfg ConvConfig
 
-	num, channels, height, width int
-	outH, outW                   int
+	num, channels int
+	plan          *blas.ConvPlan // the adjoint convolution: output geometry -> input
 
 	propagateDown bool
 }
@@ -37,9 +49,6 @@ type Deconvolution struct {
 func NewDeconvolution(name string, cfg ConvConfig) (*Deconvolution, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, fmt.Errorf("layer %s: %w", name, err)
-	}
-	if cfg.RNG == nil {
-		cfg.RNG = rng.New(1, 3)
 	}
 	return &Deconvolution{
 		base:          base{name: name, typ: "Deconvolution"},
@@ -79,13 +88,19 @@ func (l *Deconvolution) SetUp(bottom, top []*blob.Blob) error {
 // Reshape implements Layer.
 func (l *Deconvolution) Reshape(bottom, top []*blob.Blob) {
 	b := bottom[0]
-	l.num, l.channels, l.height, l.width = b.Num(), b.Channels(), b.Height(), b.Width()
-	l.outH = (l.height-1)*l.cfg.StrideH - 2*l.cfg.PadH + l.cfg.KernelH
-	l.outW = (l.width-1)*l.cfg.StrideW - 2*l.cfg.PadW + l.cfg.KernelW
-	if l.outH <= 0 || l.outW <= 0 {
-		panic(fmt.Sprintf("layer %s: output size %dx%d not positive", l.name, l.outH, l.outW))
+	l.num, l.channels = b.Num(), b.Channels()
+	outH := (b.Height()-1)*l.cfg.StrideH - 2*l.cfg.PadH + l.cfg.KernelH
+	outW := (b.Width()-1)*l.cfg.StrideW - 2*l.cfg.PadW + l.cfg.KernelW
+	if outH <= 0 || outW <= 0 {
+		panic(fmt.Sprintf("layer %s: output size %dx%d not positive", l.name, outH, outW))
 	}
-	top[0].Reshape(l.num, l.cfg.NumOutput, l.outH, l.outW)
+	geom := blas.ConvGeom{Channels: l.cfg.NumOutput, Height: outH, Width: outW,
+		KernelH: l.cfg.KernelH, KernelW: l.cfg.KernelW, PadH: l.cfg.PadH, PadW: l.cfg.PadW,
+		StrideH: l.cfg.StrideH, StrideW: l.cfg.StrideW}
+	if l.plan == nil || l.plan.ConvGeom != geom {
+		l.plan = blas.NewConvPlan(geom)
+	}
+	top[0].Reshape(l.num, l.cfg.NumOutput, outH, outW)
 }
 
 // ForwardExtent implements Layer: one sample per iteration (the scatter
@@ -94,55 +109,17 @@ func (l *Deconvolution) ForwardExtent() int { return l.num }
 
 // ForwardRange implements Layer.
 func (l *Deconvolution) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
-	kh, kw := l.cfg.KernelH, l.cfg.KernelW
-	ph, pw := l.cfg.PadH, l.cfg.PadW
-	sh, sw := l.cfg.StrideH, l.cfg.StrideW
-	o := l.cfg.NumOutput
-	w := l.params[0].Data()
-	ohw := l.outH * l.outW
+	o, ckk := l.cfg.NumOutput, l.plan.Rows()
+	chw, ohw := l.channels*l.plan.Cols(), l.plan.Height*l.plan.Width
+	gs := blas.GetScratch()
+	defer blas.PutScratch(gs)
+	gs.PackA(blas.Trans, ckk, l.channels, l.params[0].Data(), ckk)
 	for s := lo; s < hi; s++ {
 		out := top[0].Data()[s*o*ohw : (s+1)*o*ohw]
-		if l.cfg.NoBias {
-			for i := range out {
-				out[i] = 0
-			}
-		} else {
-			bias := l.params[1].Data()
-			for co := 0; co < o; co++ {
-				ch := out[co*ohw : (co+1)*ohw]
-				for i := range ch {
-					ch[i] = bias[co]
-				}
-			}
-		}
-		in := bottom[0].Data()[s*l.channels*l.height*l.width:]
-		for ci := 0; ci < l.channels; ci++ {
-			chIn := in[ci*l.height*l.width:]
-			wci := w[ci*o*kh*kw:]
-			for ih := 0; ih < l.height; ih++ {
-				for iw := 0; iw < l.width; iw++ {
-					v := chIn[ih*l.width+iw]
-					if v == 0 {
-						continue
-					}
-					for co := 0; co < o; co++ {
-						wk := wci[co*kh*kw:]
-						chOut := out[co*ohw:]
-						for ki := 0; ki < kh; ki++ {
-							oh := ih*sh - ph + ki
-							if oh < 0 || oh >= l.outH {
-								continue
-							}
-							for kj := 0; kj < kw; kj++ {
-								ow := iw*sw - pw + kj
-								if ow < 0 || ow >= l.outW {
-									continue
-								}
-								chOut[oh*l.outW+ow] += v * wk[ki*kw+kj]
-							}
-						}
-					}
-				}
+		blas.ConvBackwardData(gs, l.plan, l.channels, bottom[0].Data()[s*chw:(s+1)*chw], out, 0, o)
+		if !l.cfg.NoBias {
+			for co, b := range l.params[1].Data() {
+				blas.AddScalar(out[co*ohw:(co+1)*ohw], b)
 			}
 		}
 	}
@@ -151,27 +128,23 @@ func (l *Deconvolution) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 // BackwardExtent implements Layer.
 func (l *Deconvolution) BackwardExtent() int { return l.num }
 
-// BackwardRange implements Layer: the gather duals of the forward scatter.
-//
-//	dW[ci,co,k] += Σ x[ci,i] · dy[co, i*s-p+k]
-//	dx[ci,i]     = Σ w[ci,co,k] · dy[co, i*s-p+k]
-//	db[co]      += Σ dy[co]
+// BackwardRange implements Layer: the weight gradient is the adjoint
+// convolution's with x as its top gradient and dy as its image, and the
+// input gradient is the adjoint convolution's forward pass over dy.
 func (l *Deconvolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramGrads []*blob.Blob) {
-	kh, kw := l.cfg.KernelH, l.cfg.KernelW
-	ph, pw := l.cfg.PadH, l.cfg.PadW
-	sh, sw := l.cfg.StrideH, l.cfg.StrideW
-	o := l.cfg.NumOutput
-	ohw := l.outH * l.outW
-	w := l.params[0].Data()
-	wGrad := paramGrads[0].Diff()
-	var bGrad []float32
-	if !l.cfg.NoBias {
-		bGrad = paramGrads[1].Diff()
+	o, ckk := l.cfg.NumOutput, l.plan.Rows()
+	chw, ohw := l.channels*l.plan.Cols(), l.plan.Height*l.plan.Width
+	gs := blas.GetScratch()
+	defer blas.PutScratch(gs)
+	if l.propagateDown {
+		gs.PackA(blas.NoTrans, l.channels, ckk, l.params[0].Data(), ckk)
 	}
 	for s := lo; s < hi; s++ {
 		outDiff := top[0].Diff()[s*o*ohw : (s+1)*o*ohw]
-		if bGrad != nil {
-			for co := 0; co < o; co++ {
+		blas.ConvBackwardWeights(gs, l.plan, l.channels, bottom[0].Data()[s*chw:(s+1)*chw], outDiff, paramGrads[0].Diff())
+		if !l.cfg.NoBias {
+			bGrad := paramGrads[1].Diff()
+			for co := range bGrad {
 				var sum float32
 				for _, v := range outDiff[co*ohw : (co+1)*ohw] {
 					sum += v
@@ -179,48 +152,8 @@ func (l *Deconvolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, para
 				bGrad[co] += sum
 			}
 		}
-		in := bottom[0].Data()[s*l.channels*l.height*l.width:]
-		var inDiff []float32
 		if l.propagateDown {
-			inDiff = bottom[0].Diff()[s*l.channels*l.height*l.width:]
-		}
-		for ci := 0; ci < l.channels; ci++ {
-			chIn := in[ci*l.height*l.width:]
-			var chInDiff []float32
-			if inDiff != nil {
-				chInDiff = inDiff[ci*l.height*l.width:]
-			}
-			wci := w[ci*o*kh*kw:]
-			gci := wGrad[ci*o*kh*kw:]
-			for ih := 0; ih < l.height; ih++ {
-				for iw := 0; iw < l.width; iw++ {
-					x := chIn[ih*l.width+iw]
-					var acc float32
-					for co := 0; co < o; co++ {
-						wk := wci[co*kh*kw:]
-						gk := gci[co*kh*kw:]
-						chOut := outDiff[co*ohw:]
-						for ki := 0; ki < kh; ki++ {
-							oh := ih*sh - ph + ki
-							if oh < 0 || oh >= l.outH {
-								continue
-							}
-							for kj := 0; kj < kw; kj++ {
-								ow := iw*sw - pw + kj
-								if ow < 0 || ow >= l.outW {
-									continue
-								}
-								g := chOut[oh*l.outW+ow]
-								gk[ki*kw+kj] += x * g
-								acc += wk[ki*kw+kj] * g
-							}
-						}
-					}
-					if chInDiff != nil {
-						chInDiff[ih*l.width+iw] = acc
-					}
-				}
-			}
+			blas.ConvForward(gs, l.plan, l.channels, outDiff, nil, bottom[0].Diff()[s*chw:(s+1)*chw])
 		}
 	}
 }

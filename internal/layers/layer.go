@@ -16,9 +16,14 @@
 //     worker pool, with parameter gradients privatized per worker and
 //     merged by an ordered reduction;
 //   - fine-grain: layers that additionally implement FineForwarder /
-//     FineBackwarder parallelize *inside* the BLAS calls instead (the
-//     plain-GPU analogue), and TunedForwarder/TunedBackwarder provides the
-//     im2col+GEMM convolution path (the cuDNN analogue).
+//     FineBackwarder parallelize *inside* the layer instead — split BLAS
+//     calls, channel bands (the plain-GPU analogue).
+//
+// Which kernel a convolution runs is a property of the layer, not of the
+// engine: ConvConfig.Lowered picks the im2col+GEMM products of package
+// blas (Caffe's CPU path, the cuDNN analogue) over the direct loop nest
+// under all three engines, and Deconvolution always runs on those
+// products.
 //
 // Race-freedom is by construction, and part of the interface contract:
 // distinct coalesced ranges of the same layer must touch disjoint regions of
@@ -128,18 +133,6 @@ type FineForwarder interface {
 // is needed: the BLAS-level split keeps writes disjoint).
 type FineBackwarder interface {
 	BackwardFine(p *par.Pool, bottom, top []*blob.Blob)
-}
-
-// TunedForwarder is the "industrial" optimized forward path, the cuDNN
-// analogue: a restructured algorithm (e.g. im2col+GEMM convolution), not
-// just a parallelized loop nest.
-type TunedForwarder interface {
-	ForwardTuned(p *par.Pool, bottom, top []*blob.Blob)
-}
-
-// TunedBackwarder is the optimized backward path (cuDNN analogue).
-type TunedBackwarder interface {
-	BackwardTuned(p *par.Pool, bottom, top []*blob.Blob)
 }
 
 // Coster is implemented by layers that can state the arithmetic cost of

@@ -137,17 +137,19 @@ func TestRandomNetsEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestRandomNetsTuneEngineRuns fuzzes the tuned engine for crashes and
-// NaNs across random architectures.
-func TestRandomNetsTunedEngineRuns(t *testing.T) {
+// TestRandomNetsFineEngineRuns fuzzes the fine engine across random
+// architectures, whose convolutions are direct or lowered at random: no
+// crash, no NaN, and the sequential engine's loss within float tolerance.
+func TestRandomNetsFineEngineRuns(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
-		r := rng.New(777, uint64(trial))
-		e := core.NewTuned(3)
-		n := randomNet(t, r, e)
+		ref := randomNet(t, rng.New(777, uint64(trial)), core.NewSequential())
+		refLoss := ref.ForwardBackward()
+		e := core.NewFine(3)
+		n := randomNet(t, rng.New(777, uint64(trial)), e)
 		n.ZeroParamDiffs()
 		loss := n.ForwardBackward()
-		if math.IsNaN(loss) || math.IsInf(loss, 0) {
-			t.Fatalf("trial %d: tuned engine produced loss %v\n%s", trial, loss, n)
+		if math.IsNaN(loss) || math.IsInf(loss, 0) || math.Abs(loss-refLoss) > 1e-4*math.Max(1, math.Abs(refLoss)) {
+			t.Fatalf("trial %d: fine engine produced loss %v, sequential %v\n%s", trial, loss, refLoss, n)
 		}
 		e.Close()
 	}

@@ -16,13 +16,20 @@ import (
 // data -> conv(4,5x5) -> pool(2/2) -> ip(10) -> loss.
 func tinyNet(t testing.TB, batch int, seed uint64, eng core.Engine) *Net {
 	t.Helper()
+	return tinyNetKernel(t, batch, seed, eng, false)
+}
+
+// tinyNetKernel is tinyNet with its convolution on the direct loop nest
+// or (lowered) the im2col+GEMM products.
+func tinyNetKernel(t testing.TB, batch int, seed uint64, eng core.Engine, lowered bool) *Net {
+	t.Helper()
 	src := data.NewSyntheticMNIST(256, seed)
 	d, err := layers.NewData("data", src, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conv, err := layers.NewConvolution("conv1", layers.ConvConfig{
-		NumOutput: 4, Kernel: 5, Stride: 2,
+		NumOutput: 4, Kernel: 5, Stride: 2, Lowered: lowered,
 		WeightFiller: layers.XavierFiller{}, RNG: rng.New(seed, 10),
 	})
 	if err != nil {
@@ -176,19 +183,23 @@ func TestNetRecorderCollectsAllLayers(t *testing.T) {
 }
 
 // The central claim: running the SAME network under different engines and
-// worker counts produces the same forward loss (bitwise for coarse, whose
-// forward has no reductions) and near-identical gradients.
+// worker counts, and on either convolution kernel, produces the same
+// forward loss (bitwise for coarse on the same kernel, whose forward has
+// no reductions) and near-identical gradients.
 func TestNetEngineEquivalence(t *testing.T) {
 	ref := tinyNet(t, 16, 6, core.NewSequential())
 	refLoss := ref.Forward()
 	ref.Backward()
 
-	engines := []core.Engine{
-		core.NewCoarse(2), core.NewCoarse(5), core.NewCoarse(16),
-		core.NewFine(4), core.NewTuned(4),
-	}
-	for _, e := range engines {
-		n := tinyNet(t, 16, 6, e) // same seed -> same weights and data
+	for _, tc := range []struct {
+		e       core.Engine
+		lowered bool
+	}{
+		{core.NewCoarse(2), false}, {core.NewCoarse(5), false}, {core.NewCoarse(16), false},
+		{core.NewFine(4), false}, {core.NewFine(4), true},
+	} {
+		e := tc.e
+		n := tinyNetKernel(t, 16, 6, e, tc.lowered) // same seed -> same weights and data
 		loss := n.Forward()
 		n.Backward()
 		if e.Name() == "coarse" {

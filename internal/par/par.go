@@ -25,7 +25,6 @@ package par
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -72,9 +71,6 @@ func NewPool(n int) *Pool {
 	}
 	return p
 }
-
-// NewDefaultPool creates a pool sized to the machine (GOMAXPROCS).
-func NewDefaultPool() *Pool { return NewPool(runtime.GOMAXPROCS(0)) }
 
 // Workers returns the team size P.
 func (p *Pool) Workers() int { return p.workers }

@@ -310,14 +310,6 @@ func TestCloseIdempotent(t *testing.T) {
 	p.Close()
 }
 
-func TestDefaultPool(t *testing.T) {
-	p := NewDefaultPool()
-	defer p.Close()
-	if p.Workers() < 1 {
-		t.Fatal("default pool has no workers")
-	}
-}
-
 func TestReduceTree(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 5, 8} {
 		p := NewPool(workers)
@@ -394,64 +386,4 @@ func TestQuickForExactCoverage(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestSpaceDecompose(t *testing.T) {
-	s := NewSpace(3, 4, 5)
-	if s.Extent() != 60 {
-		t.Fatalf("extent = %d", s.Extent())
-	}
-	out := make([]int, 3)
-	for civ := 0; civ < 60; civ++ {
-		s.Decompose(civ, out)
-		if got := (out[0]*4+out[1])*5 + out[2]; got != civ {
-			t.Fatalf("Decompose(%d) = %v recomposes to %d", civ, out, got)
-		}
-		i0, i1, i2 := s.Index3(civ)
-		if i0 != out[0] || i1 != out[1] || i2 != out[2] {
-			t.Fatalf("Index3(%d) = (%d,%d,%d), want %v", civ, i0, i1, i2, out)
-		}
-	}
-}
-
-func TestSpaceIndex2(t *testing.T) {
-	s := NewSpace(7, 9)
-	for civ := 0; civ < 63; civ++ {
-		i0, i1 := s.Index2(civ)
-		if i0*9+i1 != civ {
-			t.Fatalf("Index2(%d) = (%d,%d)", civ, i0, i1)
-		}
-	}
-}
-
-func TestSpaceZeroDim(t *testing.T) {
-	if NewSpace(4, 0, 3).Extent() != 0 {
-		t.Fatal("zero dim should give zero extent")
-	}
-}
-
-func TestSpaceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative dim did not panic")
-		}
-	}()
-	NewSpace(2, -1)
-}
-
-func TestSpaceDims(t *testing.T) {
-	s := NewSpace(2, 3)
-	d := s.Dims()
-	if len(d) != 2 || d[0] != 2 || d[1] != 3 {
-		t.Fatalf("Dims = %v", d)
-	}
-}
-
-func TestDecomposeLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewSpace(2, 2).Decompose(0, make([]int, 3))
 }

@@ -1,6 +1,7 @@
 package prototxt
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -379,6 +380,77 @@ func TestBatchSize(t *testing.T) {
 		got, err := BatchSize(doc)
 		if got != want || (err == nil) != (want > 0) {
 			t.Errorf("%s: batch %d (%v), want %d", src, got, err, want)
+		}
+	}
+}
+
+// Deconvolution reads the convolution_param Convolution reads: per-axis
+// kernels and bias_term too.
+func TestDeconvolutionReadsEveryConvField(t *testing.T) {
+	src := data.NewSyntheticMNIST(16, 1)
+	text := `
+layer { name: "d" type: "Data" top: "data" top: "label" data_param { batch_size: 2 } }
+layer { name: "c" type: "Convolution" bottom: "data" top: "c"
+  convolution_param { num_output: 2 kernel_size: 5 stride: 2 } }
+layer { name: "up" type: "Deconvolution" bottom: "c" top: "up"
+  convolution_param { num_output: 3 kernel_h: 3 kernel_w: 2 stride: 2 pad: 1 bias_term: false } }
+`
+	specs, err := ParseNet(text, BuildOptions{Source: src, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := net.New(specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := specs[2].Layer.Params(); len(p) != 1 {
+		t.Fatalf("bias_term: false built %d parameter blobs, want 1", len(p))
+	}
+	// conv: 28 -> 12; deconv: (12-1)*2 - 2 + 3 = 23 high, (12-1)*2 - 2 + 2 = 22 wide.
+	if s := n.Blob("up").Shape(); s[1] != 3 || s[2] != 23 || s[3] != 22 {
+		t.Fatalf("deconv shape %v, want [2 3 23 22]", s)
+	}
+}
+
+func TestInnerProductReadsBiasTerm(t *testing.T) {
+	src := data.NewSyntheticMNIST(16, 1)
+	text := `
+layer { name: "d" type: "Data" top: "data" top: "label" data_param { batch_size: 2 } }
+layer { name: "ip" type: "InnerProduct" bottom: "data" top: "ip" inner_product_param { num_output: 10 bias_term: false } }
+`
+	specs, err := ParseNet(text, BuildOptions{Source: src, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.New(specs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p := specs[1].Layer.Params(); len(p) != 1 {
+		t.Fatalf("bias_term: false built %d parameter blobs, want 1", len(p))
+	}
+}
+
+// LRN reads k, the additive constant of its denominator: with a one-channel
+// window, y = x * (k + alpha*x²)^-beta.
+func TestLRNReadsK(t *testing.T) {
+	src := data.NewSyntheticMNIST(16, 1)
+	text := `
+layer { name: "d" type: "Data" top: "data" top: "label" data_param { batch_size: 2 } }
+layer { name: "n" type: "LRN" bottom: "data" top: "n" lrn_param { local_size: 1 alpha: 0.0001 beta: 0.75 k: 2 } }
+`
+	specs, err := ParseNet(text, BuildOptions{Source: src, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := net.New(specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Forward()
+	for i, x := range n.Blob("data").Data() {
+		want := float64(x) * math.Pow(2+1e-4*float64(x)*float64(x), -0.75)
+		if got := n.Blob("n").Data()[i]; math.Abs(float64(got)-want) > 1e-5 {
+			t.Fatalf("LRN output %d: %v, want %v for k = 2", i, got, want)
 		}
 	}
 }

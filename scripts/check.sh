@@ -24,7 +24,11 @@
 # ablation benchmark (ordered vs tree merge) and of the LRN and ReLU layer
 # benchmarks at CIFAR-10-full's norm1/relu1 shapes, plus a dedicated race pass over
 # the spin-then-park barrier, a tracing smoke run (layerprof -trace) that
-# must produce valid Chrome trace-event JSON, the one-definition pin
+# must produce valid Chrome trace-event JSON, the engine grid (dnnbench
+# -figure engines: sequential, coarse and fine on the direct and on the
+# lowered convolution must print one loss per convolution kernel — the
+# only end-to-end run of the fine engine on a lowered net), the
+# one-definition pin
 # (dnntrain -zoo lenet|cifar10-full must write the snapshot bytes that
 # -model configs/lenet.prototxt|cifar10_full.prototxt writes), the
 # robustness drills (ROBUSTNESS.md): the
@@ -139,6 +143,23 @@ go build -o "$tmpdir/layerprof" ./cmd/layerprof
 go build -o "$tmpdir/tracecheck" ./cmd/tracecheck
 "$tmpdir/layerprof" -zoo lenet -workers 2 -iters 2 -batch 4 -samples 8 -trace "$tmpdir/out.json" >/dev/null
 "$tmpdir/tracecheck" "$tmpdir/out.json"
+
+echo "== engine grid: {sequential, coarse/2, fine/2} x {direct, lowered} conv, one loss per kernel =="
+# The grid updates no weights and every engine's forward pass is
+# bit-identical to sequential on either kernel, so the three rows of one
+# kernel must print the same loss; a fine band of the lowered products that
+# computed anything else would split its group.
+go build -o "$tmpdir/dnnbench" ./cmd/dnnbench
+"$tmpdir/dnnbench" -figure engines -iters 1 -warmup 1 -batch 8 -samples 16 -threads 2 >"$tmpdir/engines.txt"
+for kernel in direct lowered; do
+	awk -v k="/$kernel-conv" 'substr($1, length($1) - length(k) + 1) == k { print $NF }' \
+		"$tmpdir/engines.txt" >"$tmpdir/losses.txt"
+	rows="$(wc -l <"$tmpdir/losses.txt")"
+	losses="$(sort -u "$tmpdir/losses.txt" | wc -l)"
+	[ "$rows" -eq 3 ] && [ "$losses" -eq 1 ] ||
+		{ echo "FAIL: want 3 $kernel-conv rows printing one loss, got $rows rows and $losses losses" >&2; cat "$tmpdir/engines.txt" >&2; exit 1; }
+	echo "$kernel-conv: sequential, coarse/2 and fine/2 print one loss ($(head -n 1 "$tmpdir/losses.txt"))"
+done
 
 echo "== one definition per model: -zoo NAME writes the bytes -model configs/FILE writes =="
 go build -o "$tmpdir/dnntrain" ./cmd/dnntrain
