@@ -269,27 +269,6 @@ func BenchmarkGemm(b *testing.B) {
 	}
 }
 
-func BenchmarkGemmParallel(b *testing.B) {
-	r := rng.New(7, 7)
-	n := 256
-	a := make([]float32, n*n)
-	bm := make([]float32, n*n)
-	c := make([]float32, n*n)
-	for i := range a {
-		a[i] = r.Range(-1, 1)
-		bm[i] = r.Range(-1, 1)
-	}
-	for _, w := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p := par.NewPool(w)
-			defer p.Close()
-			for i := 0; i < b.N; i++ {
-				blas.GemmParallel(p, blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, bm, n, 0, c, n)
-			}
-		})
-	}
-}
-
 // BenchmarkGemmKernels times the retained reference kernel against the
 // blocked packed kernel on the exact GEMM shapes the benchmark networks
 // emit (bench.NetGemmShapes; PERFORMANCE.md records a run). SetBytes is

@@ -44,29 +44,23 @@
 // algebra: max pooling's window scan, eight windows to a vector, here
 // because the CPUID dispatch and the assembly live here.
 //
-// Two parallel granularities are provided, mirroring the paper's taxonomy
-// of parallelism sources (§3.1):
+// Every kernel here is serial: the caller owns the threads, whichever of
+// the paper's parallelism sources (§3.1) it schedules. A coarse-grain
+// band issues whole products over its samples; the fine-grain engine's
+// "BLAS level parallelism" (§3.1.1) is the caller cutting one logical
+// product into row or column bands (the channel ranges of package
+// layers).
 //
-//   - serial kernels (Gemm, Gemv, Axpy, ...) used inside coarse-grain
-//     (batch-level) parallel regions, where the *caller* owns the threads;
-//   - fine-grain parallel kernels (GemmParallel, ...) that split the BLAS
-//     operation itself across a worker pool — GemmParallel hands each
-//     worker a contiguous, micro-tile-aligned row band of C and runs the
-//     blocked kernel inside the band. These implement the "BLAS level
-//     parallelism" (§3.1.1) used by the fine-grain engines.
-//
-// Every partition of one logical Gemm — serial, any GemmRows banding, any
-// GemmParallel worker count — produces bit-identical C; see the
-// determinism contract in gemm_blocked.go. The coarse engine's
-// "bit-identical forward for any worker count" guarantee rests on this.
+// Every partition of one logical Gemm — serial, any band of rows (M) or
+// of columns (N) — produces bit-identical C; see the determinism contract
+// in gemm_blocked.go. The "bit-identical to sequential for any worker
+// count" guarantees of the coarse and fine engines rest on this.
 //
 // All matrices are row-major, mirroring the C-contiguous blob layout.
 package blas
 
 import (
 	"fmt"
-
-	"coarsegrain/internal/par"
 )
 
 // Transpose selects op(X) for Gemm/Gemv.
@@ -100,11 +94,10 @@ func GemmWithScratch(s *GemmScratch, transA, transB Transpose, m, n, k int, alph
 	gemmBand(s, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
 }
 
-// GemmRows computes rows [rowLo, rowHi) of the Gemm result. It is the
-// work-splittable core used by both Gemm (full range) and GemmParallel
-// (one contiguous row band per worker). Bands of distinct workers touch
-// disjoint rows of C, so the parallel composition is race-free; the band
-// split does not change the computed values (see gemm_blocked.go).
+// GemmRows computes rows [rowLo, rowHi) of the Gemm result, the
+// work-splittable core of Gemm (full range). Distinct bands touch disjoint
+// rows of C, so a parallel composition is race-free; the band split does
+// not change the computed values (see gemm_blocked.go).
 func GemmRows(transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
 	if rowLo < 0 || rowHi > m || rowLo > rowHi {
 		panic(fmt.Sprintf("blas: bad row band [%d,%d) for m=%d", rowLo, rowHi, m))
@@ -250,25 +243,6 @@ func checkGemm(transA, transB Transpose, m, n, k int, a []float32, lda int, b []
 	if need := (m-1)*ldc + n; m > 0 && len(c) < need {
 		panic(fmt.Sprintf("blas: gemm C too short: len=%d, need >= %d ((m-1)*ldc+n = %d*%d+%d)", len(c), need, m-1, ldc, n))
 	}
-}
-
-// GemmParallel is the fine-grain (BLAS-level) parallel Gemm: the M rows of
-// C are statically partitioned across the pool's workers into contiguous
-// bands aligned to the blocked kernel's micro-tile height, so each worker
-// runs whole macro-tiles of the blocked kernel (with its own packing
-// scratch) rather than raw rows. This is the parallelism a GPU BLAS
-// exploits, transplanted to goroutines; it is the building block of the
-// plain-GPU analogue engine. Results are bit-identical to serial Gemm for
-// every worker count.
-func GemmParallel(p *par.Pool, transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	checkGemm(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
-	if p == nil || p.Workers() == 1 || m == 1 {
-		gemmBand(nil, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
-		return
-	}
-	p.ForTiles(m, gemmMR, func(lo, hi, _ int) {
-		gemmBand(nil, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, lo, hi)
-	})
 }
 
 // Gemv computes y = alpha*op(A)*x + beta*y where A is an m x n row-major

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"coarsegrain/internal/par"
 	"coarsegrain/internal/rng"
 )
 
@@ -91,41 +90,6 @@ func TestGemmAgainstNaive(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestGemmParallelMatchesSerial(t *testing.T) {
-	r := rng.New(2, 2)
-	// k = 1 is the one depth the dispatch leaves on the reference kernel.
-	for _, k := range []int{31, 1} {
-		m, n := 37, 29
-		a := randomSlice(r, m*k)
-		b := randomSlice(r, k*n)
-		want := make([]float32, m*n)
-		Gemm(NoTrans, NoTrans, m, n, k, 1, a, k, b, n, 0, want, n)
-		for _, workers := range []int{1, 2, 4, 8} {
-			p := par.NewPool(workers)
-			got := make([]float32, m*n)
-			GemmParallel(p, NoTrans, NoTrans, m, n, k, 1, a, k, b, n, 0, got, n)
-			p.Close()
-			// Row-parallel gemm is bit-identical: each row is computed by
-			// exactly the same sequence of operations regardless of worker.
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("k=%d workers=%d: parallel gemm differs at %d: %v vs %v", k, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestGemmParallelNilPool(t *testing.T) {
-	a := []float32{1, 2, 3, 4}
-	b := []float32{5, 6, 7, 8}
-	c := make([]float32, 4)
-	GemmParallel(nil, NoTrans, NoTrans, 2, 2, 2, 1, a, 2, b, 2, 0, c, 2)
-	if c[0] != 19 || c[3] != 50 {
-		t.Fatalf("gemm wrong: %v", c)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"coarsegrain/internal/blas"
-	"coarsegrain/internal/par"
 )
 
 // Row-major C (2x2) = A (2x3) * B (3x2). lda/ldb/ldc are the row strides
@@ -45,36 +44,4 @@ func ExampleGemm_transpose() {
 	blas.Gemm(blas.NoTrans, blas.Trans, 2, 2, 3, 1, x, 3, w, 3, 0, y, 2)
 	fmt.Println(y)
 	// Output: [3 4 4 1]
-}
-
-// GemmParallel splits the rows of C across a worker pool in whole
-// micro-tile bands. The result is bit-identical to the serial Gemm for
-// every worker count, which is what lets the fine-grain engine swap in
-// BLAS-level parallelism without perturbing training.
-func ExampleGemmParallel() {
-	const m, n, k = 64, 48, 32
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	for i := range a {
-		a[i] = float32(i%7) - 3
-	}
-	for i := range b {
-		b[i] = float32(i%5) - 2
-	}
-	serial := make([]float32, m*n)
-	blas.Gemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, a, k, b, n, 0, serial, n)
-
-	p := par.NewPool(4)
-	defer p.Close()
-	parallel := make([]float32, m*n)
-	blas.GemmParallel(p, blas.NoTrans, blas.NoTrans, m, n, k, 1, a, k, b, n, 0, parallel, n)
-
-	identical := true
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			identical = false
-		}
-	}
-	fmt.Println("bit-identical to serial:", identical)
-	// Output: bit-identical to serial: true
 }

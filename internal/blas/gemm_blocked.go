@@ -59,10 +59,10 @@ import (
 //     (gemmNC blocks of nr columns, or lane groups that follow the image's
 //     rows) never enters a lane's sum.
 //
-// Consequently Gemm, GemmRows on any band partition, and GemmParallel at
-// any worker count all produce bit-identical C — the property
-// TestGemmParallelMatchesSerial and the coarse engine's forward
-// bit-identity tests pin down.
+// Consequently Gemm, GemmRows on any band partition, and a product over
+// any band of C's columns (B and C offset, N the band width) all produce
+// bit-identical C — the property TestBlockedGemmBandInvariance and the
+// engines' bit-identity tests pin down.
 const (
 	// gemmMR is the micro-tile height shared by both micro-kernels.
 	gemmMR = 4
@@ -143,7 +143,7 @@ func (s *GemmScratch) ensure(apLen, bpLen int) {
 	s.bp = s.bp[:cap(s.bp)]
 }
 
-// scratchPool backs plain Gemm/GemmRows/GemmParallel calls that do not
+// scratchPool backs plain Gemm/GemmRows calls that do not
 // thread an explicit scratch; pooled storage makes repeated calls
 // allocation-free after warm-up.
 var scratchPool = sync.Pool{New: func() any { return new(GemmScratch) }}
@@ -159,11 +159,11 @@ func PutScratch(s *GemmScratch) { scratchPool.Put(s) }
 
 // GemmIsBlocked reports whether Gemm runs an m x n x k product on the
 // blocked kernel (true) or on the reference kernel. The decision
-// deliberately ignores M: GemmRows/GemmParallel and the coarse engine
-// split M into bands (the inner-product layers pass the band height as
-// M), the serving path runs the same layer at batch 1 and batch 32, and
-// every one of those must take the same path for the results to be
-// bit-identical.
+// deliberately ignores M and N: GemmRows and the coarse engine split M
+// into bands (the inner-product layers pass the band height as M), their
+// channel ranges split N (the band width), the serving path runs the same
+// layer at batch 1 and batch 32, and every one of those must take the
+// same path for the results to be bit-identical.
 //
 // The rule is read off the ref-vs-blocked sweep `dnnbench -figure gemm`
 // prints (PERFORMANCE.md §1): from M = 8 up the blocked kernel wins from

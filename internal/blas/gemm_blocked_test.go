@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"coarsegrain/internal/par"
 	"coarsegrain/internal/rng"
 )
 
@@ -102,9 +101,10 @@ func TestBlockedGemmAlphaZero(t *testing.T) {
 }
 
 // TestBlockedGemmBandInvariance pins the determinism contract directly:
-// computing C in arbitrary (even misaligned) row bands must be
+// computing C in arbitrary (even misaligned) row or column bands must be
 // bit-identical to the full-range call, because the coarse engine hands
-// layers arbitrary sample bands.
+// layers arbitrary sample bands and the fine engine arbitrary channel
+// bands.
 func TestBlockedGemmBandInvariance(t *testing.T) {
 	r := rng.New(13, 13)
 	m, n, k := 23, 129, 300
@@ -126,29 +126,32 @@ func TestBlockedGemmBandInvariance(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestGemmParallelBlockedBitIdentical is the parallel counterpart, with a
-// transposed B, an N that is not a multiple of the micro-tile and worker
-// counts beyond the number of micro-panels.
-func TestGemmParallelBlockedBitIdentical(t *testing.T) {
-	r := rng.New(14, 14)
-	m, n, k := 37, 141, 97
-	if !GemmIsBlocked(m, n, k) {
-		t.Fatal("shape unexpectedly below blocked threshold")
-	}
-	a := randomSlice(r, m*k)
-	b := randomSlice(r, k*n)
-	want := make([]float32, m*n)
-	Gemm(NoTrans, Trans, m, n, k, 1, a, k, b, k, 0, want, n)
-	for _, workers := range []int{1, 2, 3, 5, 8, 16} {
-		p := par.NewPool(workers)
-		got := make([]float32, m*n)
-		GemmParallel(p, NoTrans, Trans, m, n, k, 1, a, k, b, k, 0, got, n)
-		p.Close()
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: parallel blocked gemm differs at %d", workers, i)
+	// Column bands, as the inner-product channel ranges cut N: each band
+	// is its own product over an offset B (stored as is or transposed)
+	// and C, with N the band width.
+	for _, tb := range []Transpose{NoTrans, Trans} {
+		bt := b // op(B) = B, k x n
+		ldb := n
+		if tb == Trans {
+			bt, ldb = randomSlice(r, n*k), k // op(B) = Bᵀ, stored n x k
+		}
+		col := func(j int) []float32 {
+			if tb == Trans {
+				return bt[j*k:]
+			}
+			return bt[j:]
+		}
+		Gemm(NoTrans, tb, m, n, k, 1, a, k, bt, ldb, 0, want, n)
+		for _, cuts := range [][]int{{0, 1, n}, {0, 5, 21, 22, n}, {0, 16, 64, 100, n}} {
+			got := make([]float32, m*n)
+			for ci := 0; ci+1 < len(cuts); ci++ {
+				lo, hi := cuts[ci], cuts[ci+1]
+				Gemm(NoTrans, tb, m, hi-lo, k, 1, a, k, col(lo), ldb, 0, got[lo:], n)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("transB=%v column cuts %v: band result differs at %d: %v vs %v", tb == Trans, cuts, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -70,8 +70,8 @@ func TestBatchNormCoarseMatchesSequential(t *testing.T) {
 }
 
 func TestBatchNormFineEngineFallback(t *testing.T) {
-	// BatchNorm has no fine kernel; the fine engine must fall back to the
-	// sequential path with hooks intact.
+	// BatchNorm has parameters but no channel ranges: the fine engine
+	// runs its backward serially, with hooks intact.
 	lRef, botRef, topRef := buildBN(t, 2)
 	NewSequential().Forward(lRef, botRef, topRef)
 	l, bot, top := buildBN(t, 2)

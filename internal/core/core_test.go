@@ -202,16 +202,11 @@ func TestTreeReductionCloseToOrdered(t *testing.T) {
 	}
 }
 
-// Fine against Sequential on each convolution kernel: on the direct loop
-// nest within float tolerance (its fine backward adds in another order),
-// on the lowered products bit for bit — a Fine band computes whole rows of
-// each GEMM and whole channels of dX, in the sequential range's order.
+// Fine against Sequential on each convolution kernel, bit for bit: a Fine
+// band computes whole output channels (forward, dW and db) or whole input
+// channels (dX), each in the sequential range's order.
 func TestFineMatchesSequential(t *testing.T) {
 	for _, lowered := range []bool{false, true} {
-		fwdTol, gradTol := 1e-4, 1e-3
-		if lowered {
-			fwdTol, gradTol = 0, 0
-		}
 		lRef, botRef, topRef := buildConvKernel(t, 11, lowered)
 		seq := NewSequential()
 		seq.Forward(lRef, botRef, topRef)
@@ -225,7 +220,7 @@ func TestFineMatchesSequential(t *testing.T) {
 			e := NewFine(w)
 			l, bot, top := buildConvKernel(t, 11, lowered)
 			e.Forward(l, bot, top)
-			if d := maxAbsDiff(top[0].Data(), topRef[0].Data()); d > fwdTol {
+			if d := maxAbsDiff(top[0].Data(), topRef[0].Data()); d != 0 {
 				t.Fatalf("fine/%d lowered=%v: forward deviates by %g", w, lowered, d)
 			}
 			seedTopDiff(top, 11)
@@ -233,11 +228,11 @@ func TestFineMatchesSequential(t *testing.T) {
 				p.ZeroDiff()
 			}
 			e.Backward(l, bot, top)
-			if d := maxAbsDiff(bot[0].Diff(), botRef[0].Diff()); d > fwdTol {
+			if d := maxAbsDiff(bot[0].Diff(), botRef[0].Diff()); d != 0 {
 				t.Fatalf("fine/%d lowered=%v: bottom grad deviates by %g", w, lowered, d)
 			}
 			for pi := range l.Params() {
-				if d := maxAbsDiff(l.Params()[pi].Diff(), lRef.Params()[pi].Diff()); d > gradTol {
+				if d := maxAbsDiff(l.Params()[pi].Diff(), lRef.Params()[pi].Diff()); d != 0 {
 					t.Fatalf("fine/%d lowered=%v: param %d grad deviates by %g", w, lowered, pi, d)
 				}
 			}

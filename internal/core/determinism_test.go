@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"coarsegrain/internal/par"
@@ -83,6 +85,54 @@ func TestCoarseDefaultsToStaticSchedule(t *testing.T) {
 	for _, s := range spans {
 		if lo, hi := par.Chunk(n, workers, s.Rank); s.Band != s.Rank || s.Lo != lo || s.Hi != hi {
 			t.Fatalf("rank %d ran band %d [%d,%d), want the static chunk [%d,%d)", s.Rank, s.Band, s.Lo, s.Hi, lo, hi)
+		}
+	}
+}
+
+// TestScheduleLivesInCore pins where parallelism is decided: the engines
+// here own the worker pool, and the layers and kernels they schedule only
+// state their axes (range and channel bodies). A layer or kernel that
+// imported the runtime, or took a *par.Pool, would be choosing its own
+// split again — the per-layer recoding the paper argues against — so no
+// non-test file of internal/layers or internal/blas may do either.
+func TestScheduleLivesInCore(t *testing.T) {
+	for _, dir := range []string{"../layers", "../blas"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s: %v", dir, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatalf("parse %s: %v", path, err)
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"coarsegrain/internal/par"` {
+					t.Errorf("%s: imports coarsegrain/internal/par", fset.Position(imp.Pos()))
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				ft, ok := n.(*ast.FuncType)
+				if !ok {
+					return true
+				}
+				for _, p := range ft.Params.List {
+					star, ok := p.Type.(*ast.StarExpr)
+					if !ok {
+						continue
+					}
+					if sel, ok := star.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "par" {
+							t.Errorf("%s: function takes a *par.Pool", fset.Position(p.Pos()))
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 }

@@ -16,9 +16,10 @@
 // replicas:
 //
 //   - Sequential — the serial baseline every speedup is measured against.
-//   - Fine — the plain-GPU analogue: layers providing a fine-grain
-//     implementation (parallelism inside the BLAS/inner loops, §3.1.1/
-//     §3.1.2) use it; the rest run serially.
+//   - Fine — the plain-GPU analogue (parallelism inside a layer's pass,
+//     §3.1.1/§3.1.2): a schedule over the same layer contract, cutting a
+//     layers.ChannelRanger by channels and every other layer's range as
+//     Coarse does, bit-identical to Sequential at any worker count.
 //
 // The convolution kernel is the other axis of the paper's comparison and
 // a property of the net, not of the engine: a net built with lowered
@@ -34,8 +35,8 @@
 // Engines that run parallel work accept a span tracer via an optional
 // SetTracer(*trace.Tracer) method (package net propagates it): Coarse
 // traces its worker regions and gradient reductions, Fine forwards the
-// tracer to its pool so BLAS-level tile bands appear as
-// worker spans. Sequential runs on the driver alone, so only the
+// tracer to its pool so its channel and range bands appear as worker
+// spans. Sequential runs on the driver alone, so only the
 // driver-side layer spans recorded by package net exist for it. A nil
 // tracer costs nothing; see OBSERVABILITY.md.
 package core

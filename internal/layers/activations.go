@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 )
 
 // elementwise is the shared machinery of activation layers: the top has the
@@ -64,11 +63,8 @@ func (l *elementwise) ForwardExtent() int { return l.extent }
 
 // ForwardRange implements Layer.
 func (l *elementwise) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
-	l.forwardElems(lo*l.plane, hi*l.plane, bottom[0], top[0])
-}
-
-func (l *elementwise) forwardElems(lo, hi int, bottom, top *blob.Blob) {
-	l.forward(bottom.Data()[lo:hi], top.Data()[lo:hi])
+	lo, hi = lo*l.plane, hi*l.plane
+	l.forward(bottom[0].Data()[lo:hi], top[0].Data()[lo:hi])
 }
 
 // BackwardExtent implements Layer.
@@ -81,30 +77,8 @@ func (l *elementwise) BackwardExtent() int {
 
 // BackwardRange implements Layer.
 func (l *elementwise) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.Blob) {
-	l.backwardElems(lo*l.plane, hi*l.plane, bottom[0], top[0])
-}
-
-func (l *elementwise) backwardElems(lo, hi int, bottom, top *blob.Blob) {
-	l.backward(bottom.Data()[lo:hi], top.Data()[lo:hi], top.Diff()[lo:hi], bottom.Diff()[lo:hi])
-}
-
-// ForwardFine implements FineForwarder: elementwise kernels map perfectly
-// to fine-grain threads (the paper's ReLU GPU speedups); we split the flat
-// element range.
-func (l *elementwise) ForwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	p.For(bottom[0].Count(), func(lo, hi, _ int) {
-		l.forwardElems(lo, hi, bottom[0], top[0])
-	})
-}
-
-// BackwardFine implements FineBackwarder.
-func (l *elementwise) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	if !l.propagateDown {
-		return
-	}
-	p.For(bottom[0].Count(), func(lo, hi, _ int) {
-		l.backwardElems(lo, hi, bottom[0], top[0])
-	})
+	lo, hi = lo*l.plane, hi*l.plane
+	l.backward(bottom[0].Data()[lo:hi], top[0].Data()[lo:hi], top[0].Diff()[lo:hi], bottom[0].Diff()[lo:hi])
 }
 
 // NewReLU creates a rectified linear unit layer: y = max(x, 0), with an

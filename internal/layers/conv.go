@@ -5,7 +5,6 @@ import (
 
 	"coarsegrain/internal/blas"
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 	"coarsegrain/internal/rng"
 )
 
@@ -88,7 +87,9 @@ func (c *ConvConfig) normalize() error {
 // of the same sample and must stay within one worker to remain race-free.
 //
 // With ConvConfig.Lowered the same passes run as im2col+GEMM instead
-// (conv_lowered.go), under the coarse and the Fine engine alike.
+// (conv_lowered.go), under the coarse and the Fine engine alike. Both
+// kernels are also ChannelRangers: the Fine engine cuts output channels
+// (forward, dW) and input channels (dX) instead of samples.
 type Convolution struct {
 	base
 	cfg ConvConfig
@@ -303,40 +304,41 @@ func (l *Convolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramG
 	}
 }
 
-// ForwardFine implements FineForwarder: the plain-GPU analogue. Samples
-// are walked serially and the output-channel loop of each sample is split
-// across workers — inner-loop parallelism with the modest granularity the
-// paper observes for Caffe's native GPU convolution kernels. A lowered
-// layer splits the output channels once, each band running every sample.
-func (l *Convolution) ForwardFine(p *par.Pool, bottom, top []*blob.Blob) {
+// ChannelExtents implements ChannelRanger: output channels, and input
+// channels when the bottom gradient propagates.
+func (l *Convolution) ChannelExtents() (out, in int) {
+	if l.propagateDown {
+		in = l.channels
+	}
+	return l.cfg.NumOutput, in
+}
+
+// ForwardChannels implements ChannelRanger: output channels [olo, ohi) of
+// every sample — on the lowered kernel one band of W's rows packed once.
+func (l *Convolution) ForwardChannels(olo, ohi int, bottom, top []*blob.Blob) {
 	if l.cfg.Lowered {
-		p.For(l.cfg.NumOutput, func(olo, ohi, _ int) { l.forwardLowered(0, l.num, olo, ohi, bottom[0], top[0]) })
+		l.forwardLowered(0, l.num, olo, ohi, bottom[0], top[0])
 		return
 	}
 	for s := 0; s < l.num; s++ {
-		s := s
-		p.For(l.cfg.NumOutput, func(olo, ohi, _ int) {
-			for o := olo; o < ohi; o++ {
-				l.forwardOne(s, o, bottom[0], top[0])
-			}
-		})
+		for o := olo; o < ohi; o++ {
+			l.forwardOne(s, o, bottom[0], top[0])
+		}
 	}
 }
 
-// BackwardFine implements FineBackwarder: per sample, the output-channel
-// loop of the weight/bias gradient is split across workers (each worker
-// owns disjoint rows of the weight gradient); the input gradient is then
-// accumulated serially per sample. A lowered layer is backwardFineLowered.
-func (l *Convolution) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
+// BackwardParamChannels implements ChannelRanger: rows [olo, ohi) of the
+// weight gradient and the matching bias entries, each accumulated over
+// (sample, output position) in BackwardRange's order.
+func (l *Convolution) BackwardParamChannels(olo, ohi int, bottom, top []*blob.Blob) {
 	if l.cfg.Lowered {
-		l.backwardFineLowered(p, bottom[0], top[0])
+		l.backwardParamLowered(olo, ohi, bottom[0], top[0])
 		return
 	}
 	kh, kw := l.cfg.KernelH, l.cfg.KernelW
 	ph, pw := l.cfg.PadH, l.cfg.PadW
 	sh, sw := l.cfg.StrideH, l.cfg.StrideW
 	chw := l.channels * l.height * l.width
-	wData := l.params[0].Data()
 	wGrad := l.params[0].Diff()
 	var bGrad []float32
 	if !l.cfg.NoBias {
@@ -344,81 +346,85 @@ func (l *Convolution) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
 	}
 	for s := 0; s < l.num; s++ {
 		in := bottom[0].Data()[s*chw : (s+1)*chw]
-		inDiff := bottom[0].Diff()[s*chw : (s+1)*chw]
-		if l.propagateDown {
-			for i := range inDiff {
-				inDiff[i] = 0
+		for o := olo; o < ohi; o++ {
+			outDiff := top[0].Diff()[(s*l.cfg.NumOutput+o)*l.outH*l.outW:]
+			ow0 := o * l.channels * kh * kw
+			for oh := 0; oh < l.outH; oh++ {
+				for ow := 0; ow < l.outW; ow++ {
+					g := outDiff[oh*l.outW+ow]
+					if g == 0 {
+						continue
+					}
+					if bGrad != nil {
+						bGrad[o] += g
+					}
+					for c := 0; c < l.channels; c++ {
+						cw0 := ow0 + c*kh*kw
+						ci0 := c * l.height * l.width
+						for ki := 0; ki < kh; ki++ {
+							ih := oh*sh - ph + ki
+							if ih < 0 || ih >= l.height {
+								continue
+							}
+							for kj := 0; kj < kw; kj++ {
+								iw := ow*sw - pw + kj
+								if iw < 0 || iw >= l.width {
+									continue
+								}
+								wGrad[cw0+ki*kw+kj] += g * in[ci0+ih*l.width+iw]
+							}
+						}
+					}
+				}
 			}
 		}
-		// Weight and bias gradients: rows (output channels) are disjoint.
-		p.For(l.cfg.NumOutput, func(olo, ohi, _ int) {
-			for o := olo; o < ohi; o++ {
+	}
+}
+
+// BackwardDataChannels implements ChannelRanger: input channels [clo, chi)
+// of every sample's bottom gradient, each summed over (output channel,
+// output position) in BackwardRange's order.
+func (l *Convolution) BackwardDataChannels(clo, chi int, bottom, top []*blob.Blob) {
+	if l.cfg.Lowered {
+		l.backwardDataLowered(clo, chi, bottom[0], top[0])
+		return
+	}
+	kh, kw := l.cfg.KernelH, l.cfg.KernelW
+	ph, pw := l.cfg.PadH, l.cfg.PadW
+	sh, sw := l.cfg.StrideH, l.cfg.StrideW
+	hw := l.height * l.width
+	wData := l.params[0].Data()
+	for s := 0; s < l.num; s++ {
+		inDiff := bottom[0].Diff()[s*l.channels*hw : (s+1)*l.channels*hw]
+		for c := clo; c < chi; c++ {
+			ci0 := c * hw
+			clear(inDiff[ci0 : ci0+hw])
+			for o := 0; o < l.cfg.NumOutput; o++ {
 				outDiff := top[0].Diff()[(s*l.cfg.NumOutput+o)*l.outH*l.outW:]
-				ow0 := o * l.channels * kh * kw
+				cw0 := o*l.channels*kh*kw + c*kh*kw
 				for oh := 0; oh < l.outH; oh++ {
 					for ow := 0; ow < l.outW; ow++ {
 						g := outDiff[oh*l.outW+ow]
 						if g == 0 {
 							continue
 						}
-						if bGrad != nil {
-							bGrad[o] += g
-						}
-						for c := 0; c < l.channels; c++ {
-							cw0 := ow0 + c*kh*kw
-							ci0 := c * l.height * l.width
-							for ki := 0; ki < kh; ki++ {
-								ih := oh*sh - ph + ki
-								if ih < 0 || ih >= l.height {
-									continue
-								}
-								for kj := 0; kj < kw; kj++ {
-									iw := ow*sw - pw + kj
-									if iw < 0 || iw >= l.width {
-										continue
-									}
-									wGrad[cw0+ki*kw+kj] += g * in[ci0+ih*l.width+iw]
-								}
-							}
-						}
-					}
-				}
-			}
-		})
-		if !l.propagateDown {
-			continue
-		}
-		// Input gradient: split across input channels (disjoint writes).
-		p.For(l.channels, func(clo, chi, _ int) {
-			for c := clo; c < chi; c++ {
-				ci0 := c * l.height * l.width
-				for o := 0; o < l.cfg.NumOutput; o++ {
-					outDiff := top[0].Diff()[(s*l.cfg.NumOutput+o)*l.outH*l.outW:]
-					cw0 := o*l.channels*kh*kw + c*kh*kw
-					for oh := 0; oh < l.outH; oh++ {
-						for ow := 0; ow < l.outW; ow++ {
-							g := outDiff[oh*l.outW+ow]
-							if g == 0 {
+						for ki := 0; ki < kh; ki++ {
+							ih := oh*sh - ph + ki
+							if ih < 0 || ih >= l.height {
 								continue
 							}
-							for ki := 0; ki < kh; ki++ {
-								ih := oh*sh - ph + ki
-								if ih < 0 || ih >= l.height {
+							for kj := 0; kj < kw; kj++ {
+								iw := ow*sw - pw + kj
+								if iw < 0 || iw >= l.width {
 									continue
 								}
-								for kj := 0; kj < kw; kj++ {
-									iw := ow*sw - pw + kj
-									if iw < 0 || iw >= l.width {
-										continue
-									}
-									inDiff[ci0+ih*l.width+iw] += g * wData[cw0+ki*kw+kj]
-								}
+								inDiff[ci0+ih*l.width+iw] += g * wData[cw0+ki*kw+kj]
 							}
 						}
 					}
 				}
 			}
-		})
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package layers
 import (
 	"coarsegrain/internal/blas"
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 )
 
 // The lowered convolution path: Caffe's CPU convolution, one GEMM per
@@ -21,16 +20,17 @@ import (
 // holding the weights packed once for the whole band, one bordered image
 // and one strip.
 //
-// Under the Fine engine the same three products are cut the other way:
-// forward and dW split the output-channel rows of W across the pool, dX
-// splits the input channels, and every band walks all samples. Each row
-// of a blocked GEMM and each channel of dX is computed as in the full
-// product, so a Fine band's bits are the coarse range's bits.
+// The channel ranges (ChannelRanger, the Fine engine's axis) cut the same
+// three products the other way: forward and dW take a band of W's
+// output-channel rows, dX a band of input channels, and every band walks
+// all samples. Each row of a blocked GEMM and each channel of dX is
+// computed as in the full product, so a channel band's bits are the
+// coarse range's bits.
 
 // forwardLowered computes output channels [olo, ohi) of samples [lo, hi):
 // W's rows [olo, ohi) are packed once into the band's scratch, then each
 // sample is one implicit GEMM with the bias added in its writeback. A
-// coarse-grain band is (lo, hi, 0, O), a Fine band (0, S, olo, ohi).
+// coarse-grain band is (lo, hi, 0, O), a channel band (0, S, olo, ohi).
 func (l *Convolution) forwardLowered(lo, hi, olo, ohi int, bottom, top *blob.Blob) {
 	o, rows := l.cfg.NumOutput, ohi-olo
 	ckk, ohw := l.plan.Rows(), l.outH*l.outW
@@ -67,29 +67,27 @@ func (l *Convolution) backwardLoweredRange(lo, hi int, bottom, top *blob.Blob, p
 	}
 }
 
-// backwardFineLowered is backwardLoweredRange over the whole batch, cut
-// for the Fine engine: dW and db by output-channel rows, then dX by input
-// channels, each band packing only the rows of W (or Wᵀ) it multiplies.
-func (l *Convolution) backwardFineLowered(p *par.Pool, bottom, top *blob.Blob) {
-	o, ckk, kk := l.cfg.NumOutput, l.plan.Rows(), l.cfg.KernelH*l.cfg.KernelW
-	p.For(o, func(olo, ohi, _ int) {
-		gs := blas.GetScratch()
-		defer blas.PutScratch(gs)
-		for s := 0; s < l.num; s++ {
-			l.paramGradLowered(gs, s, olo, ohi, bottom, top, l.params)
-		}
-	})
-	if !l.propagateDown {
-		return
+// backwardParamLowered is BackwardParamChannels on the lowered kernel:
+// dW and db rows [olo, ohi), one product per sample in sample order.
+func (l *Convolution) backwardParamLowered(olo, ohi int, bottom, top *blob.Blob) {
+	gs := blas.GetScratch()
+	defer blas.PutScratch(gs)
+	for s := 0; s < l.num; s++ {
+		l.paramGradLowered(gs, s, olo, ohi, bottom, top, l.params)
 	}
-	p.For(l.channels, func(c0, c1, _ int) {
-		gs := blas.GetScratch()
-		defer blas.PutScratch(gs)
-		gs.PackA(blas.Trans, (c1-c0)*kk, o, l.params[0].Data()[c0*kk:], ckk)
-		for s := 0; s < l.num; s++ {
-			l.dataGradLowered(gs, s, c0, c1, bottom, top)
-		}
-	})
+}
+
+// backwardDataLowered is BackwardDataChannels on the lowered kernel:
+// input channels [c0, c1) of every sample, packing only those channels'
+// rows of Wᵀ.
+func (l *Convolution) backwardDataLowered(c0, c1 int, bottom, top *blob.Blob) {
+	kk := l.cfg.KernelH * l.cfg.KernelW
+	gs := blas.GetScratch()
+	defer blas.PutScratch(gs)
+	gs.PackA(blas.Trans, (c1-c0)*kk, l.cfg.NumOutput, l.params[0].Data()[c0*kk:], l.plan.Rows())
+	for s := 0; s < l.num; s++ {
+		l.dataGradLowered(gs, s, c0, c1, bottom, top)
+	}
 }
 
 // paramGradLowered accumulates sample s's share of weight-gradient rows

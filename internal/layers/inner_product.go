@@ -5,7 +5,6 @@ import (
 
 	"coarsegrain/internal/blas"
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 	"coarsegrain/internal/rng"
 )
 
@@ -38,10 +37,10 @@ func (c *IPConfig) normalize() error {
 // treating everything after the batch axis as a flat feature vector.
 //
 // This is the literal f(x, W, b) = W*x + b transformation of §2.1.2: the
-// coarse path coalesces over samples and issues one GEMV per sample (the
-// "BLAS call per data segment" of Algorithm 2); the fine path instead
-// performs the whole batch as a single GEMM with its rows split across
-// workers (BLAS-level parallelism, §3.1.1).
+// coarse path coalesces over samples and issues one GEMM per sample band
+// (the "BLAS call per data segment" of Algorithm 2); its channel ranges
+// instead cut the whole-batch GEMMs by output or input features
+// (BLAS-level parallelism, §3.1.1).
 type InnerProduct struct {
 	base
 	cfg IPConfig
@@ -157,42 +156,57 @@ func (l *InnerProduct) BackwardRange(lo, hi int, bottom, top []*blob.Blob, param
 	}
 }
 
-// ForwardFine implements FineForwarder: the whole batch as one GEMM,
-// Top (S x N) = Bottom (S x K) * W^T (K x N), rows split across workers.
-func (l *InnerProduct) ForwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	n := l.cfg.NumOutput
-	blas.GemmParallel(p, blas.NoTrans, blas.Trans, l.num, n, l.k, 1,
-		bottom[0].Data(), l.k, l.params[0].Data(), l.k, 0, top[0].Data(), n)
+// ChannelExtents implements ChannelRanger: output features, and input
+// features when the bottom gradient propagates.
+func (l *InnerProduct) ChannelExtents() (out, in int) {
+	if l.propagateDown {
+		in = l.k
+	}
+	return l.cfg.NumOutput, in
+}
+
+// ForwardChannels implements ChannelRanger: columns [olo, ohi) of the
+// whole-batch product Top (S x N) = X W^T, plus their bias. The blocked
+// GEMM is band-invariant in N (gemm_blocked.go), so the columns are
+// ForwardRange's bits.
+func (l *InnerProduct) ForwardChannels(olo, ohi int, bottom, top []*blob.Blob) {
+	n, y := l.cfg.NumOutput, top[0].Data()
+	gs := blas.GetScratch()
+	defer blas.PutScratch(gs)
+	blas.GemmWithScratch(gs, blas.NoTrans, blas.Trans, l.num, ohi-olo, l.k, 1,
+		bottom[0].Data(), l.k, l.params[0].Data()[olo*l.k:], l.k, 0, y[olo:], n)
 	if !l.cfg.NoBias {
-		bias := l.params[1].Data()
-		p.For(l.num, func(lo, hi, _ int) {
-			for s := lo; s < hi; s++ {
-				blas.Axpy(1, bias, top[0].Data()[s*n:(s+1)*n])
-			}
-		})
+		bias := l.params[1].Data()[olo:ohi]
+		for s := 0; s < l.num; s++ {
+			blas.Axpy(1, bias, y[s*n+olo:s*n+ohi])
+		}
 	}
 }
 
-// BackwardFine implements FineBackwarder: dW = dY^T X as one GEMM with
-// weight rows split across workers; dX = dY W likewise; db summed serially
-// (it is N elements — negligible).
-func (l *InnerProduct) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	n := l.cfg.NumOutput
-	// dW (N x K) += dY^T (N x S) * X (S x K).
-	blas.GemmParallel(p, blas.Trans, blas.NoTrans, n, l.k, l.num, 1,
-		top[0].Diff(), n, bottom[0].Data(), l.k, 1, l.params[0].Diff(), l.k)
+// BackwardParamChannels implements ChannelRanger: rows [olo, ohi) of
+// dW += dY^T X over the whole batch (an M band) and the matching db
+// entries, summed in sample order.
+func (l *InnerProduct) BackwardParamChannels(olo, ohi int, bottom, top []*blob.Blob) {
+	n, dy := l.cfg.NumOutput, top[0].Diff()
+	gs := blas.GetScratch()
+	defer blas.PutScratch(gs)
+	blas.GemmWithScratch(gs, blas.Trans, blas.NoTrans, ohi-olo, l.k, l.num, 1,
+		dy[olo:], n, bottom[0].Data(), l.k, 1, l.params[0].Diff()[olo*l.k:], l.k)
 	if !l.cfg.NoBias {
-		bGrad := l.params[1].Diff()
-		dy := top[0].Diff()
+		bGrad := l.params[1].Diff()[olo:ohi]
 		for s := 0; s < l.num; s++ {
-			blas.Axpy(1, dy[s*n:(s+1)*n], bGrad)
+			blas.Axpy(1, dy[s*n+olo:s*n+ohi], bGrad)
 		}
 	}
-	if l.propagateDown {
-		// dX (S x K) = dY (S x N) * W (N x K).
-		blas.GemmParallel(p, blas.NoTrans, blas.NoTrans, l.num, l.k, n, 1,
-			top[0].Diff(), n, l.params[0].Data(), l.k, 0, bottom[0].Diff(), l.k)
-	}
+}
+
+// BackwardDataChannels implements ChannelRanger: columns [clo, chi) of
+// dX = dY W over the whole batch (an N band).
+func (l *InnerProduct) BackwardDataChannels(clo, chi int, bottom, top []*blob.Blob) {
+	gs := blas.GetScratch()
+	defer blas.PutScratch(gs)
+	blas.GemmWithScratch(gs, blas.NoTrans, blas.NoTrans, l.num, chi-clo, l.cfg.NumOutput, 1,
+		top[0].Diff(), l.cfg.NumOutput, l.params[0].Data()[clo:], l.k, 0, bottom[0].Diff()[clo:], l.k)
 }
 
 // ForwardFLOPs implements Coster: one S x K x N GEMM (2 FLOPs per MAC)

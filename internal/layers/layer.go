@@ -15,9 +15,12 @@
 //   - coarse-grain (the paper's contribution): static chunks across a
 //     worker pool, with parameter gradients privatized per worker and
 //     merged by an ordered reduction;
-//   - fine-grain: layers that additionally implement FineForwarder /
-//     FineBackwarder parallelize *inside* the layer instead — split BLAS
-//     calls, channel bands (the plain-GPU analogue).
+//   - fine-grain (the plain-GPU analogue): a layer that implements
+//     ChannelRanger is split along its channel axis instead — output
+//     channels for the forward pass and the parameter gradient, input
+//     channels for the bottom gradient — and every other layer's range
+//     body is split as the coarse engine splits it. The layer states the
+//     axis; the engine owns the schedule.
 //
 // Which kernel a convolution runs is a property of the layer, not of the
 // engine: ConvConfig.Lowered picks the im2col+GEMM products of package
@@ -29,7 +32,8 @@
 // distinct coalesced ranges of the same layer must touch disjoint regions of
 // the top blobs (forward) and of the bottom diff blobs (backward). Each
 // layer chooses how many loops it coalesces (the paper: "the number of
-// coalesced loops is layer dependent") precisely so that this holds.
+// coalesced loops is layer dependent") precisely so that this holds. The
+// channel ranges of a ChannelRanger obey the same rule over channels.
 //
 // Work that is inherently sequential — loading a data batch, summing
 // per-sample losses — lives in the optional ForwardPreparer /
@@ -42,7 +46,6 @@ import (
 	"fmt"
 
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 )
 
 // Layer is the unit of network computation. Implementations must be safe
@@ -121,18 +124,25 @@ type BackwardFinisher interface {
 	BackwardFinish(bottom, top []*blob.Blob)
 }
 
-// FineForwarder is the fine-grain (BLAS-level) forward implementation,
-// the analogue of a layer's plain-GPU kernel: parallelism lives inside the
-// linear-algebra calls rather than across batch samples.
-type FineForwarder interface {
-	ForwardFine(p *par.Pool, bottom, top []*blob.Blob)
-}
-
-// FineBackwarder is the fine-grain backward implementation. Parameter
-// gradients are accumulated directly into Params() diffs (no privatization
-// is needed: the BLAS-level split keeps writes disjoint).
-type FineBackwarder interface {
-	BackwardFine(p *par.Pool, bottom, top []*blob.Blob)
+// ChannelRanger is implemented by layers with parameters whose passes can
+// also be cut along a channel axis, every range covering the whole batch:
+// the second axis the fine-grain engine schedules (the BLAS-level split of
+// §3.1.1). Each body computes its channels exactly as the full-extent
+// ForwardRange/BackwardRange does, so any cut gives the sequential bits.
+type ChannelRanger interface {
+	// ChannelExtents returns the output- and input-channel counts; in is
+	// 0 when the bottom gradient is not propagated.
+	ChannelExtents() (out, in int)
+	// ForwardChannels computes output channels [olo, ohi) of every sample.
+	ForwardChannels(olo, ohi int, bottom, top []*blob.Blob)
+	// BackwardParamChannels ACCUMULATES the parameter-gradient rows of
+	// output channels [olo, ohi) into Params() diffs, over every sample in
+	// sample order. Distinct ranges own distinct rows, so nothing is
+	// privatized.
+	BackwardParamChannels(olo, ohi int, bottom, top []*blob.Blob)
+	// BackwardDataChannels writes input channels [clo, chi) of every
+	// sample's bottom gradient.
+	BackwardDataChannels(clo, chi int, bottom, top []*blob.Blob)
 }
 
 // Coster is implemented by layers that can state the arithmetic cost of

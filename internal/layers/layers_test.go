@@ -7,7 +7,6 @@ import (
 
 	"coarsegrain/internal/blas"
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 	"coarsegrain/internal/rng"
 )
 
@@ -108,6 +107,64 @@ func TestConvShapesLeNet(t *testing.T) {
 	}
 }
 
+// forUnevenBands cuts [0, n) into at most parts bands of unequal width
+// (quadratic cut points, so the first is the thinnest and some may be
+// empty) and runs body on each non-empty one in order.
+func forUnevenBands(n, parts int, body func(lo, hi int)) {
+	lo := 0
+	for i := 1; i <= parts; i++ {
+		if hi := n * i * i / (parts * parts); hi > lo {
+			body(lo, hi)
+			lo = hi
+		}
+	}
+}
+
+// forwardChannels and backwardChannels run a ChannelRanger's passes as the
+// fine-grain engine schedules them (core.Fine), serially over uneven bands.
+func forwardChannels(l ChannelRanger, bottom, top []*blob.Blob, parts int) {
+	out, _ := l.ChannelExtents()
+	forUnevenBands(out, parts, func(lo, hi int) { l.ForwardChannels(lo, hi, bottom, top) })
+}
+
+func backwardChannels(l ChannelRanger, bottom, top []*blob.Blob, parts int) {
+	out, in := l.ChannelExtents()
+	forUnevenBands(out, parts, func(lo, hi int) { l.BackwardParamChannels(lo, hi, bottom, top) })
+	forUnevenBands(in, parts, func(lo, hi int) { l.BackwardDataChannels(lo, hi, bottom, top) })
+}
+
+// forwardBands is runForward with the range body cut into uneven bands, as
+// the fine-grain engine schedules a layer without a channel axis.
+func forwardBands(l Layer, bottoms, tops []*blob.Blob, parts int) {
+	if p, ok := l.(ForwardPreparer); ok {
+		p.ForwardPrepare(bottoms, tops)
+	}
+	forUnevenBands(l.ForwardExtent(), parts, func(lo, hi int) { l.ForwardRange(lo, hi, bottoms, tops) })
+	if f, ok := l.(ForwardFinisher); ok {
+		f.ForwardFinish(bottoms, tops)
+	}
+}
+
+// forwardBandsMatchSeq runs l forward sequentially and then over uneven
+// bands, and fails unless the two tops agree bit for bit.
+func forwardBandsMatchSeq(t *testing.T, l Layer, bottom *blob.Blob, parts int, what string) {
+	t.Helper()
+	tops := setup(t, l, []*blob.Blob{bottom})
+	runForward(l, []*blob.Blob{bottom}, tops)
+	ref := append([]float32(nil), tops[0].Data()...)
+	tops[0].ZeroData()
+	forwardBands(l, []*blob.Blob{bottom}, tops, parts)
+	for i := range ref {
+		if math.Float32bits(tops[0].Data()[i]) != math.Float32bits(ref[i]) {
+			t.Fatalf("%s fine forward differs at %d: %v vs %v", what, i, tops[0].Data()[i], ref[i])
+		}
+	}
+}
+
+// The channel ranges against the direct loop nest's full ranges: on the
+// direct kernel bit for bit (each channel band runs the reference's own
+// loops in its order), on the lowered one within float tolerance (the
+// GEMM reorders the sums).
 func TestConvEnginePathsAgree(t *testing.T) {
 	r := rng.New(2, 1)
 	mk := func(lowered bool) (*Convolution, *blob.Blob, []*blob.Blob) {
@@ -121,57 +178,53 @@ func TestConvEnginePathsAgree(t *testing.T) {
 		tops := setup(t, l, []*blob.Blob{bottom})
 		return l, bottom, tops
 	}
-	// Sequential reference on the direct loop nest. The Fine variants, on
-	// the direct and on the lowered kernel, must share its inputs: rebuild
-	// bottom identically by copying.
+	// Sequential reference on the direct loop nest. The channel variants,
+	// on the direct and on the lowered kernel, must share its inputs:
+	// rebuild bottom identically by copying.
 	lSeq, bSeq, tSeq := mk(false)
 	runForward(lSeq, []*blob.Blob{bSeq}, tSeq)
 
-	p := par.NewPool(4)
-	defer p.Close()
-
 	type variant struct {
-		name string
-		l    *Convolution
-		b    *blob.Blob
-		top  []*blob.Blob
+		name          string
+		l             *Convolution
+		b             *blob.Blob
+		top           []*blob.Blob
+		fwdTol, dwTol float32
 	}
-	var fines []variant
-	for _, name := range []string{"fine", "fine lowered"} {
-		l, b, top := mk(name == "fine lowered")
-		b.CopyDataFrom(bSeq)
-		l.Params()[0].CopyDataFrom(lSeq.Params()[0])
-		l.Params()[1].CopyDataFrom(lSeq.Params()[1])
-		l.ForwardFine(p, []*blob.Blob{b}, top)
-		// The direct Fine split runs the reference's own loop nest; only the
-		// lowered kernel reorders the sums.
-		tol := float32(1e-5)
-		if name == "fine lowered" {
-			tol = 1e-4
+	var variants []variant
+	for _, lowered := range []bool{false, true} {
+		v := variant{name: "direct channels", fwdTol: 0, dwTol: 0}
+		if lowered {
+			v = variant{name: "lowered channels", fwdTol: 1e-4, dwTol: 1e-3}
 		}
+		v.l, v.b, v.top = mk(lowered)
+		v.b.CopyDataFrom(bSeq)
+		v.l.Params()[0].CopyDataFrom(lSeq.Params()[0])
+		v.l.Params()[1].CopyDataFrom(lSeq.Params()[1])
+		forwardChannels(v.l, []*blob.Blob{v.b}, v.top, 3)
 		for i := range tSeq[0].Data() {
-			almostEq(t, top[0].Data()[i], tSeq[0].Data()[i], tol, name+" forward")
+			almostEq(t, v.top[0].Data()[i], tSeq[0].Data()[i], v.fwdTol, v.name+" forward")
 		}
-		fines = append(fines, variant{name, l, b, top})
+		variants = append(variants, v)
 	}
 
 	// Backward agreement: seed identical top diffs.
 	for i := range tSeq[0].Diff() {
 		g := r.Range(-1, 1)
 		tSeq[0].Diff()[i] = g
-		for _, v := range fines {
+		for _, v := range variants {
 			v.top[0].Diff()[i] = g
 		}
 	}
 	lSeq.BackwardRange(0, lSeq.BackwardExtent(), []*blob.Blob{bSeq}, tSeq, lSeq.Params())
-	for _, v := range fines {
-		v.l.BackwardFine(p, []*blob.Blob{v.b}, v.top)
+	for _, v := range variants {
+		backwardChannels(v.l, []*blob.Blob{v.b}, v.top, 3)
 		for i := range bSeq.Diff() {
-			almostEq(t, v.b.Diff()[i], bSeq.Diff()[i], 1e-4, v.name+" bottom grad")
+			almostEq(t, v.b.Diff()[i], bSeq.Diff()[i], v.fwdTol, v.name+" bottom grad")
 		}
 		for pi := range lSeq.Params() {
 			for i := range lSeq.Params()[pi].Diff() {
-				almostEq(t, v.l.Params()[pi].Diff()[i], lSeq.Params()[pi].Diff()[i], 1e-3, v.name+" param grad")
+				almostEq(t, v.l.Params()[pi].Diff()[i], lSeq.Params()[pi].Diff()[i], v.dwTol, v.name+" param grad")
 			}
 		}
 	}
@@ -272,18 +325,7 @@ func TestPoolFineMatchesSeq(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bottom := randomBlob(r, -1, 1, 2, 3, 8, 8)
-		tops := setup(t, l, []*blob.Blob{bottom})
-		runForward(l, []*blob.Blob{bottom}, tops)
-		ref := append([]float32(nil), tops[0].Data()...)
-		p := par.NewPool(3)
-		l.ForwardFine(p, []*blob.Blob{bottom}, tops)
-		p.Close()
-		for i := range ref {
-			if tops[0].Data()[i] != ref[i] {
-				t.Fatalf("%v fine forward differs at %d", m, i)
-			}
-		}
+		forwardBandsMatchSeq(t, l, randomBlob(r, -1, 1, 2, 3, 8, 8), 3, m.String())
 	}
 }
 
@@ -315,6 +357,8 @@ func TestInnerProductKnownValues(t *testing.T) {
 	}
 }
 
+// The channel ranges the fine-grain engine cuts an InnerProduct into
+// against its full sample ranges: forward, dW, db and dx.
 func TestInnerProductFineMatchesSeq(t *testing.T) {
 	r := rng.New(5, 1)
 	l, err := NewInnerProduct("ip", IPConfig{NumOutput: 7,
@@ -326,9 +370,8 @@ func TestInnerProductFineMatchesSeq(t *testing.T) {
 	tops := setup(t, l, []*blob.Blob{bottom})
 	runForward(l, []*blob.Blob{bottom}, tops)
 	ref := append([]float32(nil), tops[0].Data()...)
-	p := par.NewPool(4)
-	defer p.Close()
-	l.ForwardFine(p, []*blob.Blob{bottom}, tops)
+	tops[0].ZeroData()
+	forwardChannels(l, []*blob.Blob{bottom}, tops, 4)
 	for i := range ref {
 		almostEq(t, tops[0].Data()[i], ref[i], 1e-5, "ip fine forward")
 	}
@@ -346,7 +389,7 @@ func TestInnerProductFineMatchesSeq(t *testing.T) {
 	l.Params()[0].ZeroDiff()
 	l.Params()[1].ZeroDiff()
 	bottom.ZeroDiff()
-	l.BackwardFine(p, []*blob.Blob{bottom}, tops)
+	backwardChannels(l, []*blob.Blob{bottom}, tops, 4)
 	for i := range wRef {
 		almostEq(t, l.Params()[0].Diff()[i], wRef[i], 1e-4, "ip fine dW")
 	}
@@ -401,19 +444,7 @@ func TestTanHValues(t *testing.T) {
 
 func TestElementwiseFineMatchesSeq(t *testing.T) {
 	r := rng.New(6, 1)
-	l := NewReLU("r", 0.1)
-	bottom := randomBlob(r, -1, 1, 4, 3, 5, 5)
-	tops := setup(t, l, []*blob.Blob{bottom})
-	runForward(l, []*blob.Blob{bottom}, tops)
-	ref := append([]float32(nil), tops[0].Data()...)
-	p := par.NewPool(5)
-	defer p.Close()
-	l.ForwardFine(p, []*blob.Blob{bottom}, tops)
-	for i := range ref {
-		if tops[0].Data()[i] != ref[i] {
-			t.Fatal("relu fine differs")
-		}
-	}
+	forwardBandsMatchSeq(t, NewReLU("r", 0.1), randomBlob(r, -1, 1, 4, 3, 5, 5), 5, "relu")
 }
 
 // --- LRN ---
@@ -445,18 +476,7 @@ func TestLRNFineMatchesSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bottom := randomBlob(r, -1, 1, 2, 8, 4, 4)
-	tops := setup(t, l, []*blob.Blob{bottom})
-	runForward(l, []*blob.Blob{bottom}, tops)
-	ref := append([]float32(nil), tops[0].Data()...)
-	p := par.NewPool(3)
-	defer p.Close()
-	l.ForwardFine(p, []*blob.Blob{bottom}, tops)
-	for i := range ref {
-		if tops[0].Data()[i] != ref[i] {
-			t.Fatal("lrn fine differs")
-		}
-	}
+	forwardBandsMatchSeq(t, l, randomBlob(r, -1, 1, 2, 8, 4, 4), 3, "lrn")
 }
 
 func TestLRNEvenSizeRejected(t *testing.T) {
@@ -917,8 +937,8 @@ func TestConvLoweredMatchesDirect(t *testing.T) {
 
 // im2colForward is the convolution lowered the old way, kept as the
 // oracle of the implicit GEMM: per sample, Im2col into a column matrix,
-// one row-parallel GEMM W·col, then a separate bias pass.
-func im2colForward(p *par.Pool, l *Convolution, bottom, top *blob.Blob) {
+// one GEMM W·col, then a separate bias pass.
+func im2colForward(l *Convolution, bottom, top *blob.Blob) {
 	o, ckk, ohw := l.cfg.NumOutput, l.plan.Rows(), l.plan.Cols()
 	chw := l.channels * l.height * l.width
 	col := make([]float32, ckk*ohw)
@@ -926,7 +946,7 @@ func im2colForward(p *par.Pool, l *Convolution, bottom, top *blob.Blob) {
 		blas.Im2col(bottom.Data()[s*chw:], l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
 			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
 		out := top.Data()[s*o*ohw : (s+1)*o*ohw]
-		blas.GemmParallel(p, blas.NoTrans, blas.NoTrans, o, ohw, ckk, 1, l.params[0].Data(), ckk, col, ohw, 0, out, ohw)
+		blas.Gemm(blas.NoTrans, blas.NoTrans, o, ohw, ckk, 1, l.params[0].Data(), ckk, col, ohw, 0, out, ohw)
 		if !l.cfg.NoBias {
 			for oc, b := range l.params[1].Data() {
 				blas.AddScalar(out[oc*ohw:(oc+1)*ohw], b)
@@ -936,9 +956,9 @@ func im2colForward(p *par.Pool, l *Convolution, bottom, top *blob.Blob) {
 }
 
 // im2colBackward is im2colForward's backward: per sample, dW += dTop·colᵀ
-// and dcol = Wᵀ·dTop as row-parallel GEMMs, the bias gradient as row sums,
-// and dX = Col2im of the whole dcol.
-func im2colBackward(p *par.Pool, l *Convolution, bottom, top *blob.Blob) {
+// and dcol = Wᵀ·dTop as GEMMs, the bias gradient as row sums, and dX =
+// Col2im of the whole dcol.
+func im2colBackward(l *Convolution, bottom, top *blob.Blob) {
 	o, ckk, ohw := l.cfg.NumOutput, l.plan.Rows(), l.plan.Cols()
 	chw := l.channels * l.height * l.width
 	w := l.params[0].Data()
@@ -947,7 +967,7 @@ func im2colBackward(p *par.Pool, l *Convolution, bottom, top *blob.Blob) {
 		outDiff := top.Diff()[s*o*ohw : (s+1)*o*ohw]
 		blas.Im2col(bottom.Data()[s*chw:], l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
 			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
-		blas.GemmParallel(p, blas.NoTrans, blas.Trans, o, ckk, ohw, 1, outDiff, ohw, col, ohw, 1, l.params[0].Diff(), ckk)
+		blas.Gemm(blas.NoTrans, blas.Trans, o, ckk, ohw, 1, outDiff, ohw, col, ohw, 1, l.params[0].Diff(), ckk)
 		if !l.cfg.NoBias {
 			for oc := range o {
 				var sum float32
@@ -960,7 +980,7 @@ func im2colBackward(p *par.Pool, l *Convolution, bottom, top *blob.Blob) {
 		if !l.propagateDown {
 			continue
 		}
-		blas.GemmParallel(p, blas.Trans, blas.NoTrans, ckk, ohw, o, 1, w, ckk, outDiff, ohw, 0, dcol, ohw)
+		blas.Gemm(blas.Trans, blas.NoTrans, ckk, ohw, o, 1, w, ckk, outDiff, ohw, 0, dcol, ohw)
 		inDiff := bottom.Diff()[s*chw : (s+1)*chw]
 		clear(inDiff)
 		blas.Col2im(dcol, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
@@ -970,15 +990,13 @@ func im2colBackward(p *par.Pool, l *Convolution, bottom, top *blob.Blob) {
 
 // The lowered layer against the Im2col + GEMM + Col2im oracle, both ways
 // it runs: the coarse engine's ragged sample bands (ForwardRange and
-// BackwardRange) and the Fine engine's output- and input-channel bands
-// (ForwardFine and BackwardFine, at several pool sizes so bands start off
-// a micro-tile boundary). Forward, dX, dW and db must agree bit for bit,
+// BackwardRange) and the fine engine's output- and input-channel bands
+// (the ChannelRanger bodies, on uneven cuts so bands start off a
+// micro-tile boundary). Forward, dX, dW and db must agree bit for bit,
 // with and without bias and propagation, on geometries with padding,
 // stride, non-square kernels and an outW no micro-tile divides.
 func TestConvLoweredBitIdenticalToIm2colOracle(t *testing.T) {
 	r := rng.New(63, 1)
-	pool := par.NewPool(3)
-	defer pool.Close()
 	for ci, cfg := range []ConvConfig{
 		{NumOutput: 6, Kernel: 5},                                              // LeNet-like, no padding
 		{NumOutput: 5, Kernel: 3, Pad: 1, NoBias: true},                        // padded, no bias
@@ -1004,8 +1022,8 @@ func TestConvLoweredBitIdenticalToIm2colOracle(t *testing.T) {
 		for i := range tw[0].Diff() {
 			tw[0].Diff()[i] = r.Range(-1, 1)
 		}
-		im2colForward(pool, lw, bw, tw[0])
-		im2colBackward(pool, lw, bw, tw[0])
+		im2colForward(lw, bw, tw[0])
+		im2colBackward(lw, bw, tw[0])
 
 		check := func(name string, l *Convolution, b *blob.Blob, top []*blob.Blob) {
 			t.Helper()
@@ -1034,13 +1052,11 @@ func TestConvLoweredBitIdenticalToIm2colOracle(t *testing.T) {
 		}
 		check("coarse ranges", lc, bc, tc)
 
-		for _, workers := range []int{2, 3, 5} {
-			fp := par.NewPool(workers)
+		for _, parts := range []int{2, 3, 5} {
 			lf, bf, tf := prime()
-			lf.ForwardFine(fp, []*blob.Blob{bf}, tf)
-			lf.BackwardFine(fp, []*blob.Blob{bf}, tf)
-			fp.Close()
-			check(fmt.Sprintf("fine/%d", workers), lf, bf, tf)
+			forwardChannels(lf, []*blob.Blob{bf}, tf, parts)
+			backwardChannels(lf, []*blob.Blob{bf}, tf, parts)
+			check(fmt.Sprintf("channels/%d", parts), lf, bf, tf)
 		}
 	}
 }

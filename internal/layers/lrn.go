@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 )
 
 // LRNConfig configures a LocalResponseNormalization layer (Caffe LRN,
@@ -270,39 +269,5 @@ func subRatios(sum, dy, y, s []float32) {
 	dy, y, s = dy[:len(sum)], y[:len(sum)], s[:len(sum)]
 	for j := range sum {
 		sum[j] -= dy[j] * y[j] / s[j]
-	}
-}
-
-// ForwardFine implements FineForwarder: per sample, spatial positions are
-// split across workers (the GPU kernel's pixel-level decomposition).
-func (l *LRN) ForwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	hw := l.height * l.width
-	chw := l.channels * hw
-	for s := 0; s < l.num; s++ {
-		in := bottom[0].Data()[s*chw : (s+1)*chw]
-		out := top[0].Data()[s*chw : (s+1)*chw]
-		sc := l.scale.Data()[s*chw : (s+1)*chw]
-		p.For(hw, func(plo, phi, _ int) {
-			l.forwardColumns(in, out, sc, plo, phi)
-		})
-	}
-}
-
-// BackwardFine implements FineBackwarder.
-func (l *LRN) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	if !l.propagateDown {
-		return
-	}
-	hw := l.height * l.width
-	chw := l.channels * hw
-	for s := 0; s < l.num; s++ {
-		in := bottom[0].Data()[s*chw : (s+1)*chw]
-		inDiff := bottom[0].Diff()[s*chw : (s+1)*chw]
-		out := top[0].Data()[s*chw : (s+1)*chw]
-		outDiff := top[0].Diff()[s*chw : (s+1)*chw]
-		sc := l.scale.Data()[s*chw : (s+1)*chw]
-		p.For(hw, func(plo, phi, _ int) {
-			l.backwardColumns(in, inDiff, out, outDiff, sc, plo, phi)
-		})
 	}
 }

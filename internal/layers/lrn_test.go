@@ -118,7 +118,7 @@ func (c *lrnCase) check(t testing.TB, name string, cuts []int) {
 	}
 }
 
-// lrnSplits returns Fine-style cuts of [0, hw): whole, P even bands for a
+// lrnSplits returns position cuts of [0, hw): whole, P even bands for a
 // few P, and a ragged split around the kernels' block boundary.
 func lrnSplits(hw int) [][]int {
 	splits := [][]int{{0, hw}}
@@ -138,7 +138,7 @@ func lrnSplits(hw int) [][]int {
 // TestLRNKernelsMatchOracle sweeps channel counts (1-7, CIFAR's 32, 64),
 // window sizes 1-7 (each with its own α, β, K, all but CIFAR's far from a
 // scale of 1 on these inputs), plane sizes on and around the block size and
-// Fine-style position splits, and requires the block kernels equal the
+// position splits, and requires the block kernels equal the
 // position-at-a-time loops bit for bit.
 func TestLRNKernelsMatchOracle(t *testing.T) {
 	r := rng.New(23, 1)

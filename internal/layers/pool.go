@@ -5,7 +5,6 @@ import (
 
 	"coarsegrain/internal/blas"
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 )
 
 // PoolMethod selects the pooling operation.
@@ -270,27 +269,4 @@ func (l *Pooling) backwardPlane(plane int, bottom, top *blob.Blob) {
 			}
 		}
 	}
-}
-
-// ForwardFine implements FineForwarder: pooling planes are tiny independent
-// kernels, the case where the paper reports extraordinary plain-GPU
-// speedups; the fine path simply splits the plane loop across the pool.
-func (l *Pooling) ForwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	p.For(l.num*l.channels, func(lo, hi, _ int) {
-		for plane := lo; plane < hi; plane++ {
-			l.forwardPlane(plane, bottom[0], top[0])
-		}
-	})
-}
-
-// BackwardFine implements FineBackwarder.
-func (l *Pooling) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	if !l.propagateDown {
-		return
-	}
-	p.For(l.num*l.channels, func(lo, hi, _ int) {
-		for plane := lo; plane < hi; plane++ {
-			l.backwardPlane(plane, bottom[0], top[0])
-		}
-	})
 }

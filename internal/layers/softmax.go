@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 )
 
 // softmaxSample computes the softmax of in into out (both length c) with
@@ -212,16 +211,4 @@ func (l *SoftmaxWithLoss) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ 
 		}
 		dx[int(labels[s])] -= seed
 	}
-}
-
-// ForwardFine implements FineForwarder: sample loop split across workers
-// (the per-sample softmax is itself tiny). The engine runs ForwardFinish
-// serially afterwards, as for every engine.
-func (l *SoftmaxWithLoss) ForwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	p.For(l.num, func(lo, hi, _ int) { l.ForwardRange(lo, hi, bottom, top) })
-}
-
-// BackwardFine implements FineBackwarder.
-func (l *SoftmaxWithLoss) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
-	p.For(l.num, func(lo, hi, _ int) { l.BackwardRange(lo, hi, bottom, top, nil) })
 }

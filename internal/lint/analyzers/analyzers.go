@@ -95,7 +95,7 @@ func isMethodOn(fn *types.Func, pkgName, typeName, method string) bool {
 // contract.
 type poolClosure struct {
 	call   *ast.CallExpr
-	method string // For, ForTiles, ForOrdered, OrderedSlices, Region
+	method string // For, ForOrdered, OrderedSlices, Region
 	fn     *ast.FuncLit
 	info   *types.Info
 	safe   map[types.Object]bool
@@ -106,7 +106,6 @@ type poolClosure struct {
 // sequentially in rank order and is deliberately not analyzed.)
 var poolMethods = map[string]int{
 	"For":           1,
-	"ForTiles":      2,
 	"ForOrdered":    1,
 	"OrderedSlices": 1,
 	"Region":        0,

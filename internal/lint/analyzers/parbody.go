@@ -10,9 +10,9 @@ import (
 )
 
 // Parbody enforces the worksharing privatization contract of internal/par:
-// a closure handed to Pool.For / ForTiles / ForOrdered / OrderedSlices /
-// Region runs concurrently on every rank, so the only captured memory it
-// may write is memory partitioned by the schedule — an element indexed by
+// a closure handed to Pool.For / ForOrdered / OrderedSlices / Region runs
+// concurrently on every rank, so the only captured memory it may write is
+// memory partitioned by the schedule — an element indexed by
 // the closure's rank or by an index derived from its [lo, hi) range.
 // Any other write is executed by all ranks against the same location:
 // a data race, and the exact shape that destroys the paper's convergence

@@ -62,8 +62,8 @@ func bad(p *par.Pool, out []float32, a *acc) {
 
 	// Steered helpers called with constants sever the steering chain:
 	// every rank writes the same fixed range.
-	p.ForTiles(len(out), 8, func(lo, hi, rank int) {
-		fillRange(out, 0, 4, 1) // want `call to fillRange inside Pool\.ForTiles closure writes captured "out"`
+	p.For(len(out), func(lo, hi, rank int) {
+		fillRange(out, 0, 4, 1) // want `call to fillRange inside Pool\.For closure writes captured "out"`
 	})
 }
 

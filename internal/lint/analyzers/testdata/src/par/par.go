@@ -31,11 +31,6 @@ func (p *Pool) For(n int, body func(lo, hi, rank int)) {
 	body(0, n, 0)
 }
 
-// ForTiles runs body over tile-aligned ranges.
-func (p *Pool) ForTiles(n, tile int, body func(lo, hi, rank int)) {
-	body(0, n, 0)
-}
-
 // Region runs body once per rank.
 func (p *Pool) Region(body func(rank int)) {
 	for r := 0; r < p.workers; r++ {

@@ -20,8 +20,8 @@ func bad(p *par.Pool, out []float32, m map[int]float32) {
 	})
 
 	var scratch []float32
-	p.ForTiles(len(out), 8, func(lo, hi, rank int) {
-		scratch = append(scratch, out[lo]) // want `write to captured "scratch" inside Pool\.ForTiles closure`
+	p.For(len(out), func(lo, hi, rank int) {
+		scratch = append(scratch, out[lo]) // want `write to captured "scratch" inside Pool\.For closure`
 	})
 
 	type state struct{ n int }
@@ -68,7 +68,7 @@ func good(p *par.Pool, in, out []float32) {
 	})
 
 	// Indices derived from the range (lo+j) are schedule-derived.
-	p.ForTiles(len(out), 8, func(lo, hi, rank int) {
+	p.For(len(out), func(lo, hi, rank int) {
 		for j := 0; j+lo < hi; j++ {
 			out[lo+j] = in[lo+j]
 		}

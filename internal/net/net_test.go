@@ -184,8 +184,9 @@ func TestNetRecorderCollectsAllLayers(t *testing.T) {
 
 // The central claim: running the SAME network under different engines and
 // worker counts, and on either convolution kernel, produces the same
-// forward loss (bitwise for coarse on the same kernel, whose forward has
-// no reductions) and near-identical gradients.
+// forward loss (bitwise for coarse and fine on the same kernel, whose
+// forwards have no reductions) and near-identical gradients (bitwise for
+// fine on the same kernel, whose channel bands sum in sequential order).
 func TestNetEngineEquivalence(t *testing.T) {
 	ref := tinyNet(t, 16, 6, core.NewSequential())
 	refLoss := ref.Forward()
@@ -202,13 +203,15 @@ func TestNetEngineEquivalence(t *testing.T) {
 		n := tinyNetKernel(t, 16, 6, e, tc.lowered) // same seed -> same weights and data
 		loss := n.Forward()
 		n.Backward()
-		if e.Name() == "coarse" {
+		sameKernel := !tc.lowered
+		if sameKernel {
 			if loss != refLoss {
 				t.Fatalf("%s/%d: loss %v != sequential %v (must be bitwise)", e.Name(), e.Workers(), loss, refLoss)
 			}
 		} else if math.Abs(loss-refLoss) > 1e-4 {
 			t.Fatalf("%s: loss %v deviates from %v", e.Name(), loss, refLoss)
 		}
+		bitwise := sameKernel && e.Name() == "fine"
 		for i := range ref.Params() {
 			a := ref.Params()[i].Diff()
 			b := n.Params()[i].Diff()
@@ -216,6 +219,9 @@ func TestNetEngineEquivalence(t *testing.T) {
 			for j := range a {
 				if d := math.Abs(float64(a[j] - b[j])); d > m {
 					m = d
+				}
+				if bitwise && math.Float32bits(a[j]) != math.Float32bits(b[j]) {
+					t.Fatalf("%s/%d: param %d gradient differs at %d: %v vs %v (must be bitwise)", e.Name(), e.Workers(), i, j, b[j], a[j])
 				}
 			}
 			if m > 2e-3 {

@@ -66,8 +66,8 @@ func TestBarrierLongRegionParksJoiner(t *testing.T) {
 	}
 }
 
-// TestBarrierMixedWorksharingStress interleaves Region/For/ForTiles/
-// OrderedSlices with empty ranges and panics — the shapes the training
+// TestBarrierMixedWorksharingStress interleaves Region/For/OrderedSlices
+// with empty ranges and panics — the shapes the training
 // loop and its error paths produce — to shake out dispatch races under
 // -race.
 func TestBarrierMixedWorksharingStress(t *testing.T) {
@@ -81,11 +81,6 @@ func TestBarrierMixedWorksharingStress(t *testing.T) {
 			}
 		})
 		p.For(0, func(lo, hi, rank int) { t.Error("body ran for n=0") })
-		p.ForTiles(64, 8, func(lo, hi, rank int) {
-			for j := lo; j < hi; j++ {
-				sum[j]++
-			}
-		})
 		if i%37 == 5 {
 			func() {
 				defer func() {
@@ -107,8 +102,8 @@ func TestBarrierMixedWorksharingStress(t *testing.T) {
 		})
 	}
 	for j, v := range sum {
-		if v != 300*(2+4) {
-			t.Fatalf("element %d: %d increments, want %d", j, v, 300*6)
+		if v != 300*(1+4) {
+			t.Fatalf("element %d: %d increments, want %d", j, v, 300*5)
 		}
 	}
 }

@@ -216,53 +216,6 @@ func (p *Pool) For(n int, body func(lo, hi, rank int)) {
 	})
 }
 
-// ForTiles is For over an iteration space whose natural work unit is a
-// tile of `tile` consecutive iterations: the ceil(n/tile) tiles are
-// statically chunked across workers (Chunk over tiles), and body receives
-// the element range [lo, hi) of its tile run — lo is always tile-aligned,
-// hi is min(hi_tile*tile, n). Blocked kernels use this so worker
-// boundaries never split a tile (e.g. GemmParallel hands each worker
-// whole micro-tile rows of C).
-//
-// Edge cases, part of the contract:
-//
-//   - tile <= 0 is treated as tile 1, i.e. ForTiles degenerates to For's
-//     element-wise static schedule;
-//   - n <= 0 runs nothing (as with For);
-//   - n <= tile leaves a single (possibly partial) tile, which static
-//     chunking assigns entirely to rank 0: body runs exactly once, as
-//     body(0, n, 0) on the calling goroutine — the fork/join of an
-//     all-but-one-idle region is skipped. Callers must not assume every
-//     rank's body runs.
-func (p *Pool) ForTiles(n, tile int, body func(lo, hi, rank int)) {
-	if n <= 0 {
-		return
-	}
-	if tile < 1 {
-		tile = 1
-	}
-	tiles := (n + tile - 1) / tile
-	if p.tracer.Enabled() {
-		body = p.traced(body)
-	}
-	if p.workers == 1 || tiles == 1 {
-		body(0, n, 0)
-		return
-	}
-	p.region(func(rank int) {
-		tlo, thi := Chunk(tiles, p.workers, rank)
-		if tlo >= thi {
-			return
-		}
-		lo := tlo * tile
-		hi := thi * tile
-		if hi > n {
-			hi = n
-		}
-		body(lo, hi, rank)
-	})
-}
-
 // Region runs body once per rank, like `#pragma omp parallel` with no
 // worksharing loop. Useful when the caller wants full control over private
 // allocation and work splitting.

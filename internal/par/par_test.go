@@ -1,7 +1,6 @@
 package par
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -99,62 +98,6 @@ func TestForFewerIterationsThanWorkers(t *testing.T) {
 	})
 	if n != 3 {
 		t.Fatalf("covered %d iterations, want 3", n)
-	}
-}
-
-func TestForTilesCoverageAndAlignment(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		p := NewPool(workers)
-		for _, n := range []int{0, 1, 3, 4, 37, 64, 129, 1000} {
-			for _, tile := range []int{1, 4, 16} {
-				hits := make([]int32, n)
-				var bad atomic.Value
-				p.ForTiles(n, tile, func(lo, hi, rank int) {
-					if lo%tile != 0 {
-						bad.Store(fmt.Sprintf("lo %d not aligned to tile %d", lo, tile))
-					}
-					if hi != n && hi%tile != 0 {
-						bad.Store(fmt.Sprintf("interior hi %d not aligned to tile %d", hi, tile))
-					}
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&hits[i], 1)
-					}
-				})
-				if msg := bad.Load(); msg != nil {
-					t.Fatalf("workers=%d n=%d tile=%d: %v", workers, n, tile, msg)
-				}
-				for i, h := range hits {
-					if h != 1 {
-						t.Fatalf("workers=%d n=%d tile=%d: iteration %d hit %d times", workers, n, tile, i, h)
-					}
-				}
-			}
-		}
-		p.Close()
-	}
-}
-
-func TestForTilesDegenerateTile(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	// tile < 1 behaves as tile = 1; n <= 0 never calls the body.
-	var covered int32
-	p.ForTiles(10, 0, func(lo, hi, rank int) { atomic.AddInt32(&covered, int32(hi-lo)) })
-	if covered != 10 {
-		t.Fatalf("tile=0 covered %d iterations, want 10", covered)
-	}
-	p.ForTiles(0, 4, func(lo, hi, rank int) { t.Error("body called for empty loop") })
-}
-
-func TestForTilesFewerTilesThanWorkers(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
-	// 5 elements, tile 4 -> 2 tiles; at most 2 workers get work, the split
-	// must still cover [0, 5) exactly once.
-	var covered int32
-	p.ForTiles(5, 4, func(lo, hi, rank int) { atomic.AddInt32(&covered, int32(hi-lo)) })
-	if covered != 5 {
-		t.Fatalf("covered %d iterations, want 5", covered)
 	}
 }
 

@@ -1,50 +1,10 @@
 package par
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"coarsegrain/internal/trace"
 )
-
-// TestForTilesSingleTileContract pins the documented n <= tile behavior:
-// the single (possibly partial) tile runs exactly once, as body(0, n, 0),
-// on the calling goroutine.
-func TestForTilesSingleTileContract(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var calls int32
-	var gotLo, gotHi, gotRank int
-	p.ForTiles(3, 8, func(lo, hi, rank int) {
-		if atomic.AddInt32(&calls, 1) == 1 {
-			gotLo, gotHi, gotRank = lo, hi, rank //dnnlint:ignore parbody single-tile contract runs the body exactly once, on the calling goroutine
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("body ran %d times, want 1", calls)
-	}
-	if gotLo != 0 || gotHi != 3 || gotRank != 0 {
-		t.Fatalf("body(%d, %d, %d), want body(0, 3, 0)", gotLo, gotHi, gotRank)
-	}
-}
-
-// TestForTilesNegativeTile pins tile <= 0 (including negative) as
-// tile 1 — ForTiles degenerates to For's element-wise static schedule.
-func TestForTilesNegativeTile(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	seen := make([]int32, 9)
-	p.ForTiles(9, -5, func(lo, hi, rank int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&seen[i], 1)
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("iteration %d covered %d times", i, c)
-		}
-	}
-}
 
 func TestForRecordsWorkerSpans(t *testing.T) {
 	p := NewPool(3)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 // Value is one field value: a scalar or a nested message.
@@ -184,9 +183,12 @@ func (l *lexer) next() (token, error) {
 	return token{kind: "eof", line: l.line}, nil
 }
 
+// isWordByte reports whether c may appear in a bare identifier or scalar:
+// ASCII letters, digits and "_.-+". Every other byte, including each byte
+// of a multi-byte UTF-8 rune, needs quotes.
 func isWordByte(c byte) bool {
 	return c == '_' || c == '.' || c == '-' || c == '+' ||
-		unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+		'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
 // Parse parses a prototxt document into a Message.
@@ -257,11 +259,17 @@ func parseMessage(l *lexer) (*Message, token, error) {
 	}
 }
 
-// quoteIfNeeded is used by String renderers of messages.
+// quoteIfNeeded renders a scalar so the lexer reads back the same text: bare
+// when every byte is a word byte, else between quotes the lexer does not
+// unescape. A parsed scalar never holds both quote characters (the lexer
+// ends a string at its own quote) nor a newline, so one of them fits.
 func quoteIfNeeded(s string) string {
-	for _, r := range s {
-		if !isWordByte(byte(r)) {
-			return strconv.Quote(s)
+	for i := 0; i < len(s); i++ {
+		if !isWordByte(s[i]) {
+			if strings.IndexByte(s, '"') >= 0 {
+				return "'" + s + "'"
+			}
+			return `"` + s + `"`
 		}
 	}
 	if s == "" {

@@ -90,15 +90,19 @@ func TestParseNegativeAndExponent(t *testing.T) {
 	}
 }
 
+// parseErrorInputs are malformed documents Parse must refuse; FuzzParse
+// seeds its corpus with them.
+var parseErrorInputs = []string{
+	`name "x"`,       // missing colon
+	`block { name: `, // truncated
+	`name: "unterm`,  // unterminated string
+	`}`,              // stray brace... actually parsed as terminator
+	`: "x"`,          // missing field name
+	`a: !`,           // bad character
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, src := range []string{
-		`name "x"`,       // missing colon
-		`block { name: `, // truncated
-		`name: "unterm`,  // unterminated string
-		`}`,              // stray brace... actually parsed as terminator
-		`: "x"`,          // missing field name
-		`a: !`,           // bad character
-	} {
+	for _, src := range parseErrorInputs {
 		if _, err := Parse(src); err == nil && src != `}` {
 			t.Errorf("Parse(%q) accepted", src)
 		}
@@ -292,6 +296,66 @@ func TestRenderQuoting(t *testing.T) {
 	if !strings.Contains(out, `"hello world"`) {
 		t.Fatalf("rendered %q", out)
 	}
+}
+
+// Render must write what Parse reads back: non-ASCII text and either quote
+// character survive a round trip unchanged.
+func TestRenderRoundTripsEveryScalar(t *testing.T) {
+	for _, src := range []string{
+		`name: "é"`,
+		`name: "Ł"`,
+		`name: "naïve layer"`,
+		`name: '"quoted"'`,
+		`name: "it's"`,
+		`name: "back\slash"`,
+	} {
+		doc, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		out := doc.Render("")
+		doc2, err := Parse(out)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", src, out, err)
+		}
+		if got, want := doc2.String("name", ""), doc.String("name", ""); got != want {
+			t.Fatalf("%q round-trips to %q, want %q", src, got, want)
+		}
+	}
+}
+
+// FuzzParse feeds Parse arbitrary documents: it must never panic, and any
+// document it accepts must render to text that parses back to the same
+// rendering.
+func FuzzParse(f *testing.F) {
+	configs, err := filepath.Glob(filepath.Join("..", "..", "configs", "*.prototxt"))
+	if err != nil || len(configs) == 0 {
+		f.Fatalf("no configs to seed from: %v", err)
+	}
+	for _, path := range configs {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(raw))
+	}
+	for _, src := range parseErrorInputs {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		doc, err := Parse(src)
+		if err != nil {
+			return
+		}
+		out := doc.Render("")
+		doc2, err := Parse(out)
+		if err != nil {
+			t.Fatalf("rendered document does not parse: %v\n%s", err, out)
+		}
+		if again := doc2.Render(""); again != out {
+			t.Fatalf("render is not stable:\n%s\nthen\n%s", out, again)
+		}
+	})
 }
 
 func TestTransformParamOnDataLayer(t *testing.T) {

@@ -122,6 +122,11 @@ go test -run '^$' -fuzz '^FuzzLRN$' -fuzztime 5s ./internal/layers
 echo "== FuzzCodec smoke (5 s: every gradient wire format on arbitrary float32 bits: WireLen, error bounds, non-finite kept) =="
 go test -run '^$' -fuzz '^FuzzCodec$' -fuzztime 5s ./internal/transport
 
+echo "== FuzzParse smoke (5 s: prototxt Parse never panics, and what it accepts renders to text that parses back to the same rendering) =="
+# A short minimize budget: the configs/*.prototxt seeds are kilobytes, and
+# minimizing each new input from them would otherwise take the whole 5 s.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s -fuzzminimizetime 1s ./internal/prototxt
+
 echo "== reduction determinism sweep (OrderedSlices bit-identical across P) =="
 go test -count=1 -run 'TestOrderedSlicesBitIdenticalToOrdered|TestOrderedSlicesMergeBitIdenticalAcrossWorkers' \
 	./internal/par ./internal/core
