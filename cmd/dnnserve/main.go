@@ -41,7 +41,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for a random port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file (for scripts)")
 		maxBatch = flag.Int("max-batch", 32, "dynamic batcher's maximum batch (the serving band size)")
-		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "deadline the oldest queued request waits for a batch to fill")
 		replicas = flag.Int("replicas", 1, "pre-warmed forward-only net replicas sharing one weight copy")
 		queue    = flag.Int("queue", 0, "admission queue depth (default 4*max-batch)")
 		scores   = flag.String("scores", "", "score blob name (default: the loss layer's input)")
@@ -64,7 +63,7 @@ func main() {
 		Model: m.Name, SampleShape: m.Source.SampleShape(), Classes: m.Source.Classes(), ScoreBlob: *scores,
 		// The replica constructor sizes the net; the batch built here is irrelevant.
 		Build:    func(src layers.Source) ([]net.LayerSpec, error) { return m.Specs(src, 0) },
-		MaxBatch: *maxBatch, MaxDelay: *maxDelay, Replicas: *replicas, QueueDepth: *queue,
+		MaxBatch: *maxBatch, Replicas: *replicas, QueueDepth: *queue,
 	}
 	if *shape != "" {
 		if cfg.SampleShape, err = parseShape(*shape); err != nil {
@@ -104,8 +103,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Printf("dnnserve: %s from %s on http://%s (max-batch %d, max-delay %v, replicas %d, queue %d)\n",
-		cfg.Model, *snapPath, bound, cfg.MaxBatch, cfg.MaxDelay, cfg.Replicas, s.Config().QueueDepth)
+	fmt.Printf("dnnserve: %s from %s on http://%s (max-batch %d, replicas %d, queue %d)\n",
+		cfg.Model, *snapPath, bound, cfg.MaxBatch, cfg.Replicas, s.Config().QueueDepth)
 
 	httpSrv := &http.Server{Handler: s.Handler()}
 	errCh := make(chan error, 1)

@@ -6,10 +6,7 @@
 
 package serve
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestSteadyStateAllocationFree measures the whole request path —
 // submit, batch, Infer, response — after warm-up. The serving design
@@ -17,12 +14,12 @@ import (
 // envelopes, free-listed batch slices and capacity-warmed blobs are
 // what make this hold.
 func TestSteadyStateAllocationFree(t *testing.T) {
-	s := newTestServer(t, testConfig(4, 200*time.Microsecond))
+	s := newTestServer(t, testConfig(4))
 	s.Start()
 	r := s.Acquire()
 	defer s.Release(r)
 	fillSample(r.Input(), 1)
-	for i := 0; i < 8; i++ { // settle pools and timer paths
+	for i := 0; i < 8; i++ { // settle the pools and the free list
 		if err := s.Do(r); err != nil {
 			t.Fatal(err)
 		}

@@ -1,19 +1,20 @@
 package serve
 
-import "time"
-
-// batchLoop is the single consumer of the admission queue. Its state
-// machine has two modes:
+// batchLoop is the single consumer of the admission queue. It is
+// work-conserving: a batch goes to a replica the moment one is free,
+// holding every request already queued (up to MaxBatch), and it grows
+// from the queue only while every replica is busy. Each turn of the loop
+// either takes one request or hands the batch over:
 //
-//   - idle: block on the queue; the first arrival starts a batch and
-//     arms the deadline timer.
-//   - collecting: accept further arrivals until the batch reaches
-//     MaxBatch (full flush) or the timer fires (deadline flush), then
-//     hand the batch to a replica worker and return to idle.
-//
-// A flush blocks on the free list when every replica is busy — that is
-// the intended backpressure chain: busy replicas → batcher stalls →
-// queue fills → Submit rejects with ErrOverloaded.
+//   - empty: block on the queue for the first arrival.
+//   - full (MaxBatch): block on the dispatch channel until a replica is
+//     free — the backpressure chain: busy replicas → batcher stalls →
+//     queue fills → Submit rejects with ErrOverloaded.
+//   - partial: take a queued request if there is one (a select picks at
+//     random among ready cases, so draining first is what guarantees an
+//     idle replica is never handed fewer requests than are waiting);
+//     otherwise wait for whichever comes first, an idle replica or the
+//     next arrival.
 //
 // Closing the queue (Close) flushes the partial batch and closes the
 // dispatch channel, so every admitted request is answered before Close
@@ -21,63 +22,41 @@ import "time"
 func (s *Server) batchLoop() {
 	defer close(s.batcherDone)
 	defer close(s.dispatch)
-	timer := time.NewTimer(time.Hour)
-	stopTimer(timer)
 	batch := <-s.free
 	for {
-		r, ok := <-s.queue
+		var r *Request
+		var ok bool
+		switch {
+		case len(batch) == s.cfg.MaxBatch:
+			batch = s.flush(batch)
+			continue
+		case len(batch) == 0:
+			r, ok = <-s.queue
+		default:
+			select {
+			case r, ok = <-s.queue:
+			default:
+				select {
+				case s.dispatch <- batch:
+					batch = <-s.free
+					continue
+				case r, ok = <-s.queue:
+				}
+			}
+		}
 		if !ok {
+			if len(batch) > 0 {
+				s.flush(batch)
+			}
 			return
 		}
 		batch = append(batch, r)
-		if len(batch) == s.cfg.MaxBatch {
-			s.fullFlushes.Add(1)
-			batch = s.flush(batch)
-			continue
-		}
-		timer.Reset(s.cfg.MaxDelay)
-		flushed := false
-		for !flushed {
-			select {
-			case r2, ok2 := <-s.queue:
-				if !ok2 {
-					stopTimer(timer)
-					s.deadlineFlushes.Add(1)
-					s.flush(batch)
-					return
-				}
-				batch = append(batch, r2)
-				if len(batch) == s.cfg.MaxBatch {
-					stopTimer(timer)
-					s.fullFlushes.Add(1)
-					batch = s.flush(batch)
-					flushed = true
-				}
-			case <-timer.C:
-				s.deadlineFlushes.Add(1)
-				batch = s.flush(batch)
-				flushed = true
-			}
-		}
 	}
 }
 
-// flush hands the batch to a replica worker and takes a fresh slice
-// from the free list (blocking until a worker returns one — the
-// backpressure stall described on batchLoop).
+// flush hands the batch to a replica worker, blocking until one is free,
+// and takes a fresh slice from the free list.
 func (s *Server) flush(batch []*Request) []*Request {
 	s.dispatch <- batch
-	next := <-s.free
-	return next[:0]
-}
-
-// stopTimer stops t and drains a pending fire so the next Reset arms
-// cleanly (the time.Timer reuse idiom).
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
+	return <-s.free
 }

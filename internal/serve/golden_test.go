@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"sync"
+	"slices"
 	"testing"
-	"time"
 
 	"coarsegrain/internal/trace"
 )
@@ -17,7 +16,7 @@ import (
 // goes through the replica as bands of 8, 8 and 3 (inferBand), through a
 // net whose activations are sized for one band, not for the batch.
 func TestGoldenBatchedMatchesSerial(t *testing.T) {
-	serial := newTestServer(t, testConfig(1, time.Millisecond))
+	serial := newTestServer(t, testConfig(1))
 	serial.Start()
 	const n = 2*inferBand + 3
 	want := make([][]float32, n)
@@ -25,23 +24,19 @@ func TestGoldenBatchedMatchesSerial(t *testing.T) {
 		want[i] = doSample(t, serial, i)
 	}
 
-	batched := newTestServer(t, testConfig(n, time.Hour))
+	g := newGate()
+	batched := newTestServer(t, gatedConfig(n, g))
 	if got, want := batched.replicas[0].net.Blob("conv1").Cap(), inferBand*4*12*12; got != want {
 		t.Fatalf("conv1 holds %d floats, want %d: one band of %d samples, not the batch of %d", got, want, inferBand, n)
 	}
 	batched.Start()
-	got := make([][]float32, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			got[id] = doSample(t, batched, id)
-		}(i)
-	}
-	wg.Wait()
-	if st := batched.Stats(); st.FullFlushes != 1 || st.MeanBatch != n {
-		t.Fatalf("expected one full batch of %d, got stats %+v", n, st)
+	blockers := holdReplicas(t, batched, g)
+	reqs := queueBehind(t, batched, n)
+	g.open()
+	answers(t, batched, blockers)
+	got := answers(t, batched, reqs)
+	if st := batched.Stats(); st.FullFlushes != 1 || st.Batches != 2 {
+		t.Fatalf("expected one full batch of %d behind the blocker, got stats %+v", n, st)
 	}
 	for i := range want {
 		for j := range want[i] {
@@ -55,24 +50,23 @@ func TestGoldenBatchedMatchesSerial(t *testing.T) {
 
 // TestServeTraceSpans checks the latency observability: each dispatched
 // batch records one PhaseServe batch span and one request span per
-// sample on the executing replica's rank shard.
+// sample on the executing replica's rank shard. Both replicas are held
+// on a blocker each while a full batch of 4 queues behind them.
 func TestServeTraceSpans(t *testing.T) {
-	cfg := testConfig(4, time.Hour)
+	g := newGate()
+	cfg := gatedConfig(4, g)
 	cfg.Replicas = 2
 	cfg.Tracer = trace.New(cfg.Replicas)
 	s := newTestServer(t, cfg)
 	s.Start()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			doSample(t, s, id)
-		}(i)
-	}
-	wg.Wait()
+	blockers := holdReplicas(t, s, g)
+	reqs := queueBehind(t, s, 4)
+	g.open()
+	answers(t, s, blockers)
+	answers(t, s, reqs)
 	s.Close() // join workers so the shard read below is safe
-	var batchSpans, reqSpans int
+	var batchSizes []int
+	var reqSpans int
 	for _, sp := range cfg.Tracer.Snapshot() {
 		if sp.Phase != trace.PhaseServe {
 			continue
@@ -82,10 +76,10 @@ func TestServeTraceSpans(t *testing.T) {
 		}
 		switch sp.Name {
 		case "batch":
-			batchSpans++
-			if sp.Lo != 0 || sp.Hi < 1 || sp.Hi > 4 {
+			if sp.Lo != 0 {
 				t.Fatalf("batch span range [%d,%d)", sp.Lo, sp.Hi)
 			}
+			batchSizes = append(batchSizes, sp.Hi)
 		case "request":
 			reqSpans++
 			if sp.Dur <= 0 {
@@ -93,7 +87,8 @@ func TestServeTraceSpans(t *testing.T) {
 			}
 		}
 	}
-	if batchSpans != 1 || reqSpans != 4 {
-		t.Fatalf("spans: %d batch + %d request, want 1 + 4", batchSpans, reqSpans)
+	slices.Sort(batchSizes)
+	if !slices.Equal(batchSizes, []int{1, 1, 4}) || reqSpans != 6 {
+		t.Fatalf("spans: batches of %v + %d request spans, want [1 1 4] + 6", batchSizes, reqSpans)
 	}
 }

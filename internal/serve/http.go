@@ -159,10 +159,12 @@ func (s *Server) handleTensor(w http.ResponseWriter, r *http.Request) {
 }
 
 // doAll acquires one request per input, stages inputs via fill, submits
-// them all (so samples from one HTTP call can share a batch), then
-// waits. On a submission error the already-submitted requests are
-// drained before everything is released, so no request leaks into the
-// pool while still in flight.
+// them all, then waits. The samples of one call are admitted together
+// but may ride in more than one batch (an idle replica takes whatever is
+// queued when it frees up); batching is bit-identical, so the scores do
+// not depend on the split. On a submission error the already-submitted
+// requests are drained before everything is released, so no request
+// leaks into the pool while still in flight.
 func (s *Server) doAll(inputs [][]float32, fill func(dst []float32, i int)) ([]*Request, error) {
 	reqs := make([]*Request, len(inputs))
 	for i := range inputs {
@@ -198,7 +200,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 		"classes":      s.cfg.Classes,
 		"score_blob":   s.cfg.ScoreBlob,
 		"max_batch":    s.cfg.MaxBatch,
-		"max_delay_ms": float64(s.cfg.MaxDelay.Microseconds()) / 1000,
 		"replicas":     s.cfg.Replicas,
 		"queue_depth":  s.cfg.QueueDepth,
 	})
@@ -207,14 +208,14 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"received":         st.Received,
-		"rejected":         st.Rejected,
-		"served":           st.Served,
-		"batches":          st.Batches,
-		"samples":          st.Samples,
-		"full_flushes":     st.FullFlushes,
-		"deadline_flushes": st.DeadlineFlushes,
-		"mean_batch":       st.MeanBatch,
-		"mean_latency_ms":  float64(st.MeanLatency.Microseconds()) / 1000,
+		"received":        st.Received,
+		"rejected":        st.Rejected,
+		"served":          st.Served,
+		"batches":         st.Batches,
+		"samples":         st.Samples,
+		"full_flushes":    st.FullFlushes,
+		"partial_flushes": st.PartialFlushes,
+		"mean_batch":      st.MeanBatch,
+		"mean_latency_ms": float64(st.MeanLatency.Microseconds()) / 1000,
 	})
 }

@@ -10,12 +10,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func testHTTPServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := newTestServer(t, testConfig(4, time.Millisecond))
+	s := newTestServer(t, testConfig(4))
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -170,7 +169,7 @@ func TestTensorEndpointRejectsBadLength(t *testing.T) {
 // TestOverloadReturns429 drives the HTTP overload path with the same
 // no-batcher trick as TestBackpressureRejects.
 func TestOverloadReturns429(t *testing.T) {
-	cfg := testConfig(4, time.Hour)
+	cfg := testConfig(4)
 	cfg.QueueDepth = 1
 	s, err := New(cfg)
 	if err != nil {

@@ -159,6 +159,11 @@ func (rep *replica) Infer(reqs []*Request) {
 	}
 	s := rep.srv
 	s.batches.Add(1)
+	if b == s.cfg.MaxBatch {
+		s.fullFlushes.Add(1)
+	} else {
+		s.partialFlushes.Add(1)
+	}
 	s.samples.Add(int64(b))
 	s.served.Add(int64(b))
 	s.latencyNS.Add(lat)

@@ -7,13 +7,16 @@
 // # Architecture
 //
 // Concurrent single-sample requests enter a bounded queue. A single
-// batcher goroutine coalesces them into dynamic batches: it flushes to a
-// replica as soon as MaxBatch requests are waiting (a full flush) or
-// MaxDelay has elapsed since the oldest queued request (a deadline
-// flush), whichever comes first. Batches are executed by a pre-warmed
-// pool of Replicas forward-only nets (net.NewForward) that share one
-// copy of the weights (net.ShareParamsWith), so R replicas cost one
-// net's parameters plus R sets of activations.
+// batcher goroutine coalesces them into dynamic batches without ever
+// waiting on a clock: the moment a replica is idle it takes every
+// request already queued (a partial flush, up to MaxBatch), and while
+// every replica is busy the batch grows from the queue until it reaches
+// MaxBatch (a full flush). A lone request on an idle server is therefore
+// a batch of one, and under load batches fill while the replicas work.
+// Batches are executed by a pre-warmed pool of Replicas forward-only
+// nets (net.NewForward) that share one copy of the weights
+// (net.ShareParamsWith), so R replicas cost one net's parameters plus R
+// sets of activations.
 //
 // # Determinism
 //
@@ -80,8 +83,10 @@ type Config struct {
 	// MaxBatch is the batch the batcher coalesces up to — the serving
 	// analogue of the paper's band size. Default 32.
 	MaxBatch int
-	// MaxDelay bounds how long the oldest queued request waits for the
-	// batch to fill before a deadline flush. Default 2ms.
+	// MaxDelay must be zero: the batcher has no deadline, and New
+	// rejects any other value. The field is kept only because
+	// benchmark/serve.go reads Config().MaxDelay as the timer every
+	// request sits out, which is now none.
 	MaxDelay time.Duration
 	// Replicas is the number of pre-warmed forward-only nets executing
 	// batches. They share one copy of the weights. Default 1; more than
@@ -155,14 +160,14 @@ type Server struct {
 	wg          sync.WaitGroup
 	batcherDone chan struct{}
 
-	received        atomic.Int64
-	rejected        atomic.Int64
-	served          atomic.Int64
-	batches         atomic.Int64
-	samples         atomic.Int64
-	fullFlushes     atomic.Int64
-	deadlineFlushes atomic.Int64
-	latencyNS       atomic.Int64
+	received       atomic.Int64
+	rejected       atomic.Int64
+	served         atomic.Int64
+	batches        atomic.Int64
+	samples        atomic.Int64
+	fullFlushes    atomic.Int64
+	partialFlushes atomic.Int64
+	latencyNS      atomic.Int64
 }
 
 // New assembles a server: builds Replicas forward-only nets over
@@ -184,8 +189,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 32
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 2 * time.Millisecond
+	if cfg.MaxDelay != 0 {
+		return nil, fmt.Errorf("serve: Config.MaxDelay is %v, must be zero: the batcher has no deadline", cfg.MaxDelay)
 	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
@@ -379,9 +384,9 @@ type Stats struct {
 	// Batches counts dispatched batches; Samples is the sum of their
 	// sizes (equal to Served).
 	Batches, Samples int64
-	// FullFlushes counts batches flushed at MaxBatch; DeadlineFlushes
-	// counts batches flushed by the MaxDelay timer.
-	FullFlushes, DeadlineFlushes int64
+	// FullFlushes counts batches dispatched at MaxBatch; PartialFlushes
+	// counts batches handed to an idle replica before they were full.
+	FullFlushes, PartialFlushes int64
 	// MeanBatch is Samples/Batches.
 	MeanBatch float64
 	// MeanLatency is the mean queue-to-completion request latency.
@@ -391,13 +396,13 @@ type Stats struct {
 // Stats returns the current counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Received:        s.received.Load(),
-		Rejected:        s.rejected.Load(),
-		Served:          s.served.Load(),
-		Batches:         s.batches.Load(),
-		Samples:         s.samples.Load(),
-		FullFlushes:     s.fullFlushes.Load(),
-		DeadlineFlushes: s.deadlineFlushes.Load(),
+		Received:       s.received.Load(),
+		Rejected:       s.rejected.Load(),
+		Served:         s.served.Load(),
+		Batches:        s.batches.Load(),
+		Samples:        s.samples.Load(),
+		FullFlushes:    s.fullFlushes.Load(),
+		PartialFlushes: s.partialFlushes.Load(),
 	}
 	if st.Batches > 0 {
 		st.MeanBatch = float64(st.Samples) / float64(st.Batches)
@@ -415,7 +420,7 @@ func (s *Server) resetStats() {
 	s.batches.Store(0)
 	s.samples.Store(0)
 	s.fullFlushes.Store(0)
-	s.deadlineFlushes.Store(0)
+	s.partialFlushes.Store(0)
 	s.latencyNS.Store(0)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"coarsegrain/internal/blob"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/rng"
@@ -42,14 +43,13 @@ func testBuild(seed uint64) Builder {
 	}
 }
 
-func testConfig(maxBatch int, delay time.Duration) Config {
+func testConfig(maxBatch int) Config {
 	return Config{
 		Build:       testBuild(42),
 		SampleShape: []int{1, 28, 28},
 		Classes:     10,
 		ScoreBlob:   "ip1",
 		MaxBatch:    maxBatch,
-		MaxDelay:    delay,
 	}
 }
 
@@ -83,55 +83,213 @@ func doSample(t testing.TB, s *Server, id int) []float32 {
 	return append([]float32(nil), r.Scores()...)
 }
 
-// TestFullBatchFlush pins the full-flush path: with an effectively
-// infinite deadline, MaxBatch concurrent requests can only complete by
-// filling the batch.
-func TestFullBatchFlush(t *testing.T) {
-	s := newTestServer(t, testConfig(4, time.Hour))
-	s.Start()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			doSample(t, s, id)
-		}(i)
+// gate lets a test hold the replicas busy. While it is held, every
+// forward pass through a gatedLayer announces itself on entered and then
+// blocks until open, so the test knows exactly which requests wait
+// behind a busy replica and can form a batch without racing the batcher.
+type gate struct {
+	mu      sync.Mutex
+	shut    chan struct{} // nil while the gate is open
+	entered chan struct{}
+}
+
+// newGate returns an open gate. entered is buffered past any test's
+// replica count, so a pass no test is waiting for (one left after a
+// failure) still blocks only on the gate itself.
+func newGate() *gate { return &gate{entered: make(chan struct{}, 16)} }
+
+func (g *gate) hold() {
+	g.mu.Lock()
+	g.shut = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gate) open() {
+	g.mu.Lock()
+	if g.shut != nil {
+		close(g.shut)
+		g.shut = nil
 	}
-	wg.Wait()
-	st := s.Stats()
-	if st.FullFlushes != 1 || st.DeadlineFlushes != 0 {
-		t.Fatalf("flushes: full=%d deadline=%d, want 1/0", st.FullFlushes, st.DeadlineFlushes)
-	}
-	if st.Batches != 1 || st.Samples != 4 || st.Served != 4 {
-		t.Fatalf("batches=%d samples=%d served=%d, want 1/4/4", st.Batches, st.Samples, st.Served)
+	g.mu.Unlock()
+}
+
+func (g *gate) pass() {
+	g.mu.Lock()
+	shut := g.shut
+	g.mu.Unlock()
+	if shut != nil {
+		g.entered <- struct{}{}
+		<-shut
 	}
 }
 
-// TestDeadlineFlush pins the deadline path: fewer requests than
-// MaxBatch complete only because the MaxDelay timer fires.
-func TestDeadlineFlush(t *testing.T) {
-	s := newTestServer(t, testConfig(32, 20*time.Millisecond))
+// gatedLayer is a layer whose forward pass waits at a gate first.
+type gatedLayer struct {
+	layers.Layer
+	g *gate
+}
+
+func (l gatedLayer) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
+	l.g.pass()
+	l.Layer.ForwardRange(lo, hi, bottom, top)
+}
+
+// gatedConfig is testConfig with every replica's ip1 forward behind g;
+// the scores are unchanged.
+func gatedConfig(maxBatch int, g *gate) Config {
+	cfg := testConfig(maxBatch)
+	inner := cfg.Build
+	cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
+		specs, err := inner(src)
+		if err != nil {
+			return nil, err
+		}
+		specs[2].Layer = gatedLayer{Layer: specs[2].Layer, g: g}
+		return specs, nil
+	}
+	return cfg
+}
+
+// within waits for ch, failing the test after 10 s instead of hanging.
+func within(t testing.TB, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: nothing after 10 s", what)
+	}
+}
+
+// submitSample admits a request for identity id without waiting for it.
+func submitSample(t testing.TB, s *Server, id int) *Request {
+	t.Helper()
+	r := s.Acquire()
+	fillSample(r.Input(), id)
+	if err := s.submit(r); err != nil {
+		t.Fatalf("submit(sample %d): %v", id, err)
+	}
+	return r
+}
+
+// holdReplicas holds g and sends one blocker request per replica
+// (identities 1000 up), each a batch of one, returning once every
+// replica is blocked inside its forward pass. A failing test opens the
+// gate on cleanup, before the server's Close drains.
+func holdReplicas(t testing.TB, s *Server, g *gate) []*Request {
+	t.Helper()
+	g.hold()
+	t.Cleanup(g.open)
+	blockers := make([]*Request, s.cfg.Replicas)
+	for i := range blockers {
+		blockers[i] = submitSample(t, s, 1000+i)
+		within(t, g.entered, "blocker forward pass")
+	}
+	return blockers
+}
+
+// queueBehind admits n ≤ MaxBatch requests (identities 0..n-1) while
+// every replica is held, and returns once the batcher has taken all of
+// them off the queue: the batch they form is then decided before any
+// replica frees up. The batcher signals nothing when it takes a
+// request, so this polls the queue's length; only how long it waits
+// depends on scheduling, never what the test sees.
+func queueBehind(t testing.TB, s *Server, n int) []*Request {
+	t.Helper()
+	if n > s.cfg.MaxBatch {
+		t.Fatalf("queueBehind(%d) over MaxBatch %d", n, s.cfg.MaxBatch)
+	}
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		reqs[i] = submitSample(t, s, i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(s.queue) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests still queued after 10 s: the batcher stopped collecting behind busy replicas", len(s.queue), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return reqs
+}
+
+// answers waits for every request and returns a copy of each one's
+// scores, releasing the envelopes.
+func answers(t testing.TB, s *Server, reqs []*Request) [][]float32 {
+	t.Helper()
+	out := make([][]float32, len(reqs))
+	for i, r := range reqs {
+		within(t, r.done, "answer")
+		out[i] = append([]float32(nil), r.Scores()...)
+		s.Release(r)
+	}
+	return out
+}
+
+// TestFullBatchFlush pins the full-flush path: MaxBatch requests queued
+// behind a busy replica go out as one full batch when it frees up.
+func TestFullBatchFlush(t *testing.T) {
+	g := newGate()
+	s := newTestServer(t, gatedConfig(4, g))
 	s.Start()
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			doSample(t, s, id)
-		}(i)
-	}
-	wg.Wait()
+	blockers := holdReplicas(t, s, g)
+	reqs := queueBehind(t, s, 4)
+	g.open()
+	answers(t, s, blockers)
+	answers(t, s, reqs)
 	st := s.Stats()
-	if st.DeadlineFlushes < 1 || st.FullFlushes != 0 {
-		t.Fatalf("flushes: full=%d deadline=%d, want 0/≥1", st.FullFlushes, st.DeadlineFlushes)
+	if st.FullFlushes != 1 || st.PartialFlushes != 1 {
+		t.Fatalf("flushes: full=%d partial=%d, want 1/1 (the blocker is a partial flush of 1)", st.FullFlushes, st.PartialFlushes)
 	}
-	if st.Served != 3 {
-		t.Fatalf("served=%d, want 3", st.Served)
+	if st.Batches != 2 || st.Samples != 5 || st.Served != 5 {
+		t.Fatalf("batches=%d samples=%d served=%d, want 2/5/5", st.Batches, st.Samples, st.Served)
 	}
-	if st.MeanLatency < 15*time.Millisecond {
-		// A 3-sample batch under a 20ms deadline waited for the timer;
-		// generous lower bound to stay robust on slow CI.
-		t.Logf("note: mean latency %v below the deadline — deadline fired early?", st.MeanLatency)
+}
+
+// TestIdleReplicaDispatchesAtOnce pins work conservation: a lone request
+// on an idle server is a batch of one and is answered at once, not after
+// some wait for the batch to fill.
+func TestIdleReplicaDispatchesAtOnce(t *testing.T) {
+	s := newTestServer(t, testConfig(32))
+	s.Start()
+	r := submitSample(t, s, 0)
+	defer s.Release(r)
+	select {
+	case <-r.done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a lone request on an idle server was not answered within 2 s")
+	}
+	st := s.Stats()
+	if st.PartialFlushes != 1 || st.FullFlushes != 0 || st.Batches != 1 || st.Served != 1 {
+		t.Fatalf("stats %+v, want one partial flush of 1", st)
+	}
+}
+
+// TestBatchGrowsWhileReplicaBusy: requests that arrive while the only
+// replica is busy wait together and go out as one batch when it frees
+// up, even though the batch never fills.
+func TestBatchGrowsWhileReplicaBusy(t *testing.T) {
+	g := newGate()
+	s := newTestServer(t, gatedConfig(32, g))
+	s.Start()
+	blockers := holdReplicas(t, s, g)
+	reqs := queueBehind(t, s, 5)
+	g.open()
+	answers(t, s, blockers)
+	answers(t, s, reqs)
+	st := s.Stats()
+	if st.Batches != 2 || st.PartialFlushes != 2 || st.FullFlushes != 0 || st.Samples != 6 {
+		t.Fatalf("stats %+v, want 2 partial batches: the blocker, then the 5 queued behind it", st)
+	}
+}
+
+// TestNewRejectsMaxDelay: the batcher has no deadline, so a configured
+// one is refused rather than ignored.
+func TestNewRejectsMaxDelay(t *testing.T) {
+	for _, d := range []time.Duration{2 * time.Millisecond, -time.Millisecond} {
+		cfg := testConfig(4)
+		cfg.MaxDelay = d
+		if _, err := New(cfg); err == nil {
+			t.Fatalf("New accepted MaxDelay %v", d)
+		}
 	}
 }
 
@@ -139,7 +297,7 @@ func TestDeadlineFlush(t *testing.T) {
 // running (the server is force-marked started) and checks the
 // non-blocking rejection contract.
 func TestBackpressureRejects(t *testing.T) {
-	cfg := testConfig(4, time.Hour)
+	cfg := testConfig(4)
 	cfg.QueueDepth = 2
 	s, err := New(cfg)
 	if err != nil {
@@ -168,7 +326,7 @@ func TestBackpressureRejects(t *testing.T) {
 
 // TestSubmitLifecycleErrors pins ErrNotStarted and ErrClosed.
 func TestSubmitLifecycleErrors(t *testing.T) {
-	s := newTestServer(t, testConfig(2, time.Millisecond))
+	s := newTestServer(t, testConfig(2))
 	r := s.Acquire()
 	if err := s.Do(r); err != ErrNotStarted {
 		t.Fatalf("Do before Start: %v, want ErrNotStarted", err)
@@ -187,7 +345,7 @@ func TestSubmitLifecycleErrors(t *testing.T) {
 // TestCloseDrainsAdmitted submits a burst and closes immediately:
 // every admitted request must still be answered.
 func TestCloseDrainsAdmitted(t *testing.T) {
-	s := newTestServer(t, testConfig(4, time.Hour))
+	s := newTestServer(t, testConfig(4))
 	s.Start()
 	const n = 11
 	var wg sync.WaitGroup
@@ -226,7 +384,7 @@ func TestCloseDrainsAdmitted(t *testing.T) {
 // under arbitrary batch mixing. Run with -race this also exercises the
 // submit/flush/free-list synchronization.
 func TestRoutingUnderConcurrency(t *testing.T) {
-	ref := newTestServer(t, testConfig(1, time.Millisecond))
+	ref := newTestServer(t, testConfig(1))
 	ref.Start()
 	const ids = 8
 	want := make([][]float32, ids)
@@ -234,7 +392,7 @@ func TestRoutingUnderConcurrency(t *testing.T) {
 		want[i] = doSample(t, ref, i)
 	}
 
-	s := newTestServer(t, testConfig(4, 500*time.Microsecond))
+	s := newTestServer(t, testConfig(4))
 	s.Start()
 	const clients, rounds = 16, 10
 	var wg sync.WaitGroup
@@ -264,7 +422,7 @@ func TestRoutingUnderConcurrency(t *testing.T) {
 // the buffers would stay that large for the life of the server.
 func TestReplicaBuiltAtMaxBatch(t *testing.T) {
 	const maxBatch, builderBatch = 4, 64
-	cfg := testConfig(maxBatch, time.Millisecond)
+	cfg := testConfig(maxBatch)
 	inner := cfg.Build
 	cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
 		specs, err := inner(src)

@@ -9,7 +9,8 @@
 # passes over the parallel substrate (the BLAS band kernels and implicit-GEMM
 # convolution driver with its differential tests, the lowered layer and its
 # coarse-engine sweep, the worker pool, the span tracer, the instrumented
-# net loop, the coarse engine and the serving layer), a 5-second FuzzGemm
+# net loop, the coarse engine and the serving layer), twenty race passes
+# over the serving batcher's tests, a 5-second FuzzGemm
 # smoke (random shapes/transposes/strides through both kernels, gemmRef as
 # oracle) and a 5-second FuzzConv smoke (random convolution geometries
 # through the gathered and the packed lowering on both kernels, the naive
@@ -109,6 +110,9 @@ echo "== go test -race (blas, layers, par, trace, net, core, guard, faultinject,
 go test -race -count=1 ./internal/blas ./internal/layers ./internal/par ./internal/trace ./internal/net ./internal/core \
 	./internal/guard ./internal/faultinject ./internal/serve ./internal/transport ./internal/dist ./internal/cluster
 go test -race -count=1 -run 'TestLoweredLeNetCoarseSweep' ./internal/zoo
+
+echo "== batcher stress under race (20 passes: the select between an idle replica and the next arrival) =="
+go test -race -count 20 -run 'Flush|Idle|Busy|Close|Routing|Golden' ./internal/serve
 
 echo "== FuzzGemm smoke (5 s: both kernels vs gemmRef, band invariance, C padding) =="
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 5s ./internal/blas
