@@ -63,7 +63,7 @@ import (
 	"fmt"
 )
 
-// Transpose selects op(X) for Gemm/Gemv.
+// Transpose selects op(X) for Gemm and GemmScratch.PackA.
 type Transpose bool
 
 const (
@@ -245,103 +245,8 @@ func checkGemm(transA, transB Transpose, m, n, k int, a []float32, lda int, b []
 	}
 }
 
-// Gemv computes y = alpha*op(A)*x + beta*y where A is an m x n row-major
-// matrix (before op).
-func Gemv(trans Transpose, m, n int, alpha float32, a []float32, lda int, x []float32, beta float32, y []float32) {
-	if lda < n {
-		panic(fmt.Sprintf("blas: gemv lda=%d < n=%d", lda, n))
-	}
-	if m > 0 && len(a) < (m-1)*lda+n {
-		panic("blas: gemv A too short")
-	}
-	if trans == NoTrans {
-		if len(x) < n || len(y) < m {
-			panic("blas: gemv vector too short")
-		}
-		for i := 0; i < m; i++ {
-			var acc float32
-			row := a[i*lda : i*lda+n]
-			for j, av := range row {
-				acc += av * x[j]
-			}
-			if beta == 0 {
-				y[i] = alpha * acc
-			} else {
-				y[i] = alpha*acc + beta*y[i]
-			}
-		}
-		return
-	}
-	// y (len n) = alpha * A^T x (len m) + beta*y
-	if len(x) < m || len(y) < n {
-		panic("blas: gemv vector too short")
-	}
-	if beta == 0 {
-		for j := 0; j < n; j++ {
-			y[j] = 0
-		}
-	} else if beta != 1 {
-		for j := 0; j < n; j++ {
-			y[j] *= beta
-		}
-	}
-	for i := 0; i < m; i++ {
-		av := alpha * x[i]
-		if av == 0 {
-			continue
-		}
-		row := a[i*lda : i*lda+n]
-		axpyTo(y[:n], row, av)
-	}
-}
-
 // Axpy computes y += alpha*x over min(len(x), len(y)) elements.
 func Axpy(alpha float32, x, y []float32) { axpyTo(y, x, alpha) }
-
-// Axpby computes y = alpha*x + beta*y.
-func Axpby(alpha float32, x []float32, beta float32, y []float32) {
-	n := len(y)
-	if len(x) < n {
-		n = len(x)
-	}
-	for i := 0; i < n; i++ {
-		y[i] = alpha*x[i] + beta*y[i]
-	}
-}
-
-// Scal computes x *= alpha.
-func Scal(alpha float32, x []float32) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Dot returns the inner product of x and y over min(len(x), len(y))
-// elements, accumulated in float64 for stability.
-func Dot(x, y []float32) float32 {
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += float64(x[i]) * float64(y[i])
-	}
-	return float32(s)
-}
-
-// Asum returns the sum of absolute values of x.
-func Asum(x []float32) float32 {
-	var s float64
-	for _, v := range x {
-		if v < 0 {
-			s -= float64(v)
-		} else {
-			s += float64(v)
-		}
-	}
-	return float32(s)
-}
 
 // Copy copies src into dst (counts must match).
 func Copy(dst, src []float32) {
@@ -351,30 +256,9 @@ func Copy(dst, src []float32) {
 	copy(dst, src)
 }
 
-// SetAll stores v into every element of x.
-func SetAll(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // AddScalar adds v to every element of x.
 func AddScalar(x []float32, v float32) {
 	for i := range x {
 		x[i] += v
-	}
-}
-
-// Mul computes z[i] = x[i]*y[i].
-func Mul(z, x, y []float32) {
-	for i := range z {
-		z[i] = x[i] * y[i]
-	}
-}
-
-// Div computes z[i] = x[i]/y[i].
-func Div(z, x, y []float32) {
-	for i := range z {
-		z[i] = x[i] / y[i]
 	}
 }

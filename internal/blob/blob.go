@@ -49,11 +49,6 @@ func Named(name string, shape ...int) *Blob {
 	return b
 }
 
-// NewLike creates a zeroed blob with the same shape as o.
-func NewLike(o *Blob) *Blob {
-	return New(o.shape...)
-}
-
 // NewDiffOnly creates a blob whose data buffer aliases its diff buffer,
 // halving the memory footprint. It is meant for gradient scratch storage
 // (the per-worker privatized blobs of the coarse engine, §3.2.1), which
@@ -269,14 +264,6 @@ func (b *Blob) CopyDataFrom(o *Blob) {
 		panic(fmt.Sprintf("blob: copy count mismatch %d != %d", len(b.data), len(o.data)))
 	}
 	copy(b.data, o.data)
-}
-
-// CopyDiffFrom copies o's gradients into b. Counts must match.
-func (b *Blob) CopyDiffFrom(o *Blob) {
-	if len(b.diff) != len(o.diff) {
-		panic(fmt.Sprintf("blob: copy count mismatch %d != %d", len(b.diff), len(o.diff)))
-	}
-	copy(b.diff, o.diff)
 }
 
 // ShareDataWith makes b's data buffer alias o's. Used by in-place layers

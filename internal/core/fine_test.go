@@ -15,6 +15,10 @@ import (
 type fineCase struct {
 	name string
 	mk   func(t *testing.T) (layers.Layer, []*blob.Blob)
+	// reluGrad zeroes the top gradient wherever the top is not positive,
+	// the exact zeros a following ReLU leaves, which the direct
+	// convolution's backward skips.
+	reluGrad bool
 }
 
 // randomBottom is a blob of the shape with uniform values in [-1, 1).
@@ -28,22 +32,24 @@ func randomBottom(seed uint64, shape ...int) *blob.Blob {
 }
 
 // fineCases is every layer kind the fine-grain engine schedules
-// differently: both convolution kernels (channel ranges), InnerProduct
-// (channel ranges), the parameter-free range bodies, and the two layers
-// with parameters but no channel axis (serial backward). Channel counts
-// stay below 5, so Fine(5) leaves some bands empty.
+// differently: both convolution kernels and InnerProduct (channel ranges;
+// with and without a bias, with and without a bottom gradient), the
+// parameter-free range bodies, and the two layers with parameters but no
+// channel axis (serial backward). Channel counts stay below 5, so Fine(5)
+// leaves some bands empty.
 func fineCases() []fineCase {
 	var cases []fineCase
+	variants := []struct {
+		name           string
+		noBias, noGrad bool
+	}{{"bias", false, false}, {"nobias", true, false}, {"nograd", false, true}}
 	for _, lowered := range []bool{false, true} {
 		kernel := "direct"
 		if lowered {
 			kernel = "lowered"
 		}
-		for _, v := range []struct {
-			name           string
-			noBias, noGrad bool
-		}{{"bias", false, false}, {"nobias", true, false}, {"nograd", false, true}} {
-			cases = append(cases, fineCase{"Convolution/" + kernel + "/" + v.name, func(t *testing.T) (layers.Layer, []*blob.Blob) {
+		for _, v := range variants {
+			cases = append(cases, fineCase{name: "Convolution/" + kernel + "/" + v.name, reluGrad: true, mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
 				l, err := layers.NewConvolution("conv", layers.ConvConfig{
 					NumOutput: 4, Kernel: 3, Pad: 1, Stride: 2, NoBias: v.noBias, DisablePropagation: v.noGrad,
 					Lowered: lowered, WeightFiller: layers.GaussianFiller{Std: 0.2},
@@ -56,47 +62,54 @@ func fineCases() []fineCase {
 			}})
 		}
 	}
-	cases = append(cases,
-		fineCase{"InnerProduct", func(t *testing.T) (layers.Layer, []*blob.Blob) {
-			l, err := layers.NewInnerProduct("ip", layers.IPConfig{NumOutput: 3,
+	for _, v := range variants {
+		name := "InnerProduct"
+		if v.name != "bias" {
+			name += "/" + v.name
+		}
+		cases = append(cases, fineCase{name: name, mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
+			l, err := layers.NewInnerProduct("ip", layers.IPConfig{NumOutput: 3, NoBias: v.noBias,
 				WeightFiller: layers.GaussianFiller{Std: 0.3}, BiasFiller: layers.GaussianFiller{Std: 0.3},
 				RNG: rng.New(32, 1)})
 			if err != nil {
 				t.Fatal(err)
 			}
+			l.SetPropagateDown([]bool{!v.noGrad})
 			return l, []*blob.Blob{randomBottom(32, 4, 2, 3, 3)}
-		}},
-		fineCase{"LRN", func(t *testing.T) (layers.Layer, []*blob.Blob) {
+		}})
+	}
+	cases = append(cases,
+		fineCase{name: "LRN", mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
 			l, err := layers.NewLRN("norm", layers.LRNConfig{LocalSize: 3, Alpha: 0.5})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return l, []*blob.Blob{randomBottom(33, 3, 4, 5, 5)}
 		}},
-		fineCase{"ReLU", func(*testing.T) (layers.Layer, []*blob.Blob) {
+		fineCase{name: "ReLU", mk: func(*testing.T) (layers.Layer, []*blob.Blob) {
 			return layers.NewReLU("relu", 0.1), []*blob.Blob{randomBottom(34, 3, 4, 5, 5)}
 		}},
-		fineCase{"Sigmoid", func(*testing.T) (layers.Layer, []*blob.Blob) {
+		fineCase{name: "Sigmoid", mk: func(*testing.T) (layers.Layer, []*blob.Blob) {
 			return layers.NewSigmoid("sig"), []*blob.Blob{randomBottom(35, 3, 4, 5, 5)}
 		}},
-		fineCase{"TanH", func(*testing.T) (layers.Layer, []*blob.Blob) {
+		fineCase{name: "TanH", mk: func(*testing.T) (layers.Layer, []*blob.Blob) {
 			return layers.NewTanH("tanh"), []*blob.Blob{randomBottom(36, 3, 4, 5, 5)}
 		}},
-		fineCase{"SoftmaxWithLoss", func(*testing.T) (layers.Layer, []*blob.Blob) {
+		fineCase{name: "SoftmaxWithLoss", mk: func(*testing.T) (layers.Layer, []*blob.Blob) {
 			labels := blob.New(5)
 			for i := range labels.Data() {
 				labels.Data()[i] = float32(i * 3 % 7)
 			}
 			return layers.NewSoftmaxWithLoss("loss"), []*blob.Blob{randomBottom(37, 5, 7), labels}
 		}},
-		fineCase{"BatchNorm", func(t *testing.T) (layers.Layer, []*blob.Blob) {
+		fineCase{name: "BatchNorm", mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
 			l, err := layers.NewBatchNorm("bn", layers.BNConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return l, []*blob.Blob{randomBottom(38, 6, 3, 4, 4)}
 		}},
-		fineCase{"Deconvolution", func(t *testing.T) (layers.Layer, []*blob.Blob) {
+		fineCase{name: "Deconvolution", mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
 			l, err := layers.NewDeconvolution("deconv", layers.ConvConfig{NumOutput: 3, Kernel: 3, Stride: 2,
 				WeightFiller: layers.GaussianFiller{Std: 0.3}, BiasFiller: layers.GaussianFiller{Std: 0.3},
 				RNG: rng.New(39, 1)})
@@ -107,7 +120,7 @@ func fineCases() []fineCase {
 		}},
 	)
 	for _, m := range []layers.PoolMethod{layers.MaxPool, layers.AvePool} {
-		cases = append(cases, fineCase{"Pooling/" + m.String(), func(t *testing.T) (layers.Layer, []*blob.Blob) {
+		cases = append(cases, fineCase{name: "Pooling/" + m.String(), mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
 			l, err := layers.NewPooling("pool", layers.PoolConfig{Method: m, Kernel: 3, Stride: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -129,6 +142,13 @@ func fineRun(t *testing.T, c fineCase, e Engine) (layers.Layer, []*blob.Blob, []
 	}
 	e.Forward(l, bottom, top)
 	seedTopDiff(top, 41)
+	if c.reluGrad {
+		for i, y := range top[0].Data() {
+			if y <= 0 {
+				top[0].Diff()[i] = 0
+			}
+		}
+	}
 	for _, p := range l.Params() {
 		p.ZeroDiff()
 	}

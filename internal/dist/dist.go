@@ -450,7 +450,7 @@ func (nd *Node) step() (float64, error) {
 	if nd.rank == 0 {
 		nd.sol.UpdateFromGradients()
 	}
-	if err := nd.bcast(); err != nil {
+	if err := nd.treeBcast(transport.KindBcast); err != nil {
 		return 0, err
 	}
 	nd.iter++
@@ -617,18 +617,20 @@ func (nd *Node) gather() error {
 	return nil
 }
 
-// bcast routes the root's updated weights down the tree: each node
-// receives every parameter tensor from its parent (bitwise copies of
-// the master weights) and forwards it to its children.
-func (nd *Node) bcast() error {
+// treeBcast routes the root's weights down the tree under kind: each node
+// receives every parameter tensor from its parent (bitwise copies of the
+// master weights) and forwards it to its children. The span and the
+// error text are named by the kind ("bcast" after an update, "sync"
+// from SyncWeights).
+func (nd *Node) treeBcast(kind transport.Kind) error {
 	start := nd.now()
 	moved := 0
 	for pi, p := range nd.network.Params() {
 		data := p.Data()
-		tag := nd.tag(transport.KindBcast, pi, 0)
+		tag := nd.tag(kind, pi, 0)
 		if nd.parent >= 0 {
 			if err := nd.recv(nd.parent, tag, data); err != nil {
-				return fmt.Errorf("dist: broadcast of param %d from rank %d: %w", pi, nd.parent, err)
+				return fmt.Errorf("dist: %s of param %d from rank %d: %w", kind, pi, nd.parent, err)
 			}
 			moved += len(data)
 		}
@@ -639,41 +641,21 @@ func (nd *Node) bcast() error {
 			moved += len(data)
 		}
 	}
-	nd.span("bcast", nd.parent, moved, start)
+	nd.span(kind.String(), nd.parent, moved, start)
 	return nil
 }
 
-// SyncWeights re-seeds the whole group with the root's weights: every
-// parameter tensor flows down the reduction tree as a bitwise copy,
-// exactly like bcast but under KindSync and outside any iteration's
-// lockstep. Every member must call it at the same (epoch, iteration) —
-// the elastic supervisor does so right after a fence or rejoin, and a
-// resumed run does so before its first step, which is what makes a
-// re-formed group's weights identical to a clean run's at that point.
+// SyncWeights re-seeds the whole group with the root's weights: the tree
+// broadcast of Step under KindSync, outside any iteration's lockstep.
+// Every member must call it at the same (epoch, iteration) — the elastic
+// supervisor does so right after a fence or rejoin, and a resumed run
+// does so before its first step, which is what makes a re-formed group's
+// weights identical to a clean run's at that point.
 func (nd *Node) SyncWeights() error {
 	if nd.size == 1 {
 		return nil
 	}
-	start := nd.now()
-	moved := 0
-	for pi, p := range nd.network.Params() {
-		data := p.Data()
-		tag := nd.tag(transport.KindSync, pi, 0)
-		if nd.parent >= 0 {
-			if err := nd.recv(nd.parent, tag, data); err != nil {
-				return fmt.Errorf("dist: weight sync of param %d from rank %d: %w", pi, nd.parent, err)
-			}
-			moved += len(data)
-		}
-		for _, c := range nd.children {
-			if err := nd.sendRetry(c, tag, data); err != nil {
-				return err
-			}
-			moved += len(data)
-		}
-	}
-	nd.span("sync", nd.parent, moved, start)
-	return nil
+	return nd.treeBcast(transport.KindSync)
 }
 
 // sendRetry sends with bounded exponential backoff on transient

@@ -89,7 +89,11 @@ func (c *ConvConfig) normalize() error {
 // With ConvConfig.Lowered the same passes run as im2col+GEMM instead
 // (conv_lowered.go), under the coarse and the Fine engine alike. Both
 // kernels are also ChannelRangers: the Fine engine cuts output channels
-// (forward, dW) and input channels (dX) instead of samples.
+// (forward, dW) and input channels (dX) instead of samples. Each kernel
+// writes a pass once and both cuts call it: forwardOne or forwardLowered,
+// backwardDirect (dW, and dX in the same traversal) or backwardLowered.
+// The direct kernel's channel-cut dX alone has a nest of its own, with
+// the input-channel loop outermost.
 type Convolution struct {
 	base
 	cfg ConvConfig
@@ -240,32 +244,44 @@ func (l *Convolution) forwardOne(s, o int, bottom, top *blob.Blob) {
 // region, so a sample is the smallest race-free unit.
 func (l *Convolution) BackwardExtent() int { return l.num }
 
-// BackwardRange implements Layer.
+// BackwardRange implements Layer: every output channel's dW and db, and
+// the whole dX when it propagates, of samples [lo, hi).
 func (l *Convolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramGrads []*blob.Blob) {
 	if l.cfg.Lowered {
-		l.backwardLoweredRange(lo, hi, bottom[0], top[0], paramGrads)
+		_, in := l.ChannelExtents()
+		l.backwardLowered(lo, hi, 0, l.cfg.NumOutput, 0, in, bottom[0], top[0], paramGrads)
 		return
 	}
+	l.backwardDirect(lo, hi, 0, l.cfg.NumOutput, l.propagateDown, bottom[0], top[0], paramGrads)
+}
+
+// backwardDirect is the direct kernel's dW loop nest: rows [olo, ohi) of
+// the weight gradient and the matching bias entries accumulate into grads
+// over samples [slo, shi), each summed over (sample, output position).
+// With dX set it also writes each sample's whole bottom gradient in the
+// same pass, every nonzero output gradient feeding both products, so the
+// range must then cover all output channels. A zero output gradient (as
+// ReLU leaves them) is skipped: it adds nothing to either.
+func (l *Convolution) backwardDirect(slo, shi, olo, ohi int, dX bool, bottom, top *blob.Blob, grads []*blob.Blob) {
 	kh, kw := l.cfg.KernelH, l.cfg.KernelW
 	ph, pw := l.cfg.PadH, l.cfg.PadW
 	sh, sw := l.cfg.StrideH, l.cfg.StrideW
 	chw := l.channels * l.height * l.width
 	wData := l.params[0].Data()
-	wGrad := paramGrads[0].Diff()
+	wGrad := grads[0].Diff()
 	var bGrad []float32
 	if !l.cfg.NoBias {
-		bGrad = paramGrads[1].Diff()
+		bGrad = grads[1].Diff()
 	}
-	for s := lo; s < hi; s++ {
-		in := bottom[0].Data()[s*chw : (s+1)*chw]
-		inDiff := bottom[0].Diff()[s*chw : (s+1)*chw]
-		if l.propagateDown {
-			for i := range inDiff {
-				inDiff[i] = 0
-			}
+	for s := slo; s < shi; s++ {
+		in := bottom.Data()[s*chw : (s+1)*chw]
+		var inDiff []float32
+		if dX {
+			inDiff = bottom.Diff()[s*chw : (s+1)*chw]
+			clear(inDiff)
 		}
-		for o := 0; o < l.cfg.NumOutput; o++ {
-			outDiff := top[0].Diff()[(s*l.cfg.NumOutput+o)*l.outH*l.outW:]
+		for o := olo; o < ohi; o++ {
+			outDiff := top.Diff()[(s*l.cfg.NumOutput+o)*l.outH*l.outW:]
 			ow0 := o * l.channels * kh * kw
 			for oh := 0; oh < l.outH; oh++ {
 				for ow := 0; ow < l.outW; ow++ {
@@ -292,7 +308,7 @@ func (l *Convolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramG
 								widx := cw0 + ki*kw + kj
 								iidx := ci0 + ih*l.width + iw
 								wGrad[widx] += g * in[iidx]
-								if l.propagateDown {
+								if dX {
 									inDiff[iidx] += g * wData[widx]
 								}
 							}
@@ -314,7 +330,7 @@ func (l *Convolution) ChannelExtents() (out, in int) {
 }
 
 // ForwardChannels implements ChannelRanger: output channels [olo, ohi) of
-// every sample — on the lowered kernel one band of W's rows packed once.
+// every sample.
 func (l *Convolution) ForwardChannels(olo, ohi int, bottom, top []*blob.Blob) {
 	if l.cfg.Lowered {
 		l.forwardLowered(0, l.num, olo, ohi, bottom[0], top[0])
@@ -328,65 +344,23 @@ func (l *Convolution) ForwardChannels(olo, ohi int, bottom, top []*blob.Blob) {
 }
 
 // BackwardParamChannels implements ChannelRanger: rows [olo, ohi) of the
-// weight gradient and the matching bias entries, each accumulated over
-// (sample, output position) in BackwardRange's order.
+// weight gradient and the matching bias entries over every sample.
 func (l *Convolution) BackwardParamChannels(olo, ohi int, bottom, top []*blob.Blob) {
 	if l.cfg.Lowered {
-		l.backwardParamLowered(olo, ohi, bottom[0], top[0])
+		l.backwardLowered(0, l.num, olo, ohi, 0, 0, bottom[0], top[0], l.params)
 		return
 	}
-	kh, kw := l.cfg.KernelH, l.cfg.KernelW
-	ph, pw := l.cfg.PadH, l.cfg.PadW
-	sh, sw := l.cfg.StrideH, l.cfg.StrideW
-	chw := l.channels * l.height * l.width
-	wGrad := l.params[0].Diff()
-	var bGrad []float32
-	if !l.cfg.NoBias {
-		bGrad = l.params[1].Diff()
-	}
-	for s := 0; s < l.num; s++ {
-		in := bottom[0].Data()[s*chw : (s+1)*chw]
-		for o := olo; o < ohi; o++ {
-			outDiff := top[0].Diff()[(s*l.cfg.NumOutput+o)*l.outH*l.outW:]
-			ow0 := o * l.channels * kh * kw
-			for oh := 0; oh < l.outH; oh++ {
-				for ow := 0; ow < l.outW; ow++ {
-					g := outDiff[oh*l.outW+ow]
-					if g == 0 {
-						continue
-					}
-					if bGrad != nil {
-						bGrad[o] += g
-					}
-					for c := 0; c < l.channels; c++ {
-						cw0 := ow0 + c*kh*kw
-						ci0 := c * l.height * l.width
-						for ki := 0; ki < kh; ki++ {
-							ih := oh*sh - ph + ki
-							if ih < 0 || ih >= l.height {
-								continue
-							}
-							for kj := 0; kj < kw; kj++ {
-								iw := ow*sw - pw + kj
-								if iw < 0 || iw >= l.width {
-									continue
-								}
-								wGrad[cw0+ki*kw+kj] += g * in[ci0+ih*l.width+iw]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	l.backwardDirect(0, l.num, olo, ohi, false, bottom[0], top[0], l.params)
 }
 
 // BackwardDataChannels implements ChannelRanger: input channels [clo, chi)
-// of every sample's bottom gradient, each summed over (output channel,
-// output position) in BackwardRange's order.
+// of every sample's bottom gradient. The direct kernel keeps a loop nest
+// of its own here, with the channel loop outermost: each input channel is
+// summed over (output channel, output position) in backwardDirect's
+// order, which keeps the cut at the sequential bits.
 func (l *Convolution) BackwardDataChannels(clo, chi int, bottom, top []*blob.Blob) {
 	if l.cfg.Lowered {
-		l.backwardDataLowered(clo, chi, bottom[0], top[0])
+		l.backwardLowered(0, l.num, 0, 0, clo, chi, bottom[0], top[0], nil)
 		return
 	}
 	kh, kw := l.cfg.KernelH, l.cfg.KernelW

@@ -20,17 +20,17 @@ import (
 // holding the weights packed once for the whole band, one bordered image
 // and one strip.
 //
-// The channel ranges (ChannelRanger, the Fine engine's axis) cut the same
-// three products the other way: forward and dW take a band of W's
-// output-channel rows, dX a band of input channels, and every band walks
-// all samples. Each row of a blocked GEMM and each channel of dX is
-// computed as in the full product, so a channel band's bits are the
-// coarse range's bits.
+// Each pass is one body over a (sample range × channel range) rectangle.
+// A coarse-grain range is a band of samples with every channel; a channel
+// range (ChannelRanger, the Fine engine's axis) is every sample with a
+// band of W's output-channel rows (forward, dW) or of input channels
+// (dX). Each row of a blocked GEMM and each channel of dX is computed as
+// in the full product, so a channel band's bits are the coarse range's
+// bits.
 
 // forwardLowered computes output channels [olo, ohi) of samples [lo, hi):
 // W's rows [olo, ohi) are packed once into the band's scratch, then each
-// sample is one implicit GEMM with the bias added in its writeback. A
-// coarse-grain band is (lo, hi, 0, O), a channel band (0, S, olo, ohi).
+// sample is one implicit GEMM with the bias added in its writeback.
 func (l *Convolution) forwardLowered(lo, hi, olo, ohi int, bottom, top *blob.Blob) {
 	o, rows := l.cfg.NumOutput, ohi-olo
 	ckk, ohw := l.plan.Rows(), l.outH*l.outW
@@ -48,74 +48,44 @@ func (l *Convolution) forwardLowered(lo, hi, olo, ohi int, bottom, top *blob.Blo
 	}
 }
 
-// backwardLoweredRange computes gradients for samples [lo, hi) via GEMMs:
-// dW += dTop·colᵀ (col implicit) and dX = col2im(Wᵀ·dTop) with Wᵀ packed
-// once for the band. Parameter gradients accumulate into the (possibly
-// privatized) paramGrads blobs.
-func (l *Convolution) backwardLoweredRange(lo, hi int, bottom, top *blob.Blob, paramGrads []*blob.Blob) {
-	o, ckk := l.cfg.NumOutput, l.plan.Rows()
+// backwardLowered computes the gradients of samples [slo, shi): rows
+// [olo, ohi) of dW += dTop·colᵀ (col implicit) and of db accumulate into
+// grads, and input channels [clo, chi) of dX = col2im(Wᵀ·dTop) are
+// written. The rows of Wᵀ feeding those channels are packed once for the
+// band; then each sample does its dW product, then its dX product. An
+// empty range skips its product.
+func (l *Convolution) backwardLowered(slo, shi, olo, ohi, clo, chi int, bottom, top *blob.Blob, grads []*blob.Blob) {
+	o, ckk, ohw := l.cfg.NumOutput, l.plan.Rows(), l.outH*l.outW
+	kk, chw := l.cfg.KernelH*l.cfg.KernelW, l.channels*l.height*l.width
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
-	if l.propagateDown {
-		gs.PackA(blas.Trans, ckk, o, l.params[0].Data(), ckk)
+	if clo < chi {
+		gs.PackA(blas.Trans, (chi-clo)*kk, o, l.params[0].Data()[clo*kk:], ckk)
 	}
-	for s := lo; s < hi; s++ {
-		l.paramGradLowered(gs, s, 0, o, bottom, top, paramGrads)
-		if l.propagateDown {
-			l.dataGradLowered(gs, s, 0, l.channels, bottom, top)
+	for s := slo; s < shi; s++ {
+		dTop := top.Diff()[s*o*ohw : (s+1)*o*ohw]
+		if olo < ohi {
+			blas.ConvBackwardWeights(gs, l.plan, ohi-olo, dTop[olo*ohw:ohi*ohw],
+				bottom.Data()[s*chw:(s+1)*chw], grads[0].Diff()[olo*ckk:ohi*ckk])
+			if !l.cfg.NoBias {
+				addRowSums(grads[1].Diff()[olo:ohi], dTop[olo*ohw:ohi*ohw], ohw)
+			}
+		}
+		if clo < chi {
+			blas.ConvBackwardData(gs, l.plan, o, dTop, bottom.Diff()[s*chw:(s+1)*chw], clo, chi)
 		}
 	}
 }
 
-// backwardParamLowered is BackwardParamChannels on the lowered kernel:
-// dW and db rows [olo, ohi), one product per sample in sample order.
-func (l *Convolution) backwardParamLowered(olo, ohi int, bottom, top *blob.Blob) {
-	gs := blas.GetScratch()
-	defer blas.PutScratch(gs)
-	for s := 0; s < l.num; s++ {
-		l.paramGradLowered(gs, s, olo, ohi, bottom, top, l.params)
-	}
-}
-
-// backwardDataLowered is BackwardDataChannels on the lowered kernel:
-// input channels [c0, c1) of every sample, packing only those channels'
-// rows of Wᵀ.
-func (l *Convolution) backwardDataLowered(c0, c1 int, bottom, top *blob.Blob) {
-	kk := l.cfg.KernelH * l.cfg.KernelW
-	gs := blas.GetScratch()
-	defer blas.PutScratch(gs)
-	gs.PackA(blas.Trans, (c1-c0)*kk, l.cfg.NumOutput, l.params[0].Data()[c0*kk:], l.plan.Rows())
-	for s := 0; s < l.num; s++ {
-		l.dataGradLowered(gs, s, c0, c1, bottom, top)
-	}
-}
-
-// paramGradLowered accumulates sample s's share of weight-gradient rows
-// [olo, ohi) and of the matching bias-gradient entries into paramGrads.
-func (l *Convolution) paramGradLowered(gs *blas.GemmScratch, s, olo, ohi int, bottom, top *blob.Blob, paramGrads []*blob.Blob) {
-	o, ckk, ohw := l.cfg.NumOutput, l.plan.Rows(), l.outH*l.outW
-	chw := l.channels * l.height * l.width
-	outDiff := top.Diff()[(s*o+olo)*ohw : (s*o+ohi)*ohw]
-	blas.ConvBackwardWeights(gs, l.plan, ohi-olo, outDiff, bottom.Data()[s*chw:(s+1)*chw],
-		paramGrads[0].Diff()[olo*ckk:ohi*ckk])
-	if l.cfg.NoBias {
-		return
-	}
-	bGrad := paramGrads[1].Diff()
-	for oc := olo; oc < ohi; oc++ {
+// addRowSums adds the sum of each cols-wide row of m to the matching
+// entry of dst, summing a row left to right: the bias gradient of one
+// sample, one row per output channel.
+func addRowSums(dst, m []float32, cols int) {
+	for i := range dst {
 		var sum float32
-		for _, v := range outDiff[(oc-olo)*ohw : (oc-olo+1)*ohw] {
+		for _, v := range m[i*cols : (i+1)*cols] {
 			sum += v
 		}
-		bGrad[oc] += sum
+		dst[i] += sum
 	}
-}
-
-// dataGradLowered writes channels [c0, c1) of sample s's bottom gradient;
-// gs holds those channels' rows of Wᵀ.
-func (l *Convolution) dataGradLowered(gs *blas.GemmScratch, s, c0, c1 int, bottom, top *blob.Blob) {
-	o, ohw := l.cfg.NumOutput, l.outH*l.outW
-	chw := l.channels * l.height * l.width
-	blas.ConvBackwardData(gs, l.plan, o, top.Diff()[s*o*ohw:(s+1)*o*ohw],
-		bottom.Diff()[s*chw:(s+1)*chw], c0, c1)
 }

@@ -143,14 +143,7 @@ func (l *Deconvolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, para
 		outDiff := top[0].Diff()[s*o*ohw : (s+1)*o*ohw]
 		blas.ConvBackwardWeights(gs, l.plan, l.channels, bottom[0].Data()[s*chw:(s+1)*chw], outDiff, paramGrads[0].Diff())
 		if !l.cfg.NoBias {
-			bGrad := paramGrads[1].Diff()
-			for co := range bGrad {
-				var sum float32
-				for _, v := range outDiff[co*ohw : (co+1)*ohw] {
-					sum += v
-				}
-				bGrad[co] += sum
-			}
+			addRowSums(paramGrads[1].Diff(), outDiff, ohw)
 		}
 		if l.propagateDown {
 			blas.ConvForward(gs, l.plan, l.channels, outDiff, nil, bottom[0].Diff()[s*chw:(s+1)*chw])

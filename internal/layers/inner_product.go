@@ -40,7 +40,9 @@ func (c *IPConfig) normalize() error {
 // coarse path coalesces over samples and issues one GEMM per sample band
 // (the "BLAS call per data segment" of Algorithm 2); its channel ranges
 // instead cut the whole-batch GEMMs by output or input features
-// (BLAS-level parallelism, §3.1.1).
+// (BLAS-level parallelism, §3.1.1). Each pass is written once — forward,
+// paramGrad, dataGrad, over a block of samples × features — and both cuts
+// call it.
 type InnerProduct struct {
 	base
 	cfg IPConfig
@@ -98,23 +100,27 @@ func (l *InnerProduct) Reshape(bottom, top []*blob.Blob) {
 // ForwardExtent implements Layer: the coalesced loop is over samples.
 func (l *InnerProduct) ForwardExtent() int { return l.num }
 
-// ForwardRange implements Layer: the whole sample band is one GEMM,
-// Top[lo:hi] (B x N) = X[lo:hi] (B x K) * W^T, which runs on the blocked
-// packed kernel instead of a GEMV per sample. The kernel's band-
-// invariance contract (gemm_blocked.go) keeps the coarse engine's
-// forward bit-identical to sequential for every worker count even though
-// worker bands cut the batch at arbitrary rows.
+// ForwardRange implements Layer: the whole sample band is one GEMM. The
+// blocked kernel's band-invariance contract (gemm_blocked.go) keeps the
+// coarse engine's forward bit-identical to sequential for every worker
+// count even though worker bands cut the batch at arbitrary rows.
 func (l *InnerProduct) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
-	n := l.cfg.NumOutput
-	w := l.params[0].Data()
+	l.forward(lo, hi, 0, l.cfg.NumOutput, bottom[0], top[0])
+}
+
+// forward computes output features [olo, ohi) of samples [lo, hi): that
+// block of Top (S x N) = X W^T, one GEMM rather than a GEMV per sample,
+// then the bias.
+func (l *InnerProduct) forward(lo, hi, olo, ohi int, bottom, top *blob.Blob) {
+	n, y := l.cfg.NumOutput, top.Data()
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
-	blas.GemmWithScratch(gs, blas.NoTrans, blas.Trans, hi-lo, n, l.k, 1,
-		bottom[0].Data()[lo*l.k:hi*l.k], l.k, w, l.k, 0, top[0].Data()[lo*n:hi*n], n)
+	blas.GemmWithScratch(gs, blas.NoTrans, blas.Trans, hi-lo, ohi-olo, l.k, 1,
+		bottom.Data()[lo*l.k:hi*l.k], l.k, l.params[0].Data()[olo*l.k:], l.k, 0, y[lo*n+olo:], n)
 	if !l.cfg.NoBias {
-		bias := l.params[1].Data()
+		bias := l.params[1].Data()[olo:ohi]
 		for s := lo; s < hi; s++ {
-			blas.Axpy(1, bias, top[0].Data()[s*n:(s+1)*n])
+			blas.Axpy(1, bias, y[s*n+olo:s*n+ohi])
 		}
 	}
 }
@@ -122,11 +128,8 @@ func (l *InnerProduct) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 // BackwardExtent implements Layer.
 func (l *InnerProduct) BackwardExtent() int { return l.num }
 
-// BackwardRange implements Layer, as two band GEMMs plus a bias sum:
-//
-//	dW += dY[lo:hi]^T X[lo:hi]   (N x K, accumulated into paramGrads)
-//	dX[lo:hi] = dY[lo:hi] W      (per-sample rows, disjoint across bands)
-//	db += sum_s dy_s
+// BackwardRange implements Layer: paramGrad, then dataGrad when the
+// bottom gradient propagates, over samples [lo, hi) and every channel.
 //
 // dX rows are computed independently, so bottom diffs stay bit-identical
 // for any worker count. dW sums the band's samples inside one GEMM (K
@@ -136,24 +139,37 @@ func (l *InnerProduct) BackwardExtent() int { return l.num }
 // tolerance of sequential across worker counts — the same contract the
 // ordered reduction already provides.
 func (l *InnerProduct) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramGrads []*blob.Blob) {
-	n := l.cfg.NumOutput
-	w := l.params[0].Data()
-	x := bottom[0].Data()
-	dy := top[0].Diff()
+	l.paramGrad(lo, hi, 0, l.cfg.NumOutput, bottom[0], top[0], paramGrads)
+	if l.propagateDown {
+		l.dataGrad(lo, hi, 0, l.k, bottom[0], top[0])
+	}
+}
+
+// paramGrad accumulates rows [olo, ohi) of dW += dY^T X over samples
+// [lo, hi) into paramGrads (one GEMM, the band's samples its K), and the
+// matching db entries summed in sample order.
+func (l *InnerProduct) paramGrad(lo, hi, olo, ohi int, bottom, top *blob.Blob, paramGrads []*blob.Blob) {
+	n, dy := l.cfg.NumOutput, top.Diff()
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
-	blas.GemmWithScratch(gs, blas.Trans, blas.NoTrans, n, l.k, hi-lo, 1,
-		dy[lo*n:hi*n], n, x[lo*l.k:hi*l.k], l.k, 1, paramGrads[0].Diff(), l.k)
+	blas.GemmWithScratch(gs, blas.Trans, blas.NoTrans, ohi-olo, l.k, hi-lo, 1,
+		dy[lo*n+olo:], n, bottom.Data()[lo*l.k:hi*l.k], l.k, 1, paramGrads[0].Diff()[olo*l.k:], l.k)
 	if !l.cfg.NoBias {
-		bGrad := paramGrads[1].Diff()
+		bGrad := paramGrads[1].Diff()[olo:ohi]
 		for s := lo; s < hi; s++ {
-			blas.Axpy(1, dy[s*n:(s+1)*n], bGrad)
+			blas.Axpy(1, dy[s*n+olo:s*n+ohi], bGrad)
 		}
 	}
-	if l.propagateDown {
-		blas.GemmWithScratch(gs, blas.NoTrans, blas.NoTrans, hi-lo, l.k, n, 1,
-			dy[lo*n:hi*n], n, w, l.k, 0, bottom[0].Diff()[lo*l.k:hi*l.k], l.k)
-	}
+}
+
+// dataGrad writes input features [clo, chi) of dX = dY W for samples
+// [lo, hi): that block of the product, one GEMM.
+func (l *InnerProduct) dataGrad(lo, hi, clo, chi int, bottom, top *blob.Blob) {
+	n := l.cfg.NumOutput
+	gs := blas.GetScratch()
+	defer blas.PutScratch(gs)
+	blas.GemmWithScratch(gs, blas.NoTrans, blas.NoTrans, hi-lo, chi-clo, n, 1,
+		top.Diff()[lo*n:], n, l.params[0].Data()[clo:], l.k, 0, bottom.Diff()[lo*l.k+clo:], l.k)
 }
 
 // ChannelExtents implements ChannelRanger: output features, and input
@@ -166,47 +182,22 @@ func (l *InnerProduct) ChannelExtents() (out, in int) {
 }
 
 // ForwardChannels implements ChannelRanger: columns [olo, ohi) of the
-// whole-batch product Top (S x N) = X W^T, plus their bias. The blocked
-// GEMM is band-invariant in N (gemm_blocked.go), so the columns are
-// ForwardRange's bits.
+// whole-batch forward. The blocked GEMM is band-invariant in N
+// (gemm_blocked.go), so the columns are ForwardRange's bits.
 func (l *InnerProduct) ForwardChannels(olo, ohi int, bottom, top []*blob.Blob) {
-	n, y := l.cfg.NumOutput, top[0].Data()
-	gs := blas.GetScratch()
-	defer blas.PutScratch(gs)
-	blas.GemmWithScratch(gs, blas.NoTrans, blas.Trans, l.num, ohi-olo, l.k, 1,
-		bottom[0].Data(), l.k, l.params[0].Data()[olo*l.k:], l.k, 0, y[olo:], n)
-	if !l.cfg.NoBias {
-		bias := l.params[1].Data()[olo:ohi]
-		for s := 0; s < l.num; s++ {
-			blas.Axpy(1, bias, y[s*n+olo:s*n+ohi])
-		}
-	}
+	l.forward(0, l.num, olo, ohi, bottom[0], top[0])
 }
 
-// BackwardParamChannels implements ChannelRanger: rows [olo, ohi) of
-// dW += dY^T X over the whole batch (an M band) and the matching db
-// entries, summed in sample order.
+// BackwardParamChannels implements ChannelRanger: rows [olo, ohi) of dW
+// and db over the whole batch (an M band).
 func (l *InnerProduct) BackwardParamChannels(olo, ohi int, bottom, top []*blob.Blob) {
-	n, dy := l.cfg.NumOutput, top[0].Diff()
-	gs := blas.GetScratch()
-	defer blas.PutScratch(gs)
-	blas.GemmWithScratch(gs, blas.Trans, blas.NoTrans, ohi-olo, l.k, l.num, 1,
-		dy[olo:], n, bottom[0].Data(), l.k, 1, l.params[0].Diff()[olo*l.k:], l.k)
-	if !l.cfg.NoBias {
-		bGrad := l.params[1].Diff()[olo:ohi]
-		for s := 0; s < l.num; s++ {
-			blas.Axpy(1, dy[s*n+olo:s*n+ohi], bGrad)
-		}
-	}
+	l.paramGrad(0, l.num, olo, ohi, bottom[0], top[0], l.params)
 }
 
-// BackwardDataChannels implements ChannelRanger: columns [clo, chi) of
-// dX = dY W over the whole batch (an N band).
+// BackwardDataChannels implements ChannelRanger: columns [clo, chi) of dX
+// over the whole batch (an N band).
 func (l *InnerProduct) BackwardDataChannels(clo, chi int, bottom, top []*blob.Blob) {
-	gs := blas.GetScratch()
-	defer blas.PutScratch(gs)
-	blas.GemmWithScratch(gs, blas.NoTrans, blas.NoTrans, l.num, chi-clo, l.cfg.NumOutput, 1,
-		top[0].Diff(), l.cfg.NumOutput, l.params[0].Data()[clo:], l.k, 0, bottom[0].Diff()[clo:], l.k)
+	l.dataGrad(0, l.num, clo, chi, bottom[0], top[0])
 }
 
 // ForwardFLOPs implements Coster: one S x K x N GEMM (2 FLOPs per MAC)

@@ -22,6 +22,13 @@
 //     body is split as the coarse engine splits it. The layer states the
 //     axis; the engine owns the schedule.
 //
+// A layer with a channel axis writes each pass once, as a private body
+// over a (sample range × channel range) rectangle: the sample-band
+// methods (ForwardRange, BackwardRange) call it with every channel, the
+// channel-band methods (ChannelRanger) with every sample. Two cuts of one
+// computation therefore cannot drift apart, and both give the sequential
+// bits.
+//
 // Which kernel a convolution runs is a property of the layer, not of the
 // engine: ConvConfig.Lowered picks the im2col+GEMM products of package
 // blas (Caffe's CPU path, the cuDNN analogue) over the direct loop nest

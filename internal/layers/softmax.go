@@ -132,9 +132,6 @@ func NewSoftmaxWithLoss(name string) *SoftmaxWithLoss {
 // LossWeight implements LossWeighter.
 func (l *SoftmaxWithLoss) LossWeight() float32 { return l.lossWeight }
 
-// SetLossWeight changes the loss weight.
-func (l *SoftmaxWithLoss) SetLossWeight(w float32) { l.lossWeight = w }
-
 // SetUp implements Layer.
 func (l *SoftmaxWithLoss) SetUp(bottom, top []*blob.Blob) error {
 	if err := checkBottomTop(l, bottom, top, 2, 1); err != nil {
@@ -191,9 +188,6 @@ func (l *SoftmaxWithLoss) ForwardFinish(bottom, top []*blob.Blob) {
 	}
 	top[0].Data()[0] = float32(sum / float64(l.num))
 }
-
-// Prob exposes the cached probabilities (used by tests and diagnostics).
-func (l *SoftmaxWithLoss) Prob() *blob.Blob { return l.prob }
 
 // BackwardExtent implements Layer.
 func (l *SoftmaxWithLoss) BackwardExtent() int { return l.num }

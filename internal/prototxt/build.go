@@ -364,33 +364,30 @@ func fillerFrom(m *Message) (layers.Filler, error) {
 }
 
 // BuildSolver extracts a solver configuration from a parsed solver
-// prototxt document.
+// prototxt document. Absent numeric fields stay 0, which solver.New reads
+// as Caffe's default.
 func BuildSolver(doc *Message) (solver.Config, error) {
-	var cfg solver.Config
-	cfg.Type = solver.Type(doc.String("type", string(solver.SGD)))
-	f := func(name string, def float64) (float32, error) {
-		v, err := doc.Float(name, def)
-		return float32(v), err
+	cfg := solver.Config{
+		Type:     solver.Type(doc.String("type", string(solver.SGD))),
+		LRPolicy: doc.String("lr_policy", "fixed"),
 	}
 	var err error
-	if cfg.BaseLR, err = f("base_lr", 0); err != nil {
-		return cfg, err
-	}
-	if cfg.Momentum, err = f("momentum", 0); err != nil {
-		return cfg, err
-	}
-	if cfg.WeightDecay, err = f("weight_decay", 0); err != nil {
-		return cfg, err
-	}
-	cfg.LRPolicy = doc.String("lr_policy", "fixed")
-	if cfg.Gamma, err = f("gamma", 0); err != nil {
-		return cfg, err
-	}
-	if cfg.Power, err = f("power", 0); err != nil {
-		return cfg, err
-	}
 	if cfg.StepSize, err = doc.Int("stepsize", 0); err != nil {
 		return cfg, err
+	}
+	for _, fld := range []struct {
+		name string
+		dst  *float32
+	}{
+		{"base_lr", &cfg.BaseLR}, {"momentum", &cfg.Momentum}, {"weight_decay", &cfg.WeightDecay},
+		{"gamma", &cfg.Gamma}, {"power", &cfg.Power}, {"delta", &cfg.Delta},
+		{"momentum2", &cfg.Momentum2}, {"rms_decay", &cfg.RMSDecay},
+	} {
+		v, err := doc.Float(fld.name, 0)
+		if err != nil {
+			return cfg, err
+		}
+		*fld.dst = float32(v)
 	}
 	return cfg, nil
 }

@@ -122,9 +122,6 @@ func (m *Message) Msg(name string) *Message {
 	return nil
 }
 
-// FieldNames returns the field names in declaration order (with repeats).
-func (m *Message) FieldNames() []string { return m.names }
-
 type lexer struct {
 	src  string
 	pos  int

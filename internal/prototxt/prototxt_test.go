@@ -219,6 +219,59 @@ func TestBuildSolverFromConfigs(t *testing.T) {
 	}
 }
 
+// An Adam solver file's momentum, momentum2 and delta are Caffe's β1, β2
+// and ε: two updates from set gradients land on the hand-computed weights.
+// The first step pins β2 and ε (β1 cancels in it), the second pins β1.
+func TestAdamSolverFileTakesHandComputedSteps(t *testing.T) {
+	cfg, err := ParseSolver(`type: "Adam" base_lr: 0.1 momentum: 0.5 momentum2: 0.9 delta: 1e-4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := ParseNet(`
+layer { name: "data" type: "Data" top: "data" top: "label" data_param { batch_size: 2 } }
+layer { name: "ip" type: "InnerProduct" bottom: "data" top: "ip" inner_product_param { num_output: 3 } }
+layer { name: "loss" type: "SoftmaxWithLoss" bottom: "ip" bottom: "label" top: "loss" }
+`, BuildOptions{Source: data.NewSyntheticMNIST(4, 1), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := net.New(specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := solver.New(cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lr, b1, b2, eps = 0.1, 0.5, 0.9, 1e-4
+	w := n.Params()[0]
+	want := make([]float64, w.Count())
+	m1 := make([]float64, w.Count())
+	m2 := make([]float64, w.Count())
+	for i, v := range w.Data() {
+		want[i] = float64(v)
+	}
+	for step, scale := range []float32{1, -0.25} {
+		n.ZeroParamDiffs()
+		for i := range w.Diff() {
+			w.Diff()[i] = scale * float32(i%7-3) * 1e-3
+		}
+		grads := append([]float32(nil), w.Diff()...)
+		s.UpdateFromGradients()
+		iter := float64(step + 1)
+		corr := math.Sqrt(1-math.Pow(b2, iter)) / (1 - math.Pow(b1, iter))
+		for i, g32 := range grads {
+			g := float64(g32)
+			m1[i] = b1*m1[i] + (1-b1)*g
+			m2[i] = b2*m2[i] + (1-b2)*g*g
+			want[i] -= lr * corr * m1[i] / (math.Sqrt(m2[i]) + eps)
+			if got := float64(w.Data()[i]); math.Abs(got-want[i]) > 1e-6 {
+				t.Fatalf("step %d, weight %d: got %v, want %v", step+1, i, got, want[i])
+			}
+		}
+	}
+}
+
 func TestBuildNetErrors(t *testing.T) {
 	src := data.NewSyntheticMNIST(16, 1)
 	cases := []string{

@@ -20,55 +20,41 @@ const (
 	Adam Type = "Adam"
 )
 
-// extraConfig holds the additional hyperparameters of the extension
-// solvers, with Caffe's defaults.
-type extraConfig struct {
-	// RMSDecay is RMSProp's running-average factor (default 0.99).
-	RMSDecay float32
-	// Beta1/Beta2 are Adam's moment decays (defaults 0.9 / 0.999).
-	Beta1, Beta2 float32
-}
-
+// normalizeExtra applies Caffe's defaults to the extension solvers'
+// hyperparameters: RMSProp's decay 0.99, Adam's β1 (Momentum) 0.9 and β2
+// (Momentum2) 0.999.
 func (c *Config) normalizeExtra() error {
 	switch c.Type {
 	case RMSProp:
 		if c.Momentum != 0 {
 			return fmt.Errorf("solver: RMSProp does not use momentum")
 		}
-		if c.extra.RMSDecay == 0 {
-			c.extra.RMSDecay = 0.99
+		if c.RMSDecay == 0 {
+			c.RMSDecay = 0.99
 		}
-		if c.extra.RMSDecay <= 0 || c.extra.RMSDecay >= 1 {
-			return fmt.Errorf("solver: RMSDecay must be in (0,1), got %g", c.extra.RMSDecay)
+		if c.RMSDecay <= 0 || c.RMSDecay >= 1 {
+			return fmt.Errorf("solver: RMSDecay must be in (0,1), got %g", c.RMSDecay)
 		}
 	case Adam:
-		if c.extra.Beta1 == 0 {
-			c.extra.Beta1 = 0.9
+		if c.Momentum == 0 {
+			c.Momentum = 0.9
 		}
-		if c.extra.Beta2 == 0 {
-			c.extra.Beta2 = 0.999
+		if c.Momentum2 == 0 {
+			c.Momentum2 = 0.999
 		}
-		if c.extra.Beta1 <= 0 || c.extra.Beta1 >= 1 || c.extra.Beta2 <= 0 || c.extra.Beta2 >= 1 {
-			return fmt.Errorf("solver: Adam betas must be in (0,1)")
+		if c.Momentum2 <= 0 || c.Momentum2 >= 1 {
+			return fmt.Errorf("solver: Momentum2 must be in (0,1), got %g", c.Momentum2)
 		}
 	}
 	return nil
 }
-
-// SetRMSDecay configures RMSProp's decay (call before New-created solvers
-// step; zero value means the default 0.99).
-func (c *Config) SetRMSDecay(v float32) { c.extra.RMSDecay = v }
-
-// SetAdamBetas configures Adam's moment decays (zero values mean the
-// defaults 0.9 and 0.999).
-func (c *Config) SetAdamBetas(b1, b2 float32) { c.extra.Beta1, c.extra.Beta2 = b1, b2 }
 
 // applyUpdateExtra implements the extension update rules. m1/m2 are the
 // two history buffers (Adam needs both; RMSProp uses m1 only).
 func (s *Solver) applyUpdateExtra(lr float32, data, diff, m1, m2 []float32) {
 	switch s.cfg.Type {
 	case RMSProp:
-		decay := s.cfg.extra.RMSDecay
+		decay := s.cfg.RMSDecay
 		delta := s.cfg.Delta
 		for j := range diff {
 			g := diff[j]
@@ -76,7 +62,7 @@ func (s *Solver) applyUpdateExtra(lr float32, data, diff, m1, m2 []float32) {
 			diff[j] = lr * g / (float32(math.Sqrt(float64(m1[j]))) + delta)
 		}
 	case Adam:
-		b1, b2 := s.cfg.extra.Beta1, s.cfg.extra.Beta2
+		b1, b2 := s.cfg.Momentum, s.cfg.Momentum2
 		t := float64(s.iter + 1)
 		correction := float32(math.Sqrt(1-math.Pow(float64(b2), t)) / (1 - math.Pow(float64(b1), t)))
 		delta := s.cfg.Delta

@@ -32,15 +32,14 @@ func TestExtraConfigValidation(t *testing.T) {
 	if _, err := New(Config{Type: RMSProp, BaseLR: 0.01, Momentum: 0.5}, n); err == nil {
 		t.Fatal("RMSProp with momentum accepted")
 	}
-	bad := Config{Type: RMSProp, BaseLR: 0.01}
-	bad.SetRMSDecay(1.5)
-	if _, err := New(bad, n); err == nil {
+	if _, err := New(Config{Type: RMSProp, BaseLR: 0.01, RMSDecay: 1.5}, n); err == nil {
 		t.Fatal("RMSDecay out of range accepted")
 	}
-	badAdam := Config{Type: Adam, BaseLR: 0.01}
-	badAdam.SetAdamBetas(2, 0.999)
-	if _, err := New(badAdam, n); err == nil {
-		t.Fatal("Adam beta out of range accepted")
+	if _, err := New(Config{Type: Adam, BaseLR: 0.01, Momentum2: 2}, n); err == nil {
+		t.Fatal("Adam Momentum2 out of range accepted")
+	}
+	if _, err := New(Config{Type: Adam, BaseLR: 0.01, Momentum: 1}, n); err == nil {
+		t.Fatal("Adam Momentum out of range accepted")
 	}
 }
 
@@ -65,9 +64,7 @@ func TestAdamAllocatesSecondMoments(t *testing.T) {
 func TestRMSPropHandComputed(t *testing.T) {
 	// One parameter step by hand: m1 = (1-d)*g²; step = lr*g/(sqrt(m1)+eps).
 	n := buildNet(t, 33, nil)
-	cfg := Config{Type: RMSProp, BaseLR: 0.1, Delta: 1e-8}
-	cfg.SetRMSDecay(0.9)
-	s, err := New(cfg, n)
+	s, err := New(Config{Type: RMSProp, BaseLR: 0.1, Delta: 1e-8, RMSDecay: 0.9}, n)
 	if err != nil {
 		t.Fatal(err)
 	}

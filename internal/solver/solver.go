@@ -32,8 +32,10 @@ const (
 
 // Config mirrors the fields of a Caffe solver prototxt.
 type Config struct {
-	Type        Type
-	BaseLR      float32
+	Type   Type
+	BaseLR float32
+	// Momentum is SGD's and Nesterov's momentum, and Adam's first-moment
+	// decay β1 (default 0.9 for Adam), as in Caffe.
 	Momentum    float32
 	WeightDecay float32
 	// LRPolicy is one of "fixed", "step", "exp", "inv".
@@ -44,9 +46,12 @@ type Config struct {
 	// Delta is the numerical-stability constant of the adaptive solvers
 	// (AdaGrad, RMSProp, Adam; default 1e-8).
 	Delta float32
-
-	// extra holds hyperparameters of the extension solvers (see extra.go).
-	extra extraConfig
+	// Momentum2 is Adam's second-moment decay β2 (Caffe's momentum2,
+	// default 0.999).
+	Momentum2 float32
+	// RMSDecay is RMSProp's running-average factor (Caffe's rms_decay,
+	// default 0.99).
+	RMSDecay float32
 }
 
 func (c *Config) normalize() error {

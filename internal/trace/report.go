@@ -320,16 +320,5 @@ func WriteUtilizationReport(w io.Writer, spans []Span, workers int) {
 	fmt.Fprintln(w)
 }
 
-// TopSpans returns the n longest spans of a snapshot — a quick textual
-// answer to "where did the time go" without opening the timeline UI.
-func TopSpans(spans []Span, n int) []Span {
-	out := append([]Span(nil), spans...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Dur > out[j].Dur })
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
-
 // us converts a duration to float microseconds.
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

@@ -236,20 +236,6 @@ func TestWriteUtilizationReport(t *testing.T) {
 	}
 }
 
-func TestTopSpans(t *testing.T) {
-	spans := []Span{
-		{Name: "a", Dur: 3}, {Name: "b", Dur: 9}, {Name: "c", Dur: 5},
-	}
-	top := TopSpans(spans, 2)
-	if len(top) != 2 || top[0].Name != "b" || top[1].Name != "c" {
-		t.Fatalf("top = %+v", top)
-	}
-	// n larger than the snapshot is fine.
-	if got := TopSpans(spans, 10); len(got) != 3 {
-		t.Fatalf("len = %d", len(got))
-	}
-}
-
 // Comm spans (internal/dist's driver-side exchange phases, including the
 // codec's encode/decode) must surface as their own report rows: wall
 // time and span count with distinct peers in Bands, and no dilution of

@@ -29,6 +29,9 @@
 # -figure engines: sequential, coarse and fine on the direct and on the
 # lowered convolution must print one loss per convolution kernel — the
 # only end-to-end run of the fine engine on a lowered net), the
+# direct-conv training pin (dnnbench -figure conv: 6 iterations at 1, 2
+# and 3 workers, bitwise deterministic, loss and deviations pinned — the
+# only end-to-end training of the direct loop nest), the
 # one-definition pin
 # (dnntrain -zoo lenet|cifar10-full must write the snapshot bytes that
 # -model configs/lenet.prototxt|cifar10_full.prototxt writes), the
@@ -169,6 +172,20 @@ for kernel in direct lowered; do
 		{ echo "FAIL: want 3 $kernel-conv rows printing one loss, got $rows rows and $losses losses" >&2; cat "$tmpdir/engines.txt" >&2; exit 1; }
 	echo "$kernel-conv: sequential, coarse/2 and fine/2 print one loss ($(head -n 1 "$tmpdir/losses.txt"))"
 done
+
+echo "== direct-conv training: dnnbench -figure conv, coarse/2 and coarse/3 deterministic, numbers pinned =="
+# The engine grid runs forward only, and dnntrain and dnncluster train
+# lowered nets: this is the one end-to-end training run of the direct loop
+# nest's backward. Both worker rows must be bitwise deterministic, and the
+# printed loss and deviations are pinned like the CRCs below (linux/amd64).
+"$tmpdir/dnnbench" -figure conv -conv-iters 6 -threads 1,2,3 -batch 8 -samples 16 >"$tmpdir/conv.txt"
+for want in "sequential final loss: 1.548091" \
+	" 2 workers: max relative loss deviation 1.06e-07, bitwise deterministic: true" \
+	" 3 workers: max relative loss deviation 7.70e-08, bitwise deterministic: true"; do
+	grep -qxF "$want" "$tmpdir/conv.txt" ||
+		{ echo "FAIL: -figure conv did not print \"$want\"" >&2; cat "$tmpdir/conv.txt" >&2; exit 1; }
+done
+echo "direct-conv training deterministic at 2 and 3 workers, numbers match their pins"
 
 echo "== one definition per model: -zoo NAME writes the bytes -model configs/FILE writes =="
 go build -o "$tmpdir/dnntrain" ./cmd/dnntrain
