@@ -248,14 +248,6 @@ func checkGemm(transA, transB Transpose, m, n, k int, a []float32, lda int, b []
 // Axpy computes y += alpha*x over min(len(x), len(y)) elements.
 func Axpy(alpha float32, x, y []float32) { axpyTo(y, x, alpha) }
 
-// Copy copies src into dst (counts must match).
-func Copy(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("blas: copy length mismatch")
-	}
-	copy(dst, src)
-}
-
 // AddScalar adds v to every element of x.
 func AddScalar(x []float32, v float32) {
 	for i := range x {

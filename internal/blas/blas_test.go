@@ -129,20 +129,6 @@ func TestElementwiseHelpers(t *testing.T) {
 	if z[1] != 8 {
 		t.Fatalf("addscalar: %v", z)
 	}
-	c := make([]float32, 3)
-	Copy(c, z)
-	if c[0] != 8 {
-		t.Fatalf("copy: %v", c)
-	}
-}
-
-func TestCopyMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Copy(make([]float32, 2), make([]float32, 3))
 }
 
 func TestConvOutSize(t *testing.T) {

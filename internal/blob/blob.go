@@ -80,9 +80,6 @@ func NamedDataOnly(name string, shape ...int) *Blob {
 	return b
 }
 
-// DataOnly reports whether the blob carries no gradient buffer.
-func (b *Blob) DataOnly() bool { return b.dataOnly }
-
 // DropDiff releases the blob's gradient buffer and converts it to
 // data-only mode: subsequent reshapes never reallocate a diff buffer.
 // net.NewForward calls this on parameter blobs so a forward-only net
@@ -98,9 +95,6 @@ func (b *Blob) DropDiff() {
 
 // Name returns the blob's name ("" if unnamed).
 func (b *Blob) Name() string { return b.name }
-
-// SetName sets the blob's name.
-func (b *Blob) SetName(n string) { b.name = n }
 
 // count returns the product of dims, panicking on negatives or overflow.
 func count(shape []int) int {
@@ -182,15 +176,6 @@ func (b *Blob) Count() int { return len(b.data) }
 func (b *Blob) CountFrom(from int) int {
 	n := 1
 	for i := from; i < len(b.shape); i++ {
-		n *= b.shape[i]
-	}
-	return n
-}
-
-// CountRange returns the product of dimensions in [from, to).
-func (b *Blob) CountRange(from, to int) int {
-	n := 1
-	for i := from; i < to; i++ {
 		n *= b.shape[i]
 	}
 	return n
@@ -289,15 +274,6 @@ func (b *Blob) AsumDiff() float64 {
 	var s float64
 	for _, v := range b.diff {
 		s += math.Abs(float64(v))
-	}
-	return s
-}
-
-// SumSqData returns the squared L2 norm of the data.
-func (b *Blob) SumSqData() float64 {
-	var s float64
-	for _, v := range b.data {
-		s += float64(v) * float64(v)
 	}
 	return s
 }

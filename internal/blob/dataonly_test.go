@@ -7,8 +7,8 @@ func TestDataOnlyNeverAllocatesDiff(t *testing.T) {
 	if b.Diff() != nil {
 		t.Fatal("data-only blob allocated a diff buffer")
 	}
-	if !b.DataOnly() {
-		t.Fatal("DataOnly() false on a NewDataOnly blob")
+	if !b.dataOnly {
+		t.Fatal("NewDataOnly blob not marked data-only")
 	}
 	if got := len(b.Data()); got != 12 {
 		t.Fatalf("data length %d, want 12", got)
@@ -28,7 +28,7 @@ func TestDataOnlyNeverAllocatesDiff(t *testing.T) {
 
 func TestDataOnlyZeroDiffNoop(t *testing.T) {
 	b := NamedDataOnly("x", 3)
-	b.ZeroDiff()  // must not panic on the nil diff
+	b.ZeroDiff() // must not panic on the nil diff
 	b.ScaleDiff(2)
 	if b.Name() != "x" {
 		t.Fatalf("name %q", b.Name())
@@ -51,7 +51,7 @@ func TestDropDiff(t *testing.T) {
 	b.Data()[0] = 7
 	b.Diff()[0] = 3
 	b.DropDiff()
-	if b.Diff() != nil || !b.DataOnly() {
+	if b.Diff() != nil || !b.dataOnly {
 		t.Fatal("DropDiff did not release the gradient buffer")
 	}
 	if b.Data()[0] != 7 {

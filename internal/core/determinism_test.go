@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,40 +15,32 @@ import (
 
 // TestBackwardNeverRoutesThroughForDynamic pins the structural invariant
 // behind convergence invariance (ROADMAP: bit-identical gradients at any
-// worker count): the gradient path of the coarse engine may hand work to
-// the pool only through the static, rank-ordered methods. A dynamic
-// schedule (the ForDynamic this test is named after, deleted with the
-// knob that used it) changes the chunk-to-rank mapping run to run, and an
-// unordered merge (ReduceTree) re-associates the sum; either keeps the
-// gradients race-free but stops them being deterministic — a bug no unit
-// test on values reliably catches, so we assert the shape of the code
-// itself.
+// worker count): the engine may hand work to its pool only through the
+// static, rank-ordered methods. A dynamic schedule (the ForDynamic this
+// test is named after, deleted with the knob that used it) changes the
+// chunk-to-rank mapping run to run, and an unordered merge (ReduceTree)
+// re-associates the sum; either keeps the gradients race-free but stops
+// them being deterministic — a bug no unit test on values reliably
+// catches, so we assert the shape of the code itself. Every pool call in
+// the engine's file is checked, whichever function or helper it sits in,
+// so the privatized path cannot move out of the test's sight.
 func TestBackwardNeverRoutesThroughForDynamic(t *testing.T) {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "coarse.go", nil, 0)
+	f, err := parser.ParseFile(fset, "engine.go", nil, 0)
 	if err != nil {
-		t.Fatalf("parse coarse.go: %v", err)
+		t.Fatalf("parse engine.go: %v", err)
 	}
 
-	// Pool methods the gradient path is allowed to use: For (the
-	// no-privatization path, whose bottom-diff writes are disjoint),
-	// Region (privatized compute over par.Chunk bands), OrderedSlices (the
-	// rank-ordered merge) and Workers.
-	allowed := map[string]bool{"Region": true, "OrderedSlices": true, "For": true, "Workers": true}
-
-	var backward *ast.FuncDecl
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Name.Name != "Backward" || fd.Recv == nil {
-			continue
-		}
-		backward = fd
+	// Pool methods the engine is allowed to use: For (static bands, whose
+	// writes are disjoint), Region (privatized compute over par.Chunk
+	// bands), OrderedSlices (the rank-ordered merge), and the team's
+	// bookkeeping (Workers, SetTracer, Close).
+	allowed := map[string]bool{
+		"For": true, "Region": true, "OrderedSlices": true,
+		"Workers": true, "SetTracer": true, "Close": true,
 	}
-	if backward == nil {
-		t.Fatal("coarse.go no longer declares a Backward method")
-	}
-
-	ast.Inspect(backward.Body, func(n ast.Node) bool {
+	var calls []string
+	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -56,13 +49,23 @@ func TestBackwardNeverRoutesThroughForDynamic(t *testing.T) {
 		if !ok {
 			return true
 		}
-		// Any e.pool.<Method> call must come from the allowed set.
-		if inner, ok := sel.X.(*ast.SelectorExpr); ok && inner.Sel.Name == "pool" && !allowed[sel.Sel.Name] {
-			t.Errorf("%s: Coarse.Backward calls pool.%s, outside the deterministic set %v",
-				fset.Position(call.Pos()), sel.Sel.Name, allowed)
+		// Any <x>.pool.<Method> call must come from the allowed set.
+		if inner, ok := sel.X.(*ast.SelectorExpr); ok && inner.Sel.Name == "pool" {
+			calls = append(calls, sel.Sel.Name)
+			if !allowed[sel.Sel.Name] {
+				t.Errorf("%s: the engine calls pool.%s, outside the deterministic set %v",
+					fset.Position(call.Pos()), sel.Sel.Name, allowed)
+			}
 		}
 		return true
 	})
+	// The privatized path must be in view: a test that finds no Region or
+	// OrderedSlices call is reading the wrong file.
+	for _, want := range []string{"Region", "OrderedSlices"} {
+		if !slices.Contains(calls, want) {
+			t.Errorf("engine.go makes no pool.%s call; the privatized path moved out of view", want)
+		}
+	}
 }
 
 // TestCoarseDefaultsToStaticSchedule pins the runtime side of the same

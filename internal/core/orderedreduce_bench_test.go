@@ -15,7 +15,7 @@ import (
 // 5's ordered gradient merge on a LeNet-sized parameter set (~431k
 // elements): "sequential" is the historical rank-at-a-time
 // Pool.Ordered fold (serial section O(|params|·P)); "slices" is the
-// element-parallel Pool.OrderedSlices fold that Coarse.Backward uses.
+// element-parallel Pool.OrderedSlices fold the engine's samples cut uses.
 // "tree" is the A-red ablation (DESIGN.md): the unordered pairwise
 // Pool.ReduceTree fold of the private copies (log P depth, last bits
 // depend on P) followed by the root's fold into the parameters — the

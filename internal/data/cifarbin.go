@@ -41,11 +41,11 @@ func ReadCIFAR10Binary(r io.Reader, ds *InMemory) error {
 	}
 }
 
-// LoadCIFAR10Files reads a set of CIFAR-10 binary batch files into one
+// loadCIFAR10Files reads a set of CIFAR-10 binary batch files into one
 // in-memory dataset. Each file is read whole with bounded retry/backoff
 // (DefaultRetry), so a transient storage failure mid-file is retried from
 // the start instead of leaving a half-parsed batch in the dataset.
-func LoadCIFAR10Files(paths ...string) (*InMemory, error) {
+func loadCIFAR10Files(paths ...string) (*InMemory, error) {
 	ds := NewInMemory([]int{3, 32, 32}, 10)
 	for _, p := range paths {
 		raw, err := readFileRetry(p, DefaultRetry)
@@ -75,7 +75,7 @@ func LoadCIFAR10(dir string, n int, seed uint64) (layers.Source, bool) {
 		if len(paths) == 0 {
 			continue
 		}
-		if ds, err := LoadCIFAR10Files(paths...); err == nil {
+		if ds, err := loadCIFAR10Files(paths...); err == nil {
 			if n > 0 && n < ds.Len() {
 				return Subset{Src: ds, N: n}, true
 			}

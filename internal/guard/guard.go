@@ -196,10 +196,6 @@ func (m *Monitor) SetTracer(t *trace.Tracer) { m.tracer = t }
 // policy; a Rollback fault without one degrades to Halt).
 func (m *Monitor) SetRestore(f RestoreFunc) { m.restore = f }
 
-// Attach installs the monitor as the solver's pre-update hook. Use
-// Check directly to compose with other hooks (e.g. fault injectors).
-func (m *Monitor) Attach() { m.s.SetPreUpdate(m.Check) }
-
 // Stats returns the activity counters so far.
 func (m *Monitor) Stats() Stats { return m.stats }
 

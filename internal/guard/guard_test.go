@@ -71,7 +71,7 @@ func TestHealthyRunIsUnperturbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	mon.Attach()
+	guarded.SetPreUpdate(mon.Check)
 	got := guarded.Step(8)
 	for i := range ref {
 		if ref[i] != got[i] {
@@ -278,7 +278,7 @@ func TestCheckEveryGatesScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	mon.Attach()
+	s.SetPreUpdate(mon.Check)
 	s.Step(6) // iters 0..5: checks at 0 and 3
 	if st := mon.Stats(); st.Checks != 2 {
 		t.Fatalf("CheckEvery=3 over 6 iterations ran %d checks, want 2", st.Checks)
@@ -351,7 +351,7 @@ func BenchmarkLeNetIterationGuarded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mon.Attach()
+	s.SetPreUpdate(mon.Check)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

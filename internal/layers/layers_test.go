@@ -121,7 +121,7 @@ func forUnevenBands(n, parts int, body func(lo, hi int)) {
 }
 
 // forwardChannels and backwardChannels run a ChannelRanger's passes as the
-// fine-grain engine schedules them (core.Fine), serially over uneven bands.
+// fine-grain engine schedules them (core.NewFine), serially over uneven bands.
 func forwardChannels(l ChannelRanger, bottom, top []*blob.Blob, parts int) {
 	out, _ := l.ChannelExtents()
 	forUnevenBands(out, parts, func(lo, hi int) { l.ForwardChannels(lo, hi, bottom, top) })

@@ -95,18 +95,17 @@ func isMethodOn(fn *types.Func, pkgName, typeName, method string) bool {
 // contract.
 type poolClosure struct {
 	call   *ast.CallExpr
-	method string // For, ForOrdered, OrderedSlices, Region
+	method string // For, OrderedSlices, Region
 	fn     *ast.FuncLit
 	info   *types.Info
 	safe   map[types.Object]bool
 }
 
 // poolMethods maps each worksharing method to the index of the argument
-// holding the parallel body closure. (ForOrdered's merge argument runs
+// holding the parallel body closure. (Pool.Ordered runs its body
 // sequentially in rank order and is deliberately not analyzed.)
 var poolMethods = map[string]int{
 	"For":           1,
-	"ForOrdered":    1,
 	"OrderedSlices": 1,
 	"Region":        0,
 }

@@ -9,15 +9,16 @@ import (
 )
 
 // OrderedReduce enforces the deterministic-reduction contract (Algorithm 5
-// of the paper, internal/par's Ordered/ForOrdered): floating-point
+// of the paper, internal/par's OrderedSlices and Ordered): floating-point
 // accumulation is not associative, so any float reduction whose visit
 // order is not fixed yields results that differ between runs in the last
 // bits — exactly what the convergence-invariance property forbids. Two
 // shapes are flagged:
 //
 //  1. float accumulation into captured state inside a parallel
-//     worksharing closure (the merge must instead go through Pool.Ordered,
-//     which visits ranks in increasing order on one goroutine);
+//     worksharing closure (the merge must instead go through
+//     Pool.OrderedSlices, which folds ranks in increasing order over each
+//     element);
 //  2. float accumulation driven by `range` over a map, whose iteration
 //     order is randomized by the runtime even on a single goroutine;
 //  3. a hand-rolled cross-rank fold — a loop bounded by Pool.Workers()
@@ -31,7 +32,7 @@ import (
 var OrderedReduce = &lint.Analyzer{
 	Name: "orderedreduce",
 	Doc: "flags nondeterministic floating-point reductions: cross-rank float accumulation " +
-		"outside Pool.Ordered/ForOrdered, float accumulation over map iteration order, " +
+		"outside Pool.OrderedSlices, float accumulation over map iteration order, " +
 		"and hand-rolled rank folds that should go through Pool.OrderedSlices",
 	Run: runOrderedReduce,
 }
@@ -52,7 +53,7 @@ func runOrderedReduce(pass *lint.Pass) {
 			pass.Reportf(w.pos,
 				"cross-rank floating-point accumulation into %q inside Pool.%s closure: "+
 					"accumulation order depends on rank interleaving, so the result is not "+
-					"bit-deterministic — privatize per rank and merge with Pool.Ordered/ForOrdered",
+					"bit-deterministic — privatize per rank and merge with Pool.OrderedSlices",
 				exprString(pass.Fset, w.lhs), c.method)
 		}
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Parbody enforces the worksharing privatization contract of internal/par:
-// a closure handed to Pool.For / ForOrdered / OrderedSlices / Region runs
+// a closure handed to Pool.For / OrderedSlices / Region runs
 // concurrently on every rank, so the only captured memory it may write is
 // memory partitioned by the schedule — an element indexed by
 // the closure's rank or by an index derived from its [lo, hi) range.

@@ -16,26 +16,21 @@ import (
 // tagged outside it renders as an unlabeled grey block and fails the CI
 // trace smoke — but only at runtime, only on the code path the smoke
 // happens to execute. This analyzer moves the check to every span
-// construction site, and additionally keeps Begin/End spans balanced so
-// the driver-side span stack cannot drift open.
+// construction site.
 //
 // Flagged shapes:
 //   - a numeric literal (raw or via a Phase(N) conversion) used where a
-//     trace.Phase is expected: Begin/SetScope arguments and the Phase
-//     field of Span composite literals — use the named constants;
+//     trace.Phase is expected: SetScope arguments and the Phase field of
+//     Span composite literals — use the named constants;
 //   - a string literal compared against a phase name (a .Cat field or a
-//     Phase.String() call) that is not in the shared vocabulary;
-//   - a statement list whose direct Begin calls on a Tracer outnumber
-//     its End calls or vice versa (defers count as the list they are
-//     written in).
+//     Phase.String() call) that is not in the shared vocabulary.
 //
 // The vocabulary itself is imported from the real internal/trace, so a
 // phase added there is accepted here with no analyzer change.
 var PhaseSpan = &lint.Analyzer{
 	Name: "phasespan",
 	Doc: "flags trace phases written as numeric literals instead of named constants, " +
-		"string comparisons against names outside the shared phase vocabulary, and " +
-		"unbalanced Begin/End pairs in a statement list",
+		"and string comparisons against names outside the shared phase vocabulary",
 	Run: runPhaseSpan,
 }
 
@@ -49,12 +44,6 @@ func runPhaseSpan(pass *lint.Pass) {
 				checkSpanLiteral(pass, x)
 			case *ast.BinaryExpr:
 				checkPhaseNameCompare(pass, x)
-			case *ast.BlockStmt:
-				checkBeginEndBalance(pass, x.List)
-			case *ast.CaseClause:
-				checkBeginEndBalance(pass, x.Body)
-			case *ast.CommClause:
-				checkBeginEndBalance(pass, x.Body)
 			}
 			return true
 		})
@@ -69,7 +58,7 @@ func isPhaseType(t types.Type) bool {
 }
 
 // phaseLiteral returns the offending literal when e supplies a phase as
-// a bare number: an untyped constant (Begin("x", 3)) or an explicit
+// a bare number: an untyped constant (SetScope("x", 3)) or an explicit
 // Phase(3) conversion. Named constants resolve through idents and
 // selectors, which are not literals, so they pass.
 func phaseLiteral(e ast.Expr) *ast.BasicLit {
@@ -99,8 +88,8 @@ func phaseLiteral(e ast.Expr) *ast.BasicLit {
 }
 
 // checkPhaseArgs flags numeric-literal phases at call sites whose
-// parameter type is trace.Phase (Begin, SetScope, and any future API
-// with a Phase parameter).
+// parameter type is trace.Phase (SetScope, and any future API with a
+// Phase parameter).
 func checkPhaseArgs(pass *lint.Pass, call *ast.CallExpr) {
 	fn := calleeOf(pass.Info, call)
 	if fn == nil {
@@ -201,52 +190,4 @@ func isPhaseNameExpr(pass *lint.Pass, e ast.Expr) bool {
 		return isPhaseType(pass.TypeOf(sel.X))
 	}
 	return false
-}
-
-// checkBeginEndBalance counts direct Begin and End statements on Tracer
-// receivers in one statement list and flags a mismatch. Only top-level
-// statements of the list are counted — a Begin whose End lives in a
-// nested block is exactly the drift this check exists to catch, since
-// an early return between them leaves the span stack open.
-func checkBeginEndBalance(pass *lint.Pass, stmts []ast.Stmt) {
-	var begins, ends int
-	var firstPos token.Pos
-	count := func(call *ast.CallExpr) {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		if !isNamed(pass.TypeOf(sel.X), "trace", "Tracer") {
-			return
-		}
-		switch sel.Sel.Name {
-		case "Begin":
-			begins++
-			if firstPos == token.NoPos {
-				firstPos = call.Pos()
-			}
-		case "End":
-			ends++
-			if firstPos == token.NoPos {
-				firstPos = call.Pos()
-			}
-		}
-	}
-	for _, st := range stmts {
-		switch s := st.(type) {
-		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-				count(call)
-			}
-		case *ast.DeferStmt:
-			count(s.Call)
-		}
-	}
-	if begins != ends {
-		pass.Reportf(firstPos,
-			"unbalanced trace spans: %d Begin vs %d End in this block — an early return "+
-				"or a missed End leaves the driver span stack open and every later span "+
-				"nests under the wrong parent (defer tr.End() immediately after Begin)",
-			begins, ends)
-	}
 }

@@ -76,18 +76,18 @@ func goodWorkersBoundedCompute(p *par.Pool, parts [][]float32) []float32 {
 // sanctioned deterministic reduction (never flagged).
 func goodOrdered(p *par.Pool, in []float32) float32 {
 	partials := make([]float32, p.Workers())
-	p.ForOrdered(len(in),
-		func(lo, hi, rank int) {
-			var local float32
-			for i := lo; i < hi; i++ {
-				local += in[i] // closure-local: visit order fixed within one rank
-			}
-			partials[rank] = local
-		},
-		func(rank int) {
-			partials[0] += partials[rank] // ordered merge: exempt by design
-		})
-	return partials[0]
+	p.For(len(in), func(lo, hi, rank int) {
+		var local float32
+		for i := lo; i < hi; i++ {
+			local += in[i] // closure-local: visit order fixed within one rank
+		}
+		partials[rank] = local
+	})
+	var sum float32
+	p.Ordered(func(rank int) {
+		sum += partials[rank] // ordered merge: exempt by design
+	})
+	return sum
 }
 
 // goodMapUses shows map iteration that is fine: non-float accumulation,

@@ -45,12 +45,6 @@ func (p *Pool) Ordered(body func(rank int)) {
 	}
 }
 
-// ForOrdered is a parallel loop followed by an ordered merge.
-func (p *Pool) ForOrdered(n int, compute func(lo, hi, rank int), merge func(rank int)) {
-	p.For(n, compute)
-	p.Ordered(merge)
-}
-
 // OrderedSlices folds ranks 0..P-1 in rank order over per-worker element
 // slices — the sanctioned element-parallel ordered reduction.
 func (p *Pool) OrderedSlices(n int, merge func(lo, hi, rank int)) {

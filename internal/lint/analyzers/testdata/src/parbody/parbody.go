@@ -32,22 +32,6 @@ func bad(p *par.Pool, out []float32, m map[int]float32) {
 	_ = sum + last
 }
 
-// badOrderedCompute shows that ForOrdered's parallel compute closure is
-// checked even though its merge closure is exempt.
-func badOrderedCompute(p *par.Pool, out []float32) {
-	var total float32
-	partial := make([]float32, p.Workers())
-	p.ForOrdered(len(out),
-		func(lo, hi, rank int) {
-			total = out[lo] // want `write to captured "total" inside Pool\.ForOrdered closure`
-			partial[rank] = out[lo]
-		},
-		func(rank int) {
-			total += partial[rank] // merge runs sequentially in rank order: exempt
-		})
-	_ = total
-}
-
 // good demonstrates the privatization idioms that must NOT be flagged.
 func good(p *par.Pool, in, out []float32) {
 	// Writes steered by the iteration range are disjoint by construction.

@@ -1,6 +1,6 @@
 // Package phasespan exercises the phasespan analyzer: numeric-literal
 // phases at span construction sites, string comparisons against names
-// outside the shared vocabulary, and unbalanced Begin/End pairs.
+// outside the shared vocabulary.
 package phasespan
 
 import "trace"
@@ -8,11 +8,8 @@ import "trace"
 // --- literal phases ---------------------------------------------------
 
 func badLiterals(tr *trace.Tracer) {
-	tr.Begin("fwd", 3) // want `phase passed to Begin as the literal 3`
-	tr.End()
-	tr.Begin("bwd", trace.Phase(2)) // want `phase passed to Begin as the literal 2`
-	tr.End()
-	tr.SetScope("conv1", 1) // want `phase passed to SetScope as the literal 1`
+	tr.SetScope("conv1", 1)              // want `phase passed to SetScope as the literal 1`
+	tr.SetScope("conv1", trace.Phase(2)) // want `phase passed to SetScope as the literal 2`
 }
 
 func badSpanLiteral(tr *trace.Tracer) {
@@ -20,8 +17,6 @@ func badSpanLiteral(tr *trace.Tracer) {
 }
 
 func goodConstants(tr *trace.Tracer) {
-	tr.Begin("fwd", trace.PhaseForward)
-	tr.End()
 	tr.SetScope("conv1", trace.PhaseBackward)
 	tr.Record(trace.Span{Name: "x", Phase: trace.PhaseReduce})
 }
@@ -29,8 +24,7 @@ func goodConstants(tr *trace.Tracer) {
 // A phase that arrives as a value is the caller's concern, not a
 // literal at this site.
 func goodForwarded(tr *trace.Tracer, p trace.Phase) {
-	tr.Begin("fwd", p)
-	tr.End()
+	tr.SetScope("fwd", p)
 }
 
 // --- vocabulary for phase-name strings --------------------------------
@@ -52,27 +46,6 @@ func goodCat(ev event, p trace.Phase) bool {
 // Comparing two non-literal strings is out of scope.
 func goodDynamic(ev event, name string) bool {
 	return ev.Cat == name
-}
-
-// --- Begin/End balance ------------------------------------------------
-
-func badOpenSpan(tr *trace.Tracer, n int) {
-	tr.Begin("iteration", trace.PhaseIteration) // want `unbalanced trace spans: 1 Begin vs 0 End`
-	if n > 0 {
-		return
-	}
-}
-
-func goodDeferredEnd(tr *trace.Tracer) {
-	tr.Begin("iteration", trace.PhaseIteration)
-	defer tr.End()
-}
-
-func goodPaired(tr *trace.Tracer) {
-	tr.Begin("iteration", trace.PhaseIteration)
-	tr.Begin("fwd", trace.PhaseForward)
-	tr.End()
-	tr.End()
 }
 
 // --- comm sub-phase spans (dist exchange and codec instrumentation) ---

@@ -2,8 +2,7 @@
 // a nil-safe Tracer handle with the phase vocabulary surface, enough for
 // the tracenil and phasespan call-site fixtures. The phase names mirror
 // the real table; phasespan's vocabulary check imports the real package,
-// so only the shapes (Phase type, Begin/End/SetScope, Span.Phase) matter
-// here.
+// so only the shapes (Phase type, SetScope, Span.Phase) matter here.
 package trace
 
 // Phase classifies a span.
@@ -51,7 +50,6 @@ type Span struct {
 // Tracer records spans; all methods are nil-safe.
 type Tracer struct {
 	spans []Span
-	open  int
 }
 
 // New creates a tracer.
@@ -74,25 +72,6 @@ func (t *Tracer) Len() int {
 		return 0
 	}
 	return len(t.spans)
-}
-
-// Begin opens a span on the driver-side stack.
-func (t *Tracer) Begin(name string, phase Phase) {
-	if t == nil {
-		return
-	}
-	t.open++
-	t.spans = append(t.spans, Span{Name: name, Phase: phase})
-}
-
-// End closes the innermost open span.
-func (t *Tracer) End() {
-	if t == nil {
-		return
-	}
-	if t.open > 0 {
-		t.open--
-	}
 }
 
 // SetScope labels subsequent worker spans.

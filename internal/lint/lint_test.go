@@ -96,7 +96,7 @@ func TestBuildConstraintFiltering(t *testing.T) {
 		"a/a.go": "package a\n\n// V is set per platform.\nvar V int\n",
 		// A constraint no platform satisfies: must be excluded, or the
 		// duplicate declaration below would be a type error.
-		"a/never.go":     "//go:build plan9 && windows\n\npackage a\n\nfunc init() { V = 1 }\n",
+		"a/never.go":   "//go:build plan9 && windows\n\npackage a\n\nfunc init() { V = 1 }\n",
 		"a/also.go":    "//go:build !plan9 || !windows\n\npackage a\n\nfunc init() { V = 2 }\n",
 		"a/a_plan9.go": "package a\n\nfunc init() { V = 3 }\n",
 	})

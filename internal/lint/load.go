@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -302,11 +301,20 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	return pkg, nil
 }
 
+// buildContext decides which files build: go/build's rules for
+// //go:build lines and GOOS/GOARCH file-name suffixes on the running
+// platform, with cgo off because the loader type-checks no cgo file.
+var buildContext = func() build.Context {
+	c := build.Default
+	c.CgoEnabled = false
+	return c
+}()
+
 // parseDir parses the buildable files of the package in dir: the
 // non-test files plus, when cfg.Tests is set, the in-package test files.
-// Files excluded by //go:build constraints or filename GOOS/GOARCH
-// suffixes are skipped. External test files (package foo_test) are
-// always skipped.
+// Files buildContext excludes (by //go:build line, GOOS/GOARCH suffix or a
+// leading "_" or ".") are skipped. External test files (package foo_test)
+// are always skipped.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -315,17 +323,17 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	var names []string
 	for _, e := range ents {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") ||
-			strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") {
 			continue
 		}
 		if strings.HasSuffix(n, "_test.go") && !l.cfg.Tests {
 			continue
 		}
-		if !fileNameMatches(n) {
-			continue
+		if ok, err := buildContext.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if ok {
+			names = append(names, n)
 		}
-		names = append(names, n)
 	}
 	sort.Strings(names)
 	var files []*ast.File
@@ -335,9 +343,6 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
-		}
-		if !buildConstraintsMatch(f) {
-			continue
 		}
 		if strings.HasSuffix(n, "_test.go") {
 			testFiles = append(testFiles, f)
@@ -365,96 +370,6 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		}
 	}
 	return files, nil
-}
-
-// goVersionTags lists the go1.x release tags satisfied by the running
-// toolchain, derived from runtime.Version (e.g. "go1.24.0" enables
-// go1.1 .. go1.24).
-func goVersionTags() map[string]bool {
-	tags := map[string]bool{}
-	v := runtime.Version()
-	var major, minor int
-	if _, err := fmt.Sscanf(v, "go%d.%d", &major, &minor); err != nil || major != 1 {
-		return tags
-	}
-	for i := 1; i <= minor; i++ {
-		tags[fmt.Sprintf("go1.%d", i)] = true
-	}
-	return tags
-}
-
-var versionTags = goVersionTags()
-
-// tagMatches is the build-tag predicate for the running platform.
-func tagMatches(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "cgo":
-		return false
-	}
-	return versionTags[tag]
-}
-
-// buildConstraintsMatch evaluates a file's //go:build (or legacy
-// +build) constraint against the running platform.
-func buildConstraintsMatch(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.End() >= f.Package {
-			break // only comments above the package clause can constrain
-		}
-		for _, c := range cg.List {
-			if constraint.IsGoBuild(c.Text) || constraint.IsPlusBuild(c.Text) {
-				expr, err := constraint.Parse(c.Text)
-				if err != nil {
-					continue
-				}
-				if !expr.Eval(tagMatches) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// knownOS and knownArch drive filename-based implicit constraints
-// (name_linux.go, name_amd64.go, name_linux_amd64.go).
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// fileNameMatches applies the implicit GOOS/GOARCH filename constraint.
-func fileNameMatches(name string) bool {
-	base := strings.TrimSuffix(strings.TrimSuffix(name, ".go"), "_test")
-	parts := strings.Split(base, "_")
-	if len(parts) == 1 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if len(parts) >= 3 && knownOS[parts[len(parts)-2]] {
-			return parts[len(parts)-2] == runtime.GOOS
-		}
-		return true
-	}
-	if knownOS[last] {
-		return last == runtime.GOOS
-	}
-	return true
 }
 
 // FirstError returns the first type-checking error across pkgs, or nil.

@@ -19,7 +19,7 @@ func TestLoaderSkipsFullyConstrainedPackage(t *testing.T) {
 		"a/a.go": "package a\n\n// V is a value.\nvar V = 1\n",
 		// Both files of b are constrained out: an impossible tag pair and
 		// a filename suffix for a platform this test never runs on.
-		"b/never.go": "//go:build plan9 && windows\n\npackage b\n\nvar V = 1\n",
+		"b/never.go":                    "//go:build plan9 && windows\n\npackage b\n\nvar V = 1\n",
 		"b/only_" + otherGOOS() + ".go": "package b\n\nvar W = 2\n",
 	})
 	loader, err := NewLoader(Config{Dir: root})

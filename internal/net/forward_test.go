@@ -48,9 +48,6 @@ func TestForwardOnlyMatchesTrainableForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fwd.ForwardOnly() || full.ForwardOnly() {
-		t.Fatal("ForwardOnly flag wrong")
-	}
 	fwd.Forward()
 	full.Forward()
 	a, b := fwd.Blob("ip1").Data(), full.Blob("ip1").Data()

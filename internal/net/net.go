@@ -214,9 +214,6 @@ func build(specs []LayerSpec, engine core.Engine, forwardOnly bool) (*Net, error
 	return n, nil
 }
 
-// ForwardOnly reports whether the net was built by NewForward.
-func (n *Net) ForwardOnly() bool { return n.forwardOnly }
-
 // Reshape re-runs shape inference through every layer in topological
 // order, propagating (possibly changed) bottom shapes to top blobs. The
 // serving engine calls it after Data.SetBatchSize so a dynamic batch of
@@ -275,7 +272,7 @@ func (n *Net) ShareParamsWith(ref *Net) error {
 func (n *Net) SetEngine(e core.Engine) {
 	n.engine = e
 	if n.tracer.Enabled() {
-		propagateTracer(e, n.tracer)
+		e.SetTracer(n.tracer)
 	}
 }
 
@@ -285,26 +282,18 @@ func (n *Net) Engine() core.Engine { return n.engine }
 // SetTracer attaches a span tracer (nil detaches): every layer×phase
 // engine call becomes a driver span carrying the layer's FLOP/byte
 // counters, and the tracer is propagated to the engine (and through it
-// to the worker pool) so parallel engines add per-worker band spans.
+// to the worker pool) so every samples or channels band adds a
+// per-worker span.
 // The tracer is the net's only per-layer timer; trace.PerLayer turns its
 // driver spans into the per-layer table.
 // Attach before training, never while a pass is in flight.
 func (n *Net) SetTracer(t *trace.Tracer) {
 	n.tracer = t
-	propagateTracer(n.engine, t)
+	n.engine.SetTracer(t)
 }
 
 // Tracer returns the attached tracer (nil when tracing is off).
 func (n *Net) Tracer() *trace.Tracer { return n.tracer }
-
-// propagateTracer hands the tracer to engines that support one (the
-// sequential engine has no worker team and needs none — its layer time
-// is fully covered by the driver spans).
-func propagateTracer(e core.Engine, t *trace.Tracer) {
-	if ts, ok := e.(interface{ SetTracer(*trace.Tracer) }); ok {
-		ts.SetTracer(t)
-	}
-}
 
 // Layers returns the layers in topological order.
 func (n *Net) Layers() []layers.Layer {

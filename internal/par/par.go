@@ -83,9 +83,6 @@ func (p *Pool) Workers() int { return p.workers }
 // spans beyond its team size are dropped.
 func (p *Pool) SetTracer(t *trace.Tracer) { p.tracer = t }
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (p *Pool) Tracer() *trace.Tracer { return p.tracer }
-
 // traced wraps a loop body so each invocation records one worker span;
 // under static scheduling the band is the executing rank.
 func (p *Pool) traced(body func(lo, hi, rank int)) func(lo, hi, rank int) {
@@ -248,14 +245,6 @@ func (p *Pool) Ordered(body func(rank int)) {
 	for r := 0; r < p.workers; r++ {
 		body(r)
 	}
-}
-
-// ForOrdered is a convenience composition: a static parallel loop followed
-// by an in-order merge phase. compute(lo, hi, rank) runs in parallel;
-// merge(rank) then runs sequentially for rank = 0..P-1.
-func (p *Pool) ForOrdered(n int, compute func(lo, hi, rank int), merge func(rank int)) {
-	p.For(n, compute)
-	p.Ordered(merge)
 }
 
 // OrderedSlices is the element-parallel form of Ordered for reductions

@@ -158,16 +158,14 @@ func TestForOrderedReductionDeterminism(t *testing.T) {
 		p := NewPool(workers)
 		priv := make([]float32, workers)
 		var total float32
-		p.ForOrdered(n,
-			func(lo, hi, rank int) {
-				var s float32
-				for i := lo; i < hi; i++ {
-					s += xs[i]
-				}
-				priv[rank] = s
-			},
-			func(rank int) { total += priv[rank] },
-		)
+		p.For(n, func(lo, hi, rank int) {
+			var s float32
+			for i := lo; i < hi; i++ {
+				s += xs[i]
+			}
+			priv[rank] = s
+		})
+		p.Ordered(func(rank int) { total += priv[rank] })
 		p.Close()
 		// Ordered merge of contiguous chunks reproduces the exact sequential
 		// sum because each private partial is the exact sum of a contiguous
@@ -180,16 +178,14 @@ func TestForOrderedReductionDeterminism(t *testing.T) {
 		p2 := NewPool(workers)
 		priv2 := make([]float32, workers)
 		var total2 float32
-		p2.ForOrdered(n,
-			func(lo, hi, rank int) {
-				var s float32
-				for i := lo; i < hi; i++ {
-					s += xs[i]
-				}
-				priv2[rank] = s
-			},
-			func(rank int) { total2 += priv2[rank] },
-		)
+		p2.For(n, func(lo, hi, rank int) {
+			var s float32
+			for i := lo; i < hi; i++ {
+				s += xs[i]
+			}
+			priv2[rank] = s
+		})
+		p2.Ordered(func(rank int) { total2 += priv2[rank] })
 		p2.Close()
 		if total != total2 {
 			t.Fatalf("workers=%d: ordered reduction not deterministic: %v vs %v", workers, total, total2)

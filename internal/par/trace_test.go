@@ -11,9 +11,6 @@ func TestForRecordsWorkerSpans(t *testing.T) {
 	defer p.Close()
 	tr := trace.New(3)
 	p.SetTracer(tr)
-	if p.Tracer() != tr {
-		t.Fatal("Tracer() does not return the attached tracer")
-	}
 	tr.SetScope("conv1", trace.PhaseForward)
 	p.For(9, func(lo, hi, rank int) {})
 	spans := tr.Snapshot()

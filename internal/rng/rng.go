@@ -113,17 +113,6 @@ func (r *RNG) Gaussian(mean, std float32) float32 {
 	return mean + std*r.NormFloat32()
 }
 
-// Perm fills out with a uniformly random permutation of [0, len(out)).
-func (r *RNG) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}
-
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float32) bool {
 	return r.Float32() < p

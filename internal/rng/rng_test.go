@@ -141,34 +141,6 @@ func TestGaussianScaling(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(7, 8)
-	out := make([]int, 100)
-	r.Perm(out)
-	seen := make([]bool, len(out))
-	for _, v := range out {
-		if v < 0 || v >= len(out) || seen[v] {
-			t.Fatalf("not a permutation: %v", out)
-		}
-		seen[v] = true
-	}
-}
-
-func TestPermMixes(t *testing.T) {
-	r := New(7, 8)
-	out := make([]int, 50)
-	r.Perm(out)
-	fixed := 0
-	for i, v := range out {
-		if i == v {
-			fixed++
-		}
-	}
-	if fixed > 10 {
-		t.Fatalf("permutation barely shuffles: %d fixed points", fixed)
-	}
-}
-
 func TestRange(t *testing.T) {
 	r := New(1, 2)
 	for i := 0; i < 1000; i++ {

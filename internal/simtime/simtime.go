@@ -215,17 +215,6 @@ func (m Machine) Speedup(layersIn []LayerModel, threads int) float64 {
 	return t1 / tp
 }
 
-// GPUKind selects one of the two fine-grain GPU configurations of the
-// paper's evaluation.
-type GPUKind int
-
-const (
-	// PlainGPU is Caffe's native GPU implementation of every layer.
-	PlainGPU GPUKind = iota
-	// CuDNNGPU replaces convolution and pooling kernels with cuDNN.
-	CuDNNGPU
-)
-
 // GPUProfile maps layer name -> per-phase speedup over the serial CPU
 // execution. The values are *calibration constants transcribed from the
 // paper's Figures 6 and 9* (see bench.MNISTGPUProfile/CIFARGPUProfile);

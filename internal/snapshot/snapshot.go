@@ -292,8 +292,47 @@ func netSections(n *net.Net) []section {
 	return secs
 }
 
-// restoreState loads layer state sections back into Stater layers.
-func restoreState(n *net.Net, byName map[string]section) error {
+// fills pairs every buffer a load overwrites with the section payload that
+// overwrites it. A load checks every section it needs into one fills
+// before it copies any, so a rejected snapshot leaves the net and the
+// solver exactly as they were.
+type fills struct {
+	byName map[string]section
+	dst    [][]float32
+	src    [][]float32
+}
+
+func newFills(secs []section) *fills {
+	f := &fills{byName: make(map[string]section, len(secs))}
+	for _, s := range secs {
+		f.byName[s.name] = s
+	}
+	return f
+}
+
+// add queues the payload of the section called name for dst, or reports
+// (as what) why it cannot fill dst.
+func (f *fills) add(name string, dst []float32, what string) error {
+	sec, ok := f.byName[name]
+	if !ok {
+		return fmt.Errorf("snapshot: missing %s", what)
+	}
+	if len(sec.data) != len(dst) {
+		return fmt.Errorf("snapshot: %s size mismatch: %d values, want %d", what, len(sec.data), len(dst))
+	}
+	f.dst = append(f.dst, dst)
+	f.src = append(f.src, sec.data)
+	return nil
+}
+
+// addNet queues every parameter and every layer-state blob of n.
+func (f *fills) addNet(n *net.Net) error {
+	names := n.ParamNames()
+	for i, p := range n.Params() {
+		if err := f.add(names[i], p.Data(), fmt.Sprintf("parameter %q", names[i])); err != nil {
+			return err
+		}
+	}
 	for _, l := range n.Layers() {
 		st, ok := l.(Stater)
 		if !ok {
@@ -301,17 +340,19 @@ func restoreState(n *net.Net, byName map[string]section) error {
 		}
 		for i, b := range st.StateBlobs() {
 			key := fmt.Sprintf("%s%s__%d", statePrefix, l.Name(), i)
-			sec, ok := byName[key]
-			if !ok {
-				return fmt.Errorf("snapshot: missing layer state %q", key)
+			if err := f.add(key, b.Data(), fmt.Sprintf("layer state %q", key)); err != nil {
+				return err
 			}
-			if len(sec.data) != b.Count() {
-				return fmt.Errorf("snapshot: layer state %q size mismatch", key)
-			}
-			copy(b.Data(), sec.data)
 		}
 	}
 	return nil
+}
+
+// apply writes every queued payload into its buffer.
+func (f *fills) apply() {
+	for i, dst := range f.dst {
+		copy(dst, f.src[i])
+	}
 }
 
 // SaveNet writes the network's learnable parameters.
@@ -320,39 +361,23 @@ func SaveNet(w io.Writer, n *net.Net) error {
 }
 
 // LoadNet restores parameters saved by SaveNet into an architecturally
-// identical network (matched by parameter name and element count).
+// identical network (matched by parameter name and element count). Every
+// section is checked before any is copied, so a rejected file leaves the
+// net unmodified.
 func LoadNet(r io.Reader, n *net.Net) error {
 	secs, err := readSections(r)
 	if err != nil {
 		return err
 	}
-	byName := make(map[string]section, len(secs))
-	for _, s := range secs {
-		byName[s.name] = s
+	f := newFills(secs)
+	if err := f.addNet(n); err != nil {
+		return err
 	}
-	params := n.Params()
-	names := n.ParamNames()
-	for i, p := range params {
-		s, ok := byName[names[i]]
-		if !ok {
-			return fmt.Errorf("snapshot: missing parameter %q", names[i])
-		}
-		if len(s.data) != p.Count() {
-			return fmt.Errorf("snapshot: parameter %q has %d values, net expects %d",
-				names[i], len(s.data), p.Count())
-		}
-		copy(p.Data(), s.data)
-	}
-	return restoreState(n, byName)
+	f.apply()
+	return nil
 }
 
-// SaveNetFile atomically writes the network's parameters to path
-// (temp + fsync + rename; see writeFileAtomic).
-func SaveNetFile(path string, n *net.Net) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return SaveNet(w, n) })
-}
-
-// LoadNetFile restores parameters from a file written by SaveNetFile.
+// LoadNetFile restores parameters from a file written by SaveNet.
 func LoadNetFile(path string, n *net.Net) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -399,54 +424,36 @@ func SaveSolver(w io.Writer, s *solver.Solver) error {
 // LoadSolver restores a snapshot written by SaveSolver into a solver built
 // over an architecturally identical network.
 //
-// The whole file is parsed and checksum-validated before any solver state
-// is touched, so a corrupt snapshot leaves the solver unmodified.
+// The whole file is parsed and checksum-validated, and every section the
+// solver needs is checked for presence and size, before any solver state
+// is touched: a corrupt snapshot, a net-only file or one written by a
+// different solver type leaves the solver unmodified.
 func LoadSolver(r io.Reader, s *solver.Solver) error {
 	secs, err := readSections(r)
 	if err != nil {
 		return err
 	}
-	byName := make(map[string]section, len(secs))
-	for _, sec := range secs {
-		byName[sec.name] = sec
-	}
-	n := s.Net()
-	for i, p := range n.Params() {
-		sec, ok := byName[n.ParamNames()[i]]
-		if !ok {
-			return fmt.Errorf("snapshot: missing parameter %q", n.ParamNames()[i])
-		}
-		if len(sec.data) != p.Count() {
-			return fmt.Errorf("snapshot: parameter %q size mismatch", sec.name)
-		}
-		copy(p.Data(), sec.data)
-	}
-	it, ok := byName[iterSection]
+	f := newFills(secs)
+	it, ok := f.byName[iterSection]
 	if !ok || len(it.data) != 1 {
 		return fmt.Errorf("snapshot: not a solver snapshot (no iteration section)")
 	}
-	s.RestoreIter(int(it.data[0]))
+	if err := f.addNet(s.Net()); err != nil {
+		return err
+	}
 	for i, h := range s.History() {
-		sec, ok := byName[fmt.Sprintf("%s%d", historyPrefix, i)]
-		if !ok {
-			return fmt.Errorf("snapshot: missing history %d", i)
+		if err := f.add(fmt.Sprintf("%s%d", historyPrefix, i), h.Data(), fmt.Sprintf("history %d", i)); err != nil {
+			return err
 		}
-		if len(sec.data) != h.Count() {
-			return fmt.Errorf("snapshot: history %d size mismatch", i)
-		}
-		copy(h.Data(), sec.data)
 	}
 	for i, h := range s.History2() {
-		sec, ok := byName[fmt.Sprintf("%s%d", history2Prefix, i)]
-		if !ok {
-			return fmt.Errorf("snapshot: missing second-moment history %d (snapshot from a different solver type?)", i)
+		if err := f.add(fmt.Sprintf("%s%d", history2Prefix, i), h.Data(), fmt.Sprintf("second-moment history %d", i)); err != nil {
+			return fmt.Errorf("%w (snapshot from a different solver type?)", err)
 		}
-		if len(sec.data) != h.Count() {
-			return fmt.Errorf("snapshot: second-moment history %d size mismatch", i)
-		}
-		copy(h.Data(), sec.data)
 	}
-	return restoreState(n, byName)
+	f.apply()
+	s.RestoreIter(int(it.data[0]))
+	return nil
 }
 
 // SaveSolverFile atomically writes solver state to path

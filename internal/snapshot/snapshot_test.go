@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,10 +59,16 @@ func TestNetRoundTrip(t *testing.T) {
 	}
 }
 
+// saveNetFile writes SaveNet's bytes to path through the package's atomic
+// file writer.
+func saveNetFile(path string, n *net.Net) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return SaveNet(w, n) })
+}
+
 func TestNetFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.cgdnn")
 	a := buildNet(t, 3)
-	if err := SaveNetFile(path, a); err != nil {
+	if err := saveNetFile(path, a); err != nil {
 		t.Fatal(err)
 	}
 	b := buildNet(t, 4)
@@ -218,7 +225,7 @@ func TestPeekSolverIterReadsWithoutASolver(t *testing.T) {
 	}
 
 	netPath := filepath.Join(dir, "net.cgdnn")
-	if err := SaveNetFile(netPath, n); err != nil {
+	if err := saveNetFile(netPath, n); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := PeekSolverIter(netPath); err == nil {
@@ -304,6 +311,123 @@ func TestLoadSolverRejectsMissingSecondMoments(t *testing.T) {
 	if err := LoadSolver(&buf, adam); err == nil {
 		t.Fatal("SGD snapshot accepted by Adam solver")
 	}
+}
+
+// solverState copies every parameter, every history blob and the
+// iteration counter of s.
+func solverState(s *solver.Solver) [][]float32 {
+	var st [][]float32
+	for _, p := range s.Net().Params() {
+		st = append(st, append([]float32(nil), p.Data()...))
+	}
+	for _, h := range append(s.History(), s.History2()...) {
+		st = append(st, append([]float32(nil), h.Data()...))
+	}
+	return append(st, []float32{float32(s.Iter())})
+}
+
+// A load that is rejected must leave the solver exactly as it was: no
+// parameter, history blob or iteration counter may be written before the
+// last section the load needs has been checked. The guard's rollback
+// target (LoadLatestValid) and dnntrain's final -snapshot both rely on it.
+func TestRejectedLoadLeavesSolverUntouched(t *testing.T) {
+	mk := func(seed uint64, cfg solver.Config) *solver.Solver {
+		s, err := solver.New(cfg, buildNet(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	adamCfg := solver.Config{Type: solver.Adam, BaseLR: 0.001}
+	sgd := mk(31, solver.Config{Type: solver.SGD, BaseLR: 0.01, Momentum: 0.9})
+	sgd.Step(3)
+	var sgdFile, netFile bytes.Buffer
+	if err := SaveSolver(&sgdFile, sgd); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveNet(&netFile, sgd.Net()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		cfg  solver.Config
+	}{
+		{"sgd snapshot into adam", sgdFile.Bytes(), adamCfg},
+		{"net snapshot into sgd", netFile.Bytes(), zoo.LeNetSolver()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mk(32, c.cfg)
+			s.Step(2)
+			want := solverState(s)
+			if err := LoadSolver(bytes.NewReader(c.raw), s); err == nil {
+				t.Fatal("load accepted")
+			}
+			got := solverState(s)
+			for i := range want {
+				if j, ok := sameBits(got[i], want[i]); !ok {
+					t.Fatalf("rejected load wrote state %d (of %d) at element %d: %v, was %v",
+						i, len(want), j, got[i][j], want[i][j])
+				}
+			}
+		})
+	}
+}
+
+// A rejected LoadNet leaves the parameters as they were, even when only a
+// layer-state section, checked after the parameters, is missing.
+func TestRejectedLoadNetLeavesParamsUntouched(t *testing.T) {
+	mk := func(seed uint64) *net.Net {
+		d, err := layers.NewData("data", microSource{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ip, err := layers.NewInnerProduct("ip", layers.IPConfig{NumOutput: 2, RNG: rng.New(seed, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bn, err := layers.NewBatchNorm("bn", layers.BNConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := net.New([]net.LayerSpec{
+			{Layer: d, Tops: []string{"data", "label"}},
+			{Layer: ip, Bottoms: []string{"data"}, Tops: []string{"ip"}},
+			{Layer: bn, Bottoms: []string{"ip"}, Tops: []string{"bn"}},
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	raw := writeSectionsV1(t, netSections(mk(1)))
+	mut := bytes.Replace(raw, []byte(statePrefix+"bn__0"), []byte(statePrefix+"bX__0"), 1)
+	n := mk(2)
+	var want [][]float32
+	for _, p := range n.Params() {
+		want = append(want, append([]float32(nil), p.Data()...))
+	}
+	if err := LoadNet(bytes.NewReader(mut), n); err == nil || !strings.Contains(err.Error(), "missing layer state") {
+		t.Fatalf("got %v, want a missing layer state error", err)
+	}
+	for i, p := range n.Params() {
+		if j, ok := sameBits(p.Data(), want[i]); !ok {
+			t.Fatalf("rejected load wrote param %d at element %d", i, j)
+		}
+	}
+}
+
+// sameBits reports the first index where got and want differ in bits.
+func sameBits(got, want []float32) (int, bool) {
+	if len(got) != len(want) {
+		return 0, false
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return i, false
+		}
+	}
+	return 0, true
 }
 
 func TestBatchNormStateSurvivesSnapshot(t *testing.T) {
@@ -501,11 +625,11 @@ func TestAtomicSaveLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.cgdnn")
 	n := tinyNet(t, 5)
-	if err := SaveNetFile(path, n); err != nil {
+	if err := saveNetFile(path, n); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite in place: the rename must replace, and no temp survives.
-	if err := SaveNetFile(path, n); err != nil {
+	if err := saveNetFile(path, n); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)

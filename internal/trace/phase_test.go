@@ -41,51 +41,3 @@ func TestPhaseNamesReturnsACopy(t *testing.T) {
 		t.Fatalf("mutating the returned slice leaked into the table: %q", b[0])
 	}
 }
-
-func TestBeginEndRecordsNestedSpans(t *testing.T) {
-	tr := New(1)
-	tr.Begin("iteration", PhaseIteration)
-	tr.Begin("fwd", PhaseForward)
-	tr.End()
-	tr.End()
-	spans := tr.Snapshot()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	// The outer span starts first; Snapshot orders by start time.
-	if spans[0].Name != "iteration" || spans[0].Phase != PhaseIteration {
-		t.Fatalf("outer span = %+v", spans[0])
-	}
-	if spans[1].Name != "fwd" || spans[1].Phase != PhaseForward {
-		t.Fatalf("inner span = %+v", spans[1])
-	}
-	for _, s := range spans {
-		if s.Rank != RankDriver || s.Band != -1 {
-			t.Fatalf("Begin/End span must be a driver non-band span, got %+v", s)
-		}
-		if s.Dur < 0 {
-			t.Fatalf("negative duration: %+v", s)
-		}
-	}
-	if spans[0].End() < spans[1].End() {
-		t.Fatalf("outer span ended before inner: %+v vs %+v", spans[0], spans[1])
-	}
-}
-
-func TestBeginEndNilAndUnbalancedAreSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Begin("x", PhaseForward) // must not panic or read a clock
-	tr.End()
-
-	live := New(1)
-	live.End() // no open span: no-op
-	if got := live.Len(); got != 0 {
-		t.Fatalf("unbalanced End recorded %d spans", got)
-	}
-	live.Begin("open", PhaseRegion)
-	live.Reset() // Reset discards the open stack with the spans
-	live.End()
-	if got := live.Len(); got != 0 {
-		t.Fatalf("End after Reset recorded %d spans, want 0", got)
-	}
-}

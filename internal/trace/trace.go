@@ -248,16 +248,6 @@ type Tracer struct {
 	// droppedUnknown counts spans whose rank had no shard (a pool larger
 	// than the tracer was created for). Atomic: any goroutine may trip it.
 	droppedUnknown int64
-	// open is the driver-side stack of Begin spans awaiting End.
-	// Driver-goroutine only, like scope.
-	open []openSpan
-}
-
-// openSpan is one Begin awaiting its matching End.
-type openSpan struct {
-	name  string
-	phase Phase
-	start time.Duration
 }
 
 // New creates a tracer for a team of `workers` pool ranks (plus the
@@ -351,37 +341,6 @@ func (t *Tracer) Record(s Span) {
 	t.shards[idx].add(s)
 }
 
-// Begin opens a driver-side span: the interval from this call to the
-// matching End is recorded as one Span with Rank RankDriver. Begins
-// nest as a stack (iteration > phase > layer). Like every Tracer method
-// it is nil-safe, and a nil tracer reads no clock. dnnlint's phasespan
-// analyzer enforces the pairing discipline statically: every Begin must
-// have a block-balanced End, and phase must be a named constant from
-// the shared vocabulary.
-func (t *Tracer) Begin(name string, phase Phase) {
-	if t == nil {
-		return
-	}
-	//dnnlint:ignore hotalloc span stack reaches steady nesting depth once, then reuses its capacity
-	t.open = append(t.open, openSpan{name: name, phase: phase, start: t.Now()})
-}
-
-// End closes the innermost open Begin and records its span. End with no
-// open span (or on a nil tracer) does nothing, so unwinding paths may
-// call it unconditionally.
-func (t *Tracer) End() {
-	if t == nil {
-		return
-	}
-	if len(t.open) == 0 {
-		return
-	}
-	o := t.open[len(t.open)-1]
-	t.open = t.open[:len(t.open)-1]
-	t.Record(Span{Name: o.name, Phase: o.phase, Rank: RankDriver, Band: -1,
-		Start: o.start, Dur: t.Now() - o.start})
-}
-
 // Dropped returns how many spans were lost to ring overflow or unknown
 // ranks. Call it (like Snapshot) only while no region is in flight.
 func (t *Tracer) Dropped() int64 {
@@ -434,7 +393,6 @@ func (t *Tracer) Reset() {
 		sh.dropped = 0
 	}
 	atomic.StoreInt64(&t.droppedUnknown, 0)
-	t.open = t.open[:0]
 	t.epoch = time.Now()
 }
 

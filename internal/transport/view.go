@@ -54,9 +54,6 @@ func NewView(base Transport, members []int) (*View, error) {
 	return &View{Transport: base, members: append([]int(nil), members...), rank: rank}, nil
 }
 
-// Members returns the view's base ranks in view-rank order.
-func (v *View) Members() []int { return append([]int(nil), v.members...) }
-
 // Rank implements Transport.
 func (v *View) Rank() int { return v.rank }
 

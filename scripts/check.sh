@@ -1,5 +1,6 @@
 #!/bin/sh
-# check.sh — the repository's pre-commit gate: vet (the root module and the
+# check.sh — the repository's pre-commit gate: gofmt (every Go file of both
+# modules must be formatted), vet (the root module and the
 # nested benchmark/ module, which `./...` does not reach), build, dnnlint (the
 # determinism/parallelism contract linter; LINTING.md is the canonical
 # catalogue of its analyzers and this script's self-tests follow its
@@ -53,6 +54,14 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt (root module, benchmark module) =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "FAIL: gofmt -l lists unformatted files (run gofmt -w on them):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet (root module, benchmark module) =="
 go vet ./...
