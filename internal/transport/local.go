@@ -54,8 +54,8 @@ func (l *Local) Rank() int { return l.rank }
 // Size implements Transport.
 func (l *Local) Size() int { return l.size }
 
-// Send implements Transport: it copies payload and enqueues it on the
-// (rank → to) link without blocking.
+// Send implements Transport: it copies payload into a buffer from the
+// (rank → to) link's free list and enqueues it without blocking.
 func (l *Local) Send(to int, tag Tag, payload []float32) error {
 	if l.closed.Load() {
 		return ErrClosed
@@ -63,7 +63,10 @@ func (l *Local) Send(to int, tag Tag, payload []float32) error {
 	if to < 0 || to >= l.size || to == l.rank {
 		return &PeerError{Op: "send", Rank: l.rank, Peer: to, Size: l.size}
 	}
-	l.boxes[to][l.rank].push(frame{tag: tag, payload: append([]float32(nil), payload...)})
+	ib := l.boxes[to][l.rank]
+	buf := ib.take(len(payload))
+	copy(buf, payload)
+	ib.push(frame{tag: tag, payload: buf})
 	return nil
 }
 

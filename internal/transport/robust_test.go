@@ -602,10 +602,10 @@ func TestFlakyDupOverPartitionDeliveryCounts(t *testing.T) {
 	// Raw delivery counts, observed at the shared inboxes before any
 	// Recv dedupes them: 0 frames through the partition, 2 (original +
 	// duplicate) on the open link.
-	if n := len(g[0].boxes[0][1].frames); n != 0 {
+	if n := g[0].boxes[0][1].frames.len(); n != 0 {
 		t.Fatalf("cut link delivered %d frames, want 0", n)
 	}
-	if n := len(g[2].boxes[2][1].frames); n != 2 {
+	if n := g[2].boxes[2][1].frames.len(); n != 2 {
 		t.Fatalf("open link delivered %d frames, want 2", n)
 	}
 	// And the receiver still sees exactly one copy.

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	gonet "net"
 	"sync"
 	"sync/atomic"
@@ -34,11 +33,11 @@ import (
 //	count   u32 LE   (payload length in float32s)
 //	payload count × float32 LE
 //
-// Everything is little-endian to match the snapshot format (CGDNN).
-
-// maxFrameElems bounds a frame's declared payload length; anything
-// larger is a corrupt or hostile header, not a real tensor.
-const maxFrameElems = 1 << 26
+// Everything is little-endian to match the snapshot format (CGDNN), so
+// on a little-endian host a payload's wire bytes are its float32 memory
+// (wire.go): a frame is encoded with one memmove into a buffer from the
+// link writer's free list, and read straight into a buffer from the
+// link inbox's free list.
 
 // maxCtrlLen bounds a control message's declared length.
 const maxCtrlLen = 1 << 20
@@ -102,35 +101,34 @@ func readCtrl(r io.Reader, wantType string) (ctrlMsg, error) {
 	return m, nil
 }
 
-// encodeFrame serializes one data frame.
-func encodeFrame(tag Tag, payload []float32) []byte {
-	b := make([]byte, 12+4*len(payload))
-	binary.LittleEndian.PutUint64(b, uint64(tag))
-	binary.LittleEndian.PutUint32(b[8:], uint32(len(payload)))
-	for i, v := range payload {
-		binary.LittleEndian.PutUint32(b[12+4*i:], math.Float32bits(v))
-	}
-	return b
-}
-
 // tcpWriter is one link's outbound queue. Send enqueues encoded frames
 // and returns immediately; a dedicated goroutine drains the queue onto
 // the socket, so a full kernel buffer can never block the training
 // goroutine (and, because every peer's reader goroutine always drains,
 // the socket itself can never jam the mesh into a deadlock).
 type tcpWriter struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  [][]byte
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue fifo[[]byte]
+	// free holds the frame buffers the loop has written, for Send to
+	// encode the link's next frames into.
+	free   freeList[byte]
 	err    error
 	closed bool
 	exited bool // loop has returned: its bytes are flushed, or its link failed
 }
 
 func newTCPWriter() *tcpWriter {
-	w := &tcpWriter{}
+	w := &tcpWriter{free: freeList[byte]{}}
 	w.cond = sync.NewCond(&w.mu)
 	return w
+}
+
+// buffer returns an n-byte frame buffer, recycled when the link has one.
+func (w *tcpWriter) buffer(n int) []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.free.get(n)
 }
 
 func (w *tcpWriter) enqueue(b []byte) error {
@@ -142,14 +140,15 @@ func (w *tcpWriter) enqueue(b []byte) error {
 	if w.closed {
 		return ErrClosed
 	}
-	w.queue = append(w.queue, b)
+	w.queue.push(b)
 	w.cond.Signal()
 	return nil
 }
 
 // loop drains the queue onto conn until closed (after a final flush) or
 // a write error (recorded for subsequent enqueues), and then marks
-// itself exited for closeFlush.
+// itself exited for closeFlush. A frame's buffer goes back to the free
+// list once bw.Write has returned: bufio has copied or sent its bytes.
 func (w *tcpWriter) loop(conn gonet.Conn) {
 	defer func() {
 		w.mu.Lock()
@@ -158,9 +157,14 @@ func (w *tcpWriter) loop(conn gonet.Conn) {
 		w.mu.Unlock()
 	}()
 	bw := bufio.NewWriter(conn)
+	var written []byte
 	for {
 		w.mu.Lock()
-		for len(w.queue) == 0 && !w.closed && w.err == nil {
+		if written != nil {
+			w.free.put(written)
+			written = nil
+		}
+		for w.queue.len() == 0 && !w.closed && w.err == nil {
 			// Opportunistically flush buffered bytes before sleeping.
 			w.mu.Unlock()
 			if err := bw.Flush(); err != nil {
@@ -168,23 +172,22 @@ func (w *tcpWriter) loop(conn gonet.Conn) {
 				return
 			}
 			w.mu.Lock()
-			if len(w.queue) == 0 && !w.closed && w.err == nil {
+			if w.queue.len() == 0 && !w.closed && w.err == nil {
 				w.cond.Wait()
 			}
 		}
-		if w.err != nil || (w.closed && len(w.queue) == 0) {
+		if w.err != nil || (w.closed && w.queue.len() == 0) {
 			w.mu.Unlock()
 			bw.Flush()
 			return
 		}
-		b := w.queue[0]
-		w.queue[0] = nil
-		w.queue = w.queue[1:]
+		b := w.queue.pop()
 		w.mu.Unlock()
 		if _, err := bw.Write(b); err != nil {
 			w.fail(err)
 			return
 		}
+		written = b
 	}
 }
 
@@ -193,7 +196,7 @@ func (w *tcpWriter) fail(err error) {
 	if w.err == nil {
 		w.err = fmt.Errorf("transport: write: %w", err)
 	}
-	w.queue = nil
+	w.queue.reset()
 	w.cond.Broadcast()
 	w.mu.Unlock()
 }
@@ -220,10 +223,10 @@ func (w *tcpWriter) closeFlush(limit time.Duration) {
 		w.cond.Wait()
 	}
 	wake.Stop()
-	if len(w.queue) > 0 && w.err == nil {
+	if w.queue.len() > 0 && w.err == nil {
 		w.err = fmt.Errorf("transport: close abandoned %d undrained frames after %v: %w",
-			len(w.queue), limit, ErrClosed)
-		w.queue = nil
+			w.queue.len(), limit, ErrClosed)
+		w.queue.reset()
 		w.cond.Broadcast()
 	}
 	w.mu.Unlock()
@@ -275,26 +278,20 @@ func newTCP(rank int, conns []gonet.Conn) *TCP {
 func (t *TCP) readLoop(peer int, conn gonet.Conn) {
 	defer t.readers.Done()
 	br := bufio.NewReader(conn)
+	ib := t.inboxes[peer]
+	buffer := func(tag Tag, n int) []float32 {
+		// RecvCtrl hands a control payload to its caller to keep, so only
+		// data frames draw on (and go back to) the inbox's free list.
+		if tag.Kind().Ctrl() {
+			return make([]float32, n)
+		}
+		return ib.take(n)
+	}
 	for {
-		var hdr [12]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		tag, payload, err := readFrame(br, buffer)
+		if err != nil {
 			t.linkDown(peer, err)
 			return
-		}
-		tag := Tag(binary.LittleEndian.Uint64(hdr[:8]))
-		n := binary.LittleEndian.Uint32(hdr[8:])
-		if n > maxFrameElems {
-			t.linkDown(peer, fmt.Errorf("transport: frame from rank %d declares %d elements", peer, n))
-			return
-		}
-		raw := make([]byte, 4*n)
-		if _, err := io.ReadFull(br, raw); err != nil {
-			t.linkDown(peer, err)
-			return
-		}
-		payload := make([]float32, n)
-		for i := range payload {
-			payload[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 		// Control frames ride the same socket (preserving one wire format)
 		// but land in the out-of-band queue so a blocked data Recv cannot
@@ -303,7 +300,7 @@ func (t *TCP) readLoop(peer int, conn gonet.Conn) {
 			t.ctrls[peer].offer(frame{tag: tag, payload: payload})
 			continue
 		}
-		t.inboxes[peer].push(frame{tag: tag, payload: payload})
+		ib.push(frame{tag: tag, payload: payload})
 	}
 }
 
@@ -324,9 +321,11 @@ func (t *TCP) Rank() int { return t.rank }
 // Size implements Transport.
 func (t *TCP) Size() int { return t.size }
 
-// Send implements Transport: it serializes the frame and enqueues it on
-// the link's writer without waiting for the socket. A link whose writer
-// has failed reports *PeerDownError naming the peer.
+// Send implements Transport: it encodes the frame into a buffer from the
+// link writer's free list and enqueues it without waiting for the
+// socket. A payload longer than one frame may carry is refused here,
+// before anything is enqueued. A link whose writer has failed reports
+// *PeerDownError naming the peer.
 func (t *TCP) Send(to int, tag Tag, payload []float32) error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -334,7 +333,13 @@ func (t *TCP) Send(to int, tag Tag, payload []float32) error {
 	if to < 0 || to >= t.size || to == t.rank {
 		return &PeerError{Op: "send", Rank: t.rank, Peer: to, Size: t.size}
 	}
-	if err := t.writers[to].enqueue(encodeFrame(tag, payload)); err != nil {
+	if err := checkFrameLen(len(payload)); err != nil {
+		return err
+	}
+	w := t.writers[to]
+	b := w.buffer(frameHeader + 4*len(payload))
+	encodeFrame(b, tag, payload)
+	if err := w.enqueue(b); err != nil {
 		if errors.Is(err, ErrClosed) || errors.Is(err, ErrPeerDown) {
 			return err
 		}

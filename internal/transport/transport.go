@@ -46,9 +46,20 @@
 // # Implementations
 //
 // NewLocalGroup wires Size in-process endpoints (goroutine-per-replica,
-// used by tests and dnncluster's single-process mode); ListenTCP /
+// used by tests and dnncluster's single-process mode); NewCoordinator /
 // DialTCP build a full mesh of TCP connections across processes via a
 // coordinator rendezvous.
+//
+// # Payload buffers
+//
+// Send never keeps the caller's slice: Local copies the payload into a
+// buffer from the receiving inbox's free list, TCP encodes it — the
+// float32s' little-endian image, one memmove on a little-endian host —
+// into a buffer from the link writer's free list, and on arrival reads
+// the body straight into a buffer from the inbox's free list. Recv copies
+// a payload into buf, and the frame's buffer goes back to its link's
+// free list, so a warm link allocates nothing per frame. Control frames
+// are the exception: RecvCtrl hands their payloads to the caller to keep.
 //
 // # Decorators
 //
@@ -312,7 +323,8 @@ func (e *SizeMismatchError) Error() string {
 // without waiting for the receiver (per-link FIFO order is preserved).
 // Recv blocks until the frame labeled `tag` arrives from rank `from`
 // and copies its payload into buf, whose length must equal the sender's
-// payload length. Concurrent Sends are safe; Recv must be called by one
+// payload length; the frame's own buffer then goes back to the link's
+// free list for a later frame of the same length. Concurrent Sends are safe; Recv must be called by one
 // goroutine per link at a time (the lock-step protocol does so
 // naturally). SendCtrl/RecvCtrl move out-of-band control frames; one
 // goroutine per link should consume RecvCtrl. Interrupt makes pending
@@ -327,7 +339,8 @@ type Transport interface {
 	Size() int
 	// Send enqueues payload for rank to under tag (data plane).
 	Send(to int, tag Tag, payload []float32) error
-	// Recv blocks until the frame labeled tag arrives from rank from.
+	// Recv blocks until the frame labeled tag arrives from rank from and
+	// copies its payload into buf; the frame's buffer is recycled.
 	Recv(from int, tag Tag, buf []float32) error
 	// SendCtrl enqueues a control frame for rank to. Best-effort: a slow
 	// or dead receiver may shed it.
@@ -364,7 +377,11 @@ const ctrlQueueCap = 256
 type inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	frames []frame
+	frames fifo[frame]
+	// free holds the payload buffers recv has copied out, keyed by length,
+	// for the writer side's next frames on this link (take). Control
+	// frames never pass through an inbox, so never through free.
+	free freeList[float32]
 	// delivered tracks tags consumed in the current (epoch, iteration) so
 	// that duplicates (fault-injected or retry-induced) are recognized; it
 	// is generational — reset whenever delivery advances — so it stays
@@ -378,17 +395,25 @@ type inbox struct {
 }
 
 func newInbox() *inbox {
-	ib := &inbox{delivered: make(map[Tag]bool)}
+	ib := &inbox{delivered: make(map[Tag]bool), free: freeList[float32]{}}
 	ib.cond = sync.NewCond(&ib.mu)
 	return ib
 }
 
+// take returns an n-element payload buffer for the writer side to fill
+// and push: one recv has finished with, when the link has one.
+func (ib *inbox) take(n int) []float32 {
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	return ib.free.get(n)
+}
+
 // push appends a frame (writer side). The payload must be owned by the
-// inbox (callers copy before pushing).
+// inbox: a buffer from take, filled by the caller.
 func (ib *inbox) push(f frame) {
 	ib.mu.Lock()
 	if !ib.closed {
-		ib.frames = append(ib.frames, f)
+		ib.frames.push(f)
 		ib.cond.Signal()
 	}
 	ib.mu.Unlock()
@@ -445,12 +470,14 @@ func staleTag(got, want Tag) bool {
 
 // recv implements the matching discipline documented on Transport.Recv:
 // deliver want, discard duplicates and stale iterations/epochs, reject
-// anything else. from is only used for error reporting.
+// anything else. from is only used for error reporting. Every frame it
+// takes off the queue, delivered or not, returns its payload buffer to
+// the free list.
 func (ib *inbox) recv(from int, want Tag, buf []float32) error {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	for {
-		for len(ib.frames) == 0 {
+		for ib.frames.len() == 0 {
 			if ib.intr != nil {
 				return ib.intr
 			}
@@ -462,17 +489,13 @@ func (ib *inbox) recv(from int, want Tag, buf []float32) error {
 			}
 			ib.cond.Wait()
 		}
-		f := ib.frames[0]
-		// Release the head slot eagerly so the backing array is reusable.
-		ib.frames[0] = frame{}
-		ib.frames = ib.frames[1:]
-		if len(ib.frames) == 0 {
-			ib.frames = nil
-		}
+		f := ib.frames.pop()
+		var err error
 		switch {
 		case f.tag == want:
 			if len(f.payload) != len(buf) {
-				return &SizeMismatchError{From: from, Tag: f.tag, Got: len(f.payload), Want: len(buf)}
+				err = &SizeMismatchError{From: from, Tag: f.tag, Got: len(f.payload), Want: len(buf)}
+				break
 			}
 			if e, it := want.Epoch(), want.Iter(); e > ib.curEpoch || (e == ib.curEpoch && it > ib.curIter) {
 				// New iteration (or epoch): previous generations are complete
@@ -482,17 +505,22 @@ func (ib *inbox) recv(from int, want Tag, buf []float32) error {
 			}
 			ib.delivered[want] = true
 			copy(buf, f.payload)
-			return nil
 		case staleTag(f.tag, want):
 			// Stale leftover from a finished iteration or an abandoned
 			// epoch (a duplicate whose original was consumed before the
 			// link advanced, or lock-step traffic cut short by a fence):
 			// discard.
+			ib.free.put(f.payload)
+			continue
 		case ib.delivered[f.tag]:
 			// Duplicate within the current iteration: discard.
+			ib.free.put(f.payload)
+			continue
 		default:
-			return &UnexpectedTagError{From: from, Got: f.tag, Want: want}
+			err = &UnexpectedTagError{From: from, Got: f.tag, Want: want}
 		}
+		ib.free.put(f.payload)
+		return err
 	}
 }
 

@@ -308,7 +308,7 @@ func TestLocalAllPairs(t *testing.T) {
 
 // dialTCPGroup rendezvouses a size-rank TCP group on loopback and
 // returns all endpoints (index = rank).
-func dialTCPGroup(t *testing.T, size int) []Transport {
+func dialTCPGroup(t testing.TB, size int) []Transport {
 	t.Helper()
 	coord, err := NewCoordinator("127.0.0.1:0", size)
 	if err != nil {

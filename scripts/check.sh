@@ -20,11 +20,15 @@
 # the position-at-a-time loops as oracle), a 5-second FuzzCodec smoke
 # (arbitrary float32 bits through every gradient wire format: exact
 # WireLen, documented error bounds, non-finite in stays non-finite out),
+# a 5-second FuzzReadFrame smoke (arbitrary bytes through the TCP frame
+# reader: no panic, an over-limit length or a short body is an error,
+# every encoded frame decodes to its tag and bits),
 # the reduction determinism sweep
 # (the element-parallel ordered merge must stay bit-identical to the serial
 # ordered merge at every worker count), one pass each of the A-red
-# ablation benchmark (ordered vs tree merge) and of the LRN and ReLU layer
-# benchmarks at CIFAR-10-full's norm1/relu1 shapes, plus a dedicated race pass over
+# ablation benchmark (ordered vs tree merge), of the LRN and ReLU layer
+# benchmarks at CIFAR-10-full's norm1/relu1 shapes and of the TCP frame
+# round trip (one LeNet-sized frame), plus a dedicated race pass over
 # the spin-then-park barrier, a tracing smoke run (layerprof -trace) that
 # must produce valid Chrome trace-event JSON, the engine grid (dnnbench
 # -figure engines: sequential, coarse and fine on the direct and on the
@@ -138,6 +142,9 @@ go test -run '^$' -fuzz '^FuzzLRN$' -fuzztime 5s ./internal/layers
 echo "== FuzzCodec smoke (5 s: every gradient wire format on arbitrary float32 bits: WireLen, error bounds, non-finite kept) =="
 go test -run '^$' -fuzz '^FuzzCodec$' -fuzztime 5s ./internal/transport
 
+echo "== FuzzReadFrame smoke (5 s: the TCP frame reader never panics, rejects over-limit lengths and short bodies, decodes every encoded frame bit for bit) =="
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/transport
+
 echo "== FuzzParse smoke (5 s: prototxt Parse never panics, and what it accepts renders to text that parses back to the same rendering) =="
 # A short minimize budget: the configs/*.prototxt seeds are kilobytes, and
 # minimizing each new input from them would otherwise take the whole 5 s.
@@ -152,6 +159,9 @@ go test -run '^$' -bench BenchmarkOrderedReduce -benchtime 1x ./internal/core
 
 echo "== layer benchmarks (LRN at norm1, ReLU at relu1), one pass so they cannot rot =="
 go test -run '^$' -bench 'BenchmarkLRN|BenchmarkReLU' -benchtime 1x ./internal/layers
+
+echo "== TCP frame benchmark (one LeNet-sized frame out and back over loopback), one pass so it cannot rot =="
+go test -run '^$' -bench BenchmarkTCPFrame -benchtime 1x ./internal/transport
 
 echo "== barrier stress under race (spin-then-park fork/join) =="
 go test -race -count=1 -run 'TestBarrier|TestOrderedSlices|TestPanic|TestRegion' ./internal/par
