@@ -3,7 +3,7 @@
 //
 //	dnnlint ./...                 # the whole module, tests included
 //	dnnlint -tests=false ./...    # non-test code only
-//	dnnlint -only parbody ./internal/blas
+//	dnnlint -only hotalloc ./internal/blas
 //	dnnlint -json ./...           # one JSON object per finding, per line
 //	dnnlint -list                 # describe the analyzers
 //

@@ -41,6 +41,11 @@
 // layer chooses how many loops it coalesces (the paper: "the number of
 // coalesced loops is layer dependent") precisely so that this holds. The
 // channel ranges of a ChannelRanger obey the same rule over channels.
+// The contract's executable form is internal/core's TestBandContract: it
+// runs every catalogue layer's range bodies one band at a time, under
+// every cut, into poisoned outputs, and fails on a write outside a band's
+// rectangle or a final bit that differs from the engine's own run. Every
+// New* constructor here needs a case there.
 //
 // Work that is inherently sequential — loading a data batch, summing
 // per-sample losses — lives in the optional ForwardPreparer /

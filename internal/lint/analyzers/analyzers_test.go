@@ -9,11 +9,7 @@ import (
 // Each analyzer is pinned to its fixture package: the positive `// want`
 // expectations fail the test if the detection logic is disabled, the
 // negative sections fail it if the analyzer over-reports the sanctioned
-// idioms (rank-indexed writes, ordered merges, nil-guarded methods).
-
-func TestParbody(t *testing.T) {
-	lint.Fixture(t, Parbody, "parbody")
-}
+// idioms (sorted-key reductions, nil-guarded methods, joined goroutines).
 
 func TestOrderedReduce(t *testing.T) {
 	lint.Fixture(t, OrderedReduce, "orderedreduce")
@@ -21,10 +17,6 @@ func TestOrderedReduce(t *testing.T) {
 
 func TestBlobAlias(t *testing.T) {
 	lint.Fixture(t, BlobAlias, "blobalias")
-}
-
-func TestParbodyInterprocedural(t *testing.T) {
-	lint.Fixture(t, Parbody, "interproc")
 }
 
 func TestHotAlloc(t *testing.T) {
@@ -73,7 +65,7 @@ func TestChanMisuse(t *testing.T) {
 
 func TestAllIsComplete(t *testing.T) {
 	want := map[string]bool{
-		"parbody": true, "orderedreduce": true, "blobalias": true,
+		"orderedreduce": true, "blobalias": true,
 		"hotalloc": true, "tracenil": true, "transerr": true,
 		"gorolife": true, "phasespan": true, "chanmisuse": true,
 	}

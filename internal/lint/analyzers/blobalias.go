@@ -86,7 +86,7 @@ func checkBlobAliases(pass *lint.Pass, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.CallExpr:
-			fn := calleeOf(pass.Info, st)
+			fn := lint.Callee(pass.Info, st)
 			if fn != nil && (fn.Name() == "Reshape" || fn.Name() == "ReshapeLike") &&
 				isMethodOn(fn, "blob", "Blob", fn.Name()) {
 				if sel, ok := ast.Unparen(st.Fun).(*ast.SelectorExpr); ok {
@@ -159,7 +159,7 @@ func blobBufferCall(info *types.Info, expr ast.Expr) (recv ast.Expr, method stri
 	if !isCall {
 		return nil, "", false
 	}
-	fn := calleeOf(info, call)
+	fn := lint.Callee(info, call)
 	if fn == nil || (fn.Name() != "Data" && fn.Name() != "Diff") ||
 		!isMethodOn(fn, "blob", "Blob", fn.Name()) {
 		return nil, "", false

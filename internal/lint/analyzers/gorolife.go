@@ -101,7 +101,7 @@ func opensWithJoinDefer(pass *lint.Pass, call *ast.CallExpr) bool {
 	var body *ast.BlockStmt
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		body = lit.Body
-	} else if fn := calleeOf(pass.Info, call); fn != nil {
+	} else if fn := lint.Callee(pass.Info, call); fn != nil {
 		if decl := pass.Prog.DeclOf(fn); decl != nil {
 			body = decl.Body
 		}

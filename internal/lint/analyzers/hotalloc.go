@@ -33,12 +33,16 @@ import (
 // depends on them staying allocation-free after warm-up.
 //
 // The kernel package is the fourth: everything in a package named blas —
-// the lowered convolution's driver (ConvForward, ConvBackward*), the panel
-// packers it and Gemm share (packA/packB/packBConv*, PackA, lower,
-// interleave4), Im2col/Col2im, the level-1 helpers — runs once per sample
-// per layer per pass, whatever its name. The whole package is held to the
-// standard rather than a list of names, so a packer added later cannot
-// slip past by being called something new.
+// the GEMM and lowered-convolution drivers, the panel packers they share,
+// Im2col/Col2im, the level-1 helpers — runs once per sample per layer per
+// pass, whatever its name. The whole package is held to the standard
+// rather than a list of names, so a packer added later cannot slip past
+// by being called something new.
+//
+// A training step of the lowered zoo nets is also pinned at run time
+// (zoo's TestStepAllocations); this analyzer covers what those pins do not
+// run — the direct convolution, the layers outside the zoo nets — on every
+// path, whatever the configuration.
 //
 // Deliberate allocations (e.g. one-time growth amortized across batches)
 // are waived with `//dnnlint:ignore hotalloc <why>`.
@@ -68,58 +72,31 @@ func hotFunc(name string, kernelPkg bool) bool {
 		strings.Contains(lower, "gemm")
 }
 
-// isGuardScan reports whether fd is a per-iteration guard scan: a method
-// named Check* or scan* on (a pointer to) a type named Monitor in a
-// package named guard. These run from the solver's pre-update hook every
-// iteration, so their loops are as hot as a Backward pass.
-func isGuardScan(pass *lint.Pass, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil {
-		return false
-	}
-	lower := strings.ToLower(fd.Name.Name)
-	if !strings.HasPrefix(lower, "check") && !strings.HasPrefix(lower, "scan") {
-		return false
-	}
-	fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return isNamed(sig.Recv().Type(), "guard", "Monitor")
+// hotMethods are the per-iteration methods outside the name rule, by
+// receiver type and lower-cased method-name prefix: guard.Monitor's
+// Check*/scan* run from the solver's pre-update hook every iteration;
+// serve.replica's Infer* runs once per dispatched batch and
+// serve.feeder's Read* once per staged sample, for the daemon's lifetime.
+var hotMethods = []struct{ pkg, typ, prefix string }{
+	{"guard", "Monitor", "check"},
+	{"guard", "Monitor", "scan"},
+	{"serve", "replica", "infer"},
+	{"serve", "feeder", "read"},
 }
 
-// isServeHot reports whether fd is on the serving request path: an
-// Infer* method on serve.replica (runs once per dispatched batch) or a
-// Read* method on serve.feeder (runs once per staged sample via the
-// Data layer). These execute for every request for the lifetime of the
-// daemon, so their loops are held to the same zero-alloc standard as a
-// Forward pass.
-func isServeHot(pass *lint.Pass, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil {
-		return false
-	}
-	name := fd.Name.Name
-	wantType := ""
-	switch {
-	case strings.HasPrefix(name, "Infer"):
-		wantType = "replica"
-	case strings.HasPrefix(name, "Read"):
-		wantType = "feeder"
-	default:
-		return false
-	}
+// isHotMethod reports whether fd is one of hotMethods.
+func isHotMethod(pass *lint.Pass, fd *ast.FuncDecl) bool {
 	fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
+	if !ok || fd.Recv == nil {
 		return false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	for _, m := range hotMethods {
+		if strings.HasPrefix(strings.ToLower(fd.Name.Name), m.prefix) && isNamed(recv, m.pkg, m.typ) {
+			return true
+		}
 	}
-	return isNamed(sig.Recv().Type(), "serve", wantType)
+	return false
 }
 
 func runHotAlloc(pass *lint.Pass) {
@@ -130,7 +107,7 @@ func runHotAlloc(pass *lint.Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if !hotFunc(fd.Name.Name, kernelPkg) && !isGuardScan(pass, fd) && !isServeHot(pass, fd) {
+			if !hotFunc(fd.Name.Name, kernelPkg) && !isHotMethod(pass, fd) {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -180,7 +157,7 @@ func flagAllocs(pass *lint.Pass, fn string, body *ast.BlockStmt) {
 				return true
 			}
 		}
-		callee := calleeOf(pass.Info, call)
+		callee := lint.Callee(pass.Info, call)
 		if callee == nil {
 			return true
 		}
@@ -197,7 +174,7 @@ func flagAllocs(pass *lint.Pass, fn string, body *ast.BlockStmt) {
 			isNamed(sig.Recv().Type(), "core", "arena") {
 			return true
 		}
-		// v2: see through the call — a helper whose effect summary
+		// See through the call: a helper whose effect summary
 		// allocates (make/append/new/fmt anywhere within the summary
 		// depth, waived sites excluded) still allocates per iteration.
 		if s := pass.Prog.Summary(callee); s != nil && s.Alloc.Found {

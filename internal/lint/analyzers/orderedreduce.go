@@ -8,66 +8,25 @@ import (
 	"coarsegrain/internal/lint"
 )
 
-// OrderedReduce enforces the deterministic-reduction contract (Algorithm 5
-// of the paper, internal/par's OrderedSlices and Ordered): floating-point
-// accumulation is not associative, so any float reduction whose visit
-// order is not fixed yields results that differ between runs in the last
-// bits — exactly what the convergence-invariance property forbids. Two
-// shapes are flagged:
+// OrderedReduce enforces the deterministic-reduction contract where no
+// test can: floating-point accumulation is not associative, so a float
+// reduction whose visit order is not fixed yields results that differ
+// between runs in the last bits — exactly what the convergence-invariance
+// property forbids. The shape it flags is float accumulation driven by
+// `range` over a map, whose iteration order the runtime randomizes even on
+// a single goroutine, so a test passes or fails by the draw.
 //
-//  1. float accumulation into captured state inside a parallel
-//     worksharing closure (the merge must instead go through
-//     Pool.OrderedSlices, which folds ranks in increasing order over each
-//     element);
-//  2. float accumulation driven by `range` over a map, whose iteration
-//     order is randomized by the runtime even on a single goroutine;
-//  3. a hand-rolled cross-rank fold — a loop bounded by Pool.Workers()
-//     accumulating per-rank float partials inside a live worksharing
-//     closure. Even when the writes are element-disjoint, the fold reads
-//     peer ranks' partials while those ranks may still be producing them.
-//     Pool.OrderedSlices is the sanctioned form: it runs the same
-//     rank-ordered fold in its own region, after the compute region's
-//     join, and carries the bit-determinism proof and reduce-phase
-//     tracing with it.
+// Cross-rank reductions are the engine's, and are pinned at run time: the
+// rank-ordered fold is core's Pool.OrderedSlices call, which
+// TestBackwardNeverRoutesThroughForDynamic requires, and a band that
+// writes outside its own outputs fails core's TestBandContract.
 var OrderedReduce = &lint.Analyzer{
 	Name: "orderedreduce",
-	Doc: "flags nondeterministic floating-point reductions: cross-rank float accumulation " +
-		"outside Pool.OrderedSlices, float accumulation over map iteration order, " +
-		"and hand-rolled rank folds that should go through Pool.OrderedSlices",
-	Run: runOrderedReduce,
+	Doc:  "flags floating-point accumulation driven by range over a map, whose visit order is nondeterministic",
+	Run:  runOrderedReduce,
 }
 
 func runOrderedReduce(pass *lint.Pass) {
-	// Shape 1: cross-rank accumulation inside worksharing closures.
-	forEachPoolClosure(pass, func(c *poolClosure) {
-		for _, w := range c.writesToShared() {
-			// Compound forms (+=, ++) carry the determinism message; the
-			// plain `x = x + v` form is already reported by parbody as a
-			// shared write.
-			if !w.compound {
-				continue
-			}
-			if !isFloat(pass.TypeOf(w.lhs)) {
-				continue
-			}
-			pass.Reportf(w.pos,
-				"cross-rank floating-point accumulation into %q inside Pool.%s closure: "+
-					"accumulation order depends on rank interleaving, so the result is not "+
-					"bit-deterministic — privatize per rank and merge with Pool.OrderedSlices",
-				exprString(pass.Fset, w.lhs), c.method)
-		}
-
-		// Shape 3: hand-rolled rank folds. OrderedSlices closures ARE the
-		// sanctioned rank fold, so they are exempt; everywhere else a
-		// Workers()-bounded loop that accumulates floats into captured
-		// memory is merging partials inside a live region.
-		if c.method == "OrderedSlices" {
-			return
-		}
-		reportRawRankFolds(pass, c)
-	})
-
-	// Shape 2: float accumulation under map iteration.
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
@@ -120,64 +79,6 @@ func runOrderedReduce(pass *lint.Pass) {
 			return true
 		})
 	}
-}
-
-// reportRawRankFolds flags shape 3 inside one worksharing closure:
-// compound float accumulation into captured memory, nested in a for
-// loop whose condition is bounded by a (par.Pool).Workers() call. Only
-// schedule-indexed targets are reported here — folds into unindexed
-// captured state are already shape 1 findings, and reporting both would
-// double-diagnose one write.
-func reportRawRankFolds(pass *lint.Pass, c *poolClosure) {
-	ast.Inspect(c.fn.Body, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok || loop.Cond == nil || !mentionsWorkersCall(pass, loop.Cond) {
-			return true
-		}
-		ast.Inspect(loop.Body, func(m ast.Node) bool {
-			st, ok := m.(*ast.AssignStmt)
-			if !ok || st.Tok == token.ASSIGN || st.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range st.Lhs {
-				if !isFloat(pass.TypeOf(lhs)) {
-					continue
-				}
-				root, safeIndexed := c.unwrapTarget(lhs)
-				if root == nil || !safeIndexed {
-					continue
-				}
-				obj := objectOf(pass.Info, root)
-				if obj == nil || !c.capturedBy(obj) {
-					continue
-				}
-				pass.Reportf(lhs.Pos(),
-					"hand-rolled cross-rank fold into %q inside Pool.%s closure: the Workers()-bounded "+
-						"loop merges rank partials while peer ranks may still be writing them — run the "+
-						"merge through Pool.OrderedSlices after the compute region has joined",
-					exprString(pass.Fset, lhs), c.method)
-			}
-			return true
-		})
-		return true
-	})
-}
-
-// mentionsWorkersCall reports whether expr contains a call to the
-// worker-team size accessor (par.Pool).Workers.
-func mentionsWorkersCall(pass *lint.Pass, expr ast.Expr) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return !found
-		}
-		if fn := calleeOf(pass.Info, call); fn != nil && isMethodOn(fn, "par", "Pool", "Workers") {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // indexedByAny reports whether any index step in lhs's access chain

@@ -91,7 +91,7 @@ func phaseLiteral(e ast.Expr) *ast.BasicLit {
 // parameter type is trace.Phase (SetScope, and any future API with a
 // Phase parameter).
 func checkPhaseArgs(pass *lint.Pass, call *ast.CallExpr) {
-	fn := calleeOf(pass.Info, call)
+	fn := lint.Callee(pass.Info, call)
 	if fn == nil {
 		return
 	}

@@ -84,7 +84,7 @@ func isErrorsIsMethod(pass *lint.Pass, decl *ast.FuncDecl) bool {
 // error flow reaches one. The second return names the origin for the
 // message.
 func transportErrCall(pass *lint.Pass, call *ast.CallExpr) (string, bool) {
-	fn := calleeOf(pass.Info, call)
+	fn := lint.Callee(pass.Info, call)
 	if fn == nil {
 		return "", false
 	}

@@ -1,12 +1,11 @@
 package lint
 
-// This file is the interprocedural half of the framework (dnnlint v2):
-// a module-wide index of function declarations plus their statically
-// resolved callees. Analyzers stay per-package (a Pass still carries one
-// package), but every Pass now also carries the Program built over the
-// whole analysis set, so a check inside one function can ask what a
-// callee — possibly in another package — does to its arguments. The
-// effect summaries consuming this index live in effects.go.
+// This file is the interprocedural half of the framework: a module-wide
+// index of function declarations plus their statically resolved callees.
+// Analyzers stay per-package (a Pass carries one package), but every Pass
+// also carries the Program built over the whole analysis set, so a check
+// inside one function can ask what a callee — possibly in another package
+// — can do. The effect summaries built on this index live in effects.go.
 
 import (
 	"go/ast"
@@ -25,8 +24,9 @@ type FuncInfo struct {
 	Pkg *Package
 	// Callees lists every function the body calls that resolved to a
 	// declaration in the Program, deduplicated, in source order of first
-	// call. Calls through function values, builtins and functions outside
-	// the analysis set (standard library) are not recorded.
+	// call. Calls through function values or interfaces, builtins and
+	// functions outside the analysis set (standard library) are not
+	// recorded.
 	Callees []*types.Func
 }
 
@@ -41,7 +41,6 @@ type Program struct {
 	funcs     map[*types.Func]*FuncInfo
 	order     []*types.Func // deterministic iteration order
 	summaries map[*types.Func]*Summary
-	edges     map[*types.Func][]callEdge
 }
 
 // NewProgram indexes pkgs and computes effect summaries (effects.go).
@@ -54,17 +53,12 @@ func NewProgram(pkgs []*Package) *Program {
 				if !ok {
 					continue
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					p.funcs[fn] = &FuncInfo{Fn: fn, Decl: fd, Pkg: pkg}
+					p.order = append(p.order, fn)
 				}
-				p.funcs[fn] = &FuncInfo{Fn: fn, Decl: fd, Pkg: pkg}
-				p.order = append(p.order, fn)
 			}
 		}
-	}
-	for _, fn := range p.order {
-		p.resolveCallees(p.funcs[fn])
 	}
 	p.computeSummaries()
 	return p
@@ -87,48 +81,13 @@ func (p *Program) DeclOf(fn *types.Func) *ast.FuncDecl {
 	return nil
 }
 
-// CalleeOf resolves the declared function or method a call invokes, or
-// nil for calls through function values, builtins, conversions and
-// functions outside the analysis set. It is the interprocedural
-// counterpart of the per-package callee helpers analyzers already use.
-func (p *Program) CalleeOf(info *types.Info, call *ast.CallExpr) *FuncInfo {
-	if p == nil {
-		return nil
-	}
-	return p.funcs[staticCallee(info, call)]
-}
-
-// resolveCallees records fi's statically resolved callees.
-func (p *Program) resolveCallees(fi *FuncInfo) {
-	if fi.Decl.Body == nil {
-		return
-	}
-	seen := map[*types.Func]bool{}
-	info := fi.Pkg.Info
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := staticCallee(info, call)
-		if fn == nil || seen[fn] {
-			return true
-		}
-		if _, inProgram := p.funcs[fn]; !inProgram {
-			return true
-		}
-		seen[fn] = true
-		fi.Callees = append(fi.Callees, fn)
-		return true
-	})
-}
-
-// staticCallee resolves a call expression to the *types.Func it invokes,
-// if the call names the function directly (plain call, selector call or
-// method value on a concrete receiver). Interface method calls resolve
-// to the interface's method object, which never has a declaration in
-// the Program, so they naturally fall outside the summarized set.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+// Callee resolves a call expression to the *types.Func it invokes, if the
+// call names the function directly (plain call, selector call or method
+// value on a concrete receiver), and returns nil for calls through
+// function values, builtins and conversions. An interface method call
+// resolves to the interface's method object, which has no declaration in
+// the Program.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {

@@ -1,28 +1,18 @@
 package lint
 
-// Per-function effect summaries — the second half of dnnlint v2. For
-// every function in the Program we record, bottom-up with bounded
-// depth, whether calling it (a) writes memory the caller can see
-// through a parameter or the receiver, (b) writes package-level state,
-// (c) allocates (make/append/new/fmt, the hotalloc vocabulary),
-// (d) spawns a goroutine, or (e) can return a transport error
-// (transport.Send/Recv error flow). parbody and hotalloc consume (a–c)
-// to see through the closure boundary; transerr consumes (e).
+// Per-function effect summaries. For every function in the Program we
+// record, bottom-up with bounded depth, whether calling it can
+// (a) allocate — make/append/new or a fmt call, the hotalloc vocabulary —
+// or (b) return an error that originates in a transport Send/Recv.
+// hotalloc reads (a) to see an allocation below a call in a hot loop;
+// transerr reads (b) to hold wrappers of Send/Recv to Send/Recv's
+// standard. Both are plain reachability over the static call graph: a
+// call through an interface or a function value is not followed.
 //
-// Writes carry a "steered" bit: a write is steered when the element it
-// touches is selected by an integer parameter (directly, or through a
-// slice/index chain derived from one). Steered writes are the sanctioned
-// privatization idiom — blob.AccumulateDiffRange(o, lo, hi) writes
-// b.diff[lo:hi] and is race-free exactly because each worker passes a
-// disjoint range — so analyzers only flag unsteered effects, or steered
-// ones whose call-site arguments are not schedule-derived.
-//
-// The pass is flow-insensitive and intentionally conservative in both
-// directions a linter can afford: a few aliasing patterns are missed
-// (address-of escapes, writes through stored struct fields), and waived
-// allocation sites (//dnnlint:ignore hotalloc) do not poison caller
-// summaries, so an amortized append inside a pre-sized ring does not
-// condemn every hot loop that records a trace span.
+// Waived allocation sites (//dnnlint:ignore hotalloc) and panic paths do
+// not count, so an amortized append inside a pre-sized ring does not
+// condemn every hot loop that records a trace span, and a failure message
+// built on the way down is not a per-iteration cost.
 
 import (
 	"go/ast"
@@ -38,37 +28,23 @@ const maxSummaryDepth = 4
 type Effect struct {
 	// Found reports whether the effect occurs at all.
 	Found bool
-	// Site is the position of the underlying operation (the assignment,
-	// the make call, ...), possibly several calls below the summarized
+	// Site is the position of the underlying operation (the make call,
+	// the Send call, ...), possibly several calls below the summarized
 	// function.
 	Site token.Pos
 	// Depth is the number of call hops between the summarized function
 	// and Site: 0 for a direct effect.
 	Depth int
 	// What is a short rendering of the underlying operation, for
-	// diagnostics ("b.diff[i] +=", "append", ...).
+	// diagnostics ("append", "fmt.Sprintf", "Send", ...).
 	What string
-	// Steered reports that the written location is selected by an
-	// integer parameter of the summarized function, so the caller
-	// controls which element is touched (the privatization idiom).
-	// Meaningless for Alloc and TransportErr.
-	Steered bool
 }
 
 // A Summary is the bounded-depth effect summary of one function.
 type Summary struct {
-	// Params[i] is the write effect through parameter i (memory the
-	// caller sees: slice elements, pointees, map entries).
-	Params []Effect
-	// Recv is the write effect through the method receiver.
-	Recv Effect
-	// Global is a write to a package-level variable.
-	Global Effect
 	// Alloc is a heap allocation (make/append/new or a fmt call),
 	// excluding panic paths and sites waived for hotalloc.
 	Alloc Effect
-	// Spawns reports that calling the function may launch a goroutine.
-	Spawns bool
 	// TransportErr reports that the function returns an error that can
 	// originate from a transport Send/Recv, so callers dropping its
 	// error drop a transport failure.
@@ -84,79 +60,34 @@ func (p *Program) Summary(fn *types.Func) *Summary {
 	return p.summaries[fn]
 }
 
-// rootKind classifies what an expression's write target resolves to.
-type rootKind int
-
-const (
-	rootNone rootKind = iota
-	rootParam
-	rootRecv
-	rootGlobal
-)
-
-type rootRef struct {
-	kind  rootKind
-	param int          // parameter index for rootParam
-	obj   types.Object // the package-level variable for rootGlobal
-}
-
-// An argRef ties one call argument (or the receiver) to the caller's
-// own roots, for folding callee effects into the caller's summary.
-type argRef struct {
-	root    rootRef
-	steered bool // the argument expression is itself a steered view (buf[lo:hi])
-	param   int  // callee parameter index this argument binds
-}
-
+// callEdge is one static call into the Program.
 type callEdge struct {
-	callee      *types.Func
-	pos         token.Pos
-	recv        argRef
-	hasRecv     bool
-	args        []argRef
-	argsDerived bool // some argument mentions a caller-parameter-derived value
-	underPanic  bool
-}
-
-type posRange struct{ lo, hi token.Pos }
-
-// funcScope carries the per-function context the direct-effect walk
-// needs: parameter objects, the receiver, the set of values derived
-// from integer parameters (steering sources) and local aliases of
-// parameter/receiver/global memory.
-type funcScope struct {
-	info    *types.Info
-	params  map[types.Object]int
-	recv    types.Object
-	derived map[types.Object]bool
-	alias   map[types.Object]aliasTarget
-	panics  []posRange
-}
-
-type aliasTarget struct {
-	root    rootRef
-	steered bool
+	callee     *types.Func
+	underPanic bool
 }
 
 func (p *Program) computeSummaries() {
 	p.summaries = map[*types.Func]*Summary{}
-	p.edges = map[*types.Func][]callEdge{}
-	directives := map[string]map[int]*ignoreDirective{}
-	for _, pkg := range p.pkgs {
-		for _, f := range pkg.Files {
-			parseIgnores(pkg.Fset, f, directives)
-		}
-	}
+	directives := directivesOf(p.pkgs)
+	edges := map[*types.Func][]callEdge{}
 	for _, fn := range p.order {
-		p.direct(p.funcs[fn], directives)
+		edges[fn] = p.direct(p.funcs[fn], directives)
 	}
 	// Bounded propagation: each round folds callee effects one hop
 	// higher, so round k attributes effects up to k calls deep.
 	for round := 0; round < maxSummaryDepth; round++ {
 		changed := false
 		for _, fn := range p.order {
-			if p.propagate(fn) {
-				changed = true
+			s := p.summaries[fn]
+			errs := returnsError(fn.Type().(*types.Signature))
+			for _, e := range edges[fn] {
+				cs := p.summaries[e.callee]
+				if !e.underPanic && inherit(&s.Alloc, cs.Alloc) {
+					changed = true
+				}
+				if errs && inherit(&s.TransportErr, cs.TransportErr) {
+					changed = true
+				}
 			}
 		}
 		if !changed {
@@ -165,499 +96,117 @@ func (p *Program) computeSummaries() {
 	}
 }
 
-// direct computes fn's depth-0 effects and records its call edges.
-func (p *Program) direct(fi *FuncInfo, directives map[string]map[int]*ignoreDirective) {
-	fn := fi.Fn
-	sig := fn.Type().(*types.Signature)
-	s := &Summary{Params: make([]Effect, sig.Params().Len())}
-	p.summaries[fn] = s
-	if fi.Decl.Body == nil {
-		return
-	}
-	sc := &funcScope{
-		info:    fi.Pkg.Info,
-		params:  map[types.Object]int{},
-		derived: map[types.Object]bool{},
-		alias:   map[types.Object]aliasTarget{},
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		v := sig.Params().At(i)
-		sc.params[v] = i
-		// Integer parameters seed the steering set: values computed
-		// from them select which element a write touches.
-		if b, ok := v.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-			sc.derived[v] = true
-		}
-	}
-	if r := sig.Recv(); r != nil {
-		sc.recv = r
-	}
-	body := fi.Decl.Body
-	sc.collectPanics(body)
-	sc.fixpoint(body)
-
-	waivedAlloc := func(pos token.Pos) bool {
-		pp := fi.Pkg.Fset.Position(pos)
-		byLine := directives[pp.Filename]
-		if byLine == nil {
-			return false
-		}
-		for _, line := range [2]int{pp.Line, pp.Line - 1} {
-			if d := byLine[line]; d != nil && (d.names["all"] || d.names["hotalloc"]) {
-				return true
-			}
-		}
+// inherit attributes a callee's effect to its caller one hop up, unless
+// the caller already has one or the effect is at the depth bound.
+func inherit(dst *Effect, callee Effect) bool {
+	if dst.Found || !callee.Found || callee.Depth >= maxSummaryDepth {
 		return false
 	}
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			if st.Tok == token.DEFINE {
-				return true // := targets are fresh locals, never shared memory
-			}
-			for _, lhs := range st.Lhs {
-				sc.recordWrite(s, lhs, st.Tok.String())
-			}
-		case *ast.IncDecStmt:
-			sc.recordWrite(s, st.X, st.Tok.String())
-		case *ast.GoStmt:
-			s.Spawns = true
-		case *ast.CallExpr:
-			sc.call(p, fi, s, st, waivedAlloc)
-		}
-		return true
-	})
-	// A function with an error result that calls transport Send/Recv
-	// can hand that failure to its caller.
-	if s.TransportErr.Found && !returnsError(sig) {
-		s.TransportErr = Effect{}
-	}
+	*dst = Effect{Found: true, Site: callee.Site, Depth: callee.Depth + 1, What: callee.What}
+	return true
 }
 
-// call handles one call expression during the direct walk: allocation
-// vocabulary, copy-as-write, transport error sources and call edges.
-func (sc *funcScope) call(p *Program, fi *FuncInfo, s *Summary, call *ast.CallExpr, waived func(token.Pos) bool) {
-	inPanic := sc.inPanic(call.Pos())
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		switch fun.Name {
-		case "make", "new", "append":
-			if _, isBuiltin := sc.info.Uses[fun].(*types.Builtin); isBuiltin {
-				if !inPanic && !waived(call.Pos()) {
-					setAlloc(&s.Alloc, call.Pos(), fun.Name)
-				}
-			}
-		case "copy", "clear":
-			if _, isBuiltin := sc.info.Uses[fun].(*types.Builtin); isBuiltin && len(call.Args) > 0 {
-				// copy/clear write dst's elements: a through-write.
-				root, steered, _ := sc.rootOf(call.Args[0])
-				setWrite(s, root, steered, true, call.Pos(), fun.Name)
-			}
-		}
-	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if pn, ok := sc.info.Uses[id].(*types.PkgName); ok && pn.Imported().Name() == "fmt" {
-				if !inPanic && !waived(call.Pos()) {
-					setAlloc(&s.Alloc, call.Pos(), "fmt."+fun.Sel.Name)
-				}
-			}
-		}
-	}
-	fn := staticCallee(sc.info, call)
-	if fn == nil {
-		return
-	}
-	if IsTransportSendRecv(fn) {
-		setAlloc(&s.TransportErr, call.Pos(), fn.Name())
-	}
-	if _, inProgram := p.funcs[fn]; !inProgram {
-		return
-	}
-	edge := callEdge{callee: fn, pos: call.Pos(), underPanic: inPanic}
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			root, steered, _ := sc.rootOf(sel.X)
-			edge.recv = argRef{root: root, steered: steered, param: -1}
-			edge.hasRecv = true
-		}
-	}
-	np := sig.Params().Len()
-	for i, arg := range call.Args {
-		pi := i
-		if sig.Variadic() && pi >= np-1 {
-			pi = np - 1
-		}
-		if pi >= np {
-			break
-		}
-		root, steered, _ := sc.rootOf(arg)
-		edge.args = append(edge.args, argRef{root: root, steered: steered, param: pi})
-		if !edge.argsDerived && sc.mentionsDerived(arg) {
-			edge.argsDerived = true
-		}
-	}
-	p.edges[fi.Fn] = append(p.edges[fi.Fn], edge)
-}
-
-// recordWrite attributes one assignment target to a parameter, the
-// receiver or a global, if the write is visible to the caller (it
-// crosses a reference: slice/map index, pointer deref, field of a
-// pointer — or targets package state).
-func (sc *funcScope) recordWrite(s *Summary, target ast.Expr, op string) {
-	root, steered, crossed := sc.rootOf(target)
-	setWrite(s, root, steered, crossed, target.Pos(), types.ExprString(target)+" "+op)
-}
-
-func setWrite(s *Summary, root rootRef, steered, crossed bool, pos token.Pos, what string) {
-	var dst *Effect
-	switch root.kind {
-	case rootParam:
-		if !crossed {
-			return // writing the parameter variable itself is local
-		}
-		dst = &s.Params[root.param]
-	case rootRecv:
-		if !crossed {
-			return
-		}
-		dst = &s.Recv
-	case rootGlobal:
-		dst = &s.Global // even a bare `g = x` is shared state
-		what = root.obj.Name() + " " + op(what)
-	default:
-		return
-	}
-	ne := Effect{Found: true, Site: pos, What: what, Steered: steered}
-	if !dst.Found || (dst.Steered && !steered) {
-		*dst = ne // first effect wins, unless an unsteered (riskier) one appears
-	}
-}
-
-// op trims the rendered target off a "target op" What string so global
-// messages read "gvar =" rather than duplicating the expression.
-func op(what string) string {
-	for i := len(what) - 1; i >= 0; i-- {
-		if what[i] == ' ' {
-			return what[i+1:]
-		}
-	}
-	return what
-}
-
-func setAlloc(e *Effect, pos token.Pos, what string) {
+// first records a direct effect unless one was already found.
+func first(e *Effect, pos token.Pos, what string) {
 	if !e.Found {
 		*e = Effect{Found: true, Site: pos, What: what}
 	}
 }
 
-// propagate folds callee summaries one hop into fn's; reports change.
-func (p *Program) propagate(fn *types.Func) bool {
-	s := p.summaries[fn]
-	changed := false
-	for _, e := range p.edges[fn] {
-		cs := p.summaries[e.callee]
-		if cs == nil {
-			continue
-		}
-		if cs.Alloc.Found && !e.underPanic && !s.Alloc.Found && cs.Alloc.Depth < maxSummaryDepth {
-			s.Alloc = Effect{Found: true, Site: cs.Alloc.Site, Depth: cs.Alloc.Depth + 1, What: cs.Alloc.What}
-			changed = true
-		}
-		if cs.Spawns && !s.Spawns {
-			s.Spawns = true
-			changed = true
-		}
-		if cs.Global.Found && !s.Global.Found && cs.Global.Depth < maxSummaryDepth {
-			s.Global = Effect{Found: true, Site: cs.Global.Site, Depth: cs.Global.Depth + 1,
-				What: cs.Global.What, Steered: cs.Global.Steered && e.argsDerived}
-			changed = true
-		}
-		if cs.TransportErr.Found && !s.TransportErr.Found && cs.TransportErr.Depth < maxSummaryDepth &&
-			returnsError(fn.Type().(*types.Signature)) {
-			s.TransportErr = Effect{Found: true, Site: cs.TransportErr.Site,
-				Depth: cs.TransportErr.Depth + 1, What: cs.TransportErr.What}
-			changed = true
-		}
-		for _, a := range e.args {
-			if a.param < len(cs.Params) && cs.Params[a.param].Found {
-				if p.fold(s, a, cs.Params[a.param], e) {
-					changed = true
-				}
-			}
-		}
-		if e.hasRecv && cs.Recv.Found {
-			if p.fold(s, e.recv, cs.Recv, e) {
-				changed = true
-			}
-		}
+// direct computes fi's depth-0 effects and returns its call edges.
+func (p *Program) direct(fi *FuncInfo, directives map[string]map[int]*ignoreDirective) []callEdge {
+	s := &Summary{}
+	p.summaries[fi.Fn] = s
+	body := fi.Decl.Body
+	if body == nil {
+		return nil
 	}
-	return changed
-}
-
-// fold attributes a callee's through-write to the caller's root the
-// argument (or receiver) resolves to. The write stays steered only if
-// the call site keeps it parameter-controlled: either the callee's
-// steering inputs come from caller-derived values, or the argument is
-// itself a steered view of the memory.
-func (p *Program) fold(s *Summary, a argRef, eff Effect, e callEdge) bool {
-	if eff.Depth >= maxSummaryDepth {
-		return false
-	}
-	ne := Effect{Found: true, Site: eff.Site, Depth: eff.Depth + 1, What: eff.What,
-		Steered: (eff.Steered && e.argsDerived) || a.steered}
-	var dst *Effect
-	switch a.root.kind {
-	case rootParam:
-		dst = &s.Params[a.root.param]
-	case rootRecv:
-		dst = &s.Recv
-	case rootGlobal:
-		dst = &s.Global
-	default:
-		return false
-	}
-	if !dst.Found || (dst.Steered && !ne.Steered) {
-		*dst = ne
-		return true
-	}
-	return false
-}
-
-// rootOf unwraps an expression to the identifier whose memory it
-// denotes. It reports whether the index/slice chain mentions a
-// parameter-derived value (steered) and whether the chain crosses a
-// reference (so a write through it is visible outside the function).
-func (sc *funcScope) rootOf(e ast.Expr) (rootRef, bool, bool) {
-	steered, crossed := false, false
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			if sc.mentionsDerived(x.Index) {
-				steered = true
-			}
-			switch sc.typeOf(x.X).(type) {
-			case *types.Slice, *types.Map, *types.Pointer:
-				crossed = true
-			}
-			e = x.X
-		case *ast.SliceExpr:
-			if sc.mentionsDerived(x.Low) || sc.mentionsDerived(x.High) {
-				steered = true
-			}
-			if _, ok := sc.typeOf(x.X).(*types.Slice); ok {
-				crossed = true
-			}
-			e = x.X
-		case *ast.StarExpr:
-			crossed = true
-			e = x.X
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				if _, isPkg := sc.info.Uses[id].(*types.PkgName); isPkg {
-					e = x.Sel // pkg.Var: the selected name is the root
-					continue
-				}
-			}
-			if _, ok := sc.typeOf(x.X).(*types.Pointer); ok {
-				crossed = true // implicit deref: p.f reaches the pointee
-			}
-			e = x.X
-		case *ast.Ident:
-			obj := sc.info.Uses[x]
-			if obj == nil {
-				obj = sc.info.Defs[x]
-			}
-			switch {
-			case obj == nil:
-				return rootRef{}, steered, crossed
-			case sc.recv != nil && obj == sc.recv:
-				return rootRef{kind: rootRecv}, steered, crossed
-			default:
-				if i, ok := sc.params[obj]; ok {
-					return rootRef{kind: rootParam, param: i}, steered, crossed
-				}
-				if isPackageLevel(obj) {
-					return rootRef{kind: rootGlobal, obj: obj}, steered, crossed
-				}
-				if al, ok := sc.alias[obj]; ok {
-					// A local alias of param/recv/global memory is
-					// reference-typed by construction: writing through
-					// it writes the shared backing.
-					return al.root, steered || al.steered, true
-				}
-				return rootRef{}, steered, crossed
-			}
-		default:
-			return rootRef{}, steered, crossed
-		}
-	}
-}
-
-// fixpoint grows the derived (steering) set and the alias map until
-// stable: locals assigned from parameter-derived values steer writes;
-// locals bound to views of parameter/receiver/global memory alias it.
-func (sc *funcScope) fixpoint(body *ast.BlockStmt) {
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				if len(st.Lhs) == len(st.Rhs) {
-					for i, lhs := range st.Lhs {
-						if sc.bind(lhs, st.Rhs[i]) {
-							changed = true
-						}
-					}
-				} else if len(st.Rhs) == 1 { // tuple assignment
-					if sc.mentionsDerived(st.Rhs[0]) {
-						for _, lhs := range st.Lhs {
-							if sc.markDerived(lhs) {
-								changed = true
-							}
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				// Ranging over a steered view yields steered indices:
-				// for i := range b.diff[lo:hi] partitions by i.
-				if sc.mentionsDerived(st.X) || sc.rootSteered(st.X) {
-					if sc.markDerived(st.Key) {
-						changed = true
-					}
-					if sc.markDerived(st.Value) {
-						changed = true
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// bind processes one lhs := rhs (or =) pair for derived/alias tracking.
-func (sc *funcScope) bind(lhs, rhs ast.Expr) bool {
-	id, ok := lhs.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return false
-	}
-	obj := sc.info.Defs[id]
-	if obj == nil {
-		obj = sc.info.Uses[id]
-	}
-	if obj == nil {
-		return false
-	}
-	changed := false
-	if !sc.derived[obj] && sc.mentionsDerived(rhs) {
-		sc.derived[obj] = true
-		changed = true
-	}
-	if _, known := sc.alias[obj]; !known && isRefType(sc.typeOf(rhs)) {
-		root, steered, _ := sc.rootOf(rhs)
-		if root.kind != rootNone {
-			sc.alias[obj] = aliasTarget{root: root, steered: steered}
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (sc *funcScope) markDerived(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return false
-	}
-	obj := sc.info.Defs[id]
-	if obj == nil {
-		obj = sc.info.Uses[id]
-	}
-	if obj == nil || sc.derived[obj] {
-		return false
-	}
-	sc.derived[obj] = true
-	return true
-}
-
-func (sc *funcScope) mentionsDerived(e ast.Expr) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !found {
-			if obj := sc.info.Uses[id]; obj != nil && sc.derived[obj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// rootSteered reports whether e is (a view of) memory whose alias
-// chain was itself steered, e.g. ranging over bd := b.diff[lo:hi].
-func (sc *funcScope) rootSteered(e ast.Expr) bool {
-	_, steered, _ := sc.rootOf(e)
-	return steered
-}
-
-func (sc *funcScope) typeOf(e ast.Expr) types.Type {
-	if tv, ok := sc.info.Types[e]; ok && tv.Type != nil {
-		return tv.Type.Underlying()
-	}
-	return nil
-}
-
-func (sc *funcScope) collectPanics(body *ast.BlockStmt) {
+	info := fi.Pkg.Info
+	var panics []ast.Node
 	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				if _, isBuiltin := sc.info.Uses[id].(*types.Builtin); isBuiltin {
-					sc.panics = append(sc.panics, posRange{call.Pos(), call.End()})
-				}
-			}
+		if call, ok := n.(*ast.CallExpr); ok && isBuiltin(info, call, "panic") {
+			panics = append(panics, call)
 		}
 		return true
 	})
+	var edges []callEdge
+	seen := map[*types.Func]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		cold := inPanic(panics, call.Pos())
+		if what := allocation(info, call); what != "" && !cold && waiver(directives, fi.Pkg.Fset.Position(call.Pos()), "hotalloc") == nil {
+			first(&s.Alloc, call.Pos(), what)
+		}
+		fn := Callee(info, call)
+		if IsTransportSendRecv(fn) {
+			first(&s.TransportErr, call.Pos(), fn.Name())
+		}
+		if _, ok := p.funcs[fn]; !ok {
+			return true
+		}
+		edges = append(edges, callEdge{callee: fn, underPanic: cold})
+		if !seen[fn] {
+			seen[fn] = true
+			fi.Callees = append(fi.Callees, fn)
+		}
+		return true
+	})
+	// Only a function with an error result hands a transport failure to
+	// its caller.
+	if !returnsError(fi.Fn.Type().(*types.Signature)) {
+		s.TransportErr = Effect{}
+	}
+	return edges
 }
 
-func (sc *funcScope) inPanic(pos token.Pos) bool {
-	for _, r := range sc.panics {
-		if r.lo <= pos && pos < r.hi {
+// inPanic reports whether pos lies inside one of the panic calls.
+func inPanic(panics []ast.Node, pos token.Pos) bool {
+	for _, n := range panics {
+		if n.Pos() <= pos && pos < n.End() {
 			return true
 		}
 	}
 	return false
 }
 
-func isRefType(t types.Type) bool {
-	switch t.(type) {
-	case *types.Slice, *types.Map, *types.Pointer:
-		return true
+// allocation names the allocating operation call performs — the builtins
+// make, new and append, or any fmt function — or returns "".
+func allocation(info *types.Info, call *ast.CallExpr) string {
+	for _, name := range []string{"make", "new", "append"} {
+		if isBuiltin(info, call, name) {
+			return name
+		}
 	}
-	return false
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok {
+			if pn, ok := info.Uses[id].(*types.PkgName); ok && pn.Imported().Name() == "fmt" {
+				return "fmt." + sel.Sel.Name
+			}
+		}
+	}
+	return ""
 }
 
-func isPackageLevel(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+// isBuiltin reports whether call invokes the named builtin.
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, ok = info.Uses[id].(*types.Builtin)
+	return ok
 }
 
 func returnsError(sig *types.Signature) bool {
 	for i := 0; i < sig.Results().Len(); i++ {
-		if isErrorType(sig.Results().At(i).Type()) {
+		if types.Identical(sig.Results().At(i).Type(), types.Universe.Lookup("error").Type()) {
 			return true
 		}
 	}
 	return false
-}
-
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
 // IsTransportSendRecv matches the transport error-source contract

@@ -37,107 +37,42 @@ func fnNamed(t *testing.T, p *Program, name string) *types.Func {
 
 const effectsMod = "module effectstest\n\ngo 1.22\n"
 
-func TestSummaryDirectParamWrite(t *testing.T) {
-	p, _ := loadProgram(t, map[string]string{
-		"go.mod": effectsMod,
-		"a/a.go": `package a
-
-var gcount int
-
-func fill(dst []float32, v float32) {
-	for i := range dst {
-		dst[i] = v
-	}
-}
-
-func scale(dst []float32, lo, hi int, v float32) {
-	for i := lo; i < hi; i++ {
-		dst[i] *= v
-	}
-}
-
-func local(n int) int {
-	buf := make([]int, n)
-	buf[0] = n // write to a local: not a caller-visible effect
-	return buf[0]
-}
-
-func bump() { gcount++ }
-`,
-	})
-	s := p.Summary(fnNamed(t, p, "fill"))
-	if !s.Params[0].Found || s.Params[0].Steered {
-		t.Fatalf("fill: want unsteered write through param 0, got %+v", s.Params[0])
-	}
-	s = p.Summary(fnNamed(t, p, "scale"))
-	if !s.Params[0].Found || !s.Params[0].Steered {
-		t.Fatalf("scale: want steered write through param 0, got %+v", s.Params[0])
-	}
-	s = p.Summary(fnNamed(t, p, "local"))
-	if s.Params[0].Found || s.Global.Found {
-		t.Fatalf("local: want no caller-visible writes, got %+v", s)
-	}
-	if !s.Alloc.Found || s.Alloc.What != "make" {
-		t.Fatalf("local: want make allocation, got %+v", s.Alloc)
-	}
-	s = p.Summary(fnNamed(t, p, "bump"))
-	if !s.Global.Found {
-		t.Fatalf("bump: want global write, got %+v", s)
-	}
-}
-
 func TestSummaryPropagatesThroughCalls(t *testing.T) {
 	p, _ := loadProgram(t, map[string]string{
 		"go.mod": effectsMod,
 		"a/a.go": `package a
 
-type Buf struct{ data []float64 }
-
-// poke writes its receiver's backing array through an alias.
-func (b *Buf) poke(i int, v float64) {
-	d := b.data
-	d[i] = v
-}
-
-// steered keeps the write range parameter-controlled at every hop.
-func steered(b *Buf, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.poke(i, 0)
-	}
-}
-
-// unsteered fixes the location, severing the steering chain.
-func unsteered(b *Buf) {
-	b.poke(0, 0)
-}
-
 // deep buries an allocation two calls down.
-func deep() []byte  { return mid() }
-func mid() []byte   { return leaf() }
-func leaf() []byte  { return make([]byte, 8) }
+func deep() []byte { return mid() }
+func mid() []byte  { return leaf() }
+func leaf() []byte { return make([]byte, 8) }
 
-func spawnIndirect() { spawner() }
-func spawner()       { go func() {}() }
+// h5's allocation is five calls down, one beyond the depth bound.
+func h5() []byte { return h4() }
+func h4() []byte { return h3() }
+func h3() []byte { return h2() }
+func h2() []byte { return h1() }
+func h1() []byte { return h0() }
+func h0() []byte { return make([]byte, 8) }
+
+// viaInterface allocates only through an interface call, which the
+// summaries do not follow.
+type maker interface{ bytes() []byte }
+
+func viaInterface(m maker) []byte { return m.bytes() }
 `,
 	})
-	s := p.Summary(fnNamed(t, p, "poke"))
-	if !s.Recv.Found || !s.Recv.Steered {
-		t.Fatalf("poke: want steered receiver write via alias, got %+v", s.Recv)
-	}
-	s = p.Summary(fnNamed(t, p, "steered"))
-	if !s.Params[0].Found || !s.Params[0].Steered || s.Params[0].Depth != 1 {
-		t.Fatalf("steered: want steered depth-1 write through param 0, got %+v", s.Params[0])
-	}
-	s = p.Summary(fnNamed(t, p, "unsteered"))
-	if !s.Params[0].Found || s.Params[0].Steered {
-		t.Fatalf("unsteered: want unsteered write through param 0, got %+v", s.Params[0])
-	}
-	s = p.Summary(fnNamed(t, p, "deep"))
-	if !s.Alloc.Found || s.Alloc.Depth != 2 || s.Alloc.What != "make" {
+	if s := p.Summary(fnNamed(t, p, "deep")); !s.Alloc.Found || s.Alloc.Depth != 2 || s.Alloc.What != "make" {
 		t.Fatalf("deep: want depth-2 make, got %+v", s.Alloc)
 	}
-	if !p.Summary(fnNamed(t, p, "spawnIndirect")).Spawns {
-		t.Fatal("spawnIndirect: want Spawns via callee")
+	if s := p.Summary(fnNamed(t, p, "h4")); !s.Alloc.Found || s.Alloc.Depth != maxSummaryDepth {
+		t.Fatalf("h4: want a make %d calls deep, got %+v", maxSummaryDepth, s.Alloc)
+	}
+	if s := p.Summary(fnNamed(t, p, "h5")); s.Alloc.Found {
+		t.Fatalf("h5: an allocation beyond the depth bound must not be attributed, got %+v", s.Alloc)
+	}
+	if s := p.Summary(fnNamed(t, p, "viaInterface")); s.Alloc.Found {
+		t.Fatalf("viaInterface: interface calls are not followed, got %+v", s.Alloc)
 	}
 }
 
@@ -226,17 +161,17 @@ func swallow(l *transport.Link, b []byte) {
 }
 
 func TestCallGraphResolvesCrossPackage(t *testing.T) {
-	p, pkgs := loadProgram(t, map[string]string{
+	p, _ := loadProgram(t, map[string]string{
 		"go.mod": effectsMod,
 		"a/a.go": `package a
 
-func Helper(dst []int) { dst[0] = 1 }
+func Helper(dst []int) []int { return append(dst, 1) }
 `,
 		"b/b.go": `package b
 
 import "effectstest/a"
 
-func Use(dst []int) { a.Helper(dst) }
+func Use(dst []int) []int { return a.Helper(dst) }
 `,
 	})
 	use := fnNamed(t, p, "Use")
@@ -244,9 +179,8 @@ func Use(dst []int) { a.Helper(dst) }
 	if fi == nil || len(fi.Callees) != 1 || fi.Callees[0].Name() != "Helper" {
 		t.Fatalf("Use: want one callee Helper, got %+v", fi)
 	}
-	// The cross-package edge must carry effects: Use writes dst[0] via Helper.
-	if s := p.Summary(use); !s.Params[0].Found || s.Params[0].Depth != 1 {
-		t.Fatalf("Use: want depth-1 param write via Helper, got %+v", s.Params[0])
+	// The cross-package edge must carry effects: Use allocates via Helper.
+	if s := p.Summary(use); !s.Alloc.Found || s.Alloc.Depth != 1 || s.Alloc.What != "append" {
+		t.Fatalf("Use: want a depth-1 append via Helper, got %+v", s.Alloc)
 	}
-	_ = pkgs
 }

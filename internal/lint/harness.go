@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/token"
 	"path/filepath"
 	"regexp"
@@ -87,31 +86,11 @@ func parseExpectations(t testing.TB, pkg *Package) []*expectation {
 func splitQuoted(t testing.TB, pos token.Position, s string) []string {
 	t.Helper()
 	var out []string
-	s = strings.TrimSpace(s)
-	for s != "" {
-		var q string
-		var err error
-		switch s[0] {
-		case '"':
-			end := len(s)
-			for i := 1; i < len(s); i++ {
-				if s[i] == '"' && s[i-1] != '\\' {
-					end = i + 1
-					break
-				}
-			}
-			q, err = strconv.Unquote(s[:end])
-			s = strings.TrimSpace(s[end:])
-		case '`':
-			end := strings.Index(s[1:], "`")
-			if end < 0 {
-				err = fmt.Errorf("unterminated backquote")
-				break
-			}
-			q = s[1 : 1+end]
-			s = strings.TrimSpace(s[2+end:])
-		default:
-			err = fmt.Errorf("expected quoted regexp, found %q", s)
+	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
+		q, err := strconv.QuotedPrefix(s)
+		if err == nil {
+			s = s[len(q):]
+			q, err = strconv.Unquote(q)
 		}
 		if err != nil {
 			t.Fatalf("%s: malformed want comment: %v", pos, err)

@@ -67,8 +67,8 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Prog is the interprocedural view over the whole analysis set:
-	// the call graph and per-function effect summaries (callgraph.go,
+	// Prog is the interprocedural view over the whole analysis set: the
+	// declaration index and per-function effect summaries (callgraph.go,
 	// effects.go). It is shared by every pass of one Run.
 	Prog *Program
 
@@ -169,30 +169,36 @@ func parseIgnores(fset *token.FileSet, f *ast.File, out map[string]map[int]*igno
 	}
 }
 
-// applyIgnores drops diagnostics waived by a directive on their line or
-// the line above, and reports unjustified directives.
-func applyIgnores(pkgs []*Package, diags []Diagnostic) []Diagnostic {
+// directivesOf parses the ignore directives of every file, keyed by
+// file name and line.
+func directivesOf(pkgs []*Package) map[string]map[int]*ignoreDirective {
 	directives := map[string]map[int]*ignoreDirective{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			parseIgnores(pkg.Fset, f, directives)
 		}
 	}
-	matching := func(d Diagnostic) *ignoreDirective {
-		byLine := directives[d.Pos.Filename]
-		if byLine == nil {
-			return nil
+	return directives
+}
+
+// waiver returns the directive that waives analyzer at pos — one on its
+// line or the line above — or nil.
+func waiver(directives map[string]map[int]*ignoreDirective, pos token.Position, analyzer string) *ignoreDirective {
+	for _, line := range [2]int{pos.Line, pos.Line - 1} {
+		if d := directives[pos.Filename][line]; d != nil && (d.names["all"] || d.names[analyzer]) {
+			return d
 		}
-		for _, line := range [2]int{d.Pos.Line, d.Pos.Line - 1} {
-			if dir := byLine[line]; dir != nil && (dir.names["all"] || dir.names[d.Analyzer]) {
-				return dir
-			}
-		}
-		return nil
 	}
+	return nil
+}
+
+// applyIgnores drops diagnostics waived by a directive on their line or
+// the line above, and reports unjustified directives.
+func applyIgnores(pkgs []*Package, diags []Diagnostic) []Diagnostic {
+	directives := directivesOf(pkgs)
 	out := diags[:0]
 	for _, d := range diags {
-		if matching(d) == nil {
+		if waiver(directives, d.Pos, d.Analyzer) == nil {
 			out = append(out, d)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 )
 
@@ -90,12 +89,6 @@ func NewLoader(cfg Config) (*Loader, error) {
 		active: map[string]bool{},
 	}, nil
 }
-
-// Fset returns the file set all loaded packages share.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// Module returns the module path declared in go.mod.
-func (l *Loader) Module() string { return l.module }
 
 var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
@@ -310,64 +303,30 @@ var buildContext = func() build.Context {
 	return c
 }()
 
-// parseDir parses the buildable files of the package in dir: the
-// non-test files plus, when cfg.Tests is set, the in-package test files.
-// Files buildContext excludes (by //go:build line, GOOS/GOARCH suffix or a
-// leading "_" or ".") are skipped. External test files (package foo_test)
-// are always skipped.
+// parseDir parses the buildable files of the package in dir, as
+// buildContext selects them (//go:build lines, GOOS/GOARCH suffixes, a
+// leading "_" or "."): the non-test files plus, when cfg.Tests is set,
+// the in-package test files. External test files (package foo_test) are
+// always skipped.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
+	bp, err := buildContext.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) {
+		return nil, nil
+	} else if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") {
-			continue
-		}
-		if strings.HasSuffix(n, "_test.go") && !l.cfg.Tests {
-			continue
-		}
-		if ok, err := buildContext.MatchFile(dir, n); err != nil {
-			return nil, err
-		} else if ok {
-			names = append(names, n)
-		}
+	names := bp.GoFiles
+	if l.cfg.Tests {
+		names = append(names, bp.TestGoFiles...)
 	}
-	sort.Strings(names)
 	var files []*ast.File
-	pkgName := ""
-	var testFiles []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		if strings.HasSuffix(n, "_test.go") {
-			testFiles = append(testFiles, f)
-			continue
-		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		} else if f.Name.Name != pkgName {
-			return nil, fmt.Errorf("lint: multiple packages (%s, %s) in %s", pkgName, f.Name.Name, dir)
-		}
 		files = append(files, f)
-	}
-	for _, f := range testFiles {
-		if pkgName == "" {
-			// Test-only directory: accept the in-package test files and
-			// ignore the external test package.
-			if !strings.HasSuffix(f.Name.Name, "_test") {
-				pkgName = f.Name.Name
-				files = append(files, f)
-			}
-			continue
-		}
-		if f.Name.Name == pkgName {
-			files = append(files, f)
-		}
 	}
 	return files, nil
 }

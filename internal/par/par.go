@@ -260,9 +260,9 @@ func (p *Pool) Ordered(body func(rank int)) {
 // sequential ordered merge: the result is bit-identical to Ordered at any
 // worker count, while the merge's critical path drops from O(n·P) to
 // O(n·P/P) = O(n). This is the sanctioned way to accumulate one rank's
-// float state into another's in parallel; dnnlint's orderedreduce
-// analyzer flags hand-rolled cross-rank folds inside other worksharing
-// constructs.
+// float state into another's in parallel; core's
+// TestBackwardNeverRoutesThroughForDynamic requires the engine's gradient
+// merge to be this call.
 //
 // merge(lo, hi, rank) must fold source rank's elements [lo, hi) into the
 // reduction target and must touch nothing outside [lo, hi). Slices of

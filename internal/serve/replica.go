@@ -18,7 +18,7 @@ import (
 // serving, so Read returns class 0.
 //
 // Read is on the request hot path: dnnlint's hotalloc analyzer holds
-// feeder Read* methods to the training-pass standard (LINTING.md §4).
+// feeder Read* methods to the training-pass standard (LINTING.md §3).
 type feeder struct {
 	shape   []int
 	classes int
@@ -113,7 +113,7 @@ func newReplica(rank int, s *Server) (*replica, error) {
 // scatter the score rows back into the requests; then signal completion of
 // the whole batch. This is the
 // steady-state request hot path — dnnlint's hotalloc analyzer enforces
-// that its loops allocate nothing (LINTING.md §4).
+// that its loops allocate nothing (LINTING.md §3).
 func (rep *replica) Infer(reqs []*Request) {
 	start := time.Now()
 	b := len(reqs)

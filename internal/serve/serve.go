@@ -34,7 +34,7 @@
 // (capacity warmed at the maximum), request envelopes are pooled, and
 // batch slices circulate through a free list. dnnlint's hotalloc
 // analyzer enforces the loops of Infer/Read exactly like a training
-// Forward pass (LINTING.md §4).
+// Forward pass (LINTING.md §3).
 //
 // # Backpressure
 //

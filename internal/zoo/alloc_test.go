@@ -1,0 +1,61 @@
+//go:build !race
+
+// The race detector's instrumentation allocates, so the allocation pins
+// only run in normal test passes.
+
+package zoo
+
+import (
+	"testing"
+
+	"coarsegrain/internal/core"
+	"coarsegrain/internal/data"
+	"coarsegrain/internal/layers"
+	"coarsegrain/internal/net"
+	"coarsegrain/internal/solver"
+)
+
+// TestStepAllocations pins the heap allocations of one training step —
+// solver.Step(1): forward, backward, ordered merge and update — of each
+// lowered zoo net at the coarse engine's one- and two-worker teams. It is
+// the runtime counterpart of dnnlint's hotalloc on the path every command
+// trains: an allocation added anywhere under a step, however many calls
+// below the loop that runs it, raises the count. Each bound is the largest
+// count measured when the pin was written; a two-worker step occasionally
+// measures one allocation more than its usual count, and the bound is
+// that one.
+func TestStepAllocations(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		src     layers.Source
+		batch   int
+		build   func(layers.Source, Options) ([]net.LayerSpec, error)
+		cfg     solver.Config
+		workers int
+		max     float64
+	}{
+		{"lenet", data.NewSyntheticMNIST(256, 1), 64, LeNet, LeNetSolver(), 1, 17},
+		{"lenet", data.NewSyntheticMNIST(256, 1), 64, LeNet, LeNetSolver(), 2, 58},
+		{"cifar10-full", data.NewSyntheticCIFAR(64, 1), 16, CIFARFull, CIFARFullSolver(), 1, 27},
+		{"cifar10-full", data.NewSyntheticCIFAR(64, 1), 16, CIFARFull, CIFARFullSolver(), 2, 78},
+	} {
+		specs, err := c.build(c.src, Options{BatchSize: c.batch, Seed: 1, LoweredConv: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := core.NewCoarse(c.workers)
+		n, err := net.New(specs, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := solver.New(c.cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(10, func() { s.Step(1) })
+		e.Close()
+		if got > c.max {
+			t.Errorf("%s at NewCoarse(%d): Step(1) allocates %v objects, want at most %v", c.name, c.workers, got, c.max)
+		}
+	}
+}

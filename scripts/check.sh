@@ -4,7 +4,9 @@
 # nested benchmark/ module, which `./...` does not reach), build, dnnlint (the
 # determinism/parallelism contract linter; LINTING.md is the canonical
 # catalogue of its analyzers and this script's self-tests follow its
-# order), the full test suite (including Example tests) and the benchmark
+# order), the full test suite (including Example tests and the
+# band-contract harness, which runs every layer's range bodies one band
+# at a time into poisoned outputs) and the benchmark
 # module's own (so an internal/ API change that breaks the benchmark fails
 # here, not at the gate that runs it), race-detector
 # passes over the parallel substrate (the BLAS band kernels and implicit-GEMM
@@ -82,14 +84,14 @@ go build -o "$tmpdir/dnnlint" ./cmd/dnnlint
 
 # Self-test: the gate is worthless if the linter silently stops seeing
 # violations, so prove each invariant still fires on a known-bad fixture.
-# One probe per analyzer, in the catalogue order of LINTING.md §1–9
-# (parbody, orderedreduce, blobalias, hotalloc, tracenil, transerr,
-# gorolife, phasespan, chanmisuse); parbody and hotalloc get second
-# probes for their interprocedural v2 extensions (interproc, hotcall),
-# and hotalloc a third for the serving path (servehot) and a fourth for
-# the blas kernel package — the conv driver and the panel packers
-# (blashot). The probes
-# reuse the dnnlint binary built above — one `go build`, many runs.
+# One probe per analyzer, in the catalogue order of LINTING.md §1–8
+# (orderedreduce, blobalias, hotalloc, tracenil, transerr, gorolife,
+# phasespan, chanmisuse); hotalloc gets a second probe for its
+# interprocedural extension (hotcall), a third for the serving path
+# (servehot) and a fourth for the blas kernel package — the conv driver
+# and the panel packers (blashot). The band contract is a test, not a
+# probe: internal/core's TestBandContract, run by `go test` below. The
+# probes reuse the dnnlint binary built above — one `go build`, many runs.
 echo "== dnnlint self-test (each seeded violation must be flagged) =="
 lint_probe() { # lint_probe <analyzer> <fixture-pkg>
 	if "$tmpdir/dnnlint" -only "$1" -src internal/lint/analyzers/testdata/src \
@@ -98,8 +100,6 @@ lint_probe() { # lint_probe <analyzer> <fixture-pkg>
 		exit 1
 	fi
 }
-lint_probe parbody parbody
-lint_probe parbody interproc
 lint_probe orderedreduce orderedreduce
 lint_probe blobalias blobalias
 lint_probe hotalloc hotalloc
