@@ -44,7 +44,6 @@ import (
 	"coarsegrain/internal/faultinject"
 	"coarsegrain/internal/guard"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/par"
 	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/snapshot"
 	"coarsegrain/internal/solver"
@@ -176,11 +175,10 @@ func main() {
 			MaxGradNorm: *guardNorm,
 			LRBackoff:   float32(*guardBackoff),
 			CheckEvery:  *guardEvery,
-		}, s, par.NewPool(*workers))
+		}, s)
 		if err != nil {
 			fatal(err)
 		}
-		defer mon.Close()
 		mon.SetTracer(tr)
 		if *snapDir != "" {
 			dir := *snapDir

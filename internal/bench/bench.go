@@ -153,10 +153,10 @@ func MeasureEngine(o Options, eng core.Engine, lowered bool) (time.Duration, flo
 }
 
 // classifyDist maps a layer to its data-thread distribution class, the
-// quantity behind the paper's locality analysis: the data layer writes
-// sequentially; sample-coalesced layers (LRN, InnerProduct, losses)
-// distribute whole samples; everything else distributes (sample, channel)
-// planes.
+// quantity behind the paper's locality analysis: a layer without a forward
+// range writes from one thread; sample-coalesced layers (the Data layer's
+// load, LRN, InnerProduct, losses) distribute whole samples; everything
+// else distributes (sample, channel) planes.
 func classifyDist(l layers.Layer, batch int) simtime.Dist {
 	ext := l.ForwardExtent()
 	switch {

@@ -89,9 +89,10 @@ func TestModelsFromNetStructure(t *testing.T) {
 	for i, m := range models {
 		byName[m.Name] = i
 	}
-	// Data layer: sequential, extent 0.
+	// Data layer: a samples range over the batch (its load runs on the
+	// team, one band of samples per worker).
 	d := models[byName["mnist"]]
-	if d.FwdExtent != 0 || d.Consumes != "sequential" {
+	if d.FwdExtent != 64 || d.Consumes != "samples" {
 		t.Fatalf("data model wrong: %+v", d)
 	}
 	// conv1: planes, fwd extent 64*20, bwd extent 64, params 20*25+20.

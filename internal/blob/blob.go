@@ -322,8 +322,9 @@ func (b *Blob) AccumulateDiffRange(o *Blob, lo, hi int) {
 	}
 }
 
-// Update applies the computed update: data -= diff. Solvers store the final
-// per-parameter step in diff and then call Update, exactly as Caffe does.
+// Update applies a computed step stored in diff: data -= diff, as Caffe's
+// Blob::Update does. The solver applies its step inside its sliced update
+// sweep instead, element by element, with the same arithmetic.
 func (b *Blob) Update() {
 	for i := range b.data {
 		b.data[i] -= b.diff[i]

@@ -237,6 +237,23 @@ func TestBandContract(t *testing.T) {
 	}
 }
 
+// TestBandContractRunsTheDataFill: the Data case's forward extent is its
+// batch, so TestBandContract sweeps the Data layer's load band by band
+// rather than skipping a layer with no range to check.
+func TestBandContractRunsTheDataFill(t *testing.T) {
+	for _, c := range layerCases() {
+		if c.name != "Data" {
+			continue
+		}
+		l, _, top := c.setUp(t)
+		if e, batch := l.ForwardExtent(), top[0].Shape()[0]; e != batch {
+			t.Fatalf("Data forward extent %d, want the batch %d", e, batch)
+		}
+		return
+	}
+	t.Fatal("the catalogue has no Data case")
+}
+
 func bandContract(t *testing.T, c layerCase) {
 	// The Sequential run is made on first use, so a band that breaks the
 	// layer fails its own check before an engine trips over the damage.

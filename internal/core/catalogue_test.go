@@ -62,7 +62,7 @@ func labelBottom(n, classes int) *blob.Blob {
 // parameter-free range bodies, the two layers with parameters but no
 // channel axis (serial backward under Fine), the layers with several
 // bottoms or tops, the loss and accuracy layers (serial finish) and Data
-// (no range at all). Channel counts stay below 5, so a cut into 5 bands
+// (a samples range after a serial prepare hook). Channel counts stay below 5, so a cut into 5 bands
 // leaves some bands empty. TestEveryLayerConstructorHasACase keeps the
 // list whole.
 func layerCases() []layerCase {

@@ -32,7 +32,9 @@
 // lowered net is the cuDNN-GPU analogue.
 //
 // Engines are deliberately unaware of networks and solvers; package net
-// composes them.
+// composes them. Engine.For lends the team to the work of a step that is
+// not a layer pass — the solver's update sweep and the guard's scans — so
+// a training step runs on one team.
 //
 // # Observability
 //
@@ -71,6 +73,13 @@ type Engine interface {
 	// paper's §3.2.1 memory-overhead metric. Zero for engines without
 	// privatization.
 	ScratchBytes() int64
+	// For runs body over [0, n) on the engine's worker team with the
+	// static schedule of a samples cut: rank r runs body once over
+	// par.Chunk(n, Workers(), r), and with one worker the whole range
+	// runs inline on the caller. It lends the team to work outside a
+	// layer pass (the solver's update, the guard's scans), so a step
+	// runs on one team. Like a pass, it must not overlap another.
+	For(n int, body func(lo, hi, rank int))
 	// SetTracer attaches a span tracer to the engine and its worker team;
 	// nil detaches. Attach before training, never while a pass is in
 	// flight.
@@ -102,11 +111,65 @@ type engine struct {
 	arenas []arena // one per worker rank
 	tracer *trace.Tracer
 	cut    func(l layers.Layer, backward bool) axis
+
+	// pass is the layer pass in flight, which the bodies below read;
+	// Forward and Backward set it before each region and clear it after.
+	pass pass
+	// The region bodies, bound once in newEngine so that a pass hands
+	// the pool no new closure.
+	bandBody    func(lo, hi, rank int)
+	privateBody func(rank int)
+	mergeBody   func(lo, hi, rank int)
+	// privs[r] holds rank r's private gradient blobs during a privatized
+	// pass, and offsets the pass's parameter offsets in the flat merge
+	// space; both keep their backing arrays across passes.
+	privs   [][]*blob.Blob
+	offsets []int
 }
+
+// pass is one layer pass: which range body a band runs, the layer (and
+// its channel view under a channels cut), its blobs and its extent.
+type pass struct {
+	body                body
+	l                   layers.Layer
+	cr                  layers.ChannelRanger
+	bottom, top, params []*blob.Blob
+	n                   int
+}
+
+// body names a layer's range body.
+type body int
+
+const (
+	forwardRange body = iota
+	backwardRange
+	forwardChannels
+	paramChannels
+	dataChannels
+)
 
 func newEngine(name string, workers int, cut func(layers.Layer, bool) axis) *engine {
 	p := par.NewPool(workers)
-	return &engine{name: name, pool: p, arenas: make([]arena, p.Workers()), cut: cut}
+	e := &engine{name: name, pool: p, arenas: make([]arena, p.Workers()), cut: cut, privs: make([][]*blob.Blob, p.Workers())}
+	e.bandBody, e.privateBody, e.mergeBody = e.band, e.privateBand, e.mergeSlice
+	return e
+}
+
+// band runs the pass's range body over [lo, hi).
+func (e *engine) band(lo, hi, _ int) {
+	p := &e.pass
+	switch p.body {
+	case forwardRange:
+		p.l.ForwardRange(lo, hi, p.bottom, p.top)
+	case backwardRange:
+		p.l.BackwardRange(lo, hi, p.bottom, p.top, p.params)
+	case forwardChannels:
+		p.cr.ForwardChannels(lo, hi, p.bottom, p.top)
+	case paramChannels:
+		p.cr.BackwardParamChannels(lo, hi, p.bottom, p.top)
+	case dataChannels:
+		p.cr.BackwardDataChannels(lo, hi, p.bottom, p.top)
+	}
 }
 
 // NewSequential creates the serial engine: every pass is one full range on
@@ -165,9 +228,13 @@ func (e *engine) SetTracer(t *trace.Tracer) {
 	e.pool.SetTracer(t)
 }
 
+// For implements Engine.
+func (e *engine) For(n int, body func(lo, hi, rank int)) { e.pool.For(n, body) }
+
 // Forward implements Engine (Algorithm 4 under a samples cut): the serial
-// prepare hook runs first (data layers load their batch here, sequentially,
-// exactly as in Caffe), then the cut's bands, then the serial finish hook.
+// prepare hook runs first (a data layer advances its cursor here), then
+// the cut's bands (a data layer's load among them, which Caffe runs on
+// one thread), then the serial finish hook.
 func (e *engine) Forward(l layers.Layer, bottom, top []*blob.Blob) {
 	if p, ok := l.(layers.ForwardPreparer); ok {
 		p.ForwardPrepare(bottom, top)
@@ -178,16 +245,15 @@ func (e *engine) Forward(l layers.Layer, bottom, top []*blob.Blob) {
 			l.ForwardRange(0, n, bottom, top)
 		}
 	case samples:
-		// A zero extent (the Data layer's) skips the region and its
-		// closure.
-		if n > 0 {
-			e.pool.For(n, func(lo, hi, _ int) { l.ForwardRange(lo, hi, bottom, top) })
-		}
+		e.pass = pass{body: forwardRange, l: l, bottom: bottom, top: top}
+		e.pool.For(n, e.bandBody)
 	case channels:
 		cr := l.(layers.ChannelRanger)
 		out, _ := cr.ChannelExtents()
-		e.pool.For(out, func(lo, hi, _ int) { cr.ForwardChannels(lo, hi, bottom, top) })
+		e.pass = pass{body: forwardChannels, cr: cr, bottom: bottom, top: top}
+		e.pool.For(out, e.bandBody)
 	}
+	e.pass = pass{}
 	if f, ok := l.(layers.ForwardFinisher); ok {
 		f.ForwardFinish(bottom, top)
 	}
@@ -213,14 +279,18 @@ func (e *engine) Backward(l layers.Layer, bottom, top []*blob.Blob) {
 		if len(params) > 0 && e.pool.Workers() > 1 {
 			e.privatized(l, n, bottom, top, params)
 		} else {
-			e.pool.For(n, func(lo, hi, _ int) { l.BackwardRange(lo, hi, bottom, top, params) })
+			e.pass = pass{body: backwardRange, l: l, bottom: bottom, top: top, params: params}
+			e.pool.For(n, e.bandBody)
 		}
 	case channels:
 		cr := l.(layers.ChannelRanger)
 		out, in := cr.ChannelExtents()
-		e.pool.For(out, func(lo, hi, _ int) { cr.BackwardParamChannels(lo, hi, bottom, top) })
-		e.pool.For(in, func(lo, hi, _ int) { cr.BackwardDataChannels(lo, hi, bottom, top) })
+		e.pass = pass{body: paramChannels, cr: cr, bottom: bottom, top: top}
+		e.pool.For(out, e.bandBody)
+		e.pass.body = dataChannels
+		e.pool.For(in, e.bandBody)
 	}
+	e.pass = pass{}
 	if f, ok := l.(layers.BackwardFinisher); ok {
 		f.BackwardFinish(bottom, top)
 	}
@@ -239,21 +309,10 @@ func (e *engine) Backward(l layers.Layer, bottom, top []*blob.Blob) {
 // (par.Pool), not channels. The same rank-ordered fold is what
 // internal/dist stretches across process boundaries (DISTRIBUTED.md).
 func (e *engine) privatized(l layers.Layer, n int, bottom, top, params []*blob.Blob) {
-	workers := e.pool.Workers()
 	// Object privatization (Algorithm 5 lines 3-5): per-rank private
 	// gradient blobs, zero-initialized inside the parallel region.
-	privs := make([][]*blob.Blob, workers)
-	e.pool.Region(func(rank int) {
-		pg := make([]*blob.Blob, len(params))
-		for i, p := range params {
-			pg[i] = e.arenas[rank].take(p.Shape())
-		}
-		privs[rank] = pg
-		lo, hi := par.Chunk(n, workers, rank)
-		if lo < hi {
-			l.BackwardRange(lo, hi, bottom, top, pg)
-		}
-	})
+	e.pass = pass{l: l, bottom: bottom, top: top, params: params, n: n}
+	e.pool.Region(e.privateBody)
 
 	// Gradient merge (Algorithm 5 lines 22-23), element-parallel: view the
 	// layer's params as one flat element space, slice it across workers,
@@ -269,35 +328,50 @@ func (e *engine) privatized(l layers.Layer, n int, bottom, top, params []*blob.B
 		// trace report shows the reduce section scaling with P.
 		e.tracer.SetScope(l.Name(), trace.PhaseReduce)
 	}
-	offsets := make([]int, len(params)+1)
-	for i, p := range params {
-		offsets[i+1] = offsets[i] + p.Count()
+	e.offsets = append(e.offsets[:0], 0)
+	for _, p := range params {
+		e.offsets = append(e.offsets, e.offsets[len(e.offsets)-1]+p.Count())
 	}
-	e.pool.OrderedSlices(offsets[len(params)], func(lo, hi, rank int) {
-		pg := privs[rank]
-		for i, p := range params {
-			plo, phi := lo-offsets[i], hi-offsets[i]
-			if plo < 0 {
-				plo = 0
-			}
-			if c := p.Count(); phi > c {
-				phi = c
-			}
-			if plo < phi {
-				p.AccumulateDiffRange(pg[i], plo, phi)
-			}
-		}
-	})
+	total := e.offsets[len(params)]
+	e.pool.OrderedSlices(total, e.mergeBody)
 	if tr := e.tracer; tr.Enabled() {
 		tr.Record(trace.Span{
 			Name: l.Name(), Phase: trace.PhaseReduce, Rank: trace.RankDriver, Band: -1,
-			Lo: 0, Hi: offsets[len(params)], Start: tr.Stamp(mergeStart), Dur: time.Since(mergeStart),
+			Lo: 0, Hi: total, Start: tr.Stamp(mergeStart), Dur: time.Since(mergeStart),
 		})
 	}
 
-	for rank, pg := range privs {
+	for rank, pg := range e.privs {
 		for _, b := range pg {
 			e.arenas[rank].put(b)
+		}
+		e.privs[rank] = pg[:0]
+	}
+}
+
+// privateBand is one rank's share of the privatized pass: take zeroed
+// private gradients from the rank's arena and run the rank's static chunk
+// of the backward into them.
+func (e *engine) privateBand(rank int) {
+	pg := e.privs[rank][:0]
+	for _, p := range e.pass.params {
+		pg = append(pg, e.arenas[rank].take(p.Shape()))
+	}
+	e.privs[rank] = pg
+	lo, hi := par.Chunk(e.pass.n, e.pool.Workers(), rank)
+	if lo < hi {
+		e.pass.l.BackwardRange(lo, hi, e.pass.bottom, e.pass.top, pg)
+	}
+}
+
+// mergeSlice folds source rank's private gradients into elements [lo, hi)
+// of the flat merge space: the part of each parameter inside it.
+func (e *engine) mergeSlice(lo, hi, rank int) {
+	pg := e.privs[rank]
+	for i, p := range e.pass.params {
+		plo, phi := max(lo-e.offsets[i], 0), min(hi-e.offsets[i], p.Count())
+		if plo < phi {
+			p.AccumulateDiffRange(pg[i], plo, phi)
 		}
 	}
 }

@@ -7,9 +7,9 @@
 // pre-update point (after forward/backward, before updateCoefficients)
 // and, every CheckEvery iterations, scans the loss, all parameter
 // gradients and all parameters for NaN/Inf and the gradient's global L2
-// norm — in parallel, over its own par.Pool team, with zero per-iteration
-// allocation (enforced by dnnlint's hotalloc analyzer, which treats
-// Monitor's Check/scan methods as hot code).
+// norm — in parallel, on the net's own worker team (core.Engine.For),
+// with zero per-iteration allocation (enforced by dnnlint's hotalloc
+// analyzer, which treats Monitor's Check/scan methods as hot code).
 //
 // When a check fails, the configured Policy decides the recovery:
 //
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"coarsegrain/internal/blob"
-	"coarsegrain/internal/par"
 	"coarsegrain/internal/solver"
 	"coarsegrain/internal/trace"
 )
@@ -123,8 +122,6 @@ type RestoreFunc func(*solver.Solver) (string, error)
 type Monitor struct {
 	cfg     Config
 	s       *solver.Solver
-	pool    *par.Pool
-	ownPool bool
 	tracer  *trace.Tracer
 	restore RestoreFunc
 
@@ -133,7 +130,8 @@ type Monitor struct {
 	cur      []float32
 	scanBody func(lo, hi, rank int)
 	// sumsq and bad are per-rank partials; writes are rank-indexed, so
-	// the parallel scan is race-free by the privatization contract.
+	// the parallel scan is race-free by the privatization contract. They
+	// are sized to the team at scan time: Net.SetEngine can swap it.
 	sumsq []float64
 	bad   []int64
 
@@ -141,10 +139,9 @@ type Monitor struct {
 	err   error
 }
 
-// New creates a monitor for the solver. pool supplies the worker team for
-// the parallel scans; nil means a private single-worker (inline) team.
-// Close releases only a team the monitor created itself.
-func New(cfg Config, s *solver.Solver, pool *par.Pool) (*Monitor, error) {
+// New creates a monitor for the solver. Its scans run on the worker team
+// of the solver's net, so a guarded run keeps one team.
+func New(cfg Config, s *solver.Solver) (*Monitor, error) {
 	if s == nil {
 		return nil, fmt.Errorf("guard: nil solver")
 	}
@@ -160,14 +157,7 @@ func New(cfg Config, s *solver.Solver, pool *par.Pool) (*Monitor, error) {
 	if cfg.MaxGradNorm < 0 || math.IsNaN(cfg.MaxGradNorm) {
 		return nil, fmt.Errorf("guard: MaxGradNorm must be >= 0, got %g", cfg.MaxGradNorm)
 	}
-	m := &Monitor{cfg: cfg, s: s, pool: pool}
-	if m.pool == nil {
-		m.pool = par.NewPool(1)
-		m.ownPool = true
-	}
-	p := m.pool.Workers()
-	m.sumsq = make([]float64, p)
-	m.bad = make([]int64, p)
+	m := &Monitor{cfg: cfg, s: s}
 	m.scanBody = func(lo, hi, rank int) {
 		xs := m.cur
 		var ss float64
@@ -201,13 +191,6 @@ func (m *Monitor) Stats() Stats { return m.stats }
 
 // Err reports why the monitor halted training, or nil.
 func (m *Monitor) Err() error { return m.err }
-
-// Close releases the monitor's private worker team, if it created one.
-func (m *Monitor) Close() {
-	if m.ownPool {
-		m.pool.Close()
-	}
-}
 
 // Check is the solver pre-update hook: it scans the just-computed state
 // and returns the action the configured policy dictates. Healthy
@@ -247,6 +230,9 @@ func (m *Monitor) Check(iter int, loss float64) solver.PreUpdateAction {
 func (m *Monitor) verdict(iter int, loss float64) Verdict {
 	v := Verdict{Iter: iter, Loss: loss}
 	v.LossBad = math.IsNaN(loss) || math.IsInf(loss, 0)
+	// Label the scans' worker spans, which would otherwise carry the
+	// scope of the last backward layer.
+	m.s.Net().Tracer().SetScope("guard", trace.PhaseGuard)
 	params := m.s.Net().Params()
 	sumsq, badG := m.scanParams(params, true)
 	v.GradNorm = math.Sqrt(sumsq)
@@ -271,7 +257,11 @@ func (m *Monitor) verdict(iter int, loss float64) Verdict {
 // non-finite ones. The per-rank partials are merged in rank order, so the
 // result is deterministic for a fixed team size.
 func (m *Monitor) scanParams(blobs []*blob.Blob, diff bool) (sumsq float64, bad int) {
-	p := m.pool.Workers()
+	e := m.s.Net().Engine()
+	p := e.Workers()
+	if len(m.sumsq) < p {
+		m.growPartials(p)
+	}
 	for r := 0; r < p; r++ {
 		m.sumsq[r] = 0
 		m.bad[r] = 0
@@ -282,7 +272,7 @@ func (m *Monitor) scanParams(blobs []*blob.Blob, diff bool) (sumsq float64, bad 
 		} else {
 			m.cur = b.Data()
 		}
-		m.pool.For(len(m.cur), m.scanBody)
+		e.For(len(m.cur), m.scanBody)
 	}
 	m.cur = nil
 	for r := 0; r < p; r++ {
@@ -290,6 +280,13 @@ func (m *Monitor) scanParams(blobs []*blob.Blob, diff bool) (sumsq float64, bad 
 		bad += int(m.bad[r])
 	}
 	return sumsq, bad
+}
+
+// growPartials sizes the per-rank partials for a team of p workers: once
+// per monitor, and again only if a larger engine is swapped in.
+func (m *Monitor) growPartials(p int) {
+	m.sumsq = make([]float64, p)
+	m.bad = make([]int64, p)
 }
 
 // react applies the policy to a faulty verdict, returning the solver

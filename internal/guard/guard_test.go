@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"coarsegrain/internal/blob"
+	"coarsegrain/internal/core"
 	"coarsegrain/internal/data"
 	"coarsegrain/internal/guard"
 	"coarsegrain/internal/layers"
@@ -13,6 +15,7 @@ import (
 	"coarsegrain/internal/rng"
 	"coarsegrain/internal/snapshot"
 	"coarsegrain/internal/solver"
+	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
 )
 
@@ -33,6 +36,13 @@ func (microSource) Read(i int, out []float32) int {
 
 func tinySolver(t testing.TB, seed uint64) *solver.Solver {
 	t.Helper()
+	return tinySolverOn(t, seed, nil)
+}
+
+// tinySolverOn is tinySolver on the given engine (nil: sequential), whose
+// team the monitor's scans then run on.
+func tinySolverOn(t testing.TB, seed uint64, eng core.Engine) *solver.Solver {
+	t.Helper()
 	d, err := layers.NewData("data", microSource{}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +55,7 @@ func tinySolver(t testing.TB, seed uint64) *solver.Solver {
 		{Layer: d, Tops: []string{"data", "label"}},
 		{Layer: ip, Bottoms: []string{"data"}, Tops: []string{"ip"}},
 		{Layer: layers.NewSoftmaxWithLoss("loss"), Bottoms: []string{"ip", "label"}, Tops: []string{"loss"}},
-	}, nil)
+	}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +76,10 @@ func TestHealthyRunIsUnperturbed(t *testing.T) {
 	ref := plain.Step(8)
 
 	guarded := tinySolver(t, 1)
-	mon, err := guard.New(guard.Config{Policy: guard.Halt, MaxGradNorm: 1e9}, guarded, nil)
+	mon, err := guard.New(guard.Config{Policy: guard.Halt, MaxGradNorm: 1e9}, guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
 	guarded.SetPreUpdate(mon.Check)
 	got := guarded.Step(8)
 	for i := range ref {
@@ -89,11 +98,10 @@ func TestHealthyRunIsUnperturbed(t *testing.T) {
 
 func TestHaltOnNaNLoss(t *testing.T) {
 	s := tinySolver(t, 2)
-	mon, err := guard.New(guard.Config{Policy: guard.Halt}, s, nil)
+	mon, err := guard.New(guard.Config{Policy: guard.Halt}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
 	if act := mon.Check(0, math.NaN()); act != solver.ActHalt {
 		t.Fatalf("NaN loss produced action %v, want halt", act)
 	}
@@ -107,10 +115,10 @@ func TestHaltOnNaNLoss(t *testing.T) {
 }
 
 func TestHaltOnPoisonedGradient(t *testing.T) {
-	s := tinySolver(t, 3)
-	pool := par.NewPool(4)
-	defer pool.Close()
-	mon, err := guard.New(guard.Config{Policy: guard.Halt}, s, pool)
+	eng := core.NewCoarse(4)
+	defer eng.Close()
+	s := tinySolverOn(t, 3, eng)
+	mon, err := guard.New(guard.Config{Policy: guard.Halt}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +146,10 @@ func TestHaltOnPoisonedGradient(t *testing.T) {
 
 func TestHaltOnNonFiniteParameter(t *testing.T) {
 	s := tinySolver(t, 4)
-	mon, err := guard.New(guard.Config{Policy: guard.Halt}, s, nil)
+	mon, err := guard.New(guard.Config{Policy: guard.Halt}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
 	s.Net().Params()[0].Data()[1] = float32(math.Inf(1))
 	if act := mon.Check(0, 0.7); act != solver.ActHalt {
 		t.Fatalf("action = %v", act)
@@ -154,11 +161,10 @@ func TestHaltOnNonFiniteParameter(t *testing.T) {
 
 func TestHaltOnGradientNormExplosion(t *testing.T) {
 	s := tinySolver(t, 5)
-	mon, err := guard.New(guard.Config{Policy: guard.Halt, MaxGradNorm: 1e-9}, s, nil)
+	mon, err := guard.New(guard.Config{Policy: guard.Halt, MaxGradNorm: 1e-9}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
 	for i := range s.Net().Params()[0].Diff() {
 		s.Net().Params()[0].Diff()[i] = 1
 	}
@@ -175,11 +181,10 @@ func TestHaltOnGradientNormExplosion(t *testing.T) {
 
 func TestSkipBatchDiscardsUpdateAndContinues(t *testing.T) {
 	s := tinySolver(t, 6)
-	mon, err := guard.New(guard.Config{Policy: guard.SkipBatch}, s, nil)
+	mon, err := guard.New(guard.Config{Policy: guard.SkipBatch}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
 	s.SetPreUpdate(func(iter int, loss float64) solver.PreUpdateAction {
 		if iter == 3 {
 			poisonDiff(s)
@@ -216,11 +221,10 @@ func TestRollbackRestoresCheckpointAndBacksOffLR(t *testing.T) {
 	if _, err := snapshot.SaveCheckpoint(dir, s, 0); err != nil {
 		t.Fatal(err)
 	}
-	mon, err := guard.New(guard.Config{Policy: guard.Rollback, LRBackoff: 0.5}, s, nil)
+	mon, err := guard.New(guard.Config{Policy: guard.Rollback, LRBackoff: 0.5}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
 	mon.SetRestore(func(sv *solver.Solver) (string, error) {
 		path, _, err := snapshot.LoadLatestValid(dir, sv)
 		return path, err
@@ -257,11 +261,10 @@ func TestRollbackRestoresCheckpointAndBacksOffLR(t *testing.T) {
 
 func TestRollbackWithoutRestoreDegradesToHalt(t *testing.T) {
 	s := tinySolver(t, 8)
-	mon, err := guard.New(guard.Config{Policy: guard.Rollback}, s, nil)
+	mon, err := guard.New(guard.Config{Policy: guard.Rollback}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
 	poisonDiff(s)
 	if act := mon.Check(0, 0.7); act != solver.ActHalt {
 		t.Fatalf("action = %v", act)
@@ -273,11 +276,10 @@ func TestRollbackWithoutRestoreDegradesToHalt(t *testing.T) {
 
 func TestCheckEveryGatesScans(t *testing.T) {
 	s := tinySolver(t, 9)
-	mon, err := guard.New(guard.Config{Policy: guard.Halt, CheckEvery: 3}, s, nil)
+	mon, err := guard.New(guard.Config{Policy: guard.Halt, CheckEvery: 3}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
 	s.SetPreUpdate(mon.Check)
 	s.Step(6) // iters 0..5: checks at 0 and 3
 	if st := mon.Stats(); st.Checks != 2 {
@@ -302,13 +304,13 @@ func TestParsePolicy(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	s := tinySolver(t, 10)
-	if _, err := guard.New(guard.Config{LRBackoff: 1.5}, s, nil); err == nil {
+	if _, err := guard.New(guard.Config{LRBackoff: 1.5}, s); err == nil {
 		t.Error("LRBackoff > 1 accepted")
 	}
-	if _, err := guard.New(guard.Config{MaxGradNorm: math.NaN()}, s, nil); err == nil {
+	if _, err := guard.New(guard.Config{MaxGradNorm: math.NaN()}, s); err == nil {
 		t.Error("NaN MaxGradNorm accepted")
 	}
-	if _, err := guard.New(guard.Config{}, nil, nil); err == nil {
+	if _, err := guard.New(guard.Config{}, nil); err == nil {
 		t.Error("nil solver accepted")
 	}
 }
@@ -316,14 +318,14 @@ func TestConfigValidation(t *testing.T) {
 // lenetSolver builds the benchmark workload: LeNet on synthetic MNIST,
 // matching the acceptance criterion's "guard overhead <= 2% on a LeNet
 // iteration".
-func lenetSolver(b *testing.B) *solver.Solver {
+func lenetSolver(b testing.TB, eng core.Engine) *solver.Solver {
 	b.Helper()
 	src := data.NewSyntheticMNIST(64, 11)
 	specs, err := zoo.LeNet(src, zoo.Options{BatchSize: 16, Seed: 11})
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := net.New(specs, nil)
+	n, err := net.New(specs, eng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -335,7 +337,7 @@ func lenetSolver(b *testing.B) *solver.Solver {
 }
 
 func BenchmarkLeNetIteration(b *testing.B) {
-	s := lenetSolver(b)
+	s := lenetSolver(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -344,10 +346,10 @@ func BenchmarkLeNetIteration(b *testing.B) {
 }
 
 func BenchmarkLeNetIterationGuarded(b *testing.B) {
-	s := lenetSolver(b)
-	pool := par.NewPool(4)
-	defer pool.Close()
-	mon, err := guard.New(guard.Config{Policy: guard.Halt, MaxGradNorm: 1e12}, s, pool)
+	eng := core.NewCoarse(4)
+	defer eng.Close()
+	s := lenetSolver(b, eng)
+	mon, err := guard.New(guard.Config{Policy: guard.Halt, MaxGradNorm: 1e12}, s)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -365,11 +367,11 @@ func BenchmarkLeNetIterationGuarded(b *testing.B) {
 // BenchmarkGuardCheck isolates the scan itself (no training pass), the
 // number the <= 2% overhead budget is spent on.
 func BenchmarkGuardCheck(b *testing.B) {
-	s := lenetSolver(b)
+	eng := core.NewCoarse(4)
+	defer eng.Close()
+	s := lenetSolver(b, eng)
 	s.Step(1) // populate gradients
-	pool := par.NewPool(4)
-	defer pool.Close()
-	mon, err := guard.New(guard.Config{Policy: guard.Halt, MaxGradNorm: 1e12}, s, pool)
+	mon, err := guard.New(guard.Config{Policy: guard.Halt, MaxGradNorm: 1e12}, s)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -379,5 +381,93 @@ func BenchmarkGuardCheck(b *testing.B) {
 		if act := mon.Check(0, 0.5); act != solver.ActProceed {
 			b.Fatal("healthy check vetoed")
 		}
+	}
+}
+
+// perRankNorm is the scan's arithmetic written out: every diff blob is
+// cut into par.Chunk bands, each rank adds its band's float64 sum of
+// squares to its partial, and the partials are summed in rank order.
+func perRankNorm(params []*blob.Blob, workers int) float64 {
+	partial := make([]float64, workers)
+	for _, b := range params {
+		xs := b.Diff()
+		for r := range partial {
+			lo, hi := par.Chunk(len(xs), workers, r)
+			var ss float64
+			for _, x := range xs[lo:hi] {
+				ss += float64(x) * float64(x)
+			}
+			partial[r] += ss
+		}
+	}
+	var sum float64
+	for _, ss := range partial {
+		sum += ss
+	}
+	return math.Sqrt(sum)
+}
+
+// TestGradNormIsThePerRankScan: the scan runs on the net's team, and its
+// norm is the rank-ordered sum of per-rank partials at that team's size —
+// bit for bit, also after Net.SetEngine swaps in a larger or a smaller
+// team. LeNet's 431k gradient elements make the float64 sum's rounding
+// depend on how the elements are split and in which order the partials
+// are added.
+func TestGradNormIsThePerRankScan(t *testing.T) {
+	s := lenetSolver(t, nil)
+	s.Step(1) // populate gradients
+	// A vanishing norm bound faults every check, so each verdict is kept.
+	mon, err := guard.New(guard.Config{Policy: guard.SkipBatch, MaxGradNorm: 1e-30}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 3, 4, 2} {
+		eng := core.NewCoarse(p)
+		s.Net().SetEngine(eng)
+		if act := mon.Check(0, 0.5); act != solver.ActSkip {
+			t.Fatalf("P=%d: action %v, want skip", p, act)
+		}
+		eng.Close()
+		got, want := mon.Stats().LastVerdict.GradNorm, perRankNorm(s.Net().Params(), p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("P=%d: GradNorm %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestScanSpansCarryGuardScope: the scans' worker spans are labelled
+// ("guard", PhaseGuard), not with the scope of the backward layer that
+// ran last.
+func TestScanSpansCarryGuardScope(t *testing.T) {
+	eng := core.NewCoarse(2)
+	defer eng.Close()
+	s := tinySolverOn(t, 13, eng)
+	tr := trace.New(eng.Workers())
+	s.SetTracer(tr)
+	mon, err := guard.New(guard.Config{Policy: guard.Halt}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.SetTracer(tr)
+	s.SetPreUpdate(mon.Check)
+	s.Step(2)
+	spans := tr.Snapshot()
+	inside := 0
+	for _, g := range spans {
+		if g.Rank != trace.RankDriver || g.Phase != trace.PhaseGuard {
+			continue
+		}
+		for _, w := range spans {
+			if w.Rank == trace.RankDriver || w.Start < g.Start || w.End() > g.End() {
+				continue
+			}
+			inside++
+			if w.Name != "guard" || w.Phase != trace.PhaseGuard {
+				t.Errorf("worker span %q/%v inside the guard's check", w.Name, w.Phase)
+			}
+		}
+	}
+	if inside == 0 {
+		t.Fatal("no worker span inside a guard check: the scans did not run on the team")
 	}
 }

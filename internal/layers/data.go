@@ -24,16 +24,25 @@ type Source interface {
 // Data is the input layer: it feeds batches of samples and labels into the
 // network. Tops are [data (S,C,H,W), labels (S)].
 //
-// As the paper observes (§4.3 "Locality between layers"), data layers
-// execute *sequentially*: the batch load happens in ForwardPrepare on one
-// thread, which is exactly why the first convolution suffers the locality
-// penalty the paper measures. The forward extent is therefore 0.
+// In the paper's Caffe the data layer executes *sequentially* (§4.3
+// "Locality between layers"): one thread loads the whole batch, which is
+// why the first convolution suffers the locality penalty the paper
+// measures. Here only the bookkeeping is serial: ForwardPrepare fixes the
+// pass's first source index and advances the cursor and epoch, and the
+// load itself is a samples range like any other layer's — ForwardRange
+// reads samples (start+s) mod Len into slots [lo, hi), so under a samples
+// cut each worker fills the samples its own band of the first
+// convolution reads next. The same indices land in the same slots at any
+// worker count, so the batch is bit-identical to the serial load.
 type Data struct {
 	base
 	src       Source
 	batchSize int
 	cursor    int
 	epoch     int
+	// start is the source index of slot 0 of the pass in flight, set by
+	// ForwardPrepare.
+	start int
 }
 
 // NewData creates a data layer reading consecutive batches from src,
@@ -108,27 +117,30 @@ func (l *Data) Reshape(bottom, top []*blob.Blob) {
 	top[1].Reshape(l.batchSize)
 }
 
-// ForwardPrepare implements ForwardPreparer: the sequential batch load.
+// ForwardPrepare implements ForwardPreparer: the pass's serial
+// bookkeeping. It records where the batch starts and moves the cursor
+// and epoch past it, exactly as loading the batch one sample at a time
+// would; ForwardRange then loads the samples.
 func (l *Data) ForwardPrepare(bottom, top []*blob.Blob) {
+	l.start = l.cursor
+	l.Skip(1)
+}
+
+// ForwardExtent implements Layer: one iteration per sample of the batch.
+func (l *Data) ForwardExtent() int { return l.batchSize }
+
+// ForwardRange implements Layer: it loads samples (start+s) mod Len into
+// slots [lo, hi) of the batch. Source.Read is safe for concurrent use
+// with distinct indices, and distinct ranges write distinct slots.
+func (l *Data) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 	sampleLen := top[0].CountFrom(1)
 	data := top[0].Data()
 	labels := top[1].Data()
-	for s := 0; s < l.batchSize; s++ {
-		lab := l.src.Read(l.cursor, data[s*sampleLen:(s+1)*sampleLen])
-		labels[s] = float32(lab)
-		l.cursor++
-		if l.cursor == l.src.Len() {
-			l.cursor = 0
-			l.epoch++
-		}
+	n := l.src.Len()
+	for s := lo; s < hi; s++ {
+		labels[s] = float32(l.src.Read((l.start+s)%n, data[s*sampleLen:(s+1)*sampleLen]))
 	}
 }
-
-// ForwardExtent implements Layer: all work is in the sequential prepare.
-func (l *Data) ForwardExtent() int { return 0 }
-
-// ForwardRange implements Layer (never called: extent is 0).
-func (l *Data) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {}
 
 // BackwardExtent implements Layer: data has no gradient.
 func (l *Data) BackwardExtent() int { return 0 }

@@ -79,8 +79,7 @@ type Layer interface {
 
 	// ForwardExtent returns the number of coalesced forward iterations for
 	// the current shapes. An extent of 0 means all forward work happens in
-	// the ForwardPrepare/ForwardFinish hooks (e.g. the Data layer, which
-	// the paper observes executes sequentially).
+	// the ForwardPrepare/ForwardFinish hooks.
 	ForwardExtent() int
 	// ForwardRange computes the coalesced iterations [lo, hi). Writes to
 	// top blobs for distinct ranges must be disjoint.

@@ -54,6 +54,17 @@ type Pool struct {
 	// phase the driver set before entering the region). Nil costs one
 	// branch per region.
 	tracer *trace.Tracer
+
+	// forN and forBody are the worksharing loop in flight, and merge the
+	// reduction in flight: written by the caller before the region is
+	// posted (the barrier publishes them) and cleared after the join.
+	// forTask and foldBody are runFor and fold, bound once in NewPool so
+	// that For and OrderedSlices post no new closure per region.
+	forN     int
+	forBody  func(lo, hi, rank int)
+	forTask  task
+	merge    func(lo, hi, rank int)
+	foldBody func(lo, hi, rank int)
 }
 
 type task func(rank int)
@@ -66,6 +77,7 @@ func NewPool(n int) *Pool {
 		n = 1
 	}
 	p := &Pool{workers: n, bar: newBarrier(n)}
+	p.forTask, p.foldBody = p.runFor, p.fold
 	for r := 1; r < n; r++ {
 		go p.worker(r)
 	}
@@ -205,12 +217,17 @@ func (p *Pool) For(n int, body func(lo, hi, rank int)) {
 		body(0, n, 0)
 		return
 	}
-	p.region(func(rank int) {
-		lo, hi := Chunk(n, p.workers, rank)
-		if lo < hi {
-			body(lo, hi, rank)
-		}
-	})
+	p.forN, p.forBody = n, body
+	p.region(p.forTask)
+	p.forBody = nil
+}
+
+// runFor is one rank's share of the loop For posted.
+func (p *Pool) runFor(rank int) {
+	lo, hi := Chunk(p.forN, p.workers, rank)
+	if lo < hi {
+		p.forBody(lo, hi, rank)
+	}
 }
 
 // Region runs body once per rank, like `#pragma omp parallel` with no
@@ -269,31 +286,22 @@ func (p *Pool) Ordered(body func(rank int)) {
 // distinct workers are disjoint, so the writes are race-free by
 // construction. n <= 0 runs nothing. With P == 1 the single call
 // merge(0, n, 0) runs inline on the caller.
+//
+// The fold runs as a For over the element space, so under a tracer each
+// worker records one span covering its whole rank fold: Band is the
+// folding worker's rank, Lo/Hi its element slice.
 func (p *Pool) OrderedSlices(n int, merge func(lo, hi, rank int)) {
-	if n <= 0 {
-		return
+	p.merge = merge
+	p.For(n, p.foldBody)
+	p.merge = nil
+}
+
+// fold is one worker's share of OrderedSlices: source ranks 0..P-1 merged
+// over its slice in rank order.
+func (p *Pool) fold(lo, hi, _ int) {
+	for r := 0; r < p.workers; r++ {
+		p.merge(lo, hi, r)
 	}
-	workers := p.workers
-	fold := func(lo, hi, _ int) {
-		for r := 0; r < workers; r++ {
-			merge(lo, hi, r)
-		}
-	}
-	if p.tracer.Enabled() {
-		// One span per worker covering its whole rank fold: Band is the
-		// folding worker's rank, Lo/Hi its element slice.
-		fold = p.traced(fold)
-	}
-	if workers == 1 {
-		fold(0, n, 0)
-		return
-	}
-	p.region(func(rank int) {
-		lo, hi := Chunk(n, workers, rank)
-		if lo < hi {
-			fold(lo, hi, rank)
-		}
-	})
 }
 
 // ReduceTree merges per-rank partial results with a pairwise tree:

@@ -17,8 +17,15 @@
 // The model's terms are exactly the paper's identified limiting factors:
 // work imbalance under static scheduling, parallel-region overhead, the
 // ordered gradient reduction, locality loss between layers with different
-// data-thread distributions, the sequential data layer, and the NUMA
-// penalty beyond one socket. Constants are calibrated once (DefaultMachine)
+// data-thread distributions, phases that run on one thread (the paper's
+// Caffe data layer loads its batch that way), and the NUMA penalty beyond
+// one socket. This repository's data layer loads its batch in sample
+// bands on the worker team, so bench.ModelsFromNet hands the model a
+// samples layer with the batch as its extent, and the one-thread term
+// applies only to a layer model written with extent 0. The solver's
+// update, the paper's third serial term, is not modeled: it runs as one
+// element sweep on the worker team, and a measured step includes it
+// where the modeled network time does not. Constants are calibrated once (DefaultMachine)
 // against the paper's headline numbers (~6x @ 8 threads, ~8x @ 16).
 //
 // The model's inputs and its predictions can both be checked against the
@@ -37,7 +44,8 @@ import "math"
 type Dist string
 
 const (
-	// DistSequential marks data produced by one thread (the data layer).
+	// DistSequential marks data produced by one thread (the paper's
+	// Caffe data layer).
 	DistSequential Dist = "sequential"
 	// DistPlanes marks work distributed over (sample, channel) planes
 	// (convolution outputs, pooling, ReLU).
@@ -65,7 +73,8 @@ type LayerModel struct {
 	// FwdSerialUS / BwdSerialUS are measured single-thread times.
 	FwdSerialUS, BwdSerialUS float64
 	// FwdExtent / BwdExtent are the coalesced iteration counts
-	// (0 = the phase runs sequentially, e.g. the data layer's load).
+	// (0 = the phase runs on one thread, as the paper's Caffe data layer
+	// loads its batch).
 	FwdExtent, BwdExtent int
 	// ParamElems is the total learnable element count (reduction size).
 	ParamElems int
@@ -95,7 +104,7 @@ type Machine struct {
 	// predecessor produced.
 	LocalityPenalty float64
 	// SequentialPenalty is the (stronger) penalty for consuming data that
-	// one thread wrote (the data layer case).
+	// one thread wrote (the paper's data layer case).
 	SequentialPenalty float64
 	// NUMAPenalty is the extra fractional cost once threads span sockets.
 	NUMAPenalty float64

@@ -49,30 +49,45 @@ func (c *Config) normalizeExtra() error {
 	return nil
 }
 
-// applyUpdateExtra implements the extension update rules. m1/m2 are the
-// two history buffers (Adam needs both; RMSProp uses m1 only).
-func (s *Solver) applyUpdateExtra(lr float32, data, diff, m1, m2 []float32) {
+// updateSliceExtra is updateSlice for the extension rules. m1/m2 are the
+// two history slices (Adam needs both; RMSProp uses m1 only).
+func (s *Solver) updateSliceExtra(data, diff, m1, m2 []float32) {
+	lr, wd, delta := s.lr, s.cfg.WeightDecay, s.cfg.Delta
 	switch s.cfg.Type {
 	case RMSProp:
 		decay := s.cfg.RMSDecay
-		delta := s.cfg.Delta
 		for j := range diff {
+			if wd != 0 {
+				diff[j] += wd * data[j]
+			}
 			g := diff[j]
 			m1[j] = decay*m1[j] + (1-decay)*g*g
 			diff[j] = lr * g / (float32(math.Sqrt(float64(m1[j]))) + delta)
+			data[j] -= diff[j]
 		}
 	case Adam:
 		b1, b2 := s.cfg.Momentum, s.cfg.Momentum2
-		t := float64(s.iter + 1)
-		correction := float32(math.Sqrt(1-math.Pow(float64(b2), t)) / (1 - math.Pow(float64(b1), t)))
-		delta := s.cfg.Delta
+		correction := s.correction
+		m2 = m2[:len(diff)]
 		for j := range diff {
+			if wd != 0 {
+				diff[j] += wd * data[j]
+			}
 			g := diff[j]
 			m1[j] = b1*m1[j] + (1-b1)*g
 			m2[j] = b2*m2[j] + (1-b2)*g*g
 			diff[j] = lr * correction * m1[j] / (float32(math.Sqrt(float64(m2[j]))) + delta)
+			data[j] -= diff[j]
 		}
 	}
+}
+
+// adamCorrection is Adam's bias correction at the current iteration,
+// sqrt(1-β2^t) / (1-β1^t) with t = iter+1.
+func (s *Solver) adamCorrection() float32 {
+	b1, b2 := s.cfg.Momentum, s.cfg.Momentum2
+	t := float64(s.iter + 1)
+	return float32(math.Sqrt(1-math.Pow(float64(b2), t)) / (1 - math.Pow(float64(b1), t)))
 }
 
 // Evaluate runs the network in test mode for iters forward passes and

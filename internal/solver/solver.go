@@ -109,6 +109,16 @@ type Solver struct {
 	// monitor (internal/guard) uses to veto an update computed from a
 	// poisoned gradient. Nil means always proceed.
 	preUpdate PreUpdateHook
+
+	// offsets[i] is where parameter i starts in the flat element space
+	// the update sweeps; its last entry is the space's size.
+	offsets []int
+	// updateBody is updateRange, bound once so that a step hands the
+	// engine no new closure.
+	updateBody func(lo, hi, rank int)
+	// lr and correction are the current sweep's constants: the learning
+	// rate and Adam's bias correction.
+	lr, correction float32
 }
 
 // PreUpdateAction is a pre-update hook's verdict on the just-computed
@@ -153,13 +163,15 @@ func New(cfg Config, n *net.Net) (*Solver, error) {
 	if n == nil {
 		return nil, fmt.Errorf("solver: nil net")
 	}
-	s := &Solver{cfg: cfg, network: n}
+	s := &Solver{cfg: cfg, network: n, offsets: []int{0}}
 	for _, p := range n.Params() {
 		s.history = append(s.history, blob.New(p.Shape()...))
 		if cfg.Type == Adam {
 			s.history2 = append(s.history2, blob.New(p.Shape()...))
 		}
+		s.offsets = append(s.offsets, s.offsets[len(s.offsets)-1]+p.Count())
 	}
+	s.updateBody = s.updateRange
 	return s, nil
 }
 
@@ -270,49 +282,85 @@ func (s *Solver) UpdateFromGradients() {
 	s.iter++
 }
 
-// applyUpdate implements updateCoefficients (Algorithm 1 line 11): it
-// regularizes the gradient, computes the per-parameter step according to
-// the solver type, stores it in the parameter's diff and applies it.
+// applyUpdate implements updateCoefficients (Algorithm 1 line 11) as one
+// sweep over the parameters' flat element space on the net's worker team
+// (the view the engine's gradient merge takes): each element is regularized,
+// stepped by the solver's rule and applied in one pass. Every element is
+// independent and its arithmetic is the serial sweep's, so the weights
+// are bit-identical at every worker count; a one-worker engine runs the
+// sweep inline.
 func (s *Solver) applyUpdate() {
-	lr := s.LearningRate()
+	s.lr = s.LearningRate()
+	if s.cfg.Type == Adam {
+		s.correction = s.adamCorrection()
+	}
+	// Label the worker spans of the sweep, which would otherwise carry
+	// the scope of the last backward layer.
+	s.network.Tracer().SetScope("update", trace.PhaseUpdate)
+	s.network.Engine().For(s.offsets[len(s.offsets)-1], s.updateBody)
+}
+
+// updateRange updates elements [lo, hi) of the flat element space: the
+// part of each parameter that falls inside it.
+func (s *Solver) updateRange(lo, hi, _ int) {
 	for i, p := range s.network.Params() {
-		data := p.Data()
-		diff := p.Diff()
-		hist := s.history[i].Data()
-		// L2 regularization: g += wd * w.
-		if wd := s.cfg.WeightDecay; wd != 0 {
-			for j := range diff {
+		off := s.offsets[i]
+		if off >= hi {
+			return
+		}
+		plo, phi := max(lo-off, 0), min(hi-off, p.Count())
+		if plo >= phi {
+			continue
+		}
+		var m2 []float32
+		if s.history2 != nil {
+			m2 = s.history2[i].Data()[plo:phi]
+		}
+		s.updateSlice(p.Data()[plo:phi], p.Diff()[plo:phi], s.history[i].Data()[plo:phi], m2)
+	}
+}
+
+// updateSlice runs the update over one slice of a parameter, element by
+// element: L2 regularization (g += wd * w), the rule's step, stored in
+// the diff as Caffe stores it, and the step's application (w -= step).
+// hist and m2 are the parameter's history slices (m2 is Adam's only).
+func (s *Solver) updateSlice(data, diff, hist, m2 []float32) {
+	lr, wd := s.lr, s.cfg.WeightDecay
+	data, hist = data[:len(diff)], hist[:len(diff)]
+	switch s.cfg.Type {
+	case SGD:
+		mu := s.cfg.Momentum
+		for j := range diff {
+			if wd != 0 {
 				diff[j] += wd * data[j]
 			}
+			hist[j] = mu*hist[j] + lr*diff[j]
+			diff[j] = hist[j]
+			data[j] -= diff[j]
 		}
-		switch s.cfg.Type {
-		case SGD:
-			mu := s.cfg.Momentum
-			for j := range diff {
-				hist[j] = mu*hist[j] + lr*diff[j]
-				diff[j] = hist[j]
+	case Nesterov:
+		mu := s.cfg.Momentum
+		for j := range diff {
+			if wd != 0 {
+				diff[j] += wd * data[j]
 			}
-		case Nesterov:
-			mu := s.cfg.Momentum
-			for j := range diff {
-				hPrev := hist[j]
-				hist[j] = mu*hPrev + lr*diff[j]
-				diff[j] = (1+mu)*hist[j] - mu*hPrev
-			}
-		case AdaGrad:
-			delta := s.cfg.Delta
-			for j := range diff {
-				g := diff[j]
-				hist[j] += g * g
-				diff[j] = lr * g / (float32(math.Sqrt(float64(hist[j]))) + delta)
-			}
-		case RMSProp, Adam:
-			var m2 []float32
-			if s.history2 != nil {
-				m2 = s.history2[i].Data()
-			}
-			s.applyUpdateExtra(lr, data, diff, hist, m2)
+			hPrev := hist[j]
+			hist[j] = mu*hPrev + lr*diff[j]
+			diff[j] = (1+mu)*hist[j] - mu*hPrev
+			data[j] -= diff[j]
 		}
-		p.Update()
+	case AdaGrad:
+		delta := s.cfg.Delta
+		for j := range diff {
+			if wd != 0 {
+				diff[j] += wd * data[j]
+			}
+			g := diff[j]
+			hist[j] += g * g
+			diff[j] = lr * g / (float32(math.Sqrt(float64(hist[j]))) + delta)
+			data[j] -= diff[j]
+		}
+	case RMSProp, Adam:
+		s.updateSliceExtra(data, diff, hist, m2)
 	}
 }

@@ -197,7 +197,10 @@ const DefaultShardCapacity = 1 << 14
 // IterCapacity is the per-writer ring size that holds iters training
 // iterations of a net with the given layer count without wrapping: per
 // iteration a writer records at most three spans per layer (forward,
-// backward, reduce) plus the solver's iteration, update and guard spans.
+// backward, reduce) plus the solver's iteration, update and guard spans
+// (a worker's one is its band of the update sweep). A guarded run's
+// scans add two worker spans per parameter blob per check, which this
+// bound does not cover.
 func IterCapacity(iters, layers int) int { return iters * (3*layers + 3) }
 
 // shard is a single-writer span ring. pos is the overwrite cursor once

@@ -12,7 +12,9 @@
 # passes over the parallel substrate (the BLAS band kernels and implicit-GEMM
 # convolution driver with its differential tests, the lowered layer and its
 # coarse-engine sweep, the worker pool, the span tracer, the instrumented
-# net loop, the coarse engine and the serving layer), twenty race passes
+# net loop, the coarse engine, the solver's update sweep and the guard's
+# scans on the engine's team, the datasets every Data band reads
+# concurrently and the serving layer), twenty race passes
 # over the serving batcher's tests, a 5-second FuzzGemm
 # smoke (random shapes/transposes/strides through both kernels, gemmRef as
 # oracle) and a 5-second FuzzConv smoke (random convolution geometries
@@ -122,9 +124,9 @@ go test -C benchmark ./...
 echo "== go test -run Example (doc examples) =="
 go test -run Example ./...
 
-echo "== go test -race (blas, layers, par, trace, net, core, guard, faultinject, serve, transport incl. Close-delivers-every-frame, dist, cluster) =="
+echo "== go test -race (blas, layers, par, trace, net, core, solver, guard, data, faultinject, serve, transport incl. Close-delivers-every-frame, dist, cluster) =="
 go test -race -count=1 ./internal/blas ./internal/layers ./internal/par ./internal/trace ./internal/net ./internal/core \
-	./internal/guard ./internal/faultinject ./internal/serve ./internal/transport ./internal/dist ./internal/cluster
+	./internal/solver ./internal/guard ./internal/data ./internal/faultinject ./internal/serve ./internal/transport ./internal/dist ./internal/cluster
 go test -race -count=1 -run 'TestLoweredLeNetCoarseSweep' ./internal/zoo
 
 echo "== batcher stress under race (20 passes: the select between an idle replica and the next arrival) =="
