@@ -1,0 +1,45 @@
+//go:build !race
+
+// The race detector's instrumentation allocates, so the allocation pins
+// only run in normal test passes.
+
+package blas
+
+import (
+	"testing"
+
+	"coarsegrain/internal/rng"
+)
+
+// TestGemmAllocations pins a held-scratch GemmWithScratch at 0 heap
+// allocations once the scratch has grown, on the small-M and small-K
+// products whose time is mostly the vector packers and writeback: ip1's
+// forward at M = 1 (a served request) and its weight gradient at K = 8 (a
+// band of 8 samples), on the active data movement and on the Go loops.
+func TestGemmAllocations(t *testing.T) {
+	r := rng.New(55, 55)
+	for _, sh := range []struct {
+		name    string
+		ta, tb  Transpose
+		m, n, k int
+		beta    float32
+	}{
+		{"ip1-fwd-m1", NoTrans, Trans, 1, 500, 800, 0},
+		{"ip1-bwdW-k8", Trans, NoTrans, 500, 800, 8, 1},
+	} {
+		arows, acols := storage(sh.ta, sh.m, sh.k)
+		brows, bcols := storage(sh.tb, sh.k, sh.n)
+		a, b := randomSlice(r, arows*acols), randomSlice(r, brows*bcols)
+		c := make([]float32, sh.m*sh.n)
+		s := &GemmScratch{}
+		gemm := func() { GemmWithScratch(s, sh.ta, sh.tb, sh.m, sh.n, sh.k, 1, a, acols, b, bcols, sh.beta, c, sh.n) }
+		for _, impl := range dataMovementImpls {
+			impl.run(func() {
+				gemm()
+				if got := testing.AllocsPerRun(20, gemm); got != 0 {
+					t.Errorf("%s impl=%s: GemmWithScratch allocates %v objects per call, want 0", sh.name, impl.name, got)
+				}
+			})
+		}
+	}
+}

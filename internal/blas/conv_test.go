@@ -117,15 +117,17 @@ func TestIm2colCol2imMatchNaive(t *testing.T) {
 	t.Run("scalar", func(t *testing.T) { withScalarKernel(func() { check(t) }) })
 }
 
-// withScalarKernel runs f with the portable kernels — the 4x4
-// micro-kernels with their nr=4 panels and lane groups, the Go run adder —
-// swapped in, which on an AVX2 host nothing else exercises. Not safe
-// beside parallel tests; none in this package are.
+// withScalarKernel runs f on the whole portable path, which on an AVX2
+// host nothing else exercises: the 4x4 micro-kernels with their nr=4
+// panels and lane groups (no B panel is then 16 wide and no tile row 8 or
+// 16 lanes, so those already take the Go loops), the Go run adder, and
+// the Go packing of A (withGoDataMovement). Not safe beside parallel
+// tests; none in this package are.
 func withScalarKernel(f func()) {
 	nr, gw, k, gk, ar := gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, addRuns
 	gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, addRuns = 4, 4, microKernelScalar4x4, gatherKernelScalar4x4, addRunsGo
 	defer func() { gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, addRuns = nr, gw, k, gk, ar }()
-	f()
+	withGoDataMovement(f)
 }
 
 // sweepGeoms is what the gather path branches on, at stride 1 unless
@@ -352,7 +354,9 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 
 // FuzzConv runs random convolution geometries through every route on both
 // micro-kernels, with the naive per-entry lowering and scatter as the
-// oracle's ends.
+// oracle's ends; on the active kernel also with the Go data movement,
+// against the oracle the vector data movement built, so the two paths must
+// agree bit for bit.
 func FuzzConv(f *testing.F) {
 	for _, g := range append(sweepGeoms()[:12], oddGeoms...) {
 		f.Add(uint8(g.Channels), uint8(g.Height), uint8(g.Width), uint8(g.KernelH), uint8(g.KernelW),
@@ -365,15 +369,18 @@ func FuzzConv(f *testing.F) {
 			t.Skip("window larger than the padded image")
 		}
 		o := 1 + int(o8%70)
-		check := func(kernel string) {
+		check := func(kernel string, goMovementToo bool) {
 			r := rng.New(seed, 43)
 			c := newConvCase(r, g, o, im2colNaive, col2imNaive)
 			for route, p := range convRoutes(t, g) {
 				c.check(t, r, kernel+" "+route, p)
+				if goMovementToo {
+					withGoDataMovement(func() { c.check(t, r, kernel+" go-movement "+route, p) })
+				}
 			}
 		}
-		check("active")
-		withScalarKernel(func() { check("scalar") })
+		check("active", true)
+		withScalarKernel(func() { check("scalar", false) })
 	})
 }
 

@@ -5,15 +5,23 @@ package blas
 // AVX2+FMA micro-kernel selection. The 4x16 assembly kernel
 // (gemm_kernel_amd64.s) keeps eight 8-lane YMM accumulators and issues
 // two fused multiply-adds per broadcast A element — 64 flops per packed
-// step against the scalar kernel's 32 flops per 24 scalar ops. Selection
-// happens exactly once, at init, so every Gemm in the process (and every
-// band of every Gemm) uses the same kernel; see the determinism contract
-// in gemm_blocked.go.
+// step against the scalar kernel's 32 flops per 24 scalar ops. Beside it
+// go the vector routines for the data movement around it
+// (gemm_move_amd64.s): the packers' full panels (packBDense16,
+// packBTrans16, packARows4, packARuns4) and the writeback of full 8- and
+// 16-lane tile rows (writebackVec), each bit for bit its Go twin; packA,
+// packB and writebackTile hand them what they cover and keep the rest.
+// Selection happens exactly once, at init, so every Gemm in the process
+// (and every band of every Gemm) uses the same kernel; see the
+// determinism contract in gemm_blocked.go.
 func init() {
 	if hasAVX2FMA() {
 		gemmNR, gemmGW = 16, 8
 		gemmMicroKernel = microKernelAVX4x16
 		gemmGatherKernel = gatherKernelAVX4x16
+		packBDense16, packBTrans16 = packBDense16Vec, packBTrans16Vec
+		packARows4, packARuns4 = packARows4Vec, packARuns4Vec
+		writebackVec = writebackTileVec
 		maxPool8 = maxPool8AVX2
 		addRuns = addRunsVec
 	}
@@ -86,4 +94,62 @@ func addRunsAVX2(dst, src *float32, runs, n, ds, ss int)
 func addRunsVec(dst, src []float32, runs, n, ds, ss int) {
 	_, _ = dst[(runs-1)*ds+n-1], src[(runs-1)*ss+n-1]
 	addRunsAVX2(&dst[0], &src[0], runs, n, ds, ss)
+}
+
+// The data movement of gemm_move_amd64.s. Each wrapper bounds-checks the
+// last float its routine reads and writes, then hands it pointers.
+
+//go:noescape
+func packBN16AVX2(dst, src *float32, ldb, kc int)
+
+//go:noescape
+func packBT16AVX2(dst, src *float32, ldb, kc8 int)
+
+//go:noescape
+func packA4AVX2(dst, src *float32, lda, kc8 int)
+
+//go:noescape
+func packAT4AVX2(dst, src *float32, lda, kc, panels int)
+
+//go:noescape
+func writebackAVX2(acc, c, bias *float32, nr, ldc, mrr, nrr, mode int, alpha, beta float32)
+
+func packBDense16Vec(dst, b []float32, ldb, kc int) {
+	_, _ = dst[16*kc-1], b[(kc-1)*ldb+15]
+	packBN16AVX2(&dst[0], &b[0], ldb, kc)
+}
+
+func packBTrans16Vec(dst, b []float32, ldb, kc8 int) {
+	_, _ = dst[16*kc8-1], b[15*ldb+kc8-1]
+	packBT16AVX2(&dst[0], &b[0], ldb, kc8)
+}
+
+func packARows4Vec(dst, a []float32, lda, kc8 int) {
+	_, _ = dst[4*kc8-1], a[3*lda+kc8-1]
+	packA4AVX2(&dst[0], &a[0], lda, kc8)
+}
+
+func packARuns4Vec(dst, a []float32, lda, kc, panels int) {
+	_, _ = dst[4*kc*panels-1], a[(kc-1)*lda+4*panels-1]
+	packAT4AVX2(&dst[0], &a[0], lda, kc, panels)
+}
+
+func writebackTileVec(acc []float32, nr int, alpha, beta float32, firstK bool, bias, c []float32, ldc, mrr, nrr int) {
+	_, _ = acc[(mrr-1)*nr+nrr-1], c[(mrr-1)*ldc+nrr-1]
+	var bp *float32
+	if bias != nil {
+		_ = bias[mrr-1]
+		bp = &bias[0]
+	}
+	mode := 0
+	switch {
+	case !firstK:
+	case beta == 0 && alpha == 1:
+		mode = 1
+	case beta == 0:
+		mode = 2
+	default:
+		mode = 3
+	}
+	writebackAVX2(&acc[0], &c[0], bp, nr, ldc, mrr, nrr, mode, alpha, beta)
 }

@@ -19,6 +19,8 @@ import (
 //	      pack op(A)[ic:ic+MC, pc:pc+KC] into mr-tall micro-panels (ap),
 //	        or take the panels PackA packed ahead for a run of products
 //	      for jr over NC in steps of nr:       // bp micro-panel stays in L1
+//	        (a dense B under a band of one row block: pack just this
+//	         panel here, not the block above)
 //	        for ir over MC in steps of gemmMR:
 //	          micro-kernel: register-tiled rank-KC update of a C tile
 //
@@ -35,6 +37,20 @@ import (
 // widens nr to 16: 8 YMM accumulators updated by two fused
 // multiply-adds per broadcast A element, ~8x the scalar flop rate. The
 // kernel choice is made once per process, never per call.
+//
+// The data movement around the micro-kernel is chosen with it. On AVX2,
+// init also sets the package function variables packBDense16 and
+// packBTrans16 (a full 16-wide B panel: two YMM moves per depth step of a
+// dense B, 8x8 in-register transposes of a transposed one), packARows4 and
+// packARuns4 (a full 4-row A panel: a 4x8 transpose per eight steps, or
+// one 4-float run per step of a transposed A) and writebackVec (a tile
+// row of 8 or 16 lanes, every mode and the bias, gemm_move_amd64.s).
+// packA, packB and writebackTile hand those routines what they cover and
+// run their own Go loops on the rest — ragged panels and rows, the depth
+// steps past the last multiple of 8 — and on hosts without AVX2. The
+// vector routines move the same values, and compute the writeback's
+// expression with the same unfused multiplies and adds in the same operand
+// order, so which path packed a panel or wrote a row never shows in C.
 //
 // Determinism contract (load-bearing — the coarse engine depends on it):
 // the value written to C[i,j] must depend only on (i, j, the operands,
@@ -104,6 +120,31 @@ var (
 	gemmGatherKernel = gatherKernelScalar4x4
 )
 
+// The vector data movement around the micro-kernels, selected with them
+// (gemm_amd64.go); nil where the host has none, and then the Go loops of
+// packA, packB and writebackTile do all of it. Each covers only full
+// panels and full rows — a ragged panel, a depth tail past the last
+// multiple of 8 and a ragged tile row stay on the Go loops, which are also
+// the routines' oracle (TestDataMovementMatchesGo). Moving values, or
+// computing the Go expression in the compiler's operand order without
+// fusing, they write what the Go loops write, bit for bit.
+var (
+	// packBDense16 packs one full 16-wide panel of a dense op(B):
+	// dst[l*16+j] = b[l*ldb+j].
+	packBDense16 func(dst, b []float32, ldb, kc int)
+	// packBTrans16 packs the first kc8 (a multiple of 8) steps of one full
+	// 16-wide panel of a transposed op(B): dst[l*16+j] = b[j*ldb+l].
+	packBTrans16 func(dst, b []float32, ldb, kc8 int)
+	// packARows4 interleaves the first kc8 (a multiple of 8) steps of
+	// four rows of A: dst[l*4+i] = a[i*lda+l].
+	packARows4 func(dst, a []float32, lda, kc8 int)
+	// packARuns4 packs panels full panels of a transposed op(A), end to
+	// end: dst[(p*kc+l)*4+i] = a[l*lda+p*4+i].
+	packARuns4 func(dst, a []float32, lda, kc, panels int)
+	// writebackVec is writebackTileGo for rows of 8 or 16 lanes.
+	writebackVec func(acc []float32, nr int, alpha, beta float32, firstK bool, bias, c []float32, ldc, mrr, nrr int)
+)
+
 // GemmScratch holds the packing buffers of the blocked kernel so callers
 // sitting in a hot loop (one Gemm per sample inside a coarse-grain batch
 // band) can reuse them across calls instead of re-allocating. The zero
@@ -111,7 +152,7 @@ var (
 // goroutines at once.
 type GemmScratch struct {
 	ap []float32 // packed A block: up to gemmMC x gemmKC, mr-tall panels
-	bp []float32 // packed B block: up to gemmKC x gemmNC, nr-wide panels
+	bp []float32 // packed B block: up to gemmKC x gemmNC, nr-wide panels (one panel under a one-block band)
 	// pa holds all of an op(A) that PackA packed ahead of a run of
 	// products sharing it (pm x pk; per KC block, every mr-tall panel).
 	pa     []float32
@@ -171,8 +212,11 @@ func PutScratch(s *GemmScratch) { scratchPool.Put(s) }
 // micro-tile (K = 2 with N <= 4 is a draw), rising to 15-50x at K = 256.
 // Only K = 1, an outer product with nothing to reuse a packed panel for,
 // stays on the reference kernel. (At M = 1 the reference kernel is the
-// faster one below N = 16, by microseconds at most; no shape a net emits
-// is there.)
+// faster one below N = 16 at any K and at K <= 4 at any N, by microseconds
+// at most. The M = 1 products a net emits — a served request's inner
+// products — have K of 500 or more, and the one below N = 16, LeNet's ip2
+// with its transposed weights, takes ~16 µs blocked against the
+// reference kernel's ~18 µs.)
 func GemmIsBlocked(_, _, k int) bool {
 	return k >= 2
 }
@@ -277,10 +321,17 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 	mcMax := min(gemmMC, rowHi-rowLo)
 	kcMax := min(gemmKC, k)
 	// The column blocking bounds the B block packed here; a B gathered in
-	// place or packed ahead is one block.
+	// place or packed ahead is one block. A dense B under a band of one
+	// row block is read by that block alone, so it is packed a panel at a
+	// time, just before its tiles: the panel is still in L1 when the
+	// kernel reads it, and the buffer is one panel, not a block.
 	ncMax, bpLen := gemmNC, roundUp(min(gemmNC, n), nr)*kcMax
-	if op.gather != nil || op.b == nil {
+	panelwise := op.conv == nil && op.gather == nil && op.b != nil && rowHi-rowLo <= gemmMC
+	switch {
+	case op.gather != nil || op.b == nil:
 		ncMax, bpLen = n, 0
+	case panelwise:
+		bpLen = nr * kcMax
 	}
 	s.ensure(roundUp(mcMax, gemmMR)*kcMax, bpLen)
 	acc := &s.acc
@@ -298,6 +349,7 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 			case op.gather != nil:
 			case op.b == nil:
 				bp = s.bp[roundUp(n, nr)*pc:]
+			case panelwise:
 			case op.conv == nil:
 				packB(bp, op.transB, op.b, op.ldb, pc, kc, jc, nc)
 			case op.transB == NoTrans:
@@ -319,7 +371,12 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 				}
 				for jr := 0; jr < nc; jr += nr {
 					nrr := min(nr, nc-jr)
-					bpPanel := bp[(jr/nr)*kc*nr:]
+					bpPanel := bp
+					if panelwise {
+						packB(bp, op.transB, op.b, op.ldb, pc, kc, jc+jr, nrr)
+					} else {
+						bpPanel = bp[(jr/nr)*kc*nr:]
+					}
 					for ir := 0; ir < mc; ir += gemmMR {
 						mrr := min(gemmMR, mc-ir)
 						gemmMicroKernel(ap[ir*kc:], bpPanel, kc, acc)
@@ -381,11 +438,22 @@ func (s *GemmScratch) gatherTiles(op *gemmOp, ap []float32, ic, mc, pc, kc int, 
 // KC block only). mrr/nrr clip edge tiles; acc rows are nr apart (acc may
 // start inside the tile, at a lane group). This
 // is the only code that writes C on the blocked path, shared by every
-// micro-kernel, which keeps edge and full tiles bit-identical. The bias
-// is a second rounding step over the finished row, not part of the
-// alpha*acc expression, so it equals a separate add pass over C bit for
-// bit (also where the compiler fuses multiply-adds).
+// micro-kernel, which keeps edge and full tiles bit-identical. Rows of 8
+// or 16 lanes go to writebackVec where the host has it; the rest, and
+// every row elsewhere, to writebackTileGo.
 func writebackTile(acc []float32, nr int, alpha, beta float32, firstK bool, bias []float32, c []float32, ldc, mrr, nrr int) {
+	if writebackVec != nil && (nrr == 8 || nrr == 16) {
+		writebackVec(acc, nr, alpha, beta, firstK, bias, c, ldc, mrr, nrr)
+		return
+	}
+	writebackTileGo(acc, nr, alpha, beta, firstK, bias, c, ldc, mrr, nrr)
+}
+
+// writebackTileGo is writebackTile's portable path and writebackVec's
+// oracle. The bias is a second rounding step over the finished row, not
+// part of the alpha*acc expression, so it equals a separate add pass over
+// C bit for bit (also where the compiler fuses multiply-adds).
+func writebackTileGo(acc []float32, nr int, alpha, beta float32, firstK bool, bias []float32, c []float32, ldc, mrr, nrr int) {
 	for i := 0; i < mrr; i++ {
 		ci := c[i*ldc : i*ldc+nrr]
 		ai := acc[i*nr : i*nr+nrr]
@@ -421,8 +489,16 @@ func writebackTile(acc []float32, nr int, alpha, beta float32, firstK bool, bias
 // panel p holds rows [p*mr, p*mr+mr) as kc groups of mr contiguous
 // values, zero-padded when the block has fewer than mr rows left. The
 // zero padding is what lets edge tiles share the full micro-kernel.
+// Where the host has them, packARuns4 packs a transposed A's full panels
+// and packARows4 the first kc&^7 steps of an untransposed one's; the Go
+// loops pack the rest.
 func packA(dst []float32, transA Transpose, a []float32, lda, ic, mc, pc, kc int) {
-	for ir := 0; ir < mc; ir += gemmMR {
+	ir := 0
+	if full := mc &^ (gemmMR - 1); transA == Trans && packARuns4 != nil && full > 0 {
+		packARuns4(dst, a[pc*lda+ic:], lda, kc, full/gemmMR)
+		ir = full
+	}
+	for ; ir < mc; ir += gemmMR {
 		rows := min(gemmMR, mc-ir)
 		panel := dst[ir*kc : (ir+gemmMR)*kc]
 		switch {
@@ -435,8 +511,13 @@ func packA(dst []float32, transA Transpose, a []float32, lda, ic, mc, pc, kc int
 			}
 		case rows == gemmMR:
 			base := (ic+ir)*lda + pc
-			interleave4(panel, gemmMR, a[base:base+kc], a[base+lda:base+lda+kc],
-				a[base+2*lda:base+2*lda+kc], a[base+3*lda:base+3*lda+kc])
+			l0 := 0 // steps packed by the vector routine
+			if packARows4 != nil && kc >= 8 {
+				l0 = kc &^ 7
+				packARows4(panel, a[base:], lda, l0)
+			}
+			interleave4(panel[l0*gemmMR:], gemmMR, a[base+l0:base+kc], a[base+lda+l0:base+lda+kc],
+				a[base+2*lda+l0:base+2*lda+kc], a[base+3*lda+l0:base+3*lda+kc])
 		default:
 			base := (ic+ir)*lda + pc
 			for l := 0; l < kc; l++ {
@@ -474,25 +555,40 @@ func interleave4(dst []float32, stride int, r0, r1, r2, r3 []float32) {
 
 // packB copies op(B)[pc:pc+kc, jc:jc+nc] into nr-wide micro-panels:
 // panel p holds columns [p*nr, p*nr+nr) as kc groups of nr contiguous
-// values, zero-padded on the right edge.
+// values, zero-padded on the right edge. Where the host has them, a full
+// 16-wide panel goes to packBDense16, or for a transposed B its first
+// kc&^7 steps to packBTrans16; the Go loops pack the rest.
 func packB(dst []float32, transB Transpose, b []float32, ldb, pc, kc, jc, nc int) {
 	nr := gemmNR
 	for jr := 0; jr < nc; jr += nr {
 		cols := min(nr, nc-jr)
 		panel := dst[(jr/nr)*kc*nr : (jr/nr+1)*kc*nr]
 		if transB == NoTrans {
+			src := b[pc*ldb+jc+jr:]
+			if cols == 16 && packBDense16 != nil {
+				packBDense16(panel, src, ldb, kc)
+				continue
+			}
 			for l := 0; l < kc; l++ {
-				copyPad(panel[l*nr:l*nr+nr], b[(pc+l)*ldb+jc+jr:][:cols])
+				copyPad(panel[l*nr:l*nr+nr], src[l*ldb:][:cols])
 			}
 			continue
 		}
 		// op(B)[l, j] = B[j, l]: column j of the panel is row jc+jr+j of
 		// the stored matrix, transposed in four rows at a time.
+		l0 := 0 // steps packed by the vector routine
+		if cols == 16 && packBTrans16 != nil && kc >= 8 {
+			l0 = kc &^ 7
+			packBTrans16(panel, b[(jc+jr)*ldb+pc:], ldb, l0)
+			if l0 == kc {
+				continue
+			}
+		}
 		j := 0
 		for ; j+4 <= cols; j += 4 {
 			base := (jc+jr+j)*ldb + pc
-			interleave4(panel[j:], nr, b[base:base+kc], b[base+ldb:base+ldb+kc],
-				b[base+2*ldb:base+2*ldb+kc], b[base+3*ldb:base+3*ldb+kc])
+			interleave4(panel[l0*nr+j:], nr, b[base+l0:base+kc], b[base+ldb+l0:base+ldb+kc],
+				b[base+2*ldb+l0:base+2*ldb+kc], b[base+3*ldb+l0:base+3*ldb+kc])
 		}
 		for ; j < nr; j++ {
 			if j < cols {

@@ -104,10 +104,11 @@ func TestBlockedGemmAlphaZero(t *testing.T) {
 // computing C in arbitrary (even misaligned) row or column bands must be
 // bit-identical to the full-range call, because the coarse engine hands
 // layers arbitrary sample bands and the fine engine arbitrary channel
-// bands.
+// bands. M is past one row block, so the full call packs B a block at a
+// time and every band of at most gemmMC rows a panel at a time.
 func TestBlockedGemmBandInvariance(t *testing.T) {
 	r := rng.New(13, 13)
-	m, n, k := 23, 129, 300
+	m, n, k := gemmMC+6, 129, 300
 	if !GemmIsBlocked(m, n, k) {
 		t.Fatal("shape unexpectedly below blocked threshold")
 	}
@@ -231,6 +232,13 @@ var netGemmShapes = []struct {
 	{"cifar-conv2-fwd", NoTrans, NoTrans, 32, 256, 800}, // W(32x800) * col(800x256)
 	{"cifar-conv3-fwd", NoTrans, NoTrans, 64, 64, 800},  // W(64x800) * col(800x64)
 	{"cifar-conv1-bwdX", Trans, NoTrans, 75, 1024, 32},  // Wᵀ * dTop
+	// The small-M products of serving (batch ~1, bands of 8) and of the
+	// cluster ranks (16/k samples): the pack of W is most of their time.
+	{"lenet-ip1-fwd-m1", NoTrans, Trans, 1, 500, 800},
+	{"lenet-ip1-fwd-m8", NoTrans, Trans, 8, 500, 800},
+	{"lenet-ip1-bwdX-m1", NoTrans, NoTrans, 1, 800, 500}, // dY(1x500) * W
+	{"lenet-ip1-bwdX-m8", NoTrans, NoTrans, 8, 800, 500},
+	{"lenet-ip1-bwdW-k8", Trans, NoTrans, 500, 800, 8}, // K is the band
 }
 
 // BenchmarkGemmNetShapes times blocked vs reference on the real network
@@ -265,8 +273,10 @@ func BenchmarkGemmNetShapes(b *testing.B) {
 // strides through the dispatching Gemm and, dispatch aside, through the
 // blocked kernel, with gemmRef as the oracle. It checks the values (the
 // two kernels sum in different orders, hence the K-scaled tolerance), that
-// C's padding columns are never written, and that a random row-band split
-// reproduces the full call bit for bit. The seed corpus straddles the
+// C's padding columns are never written, that a random row-band split
+// reproduces the full call bit for bit, and that the blocked kernel with
+// the Go data movement (withGoDataMovement: the active micro-kernel, the
+// Go packers and writeback) writes the same bits as with the vector one. The seed corpus straddles the
 // dispatch boundary (k = 1 | 2), the boundary it replaced (n*k = 4096,
 // with LeNet's conv2-bwdX just under it) and every blocking constant.
 func FuzzGemm(f *testing.F) {
@@ -321,6 +331,12 @@ func FuzzGemm(f *testing.F) {
 				}
 			}
 		}
+
+		vec := append([]float32(nil), c0...)
+		GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, vec, ldc)
+		goMoved := append([]float32(nil), c0...)
+		withGoDataMovement(func() { GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, goMoved, ldc) })
+		sameBits(t, fmt.Sprintf("m=%d n=%d k=%d ta=%v tb=%v alpha=%v beta=%v: Go data movement", m, n, k, ta, tb, alpha, beta), goMoved, vec)
 
 		full := append([]float32(nil), c0...)
 		Gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, full, ldc)
