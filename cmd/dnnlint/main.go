@@ -3,7 +3,7 @@
 //
 //	dnnlint ./...                 # the whole module, tests included
 //	dnnlint -tests=false ./...    # non-test code only
-//	dnnlint -only hotalloc ./internal/blas
+//	dnnlint -only transerr ./internal/dist
 //	dnnlint -json ./...           # one JSON object per finding, per line
 //	dnnlint -list                 # describe the analyzers
 //
@@ -102,7 +102,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := lint.Run(pkgs, selected)
+	diags := lint.Run(pkgs, selected, all)
 	if *asJSON {
 		// One object per line (JSON Lines): trivially consumed by jq,
 		// editors and the GitHub Actions problem matcher without

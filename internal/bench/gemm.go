@@ -145,7 +145,6 @@ func GemmKernels(o Options) (*GemmKernelResult, error) {
 		Blocked:       make([]bool, len(shapes)),
 	}
 	for i, s := range shapes {
-		//dnnlint:ignore hotalloc benchmark harness: fresh operands per timed kernel by design
 		res.RefMFLOPS[i], res.BlockedMFLOPS[i] = timeGemmPair(s)
 		res.Blocked[i] = blas.GemmIsBlocked(s.M, s.N, s.K)
 	}
@@ -373,7 +372,6 @@ func ConvSweep() (*ConvSweepResult, error) {
 	}
 	res := &ConvSweepResult{}
 	for _, c := range append(convs, sweepGeoms...) {
-		//dnnlint:ignore hotalloc benchmark harness: fresh operands per timed kernel by design
 		res.Rows = append(res.Rows, timeConv(c))
 	}
 	return res, nil

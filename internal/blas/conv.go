@@ -363,7 +363,6 @@ func (s *GemmScratch) border(p *ConvPlan, im []float32) []float32 {
 	}
 	h, w, hp, wp := p.Height, p.Width, p.hp, p.wp
 	if need := p.Channels*hp*wp + p.gw; cap(s.img) < need {
-		//dnnlint:ignore hotalloc grow-once scratch, amortized across every later sample of this geometry
 		s.img = make([]float32, need)
 	}
 	dst := s.img[:cap(s.img)]
@@ -446,7 +445,6 @@ func ConvBackwardData(s *GemmScratch, p *ConvPlan, o int, dTop, dX []float32, c0
 	checkLen("ConvBackwardData dTop", len(dTop), o*ohw)
 	checkLen("ConvBackwardData dX", len(dX), p.Channels*hw)
 	if cap(s.strip) < gemmMC*ohw {
-		//dnnlint:ignore hotalloc grow-once scratch, amortized across every later sample of this geometry
 		s.strip = make([]float32, gemmMC*ohw)
 	}
 	strip := s.strip[:gemmMC*ohw]

@@ -173,30 +173,50 @@ type GemmScratch struct {
 
 func (s *GemmScratch) ensure(apLen, bpLen int) {
 	if cap(s.ap) < apLen {
-		//dnnlint:ignore hotalloc grow-once scratch, amortized across every later GEMM on this shape
 		s.ap = make([]float32, apLen)
 	}
 	s.ap = s.ap[:cap(s.ap)]
 	if cap(s.bp) < bpLen {
-		//dnnlint:ignore hotalloc grow-once scratch, amortized across every later GEMM on this shape
 		s.bp = make([]float32, bpLen)
 	}
 	s.bp = s.bp[:cap(s.bp)]
 }
 
-// scratchPool backs plain Gemm/GemmRows calls that do not
-// thread an explicit scratch; pooled storage makes repeated calls
-// allocation-free after warm-up.
-var scratchPool = sync.Pool{New: func() any { return new(GemmScratch) }}
+// scratches backs plain Gemm/GemmRows calls that do not thread an
+// explicit scratch: a last-in, first-out free list that holds as many
+// scratches as were ever in use at once, each grown to the largest
+// products it served, so repeated calls are allocation-free after
+// warm-up. It is not a sync.Pool: that keeps one list per P and empties
+// on every collection, so a band whose goroutine moved to another P, or
+// ran after a GC, drew a fresh scratch and grew it again — allocations in
+// warm passes, at a rate that depended on the scheduler.
+var scratches struct {
+	sync.Mutex
+	free []*GemmScratch
+}
 
-// GetScratch hands out a packing-buffer scratch from the package pool.
-// Callers that issue many Gemms back to back (per-sample lowered
+// GetScratch hands out a packing-buffer scratch from the package free
+// list. Callers that issue many Gemms back to back (per-sample lowered
 // convolutions, banded inner products) should hold one for the whole loop
 // and return it with PutScratch.
-func GetScratch() *GemmScratch { return scratchPool.Get().(*GemmScratch) }
+func GetScratch() *GemmScratch {
+	scratches.Lock()
+	defer scratches.Unlock()
+	n := len(scratches.free)
+	if n == 0 {
+		return new(GemmScratch)
+	}
+	s := scratches.free[n-1]
+	scratches.free = scratches.free[:n-1]
+	return s
+}
 
-// PutScratch returns a scratch obtained from GetScratch to the pool.
-func PutScratch(s *GemmScratch) { scratchPool.Put(s) }
+// PutScratch returns a scratch obtained from GetScratch to the free list.
+func PutScratch(s *GemmScratch) {
+	scratches.Lock()
+	scratches.free = append(scratches.free, s)
+	scratches.Unlock()
+}
 
 // GemmIsBlocked reports whether Gemm runs an m x n x k product on the
 // blocked kernel (true) or on the reference kernel. The decision

@@ -8,8 +8,7 @@
 // and, every CheckEvery iterations, scans the loss, all parameter
 // gradients and all parameters for NaN/Inf and the gradient's global L2
 // norm — in parallel, on the net's own worker team (core.Engine.For),
-// with zero per-iteration allocation (enforced by dnnlint's hotalloc
-// analyzer, which treats Monitor's Check/scan methods as hot code).
+// with zero per-iteration allocation (pinned by TestCheckAllocatesNothing).
 //
 // When a check fails, the configured Policy decides the recovery:
 //

@@ -20,7 +20,7 @@ import (
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*lint.Analyzer {
-	return []*lint.Analyzer{OrderedReduce, BlobAlias, HotAlloc, TraceNil, TransErr, GoroLife, PhaseSpan, ChanMisuse}
+	return []*lint.Analyzer{OrderedReduce, BlobAlias, TraceNil, TransErr, GoroLife, PhaseSpan, ChanMisuse}
 }
 
 // prodFiles returns the pass's non-test files. The concurrency and

@@ -19,26 +19,6 @@ func TestBlobAlias(t *testing.T) {
 	lint.Fixture(t, BlobAlias, "blobalias")
 }
 
-func TestHotAlloc(t *testing.T) {
-	lint.Fixture(t, HotAlloc, "hotalloc")
-}
-
-func TestHotAllocInterprocedural(t *testing.T) {
-	lint.Fixture(t, HotAlloc, "hotcall")
-}
-
-func TestHotAllocGuardScans(t *testing.T) {
-	lint.Fixture(t, HotAlloc, "guardhot")
-}
-
-func TestHotAllocServePath(t *testing.T) {
-	lint.Fixture(t, HotAlloc, "servehot")
-}
-
-func TestHotAllocKernelPackage(t *testing.T) {
-	lint.Fixture(t, HotAlloc, "blashot")
-}
-
 func TestTraceNilCallSites(t *testing.T) {
 	lint.Fixture(t, TraceNil, "tracenil")
 }
@@ -66,7 +46,7 @@ func TestChanMisuse(t *testing.T) {
 func TestAllIsComplete(t *testing.T) {
 	want := map[string]bool{
 		"orderedreduce": true, "blobalias": true,
-		"hotalloc": true, "tracenil": true, "transerr": true,
+		"tracenil": true, "transerr": true,
 		"gorolife": true, "phasespan": true, "chanmisuse": true,
 	}
 	got := map[string]bool{}

@@ -37,7 +37,6 @@ type FuncInfo struct {
 // identical to the object of its own declaration, so cross-package
 // edges need no name-based matching.
 type Program struct {
-	pkgs      []*Package
 	funcs     map[*types.Func]*FuncInfo
 	order     []*types.Func // deterministic iteration order
 	summaries map[*types.Func]*Summary
@@ -45,7 +44,7 @@ type Program struct {
 
 // NewProgram indexes pkgs and computes effect summaries (effects.go).
 func NewProgram(pkgs []*Package) *Program {
-	p := &Program{pkgs: pkgs, funcs: map[*types.Func]*FuncInfo{}}
+	p := &Program{funcs: map[*types.Func]*FuncInfo{}}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {

@@ -37,98 +37,74 @@ func fnNamed(t *testing.T, p *Program, name string) *types.Func {
 
 const effectsMod = "module effectstest\n\ngo 1.22\n"
 
-func TestSummaryPropagatesThroughCalls(t *testing.T) {
-	p, _ := loadProgram(t, map[string]string{
-		"go.mod": effectsMod,
-		"a/a.go": `package a
-
-// deep buries an allocation two calls down.
-func deep() []byte { return mid() }
-func mid() []byte  { return leaf() }
-func leaf() []byte { return make([]byte, 8) }
-
-// h5's allocation is five calls down, one beyond the depth bound.
-func h5() []byte { return h4() }
-func h4() []byte { return h3() }
-func h3() []byte { return h2() }
-func h2() []byte { return h1() }
-func h1() []byte { return h0() }
-func h0() []byte { return make([]byte, 8) }
-
-// viaInterface allocates only through an interface call, which the
-// summaries do not follow.
-type maker interface{ bytes() []byte }
-
-func viaInterface(m maker) []byte { return m.bytes() }
-`,
-	})
-	if s := p.Summary(fnNamed(t, p, "deep")); !s.Alloc.Found || s.Alloc.Depth != 2 || s.Alloc.What != "make" {
-		t.Fatalf("deep: want depth-2 make, got %+v", s.Alloc)
-	}
-	if s := p.Summary(fnNamed(t, p, "h4")); !s.Alloc.Found || s.Alloc.Depth != maxSummaryDepth {
-		t.Fatalf("h4: want a make %d calls deep, got %+v", maxSummaryDepth, s.Alloc)
-	}
-	if s := p.Summary(fnNamed(t, p, "h5")); s.Alloc.Found {
-		t.Fatalf("h5: an allocation beyond the depth bound must not be attributed, got %+v", s.Alloc)
-	}
-	if s := p.Summary(fnNamed(t, p, "viaInterface")); s.Alloc.Found {
-		t.Fatalf("viaInterface: interface calls are not followed, got %+v", s.Alloc)
-	}
-}
-
-func TestSummaryAllocWaiversAndPanics(t *testing.T) {
-	p, _ := loadProgram(t, map[string]string{
-		"go.mod": effectsMod,
-		"a/a.go": `package a
-
-// ring grows amortized within pre-sized capacity; the waiver keeps the
-// append out of every caller's summary.
-func ring(buf []int, v int) []int {
-	//dnnlint:ignore hotalloc amortized growth within pre-sized capacity
-	return append(buf, v)
-}
-
-func checked(n int) {
-	if n < 0 {
-		panic("bad " + string(rune(n)))
-	}
-}
-
-func sprint(n int) string {
-	return stringify(n)
-}
-
-func stringify(n int) string {
-	if n < 0 {
-		panic(stringifyBad(n)) // callee alloc under panic: not counted
-	}
-	return "ok"
-}
-
-func stringifyBad(n int) string { return string(make([]byte, 1)) }
-`,
-	})
-	if s := p.Summary(fnNamed(t, p, "ring")); s.Alloc.Found {
-		t.Fatalf("ring: waived append must not appear in summary, got %+v", s.Alloc)
-	}
-	if s := p.Summary(fnNamed(t, p, "checked")); s.Alloc.Found {
-		t.Fatalf("checked: panic-path allocation must not count, got %+v", s.Alloc)
-	}
-	if s := p.Summary(fnNamed(t, p, "stringify")); s.Alloc.Found {
-		t.Fatalf("stringify: callee alloc under panic must not propagate, got %+v", s.Alloc)
-	}
-}
-
-func TestSummaryTransportErrFlow(t *testing.T) {
-	p, _ := loadProgram(t, map[string]string{
-		"go.mod": effectsMod,
-		"transport/transport.go": `package transport
+// linkMod is a synthetic module with a stand-in transport package, whose
+// Send is the error source the summaries track.
+var linkMod = map[string]string{
+	"go.mod": effectsMod,
+	"transport/transport.go": `package transport
 
 type Link struct{}
 
 func (l *Link) Send(to int, b []byte) error { return nil }
-func (l *Link) Recv(from int) ([]byte, error) { return nil, nil }
 `,
+}
+
+// withLinkMod returns linkMod plus the given files.
+func withLinkMod(files map[string]string) map[string]string {
+	out := map[string]string{}
+	for k, v := range linkMod {
+		out[k] = v
+	}
+	for k, v := range files {
+		out[k] = v
+	}
+	return out
+}
+
+func TestSummaryPropagatesThroughCalls(t *testing.T) {
+	p, _ := loadProgram(t, withLinkMod(map[string]string{
+		"a/a.go": `package a
+
+import "effectstest/transport"
+
+var l transport.Link
+
+// deep buries a Send two calls down.
+func deep() error { return mid() }
+func mid() error  { return leaf() }
+func leaf() error { return l.Send(0, nil) }
+
+// h5's Send is five calls down, one beyond the depth bound.
+func h5() error { return h4() }
+func h4() error { return h3() }
+func h3() error { return h2() }
+func h2() error { return h1() }
+func h1() error { return h0() }
+func h0() error { return l.Send(0, nil) }
+
+// viaInterface sends only through an interface call, which the
+// summaries do not follow.
+type sender interface{ send() error }
+
+func viaInterface(s sender) error { return s.send() }
+`,
+	}))
+	if s := p.Summary(fnNamed(t, p, "deep")); !s.TransportErr.Found || s.TransportErr.Depth != 2 || s.TransportErr.What != "Send" {
+		t.Fatalf("deep: want a depth-2 Send, got %+v", s.TransportErr)
+	}
+	if s := p.Summary(fnNamed(t, p, "h4")); !s.TransportErr.Found || s.TransportErr.Depth != maxSummaryDepth {
+		t.Fatalf("h4: want a Send %d calls deep, got %+v", maxSummaryDepth, s.TransportErr)
+	}
+	if s := p.Summary(fnNamed(t, p, "h5")); s.TransportErr.Found {
+		t.Fatalf("h5: a Send beyond the depth bound must not be attributed, got %+v", s.TransportErr)
+	}
+	if s := p.Summary(fnNamed(t, p, "viaInterface")); s.TransportErr.Found {
+		t.Fatalf("viaInterface: interface calls are not followed, got %+v", s.TransportErr)
+	}
+}
+
+func TestSummaryTransportErrFlow(t *testing.T) {
+	p, _ := loadProgram(t, withLinkMod(map[string]string{
 		"dist/dist.go": `package dist
 
 import "effectstest/transport"
@@ -148,7 +124,7 @@ func swallow(l *transport.Link, b []byte) {
 	_ = l.Send(0, b)
 }
 `,
-	})
+	}))
 	if s := p.Summary(fnNamed(t, p, "push")); !s.TransportErr.Found || s.TransportErr.Depth != 0 {
 		t.Fatalf("push: want direct transport error source, got %+v", s.TransportErr)
 	}
@@ -161,26 +137,30 @@ func swallow(l *transport.Link, b []byte) {
 }
 
 func TestCallGraphResolvesCrossPackage(t *testing.T) {
-	p, _ := loadProgram(t, map[string]string{
-		"go.mod": effectsMod,
+	p, _ := loadProgram(t, withLinkMod(map[string]string{
 		"a/a.go": `package a
 
-func Helper(dst []int) []int { return append(dst, 1) }
+import "effectstest/transport"
+
+func Helper(l *transport.Link) error { return l.Send(0, nil) }
 `,
 		"b/b.go": `package b
 
-import "effectstest/a"
+import (
+	"effectstest/a"
+	"effectstest/transport"
+)
 
-func Use(dst []int) []int { return a.Helper(dst) }
+func Use(l *transport.Link) error { return a.Helper(l) }
 `,
-	})
+	}))
 	use := fnNamed(t, p, "Use")
 	fi := p.FuncInfo(use)
 	if fi == nil || len(fi.Callees) != 1 || fi.Callees[0].Name() != "Helper" {
 		t.Fatalf("Use: want one callee Helper, got %+v", fi)
 	}
-	// The cross-package edge must carry effects: Use allocates via Helper.
-	if s := p.Summary(use); !s.Alloc.Found || s.Alloc.Depth != 1 || s.Alloc.What != "append" {
-		t.Fatalf("Use: want a depth-1 append via Helper, got %+v", s.Alloc)
+	// The cross-package edge must carry effects: Use sends via Helper.
+	if s := p.Summary(use); !s.TransportErr.Found || s.TransportErr.Depth != 1 || s.TransportErr.What != "Send" {
+		t.Fatalf("Use: want a depth-1 Send via Helper, got %+v", s.TransportErr)
 	}
 }

@@ -42,7 +42,7 @@ func Fixture(t testing.TB, a *Analyzer, pkg string) {
 	if err := FirstError(pkgs); err != nil {
 		t.Fatalf("fixture %s does not type-check: %v", pkg, err)
 	}
-	diags := Run(pkgs, []*Analyzer{a})
+	diags := Run(pkgs, []*Analyzer{a}, nil)
 	checkExpectations(t, pkgs[0], diags)
 }
 

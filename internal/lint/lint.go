@@ -19,11 +19,11 @@
 // A finding can be waived at a single site with a directive comment on the
 // flagged line or the line above it:
 //
-//	//dnnlint:ignore hotalloc per-batch growth is amortized by the arena
+//	//dnnlint:ignore transerr heartbeat loss is retried by the next probe
 //
 // The directive names one analyzer (or a comma-separated list, or "all")
-// and must carry a justification; bare suppressions are themselves
-// reported.
+// and must carry a justification; bare suppressions, and directives that
+// name no analyzer of the suite, are themselves reported.
 package lint
 
 import (
@@ -98,9 +98,12 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 
 // Run applies every analyzer to every package and returns the surviving
 // findings ordered by position. Ignore directives (see the package
-// comment) are honored here; an ignore directive without a justification
-// is converted into its own finding.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// comment) are honored here; an ignore directive without a justification,
+// or one naming an analyzer outside catalogue, is converted into its own
+// finding. catalogue is the whole suite a waiver may cite, not just the
+// analyzers run, so running a subset does not condemn the others'
+// waivers; nil means analyzers.
+func Run(pkgs []*Package, analyzers, catalogue []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	prog := NewProgram(pkgs)
 	for _, pkg := range pkgs {
@@ -117,7 +120,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			a.Run(pass)
 		}
 	}
-	diags = applyIgnores(pkgs, diags)
+	if catalogue == nil {
+		catalogue = analyzers
+	}
+	diags = applyIgnores(pkgs, diags, catalogue)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -169,18 +175,6 @@ func parseIgnores(fset *token.FileSet, f *ast.File, out map[string]map[int]*igno
 	}
 }
 
-// directivesOf parses the ignore directives of every file, keyed by
-// file name and line.
-func directivesOf(pkgs []*Package) map[string]map[int]*ignoreDirective {
-	directives := map[string]map[int]*ignoreDirective{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			parseIgnores(pkg.Fset, f, directives)
-		}
-	}
-	return directives
-}
-
 // waiver returns the directive that waives analyzer at pos — one on its
 // line or the line above — or nil.
 func waiver(directives map[string]map[int]*ignoreDirective, pos token.Position, analyzer string) *ignoreDirective {
@@ -193,23 +187,43 @@ func waiver(directives map[string]map[int]*ignoreDirective, pos token.Position, 
 }
 
 // applyIgnores drops diagnostics waived by a directive on their line or
-// the line above, and reports unjustified directives.
-func applyIgnores(pkgs []*Package, diags []Diagnostic) []Diagnostic {
-	directives := directivesOf(pkgs)
+// the line above, and reports unjustified directives and directives that
+// name an analyzer outside catalogue: such a waiver (a typo, or one left
+// behind by a deleted analyzer) waives nothing.
+func applyIgnores(pkgs []*Package, diags []Diagnostic, catalogue []*Analyzer) []Diagnostic {
+	directives := map[string]map[int]*ignoreDirective{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			parseIgnores(pkg.Fset, f, directives)
+		}
+	}
+	known := map[string]bool{"all": true}
+	for _, a := range catalogue {
+		known[a.Name] = true
+	}
 	out := diags[:0]
 	for _, d := range diags {
 		if waiver(directives, d.Pos, d.Analyzer) == nil {
 			out = append(out, d)
 		}
 	}
+	report := func(dir *ignoreDirective, format string, args ...any) {
+		out = append(out, Diagnostic{Pos: dir.pos, Analyzer: "ignore", Message: fmt.Sprintf(format, args...)})
+	}
 	for _, byLine := range directives {
 		for _, dir := range byLine {
 			if !dir.justified {
-				out = append(out, Diagnostic{
-					Pos:      dir.pos,
-					Analyzer: "ignore",
-					Message:  "dnnlint:ignore directive needs a justification after the analyzer name",
-				})
+				report(dir, "dnnlint:ignore directive needs a justification after the analyzer name")
+			}
+			var unknown []string
+			for name := range dir.names {
+				if !known[name] {
+					unknown = append(unknown, name)
+				}
+			}
+			if len(unknown) > 0 {
+				sort.Strings(unknown)
+				report(dir, "dnnlint:ignore names no analyzer of the suite (%s): it waives nothing", strings.Join(unknown, ", "))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"os"
 	"path/filepath"
@@ -119,6 +120,22 @@ func TestBuildConstraintFiltering(t *testing.T) {
 	}
 }
 
+// testcheck flags every return statement.
+var testcheck = &Analyzer{
+	Name: "testcheck",
+	Doc:  "flags every return statement (framework test)",
+	Run: func(p *Pass) {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ret, ok := n.(*ast.ReturnStmt); ok {
+					p.Reportf(ret.Pos(), "return statement")
+				}
+				return true
+			})
+		}
+	},
+}
+
 func TestIgnoreDirectives(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module example.com/m\n\ngo 1.22\n",
@@ -148,21 +165,7 @@ func H() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testcheck := &Analyzer{
-		Name: "testcheck",
-		Doc:  "flags every return statement (framework test)",
-		Run: func(p *Pass) {
-			for _, f := range p.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					if ret, ok := n.(*ast.ReturnStmt); ok {
-						p.Reportf(ret.Pos(), "return statement")
-					}
-					return true
-				})
-			}
-		},
-	}
-	diags := Run(pkgs, []*Analyzer{testcheck})
+	diags := Run(pkgs, []*Analyzer{testcheck}, nil)
 	var got []string
 	for _, d := range diags {
 		got = append(got, d.Analyzer+":"+d.Message[:min(20, len(d.Message))])
@@ -186,5 +189,50 @@ func H() int {
 	}
 	if !seenReturn || !seenBare {
 		t.Fatalf("diagnostics %v: want one testcheck (G) and one bare-directive report (H)", got)
+	}
+}
+
+// A waiver naming an analyzer the suite lacks — a typo, or one left behind
+// by a deleted analyzer — waives nothing and is reported. Names are checked
+// against the catalogue, not the analyzers run: a waiver for an analyzer
+// outside the run set stays quiet.
+func TestIgnoreDirectiveNamingUnknownAnalyzer(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module example.com/m\n\ngo 1.22\n",
+		"a/a.go": `package a
+
+// F's waiver misspells the analyzer, so its return is still flagged.
+func F() int {
+	return 1 //dnnlint:ignore testchek the fixture misspells the name
+}
+
+// G waives an analyzer in the catalogue that this run does not select.
+func G() int {
+	x := 2 //dnnlint:ignore othercheck a catalogue analyzer outside the run set
+	return x //dnnlint:ignore testcheck,retired one known name, one unknown
+}
+`,
+	})
+	loader, err := NewLoader(Config{Dir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := &Analyzer{Name: "othercheck", Doc: "reports nothing (framework test)", Run: func(*Pass) {}}
+	diags := Run(pkgs, []*Analyzer{testcheck}, []*Analyzer{testcheck, other})
+	var got []string
+	for _, d := range diags {
+		got = append(got, fmt.Sprintf("%d:%s:%s", d.Pos.Line, d.Analyzer, d.Message))
+	}
+	want := []string{
+		"5:testcheck:return statement",
+		"5:ignore:dnnlint:ignore names no analyzer of the suite (testchek): it waives nothing",
+		"11:ignore:dnnlint:ignore names no analyzer of the suite (retired): it waives nothing",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -55,16 +55,23 @@ type Pool struct {
 	// branch per region.
 	tracer *trace.Tracer
 
-	// forN and forBody are the worksharing loop in flight, and merge the
-	// reduction in flight: written by the caller before the region is
-	// posted (the barrier publishes them) and cleared after the join.
-	// forTask and foldBody are runFor and fold, bound once in NewPool so
-	// that For and OrderedSlices post no new closure per region.
-	forN     int
-	forBody  func(lo, hi, rank int)
-	forTask  task
-	merge    func(lo, hi, rank int)
-	foldBody func(lo, hi, rank int)
+	// forN and forBody are the worksharing loop in flight, regionBody the
+	// traced Region in flight, merge the reduction in flight and
+	// spanName/spanPhase the tracer's scope that labels their worker
+	// spans: written by the caller before the region is posted (the
+	// barrier publishes them) and cleared after the join. forTask,
+	// regionTask and foldBody are runFor, runRegion and fold, bound once
+	// in NewPool so that For, Region and OrderedSlices post no new closure
+	// per region, traced or not.
+	forN       int
+	forBody    func(lo, hi, rank int)
+	forTask    task
+	regionBody func(rank int)
+	regionTask task
+	merge      func(lo, hi, rank int)
+	foldBody   func(lo, hi, rank int)
+	spanName   string
+	spanPhase  trace.Phase
 }
 
 type task func(rank int)
@@ -77,7 +84,7 @@ func NewPool(n int) *Pool {
 		n = 1
 	}
 	p := &Pool{workers: n, bar: newBarrier(n)}
-	p.forTask, p.foldBody = p.runFor, p.fold
+	p.forTask, p.regionTask, p.foldBody = p.runFor, p.runRegion, p.fold
 	for r := 1; r < n; r++ {
 		go p.worker(r)
 	}
@@ -95,19 +102,14 @@ func (p *Pool) Workers() int { return p.workers }
 // spans beyond its team size are dropped.
 func (p *Pool) SetTracer(t *trace.Tracer) { p.tracer = t }
 
-// traced wraps a loop body so each invocation records one worker span;
-// under static scheduling the band is the executing rank.
-func (p *Pool) traced(body func(lo, hi, rank int)) func(lo, hi, rank int) {
+// span records the worker span of rank's share [lo, hi) of the region
+// in flight, which started at start.
+func (p *Pool) span(start time.Time, lo, hi, rank int) {
 	tr := p.tracer
-	name, phase := tr.Scope()
-	return func(lo, hi, rank int) {
-		start := time.Now()
-		body(lo, hi, rank)
-		tr.Record(trace.Span{
-			Name: name, Phase: phase, Rank: rank, Band: rank,
-			Lo: lo, Hi: hi, Start: tr.Stamp(start), Dur: time.Since(start),
-		})
-	}
+	tr.Record(trace.Span{
+		Name: p.spanName, Phase: p.spanPhase, Rank: rank, Band: rank,
+		Lo: lo, Hi: hi, Start: tr.Stamp(start), Dur: time.Since(start),
+	})
 }
 
 // Close shuts the team down. The pool must not be used afterwards: a
@@ -144,7 +146,6 @@ func (p *Pool) runTask(t task, rank int) {
 		if r := recover(); r != nil {
 			p.mu.Lock()
 			if p.firstPanic == nil {
-				//dnnlint:ignore hotalloc panic-recovery path: runs at most once per worker panic, never in steady state
 				p.firstPanic = fmt.Sprintf("par: worker %d panicked: %v", rank, r)
 			}
 			p.mu.Unlock()
@@ -210,22 +211,27 @@ func (p *Pool) For(n int, body func(lo, hi, rank int)) {
 	if n <= 0 {
 		return
 	}
-	if p.tracer.Enabled() {
-		body = p.traced(body)
-	}
-	if p.workers == 1 {
+	if !p.tracer.Enabled() && p.workers == 1 {
 		body(0, n, 0)
 		return
 	}
+	p.spanName, p.spanPhase = p.tracer.Scope()
 	p.forN, p.forBody = n, body
 	p.region(p.forTask)
 	p.forBody = nil
 }
 
-// runFor is one rank's share of the loop For posted.
+// runFor is one rank's share of the loop For posted, timed into a worker
+// span (band = rank under static scheduling) when a tracer is attached.
 func (p *Pool) runFor(rank int) {
 	lo, hi := Chunk(p.forN, p.workers, rank)
-	if lo < hi {
+	switch {
+	case lo >= hi:
+	case p.tracer.Enabled():
+		start := time.Now()
+		p.forBody(lo, hi, rank)
+		p.span(start, lo, hi, rank)
+	default:
 		p.forBody(lo, hi, rank)
 	}
 }
@@ -234,19 +240,21 @@ func (p *Pool) runFor(rank int) {
 // worksharing loop. Useful when the caller wants full control over private
 // allocation and work splitting.
 func (p *Pool) Region(body func(rank int)) {
-	if tr := p.tracer; tr.Enabled() {
-		name, phase := tr.Scope()
-		inner := body
-		body = func(rank int) {
-			start := time.Now()
-			inner(rank)
-			tr.Record(trace.Span{
-				Name: name, Phase: phase, Rank: rank, Band: rank,
-				Start: tr.Stamp(start), Dur: time.Since(start),
-			})
-		}
+	if !p.tracer.Enabled() {
+		p.region(body)
+		return
 	}
-	p.region(body)
+	p.spanName, p.spanPhase = p.tracer.Scope()
+	p.regionBody = body
+	p.region(p.regionTask)
+	p.regionBody = nil
+}
+
+// runRegion is one rank's run of the traced Region in flight.
+func (p *Pool) runRegion(rank int) {
+	start := time.Now()
+	p.regionBody(rank)
+	p.span(start, 0, 0, rank)
 }
 
 // Ordered runs body(rank) for every rank in strictly increasing rank order,

@@ -107,10 +107,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := predictOut{Scores: make([][]float32, len(reqs)), Argmax: make([]int, len(reqs))}
+	finite := true
 	for i, req := range reqs {
 		out.Scores[i] = append([]float32(nil), req.scores...)
 		out.Argmax[i] = Argmax(req.scores)
 		s.Release(req)
+		for _, v := range out.Scores[i] {
+			finite = finite && !math.IsInf(float64(v), 0) && !math.IsNaN(float64(v))
+		}
+	}
+	if !finite {
+		// JSON has no spelling for Inf or NaN: encoding them would fail
+		// after the 200 header went out, leaving an empty body.
+		writeJSON(w, http.StatusBadRequest, httpError{
+			Error: "the inputs produce non-finite scores, which JSON cannot carry; /v1/tensor returns them as float32 bits",
+		})
+		return
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -17,8 +17,8 @@ import (
 // straight from request i's input buffer. Labels are meaningless when
 // serving, so Read returns class 0.
 //
-// Read is on the request hot path: dnnlint's hotalloc analyzer holds
-// feeder Read* methods to the training-pass standard (LINTING.md §3).
+// Read is on the request hot path, held to the training-pass standard of
+// no allocation by TestSteadyStateAllocationFree.
 type feeder struct {
 	shape   []int
 	classes int
@@ -111,9 +111,8 @@ func newReplica(rank int, s *Server) (*replica, error) {
 // requests behind the feeder, resize the net if a short last band changed
 // the batch size (buffer-reusing, so allocation-free once warmed), forward,
 // scatter the score rows back into the requests; then signal completion of
-// the whole batch. This is the
-// steady-state request hot path — dnnlint's hotalloc analyzer enforces
-// that its loops allocate nothing (LINTING.md §3).
+// the whole batch. This is the steady-state request hot path, and
+// TestSteadyStateAllocationFree pins it at zero allocations.
 func (rep *replica) Infer(reqs []*Request) {
 	start := time.Now()
 	b := len(reqs)

@@ -32,9 +32,8 @@
 // (replica.Infer, feeder.Read, and the net.Forward under them) performs
 // no heap allocation: blob buffers are reused across dynamic batch sizes
 // (capacity warmed at the maximum), request envelopes are pooled, and
-// batch slices circulate through a free list. dnnlint's hotalloc
-// analyzer enforces the loops of Infer/Read exactly like a training
-// Forward pass (LINTING.md §3).
+// batch slices circulate through a free list. TestSteadyStateAllocationFree
+// pins it, as core's TestWarmPassesAllocateNothing pins a training pass.
 //
 // # Backpressure
 //

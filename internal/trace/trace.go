@@ -214,7 +214,6 @@ type shard struct {
 
 func (sh *shard) add(s Span) {
 	if len(sh.buf) < cap(sh.buf) {
-		//dnnlint:ignore hotalloc ring fill within capacity pre-allocated by NewTracer; never grows
 		sh.buf = append(sh.buf, s)
 		return
 	}

@@ -4,9 +4,12 @@
 # nested benchmark/ module, which `./...` does not reach), build, dnnlint (the
 # determinism/parallelism contract linter; LINTING.md is the canonical
 # catalogue of its analyzers and this script's self-tests follow its
-# order), the full test suite (including Example tests and the
+# order), the full test suite (including Example tests, the
 # band-contract harness, which runs every layer's range bodies one band
-# at a time into poisoned outputs) and the benchmark
+# at a time into poisoned outputs, and the allocation pins, which hold
+# every layer's warm passes under every cut, a training step of each
+# lowered zoo net, traced and untraced, and the guard's check to zero
+# allocations) and the benchmark
 # module's own (so an internal/ API change that breaks the benchmark fails
 # here, not at the gate that runs it), race-detector
 # passes over the parallel substrate (the BLAS band kernels and implicit-GEMM
@@ -27,7 +30,11 @@
 # WireLen, documented error bounds, non-finite in stays non-finite out),
 # a 5-second FuzzReadFrame smoke (arbitrary bytes through the TCP frame
 # reader: no panic, an over-limit length or a short body is an error,
-# every encoded frame decodes to its tag and bits),
+# every encoded frame decodes to its tag and bits), a 5-second
+# FuzzTensorBody and FuzzPredictBody smoke each (arbitrary request bodies
+# through the serving HTTP API: no panic, 200 or 400, a 200's shape
+# matches its headers or its inputs), a 5-second FuzzParse smoke
+# (prototxt),
 # the reduction determinism sweep
 # (the element-parallel ordered merge must stay bit-identical to the serial
 # ordered merge at every worker count), one pass each of the A-red
@@ -88,14 +95,12 @@ go build -o "$tmpdir/dnnlint" ./cmd/dnnlint
 
 # Self-test: the gate is worthless if the linter silently stops seeing
 # violations, so prove each invariant still fires on a known-bad fixture.
-# One probe per analyzer, in the catalogue order of LINTING.md §1–8
-# (orderedreduce, blobalias, hotalloc, tracenil, transerr, gorolife,
-# phasespan, chanmisuse); hotalloc gets a second probe for its
-# interprocedural extension (hotcall), a third for the serving path
-# (servehot) and a fourth for the blas kernel package — the conv driver
-# and the panel packers (blashot). The band contract is a test, not a
-# probe: internal/core's TestBandContract, run by `go test` below. The
-# probes reuse the dnnlint binary built above — one `go build`, many runs.
+# One probe per analyzer, in the catalogue order of LINTING.md §1–7
+# (orderedreduce, blobalias, tracenil, transerr, gorolife, phasespan,
+# chanmisuse). The band contract and the allocation contract are tests,
+# not probes: internal/core's TestBandContract and
+# TestWarmPassesAllocateNothing, run by `go test` below. The probes reuse
+# the dnnlint binary built above — one `go build`, many runs.
 echo "== dnnlint self-test (each seeded violation must be flagged) =="
 lint_probe() { # lint_probe <analyzer> <fixture-pkg>
 	if "$tmpdir/dnnlint" -only "$1" -src internal/lint/analyzers/testdata/src \
@@ -106,10 +111,6 @@ lint_probe() { # lint_probe <analyzer> <fixture-pkg>
 }
 lint_probe orderedreduce orderedreduce
 lint_probe blobalias blobalias
-lint_probe hotalloc hotalloc
-lint_probe hotalloc hotcall
-lint_probe hotalloc servehot
-lint_probe hotalloc blashot
 lint_probe tracenil tracenil
 lint_probe transerr transerr
 lint_probe gorolife gorolife
@@ -148,6 +149,12 @@ go test -run '^$' -fuzz '^FuzzCodec$' -fuzztime 5s ./internal/transport
 
 echo "== FuzzReadFrame smoke (5 s: the TCP frame reader never panics, rejects over-limit lengths and short bodies, decodes every encoded frame bit for bit) =="
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/transport
+
+echo "== FuzzTensorBody smoke (5 s: POST /v1/tensor never panics, answers 200 or 400, and a 200 is X-Batch x X-Classes float32s) =="
+go test -run '^$' -fuzz '^FuzzTensorBody$' -fuzztime 5s ./internal/serve
+
+echo "== FuzzPredictBody smoke (5 s: POST /v1/predict never panics, answers 200 or 400, and a 200 has one score row and one argmax per input) =="
+go test -run '^$' -fuzz '^FuzzPredictBody$' -fuzztime 5s ./internal/serve
 
 echo "== FuzzParse smoke (5 s: prototxt Parse never panics, and what it accepts renders to text that parses back to the same rendering) =="
 # A short minimize budget: the configs/*.prototxt seeds are kilobytes, and
