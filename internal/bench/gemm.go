@@ -206,11 +206,11 @@ func dispatchSweep(ms, ns, ks []int) *DispatchSweepResult {
 	return res
 }
 
-// timePair returns the seconds one call of each of two kernels takes. The
-// two are timed in alternating windows of a few milliseconds and each
+// timeKernels returns the seconds one call of each kernel takes. The
+// kernels are timed in alternating windows of a few milliseconds and each
 // keeps its best window, so a neighbour's burst on a shared host lands on
-// both or on neither.
-func timePair(kernels [2]func()) (secs [2]float64) {
+// all of them or on none.
+func timeKernels(kernels ...func()) (secs []float64) {
 	run := func(f func(), reps int) time.Duration {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
@@ -221,8 +221,8 @@ func timePair(kernels [2]func()) (secs [2]float64) {
 	// Per kernel: a repetition count filling a ~3 ms window, then the
 	// best of five alternating windows.
 	const window = 3 * time.Millisecond
-	var reps [2]int
-	var best [2]time.Duration
+	reps := make([]int, len(kernels))
+	best := make([]time.Duration, len(kernels))
 	for i, f := range kernels {
 		reps[i] = 1
 		for run(f, reps[i]) < window/8 {
@@ -237,6 +237,7 @@ func timePair(kernels [2]func()) (secs [2]float64) {
 			}
 		}
 	}
+	secs = make([]float64, len(kernels))
 	for i := range secs {
 		secs[i] = best[i].Seconds() / float64(reps[i])
 	}
@@ -266,10 +267,10 @@ func timeGemmPair(s GemmShape) (ref, blocked float64) {
 	a := randomFloats(r, arows*acols)
 	b := randomFloats(r, brows*bcols)
 	c := make([]float32, s.M*s.N)
-	secs := timePair([2]func(){
+	secs := timeKernels(
 		func() { blas.GemmReference(s.TransA, s.TransB, s.M, s.N, s.K, 1, a, acols, b, bcols, 0, c, s.N) },
 		func() { blas.GemmBlocked(s.TransA, s.TransB, s.M, s.N, s.K, 1, a, acols, b, bcols, 0, c, s.N) },
-	})
+	)
 	flops := 2 * float64(s.M) * float64(s.N) * float64(s.K)
 	return flops / secs[0] / 1e6, flops / secs[1] / 1e6
 }
@@ -305,18 +306,24 @@ func ZooConvs(netName string) ([]ZooConv, error) {
 	return out, nil
 }
 
-// ConvSweepRow is one convolution's two gatherable products, each timed
-// with the lowered matrix gathered in place and with it packed into
-// panels, both forced past blas.ConvGathers.
+// ConvSweepRow is one convolution's forward product timed with the
+// lowered matrix gathered in place and with it packed into panels, both
+// forced past blas.ConvGathers, and its weight gradient on its one route
+// (the transposed product, col read in place as its A operand).
 type ConvSweepRow struct {
 	ZooConv
 	// Microseconds per sample; FwdGatherUS is 0 where the forward product
 	// cannot gather (StrideW != 1).
-	FwdGatherUS, FwdPackedUS, DWGatherUS, DWPackedUS float64
-	// FwdUse and DWUse are the gathered kernels' lane utilisation
-	// (blas.ConvPlan.LaneUse); FwdGathers and DWGathers what dispatch picks.
-	FwdUse, DWUse         float64
-	FwdGathers, DWGathers bool
+	FwdGatherUS, FwdPackedUS, DWUS float64
+	// FwdUse is the forward gather kernel's lane utilisation
+	// (blas.ConvPlan.LaneUse), FwdGathers what dispatch picks.
+	FwdUse     float64
+	FwdGathers bool
+}
+
+// DWGFLOPS is the weight gradient's rate: 2·O·Rows·Cols flops per sample.
+func (c *ConvSweepRow) DWGFLOPS() float64 {
+	return 2 * float64(c.O) * float64(c.Geom.Rows()) * float64(c.Geom.Cols()) / (c.DWUS * 1e3)
 }
 
 // ConvSweepResult is the measurement blas.ConvGathers is read off.
@@ -324,24 +331,20 @@ type ConvSweepResult struct{ Rows []ConvSweepRow }
 
 // Render prints the sweep, one line per convolution.
 func (r *ConvSweepResult) Render(w io.Writer) {
-	fmt.Fprintln(w, "== lowered conv operand sweep: gathered vs packed B, us/sample each forced (this host) ==")
-	fmt.Fprintf(w, "%-22s %5s %5s | %9s %9s %7s %5s %7s | %9s %9s %7s %5s %7s\n", "conv (C,HxW,k,p,s)", "O", "outW",
-		"fwd gath", "fwd pack", "pk/gath", "lanes", "uses", "dW gath", "dW pack", "pk/gath", "lanes", "uses")
-	uses := func(gather bool) string {
-		if gather {
-			return "gather"
-		}
-		return "packed"
-	}
+	fmt.Fprintln(w, "== lowered conv sweep: forward gathered vs packed B, dW as col·dTopᵀ; us/sample (this host) ==")
+	fmt.Fprintf(w, "%-22s %5s %5s | %9s %9s %7s %5s %7s | %9s %7s\n", "conv (C,HxW,k,p,s)", "O", "outW",
+		"fwd gath", "fwd pack", "pk/gath", "lanes", "uses", "dW", "GFLOP/s")
 	for _, c := range r.Rows {
-		g := c.Geom
 		fwd := fmt.Sprintf("%9s %9.1f %7s %5s", "-", c.FwdPackedUS, "-", "-")
 		if c.FwdGatherUS > 0 {
 			fwd = fmt.Sprintf("%9.1f %9.1f %6.2fx %4.0f%%", c.FwdGatherUS, c.FwdPackedUS, ratio(c.FwdPackedUS, c.FwdGatherUS), 100*c.FwdUse)
 		}
-		fmt.Fprintf(w, "%-22s %5d %5d | %s %7s | %9.1f %9.1f %6.2fx %4.0f%% %7s\n",
-			c.Name, c.O, g.OutW(), fwd, uses(c.FwdGathers),
-			c.DWGatherUS, c.DWPackedUS, ratio(c.DWPackedUS, c.DWGatherUS), 100*c.DWUse, uses(c.DWGathers))
+		uses := "packed"
+		if c.FwdGathers {
+			uses = "gather"
+		}
+		fmt.Fprintf(w, "%-22s %5d %5d | %s %7s | %9.1f %7.1f\n",
+			c.Name, c.O, c.Geom.OutW(), fwd, uses, c.DWUS, c.DWGFLOPS())
 	}
 }
 
@@ -387,24 +390,18 @@ func timeConv(c ZooConv) ConvSweepRow {
 	out := make([]float32, o*ohw)
 	wGrad := make([]float32, o*ckk)
 	gather, packed := blas.NewConvPlanForced(g, true), blas.NewConvPlanForced(g, false)
-	row := ConvSweepRow{ZooConv: c}
-	row.FwdGathers, row.DWGathers = blas.ConvGathers(g)
-	row.FwdUse, row.DWUse = gather.LaneUse()
+	row := ConvSweepRow{ZooConv: c, FwdGathers: blas.ConvGathers(g), FwdUse: gather.LaneUse()}
 	s := blas.GetScratch()
 	defer blas.PutScratch(s)
 	s.PackA(blas.NoTrans, o, ckk, w, ckk)
-	fwd := timePair([2]func(){
+	secs := timeKernels(
 		func() { blas.ConvForward(s, gather, o, im, nil, out) },
 		func() { blas.ConvForward(s, packed, o, im, nil, out) },
-	})
-	row.FwdPackedUS = fwd[1] * 1e6
-	if row.FwdUse > 0 { // else both timed the packed path
-		row.FwdGatherUS = fwd[0] * 1e6
-	}
-	dw := timePair([2]func(){
-		func() { blas.ConvBackwardWeights(s, gather, o, dTop, im, wGrad) },
 		func() { blas.ConvBackwardWeights(s, packed, o, dTop, im, wGrad) },
-	})
-	row.DWGatherUS, row.DWPackedUS = dw[0]*1e6, dw[1]*1e6
+	)
+	row.FwdPackedUS, row.DWUS = secs[1]*1e6, secs[2]*1e6
+	if row.FwdUse > 0 { // else both timed the packed path
+		row.FwdGatherUS = secs[0] * 1e6
+	}
 	return row
 }

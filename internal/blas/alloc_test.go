@@ -15,7 +15,9 @@ import (
 // allocations once the scratch has grown, on the small-M and small-K
 // products whose time is mostly the vector packers and writeback: ip1's
 // forward at M = 1 (a served request) and its weight gradient at K = 8 (a
-// band of 8 samples), on the active data movement and on the Go loops.
+// band of 8 samples); and the transposed conv weight gradient
+// (ConvBackwardWeights) on the zoo nets' five convolutions; each on the
+// active data movement and on the Go loops.
 func TestGemmAllocations(t *testing.T) {
 	r := rng.New(55, 55)
 	for _, sh := range []struct {
@@ -38,6 +40,21 @@ func TestGemmAllocations(t *testing.T) {
 				gemm()
 				if got := testing.AllocsPerRun(20, gemm); got != 0 {
 					t.Errorf("%s impl=%s: GemmWithScratch allocates %v objects per call, want 0", sh.name, impl.name, got)
+				}
+			})
+		}
+	}
+	for _, l := range zooConvs {
+		g, o := l.g, l.o
+		im, dTop := randomSlice(r, g.Channels*g.Height*g.Width), randomSlice(r, o*g.Cols())
+		wGrad := make([]float32, o*g.Rows())
+		p, s := NewConvPlan(g), &GemmScratch{}
+		dW := func() { ConvBackwardWeights(s, p, o, dTop, im, wGrad) }
+		for _, impl := range dataMovementImpls {
+			impl.run(func() {
+				dW()
+				if got := testing.AllocsPerRun(10, dW); got != 0 {
+					t.Errorf("%s dW impl=%s: ConvBackwardWeights allocates %v objects per call, want 0", l.name, impl.name, got)
 				}
 			})
 		}

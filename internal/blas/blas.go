@@ -26,15 +26,18 @@
 // ConvBackwardData) is a second driver over the same macro-tile loop that
 // never forms the im2col matrix. The matrix is separable over the sample's
 // zero-bordered image — col[k, n] = P[off(k) + pix(n)] — so the forward
-// and weight-gradient products read their B operand in place through
-// gemmGatherKernel, the same micro-kernel taking a base per lane group and
-// an offset per rank-1 step instead of a packed panel: one bordered copy
-// per sample, no panel pack. A lane group's spare lanes read whatever
-// follows in the image and are dropped in the writeback; lanes never mix,
-// so they are harmless. What is still packed: the weights (once per band,
-// GemmScratch.PackA), dTop, and the B panels of the geometries ConvGathers
-// turns away (forward at StrideW != 1, dW under five kernel columns). The
-// input gradient produces dcol = Wᵀ·dTop gemmMC rows at a time and
+// product reads it in place as its B operand through gemmGatherKernel (a
+// base per lane group and an offset per rank-1 step instead of a packed
+// panel), and the weight gradient, computed transposed as dWᵀ = col ·
+// dTopᵀ with lanes over output channels, reads it in place as its A
+// operand through gemmGatherAKernel (four row bases and a pixel offset per
+// step) and writes each tile back transposed into dW: one bordered copy
+// per sample, no panel pack of col. A forward lane group's spare lanes
+// read whatever follows in the image and are dropped in the writeback;
+// lanes never mix, so they are harmless. What is still packed: the
+// weights (once per band, GemmScratch.PackA), dTop (dW's B, dX's B) and
+// the forward's B panels at StrideW != 1, which ConvGathers turns away.
+// The input gradient produces dcol = Wᵀ·dTop gemmMC rows at a time and
 // scatters each strip while it is cache-resident — strips rather than a
 // fused writeback because Col2im's summation order is dcol's row order,
 // which a strip keeps and a tile does not. Every route is bit for bit

@@ -6,15 +6,20 @@ import "fmt"
 // im2col+GEMM convolution issues per sample,
 //
 //	top  (O x ohw)  = W (O x ckk) · col (ckk x ohw) + bias     ConvForward
-//	dW   (O x ckk) += dTop (O x ohw) · colᵀ (ohw x ckk)        ConvBackwardWeights
+//	dWᵀ  (ckk x O) += col (ckk x ohw) · dTopᵀ (ohw x O)        ConvBackwardWeights
 //	dX   (C,H,W)    = Col2im(Wᵀ (ckk x O) · dTop (O x ohw))    ConvBackwardData
 //
 // run on the blocked kernel of gemm_blocked.go with col = Im2col(im) and
 // dcol = Wᵀ·dTop never written. Same gemmKC/gemmMC blocking, same
-// accumulation order in every register lane, same writebackTile as a dense
-// Gemm on a materialised col, so each product is bit for bit Im2col (or
-// Col2im) around the blocked Gemm (TestConvMatchesIm2colGemm) and inherits
-// the band-invariance contract.
+// accumulation order in every register lane, same writeback expression as
+// a dense Gemm on a materialised col, so each product is bit for bit
+// Im2col (or Col2im) around the blocked Gemm (TestConvMatchesIm2colGemm)
+// and inherits the band-invariance contract. The weight gradient is
+// computed transposed — Caffe's dW (O x ckk) += dTop·colᵀ — and written
+// back into dW's O x ckk layout: each element still sums the same products
+// (a·b and b·a are the same float, fused or not) over the same gemmKC
+// blocks of output pixels in ascending order, so dW's bits are the
+// untransposed product's.
 //
 // What is gathered. The lowered matrix is separable: with P the
 // zero-bordered (C, H+2p, W+2p) copy of the sample,
@@ -22,32 +27,36 @@ import "fmt"
 //	col[k, n] = P[off(k) + pix(n)]
 //	off(c,kh,kw) = (c·Hp + kh)·Wp + kw      pix(oh,ow) = oh·sH·Wp + ow·sW
 //
-// so a row of a B micro-panel is a short contiguous run of P, and the
-// gather micro-kernel (gemmGatherKernel) loads it from there instead of
-// from a packed panel: a base per lane group plus one table entry per
-// rank-1 step. Forward walks off with its steps and takes a run of output
-// pixels inside one output row as a lane group (contiguous at StrideW = 1);
-// dW walks pix and takes the KernelW kernel columns of one (c, kh), at any
-// stride. Per sample that is one bordered copy — C·Hp·Wp floats — in place
-// of a ckk·ohw-element panel pack in which a 5x5 window copied every pixel
-// 25 times. The tables are built once per geometry (ConvPlan).
+// so both products that read col read it out of P through the two tables
+// (built once per geometry, ConvPlan) instead of from packed panels.
+// Forward has col as its B operand: the gather micro-kernel
+// (gemmGatherKernel) takes a run of output pixels inside one output row as
+// a lane group (contiguous at StrideW = 1) and walks off with its steps.
+// dW has col as its A operand: the gather-A micro-kernel
+// (gemmGatherAKernel) takes four lowered rows, four bases from off, and
+// walks pix, at any stride, broadcasting one float of each row per step;
+// its lanes are output channels, read from a packed dTopᵀ panel, so they
+// are full at O = 16, 32, 64. Per sample that is one bordered copy —
+// C·Hp·Wp floats — in place of a ckk·ohw-element panel pack in which a
+// 5x5 window copied every pixel 25 times.
 //
-// Why slack lanes are harmless. A lane group is gemmGW lanes wide whatever
-// the row of pixels or kernel columns it covers, so the last group of a
-// row is ragged: its spare lanes read what follows in P — the next row,
-// the next channel, or up to gemmGW-1 floats past the end, for which the
-// scratch buffer keeps a group of slack. Lanes never mix (each accumulates
-// its own column, as in the packed kernel), so whatever those lanes
-// compute, NaN included, stays in them, and gatherTiles writes back only
-// the columns that exist — the same clip an edge tile of a packed product
-// gets.
+// Why slack lanes are harmless. A forward lane group is gemmGW lanes wide
+// whatever the row of pixels it covers, so the last group of a row is
+// ragged: its spare lanes read what follows in P — the next row, the next
+// channel, or up to gemmGW-1 floats past the end, for which the scratch
+// buffer keeps a group of slack. Lanes never mix (each accumulates its own
+// column, as in the packed kernel), so whatever those lanes compute, NaN
+// included, stays in them, and gatherTiles writes back only the columns
+// that exist — the same clip an edge tile of a packed product gets. dW's
+// A side reads single floats of real lowered rows (a ragged tile repeats
+// a row it has), so it needs no slack.
 //
-// What is still packed. The A operands: the weights, once per band by the
-// caller (GemmScratch.PackA), and dTop for dW, per sample (O x ohw, small).
-// The B operand of the geometries ConvGathers turns away — a forward
-// product at StrideW != 1, a dW with fewer than five kernel columns — goes
-// through packBConv/packBConvT as before. And dX's B operand, dTop: a dense
-// matrix, packed once per sample for all its strips.
+// What is still packed. The weights, once per band by the caller
+// (GemmScratch.PackA). dW's B operand, dTopᵀ: ohw x O, small, packed per
+// sample one gemmKC block at a time. The forward product's B at StrideW
+// != 1, which ConvGathers turns away, through packBConv. And dX's B
+// operand, dTop: a dense matrix, packed once per sample for all its
+// strips.
 //
 // Why dX is strips, not fused. See ConvBackwardData: Col2im's summation
 // order is row order of dcol, a strip of rows keeps it, a tile does not.
@@ -185,29 +194,6 @@ func packBConv(dst, row []float32, g *ConvGeom, im []float32, pc, kc, jc, nc int
 	}
 }
 
-// packBConvT is packB for op(B) = the transposed lowered matrix of im,
-// for the dW products too narrow to gather: op(B)[l, j] = col[j, l], so a micro-panel's column is a stretch of one
-// lowered row, written down the panel with stride nr.
-func packBConvT(dst []float32, g *ConvGeom, im []float32, pc, kc, jc, nc int) {
-	nr := gemmNR
-	outW := g.OutW()
-	oh, ow := pc/outW, pc%outW
-	r := g.cursor(jc)
-	for jr := 0; jr < nc; jr += nr {
-		cols := min(nr, nc-jr)
-		panel := dst[(jr/nr)*kc*nr : (jr/nr+1)*kc*nr]
-		for j := 0; j < cols; j++ {
-			g.lower(panel[j:], nr, im, r, oh, ow, outW, kc)
-			g.next(&r)
-		}
-		for j := cols; j < nr; j++ {
-			for l := 0; l < kc; l++ {
-				panel[l*nr+j] = 0
-			}
-		}
-	}
-}
-
 // laneGroup is one run of a gathered operand's columns: for every step l,
 // columns [col, col+n) of op(B) are P[base+steps[l] : base+steps[l]+n].
 // The kernel always reads a full gemmGW lanes; the ones past n belong to
@@ -222,133 +208,121 @@ type gatherB struct {
 	groups []laneGroup
 }
 
+// gatherA describes an op(A) that is separable over a buffer P —
+// op(A)[i, l] = P[rows[i] + steps[l]] — which is what the lowered matrix
+// is over the zero-bordered image with rows = off and steps = pix (see
+// the file comment). Every index is a float of the bordered copy.
+type gatherA struct{ rows, steps []int32 }
+
 // ConvPlan is a ConvGeom plus what the three products need worked out
-// once per geometry rather than once per sample: which of them gather
-// (ConvGathers) and the offset tables they gather through. Immutable once
-// built, so one plan serves every worker of a parallel region. The tables
-// are cut for the lane-group width of the micro-kernel active when the
-// plan was built.
+// once per geometry rather than once per sample: whether the forward
+// product gathers (ConvGathers) and the offset tables the gathers read
+// through. Immutable once built, so one plan serves every worker of a
+// parallel region. The forward's lane groups are cut for the lane-group
+// width of the micro-kernel active when the plan was built.
 type ConvPlan struct {
 	ConvGeom
-	gw     int // lane-group width the groups were cut for
+	gw     int // lane-group width the forward's groups were cut for
 	hp, wp int // bordered image: Height+2*PadH, Width+2*PadW
-	// fwd gathers the lowered matrix (steps walk its rows, groups are runs
-	// of output pixels inside one output row); dw gathers its transpose
-	// (steps walk output pixels, groups are the kernel columns of one
-	// (channel, kernel row)). nil: that product packs its panels.
-	fwd, dw *gatherB
+	// lowered is the lowered matrix as dW's A operand: its rows (off) and
+	// output pixels (pix). Always built: dW has one route.
+	lowered gatherA
+	// fwd gathers the lowered matrix as the forward's B operand (steps
+	// walk its rows, groups are runs of output pixels inside one output
+	// row). nil: the forward packs its panels.
+	fwd *gatherB
 }
 
-// ConvGathers reports which of a geometry's products read the lowered
-// matrix through the gather kernel instead of packing it: the forward
-// product W·col and the weight gradient dTop·colᵀ. Like GemmIsBlocked it
-// only chooses between two ways to the same bits.
-//
-// The forward product gathers whenever it can, which is at StrideW == 1
-// (its lanes are neighbouring output pixels, and only there are they
-// neighbours in the image). The weight gradient can gather at any stride —
-// the stride is in its step table — but its lanes are the KernelW kernel
-// columns of one (channel, kernel row), so a narrow kernel leaves most of
-// each lane group computing columns that do not exist.
+// ConvGathers reports whether a geometry's forward product W·col reads
+// the lowered matrix through the gather kernel instead of packing it.
+// Like GemmIsBlocked it only chooses between two ways to the same bits.
+// It gathers whenever it can, which is at StrideW == 1: its lanes are
+// neighbouring output pixels, and only there are they neighbours in the
+// image. The weight gradient has no choice to make: it always reads col
+// in place as its A operand, at any stride, with lanes over output
+// channels.
 //
 // Read off the sweep `dnnbench -figure gemm` prints (PERFORMANCE.md §11;
 // packed time over gathered time, each forced, AVX2 kernel, 8-lane groups):
 //
-//	                      O outW   forward   lanes      dW   lanes
-//	mnist.conv1          20   24    1.85x    100%    1.40x    62%
-//	mnist.conv2          50    8    1.88x    100%    1.13x    62%
-//	cifar.conv1          32   32    1.73x    100%    1.20x    62%
-//	cifar.conv2          32   16    2.28x    100%    1.30x    62%
-//	cifar.conv3          64    8    1.94x    100%    1.04x    62%
-//	16ch 9x9 k5          32    5    2.11x     62%    1.24x    62%
-//	16ch 14x14 k3        32   12    1.73x     75%    0.87x    38%
-//	16ch 16x16 k4 p1     32   15    2.19x     94%    1.04x    50%
-//	64ch 16x16 k1        32   16    1.80x    100%    0.29x    12%
-//	8ch 28x28 k7 p3      16   28    2.42x     88%    2.29x    88%
-//	16ch 31x31 k5 p2 s2  32   16       -        -    1.53x    62%
+//	                      O outW   forward   lanes
+//	mnist.conv1          20   24    1.75x    100%
+//	mnist.conv2          50    8    2.08x    100%
+//	cifar.conv1          32   32    1.82x    100%
+//	cifar.conv2          32   16    2.18x    100%
+//	cifar.conv3          64    8    1.94x    100%
+//	16ch 9x9 k5          32    5    2.15x     62%
+//	16ch 14x14 k3        32   12    1.76x     75%
+//	16ch 16x16 k4 p1     32   15    2.10x     94%
+//	64ch 16x16 k1        32   16    1.94x    100%
+//	8ch 28x28 k7 p3      16   28    2.46x     88%
 //
-// Forward wins by 1.7-2.7x wherever it applies, an output row of 5 pixels
-// in 8 lanes included: what it drops is the K x N panel pack, which cost as
-// much as the product. dW wins from five kernel columns up (1.0-1.5x at 62%
-// of the lanes, 2.3x at 88%), draws at four and loses below, so it gathers
-// from KernelW = 5.
-func ConvGathers(g ConvGeom) (forward, weights bool) {
-	return g.StrideW == 1, g.KernelW >= 5
+// It wins by 1.7-2.5x wherever it applies, an output row of 5 pixels in 8
+// lanes included: what it drops is the K x N panel pack, which cost as
+// much as the product.
+func ConvGathers(g ConvGeom) bool {
+	return g.StrideW == 1
 }
 
 // NewConvPlan builds the plan the lowered convolution layer runs g on.
 func NewConvPlan(g ConvGeom) *ConvPlan {
-	fwd, dw := ConvGathers(g)
-	return newConvPlan(g, fwd, dw)
+	return newConvPlan(g, ConvGathers(g))
 }
 
-// NewConvPlanForced builds a plan with the gather-or-pack choice made by
-// the caller instead of ConvGathers, for the sweep the predicate is read
-// off (internal/bench) and for tests; use NewConvPlan everywhere else. A
-// forward product at StrideW != 1 packs regardless: its lanes are not
-// contiguous in the image.
+// NewConvPlanForced builds a plan with the forward's gather-or-pack choice
+// made by the caller instead of ConvGathers, for the sweep the predicate
+// is read off (internal/bench) and for tests; use NewConvPlan everywhere
+// else. A forward product at StrideW != 1 packs regardless: its lanes are
+// not contiguous in the image.
 func NewConvPlanForced(g ConvGeom, gather bool) *ConvPlan {
-	return newConvPlan(g, gather && g.StrideW == 1, gather)
+	return newConvPlan(g, gather && ConvGathers(g))
 }
 
-// LaneUse returns, per gathered product, the share of the kernel's lanes
-// that are columns of the product rather than a ragged group's dropped
-// tail (0 for a product that packs): OutW over OutW rounded up to whole
-// lane groups for the forward product, KernelW likewise for dW.
-func (p *ConvPlan) LaneUse() (forward, weights float64) {
-	use := func(gb *gatherB) float64 {
-		if gb == nil {
-			return 0
-		}
-		cols := 0
-		for _, lg := range gb.groups {
-			cols += int(lg.n)
-		}
-		return float64(cols) / float64(len(gb.groups)*p.gw)
+// LaneUse returns the share of the forward gather kernel's lanes that are
+// columns of the product rather than a ragged group's dropped tail: OutW
+// over OutW rounded up to whole lane groups, 0 where the forward packs.
+func (p *ConvPlan) LaneUse() float64 {
+	if p.fwd == nil {
+		return 0
 	}
-	return use(p.fwd), use(p.dw)
+	cols := 0
+	for _, lg := range p.fwd.groups {
+		cols += int(lg.n)
+	}
+	return float64(cols) / float64(len(p.fwd.groups)*p.gw)
 }
 
-func newConvPlan(g ConvGeom, fwd, dw bool) *ConvPlan {
+func newConvPlan(g ConvGeom, fwd bool) *ConvPlan {
 	p := &ConvPlan{ConvGeom: g, gw: gemmGW, hp: g.Height + 2*g.PadH, wp: g.Width + 2*g.PadW}
-	if !fwd && !dw {
-		return p
-	}
 	outH, outW, gw := g.OutH(), g.OutW(), p.gw
-	// off: lowered row (c,kh,kw) -> its window corner in the bordered
-	// image; kcols: the kernel columns of each (c,kh), cut into lane groups.
-	perKRow := (g.KernelW + gw - 1) / gw
+	// off: lowered row (c,kh,kw) -> its window corner in the bordered image.
 	off := make([]int32, g.Rows())
-	kcols := make([]laneGroup, g.Channels*g.KernelH*perKRow)
 	for ckh := range g.Channels * g.KernelH {
 		row := (ckh/g.KernelH*p.hp + ckh%g.KernelH) * p.wp
 		for kw := 0; kw < g.KernelW; kw++ {
 			off[ckh*g.KernelW+kw] = int32(row + kw)
 		}
-		for i := range perKRow {
-			kcols[ckh*perKRow+i] = laneGroup{int32(row + i*gw), int32(ckh*g.KernelW + i*gw), int32(min(gw, g.KernelW-i*gw))}
-		}
 	}
-	// pix: output pixel (oh,ow) -> its window's corner; pixels: each output
-	// row cut into lane groups (runs of the image only at StrideW = 1, the
-	// one case the forward product uses them in).
-	perORow := (outW + gw - 1) / gw
+	// pix: output pixel (oh,ow) -> its window's corner.
 	pix := make([]int32, outH*outW)
-	pixels := make([]laneGroup, outH*perORow)
 	for oh := range outH {
-		row := oh * g.StrideH * p.wp
 		for ow := 0; ow < outW; ow++ {
-			pix[oh*outW+ow] = int32(row + ow*g.StrideW)
-		}
-		for i := range perORow {
-			pixels[oh*perORow+i] = laneGroup{int32(row + i*gw), int32(oh*outW + i*gw), int32(min(gw, outW-i*gw))}
+			pix[oh*outW+ow] = int32(oh*g.StrideH*p.wp + ow*g.StrideW)
 		}
 	}
+	p.lowered = gatherA{rows: off, steps: pix}
 	if fwd {
+		// Each output row cut into lane groups: runs of the image at
+		// StrideW = 1, the one case the forward product gathers at.
+		perORow := (outW + gw - 1) / gw
+		pixels := make([]laneGroup, outH*perORow)
+		for oh := range outH {
+			row := oh * g.StrideH * p.wp
+			for i := range perORow {
+				pixels[oh*perORow+i] = laneGroup{int32(row + i*gw), int32(oh*outW + i*gw), int32(min(gw, outW-i*gw))}
+			}
+		}
 		p.fwd = &gatherB{steps: off, groups: pixels}
-	}
-	if dw {
-		p.dw = &gatherB{steps: pix, groups: kcols}
 	}
 	return p
 }
@@ -403,18 +377,20 @@ func ConvForward(s *GemmScratch, p *ConvPlan, o int, im, bias, out []float32) {
 }
 
 // ConvBackwardWeights accumulates one sample's weight gradient:
-// wGrad (o x Rows) += dTop (o x Cols) · lowered(im)ᵀ.
+// wGrad (o x Rows) += dTop (o x Cols) · lowered(im)ᵀ, computed as its
+// transpose lowered(im) · dTopᵀ with the lowered matrix read in place
+// from the bordered image (the gather-A kernel), dTopᵀ packed one gemmKC
+// block at a time and each tile written back transposed into wGrad. o
+// (dTop's rows, wGrad's rows) is the product's N: a band of output
+// channels is a band of its columns and gives the full product's bits.
 func ConvBackwardWeights(s *GemmScratch, p *ConvPlan, o int, dTop, im, wGrad []float32) {
 	ckk, ohw := p.Rows(), p.Cols()
 	checkLen("ConvBackwardWeights dTop", len(dTop), o*ohw)
 	checkLen("ConvBackwardWeights im", len(im), p.Channels*p.Height*p.Width)
 	checkLen("ConvBackwardWeights wGrad", len(wGrad), o*ckk)
-	op := gemmOp{transB: Trans, n: ckk, k: ohw, alpha: 1, beta: 1,
-		a: dTop, lda: ohw, b: im, conv: &p.ConvGeom, c: wGrad, ldc: ckk}
-	if p.dw != nil {
-		op.b, op.gather, op.conv = s.border(p, im), p.dw, nil
-	}
-	gemmBlocked(s, &op, 0, o)
+	op := gemmOp{transB: Trans, n: o, k: ohw, alpha: 1, beta: 1,
+		a: s.border(p, im), gatherA: &p.lowered, b: dTop, ldb: ohw, c: wGrad, ldc: ckk, transC: true}
+	gemmBlocked(s, &op, 0, ckk)
 }
 
 // ConvBackwardData computes channels [c0, c1) of one sample's bottom

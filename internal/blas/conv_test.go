@@ -118,15 +118,19 @@ func TestIm2colCol2imMatchNaive(t *testing.T) {
 }
 
 // withScalarKernel runs f on the whole portable path, which on an AVX2
-// host nothing else exercises: the 4x4 micro-kernels with their nr=4
-// panels and lane groups (no B panel is then 16 wide and no tile row 8 or
-// 16 lanes, so those already take the Go loops), the Go run adder, and
-// the Go packing of A (withGoDataMovement). Not safe beside parallel
-// tests; none in this package are.
+// host nothing else exercises: the 4x4 micro-kernels (packed, gather and
+// gather-A) with their nr=4 panels and lane groups (no B panel is then 16
+// wide and no tile row 8 or 16 lanes, so those already take the Go
+// loops), the Go run adder, and the Go packing of A and writebacks
+// (withGoDataMovement). Not safe beside parallel tests; none in this
+// package are.
 func withScalarKernel(f func()) {
-	nr, gw, k, gk, ar := gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, addRuns
-	gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, addRuns = 4, 4, microKernelScalar4x4, gatherKernelScalar4x4, addRunsGo
-	defer func() { gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, addRuns = nr, gw, k, gk, ar }()
+	nr, gw, k, gk, gak, ar := gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, gemmGatherAKernel, addRuns
+	gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, gemmGatherAKernel, addRuns =
+		4, 4, microKernelScalar4x4, gatherKernelScalar4x4, gatherAKernelScalar4x4, addRunsGo
+	defer func() {
+		gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, gemmGatherAKernel, addRuns = nr, gw, k, gk, gak, ar
+	}()
 	withGoDataMovement(f)
 }
 
@@ -146,7 +150,7 @@ func sweepGeoms() []ConvGeom {
 	}
 	return append(out,
 		ConvGeom{2, 9, 30, 5, 7, 2, 3, 2, 1},  // strideH only: forward still gathers
-		ConvGeom{3, 17, 17, 5, 5, 2, 2, 2, 2}, // stride 2: forward packs, dW gathers through its pixel table
+		ConvGeom{3, 17, 17, 5, 5, 2, 2, 2, 2}, // stride 2: forward packs, dW reads col through its pixel table
 		ConvGeom{2, 13, 40, 3, 9, 0, 1, 1, 3}, // a kernel row wider than a lane group, stride 3
 	)
 }
@@ -214,6 +218,16 @@ func (c *convCase) check(t *testing.T, r *rng.RNG, name string, p *ConvPlan) {
 	gotW := append([]float32(nil), c.w0...)
 	ConvBackwardWeights(s, p, o, c.dTop, c.im, gotW)
 	bitEqual(t, name+" dW", gotW, c.wantW)
+	// A band of output channels [olo, ohi) is a band of the transposed
+	// product's columns, cut off a 16-lane boundary: the full product's
+	// rows, and nothing else written.
+	if olo, ohi := o/3, o-o/4; olo < ohi && (olo%16 != 0 || ohi%16 != 0) {
+		band := append([]float32(nil), c.w0...)
+		ConvBackwardWeights(s, p, ohi-olo, c.dTop[olo*ohw:], c.im, band[olo*ckk:ohi*ckk])
+		bitEqual(t, fmt.Sprintf("%s dW channels [%d,%d)", name, olo, ohi), band[olo*ckk:ohi*ckk], c.wantW[olo*ckk:ohi*ckk])
+		bitEqual(t, name+" dW outside the band", band[:olo*ckk], c.w0[:olo*ckk])
+		bitEqual(t, name+" dW outside the band", band[ohi*ckk:], c.w0[ohi*ckk:])
+	}
 
 	gotX := randomSlice(r, len(c.im))
 	s.PackA(Trans, ckk, o, c.w, ckk)
@@ -222,14 +236,14 @@ func (c *convCase) check(t *testing.T, r *rng.RNG, name string, p *ConvPlan) {
 }
 
 // convRoutes returns g's plan on the route ConvGathers picks and on both
-// routes forced.
+// forward routes forced. dW takes its one route under each.
 func convRoutes(t *testing.T, g ConvGeom) map[string]*ConvPlan {
 	t.Helper()
 	gather, packed := NewConvPlanForced(g, true), NewConvPlanForced(g, false)
-	if (gather.fwd != nil) != (g.StrideW == 1) || gather.dw == nil {
-		t.Fatalf("%s: forced gather plan gathers fwd=%v dW=%v", geomName(g), gather.fwd != nil, gather.dw != nil)
+	if (gather.fwd != nil) != (g.StrideW == 1) {
+		t.Fatalf("%s: forced gather plan gathers fwd=%v", geomName(g), gather.fwd != nil)
 	}
-	if packed.fwd != nil || packed.dw != nil {
+	if packed.fwd != nil {
 		t.Fatalf("%s: forced packed plan gathers", geomName(g))
 	}
 	return map[string]*ConvPlan{"dispatch": NewConvPlan(g), "gather": gather, "packed": packed}
@@ -243,13 +257,15 @@ func col2im(col []float32, g ConvGeom, im []float32) {
 // forward, dW and dX are bitwise Im2col followed by the blocked Gemm (plus
 // a separate bias pass, plus Col2im of the whole dcol), on every odd and
 // swept geometry, with and without bias, on both micro-kernels, and on
-// both routes to the B operand — gathered and packed, each forced, beside
-// the one ConvGathers picks.
+// both routes to the forward's B operand — gathered and packed, each
+// forced, beside the one ConvGathers picks. dW, the transposed product
+// dWᵀ = col·dTopᵀ, must equal the untransposed dense Gemm dTop·colᵀ, and
+// a band of its output channels the full product's rows.
 func TestConvMatchesIm2colGemm(t *testing.T) {
 	check := func(t *testing.T) {
 		r := rng.New(32, 32)
 		for _, g := range append(sweepGeoms(), oddGeoms...) {
-			for _, o := range []int{1, 6, 67} { // below, across and past one MC block
+			for _, o := range []int{1, 6, 20, 67} { // below, across and past one 16-lane panel and one MC block
 				c := newConvCase(r, g, o, im2col, col2im)
 				for route, p := range convRoutes(t, g) {
 					c.check(t, r, route, p)
@@ -261,33 +277,42 @@ func TestConvMatchesIm2colGemm(t *testing.T) {
 	t.Run("scalar-4x4", func(t *testing.T) { withScalarKernel(func() { check(t) }) })
 }
 
-// TestConvGatherTablesStayInsideBorder: every float the gather kernel can
-// touch — group base + step + a full lane group — lies inside the bordered
-// copy plus its one group of slack, on both lane widths.
+// TestConvGatherTablesStayInsideBorder: every float the forward gather
+// kernel can touch — group base + step + a full lane group — lies inside
+// the bordered copy plus its one group of slack, on both lane widths; and
+// every float the dW gather-A kernel touches — row base + pixel step, a
+// single float — inside the bordered copy itself.
 func TestConvGatherTablesStayInsideBorder(t *testing.T) {
+	maxOf := func(v []int32) (m int32) {
+		for _, x := range v {
+			m = max(m, x)
+		}
+		return m
+	}
 	check := func() {
 		for _, g := range append(sweepGeoms(), oddGeoms...) {
 			p := NewConvPlanForced(g, true)
-			limit := g.Channels*p.hp*p.wp + p.gw
-			for what, gb := range map[string]*gatherB{"fwd": p.fwd, "dW": p.dw} {
-				if gb == nil {
-					continue
+			size := g.Channels * p.hp * p.wp
+			if len(p.lowered.rows) != g.Rows() || len(p.lowered.steps) != g.Cols() {
+				t.Fatalf("%s dW: %d row bases and %d steps for a %dx%d col", geomName(g), len(p.lowered.rows), len(p.lowered.steps), g.Rows(), g.Cols())
+			}
+			if reach := int(maxOf(p.lowered.rows) + maxOf(p.lowered.steps)); reach >= size {
+				t.Errorf("%s dW: gather-A kernel reads float %d, bordered copy is %d", geomName(g), reach, size)
+			}
+			if p.fwd == nil {
+				continue
+			}
+			var maxBase int32
+			cols := 0
+			for _, lg := range p.fwd.groups {
+				maxBase = max(maxBase, lg.base)
+				if int(lg.col) != cols || lg.n < 1 || int(lg.n) > p.gw {
+					t.Fatalf("%s fwd: group %+v does not continue the columns at %d", geomName(g), lg, cols)
 				}
-				var maxStep, maxBase int32
-				for _, v := range gb.steps {
-					maxStep = max(maxStep, v)
-				}
-				cols := 0
-				for _, lg := range gb.groups {
-					maxBase = max(maxBase, lg.base)
-					if int(lg.col) != cols || lg.n < 1 || int(lg.n) > p.gw {
-						t.Fatalf("%s %s: group %+v does not continue the columns at %d", geomName(g), what, lg, cols)
-					}
-					cols += int(lg.n)
-				}
-				if reach := int(maxBase+maxStep) + p.gw; reach > limit {
-					t.Errorf("%s %s: kernel reads up to %d, bordered copy + slack is %d", geomName(g), what, reach, limit)
-				}
+				cols += int(lg.n)
+			}
+			if reach := int(maxBase+maxOf(p.fwd.steps)) + p.gw; reach > size+p.gw {
+				t.Errorf("%s fwd: kernel reads up to %d, bordered copy + slack is %d", geomName(g), reach, size+p.gw)
 			}
 		}
 	}
@@ -353,10 +378,13 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 }
 
 // FuzzConv runs random convolution geometries through every route on both
-// micro-kernels, with the naive per-entry lowering and scatter as the
-// oracle's ends; on the active kernel also with the Go data movement,
-// against the oracle the vector data movement built, so the two paths must
-// agree bit for bit.
+// micro-kernels — the forward gathered and packed, dW as the transposed
+// product col·dTopᵀ with col gathered on its A side, whole and in a band
+// of output channels — with the naive per-entry lowering and scatter as
+// the oracle's ends; on the active kernel also with the Go data movement
+// (packers and both writebacks, the transposed one included), against the
+// oracle the vector data movement built, so the two paths must agree bit
+// for bit.
 func FuzzConv(f *testing.F) {
 	for _, g := range append(sweepGeoms()[:12], oddGeoms...) {
 		f.Add(uint8(g.Channels), uint8(g.Height), uint8(g.Width), uint8(g.KernelH), uint8(g.KernelW),
@@ -398,25 +426,29 @@ func TestConvPackedAMismatchPanics(t *testing.T) {
 	ConvBackwardData(s, NewConvPlan(g), 4, make([]float32, 4*g.Cols()), make([]float32, 2*6*6), 0, 2)
 }
 
+// zooConvs are the zoo nets' convolutions: per-sample geometry and output
+// channels.
+var zooConvs = []struct {
+	name string
+	g    ConvGeom
+	o    int
+}{
+	{"lenet-conv1", ConvGeom{1, 28, 28, 5, 5, 0, 0, 1, 1}, 20},
+	{"lenet-conv2", ConvGeom{20, 12, 12, 5, 5, 0, 0, 1, 1}, 50},
+	{"cifar-conv1", ConvGeom{3, 32, 32, 5, 5, 2, 2, 1, 1}, 32},
+	{"cifar-conv2", ConvGeom{32, 16, 16, 5, 5, 2, 2, 1, 1}, 32},
+	{"cifar-conv3", ConvGeom{32, 8, 8, 5, 5, 2, 2, 1, 1}, 64},
+}
+
 // BenchmarkConvLowered times one sample's three conv products on the zoo
 // nets' layers: the implicit GEMM with weights packed once ("implicit")
 // against the sequence it replaced, with today's packers ("col":
 // materialise col with Im2col, dense blocked Gemm packing both operands
 // per call, separate bias pass, the whole dcol then Col2im). PERFORMANCE.md
-// §10 and §11 record runs.
+// §10, §11 and §15 record runs.
 func BenchmarkConvLowered(b *testing.B) {
 	r := rng.New(33, 33)
-	for _, l := range []struct {
-		name string
-		g    ConvGeom
-		o    int
-	}{
-		{"lenet-conv1", ConvGeom{1, 28, 28, 5, 5, 0, 0, 1, 1}, 20},
-		{"lenet-conv2", ConvGeom{20, 12, 12, 5, 5, 0, 0, 1, 1}, 50},
-		{"cifar-conv1", ConvGeom{3, 32, 32, 5, 5, 2, 2, 1, 1}, 32},
-		{"cifar-conv2", ConvGeom{32, 16, 16, 5, 5, 2, 2, 1, 1}, 32},
-		{"cifar-conv3", ConvGeom{32, 8, 8, 5, 5, 2, 2, 1, 1}, 64},
-	} {
+	for _, l := range zooConvs {
 		g, o := l.g, l.o
 		ckk, ohw := g.Rows(), g.Cols()
 		im := randomSlice(r, g.Channels*g.Height*g.Width)

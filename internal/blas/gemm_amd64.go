@@ -5,12 +5,14 @@ package blas
 // AVX2+FMA micro-kernel selection. The 4x16 assembly kernel
 // (gemm_kernel_amd64.s) keeps eight 8-lane YMM accumulators and issues
 // two fused multiply-adds per broadcast A element — 64 flops per packed
-// step against the scalar kernel's 32 flops per 24 scalar ops. Beside it
-// go the vector routines for the data movement around it
-// (gemm_move_amd64.s): the packers' full panels (packBDense16,
-// packBTrans16, packARows4, packARuns4) and the writeback of full 8- and
-// 16-lane tile rows (writebackVec), each bit for bit its Go twin; packA,
-// packB and writebackTile hand them what they cover and keep the rest.
+// step against the scalar kernel's 32 flops per 24 scalar ops — and so do
+// its two gather twins. Beside it go the vector routines for the data
+// movement around it (gemm_move_amd64.s): the packers' panels
+// (packBDense16, packBTrans, packARows4, packARuns4), the writeback of
+// full 8- and 16-lane tile rows (writebackVec) and of 4-row tiles into a
+// transposed C (writebackTVec), each bit for bit its Go twin; packA,
+// packB, writebackTile and writebackTileT hand them what they cover and
+// keep the rest.
 // Selection happens exactly once, at init, so every Gemm in the process
 // (and every band of every Gemm) uses the same kernel; see the
 // determinism contract in gemm_blocked.go.
@@ -19,9 +21,10 @@ func init() {
 		gemmNR, gemmGW = 16, 8
 		gemmMicroKernel = microKernelAVX4x16
 		gemmGatherKernel = gatherKernelAVX4x16
-		packBDense16, packBTrans16 = packBDense16Vec, packBTrans16Vec
+		gemmGatherAKernel = gatherAKernelAVX4x16
+		packBDense16, packBTrans = packBDense16Vec, packBTransVec
 		packARows4, packARuns4 = packARows4Vec, packARuns4Vec
-		writebackVec = writebackTileVec
+		writebackVec, writebackTVec = writebackTileVec, writebackTileTVec
 		maxPool8 = maxPool8AVX2
 		addRuns = addRunsVec
 	}
@@ -78,6 +81,19 @@ func gatherKernelAVX4x16(ap, p []float32, b0, b1 int, off []int32, acc *[gemmMR 
 	sgemmGather4x16(&ap[0], &p[b0], &p[b1], &off[0], len(off), acc)
 }
 
+// sgemmGatherA4x16 (assembly) is sgemmKernel4x16 reading its A rows in
+// place: acc[i*16+j] = sum over l of a_i[steps[l]] * bp[l*16+j], a_i = a0,
+// a1, a2, a3. The caller vouches that every a_i[steps[l]] is inside the
+// image.
+//
+//go:noescape
+func sgemmGatherA4x16(a0, a1, a2, a3 *float32, steps *int32, bp *float32, kc int, acc *[gemmMR * gemmNRMax]float32)
+
+func gatherAKernelAVX4x16(p []float32, rows [gemmMR]int32, steps []int32, bp []float32, acc *[gemmMR * gemmNRMax]float32) {
+	_ = bp[16*len(steps)-1]
+	sgemmGatherA4x16(&p[rows[0]], &p[rows[1]], &p[rows[2]], &p[rows[3]], &steps[0], &bp[0], len(steps), acc)
+}
+
 // maxPool8AVX2 (assembly) is MaxPoolWindows for eight windows, one per
 // lane; see pool.go.
 //
@@ -103,7 +119,7 @@ func addRunsVec(dst, src []float32, runs, n, ds, ss int) {
 func packBN16AVX2(dst, src *float32, ldb, kc int)
 
 //go:noescape
-func packBT16AVX2(dst, src *float32, ldb, kc8 int)
+func packBTAVX2(dst, src *float32, ldb, kc8, cols int)
 
 //go:noescape
 func packA4AVX2(dst, src *float32, lda, kc8 int)
@@ -114,14 +130,17 @@ func packAT4AVX2(dst, src *float32, lda, kc, panels int)
 //go:noescape
 func writebackAVX2(acc, c, bias *float32, nr, ldc, mrr, nrr, mode int, alpha, beta float32)
 
+//go:noescape
+func writebackTAVX2(acc, c *float32, nr, ldc, nrr, mode int, alpha, beta float32)
+
 func packBDense16Vec(dst, b []float32, ldb, kc int) {
 	_, _ = dst[16*kc-1], b[(kc-1)*ldb+15]
 	packBN16AVX2(&dst[0], &b[0], ldb, kc)
 }
 
-func packBTrans16Vec(dst, b []float32, ldb, kc8 int) {
-	_, _ = dst[16*kc8-1], b[15*ldb+kc8-1]
-	packBT16AVX2(&dst[0], &b[0], ldb, kc8)
+func packBTransVec(dst, b []float32, ldb, kc8, cols int) {
+	_, _ = dst[16*kc8-1], b[(cols-1)*ldb+kc8-1]
+	packBTAVX2(&dst[0], &b[0], ldb, kc8, cols)
 }
 
 func packARows4Vec(dst, a []float32, lda, kc8 int) {
@@ -141,15 +160,23 @@ func writebackTileVec(acc []float32, nr int, alpha, beta float32, firstK bool, b
 		_ = bias[mrr-1]
 		bp = &bias[0]
 	}
-	mode := 0
+	writebackAVX2(&acc[0], &c[0], bp, nr, ldc, mrr, nrr, writebackMode(alpha, beta, firstK), alpha, beta)
+}
+
+func writebackTileTVec(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, nrr int) {
+	_, _ = acc[(gemmMR-1)*nr+roundUp(nrr, 8)-1], c[(nrr-1)*ldc+gemmMR-1]
+	writebackTAVX2(&acc[0], &c[0], nr, ldc, nrr, writebackMode(alpha, beta, firstK), alpha, beta)
+}
+
+// writebackMode numbers writebackTileGo's switch for the assembly.
+func writebackMode(alpha, beta float32, firstK bool) int {
 	switch {
 	case !firstK:
+		return 0
 	case beta == 0 && alpha == 1:
-		mode = 1
+		return 1
 	case beta == 0:
-		mode = 2
-	default:
-		mode = 3
+		return 2
 	}
-	writebackAVX2(&acc[0], &c[0], bp, nr, ldc, mrr, nrr, mode, alpha, beta)
+	return 3
 }

@@ -17,12 +17,14 @@ import (
 //	      reads in place (then jc is a single block)
 //	    for ic over the row band in steps of gemmMC:
 //	      pack op(A)[ic:ic+MC, pc:pc+KC] into mr-tall micro-panels (ap),
-//	        or take the panels PackA packed ahead for a run of products
+//	        or take the panels PackA packed ahead for a run of products,
+//	        or pack nothing: an A the gather-A kernel reads in place
 //	      for jr over NC in steps of nr:       // bp micro-panel stays in L1
 //	        (a dense B under a band of one row block: pack just this
 //	         panel here, not the block above)
 //	        for ir over MC in steps of gemmMR:
-//	          micro-kernel: register-tiled rank-KC update of a C tile
+//	          micro-kernel: register-tiled rank-KC update of a C tile,
+//	            written back into C (or, for a C stored transposed, Cᵀ)
 //
 // Packing turns the strided (and possibly transposed) operand reads into
 // two contiguous streams, so the micro-kernel reads exactly mr+nr floats
@@ -36,21 +38,27 @@ import (
 // (gemm_amd64.go) swaps in the 4x16 assembly kernel sgemmKernel4x16 and
 // widens nr to 16: 8 YMM accumulators updated by two fused
 // multiply-adds per broadcast A element, ~8x the scalar flop rate. The
-// kernel choice is made once per process, never per call.
+// kernel choice is made once per process, never per call. Each has a
+// gather twin reading one operand in place from a convolution's bordered
+// image (conv.go): gemmGatherKernel its B rows, gemmGatherAKernel its A
+// rows.
 //
 // The data movement around the micro-kernel is chosen with it. On AVX2,
 // init also sets the package function variables packBDense16 and
-// packBTrans16 (a full 16-wide B panel: two YMM moves per depth step of a
-// dense B, 8x8 in-register transposes of a transposed one), packARows4 and
+// packBTrans (a full 16-wide panel of a dense B: two YMM moves per depth
+// step; a panel of 1-16 columns of a transposed one: 8x8 in-register
+// transposes, zero lanes past the last column), packARows4 and
 // packARuns4 (a full 4-row A panel: a 4x8 transpose per eight steps, or
-// one 4-float run per step of a transposed A) and writebackVec (a tile
-// row of 8 or 16 lanes, every mode and the bias, gemm_move_amd64.s).
-// packA, packB and writebackTile hand those routines what they cover and
-// run their own Go loops on the rest — ragged panels and rows, the depth
-// steps past the last multiple of 8 — and on hosts without AVX2. The
-// vector routines move the same values, and compute the writeback's
-// expression with the same unfused multiplies and adds in the same operand
-// order, so which path packed a panel or wrote a row never shows in C.
+// one 4-float run per step of a transposed A), writebackVec (a tile row
+// of 8 or 16 lanes, every mode and the bias) and writebackTVec (a 4-row
+// tile into a transposed C, gemm_move_amd64.s). packA, packB,
+// writebackTile and writebackTileT hand those routines what they cover
+// and run their own Go loops on the rest — ragged panels, rows and tiles,
+// the depth steps past the last multiple of 8 — and on hosts without
+// AVX2. The vector routines move the same values, and compute the
+// writeback's expression with the same unfused multiplies and adds in the
+// same operand order, so which path packed a panel or wrote a row never
+// shows in C.
 //
 // Determinism contract (load-bearing — the coarse engine depends on it):
 // the value written to C[i,j] must depend only on (i, j, the operands,
@@ -69,11 +77,12 @@ import (
 //   - where a packed panel comes from — a dense operand, the (C,H,W) image
 //     of a lowered convolution (conv.go), or panels PackA left in the
 //     scratch — changes how it is filled, never what it holds; and the
-//     gather kernel, which reads a convolution's B rows out of the bordered
-//     image instead of a panel, feeds each lane the values the panel would
-//     have held, in the same order. How the N dimension is cut into tiles
-//     (gemmNC blocks of nr columns, or lane groups that follow the image's
-//     rows) never enters a lane's sum.
+//     gather kernels, which read a convolution's B rows or A rows out of
+//     the bordered image instead of a panel, feed each lane the values
+//     the panel would have held, in the same order. How the N dimension
+//     is cut into tiles (gemmNC blocks of nr columns, or lane groups that
+//     follow the image's rows) never enters a lane's sum, nor does
+//     whether a tile is written to C or, transposed, to Cᵀ.
 //
 // Consequently Gemm, GemmRows on any band partition, and a product over
 // any band of C's columns (B and C offset, N the band width) all produce
@@ -113,11 +122,16 @@ const (
 // scalar tile is a single group and ignores b1). Same accumulators, same
 // order, so a lane ends up with what the packed kernel would compute from
 // a panel holding the same values.
+//
+// gemmGatherAKernel reads its A rows in place instead (see gatherA in
+// conv.go): step l takes row i of the tile from p[rows[i]+steps[l]] and
+// the B row from the packed panel bp, as the packed kernel does.
 var (
-	gemmNR           = 4
-	gemmGW           = 4
-	gemmMicroKernel  = microKernelScalar4x4
-	gemmGatherKernel = gatherKernelScalar4x4
+	gemmNR            = 4
+	gemmGW            = 4
+	gemmMicroKernel   = microKernelScalar4x4
+	gemmGatherKernel  = gatherKernelScalar4x4
+	gemmGatherAKernel = gatherAKernelScalar4x4
 )
 
 // The vector data movement around the micro-kernels, selected with them
@@ -132,9 +146,11 @@ var (
 	// packBDense16 packs one full 16-wide panel of a dense op(B):
 	// dst[l*16+j] = b[l*ldb+j].
 	packBDense16 func(dst, b []float32, ldb, kc int)
-	// packBTrans16 packs the first kc8 (a multiple of 8) steps of one full
-	// 16-wide panel of a transposed op(B): dst[l*16+j] = b[j*ldb+l].
-	packBTrans16 func(dst, b []float32, ldb, kc8 int)
+	// packBTrans packs the first kc8 (a multiple of 8) steps of one
+	// 16-wide panel of a transposed op(B) with cols (1-16) columns:
+	// dst[l*16+j] = b[j*ldb+l] for j < cols, 0 for the lanes past them.
+	// It reads only the cols stored rows.
+	packBTrans func(dst, b []float32, ldb, kc8, cols int)
 	// packARows4 interleaves the first kc8 (a multiple of 8) steps of
 	// four rows of A: dst[l*4+i] = a[i*lda+l].
 	packARows4 func(dst, a []float32, lda, kc8 int)
@@ -143,6 +159,8 @@ var (
 	packARuns4 func(dst, a []float32, lda, kc, panels int)
 	// writebackVec is writebackTileGo for rows of 8 or 16 lanes.
 	writebackVec func(acc []float32, nr int, alpha, beta float32, firstK bool, bias, c []float32, ldc, mrr, nrr int)
+	// writebackTVec is writebackTileTGo for a tile of gemmMR rows.
+	writebackTVec func(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, nrr int)
 )
 
 // GemmScratch holds the packing buffers of the blocked kernel so callers
@@ -261,8 +279,8 @@ func gemmScaleRows(n int, beta float32, c []float32, ldc, rowLo, rowHi int) {
 // gemmOp is one product on the blocked kernel: C = alpha*op(A)*op(B) +
 // beta*C, plus where the operands come from. The plain Gemm entry points
 // fill in the dense fields only; the lowered convolution (conv.go) sets
-// gather or conv, bias and cRow0, and leaves a (b) nil after a PackA
-// (packBAhead).
+// gather, gatherA or conv, bias, cRow0 and transC, and leaves a (b) nil
+// after a PackA (packBAhead).
 type gemmOp struct {
 	transA, transB Transpose
 	n, k           int
@@ -271,16 +289,23 @@ type gemmOp struct {
 	lda            int
 	b              []float32 // nil: the panels packBAhead left in the scratch
 	ldb            int
+	// gatherA non-nil: a is a bordered image and op(A) is read from it in
+	// place by the gather-A kernel; nothing is packed and transA, lda are
+	// unused.
+	gatherA *gatherA
 	// gather non-nil: b is a bordered image and op(B) is read from it in
 	// place by the gather kernel; nothing is packed and transB, ldb are
 	// unused.
 	gather *gatherB
 	// conv non-nil: b is a (C,H,W) image and op(B) its lowered (im2col)
-	// matrix under conv — transposed if transB — packed straight from the
-	// image, so the matrix is never written; ldb is unused.
+	// matrix under conv, packed straight from the image, so the matrix is
+	// never written; transB and ldb are unused.
 	conv *ConvGeom
 	c    []float32
 	ldc  int
+	// transC: c holds the product transposed, element (i, j) at
+	// c[j*ldc+i]; cRow0 and bias are unused.
+	transC bool
 	// cRow0 is the row of C that c starts at: a strip product hands in
 	// only the rows it computes.
 	cRow0 int
@@ -353,7 +378,11 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 	case panelwise:
 		bpLen = nr * kcMax
 	}
-	s.ensure(roundUp(mcMax, gemmMR)*kcMax, bpLen)
+	apLen := roundUp(mcMax, gemmMR) * kcMax
+	if op.gatherA != nil {
+		apLen = 0
+	}
+	s.ensure(apLen, bpLen)
 	acc := &s.acc
 	for jc := 0; jc < n; jc += ncMax {
 		nc := min(ncMax, n-jc)
@@ -372,17 +401,17 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 			case panelwise:
 			case op.conv == nil:
 				packB(bp, op.transB, op.b, op.ldb, pc, kc, jc, nc)
-			case op.transB == NoTrans:
-				packBConv(bp, s.row[:], op.conv, op.b, pc, kc, jc, nc)
 			default:
-				packBConvT(bp, op.conv, op.b, pc, kc, jc, nc)
+				packBConv(bp, s.row[:], op.conv, op.b, pc, kc, jc, nc)
 			}
 			for ic := rowLo; ic < rowHi; ic += gemmMC {
 				mc := min(gemmMC, rowHi-ic)
 				ap := s.ap
-				if op.a != nil {
+				switch {
+				case op.gatherA != nil:
+				case op.a != nil:
 					packA(ap, op.transA, op.a, op.lda, ic, mc, pc, kc)
-				} else {
+				default:
 					ap = s.pa[roundUp(s.pm, gemmMR)*pc+ic*kc:]
 				}
 				if op.gather != nil {
@@ -399,7 +428,15 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 					}
 					for ir := 0; ir < mc; ir += gemmMR {
 						mrr := min(gemmMR, mc-ir)
-						gemmMicroKernel(ap[ir*kc:], bpPanel, kc, acc)
+						if op.gatherA != nil {
+							gemmGatherAKernel(op.a, tileRows(op.gatherA.rows[ic+ir:ic+ir+mrr]), op.gatherA.steps[pc:pc+kc], bpPanel, acc)
+						} else {
+							gemmMicroKernel(ap[ir*kc:], bpPanel, kc, acc)
+						}
+						if op.transC {
+							writebackTileT(acc[:], nr, op.alpha, op.beta, firstK, op.c[(jc+jr)*op.ldc+ic+ir:], op.ldc, mrr, nrr)
+							continue
+						}
 						var tileBias []float32
 						if bias != nil {
 							tileBias = bias[ic+ir:]
@@ -456,9 +493,10 @@ func (s *GemmScratch) gatherTiles(op *gemmOp, ap []float32, ic, mc, pc, kc int, 
 // C = beta*C + alpha*acc on the first KC block, C += alpha*acc on the
 // rest, then C += bias[row] when the caller passes the row biases (last
 // KC block only). mrr/nrr clip edge tiles; acc rows are nr apart (acc may
-// start inside the tile, at a lane group). This
-// is the only code that writes C on the blocked path, shared by every
-// micro-kernel, which keeps edge and full tiles bit-identical. Rows of 8
+// start inside the tile, at a lane group). This and its transposed twin
+// writebackTileT are the only code that writes C on the blocked path,
+// shared by every micro-kernel, which keeps edge and full tiles
+// bit-identical. Rows of 8
 // or 16 lanes go to writebackVec where the host has it; the rest, and
 // every row elsewhere, to writebackTileGo.
 func writebackTile(acc []float32, nr int, alpha, beta float32, firstK bool, bias []float32, c []float32, ldc, mrr, nrr int) {
@@ -467,6 +505,45 @@ func writebackTile(acc []float32, nr int, alpha, beta float32, firstK bool, bias
 		return
 	}
 	writebackTileGo(acc, nr, alpha, beta, firstK, bias, c, ldc, mrr, nrr)
+}
+
+// writebackTileT is writebackTile into a transposed C: tile element
+// (i, j) goes to c[j*ldc+i], through the same expression and without a
+// bias. Tiles of gemmMR rows go to writebackTVec where the host has it;
+// ragged ones, and every tile elsewhere, to writebackTileTGo.
+func writebackTileT(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, mrr, nrr int) {
+	if writebackTVec != nil && mrr == gemmMR {
+		writebackTVec(acc, nr, alpha, beta, firstK, c, ldc, nrr)
+		return
+	}
+	writebackTileTGo(acc, nr, alpha, beta, firstK, c, ldc, mrr, nrr)
+}
+
+// writebackTileTGo is writebackTileT's portable path and writebackTVec's
+// oracle: writebackTileGo's loops with C's index transposed.
+func writebackTileTGo(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, mrr, nrr int) {
+	for i := 0; i < mrr; i++ {
+		ai := acc[i*nr : i*nr+nrr]
+		ci := c[i:]
+		switch {
+		case !firstK:
+			for j, v := range ai {
+				ci[j*ldc] += alpha * v
+			}
+		case beta == 0 && alpha == 1:
+			for j, v := range ai {
+				ci[j*ldc] = v
+			}
+		case beta == 0:
+			for j, v := range ai {
+				ci[j*ldc] = alpha * v
+			}
+		default:
+			for j, v := range ai {
+				ci[j*ldc] = beta*ci[j*ldc] + alpha*v
+			}
+		}
+	}
 }
 
 // writebackTileGo is writebackTile's portable path and writebackVec's
@@ -576,8 +653,9 @@ func interleave4(dst []float32, stride int, r0, r1, r2, r3 []float32) {
 // packB copies op(B)[pc:pc+kc, jc:jc+nc] into nr-wide micro-panels:
 // panel p holds columns [p*nr, p*nr+nr) as kc groups of nr contiguous
 // values, zero-padded on the right edge. Where the host has them, a full
-// 16-wide panel goes to packBDense16, or for a transposed B its first
-// kc&^7 steps to packBTrans16; the Go loops pack the rest.
+// 16-wide panel of a dense B goes to packBDense16, and the first kc&^7
+// steps of any panel of a transposed B to packBTrans; the Go loops pack
+// the rest.
 func packB(dst []float32, transB Transpose, b []float32, ldb, pc, kc, jc, nc int) {
 	nr := gemmNR
 	for jr := 0; jr < nc; jr += nr {
@@ -597,9 +675,9 @@ func packB(dst []float32, transB Transpose, b []float32, ldb, pc, kc, jc, nc int
 		// op(B)[l, j] = B[j, l]: column j of the panel is row jc+jr+j of
 		// the stored matrix, transposed in four rows at a time.
 		l0 := 0 // steps packed by the vector routine
-		if cols == 16 && packBTrans16 != nil && kc >= 8 {
+		if packBTrans != nil && kc >= 8 {
 			l0 = kc &^ 7
-			packBTrans16(panel, b[(jc+jr)*ldb+pc:], ldb, l0)
+			packBTrans(panel, b[(jc+jr)*ldb+pc:], ldb, l0, cols)
 			if l0 == kc {
 				continue
 			}
@@ -612,12 +690,12 @@ func packB(dst []float32, transB Transpose, b []float32, ldb, pc, kc, jc, nc int
 		}
 		for ; j < nr; j++ {
 			if j < cols {
-				src := b[(jc+jr+j)*ldb+pc:][:kc]
+				src := b[(jc+jr+j)*ldb+pc+l0:][:kc-l0]
 				for l, v := range src {
-					panel[l*nr+j] = v
+					panel[(l0+l)*nr+j] = v
 				}
 			} else {
-				for l := 0; l < kc; l++ {
+				for l := l0; l < kc; l++ {
 					panel[l*nr+j] = 0
 				}
 			}
@@ -701,6 +779,54 @@ func gatherKernelScalar4x4(ap, p []float32, base, _ int, off []int32, acc *[gemm
 	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
 	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
 	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
+}
+
+// gatherAKernelScalar4x4 is microKernelScalar4x4 with row i of the A
+// panel read in place at p[rows[i]+steps[l]]. The accumulation is the
+// packed kernel's, expression for expression; a product of an A and a B
+// float is the same float in either order.
+func gatherAKernelScalar4x4(p []float32, rows [gemmMR]int32, steps []int32, bp []float32, acc *[gemmMR * gemmNRMax]float32) {
+	var c00, c01, c02, c03 float32
+	var c10, c11, c12, c13 float32
+	var c20, c21, c22, c23 float32
+	var c30, c31, c32, c33 float32
+	p0, p1, p2, p3 := p[rows[0]:], p[rows[1]:], p[rows[2]:], p[rows[3]:]
+	bp = bp[: 4*len(steps) : 4*len(steps)]
+	for l, o := range steps {
+		bl := bp[4*l : 4*l+4 : 4*l+4]
+		a0, a1, a2, a3 := p0[o], p1[o], p2[o], p3[o]
+		b0, b1, b2, b3 := bl[0], bl[1], bl[2], bl[3]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c02 += a0 * b2
+		c03 += a0 * b3
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c12 += a1 * b2
+		c13 += a1 * b3
+		c20 += a2 * b0
+		c21 += a2 * b1
+		c22 += a2 * b2
+		c23 += a2 * b3
+		c30 += a3 * b0
+		c31 += a3 * b1
+		c32 += a3 * b2
+		c33 += a3 * b3
+	}
+	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
+	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
+	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
+	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
+}
+
+// tileRows returns the row bases of a gathered A tile of 1-4 rows; a
+// ragged tile repeats its last row in the rows it lacks, which the kernel
+// computes and the writeback drops.
+func tileRows(rows []int32) (r [gemmMR]int32) {
+	for i := range r {
+		r[i] = rows[min(i, len(rows)-1)]
+	}
+	return r
 }
 
 func roundUp(x, to int) int { return (x + to - 1) / to * to }

@@ -121,6 +121,70 @@ gloop:
 	VZEROUPPER
 	RET
 
+// func sgemmGatherA4x16(a0, a1, a2, a3 *float32, steps *int32, bp *float32, kc int, acc *[64]float32)
+//
+// sgemmKernel4x16 with the A panel read in place instead of packed: step
+// l broadcasts row i's element from a_i[steps[l]] (steps counts float32s)
+// and takes the B row from the packed panel. Same registers, same FMA
+// order; the broadcast operand is now the one the packed kernel loads as a
+// row, and a product is the same float in either order.
+// Per step: 1 step load + 2 B loads + 4 A broadcasts + 8 FMAs.
+TEXT ·sgemmGatherA4x16(SB), NOSPLIT, $0-64
+	MOVQ a0+0(FP), SI
+	MOVQ a1+8(FP), BX
+	MOVQ a2+16(FP), R11
+	MOVQ a3+24(FP), R12
+	MOVQ steps+32(FP), R9
+	MOVQ bp+40(FP), DI
+	MOVQ kc+48(FP), DX
+	MOVQ acc+56(FP), R8
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+galoop:
+	MOVLQSX (R9), R10
+	VMOVUPS (DI), Y8             // b[0:8]
+	VMOVUPS 32(DI), Y9           // b[8:16]
+
+	VBROADCASTSS (SI)(R10*4), Y10  // a0[steps[l]]
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+
+	VBROADCASTSS (BX)(R10*4), Y11  // a1[steps[l]]
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+
+	VBROADCASTSS (R11)(R10*4), Y12 // a2[steps[l]]
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+
+	VBROADCASTSS (R12)(R10*4), Y13 // a3[steps[l]]
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+
+	ADDQ $64, DI
+	ADDQ $4, R9
+	DECQ DX
+	JNE  galoop
+
+	VMOVUPS Y0, (R8)
+	VMOVUPS Y1, 32(R8)
+	VMOVUPS Y2, 64(R8)
+	VMOVUPS Y3, 96(R8)
+	VMOVUPS Y4, 128(R8)
+	VMOVUPS Y5, 160(R8)
+	VMOVUPS Y6, 192(R8)
+	VMOVUPS Y7, 224(R8)
+	VZEROUPPER
+	RET
+
 DATA lanes07<>+0(SB)/4, $0
 DATA lanes07<>+4(SB)/4, $1
 DATA lanes07<>+8(SB)/4, $2

@@ -2,8 +2,9 @@
 
 #include "textflag.h"
 
-// The blocked GEMM's data movement (gemm_blocked.go): the packers' full
-// panels and the writeback of full 8- and 16-lane tile rows. Every routine
+// The blocked GEMM's data movement (gemm_blocked.go): the packers'
+// panels, the writeback of full 8- and 16-lane tile rows, and the
+// writeback of 4-row tiles into a transposed C. Every routine
 // here moves or combines values exactly as its Go twin does — packing is
 // a copy, and the writeback uses the Go expression's multiplies and adds
 // in the compiler's operand order, never a fused multiply-add — so C comes
@@ -32,19 +33,22 @@ nloop:
 	VZEROUPPER
 	RET
 
-// func packBT16AVX2(dst, src *float32, ldb, kc8 int)
+// func packBTAVX2(dst, src *float32, ldb, kc8, cols int)
 //
-// dst[l*16+j] = src[j*ldb+l] for j < 16, l < kc8: a full 16-wide panel of
-// a transposed B, whose 16 columns are 16 stored rows. Each block of eight
-// depth steps is two 8x8 transposes (stored rows 0-7 into lanes 0-7 of
-// eight panel rows, rows 8-15 into lanes 8-15): unpack pairs of rows,
-// shuffle pairs of pairs, swap 128-bit halves. kc8 is a positive multiple
-// of 8.
-TEXT ·packBT16AVX2(SB), NOSPLIT, $0-32
+// dst[l*16+j] = src[j*ldb+l] for j < cols, 0 for cols <= j < 16, l < kc8:
+// a 16-wide panel of a transposed B, whose cols columns are cols stored
+// rows. Each block of eight depth steps is two 8x8 transposes (stored rows
+// 0-7 into lanes 0-7 of eight panel rows, rows 8-15 into lanes 8-15):
+// unpack pairs of rows, shuffle pairs of pairs, swap 128-bit halves. A
+// half with fewer than eight rows loads the ones that exist and
+// transposes zero registers in place of the rest. kc8 is a positive
+// multiple of 8, cols is 1-16.
+TEXT ·packBTAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ ldb+16(FP), R8
 	MOVQ kc8+24(FP), CX
+	MOVQ cols+32(FP), R13
 	SHLQ $2, R8               // row stride, bytes
 	LEAQ (R8)(R8*2), R9       // three rows
 	SHRQ $3, CX               // blocks of eight depth steps
@@ -52,10 +56,13 @@ TEXT ·packBT16AVX2(SB), NOSPLIT, $0-32
 tblock:
 	MOVQ SI, AX               // first of the eight stored rows
 	MOVQ DI, DX               // their lanes in the first panel row
+	MOVQ R13, R12             // rows from AX on
 	MOVQ $2, R11
 
 thalf:
 	LEAQ    (AX)(R8*4), R10
+	CMPQ    R12, $8
+	JLT     tpart
 	VMOVUPS (AX), Y0          // r0[0:8]
 	VMOVUPS (AX)(R8*1), Y1
 	VMOVUPS (AX)(R8*2), Y2
@@ -64,7 +71,40 @@ thalf:
 	VMOVUPS (R10)(R8*1), Y5
 	VMOVUPS (R10)(R8*2), Y6
 	VMOVUPS (R10)(R9*1), Y7   // r7[0:8]
+	JMP     ttrans
 
+tpart:
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	CMPQ    R12, $1
+	JLT     ttrans
+	VMOVUPS (AX), Y0
+	CMPQ    R12, $2
+	JLT     ttrans
+	VMOVUPS (AX)(R8*1), Y1
+	CMPQ    R12, $3
+	JLT     ttrans
+	VMOVUPS (AX)(R8*2), Y2
+	CMPQ    R12, $4
+	JLT     ttrans
+	VMOVUPS (AX)(R9*1), Y3
+	CMPQ    R12, $5
+	JLT     ttrans
+	VMOVUPS (R10), Y4
+	CMPQ    R12, $6
+	JLT     ttrans
+	VMOVUPS (R10)(R8*1), Y5
+	CMPQ    R12, $7
+	JLT     ttrans
+	VMOVUPS (R10)(R8*2), Y6
+
+ttrans:
 	VUNPCKLPS Y1, Y0, Y8      // r0[0] r1[0] r0[1] r1[1] | r0[4] r1[4] r0[5] r1[5]
 	VUNPCKHPS Y1, Y0, Y9      // r0[2] r1[2] r0[3] r1[3] | r0[6] r1[6] r0[7] r1[7]
 	VUNPCKLPS Y3, Y2, Y10
@@ -103,6 +143,7 @@ thalf:
 
 	LEAQ (AX)(R8*8), AX       // stored rows 8-15
 	ADDQ $32, DX              // lanes 8-15
+	SUBQ $8, R12
 	DECQ R11
 	JNE  thalf
 
@@ -265,5 +306,86 @@ wstore:
 wnext:
 	DECQ CX
 	JNE  wrow
+	VZEROUPPER
+	RET
+
+// func writebackTAVX2(acc, c *float32, nr, ldc, nrr, mode int, alpha, beta float32)
+//
+// writebackTileTGo for a tile of four rows and nrr (1-16) lanes: lane j's
+// four rows go to c[j*ldc : j*ldc+4], through the writebackAVX2 mode's
+// expression on four floats, operands in the same order, without a bias.
+// The tile is first transposed eight lanes at a time into the frame,
+// t[j*4+i] = acc[i*nr+j] (the 4x8 transpose of packA4AVX2), then each lane
+// is one 4-float combine of t with its row of C.
+TEXT ·writebackTAVX2(SB), NOSPLIT, $256-56
+	MOVQ         acc+0(FP), SI
+	MOVQ         c+8(FP), DI
+	MOVQ         nr+16(FP), R9
+	MOVQ         ldc+24(FP), R10
+	MOVQ         nrr+32(FP), DX
+	MOVQ         mode+40(FP), R11
+	VBROADCASTSS alpha+48(FP), X14
+	VBROADCASTSS beta+52(FP), X15
+	SHLQ         $2, R9       // acc row stride, bytes
+	SHLQ         $2, R10      // C row stride, bytes
+	LEAQ         (R9)(R9*2), R12
+	LEAQ         0(SP), BX    // t
+	MOVQ         DX, CX       // lanes left to transpose
+
+ttile:
+	VMOVUPS (SI), Y0          // row 0, eight lanes
+	VMOVUPS (SI)(R9*1), Y1
+	VMOVUPS (SI)(R9*2), Y2
+	VMOVUPS (SI)(R12*1), Y3
+
+	VUNPCKLPS Y1, Y0, Y4
+	VUNPCKHPS Y1, Y0, Y5
+	VUNPCKLPS Y3, Y2, Y6
+	VUNPCKHPS Y3, Y2, Y7
+
+	VSHUFPS $0x44, Y6, Y4, Y0 // lane 0 | 4
+	VSHUFPS $0xEE, Y6, Y4, Y1 // lane 1 | 5
+	VSHUFPS $0x44, Y7, Y5, Y2 // lane 2 | 6
+	VSHUFPS $0xEE, Y7, Y5, Y3 // lane 3 | 7
+
+	VPERM2F128 $0x20, Y1, Y0, Y4 // lanes 0, 1
+	VPERM2F128 $0x20, Y3, Y2, Y5 // lanes 2, 3
+	VPERM2F128 $0x31, Y1, Y0, Y6 // lanes 4, 5
+	VPERM2F128 $0x31, Y3, Y2, Y7 // lanes 6, 7
+
+	VMOVUPS Y4, (BX)
+	VMOVUPS Y5, 32(BX)
+	VMOVUPS Y6, 64(BX)
+	VMOVUPS Y7, 96(BX)
+	ADDQ    $32, SI
+	ADDQ    $128, BX
+	SUBQ    $8, CX
+	JGT     ttile
+
+	LEAQ 0(SP), BX
+
+tlane:
+	VMOVUPS (BX), X0          // v: lane j's four rows
+	CMPQ    R11, $1
+	JEQ     tstore
+	VMULPS  X14, X0, X0       // v*alpha
+	CMPQ    R11, $2
+	JEQ     tstore
+	CMPQ    R11, $3
+	JEQ     tgeneral
+	VADDPS  (DI), X0, X0      // (alpha*v) + c
+	JMP     tstore
+
+tgeneral:
+	VMOVUPS (DI), X1
+	VMULPS  X15, X1, X1       // c*beta
+	VADDPS  X0, X1, X0        // (beta*c) + (alpha*v)
+
+tstore:
+	VMOVUPS X0, (DI)
+	ADDQ    $16, BX
+	ADDQ    R10, DI
+	DECQ    DX
+	JNE     tlane
 	VZEROUPPER
 	RET

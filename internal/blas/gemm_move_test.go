@@ -13,9 +13,11 @@ import (
 // then goes through the Go loops of packA, packB and writebackTile. Not
 // safe beside parallel tests; none in this package are.
 func withGoDataMovement(f func()) {
-	bd, bt, ar, at, wb := packBDense16, packBTrans16, packARows4, packARuns4, writebackVec
-	packBDense16, packBTrans16, packARows4, packARuns4, writebackVec = nil, nil, nil, nil, nil
-	defer func() { packBDense16, packBTrans16, packARows4, packARuns4, writebackVec = bd, bt, ar, at, wb }()
+	bd, bt, ar, at, wb, wt := packBDense16, packBTrans, packARows4, packARuns4, writebackVec, writebackTVec
+	packBDense16, packBTrans, packARows4, packARuns4, writebackVec, writebackTVec = nil, nil, nil, nil, nil, nil
+	defer func() {
+		packBDense16, packBTrans, packARows4, packARuns4, writebackVec, writebackTVec = bd, bt, ar, at, wb, wt
+	}()
 	f()
 }
 
@@ -53,15 +55,17 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// TestDataMovementMatchesGo compares each vector packer and the vector
-// writeback with its Go twin bit for bit, on the active micro-kernel's
+// TestDataMovementMatchesGo compares each vector packer and both vector
+// writebacks with their Go twins bit for bit, on the active micro-kernel's
 // panel width: packB dense and transposed, packA and PackA untransposed
-// and transposed, on ragged rows and columns, panels narrower than 16,
-// depths off a multiple of 8, block offsets and leading strides wider than
-// the row; the writeback in all four modes, with and without bias, on 1-4
-// rows of 8 and 16 lanes and on a tile's second lane group; and whole
-// products on those shapes. Operands carry ±0, subnormals, ±Inf and NaN
-// payloads (C's only, in the whole products).
+// and transposed, on ragged rows and columns, panels narrower than 16 (a
+// transposed panel of every width 1-15 among them), depths off a multiple
+// of 8, block offsets and leading strides wider than the row; the
+// writeback in all four modes, with and without bias, on 1-4 rows of 8 and
+// 16 lanes and on a tile's second lane group; the transposed writeback in
+// all four modes on 1-4 rows of 1-16 lanes; and whole products on those
+// shapes. Operands carry ±0, subnormals, ±Inf and NaN payloads (C's only,
+// in the whole products).
 func TestDataMovementMatchesGo(t *testing.T) {
 	if writebackVec == nil {
 		t.Skip("no vector data movement on this host")
@@ -89,6 +93,19 @@ func TestDataMovementMatchesGo(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+		// Every ragged width of a transposed panel: the vector routine
+		// reads the stored rows that exist and zero-fills the other lanes.
+		for cols := 1; cols < 16; cols++ {
+			for _, kc := range []int{1, 7, 8, 9, 256} {
+				ldb := kc + 3
+				b := specialSlice(r, cols*ldb)[:(cols-1)*ldb+kc] // nothing past the last row's run
+				n := roundUp(cols, nr) * kc
+				got, want := poison(n), poison(n)
+				packB(got, Trans, b, ldb, 0, kc, 0, cols)
+				withGoDataMovement(func() { packB(want, Trans, b, ldb, 0, kc, 0, cols) })
+				sameBits(t, fmt.Sprintf("packB trans cols=%d kc=%d", cols, kc), got, want)
 			}
 		}
 	})
@@ -171,6 +188,38 @@ func TestDataMovementMatchesGo(t *testing.T) {
 		}
 	})
 
+	t.Run("writebackT", func(t *testing.T) {
+		nanA, nanB := math.Float32frombits(0x7fc0abcd), math.Float32frombits(0xffc00042)
+		modes := []struct {
+			firstK      bool
+			alpha, beta float32
+		}{
+			{false, 0.75, 0.5},
+			{false, 1, 1}, // dW's later KC blocks
+			{true, 1, 0},
+			{true, -1.5, 0},
+			{true, 0.75, 0.5},
+			{true, 1, 1}, // dW's first KC block
+			{false, nanA, 0.5},
+			{true, nanA, 0},
+			{true, nanA, nanB},
+		}
+		const ldc = 7 // the tile's rows are 4 floats of C rows 7 apart
+		for _, md := range modes {
+			for mrr := 1; mrr <= gemmMR; mrr++ {
+				for nrr := 1; nrr <= nr; nrr++ {
+					acc := specialSlice(r, gemmMR*gemmNRMax)[:gemmMR*nr]
+					c0 := specialSlice(r, nr*ldc)
+					got := append([]float32(nil), c0...)
+					want := append([]float32(nil), c0...)
+					writebackTileT(acc, nr, md.alpha, md.beta, md.firstK, got, ldc, mrr, nrr)
+					withGoDataMovement(func() { writebackTileT(acc, nr, md.alpha, md.beta, md.firstK, want, ldc, mrr, nrr) })
+					sameBits(t, fmt.Sprintf("writebackT %+v mrr=%d nrr=%d", md, mrr, nrr), got, want)
+				}
+			}
+		}
+	})
+
 	t.Run("gemm", func(t *testing.T) {
 		for _, d := range []struct{ m, n, k int }{{1, 500, 800}, {8, 800, 500}, {13, 33, 9}, {67, 129, 263}, {500, 800, 8}} {
 			for _, ta := range []Transpose{NoTrans, Trans} {
@@ -205,7 +254,8 @@ var dataMovementImpls = []struct {
 }{{"vec", func(f func()) { f() }}, {"go", withGoDataMovement}}
 
 // BenchmarkPackB times packB on ip1's weights (W 500x800): the forward's
-// transposed B and dX's dense one, one KC block across all of N, on both
+// transposed B and dX's dense one, one KC block across all of N, and a
+// transposed B of 10 columns (one ragged panel, ip2's width), on both
 // paths. GB/s counts the floats read once and written once.
 func BenchmarkPackB(b *testing.B) {
 	r := rng.New(53, 53)
@@ -218,6 +268,7 @@ func BenchmarkPackB(b *testing.B) {
 	}{
 		{"trans/ip1-fwd", Trans, k, n, gemmKC},    // op(B) = Wᵀ: k x n
 		{"dense/ip1-bwdX", NoTrans, k, k, gemmKC}, // op(B) = W: n x k, N = 800
+		{"trans/10-cols", Trans, k, 10, gemmKC},   // a ragged panel only
 	} {
 		dst := make([]float32, roundUp(bc.nc, gemmNR)*bc.kc)
 		for _, impl := range dataMovementImpls {

@@ -79,9 +79,30 @@ func (l *Convolution) backwardLowered(slo, shi, olo, ohi, clo, chi int, bottom, 
 
 // addRowSums adds the sum of each cols-wide row of m to the matching
 // entry of dst, summing a row left to right: the bias gradient of one
-// sample, one row per output channel.
+// sample, one row per output channel. Four rows go at once, each in its
+// own accumulator, so the four dependency chains of adds overlap instead
+// of one row's chain running end to end before the next starts; every
+// row's sum is still its left-to-right sum.
 func addRowSums(dst, m []float32, cols int) {
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := m[i*cols : (i+1)*cols]
+		r1 := m[(i+1)*cols : (i+2)*cols][:len(r0)]
+		r2 := m[(i+2)*cols : (i+3)*cols][:len(r0)]
+		r3 := m[(i+3)*cols : (i+4)*cols][:len(r0)]
+		var s0, s1, s2, s3 float32
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		dst[i] += s0
+		dst[i+1] += s1
+		dst[i+2] += s2
+		dst[i+3] += s3
+	}
+	for ; i < len(dst); i++ {
 		var sum float32
 		for _, v := range m[i*cols : (i+1)*cols] {
 			sum += v

@@ -988,6 +988,49 @@ func im2colBackward(l *Convolution, bottom, top *blob.Blob) {
 	}
 }
 
+// TestAddRowSumsMatchesOneRowLoop: the bias gradient's four-row sum is,
+// bit for bit, the one-row loop it replaced — every row summed left to
+// right into its own accumulator — on output-channel counts below, at and
+// past a group of four, with signed zeros, infinities and NaNs among the
+// entries (a row holding +Inf and -Inf sums to NaN either way).
+func TestAddRowSumsMatchesOneRowLoop(t *testing.T) {
+	oneRow := func(dst, m []float32, cols int) {
+		for i := range dst {
+			var sum float32
+			for _, v := range m[i*cols : (i+1)*cols] {
+				sum += v
+			}
+			dst[i] += sum
+		}
+	}
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	r := rng.New(64, 1)
+	for _, o := range []int{1, 3, 4, 5, 20, 50} {
+		for _, cols := range []int{1, 7, 64, 576} {
+			m := make([]float32, o*cols)
+			for i := range m {
+				m[i] = r.Range(-1, 1)
+				if r.Intn(97) == 0 {
+					m[i] = special[r.Intn(len(special))]
+				}
+			}
+			dst := make([]float32, o)
+			for i := range dst {
+				dst[i] = r.Range(-1, 1)
+			}
+			dst[0] = float32(math.Copysign(0, -1))
+			got, want := append([]float32(nil), dst...), append([]float32(nil), dst...)
+			addRowSums(got, m, cols)
+			oneRow(want, m, cols)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("o=%d cols=%d: row %d sums to %#08x, one-row loop %#08x", o, cols, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 // The lowered layer against the Im2col + GEMM + Col2im oracle, both ways
 // it runs: the coarse engine's ragged sample bands (ForwardRange and
 // BackwardRange) and the fine engine's output- and input-channel bands

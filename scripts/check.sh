@@ -22,8 +22,9 @@
 # smoke (random shapes/transposes/strides through both kernels, gemmRef as
 # oracle, and the Go data movement against the vector one bit for bit) and
 # a 5-second FuzzConv smoke (random convolution geometries through the
-# gathered and the packed lowering on both kernels and, on the active one,
-# with the Go data movement, the naive lowering as oracle), a 5-second FuzzLRN smoke (random channel counts,
+# gathered and the packed forward and the transposed weight gradient on
+# both kernels and, on the active one, with the Go data movement, the
+# naive lowering as oracle), a 5-second FuzzLRN smoke (random channel counts,
 # windows, plane sizes, splits and constants through LRN's block kernels,
 # the position-at-a-time loops as oracle), a 5-second FuzzCodec smoke
 # (arbitrary float32 bits through every gradient wire format: exact
@@ -41,7 +42,8 @@
 # ablation benchmark (ordered vs tree merge), of the LRN and ReLU layer
 # benchmarks at CIFAR-10-full's norm1/relu1 shapes, of the TCP frame
 # round trip (one LeNet-sized frame) and of the GEMM data-movement
-# benchmarks (the net shapes with the small-M ones, packB, writeback), plus a dedicated race pass over
+# benchmarks (the net shapes with the small-M ones, packB, writeback, the
+# zoo convolutions' per-product times), plus a dedicated race pass over
 # the spin-then-park barrier, a tracing smoke run (layerprof -trace) that
 # must produce valid Chrome trace-event JSON, the engine grid (dnnbench
 # -figure engines: sequential, coarse and fine on the direct and on the
@@ -138,7 +140,7 @@ go test -race -count 20 -run 'Flush|Idle|Busy|Close|Routing|Golden' ./internal/s
 echo "== FuzzGemm smoke (5 s: both kernels vs gemmRef, band invariance, C padding, Go vs vector data movement bit for bit) =="
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 5s ./internal/blas
 
-echo "== FuzzConv smoke (5 s: gathered and packed lowering, both kernels and the Go data movement, vs the naive lowering bit for bit) =="
+echo "== FuzzConv smoke (5 s: forward gathered and packed, dW as the transposed product col·dTopᵀ whole and in a channel band, both kernels and the Go data movement, vs the naive lowering bit for bit) =="
 go test -run '^$' -fuzz '^FuzzConv$' -fuzztime 5s ./internal/blas
 
 echo "== FuzzLRN smoke (5 s: LRN's block kernels vs the position-at-a-time loops bit for bit) =="
@@ -174,8 +176,8 @@ go test -run '^$' -bench 'BenchmarkLRN|BenchmarkReLU' -benchtime 1x ./internal/l
 echo "== TCP frame benchmark (one LeNet-sized frame out and back over loopback), one pass so it cannot rot =="
 go test -run '^$' -bench BenchmarkTCPFrame -benchtime 1x ./internal/transport
 
-echo "== GEMM data-movement benchmarks (net shapes incl. small M, packB, writeback), one pass so they cannot rot =="
-go test -run '^$' -bench 'BenchmarkGemmNetShapes|BenchmarkPackB|BenchmarkWriteback' -benchtime 1x ./internal/blas
+echo "== GEMM data-movement and per-product conv benchmarks (net shapes incl. small M, packB, writeback, the zoo convs' three lowered products), one pass so they cannot rot =="
+go test -run '^$' -bench 'BenchmarkGemmNetShapes|BenchmarkPackB|BenchmarkWriteback|BenchmarkConvLowered' -benchtime 1x ./internal/blas
 
 echo "== barrier stress under race (spin-then-park fork/join) =="
 go test -race -count=1 -run 'TestBarrier|TestOrderedSlices|TestPanic|TestRegion' ./internal/par
