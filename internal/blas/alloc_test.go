@@ -16,47 +16,41 @@ import (
 // products whose time is mostly the vector packers and writeback: ip1's
 // forward at M = 1 (a served request) and its weight gradient at K = 8 (a
 // band of 8 samples); and the transposed conv weight gradient
-// (ConvBackwardWeights) on the zoo nets' five convolutions; each on the
-// active data movement and on the Go loops.
+// (ConvBackwardWeights) on the zoo nets' five convolutions; each on every
+// kernel set.
 func TestGemmAllocations(t *testing.T) {
-	r := rng.New(55, 55)
-	for _, sh := range []struct {
-		name    string
-		ta, tb  Transpose
-		m, n, k int
-		beta    float32
-	}{
-		{"ip1-fwd-m1", NoTrans, Trans, 1, 500, 800, 0},
-		{"ip1-bwdW-k8", Trans, NoTrans, 500, 800, 8, 1},
-	} {
-		arows, acols := storage(sh.ta, sh.m, sh.k)
-		brows, bcols := storage(sh.tb, sh.k, sh.n)
-		a, b := randomSlice(r, arows*acols), randomSlice(r, brows*bcols)
-		c := make([]float32, sh.m*sh.n)
-		s := &GemmScratch{}
-		gemm := func() { GemmWithScratch(s, sh.ta, sh.tb, sh.m, sh.n, sh.k, 1, a, acols, b, bcols, sh.beta, c, sh.n) }
-		for _, impl := range dataMovementImpls {
-			impl.run(func() {
-				gemm()
-				if got := testing.AllocsPerRun(20, gemm); got != 0 {
-					t.Errorf("%s impl=%s: GemmWithScratch allocates %v objects per call, want 0", sh.name, impl.name, got)
-				}
-			})
+	forEachSet(t, func(t *testing.T) {
+		r := rng.New(55, 55)
+		for _, sh := range []struct {
+			name    string
+			ta, tb  Transpose
+			m, n, k int
+			beta    float32
+		}{
+			{"ip1-fwd-m1", NoTrans, Trans, 1, 500, 800, 0},
+			{"ip1-bwdW-k8", Trans, NoTrans, 500, 800, 8, 1},
+		} {
+			arows, acols := storage(sh.ta, sh.m, sh.k)
+			brows, bcols := storage(sh.tb, sh.k, sh.n)
+			a, b := randomSlice(r, arows*acols), randomSlice(r, brows*bcols)
+			c := make([]float32, sh.m*sh.n)
+			s := &GemmScratch{}
+			gemm := func() { GemmWithScratch(s, sh.ta, sh.tb, sh.m, sh.n, sh.k, 1, a, acols, b, bcols, sh.beta, c, sh.n) }
+			gemm()
+			if got := testing.AllocsPerRun(20, gemm); got != 0 {
+				t.Errorf("%s: GemmWithScratch allocates %v objects per call, want 0", sh.name, got)
+			}
 		}
-	}
-	for _, l := range zooConvs {
-		g, o := l.g, l.o
-		im, dTop := randomSlice(r, g.Channels*g.Height*g.Width), randomSlice(r, o*g.Cols())
-		wGrad := make([]float32, o*g.Rows())
-		p, s := NewConvPlan(g), &GemmScratch{}
-		dW := func() { ConvBackwardWeights(s, p, o, dTop, im, wGrad) }
-		for _, impl := range dataMovementImpls {
-			impl.run(func() {
-				dW()
-				if got := testing.AllocsPerRun(10, dW); got != 0 {
-					t.Errorf("%s dW impl=%s: ConvBackwardWeights allocates %v objects per call, want 0", l.name, impl.name, got)
-				}
-			})
+		for _, l := range zooConvs {
+			g, o := l.g, l.o
+			im, dTop := randomSlice(r, g.Channels*g.Height*g.Width), randomSlice(r, o*g.Cols())
+			wGrad := make([]float32, o*g.Rows())
+			p, s := NewConvPlan(g), &GemmScratch{}
+			dW := func() { ConvBackwardWeights(s, p, o, dTop, im, wGrad) }
+			dW()
+			if got := testing.AllocsPerRun(10, dW); got != 0 {
+				t.Errorf("%s dW: ConvBackwardWeights allocates %v objects per call, want 0", l.name, got)
+			}
 		}
-	}
+	})
 }

@@ -17,20 +17,22 @@
 //   - macro-tiles: the blocked kernel walks C in gemmMC x gemmNC tiles,
 //     packing gemmKC-deep panels of op(A) and op(B) into contiguous
 //     scratch (GemmScratch) so the inner loops read two linear streams.
-//   - micro-kernel: gemmMicroKernel computes a gemmMR x gemmNR tile of C
-//     in registers with a rank-gemmKC update from one A panel and one B
-//     panel — sgemmKernel4x16 (AVX2+FMA assembly) where the CPU has it,
-//     microKernelScalar4x4 elsewhere, chosen once at init.
+//   - micro-kernel: the active kernel set's microKernel computes a
+//     gemmMR x nr tile of C in registers with a rank-gemmKC update from one
+//     A panel and one B panel. There is one kernel set per ISA, each a
+//     micro-kernel with its tile width, gather twins and data movement:
+//     avx2 (sgemmKernel4x16, AVX2+FMA assembly) where the CPU has it,
+//     portable (microKernelScalar4x4, Go) elsewhere, chosen once at init.
 //
 // The lowered convolution (conv.go: ConvForward, ConvBackwardWeights,
 // ConvBackwardData) is a second driver over the same macro-tile loop that
 // never forms the im2col matrix. The matrix is separable over the sample's
 // zero-bordered image — col[k, n] = P[off(k) + pix(n)] — so the forward
-// product reads it in place as its B operand through gemmGatherKernel (a
+// product reads it in place as its B operand through gatherKernel (a
 // base per lane group and an offset per rank-1 step instead of a packed
 // panel), and the weight gradient, computed transposed as dWᵀ = col ·
 // dTopᵀ with lanes over output channels, reads it in place as its A
-// operand through gemmGatherAKernel (four row bases and a pixel offset per
+// operand through gatherAKernel (four row bases and a pixel offset per
 // step) and writes each tile back transposed into dW: one bordered copy
 // per sample, no panel pack of col. A forward lane group's spare lanes
 // read whatever follows in the image and are dropped in the writeback;

@@ -53,44 +53,46 @@ func maxAbsDiff(a, b []float32) float64 {
 }
 
 func TestGemmAgainstNaive(t *testing.T) {
-	r := rng.New(1, 1)
-	cases := []struct {
-		ta, tb  Transpose
-		m, n, k int
-	}{
-		{NoTrans, NoTrans, 4, 5, 6},
-		{NoTrans, Trans, 4, 5, 6},
-		{Trans, NoTrans, 4, 5, 6},
-		{Trans, Trans, 4, 5, 6},
-		{NoTrans, NoTrans, 1, 1, 1},
-		{NoTrans, NoTrans, 17, 23, 9},
-		{Trans, Trans, 13, 7, 19},
-		{NoTrans, Trans, 32, 32, 32},
-	}
-	for _, tc := range cases {
-		for _, alpha := range []float32{0, 1, 0.5} {
-			for _, beta := range []float32{0, 1, -0.25} {
-				asz, bsz := tc.m*tc.k, tc.k*tc.n
-				lda, ldb, ldc := tc.k, tc.n, tc.n
-				if tc.ta == Trans {
-					lda = tc.m
-				}
-				if tc.tb == Trans {
-					ldb = tc.k
-				}
-				a := randomSlice(r, asz)
-				b := randomSlice(r, bsz)
-				c0 := randomSlice(r, tc.m*tc.n)
-				got := append([]float32(nil), c0...)
-				want := append([]float32(nil), c0...)
-				Gemm(tc.ta, tc.tb, tc.m, tc.n, tc.k, alpha, a, lda, b, ldb, beta, got, ldc)
-				naiveGemm(tc.ta, tc.tb, tc.m, tc.n, tc.k, alpha, a, lda, b, ldb, beta, want, ldc)
-				if d := maxAbsDiff(got, want); d > 1e-4 {
-					t.Fatalf("gemm(%v,%v,%d,%d,%d,a=%v,b=%v) max diff %g", tc.ta, tc.tb, tc.m, tc.n, tc.k, alpha, beta, d)
+	forEachSet(t, func(t *testing.T) {
+		r := rng.New(1, 1)
+		cases := []struct {
+			ta, tb  Transpose
+			m, n, k int
+		}{
+			{NoTrans, NoTrans, 4, 5, 6},
+			{NoTrans, Trans, 4, 5, 6},
+			{Trans, NoTrans, 4, 5, 6},
+			{Trans, Trans, 4, 5, 6},
+			{NoTrans, NoTrans, 1, 1, 1},
+			{NoTrans, NoTrans, 17, 23, 9},
+			{Trans, Trans, 13, 7, 19},
+			{NoTrans, Trans, 32, 32, 32},
+		}
+		for _, tc := range cases {
+			for _, alpha := range []float32{0, 1, 0.5} {
+				for _, beta := range []float32{0, 1, -0.25} {
+					asz, bsz := tc.m*tc.k, tc.k*tc.n
+					lda, ldb, ldc := tc.k, tc.n, tc.n
+					if tc.ta == Trans {
+						lda = tc.m
+					}
+					if tc.tb == Trans {
+						ldb = tc.k
+					}
+					a := randomSlice(r, asz)
+					b := randomSlice(r, bsz)
+					c0 := randomSlice(r, tc.m*tc.n)
+					got := append([]float32(nil), c0...)
+					want := append([]float32(nil), c0...)
+					Gemm(tc.ta, tc.tb, tc.m, tc.n, tc.k, alpha, a, lda, b, ldb, beta, got, ldc)
+					naiveGemm(tc.ta, tc.tb, tc.m, tc.n, tc.k, alpha, a, lda, b, ldb, beta, want, ldc)
+					if d := maxAbsDiff(got, want); d > 1e-4 {
+						t.Fatalf("gemm(%v,%v,%d,%d,%d,a=%v,b=%v) max diff %g", tc.ta, tc.tb, tc.m, tc.n, tc.k, alpha, beta, d)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestGemmBadArgsPanic(t *testing.T) {
@@ -265,12 +267,10 @@ func TestQuickGemmLinearity(t *testing.T) {
 			sum[i] = a1[i] + a2[i]
 		}
 		c1 := make([]float32, m*n)
-		c2 := make([]float32, m*n)
 		cs := make([]float32, m*n)
 		Gemm(NoTrans, NoTrans, m, n, k, 1, a1, k, b, n, 0, c1, n)
 		Gemm(NoTrans, NoTrans, m, n, k, 1, a2, k, b, n, 1, c1, n) // c1 += a2*b
 		Gemm(NoTrans, NoTrans, m, n, k, 1, sum, k, b, n, 0, cs, n)
-		_ = c2
 		return maxAbsDiff(c1, cs) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -30,20 +30,20 @@ import "fmt"
 // so both products that read col read it out of P through the two tables
 // (built once per geometry, ConvPlan) instead of from packed panels.
 // Forward has col as its B operand: the gather micro-kernel
-// (gemmGatherKernel) takes a run of output pixels inside one output row as
+// (gatherKernel) takes a run of output pixels inside one output row as
 // a lane group (contiguous at StrideW = 1) and walks off with its steps.
 // dW has col as its A operand: the gather-A micro-kernel
-// (gemmGatherAKernel) takes four lowered rows, four bases from off, and
+// (gatherAKernel) takes four lowered rows, four bases from off, and
 // walks pix, at any stride, broadcasting one float of each row per step;
 // its lanes are output channels, read from a packed dTopᵀ panel, so they
 // are full at O = 16, 32, 64. Per sample that is one bordered copy —
 // C·Hp·Wp floats — in place of a ckk·ohw-element panel pack in which a
 // 5x5 window copied every pixel 25 times.
 //
-// Why slack lanes are harmless. A forward lane group is gemmGW lanes wide
+// Why slack lanes are harmless. A forward lane group is gw lanes wide
 // whatever the row of pixels it covers, so the last group of a row is
 // ragged: its spare lanes read what follows in P — the next row, the next
-// channel, or up to gemmGW-1 floats past the end, for which the scratch
+// channel, or up to gw-1 floats past the end, for which the scratch
 // buffer keeps a group of slack. Lanes never mix (each accumulates its own
 // column, as in the packed kernel), so whatever those lanes compute, NaN
 // included, stays in them, and gatherTiles writes back only the columns
@@ -175,7 +175,7 @@ func clipRun(iw, stride, width, run int) (lo, hi int) {
 // and then dealt out nr entries per panel: lowering straight into the
 // panels would clip every run again for each panel it crosses.
 func packBConv(dst, row []float32, g *ConvGeom, im []float32, pc, kc, jc, nc int) {
-	nr := gemmNR
+	nr := active.nr
 	outW := g.OutW()
 	oh, ow := jc/outW, jc%outW
 	row = row[:roundUp(nc, nr)]
@@ -196,7 +196,7 @@ func packBConv(dst, row []float32, g *ConvGeom, im []float32, pc, kc, jc, nc int
 
 // laneGroup is one run of a gathered operand's columns: for every step l,
 // columns [col, col+n) of op(B) are P[base+steps[l] : base+steps[l]+n].
-// The kernel always reads a full gemmGW lanes; the ones past n belong to
+// The kernel always reads a full gw lanes; the ones past n belong to
 // no column and are dropped in the writeback.
 type laneGroup struct{ base, col, n int32 }
 
@@ -293,7 +293,7 @@ func (p *ConvPlan) LaneUse() float64 {
 }
 
 func newConvPlan(g ConvGeom, fwd bool) *ConvPlan {
-	p := &ConvPlan{ConvGeom: g, gw: gemmGW, hp: g.Height + 2*g.PadH, wp: g.Width + 2*g.PadW}
+	p := &ConvPlan{ConvGeom: g, gw: active.gw, hp: g.Height + 2*g.PadH, wp: g.Width + 2*g.PadW}
 	outH, outW, gw := g.OutH(), g.OutW(), p.gw
 	// off: lowered row (c,kh,kw) -> its window corner in the bordered image.
 	off := make([]int32, g.Rows())
@@ -332,8 +332,8 @@ func newConvPlan(g ConvGeom, fwd bool) *ConvPlan {
 // floats past the copy's end, into lanes nobody keeps, so the slack only
 // has to be there, not to hold anything.
 func (s *GemmScratch) border(p *ConvPlan, im []float32) []float32 {
-	if p.gw != gemmGW {
-		panic(fmt.Sprintf("blas: ConvPlan built for %d-lane groups, kernel has %d", p.gw, gemmGW))
+	if p.gw != active.gw {
+		panic(fmt.Sprintf("blas: ConvPlan built for %d-lane groups, kernel has %d", p.gw, active.gw))
 	}
 	h, w, hp, wp := p.Height, p.Width, p.hp, p.wp
 	if need := p.Channels*hp*wp + p.gw; cap(s.img) < need {

@@ -3,6 +3,7 @@ package blas
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"coarsegrain/internal/rng"
@@ -82,15 +83,6 @@ func im2col(im []float32, g ConvGeom, col []float32) {
 	Im2col(im, g.Channels, g.Height, g.Width, g.KernelH, g.KernelW, g.PadH, g.PadW, g.StrideH, g.StrideW, col)
 }
 
-func bitEqual(t *testing.T, what string, got, want []float32) {
-	t.Helper()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s differs at %d: %v vs %v", what, i, got[i], want[i])
-		}
-	}
-}
-
 // TestIm2colCol2imMatchNaive pins the run-clipping lowering (contiguous
 // copy / accumulate at stride 1, strided runs otherwise) bitwise to the
 // per-entry bounds-tested loops it replaced.
@@ -103,35 +95,17 @@ func TestIm2colCol2imMatchNaive(t *testing.T) {
 			want := make([]float32, len(got))
 			im2col(im, g, got)
 			im2colNaive(im, g, want)
-			bitEqual(t, geomName(g)+" Im2col", got, want)
+			sameBits(t, geomName(g)+" Im2col", got, want)
 
 			col := randomSlice(r, g.Rows()*g.Cols())
 			gotIm := append([]float32(nil), im...) // Col2im accumulates into what is there
 			wantIm := append([]float32(nil), im...)
 			col2im(col, g, gotIm)
 			col2imNaive(col, g, wantIm)
-			bitEqual(t, geomName(g)+" Col2im", gotIm, wantIm)
+			sameBits(t, geomName(g)+" Col2im", gotIm, wantIm)
 		}
 	}
-	t.Run("active-kernel", check)
-	t.Run("scalar", func(t *testing.T) { withScalarKernel(func() { check(t) }) })
-}
-
-// withScalarKernel runs f on the whole portable path, which on an AVX2
-// host nothing else exercises: the 4x4 micro-kernels (packed, gather and
-// gather-A) with their nr=4 panels and lane groups (no B panel is then 16
-// wide and no tile row 8 or 16 lanes, so those already take the Go
-// loops), the Go run adder, and the Go packing of A and writebacks
-// (withGoDataMovement). Not safe beside parallel tests; none in this
-// package are.
-func withScalarKernel(f func()) {
-	nr, gw, k, gk, gak, ar := gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, gemmGatherAKernel, addRuns
-	gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, gemmGatherAKernel, addRuns =
-		4, 4, microKernelScalar4x4, gatherKernelScalar4x4, gatherAKernelScalar4x4, addRunsGo
-	defer func() {
-		gemmNR, gemmGW, gemmMicroKernel, gemmGatherKernel, gemmGatherAKernel, addRuns = nr, gw, k, gk, gak, ar
-	}()
-	withGoDataMovement(f)
+	forEachSet(t, check)
 }
 
 // sweepGeoms is what the gather path branches on, at stride 1 unless
@@ -170,7 +144,9 @@ func poisonedScratch() *GemmScratch {
 // convCase is one convolution's operands and what the three lowered
 // products must give for them, bit for bit: lower (Im2col or the naive
 // loop) -> blocked Gemm (+ a separate bias pass) -> scatter (Col2im or the
-// naive loop), on the micro-kernel active when the case is built.
+// naive loop), on the micro-kernels of the set active when the case is
+// built but with the Go data movement (goMovement), so a check under that
+// set holds its vector data movement to the Go loops too.
 type convCase struct {
 	g                                 ConvGeom
 	o                                 int
@@ -186,15 +162,17 @@ func newConvCase(r *rng.RNG, g ConvGeom, o int, lower, scatter func([]float32, C
 	col := make([]float32, ckk*ohw)
 	lower(c.im, g, col)
 	c.wantOut = make([]float32, o*ohw)
-	GemmBlocked(NoTrans, NoTrans, o, ohw, ckk, 1, c.w, ckk, col, ohw, 0, c.wantOut, ohw)
+	c.wantW = append([]float32(nil), c.w0...) // dW accumulates into what is there
+	dcol := make([]float32, ckk*ohw)
+	withKernels(goMovement(active), func() {
+		GemmBlocked(NoTrans, NoTrans, o, ohw, ckk, 1, c.w, ckk, col, ohw, 0, c.wantOut, ohw)
+		GemmBlocked(NoTrans, Trans, o, ckk, ohw, 1, c.dTop, ohw, col, ohw, 1, c.wantW, ckk)
+		GemmBlocked(Trans, NoTrans, ckk, ohw, o, 1, c.w, ckk, c.dTop, ohw, 0, dcol, ohw)
+	})
 	c.wantBiased = append([]float32(nil), c.wantOut...)
 	for oc := 0; oc < o; oc++ {
 		AddScalar(c.wantBiased[oc*ohw:(oc+1)*ohw], c.bias[oc])
 	}
-	c.wantW = append([]float32(nil), c.w0...) // dW accumulates into what is there
-	GemmBlocked(NoTrans, Trans, o, ckk, ohw, 1, c.dTop, ohw, col, ohw, 1, c.wantW, ckk)
-	dcol := make([]float32, ckk*ohw)
-	GemmBlocked(Trans, NoTrans, ckk, ohw, o, 1, c.w, ckk, c.dTop, ohw, 0, dcol, ohw)
 	c.wantX = make([]float32, len(c.im))
 	scatter(dcol, g, c.wantX)
 	return c
@@ -211,28 +189,28 @@ func (c *convCase) check(t *testing.T, r *rng.RNG, name string, p *ConvPlan) {
 	s.PackA(NoTrans, o, ckk, c.w, ckk)
 	got := randomSlice(r, o*ohw)
 	ConvForward(s, p, o, c.im, nil, got)
-	bitEqual(t, name+" forward", got, c.wantOut)
+	sameBits(t, name+" forward", got, c.wantOut)
 	ConvForward(s, p, o, c.im, c.bias, got)
-	bitEqual(t, name+" forward+bias", got, c.wantBiased)
+	sameBits(t, name+" forward+bias", got, c.wantBiased)
 
 	gotW := append([]float32(nil), c.w0...)
 	ConvBackwardWeights(s, p, o, c.dTop, c.im, gotW)
-	bitEqual(t, name+" dW", gotW, c.wantW)
+	sameBits(t, name+" dW", gotW, c.wantW)
 	// A band of output channels [olo, ohi) is a band of the transposed
 	// product's columns, cut off a 16-lane boundary: the full product's
 	// rows, and nothing else written.
 	if olo, ohi := o/3, o-o/4; olo < ohi && (olo%16 != 0 || ohi%16 != 0) {
 		band := append([]float32(nil), c.w0...)
 		ConvBackwardWeights(s, p, ohi-olo, c.dTop[olo*ohw:], c.im, band[olo*ckk:ohi*ckk])
-		bitEqual(t, fmt.Sprintf("%s dW channels [%d,%d)", name, olo, ohi), band[olo*ckk:ohi*ckk], c.wantW[olo*ckk:ohi*ckk])
-		bitEqual(t, name+" dW outside the band", band[:olo*ckk], c.w0[:olo*ckk])
-		bitEqual(t, name+" dW outside the band", band[ohi*ckk:], c.w0[ohi*ckk:])
+		sameBits(t, fmt.Sprintf("%s dW channels [%d,%d)", name, olo, ohi), band[olo*ckk:ohi*ckk], c.wantW[olo*ckk:ohi*ckk])
+		sameBits(t, name+" dW outside the band", band[:olo*ckk], c.w0[:olo*ckk])
+		sameBits(t, name+" dW outside the band", band[ohi*ckk:], c.w0[ohi*ckk:])
 	}
 
 	gotX := randomSlice(r, len(c.im))
 	s.PackA(Trans, ckk, o, c.w, ckk)
 	ConvBackwardData(s, p, o, c.dTop, gotX, 0, c.g.Channels)
-	bitEqual(t, name+" dX", gotX, c.wantX)
+	sameBits(t, name+" dX", gotX, c.wantX)
 }
 
 // convRoutes returns g's plan on the route ConvGathers picks and on both
@@ -256,7 +234,7 @@ func col2im(col []float32, g ConvGeom, im []float32) {
 // TestConvMatchesIm2colGemm is the lowered convolution's contract:
 // forward, dW and dX are bitwise Im2col followed by the blocked Gemm (plus
 // a separate bias pass, plus Col2im of the whole dcol), on every odd and
-// swept geometry, with and without bias, on both micro-kernels, and on
+// swept geometry, with and without bias, on every kernel set, and on
 // both routes to the forward's B operand — gathered and packed, each
 // forced, beside the one ConvGathers picks. dW, the transposed product
 // dWᵀ = col·dTopᵀ, must equal the untransposed dense Gemm dTop·colᵀ, and
@@ -273,30 +251,23 @@ func TestConvMatchesIm2colGemm(t *testing.T) {
 			}
 		}
 	}
-	t.Run("active-kernel", check)
-	t.Run("scalar-4x4", func(t *testing.T) { withScalarKernel(func() { check(t) }) })
+	forEachSet(t, check)
 }
 
 // TestConvGatherTablesStayInsideBorder: every float the forward gather
 // kernel can touch — group base + step + a full lane group — lies inside
-// the bordered copy plus its one group of slack, on both lane widths; and
-// every float the dW gather-A kernel touches — row base + pixel step, a
-// single float — inside the bordered copy itself.
+// the bordered copy plus its one group of slack, on every set's lane
+// width; and every float the dW gather-A kernel touches — row base + pixel
+// step, a single float — inside the bordered copy itself.
 func TestConvGatherTablesStayInsideBorder(t *testing.T) {
-	maxOf := func(v []int32) (m int32) {
-		for _, x := range v {
-			m = max(m, x)
-		}
-		return m
-	}
-	check := func() {
+	forEachSet(t, func(t *testing.T) {
 		for _, g := range append(sweepGeoms(), oddGeoms...) {
 			p := NewConvPlanForced(g, true)
 			size := g.Channels * p.hp * p.wp
 			if len(p.lowered.rows) != g.Rows() || len(p.lowered.steps) != g.Cols() {
 				t.Fatalf("%s dW: %d row bases and %d steps for a %dx%d col", geomName(g), len(p.lowered.rows), len(p.lowered.steps), g.Rows(), g.Cols())
 			}
-			if reach := int(maxOf(p.lowered.rows) + maxOf(p.lowered.steps)); reach >= size {
+			if reach := int(slices.Max(p.lowered.rows) + slices.Max(p.lowered.steps)); reach >= size {
 				t.Errorf("%s dW: gather-A kernel reads float %d, bordered copy is %d", geomName(g), reach, size)
 			}
 			if p.fwd == nil {
@@ -311,13 +282,11 @@ func TestConvGatherTablesStayInsideBorder(t *testing.T) {
 				}
 				cols += int(lg.n)
 			}
-			if reach := int(maxBase+maxOf(p.fwd.steps)) + p.gw; reach > size+p.gw {
+			if reach := int(maxBase+slices.Max(p.fwd.steps)) + p.gw; reach > size+p.gw {
 				t.Errorf("%s fwd: kernel reads up to %d, bordered copy + slack is %d", geomName(g), reach, size+p.gw)
 			}
 		}
-	}
-	check()
-	withScalarKernel(check)
+	})
 }
 
 // TestConvBackwardDataStripInvariant: dX does not depend on where the
@@ -345,7 +314,7 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 		GemmBlocked(Trans, NoTrans, ckk, ohw, o, 1, w, ckk, dTop, ohw, 0, dcol, ohw)
 		want := make([]float32, g.Channels*hw)
 		col2im(dcol, g, want)
-		bitEqual(t, "dX vs full dcol + Col2im", dX, want)
+		sameBits(t, "dX vs full dcol + Col2im", dX, want)
 
 		g1 := g
 		g1.Channels = 1
@@ -357,7 +326,7 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 			s.PackA(Trans, kk, o, wc, kk)
 			one := make([]float32, hw)
 			ConvBackwardData(s, NewConvPlan(g1), o, dTop, one, 0, 1)
-			bitEqual(t, fmt.Sprintf("channel %d alone", c), dX[c*hw:(c+1)*hw], one)
+			sameBits(t, fmt.Sprintf("channel %d alone", c), dX[c*hw:(c+1)*hw], one)
 		}
 
 		// A channel range of the full convolution (what a Fine band computes)
@@ -368,23 +337,22 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 			got := randomSlice(r, g.Channels*hw)
 			before := append([]float32(nil), got...)
 			ConvBackwardData(s, NewConvPlan(g), o, dTop, got, c0, c1)
-			bitEqual(t, fmt.Sprintf("channels [%d,%d)", c0, c1), got[c0*hw:c1*hw], dX[c0*hw:c1*hw])
-			bitEqual(t, fmt.Sprintf("channels before %d", c0), got[:c0*hw], before[:c0*hw])
-			bitEqual(t, fmt.Sprintf("channels from %d", c1), got[c1*hw:], before[c1*hw:])
+			sameBits(t, fmt.Sprintf("channels [%d,%d)", c0, c1), got[c0*hw:c1*hw], dX[c0*hw:c1*hw])
+			sameBits(t, fmt.Sprintf("channels before %d", c0), got[:c0*hw], before[:c0*hw])
+			sameBits(t, fmt.Sprintf("channels from %d", c1), got[c1*hw:], before[c1*hw:])
 		}
 	}
-	t.Run("active-kernel", check)
-	t.Run("scalar-4x4", func(t *testing.T) { withScalarKernel(func() { check(t) }) })
+	forEachSet(t, check)
 }
 
-// FuzzConv runs random convolution geometries through every route on both
-// micro-kernels — the forward gathered and packed, dW as the transposed
+// FuzzConv runs random convolution geometries through every route on
+// every kernel set — the forward gathered and packed, dW as the transposed
 // product col·dTopᵀ with col gathered on its A side, whole and in a band
 // of output channels — with the naive per-entry lowering and scatter as
-// the oracle's ends; on the active kernel also with the Go data movement
-// (packers and both writebacks, the transposed one included), against the
-// oracle the vector data movement built, so the two paths must agree bit
-// for bit.
+// the oracle's ends and the set's micro-kernels with the Go data movement
+// between them, so a set's vector data movement (packers and both
+// writebacks, the transposed one included) must agree with the Go loops
+// bit for bit.
 func FuzzConv(f *testing.F) {
 	for _, g := range append(sweepGeoms()[:12], oddGeoms...) {
 		f.Add(uint8(g.Channels), uint8(g.Height), uint8(g.Width), uint8(g.KernelH), uint8(g.KernelW),
@@ -397,18 +365,15 @@ func FuzzConv(f *testing.F) {
 			t.Skip("window larger than the padded image")
 		}
 		o := 1 + int(o8%70)
-		check := func(kernel string, goMovementToo bool) {
-			r := rng.New(seed, 43)
-			c := newConvCase(r, g, o, im2colNaive, col2imNaive)
-			for route, p := range convRoutes(t, g) {
-				c.check(t, r, kernel+" "+route, p)
-				if goMovementToo {
-					withGoDataMovement(func() { c.check(t, r, kernel+" go-movement "+route, p) })
+		for _, ks := range kernelSets() {
+			withKernels(ks, func() {
+				r := rng.New(seed, 43)
+				c := newConvCase(r, g, o, im2colNaive, col2imNaive)
+				for route, p := range convRoutes(t, g) {
+					c.check(t, r, ks.name+" "+route, p)
 				}
-			}
+			})
 		}
-		check("active", true)
-		withScalarKernel(func() { check("scalar", false) })
 	})
 }
 

@@ -2,31 +2,30 @@
 
 package blas
 
-// AVX2+FMA micro-kernel selection. The 4x16 assembly kernel
-// (gemm_kernel_amd64.s) keeps eight 8-lane YMM accumulators and issues
-// two fused multiply-adds per broadcast A element — 64 flops per packed
-// step against the scalar kernel's 32 flops per 24 scalar ops — and so do
-// its two gather twins. Beside it go the vector routines for the data
-// movement around it (gemm_move_amd64.s): the packers' panels
-// (packBDense16, packBTrans, packARows4, packARuns4), the writeback of
-// full 8- and 16-lane tile rows (writebackVec) and of 4-row tiles into a
-// transposed C (writebackTVec), each bit for bit its Go twin; packA,
-// packB, writebackTile and writebackTileT hand them what they cover and
-// keep the rest.
-// Selection happens exactly once, at init, so every Gemm in the process
-// (and every band of every Gemm) uses the same kernel; see the
-// determinism contract in gemm_blocked.go.
+// avx2 is the AVX2+FMA kernel set. Its 4x16 assembly micro-kernel
+// (gemm_kernel_amd64.s) keeps eight 8-lane YMM accumulators and issues two
+// fused multiply-adds per broadcast A element — 64 flops per packed step
+// against the portable kernel's 32 flops per 24 scalar ops — and so do its
+// two gather twins, whose tile is two 8-lane groups. Its data movement
+// (gemm_move_amd64.s) packs the full panels and writes back the full 8-
+// and 16-lane tile rows and the 4-row tiles of a transposed C, each
+// routine bit for bit the Go loop it stands in for.
+var avx2 = kernels{
+	name: "avx2", nr: 16, gw: 8,
+	microKernel: microKernelAVX4x16, gatherKernel: gatherKernelAVX4x16, gatherAKernel: gatherAKernelAVX4x16,
+	packBDense: packBDense16Vec, packBTransposed: packBTransVec,
+	packARows: packARows4Vec, packARuns: packARuns4Vec,
+	writeback: writebackTileVec, writebackT: writebackTileTVec,
+	maxPool8: maxPool8AVX2, addRuns: addRunsVec,
+}
+
+// init makes avx2 the active set where the CPU and the OS support it. It
+// runs once, before any product, so every Gemm in the process (and every
+// band of every Gemm) uses the same kernels; see the determinism contract
+// in gemm_blocked.go.
 func init() {
 	if hasAVX2FMA() {
-		gemmNR, gemmGW = 16, 8
-		gemmMicroKernel = microKernelAVX4x16
-		gemmGatherKernel = gatherKernelAVX4x16
-		gemmGatherAKernel = gatherAKernelAVX4x16
-		packBDense16, packBTrans = packBDense16Vec, packBTransVec
-		packARows4, packARuns4 = packARows4Vec, packARuns4Vec
-		writebackVec, writebackTVec = writebackTileVec, writebackTileTVec
-		maxPool8 = maxPool8AVX2
-		addRuns = addRunsVec
+		active = avx2
 	}
 }
 

@@ -32,33 +32,30 @@ import (
 // flops, and the same packed B panel is reused by every row micro-panel
 // of the block.
 //
-// Two micro-kernels exist. microKernelScalar4x4 is the portable pure-Go
-// one: a 4x4 register tile (16 float32 accumulators + 8 temporaries,
-// sized for the 16 XMM registers of amd64). On amd64 with AVX2+FMA, init
-// (gemm_amd64.go) swaps in the 4x16 assembly kernel sgemmKernel4x16 and
-// widens nr to 16: 8 YMM accumulators updated by two fused
-// multiply-adds per broadcast A element, ~8x the scalar flop rate. The
-// kernel choice is made once per process, never per call. Each has a
-// gather twin reading one operand in place from a convolution's bordered
-// image (conv.go): gemmGatherKernel its B rows, gemmGatherAKernel its A
-// rows.
-//
-// The data movement around the micro-kernel is chosen with it. On AVX2,
-// init also sets the package function variables packBDense16 and
-// packBTrans (a full 16-wide panel of a dense B: two YMM moves per depth
-// step; a panel of 1-16 columns of a transposed one: 8x8 in-register
-// transposes, zero lanes past the last column), packARows4 and
-// packARuns4 (a full 4-row A panel: a 4x8 transpose per eight steps, or
-// one 4-float run per step of a transposed A), writebackVec (a tile row
-// of 8 or 16 lanes, every mode and the bias) and writebackTVec (a 4-row
-// tile into a transposed C, gemm_move_amd64.s). packA, packB,
-// writebackTile and writebackTileT hand those routines what they cover
-// and run their own Go loops on the rest — ragged panels, rows and tiles,
-// the depth steps past the last multiple of 8 — and on hosts without
-// AVX2. The vector routines move the same values, and compute the
-// writeback's expression with the same unfused multiplies and adds in the
-// same operand order, so which path packed a panel or wrote a row never
-// shows in C.
+// The micro-kernel and the data movement around it come as one kernel set
+// per instruction set (kernels, below), and init makes one set active,
+// once per process, never per call. The portable set is pure Go:
+// microKernelScalar4x4, a 4x4 register tile (16 float32 accumulators + 8
+// temporaries, sized for the 16 XMM registers of amd64), and the Go loops
+// for all packing and writeback. The avx2 set (gemm_amd64.go), active on
+// amd64 hosts with AVX2+FMA, has the 4x16 assembly kernel sgemmKernel4x16
+// (nr = 16: 8 YMM accumulators updated by two fused multiply-adds per
+// broadcast A element, ~8x the scalar flop rate) and vector routines for
+// the data movement (gemm_move_amd64.s): a full 16-wide panel of a dense B
+// (two YMM moves per depth step), a panel of 1-16 columns of a transposed
+// one (8x8 in-register transposes, zero lanes past the last column), a
+// full 4-row A panel (a 4x8 transpose per eight steps, or one 4-float run
+// per step of a transposed A), a tile row of 8 or 16 lanes (every mode and
+// the bias) and a 4-row tile into a transposed C. Each set's micro-kernel
+// has two gather twins reading one operand in place from a convolution's
+// bordered image (conv.go): gatherKernel its B rows, gatherAKernel its A
+// rows. packA, packB, writebackTile and writebackTileT hand the active
+// set's vector routines what they cover and run their own Go loops on the
+// rest — ragged panels, rows and tiles, the depth steps past the last
+// multiple of 8 — and on everything when the set has none. The vector
+// routines move the same values, and compute the writeback's expression
+// with the same unfused multiplies and adds in the same operand order, so
+// which path packed a panel or wrote a row never shows in C.
 //
 // Determinism contract (load-bearing — the coarse engine depends on it):
 // the value written to C[i,j] must depend only on (i, j, the operands,
@@ -89,7 +86,7 @@ import (
 // bit-identical C — the property TestBlockedGemmBandInvariance and the
 // engines' bit-identity tests pin down.
 const (
-	// gemmMR is the micro-tile height shared by both micro-kernels.
+	// gemmMR is the micro-tile height shared by every kernel set.
 	gemmMR = 4
 	// gemmNRMax bounds the micro-tile width across kernels; the
 	// writeback accumulator buffer is sized for it.
@@ -110,58 +107,84 @@ const (
 	gemmNC = 512
 )
 
-// gemmNR is the active micro-tile width and gemmMicroKernel the active
-// micro-kernel; both are selected once, at package init (see
-// gemm_amd64.go), and never changed afterwards — see the determinism
-// contract above. The kernel accumulates a gemmMR x gemmNR product tile
-// into acc (row stride gemmNR) without touching C.
-//
-// gemmGatherKernel is the same kernel reading its B rows in place (see
-// gatherB in conv.go): step l takes each gemmGW-lane group of the tile
-// from p[b+off[l]:], b0 for the first group and b1 for the second (the
-// scalar tile is a single group and ignores b1). Same accumulators, same
-// order, so a lane ends up with what the packed kernel would compute from
-// a panel holding the same values.
-//
-// gemmGatherAKernel reads its A rows in place instead (see gatherA in
-// conv.go): step l takes row i of the tile from p[rows[i]+steps[l]] and
-// the B row from the packed panel bp, as the packed kernel does.
-var (
-	gemmNR            = 4
-	gemmGW            = 4
-	gemmMicroKernel   = microKernelScalar4x4
-	gemmGatherKernel  = gatherKernelScalar4x4
-	gemmGatherAKernel = gatherAKernelScalar4x4
-)
+// kernels is one instruction set's kernel set: the micro-kernels, the tile
+// they compute, the data movement written for them, and the two loops
+// outside the GEMM that have a vector form. One value exists per ISA —
+// portable below, avx2 in gemm_amd64.go — and active is the one every call
+// runs: chosen once, at package init, and never changed afterwards
+// (tests aside), so every product in the process (and every band of every
+// product) runs the same kernels — see the determinism contract above.
+// Code reads a set's fields straight from active, a package variable at a
+// fixed address, so a field costs a tile loop one load, as a plain
+// package variable would.
+type kernels struct {
+	name string
+	// nr is the micro-tile width, gw the width of one lane group of a
+	// gathered B tile (nr/gw groups to a tile); both are the kernels'.
+	nr, gw int
+	// microKernel accumulates a gemmMR x nr product tile of the packed
+	// panels ap and bp into acc (row stride nr) without touching C.
+	microKernel func(ap, bp []float32, kc int, acc *[gemmMR * gemmNRMax]float32)
+	// gatherKernel is microKernel reading its B rows in place (see gatherB
+	// in conv.go): step l takes each gw-lane group of the tile from
+	// p[b+off[l]:], b0 for the first group and b1 for the second (a tile of
+	// one group ignores b1). Same accumulators, same order, so a lane ends
+	// up with what the packed kernel would compute from a panel holding the
+	// same values.
+	gatherKernel func(ap, p []float32, b0, b1 int, off []int32, acc *[gemmMR * gemmNRMax]float32)
+	// gatherAKernel reads its A rows in place instead (see gatherA in
+	// conv.go): step l takes row i of the tile from p[rows[i]+steps[l]] and
+	// the B row from the packed panel bp, as microKernel does.
+	gatherAKernel func(p []float32, rows [gemmMR]int32, steps []int32, bp []float32, acc *[gemmMR * gemmNRMax]float32)
 
-// The vector data movement around the micro-kernels, selected with them
-// (gemm_amd64.go); nil where the host has none, and then the Go loops of
-// packA, packB and writebackTile do all of it. Each covers only full
-// panels and full rows — a ragged panel, a depth tail past the last
-// multiple of 8 and a ragged tile row stay on the Go loops, which are also
-// the routines' oracle (TestDataMovementMatchesGo). Moving values, or
-// computing the Go expression in the compiler's operand order without
-// fusing, they write what the Go loops write, bit for bit.
-var (
-	// packBDense16 packs one full 16-wide panel of a dense op(B):
+	// The vector data movement; nil in a set that has none, and then the
+	// Go loops of packA, packB, writebackTile and writebackTileT do all of
+	// it. Each covers only full panels and full rows — a ragged panel, a
+	// depth tail past the last multiple of 8 and a ragged tile row stay on
+	// the Go loops, which are also the routines' oracle
+	// (TestDataMovementMatchesGo). Moving values, or computing the Go
+	// expression in the compiler's operand order without fusing, they
+	// write what the Go loops write, bit for bit.
+
+	// packBDense packs one full 16-wide panel of a dense op(B):
 	// dst[l*16+j] = b[l*ldb+j].
-	packBDense16 func(dst, b []float32, ldb, kc int)
-	// packBTrans packs the first kc8 (a multiple of 8) steps of one
+	packBDense func(dst, b []float32, ldb, kc int)
+	// packBTransposed packs the first kc8 (a multiple of 8) steps of one
 	// 16-wide panel of a transposed op(B) with cols (1-16) columns:
 	// dst[l*16+j] = b[j*ldb+l] for j < cols, 0 for the lanes past them.
 	// It reads only the cols stored rows.
-	packBTrans func(dst, b []float32, ldb, kc8, cols int)
-	// packARows4 interleaves the first kc8 (a multiple of 8) steps of
-	// four rows of A: dst[l*4+i] = a[i*lda+l].
-	packARows4 func(dst, a []float32, lda, kc8 int)
-	// packARuns4 packs panels full panels of a transposed op(A), end to
+	packBTransposed func(dst, b []float32, ldb, kc8, cols int)
+	// packARows interleaves the first kc8 (a multiple of 8) steps of four
+	// rows of A: dst[l*4+i] = a[i*lda+l].
+	packARows func(dst, a []float32, lda, kc8 int)
+	// packARuns packs panels full panels of a transposed op(A), end to
 	// end: dst[(p*kc+l)*4+i] = a[l*lda+p*4+i].
-	packARuns4 func(dst, a []float32, lda, kc, panels int)
-	// writebackVec is writebackTileGo for rows of 8 or 16 lanes.
-	writebackVec func(acc []float32, nr int, alpha, beta float32, firstK bool, bias, c []float32, ldc, mrr, nrr int)
-	// writebackTVec is writebackTileTGo for a tile of gemmMR rows.
-	writebackTVec func(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, nrr int)
-)
+	packARuns func(dst, a []float32, lda, kc, panels int)
+	// writeback is writebackTileGo for rows of 8 or 16 lanes.
+	writeback func(acc []float32, nr int, alpha, beta float32, firstK bool, bias, c []float32, ldc, mrr, nrr int)
+	// writebackT is writebackTileTGo for a tile of gemmMR rows.
+	writebackT func(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, nrr int)
+
+	// maxPool8 is MaxPoolWindows for eight adjacent windows of stride 1
+	// or 2, one per lane (pool.go); nil in a set without it.
+	maxPool8 func(src *float32, base, w, rows, kw, sw int, out *float32, idx *int32)
+	// addRuns adds runs runs of n floats into dst, dst[k*ds+i] +=
+	// src[k*ss+i] (ConvGeom.scatter): a plain float add, lane by lane, so
+	// the sums are the same bits in every set.
+	addRuns func(dst, src []float32, runs, n, ds, ss int)
+}
+
+// portable is the set every host can run: the 4x4 Go micro-kernels, whose
+// tile is a single 4-lane group, and Go loops for everything else.
+var portable = kernels{
+	name: "portable", nr: 4, gw: 4,
+	microKernel: microKernelScalar4x4, gatherKernel: gatherKernelScalar4x4, gatherAKernel: gatherAKernelScalar4x4,
+	addRuns: addRunsGo,
+}
+
+// active is the kernel set in use: portable unless init picks a set the
+// host has (gemm_amd64.go).
+var active = portable
 
 // GemmScratch holds the packing buffers of the blocked kernel so callers
 // sitting in a hot loop (one Gemm per sample inside a coarse-grain batch
@@ -182,10 +205,10 @@ type GemmScratch struct {
 	// convolution's dcol on their way into the bottom gradient (conv.go).
 	img, strip []float32
 	// acc is the micro-kernel's accumulator tile. It lives here rather
-	// than on gemmBlocked's stack because the kernel is invoked through
-	// the gemmMicroKernel package variable (the AVX dispatch), which
-	// defeats escape analysis and would heap-allocate the tile on every
-	// call — one GC object per GEMM on the serving hot path.
+	// than on gemmBlocked's stack because the kernel is called through a
+	// function value (the active set's microKernel), which defeats escape
+	// analysis and would heap-allocate the tile on every call — one GC
+	// object per GEMM on the serving hot path.
 	acc [gemmMR * gemmNRMax]float32
 }
 
@@ -343,7 +366,7 @@ func (s *GemmScratch) PackA(transA Transpose, m, k int, a []float32, lda int) {
 // for a B that several row strips of one product share. Valid until the
 // next product on this scratch that packs its own B.
 func (s *GemmScratch) packBAhead(transB Transpose, n, k int, b []float32, ldb int) {
-	np := roundUp(n, gemmNR)
+	np := roundUp(n, active.nr)
 	s.ensure(0, np*k)
 	for pc := 0; pc < k; pc += gemmKC {
 		packB(s.bp[np*pc:], transB, b, ldb, pc, min(gemmKC, k-pc), 0, n)
@@ -362,7 +385,7 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 		gemmScaleRows(n, op.beta, op.c, op.ldc, rowLo, rowHi)
 		return
 	}
-	nr := gemmNR
+	nr := active.nr
 	mcMax := min(gemmMC, rowHi-rowLo)
 	kcMax := min(gemmKC, k)
 	// The column blocking bounds the B block packed here; a B gathered in
@@ -429,9 +452,9 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 					for ir := 0; ir < mc; ir += gemmMR {
 						mrr := min(gemmMR, mc-ir)
 						if op.gatherA != nil {
-							gemmGatherAKernel(op.a, tileRows(op.gatherA.rows[ic+ir:ic+ir+mrr]), op.gatherA.steps[pc:pc+kc], bpPanel, acc)
+							active.gatherAKernel(op.a, tileRows(op.gatherA.rows[ic+ir:ic+ir+mrr]), op.gatherA.steps[pc:pc+kc], bpPanel, acc)
 						} else {
-							gemmMicroKernel(ap[ir*kc:], bpPanel, kc, acc)
+							active.microKernel(ap[ir*kc:], bpPanel, kc, acc)
 						}
 						if op.transC {
 							writebackTileT(acc[:], nr, op.alpha, op.beta, firstK, op.c[(jc+jr)*op.ldc+ic+ir:], op.ldc, mrr, nrr)
@@ -452,7 +475,7 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 
 // gatherTiles is gemmBlocked's tile loop pair for a gathered op(B): one
 // packed A block (mc x kc at row ic, depth pc) against every lane group,
-// gemmNR/gemmGW groups to a tile. Each group is written back at its own
+// nr/gw groups to a tile. Each group is written back at its own
 // columns with its own clip — the lanes past a ragged group's n read
 // whatever follows in the image and are dropped here, exactly as the
 // zero-padded lanes of a packed edge tile are — and two groups that are
@@ -460,7 +483,7 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 func (s *GemmScratch) gatherTiles(op *gemmOp, ap []float32, ic, mc, pc, kc int, firstK bool, bias []float32) {
 	groups := op.gather.groups
 	steps := op.gather.steps[pc : pc+kc]
-	nr, gw := gemmNR, gemmGW
+	nr, gw := active.nr, active.gw
 	acc := &s.acc
 	for gi := 0; gi < len(groups); gi += nr / gw {
 		g0 := groups[gi]
@@ -475,7 +498,7 @@ func (s *GemmScratch) gatherTiles(op *gemmOp, ap []float32, ic, mc, pc, kc int, 
 		}
 		for ir := 0; ir < mc; ir += gemmMR {
 			mrr := min(gemmMR, mc-ir)
-			gemmGatherKernel(ap[ir*kc:], op.b, int(g0.base), int(g1.base), steps, acc)
+			active.gatherKernel(ap[ir*kc:], op.b, int(g0.base), int(g1.base), steps, acc)
 			var tileBias []float32
 			if bias != nil {
 				tileBias = bias[ic+ir:]
@@ -497,11 +520,11 @@ func (s *GemmScratch) gatherTiles(op *gemmOp, ap []float32, ic, mc, pc, kc int, 
 // writebackTileT are the only code that writes C on the blocked path,
 // shared by every micro-kernel, which keeps edge and full tiles
 // bit-identical. Rows of 8
-// or 16 lanes go to writebackVec where the host has it; the rest, and
-// every row elsewhere, to writebackTileGo.
+// or 16 lanes go to the active set's writeback where it has one; the
+// rest, and every row in a set without one, to writebackTileGo.
 func writebackTile(acc []float32, nr int, alpha, beta float32, firstK bool, bias []float32, c []float32, ldc, mrr, nrr int) {
-	if writebackVec != nil && (nrr == 8 || nrr == 16) {
-		writebackVec(acc, nr, alpha, beta, firstK, bias, c, ldc, mrr, nrr)
+	if wb := active.writeback; wb != nil && (nrr == 8 || nrr == 16) {
+		wb(acc, nr, alpha, beta, firstK, bias, c, ldc, mrr, nrr)
 		return
 	}
 	writebackTileGo(acc, nr, alpha, beta, firstK, bias, c, ldc, mrr, nrr)
@@ -509,18 +532,19 @@ func writebackTile(acc []float32, nr int, alpha, beta float32, firstK bool, bias
 
 // writebackTileT is writebackTile into a transposed C: tile element
 // (i, j) goes to c[j*ldc+i], through the same expression and without a
-// bias. Tiles of gemmMR rows go to writebackTVec where the host has it;
-// ragged ones, and every tile elsewhere, to writebackTileTGo.
+// bias. Tiles of gemmMR rows go to the active set's writebackT where it
+// has one; ragged ones, and every tile in a set without one, to
+// writebackTileTGo.
 func writebackTileT(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, mrr, nrr int) {
-	if writebackTVec != nil && mrr == gemmMR {
-		writebackTVec(acc, nr, alpha, beta, firstK, c, ldc, nrr)
+	if wb := active.writebackT; wb != nil && mrr == gemmMR {
+		wb(acc, nr, alpha, beta, firstK, c, ldc, nrr)
 		return
 	}
 	writebackTileTGo(acc, nr, alpha, beta, firstK, c, ldc, mrr, nrr)
 }
 
-// writebackTileTGo is writebackTileT's portable path and writebackTVec's
-// oracle: writebackTileGo's loops with C's index transposed.
+// writebackTileTGo is writebackTileT's portable path and the vector
+// writebackT's oracle: writebackTileGo's loops with C's index transposed.
 func writebackTileTGo(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, mrr, nrr int) {
 	for i := 0; i < mrr; i++ {
 		ai := acc[i*nr : i*nr+nrr]
@@ -546,8 +570,8 @@ func writebackTileTGo(acc []float32, nr int, alpha, beta float32, firstK bool, c
 	}
 }
 
-// writebackTileGo is writebackTile's portable path and writebackVec's
-// oracle. The bias is a second rounding step over the finished row, not
+// writebackTileGo is writebackTile's portable path and the vector
+// writeback's oracle. The bias is a second rounding step over the finished row, not
 // part of the alpha*acc expression, so it equals a separate add pass over
 // C bit for bit (also where the compiler fuses multiply-adds).
 func writebackTileGo(acc []float32, nr int, alpha, beta float32, firstK bool, bias []float32, c []float32, ldc, mrr, nrr int) {
@@ -586,13 +610,13 @@ func writebackTileGo(acc []float32, nr int, alpha, beta float32, firstK bool, bi
 // panel p holds rows [p*mr, p*mr+mr) as kc groups of mr contiguous
 // values, zero-padded when the block has fewer than mr rows left. The
 // zero padding is what lets edge tiles share the full micro-kernel.
-// Where the host has them, packARuns4 packs a transposed A's full panels
-// and packARows4 the first kc&^7 steps of an untransposed one's; the Go
-// loops pack the rest.
+// Where the active set has them, its packARuns packs a transposed A's
+// full panels and its packARows the first kc&^7 steps of an untransposed
+// one's; the Go loops pack the rest.
 func packA(dst []float32, transA Transpose, a []float32, lda, ic, mc, pc, kc int) {
 	ir := 0
-	if full := mc &^ (gemmMR - 1); transA == Trans && packARuns4 != nil && full > 0 {
-		packARuns4(dst, a[pc*lda+ic:], lda, kc, full/gemmMR)
+	if full := mc &^ (gemmMR - 1); transA == Trans && active.packARuns != nil && full > 0 {
+		active.packARuns(dst, a[pc*lda+ic:], lda, kc, full/gemmMR)
 		ir = full
 	}
 	for ; ir < mc; ir += gemmMR {
@@ -609,9 +633,9 @@ func packA(dst []float32, transA Transpose, a []float32, lda, ic, mc, pc, kc int
 		case rows == gemmMR:
 			base := (ic+ir)*lda + pc
 			l0 := 0 // steps packed by the vector routine
-			if packARows4 != nil && kc >= 8 {
+			if active.packARows != nil && kc >= 8 {
 				l0 = kc &^ 7
-				packARows4(panel, a[base:], lda, l0)
+				active.packARows(panel, a[base:], lda, l0)
 			}
 			interleave4(panel[l0*gemmMR:], gemmMR, a[base+l0:base+kc], a[base+lda+l0:base+lda+kc],
 				a[base+2*lda+l0:base+2*lda+kc], a[base+3*lda+l0:base+3*lda+kc])
@@ -652,19 +676,19 @@ func interleave4(dst []float32, stride int, r0, r1, r2, r3 []float32) {
 
 // packB copies op(B)[pc:pc+kc, jc:jc+nc] into nr-wide micro-panels:
 // panel p holds columns [p*nr, p*nr+nr) as kc groups of nr contiguous
-// values, zero-padded on the right edge. Where the host has them, a full
-// 16-wide panel of a dense B goes to packBDense16, and the first kc&^7
-// steps of any panel of a transposed B to packBTrans; the Go loops pack
-// the rest.
+// values, zero-padded on the right edge. Where the active set has them, a
+// full 16-wide panel of a dense B goes to its packBDense, and the first
+// kc&^7 steps of any panel of a transposed B to its packBTransposed; the
+// Go loops pack the rest.
 func packB(dst []float32, transB Transpose, b []float32, ldb, pc, kc, jc, nc int) {
-	nr := gemmNR
+	nr := active.nr
 	for jr := 0; jr < nc; jr += nr {
 		cols := min(nr, nc-jr)
 		panel := dst[(jr/nr)*kc*nr : (jr/nr+1)*kc*nr]
 		if transB == NoTrans {
 			src := b[pc*ldb+jc+jr:]
-			if cols == 16 && packBDense16 != nil {
-				packBDense16(panel, src, ldb, kc)
+			if cols == 16 && active.packBDense != nil {
+				active.packBDense(panel, src, ldb, kc)
 				continue
 			}
 			for l := 0; l < kc; l++ {
@@ -675,9 +699,9 @@ func packB(dst []float32, transB Transpose, b []float32, ldb, pc, kc, jc, nc int
 		// op(B)[l, j] = B[j, l]: column j of the panel is row jc+jr+j of
 		// the stored matrix, transposed in four rows at a time.
 		l0 := 0 // steps packed by the vector routine
-		if packBTrans != nil && kc >= 8 {
+		if active.packBTransposed != nil && kc >= 8 {
 			l0 = kc &^ 7
-			packBTrans(panel, b[(jc+jr)*ldb+pc:], ldb, l0, cols)
+			active.packBTransposed(panel, b[(jc+jr)*ldb+pc:], ldb, l0, cols)
 			if l0 == kc {
 				continue
 			}
@@ -705,8 +729,8 @@ func packB(dst []float32, transB Transpose, b []float32, ldb, pc, kc, jc, nc int
 
 // microKernelScalar4x4 is the portable micro-kernel: a rank-kc update of
 // a 4x4 tile held in 16 register accumulators, 8 contiguous float32
-// loads per 32 flops. acc receives the tile with row stride gemmNR (4
-// here — the scalar kernel is only active when gemmNR == 4).
+// loads per 32 flops. acc receives the tile with row stride 4, the
+// portable set's nr.
 func microKernelScalar4x4(ap, bp []float32, kc int, acc *[gemmMR * gemmNRMax]float32) {
 	var c00, c01, c02, c03 float32
 	var c10, c11, c12, c13 float32

@@ -2,6 +2,8 @@ package blas
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"coarsegrain/internal/rng"
@@ -105,57 +107,60 @@ func TestBlockedGemmAlphaZero(t *testing.T) {
 // bit-identical to the full-range call, because the coarse engine hands
 // layers arbitrary sample bands and the fine engine arbitrary channel
 // bands. M is past one row block, so the full call packs B a block at a
-// time and every band of at most gemmMC rows a panel at a time.
+// time and every band of at most gemmMC rows a panel at a time. On every
+// kernel set.
 func TestBlockedGemmBandInvariance(t *testing.T) {
-	r := rng.New(13, 13)
-	m, n, k := gemmMC+6, 129, 300
-	if !GemmIsBlocked(m, n, k) {
-		t.Fatal("shape unexpectedly below blocked threshold")
-	}
-	a := randomSlice(r, m*k)
-	b := randomSlice(r, k*n)
-	want := make([]float32, m*n)
-	Gemm(NoTrans, NoTrans, m, n, k, 1, a, k, b, n, 0, want, n)
-	for _, cuts := range [][]int{{0, m}, {0, 1, m}, {0, 5, 9, m}, {0, 4, 8, 12, 16, 20, m}} {
-		got := make([]float32, m*n)
-		for ci := 0; ci+1 < len(cuts); ci++ {
-			GemmRows(NoTrans, NoTrans, m, n, k, 1, a, k, b, n, 0, got, n, cuts[ci], cuts[ci+1])
+	forEachSet(t, func(t *testing.T) {
+		r := rng.New(13, 13)
+		m, n, k := gemmMC+6, 129, 300
+		if !GemmIsBlocked(m, n, k) {
+			t.Fatal("shape unexpectedly below blocked threshold")
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("cuts %v: band result differs at %d: %v vs %v", cuts, i, got[i], want[i])
-			}
-		}
-	}
-	// Column bands, as the inner-product channel ranges cut N: each band
-	// is its own product over an offset B (stored as is or transposed)
-	// and C, with N the band width.
-	for _, tb := range []Transpose{NoTrans, Trans} {
-		bt := b // op(B) = B, k x n
-		ldb := n
-		if tb == Trans {
-			bt, ldb = randomSlice(r, n*k), k // op(B) = Bᵀ, stored n x k
-		}
-		col := func(j int) []float32 {
-			if tb == Trans {
-				return bt[j*k:]
-			}
-			return bt[j:]
-		}
-		Gemm(NoTrans, tb, m, n, k, 1, a, k, bt, ldb, 0, want, n)
-		for _, cuts := range [][]int{{0, 1, n}, {0, 5, 21, 22, n}, {0, 16, 64, 100, n}} {
+		a := randomSlice(r, m*k)
+		b := randomSlice(r, k*n)
+		want := make([]float32, m*n)
+		Gemm(NoTrans, NoTrans, m, n, k, 1, a, k, b, n, 0, want, n)
+		for _, cuts := range [][]int{{0, m}, {0, 1, m}, {0, 5, 9, m}, {0, 4, 8, 12, 16, 20, m}} {
 			got := make([]float32, m*n)
 			for ci := 0; ci+1 < len(cuts); ci++ {
-				lo, hi := cuts[ci], cuts[ci+1]
-				Gemm(NoTrans, tb, m, hi-lo, k, 1, a, k, col(lo), ldb, 0, got[lo:], n)
+				GemmRows(NoTrans, NoTrans, m, n, k, 1, a, k, b, n, 0, got, n, cuts[ci], cuts[ci+1])
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("transB=%v column cuts %v: band result differs at %d: %v vs %v", tb == Trans, cuts, i, got[i], want[i])
+					t.Fatalf("cuts %v: band result differs at %d: %v vs %v", cuts, i, got[i], want[i])
 				}
 			}
 		}
-	}
+		// Column bands, as the inner-product channel ranges cut N: each band
+		// is its own product over an offset B (stored as is or transposed)
+		// and C, with N the band width.
+		for _, tb := range []Transpose{NoTrans, Trans} {
+			bt := b // op(B) = B, k x n
+			ldb := n
+			if tb == Trans {
+				bt, ldb = randomSlice(r, n*k), k // op(B) = Bᵀ, stored n x k
+			}
+			col := func(j int) []float32 {
+				if tb == Trans {
+					return bt[j*k:]
+				}
+				return bt[j:]
+			}
+			Gemm(NoTrans, tb, m, n, k, 1, a, k, bt, ldb, 0, want, n)
+			for _, cuts := range [][]int{{0, 1, n}, {0, 5, 21, 22, n}, {0, 16, 64, 100, n}} {
+				got := make([]float32, m*n)
+				for ci := 0; ci+1 < len(cuts); ci++ {
+					lo, hi := cuts[ci], cuts[ci+1]
+					Gemm(NoTrans, tb, m, hi-lo, k, 1, a, k, col(lo), ldb, 0, got[lo:], n)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("transB=%v column cuts %v: band result differs at %d: %v vs %v", tb == Trans, cuts, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestGemmScratchReuse checks a scratch can serve differently shaped
@@ -176,12 +181,15 @@ func TestGemmScratchReuse(t *testing.T) {
 	}
 }
 
+// panicMessage runs f and returns what it panicked with ("<nil>" if it
+// did not).
+func panicMessage(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return ""
+}
+
 func TestCheckGemmNamesOperand(t *testing.T) {
-	capture := func(f func()) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		f()
-		return ""
-	}
 	a := make([]float32, 64)
 	for _, tc := range []struct {
 		want string
@@ -194,23 +202,14 @@ func TestCheckGemmNamesOperand(t *testing.T) {
 		{"gemm B too short", func() { Gemm(NoTrans, NoTrans, 1, 2, 40, 1, a, 40, a, 2, 0, a, 2) }},
 		{"gemm C too short", func() { Gemm(NoTrans, NoTrans, 40, 2, 1, 1, a, 1, a, 2, 0, a, 2) }},
 	} {
-		msg := capture(tc.f)
+		msg := panicMessage(tc.f)
 		if msg == "" {
 			t.Fatalf("%q case: expected panic", tc.want)
 		}
-		if !contains(msg, tc.want) {
+		if !strings.Contains(msg, tc.want) {
 			t.Fatalf("panic %q does not name operand (want substring %q)", msg, tc.want)
 		}
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // netGemmShapes are the Gemm shapes the two benchmark networks actually
@@ -271,14 +270,15 @@ func BenchmarkGemmNetShapes(b *testing.B) {
 
 // FuzzGemm drives random shapes, transposes, alpha/beta and leading
 // strides through the dispatching Gemm and, dispatch aside, through the
-// blocked kernel, with gemmRef as the oracle. It checks the values (the
-// two kernels sum in different orders, hence the K-scaled tolerance), that
-// C's padding columns are never written, that a random row-band split
-// reproduces the full call bit for bit, and that the blocked kernel with
-// the Go data movement (withGoDataMovement: the active micro-kernel, the
-// Go packers and writeback) writes the same bits as with the vector one. The seed corpus straddles the
-// dispatch boundary (k = 1 | 2), the boundary it replaced (n*k = 4096,
-// with LeNet's conv2-bwdX just under it) and every blocking constant.
+// blocked kernel, on every kernel set, with gemmRef as the oracle. It
+// checks the values (the two kernels sum in different orders, hence the
+// K-scaled tolerance), that C's padding columns are never written, that a
+// random row-band split reproduces the full call bit for bit, and that
+// the blocked kernel writes the same bits as on the set's goMovement copy
+// (its micro-kernels, the Go packers and writeback). The seed corpus
+// straddles the dispatch boundary (k = 1 | 2), the boundary it replaced
+// (n*k = 4096, with LeNet's conv2-bwdX just under it) and every blocking
+// constant.
 func FuzzGemm(f *testing.F) {
 	for _, s := range []struct {
 		m, n, k uint16
@@ -312,45 +312,35 @@ func FuzzGemm(f *testing.F) {
 		gemmRef(ta, tb, n, k, alpha, a, lda, b, ldb, beta, want, ldc, 0, m)
 		tol := 2e-6*float64(k+1) + 1e-6
 
-		for name, gemm := range map[string]func([]float32){
-			"Gemm":        func(c []float32) { Gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) },
-			"GemmBlocked": func(c []float32) { GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) },
-		} {
-			got := append([]float32(nil), c0...)
-			gemm(got)
-			for i := 0; i < m; i++ {
-				row := got[i*ldc : (i+1)*ldc]
-				if d := maxAbsDiff(row[:n], want[i*ldc:i*ldc+n]); d > tol {
-					t.Fatalf("%s m=%d n=%d k=%d ta=%v tb=%v alpha=%v beta=%v: row %d off by %g (tol %g)",
-						name, m, n, k, ta, tb, alpha, beta, i, d, tol)
-				}
-				for j := n; j < ldc; j++ {
-					if row[j] != c0[i*ldc+j] {
-						t.Fatalf("%s m=%d n=%d k=%d: C padding clobbered at (%d,%d)", name, m, n, k, i, j)
-					}
-				}
-			}
-		}
-
-		vec := append([]float32(nil), c0...)
-		GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, vec, ldc)
-		goMoved := append([]float32(nil), c0...)
-		withGoDataMovement(func() { GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, goMoved, ldc) })
-		sameBits(t, fmt.Sprintf("m=%d n=%d k=%d ta=%v tb=%v alpha=%v beta=%v: Go data movement", m, n, k, ta, tb, alpha, beta), goMoved, vec)
-
-		full := append([]float32(nil), c0...)
-		Gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, full, ldc)
-		banded := append([]float32(nil), c0...)
 		cut := 0
 		if m > 0 {
 			cut = int(seed % uint64(m+1))
 		}
-		GemmRows(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, 0, cut)
-		GemmRows(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, cut, m)
-		for i := range full {
-			if full[i] != banded[i] {
-				t.Fatalf("m=%d n=%d k=%d cut=%d: banded result differs from full at %d", m, n, k, cut, i)
-			}
+		for _, ks := range kernelSets() {
+			withKernels(ks, func() {
+				full, blocked, goMoved, banded := slices.Clone(c0), slices.Clone(c0), slices.Clone(c0), slices.Clone(c0)
+				Gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, full, ldc)
+				GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, blocked, ldc)
+				withKernels(goMovement(ks), func() { GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, goMoved, ldc) })
+				GemmRows(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, 0, cut)
+				GemmRows(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, cut, m)
+				what := fmt.Sprintf("%s m=%d n=%d k=%d ta=%v tb=%v alpha=%v beta=%v", ks.name, m, n, k, ta, tb, alpha, beta)
+				for name, got := range map[string][]float32{"Gemm": full, "GemmBlocked": blocked} {
+					for i := 0; i < m; i++ {
+						row := got[i*ldc : (i+1)*ldc]
+						if d := maxAbsDiff(row[:n], want[i*ldc:i*ldc+n]); d > tol {
+							t.Fatalf("%s %s: row %d off by %g (tol %g)", name, what, i, d, tol)
+						}
+						for j := n; j < ldc; j++ {
+							if row[j] != c0[i*ldc+j] {
+								t.Fatalf("%s %s: C padding clobbered at (%d,%d)", name, what, i, j)
+							}
+						}
+					}
+				}
+				sameBits(t, what+": Go data movement", goMoved, blocked)
+				sameBits(t, fmt.Sprintf("%s: rows [0,%d) and [%d,%d) banded", what, cut, cut, m), banded, full)
+			})
 		}
 	})
 }

@@ -8,17 +8,40 @@ import (
 	"coarsegrain/internal/rng"
 )
 
-// withGoDataMovement runs f with the vector packers and writeback switched
-// off and the active micro-kernel kept: every panel and every tile row
-// then goes through the Go loops of packA, packB and writebackTile. Not
-// safe beside parallel tests; none in this package are.
-func withGoDataMovement(f func()) {
-	bd, bt, ar, at, wb, wt := packBDense16, packBTrans, packARows4, packARuns4, writebackVec, writebackTVec
-	packBDense16, packBTrans, packARows4, packARuns4, writebackVec, writebackTVec = nil, nil, nil, nil, nil, nil
-	defer func() {
-		packBDense16, packBTrans, packARows4, packARuns4, writebackVec, writebackTVec = bd, bt, ar, at, wb, wt
-	}()
+// withKernels runs f with ks as the active kernel set. Not safe beside
+// parallel tests; none in this package are.
+func withKernels(ks kernels, f func()) {
+	saved := active
+	active = ks
+	defer func() { active = saved }()
 	f()
+}
+
+// kernelSets lists the kernel sets this host runs: portable and, where
+// init chose another, that one and its goMovement copy.
+func kernelSets() []kernels {
+	if active.name == portable.name {
+		return []kernels{portable}
+	}
+	return []kernels{portable, active, goMovement(active)}
+}
+
+// goMovement is ks with its vector data movement cleared: ks's
+// micro-kernels, with every panel and every tile row going through the Go
+// loops of packA, packB, writebackTile and writebackTileT — the oracle the
+// vector routines are held to.
+func goMovement(ks kernels) kernels {
+	ks.name += "-gomove"
+	ks.packBDense, ks.packBTransposed, ks.packARows, ks.packARuns, ks.writeback, ks.writebackT = nil, nil, nil, nil, nil, nil
+	return ks
+}
+
+// forEachSet runs check once per kernel set, as a subtest named after the
+// set, with that set active.
+func forEachSet(t *testing.T, check func(t *testing.T)) {
+	for _, ks := range kernelSets() {
+		t.Run(ks.name, func(t *testing.T) { withKernels(ks, func() { check(t) }) })
+	}
 }
 
 // specialBits are the operands whose bits an arithmetic slip would show:
@@ -56,22 +79,24 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestDataMovementMatchesGo compares each vector packer and both vector
-// writebacks with their Go twins bit for bit, on the active micro-kernel's
-// panel width: packB dense and transposed, packA and PackA untransposed
-// and transposed, on ragged rows and columns, panels narrower than 16 (a
-// transposed panel of every width 1-15 among them), depths off a multiple
-// of 8, block offsets and leading strides wider than the row; the
-// writeback in all four modes, with and without bias, on 1-4 rows of 8 and
-// 16 lanes and on a tile's second lane group; the transposed writeback in
-// all four modes on 1-4 rows of 1-16 lanes; and whole products on those
-// shapes. Operands carry ±0, subnormals, ±Inf and NaN payloads (C's only,
-// in the whole products).
+// writebacks of the avx2 set with the Go loops (its goMovement copy) bit
+// for bit, on its panel width: packB dense and transposed, packA and
+// PackA untransposed and transposed, on ragged rows and columns, panels
+// narrower than 16 (a transposed panel of every width 1-15 among them),
+// depths off a multiple of 8, block offsets and leading strides wider than
+// the row; the writeback in all four modes (NaN alpha and beta among
+// them), with and without bias, on 1-4 rows of 8 and 16 lanes and on a
+// tile's second lane group; the transposed writeback in the same modes on
+// 1-4 rows of 1-16 lanes; and whole products on those shapes. Operands
+// carry ±0, subnormals, ±Inf and NaN payloads (C's only, in the whole
+// products).
 func TestDataMovementMatchesGo(t *testing.T) {
-	if writebackVec == nil {
-		t.Skip("no vector data movement on this host")
+	vec, oracle := active, goMovement(active)
+	if vec.writeback == nil {
+		t.Skip("no avx2 kernel set on this host, and the portable set has no vector data movement")
 	}
 	r := rng.New(51, 51)
-	nr := gemmNR
+	nr := vec.nr
 	kcs := []int{1, 7, 8, 9, 16, 23, 64, 256}
 	poison := func(n int) []float32 { return specialSlice(rng.New(uint64(n), 52), n) }
 
@@ -87,8 +112,8 @@ func TestDataMovementMatchesGo(t *testing.T) {
 							b := specialSlice(r, rows*ldb)
 							n := roundUp(nc, nr) * kc
 							got, want := poison(n), poison(n)
-							packB(got, tb, b, ldb, pc, kc, jc, nc)
-							withGoDataMovement(func() { packB(want, tb, b, ldb, pc, kc, jc, nc) })
+							withKernels(vec, func() { packB(got, tb, b, ldb, pc, kc, jc, nc) })
+							withKernels(oracle, func() { packB(want, tb, b, ldb, pc, kc, jc, nc) })
 							sameBits(t, fmt.Sprintf("packB trans=%v kc=%d nc=%d off=%d ldb=%d", tb == Trans, kc, nc, off, ldb), got, want)
 						}
 					}
@@ -103,8 +128,8 @@ func TestDataMovementMatchesGo(t *testing.T) {
 				b := specialSlice(r, cols*ldb)[:(cols-1)*ldb+kc] // nothing past the last row's run
 				n := roundUp(cols, nr) * kc
 				got, want := poison(n), poison(n)
-				packB(got, Trans, b, ldb, 0, kc, 0, cols)
-				withGoDataMovement(func() { packB(want, Trans, b, ldb, 0, kc, 0, cols) })
+				withKernels(vec, func() { packB(got, Trans, b, ldb, 0, kc, 0, cols) })
+				withKernels(oracle, func() { packB(want, Trans, b, ldb, 0, kc, 0, cols) })
 				sameBits(t, fmt.Sprintf("packB trans cols=%d kc=%d", cols, kc), got, want)
 			}
 		}
@@ -123,15 +148,15 @@ func TestDataMovementMatchesGo(t *testing.T) {
 							n := roundUp(mc, gemmMR) * kc
 							got, want := poison(n), poison(n)
 							name := fmt.Sprintf("trans=%v kc=%d mc=%d off=%d lda=%d", ta == Trans, kc, mc, off, lda)
-							packA(got, ta, a, lda, ic, mc, pc, kc)
-							withGoDataMovement(func() { packA(want, ta, a, lda, ic, mc, pc, kc) })
+							withKernels(vec, func() { packA(got, ta, a, lda, ic, mc, pc, kc) })
+							withKernels(oracle, func() { packA(want, ta, a, lda, ic, mc, pc, kc) })
 							sameBits(t, "packA "+name, got, want)
 
 							// PackA packs all of op(A), KC block by KC block.
 							m, k := ic+mc, pc+kc
 							var sv, sg GemmScratch
-							sv.PackA(ta, m, k, a, lda)
-							withGoDataMovement(func() { sg.PackA(ta, m, k, a, lda) })
+							withKernels(vec, func() { sv.PackA(ta, m, k, a, lda) })
+							withKernels(oracle, func() { sg.PackA(ta, m, k, a, lda) })
 							sameBits(t, "PackA "+name, sv.pa, sg.pa)
 						}
 					}
@@ -140,30 +165,32 @@ func TestDataMovementMatchesGo(t *testing.T) {
 		}
 	})
 
+	nanA, nanB := math.Float32frombits(0x7fc0abcd), math.Float32frombits(0xffc00042)
+	modes := []struct {
+		firstK      bool
+		alpha, beta float32
+	}{
+		{false, 0.75, 0.5}, // a later KC block: C += alpha*acc
+		{false, 1, 0},
+		{false, 1, 1},                            // dW's later KC blocks
+		{true, 1, 0},                             // copy
+		{true, -1.5, 0},                          // C = alpha*acc, C not read
+		{true, 0.75, 0.5},                        // C = beta*C + alpha*acc
+		{true, 1, 1},                             // the dW accumulation
+		{true, 2, float32(math.Copysign(0, -1))}, // -0 is a zero beta
+		// NaN scalars: which operand of a product comes first decides the
+		// payload where both are NaN.
+		{false, nanA, 0.5},
+		{true, nanA, 0},
+		{true, nanA, nanB},
+	}
+
 	t.Run("writeback", func(t *testing.T) {
-		nanA, nanB := math.Float32frombits(0x7fc0abcd), math.Float32frombits(0xffc00042)
-		modes := []struct {
-			firstK      bool
-			alpha, beta float32
-		}{
-			{false, 0.75, 0.5}, // a later KC block: C += alpha*acc
-			{false, 1, 0},
-			{true, 1, 0},                             // copy
-			{true, -1.5, 0},                          // C = alpha*acc, C not read
-			{true, 0.75, 0.5},                        // C = beta*C + alpha*acc
-			{true, 1, 1},                             // the dW accumulation
-			{true, 2, float32(math.Copysign(0, -1))}, // -0 is a zero beta
-			// NaN scalars: which operand of a product comes first decides
-			// the payload where both are NaN.
-			{false, nanA, 0.5},
-			{true, nanA, 0},
-			{true, nanA, nanB},
-		}
 		const ldc = 21 // wider than a row: the padding must stay as it was
 		for _, md := range modes {
 			for _, withBias := range []bool{false, true} {
 				for mrr := 1; mrr <= gemmMR; mrr++ {
-					for _, tile := range []struct{ at, nrr int }{{0, 8}, {0, 16}, {gemmGW, 8}} {
+					for _, tile := range []struct{ at, nrr int }{{0, 8}, {0, 16}, {vec.gw, 8}} {
 						if tile.at+tile.nrr > nr {
 							continue
 						}
@@ -177,10 +204,8 @@ func TestDataMovementMatchesGo(t *testing.T) {
 						c0 := specialSlice(r, gemmMR*ldc)
 						got := append([]float32(nil), c0...)
 						want := append([]float32(nil), c0...)
-						writebackTile(acc, nr, md.alpha, md.beta, md.firstK, bias, got, ldc, mrr, tile.nrr)
-						withGoDataMovement(func() {
-							writebackTile(acc, nr, md.alpha, md.beta, md.firstK, bias, want, ldc, mrr, tile.nrr)
-						})
+						withKernels(vec, func() { writebackTile(acc, nr, md.alpha, md.beta, md.firstK, bias, got, ldc, mrr, tile.nrr) })
+						withKernels(oracle, func() { writebackTile(acc, nr, md.alpha, md.beta, md.firstK, bias, want, ldc, mrr, tile.nrr) })
 						sameBits(t, fmt.Sprintf("writeback %+v bias=%v mrr=%d at=%d nrr=%d", md, withBias, mrr, tile.at, tile.nrr), got, want)
 					}
 				}
@@ -189,21 +214,6 @@ func TestDataMovementMatchesGo(t *testing.T) {
 	})
 
 	t.Run("writebackT", func(t *testing.T) {
-		nanA, nanB := math.Float32frombits(0x7fc0abcd), math.Float32frombits(0xffc00042)
-		modes := []struct {
-			firstK      bool
-			alpha, beta float32
-		}{
-			{false, 0.75, 0.5},
-			{false, 1, 1}, // dW's later KC blocks
-			{true, 1, 0},
-			{true, -1.5, 0},
-			{true, 0.75, 0.5},
-			{true, 1, 1}, // dW's first KC block
-			{false, nanA, 0.5},
-			{true, nanA, 0},
-			{true, nanA, nanB},
-		}
 		const ldc = 7 // the tile's rows are 4 floats of C rows 7 apart
 		for _, md := range modes {
 			for mrr := 1; mrr <= gemmMR; mrr++ {
@@ -212,8 +222,8 @@ func TestDataMovementMatchesGo(t *testing.T) {
 					c0 := specialSlice(r, nr*ldc)
 					got := append([]float32(nil), c0...)
 					want := append([]float32(nil), c0...)
-					writebackTileT(acc, nr, md.alpha, md.beta, md.firstK, got, ldc, mrr, nrr)
-					withGoDataMovement(func() { writebackTileT(acc, nr, md.alpha, md.beta, md.firstK, want, ldc, mrr, nrr) })
+					withKernels(vec, func() { writebackTileT(acc, nr, md.alpha, md.beta, md.firstK, got, ldc, mrr, nrr) })
+					withKernels(oracle, func() { writebackTileT(acc, nr, md.alpha, md.beta, md.firstK, want, ldc, mrr, nrr) })
 					sameBits(t, fmt.Sprintf("writebackT %+v mrr=%d nrr=%d", md, mrr, nrr), got, want)
 				}
 			}
@@ -234,10 +244,8 @@ func TestDataMovementMatchesGo(t *testing.T) {
 						c0 := specialSlice(r, d.m*ldc)
 						got := append([]float32(nil), c0...)
 						want := append([]float32(nil), c0...)
-						GemmBlocked(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, got, ldc)
-						withGoDataMovement(func() {
-							GemmBlocked(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, want, ldc)
-						})
+						withKernels(vec, func() { GemmBlocked(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, got, ldc) })
+						withKernels(oracle, func() { GemmBlocked(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, want, ldc) })
 						sameBits(t, fmt.Sprintf("gemm %+v ta=%v tb=%v beta=%v", d, ta == Trans, tb == Trans, beta), got, want)
 					}
 				}
@@ -246,17 +254,10 @@ func TestDataMovementMatchesGo(t *testing.T) {
 	})
 }
 
-// dataMovementImpls runs a benchmark body on the active data movement
-// ("vec") and on the Go loops ("go").
-var dataMovementImpls = []struct {
-	name string
-	run  func(func())
-}{{"vec", func(f func()) { f() }}, {"go", withGoDataMovement}}
-
 // BenchmarkPackB times packB on ip1's weights (W 500x800): the forward's
 // transposed B and dX's dense one, one KC block across all of N, and a
-// transposed B of 10 columns (one ragged panel, ip2's width), on both
-// paths. GB/s counts the floats read once and written once.
+// transposed B of 10 columns (one ragged panel, ip2's width), on every
+// kernel set. GB/s counts the floats read once and written once.
 func BenchmarkPackB(b *testing.B) {
 	r := rng.New(53, 53)
 	const n, k = 500, 800
@@ -270,11 +271,11 @@ func BenchmarkPackB(b *testing.B) {
 		{"dense/ip1-bwdX", NoTrans, k, k, gemmKC}, // op(B) = W: n x k, N = 800
 		{"trans/10-cols", Trans, k, 10, gemmKC},   // a ragged panel only
 	} {
-		dst := make([]float32, roundUp(bc.nc, gemmNR)*bc.kc)
-		for _, impl := range dataMovementImpls {
-			b.Run(bc.name+"/impl="+impl.name, func(b *testing.B) {
+		for _, ks := range kernelSets() {
+			b.Run(bc.name+"/set="+ks.name, func(b *testing.B) {
+				dst := make([]float32, roundUp(bc.nc, ks.nr)*bc.kc)
 				b.SetBytes(int64(8 * bc.nc * bc.kc))
-				impl.run(func() {
+				withKernels(ks, func() {
 					for i := 0; i < b.N; i++ {
 						packB(dst, bc.tb, w, bc.ldb, 0, bc.kc, 0, bc.nc)
 					}
@@ -284,9 +285,10 @@ func BenchmarkPackB(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteback times the writeback of a 500x800 C in 4x16 tiles,
+// BenchmarkWriteback times the writeback of a 500x800 C in 4 x nr tiles,
 // first KC block (C = acc) and later ones (C += alpha*acc), with a bias,
-// on both paths. GB/s counts acc read, C read where the mode reads it, and C written.
+// on every kernel set. GB/s counts acc read, C read where the mode reads
+// it, and C written.
 func BenchmarkWriteback(b *testing.B) {
 	r := rng.New(54, 54)
 	const m, n = 500, 800
@@ -303,11 +305,11 @@ func BenchmarkWriteback(b *testing.B) {
 		{"accumulate", false, nil, 3},
 		{"copy+bias", true, bias, 2},
 	} {
-		for _, impl := range dataMovementImpls {
-			b.Run(bc.name+"/impl="+impl.name, func(b *testing.B) {
-				nr := gemmNR
+		for _, ks := range kernelSets() {
+			b.Run(bc.name+"/set="+ks.name, func(b *testing.B) {
+				nr := ks.nr
 				b.SetBytes(int64(4 * bc.moved * m * n))
-				impl.run(func() {
+				withKernels(ks, func() {
 					for i := 0; i < b.N; i++ {
 						for ir := 0; ir < m; ir += gemmMR {
 							var tb []float32

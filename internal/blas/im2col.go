@@ -47,7 +47,7 @@ func Col2im(col []float32, channels, height, width, kernelH, kernelW, padH, padW
 // ConvBackwardData runs a strip of rows at a time. A lowered row is outH
 // runs, one per output row, each clipped against the image the same way;
 // at stride 1 the runs of the output rows that land inside the image go to
-// addRuns in one call.
+// the active kernel set's addRuns in one call.
 func (g *ConvGeom) scatter(col []float32, r rowCursor, rows int, im []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	for ; rows > 0; rows-- {
@@ -59,7 +59,7 @@ func (g *ConvGeom) scatter(col []float32, r rowCursor, rows int, im []float32) {
 			src := col[ohLo*outW+lo:]
 			dst := chIm[(ohLo*g.StrideH-g.PadH+r.kh)*g.Width+iw+lo*g.StrideW:]
 			if g.StrideW == 1 {
-				addRuns(dst, src, ohHi-ohLo, hi-lo, g.StrideH*g.Width, outW)
+				active.addRuns(dst, src, ohHi-ohLo, hi-lo, g.StrideH*g.Width, outW)
 			} else {
 				for ; ohLo < ohHi; ohLo++ {
 					for t, v := range src[:hi-lo] {
@@ -76,11 +76,7 @@ func (g *ConvGeom) scatter(col []float32, r rowCursor, rows int, im []float32) {
 	}
 }
 
-// addRuns adds runs runs of n floats into dst: dst[k*ds+i] += src[k*ss+i].
-// The AVX2 build swaps in a vector loop (gemm_amd64.go); a plain float
-// add, lane by lane, so the sums are the same bits either way.
-var addRuns = addRunsGo
-
+// addRunsGo is the portable set's addRuns.
 func addRunsGo(dst, src []float32, runs, n, ds, ss int) {
 	for k := 0; k < runs; k++ {
 		d, s := dst[k*ds:k*ds+n], src[k*ss:k*ss+n]

@@ -7,14 +7,14 @@ import (
 	"coarsegrain/internal/rng"
 )
 
-// TestMaxPoolWindowsMatchScalar: the vector kernel's runs of eight (and
-// the overlapping run that covers a ragged tail) give the scalar scan's
-// maxima and indices bit for bit, on planes salted with ties, signed
-// zeros, NaN and both infinities, for every window shape, stride and
-// window count the two paths split differently on.
+// TestMaxPoolWindowsMatchScalar: the avx2 set's runs of eight (and the
+// overlapping run that covers a ragged tail) give the portable set's
+// scalar scan's maxima and indices bit for bit, on planes salted with
+// ties, signed zeros, NaN and both infinities, for every window shape,
+// stride and window count the two paths split differently on.
 func TestMaxPoolWindowsMatchScalar(t *testing.T) {
-	if maxPool8 == nil {
-		t.Skip("no vector kernel on this CPU; the scalar scan is the only path")
+	if active.maxPool8 == nil {
+		t.Skip("no avx2 kernel set on this host, and the portable set has only the scalar scan")
 	}
 	r := rng.New(41, 1)
 	nan, inf, negZero := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
@@ -42,10 +42,7 @@ func TestMaxPoolWindowsMatchScalar(t *testing.T) {
 		got, gotIdx := make([]float32, n), make([]int32, n)
 		want, wantIdx := make([]float32, n), make([]int32, n)
 		MaxPoolWindows(in, base, w, rows, kw, sw, n, got, gotIdx)
-		k := maxPool8
-		maxPool8 = nil
-		MaxPoolWindows(in, base, w, rows, kw, sw, n, want, wantIdx)
-		maxPool8 = k
+		withKernels(portable, func() { MaxPoolWindows(in, base, w, rows, kw, sw, n, want, wantIdx) })
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) || gotIdx[i] != wantIdx[i] {
 				t.Fatalf("rows=%d kw=%d sw=%d n=%d w=%d base=%d: window %d = (%v, %d), scalar scan (%v, %d)",

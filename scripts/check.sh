@@ -4,7 +4,9 @@
 # nested benchmark/ module, which `./...` does not reach), build, dnnlint (the
 # determinism/parallelism contract linter; LINTING.md is the canonical
 # catalogue of its analyzers and this script's self-tests follow its
-# order), the full test suite (including Example tests, the
+# order), a portable-only build (GOARCH=arm64 vet of internal/blas and
+# build of the module: the blas package without gemm_amd64.go, on its
+# portable kernel set alone), the full test suite (including Example tests, the
 # band-contract harness, which runs every layer's range bodies one band
 # at a time into poisoned outputs, and the allocation pins, which hold
 # every layer's warm passes under every cut, a training step of each
@@ -19,12 +21,13 @@
 # scans on the engine's team, the datasets every Data band reads
 # concurrently and the serving layer), twenty race passes
 # over the serving batcher's tests, a 5-second FuzzGemm
-# smoke (random shapes/transposes/strides through both kernels, gemmRef as
-# oracle, and the Go data movement against the vector one bit for bit) and
-# a 5-second FuzzConv smoke (random convolution geometries through the
-# gathered and the packed forward and the transposed weight gradient on
-# both kernels and, on the active one, with the Go data movement, the
-# naive lowering as oracle), a 5-second FuzzLRN smoke (random channel counts,
+# smoke (random shapes/transposes/strides through Gemm and GemmBlocked on
+# every kernel set, gemmRef as oracle, and each set's vector data
+# movement against the Go one bit for bit) and a 5-second FuzzConv smoke
+# (random convolution geometries through the gathered and the packed
+# forward and the transposed weight gradient on every kernel set, the
+# naive lowering around the set's micro-kernels with the Go data movement
+# as oracle), a 5-second FuzzLRN smoke (random channel counts,
 # windows, plane sizes, splits and constants through LRN's block kernels,
 # the position-at-a-time loops as oracle), a 5-second FuzzCodec smoke
 # (arbitrary float32 bits through every gradient wire format: exact
@@ -89,6 +92,10 @@ go vet -C benchmark ./...
 echo "== go build =="
 go build ./...
 
+echo "== portable-only build (GOARCH=arm64: internal/blas without gemm_amd64.go, the portable kernel set alone) =="
+GOARCH=arm64 go vet ./internal/blas
+GOARCH=arm64 go build ./...
+
 echo "== dnnlint (determinism & parallelism contracts) =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -137,10 +144,10 @@ go test -race -count=1 -run 'TestLoweredLeNetCoarseSweep' ./internal/zoo
 echo "== batcher stress under race (20 passes: the select between an idle replica and the next arrival) =="
 go test -race -count 20 -run 'Flush|Idle|Busy|Close|Routing|Golden' ./internal/serve
 
-echo "== FuzzGemm smoke (5 s: both kernels vs gemmRef, band invariance, C padding, Go vs vector data movement bit for bit) =="
+echo "== FuzzGemm smoke (5 s: Gemm and GemmBlocked on every kernel set vs gemmRef, band invariance, C padding, Go vs vector data movement bit for bit) =="
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 5s ./internal/blas
 
-echo "== FuzzConv smoke (5 s: forward gathered and packed, dW as the transposed product col·dTopᵀ whole and in a channel band, both kernels and the Go data movement, vs the naive lowering bit for bit) =="
+echo "== FuzzConv smoke (5 s: forward gathered and packed, dW as the transposed product col·dTopᵀ whole and in a channel band, every kernel set, vs the naive lowering around its micro-kernels with the Go data movement bit for bit) =="
 go test -run '^$' -fuzz '^FuzzConv$' -fuzztime 5s ./internal/blas
 
 echo "== FuzzLRN smoke (5 s: LRN's block kernels vs the position-at-a-time loops bit for bit) =="
