@@ -474,10 +474,13 @@ func TestZooShapesAllBlocked(t *testing.T) {
 }
 
 // TestZooConvsTakeGather keeps every zoo convolution's forward product on
-// the gather path (dW has one route, col gathered on its A side): a
-// geometry change in a zoo net (a stride) that sends the forward back to
-// the panel packers should be a decision, not a silent 2x on that layer.
+// the gather path (dW has one route, col gathered on its A side), and
+// pins both halves of dX's rule: CIFAR's conv2 and conv3 gather dX,
+// LeNet's conv2 keeps the strips (conv1's dX is never computed). A
+// geometry change in a zoo net (a stride, a pad) that moves a product to
+// its other route should be a decision, not a silent 1.5-2x on that layer.
 func TestZooConvsTakeGather(t *testing.T) {
+	dxGathers := map[string]bool{"mnist.conv2": false, "cifar.conv2": true, "cifar.conv3": true}
 	for netName, want := range map[string]int{"mnist": 2, "cifar": 3} {
 		convs, err := ZooConvs(netName)
 		if err != nil {
@@ -493,27 +496,46 @@ func TestZooConvsTakeGather(t *testing.T) {
 			if f := blas.NewConvPlan(c.Geom).LaneUse(); f != 1 {
 				t.Errorf("%s: forward lane use %.2f, want 1 (outW %d is a whole number of lane groups)", c.Name, f, c.Geom.OutW())
 			}
+			if want, ok := dxGathers[c.Name]; ok {
+				if blas.ConvDataGathers(c.Geom, c.O) != want {
+					t.Errorf("%s %+v O=%d: dX gathers = %v, want %v", c.Name, c.Geom, c.O, !want, want)
+				}
+				delete(dxGathers, c.Name)
+			}
 		}
+	}
+	if len(dxGathers) != 0 {
+		t.Errorf("no zoo convolution named %v", dxGathers)
 	}
 }
 
 func TestConvSweepRow(t *testing.T) {
 	g := blas.ConvGeom{Channels: 2, Height: 8, Width: 8, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}
 	row := timeConv(ZooConv{"tiny", g, 4})
-	if row.FwdGatherUS <= 0 || row.FwdPackedUS <= 0 || row.DWUS <= 0 || row.DWGFLOPS() <= 0 {
+	if row.FwdGatherUS <= 0 || row.FwdPackedUS <= 0 || row.DWUS <= 0 || row.DWGFLOPS() <= 0 || row.DXStripsUS <= 0 || row.DXGatherUS <= 0 {
 		t.Fatalf("untimed product: %+v", row)
 	}
 	if !row.FwdGathers || row.FwdUse <= 0 || row.FwdUse > 1 {
 		t.Fatalf("dispatch/lane columns: %+v", row)
 	}
 	g.StrideW = 2
-	if row := timeConv(ZooConv{"strided", g, 4}); row.FwdGatherUS != 0 || row.FwdGathers || row.FwdPackedUS <= 0 || row.DWUS <= 0 {
-		t.Fatalf("a forward product at StrideW 2 cannot gather, its dW still runs: %+v", row)
+	strided := timeConv(ZooConv{"strided", g, 4})
+	if strided.FwdGatherUS != 0 || strided.FwdGathers || strided.FwdPackedUS <= 0 || strided.DWUS <= 0 || strided.DXGatherUS != 0 || strided.DXStripsUS <= 0 {
+		t.Fatalf("at StrideW 2 neither the forward nor dX can gather, dW and dX's strips still run: %+v", strided)
+	}
+	g.StrideW, g.PadH = 1, 5
+	if wide := timeConv(ZooConv{"pad past the kernel", g, 4}); wide.DXGatherUS != 0 || wide.DXStripsUS <= 0 {
+		t.Fatalf("dX cannot gather with a pad past the kernel reach: %+v", wide)
 	}
 	var buf bytes.Buffer
-	(&ConvSweepResult{Rows: []ConvSweepRow{row}}).Render(&buf)
-	if !strings.Contains(buf.String(), "tiny") {
-		t.Fatalf("render: %q", buf.String())
+	(&ConvSweepResult{Rows: []ConvSweepRow{row, strided}}).Render(&buf)
+	out := buf.String()
+	if !strings.Contains(out, "tiny") || !strings.Contains(out, "dX gath") {
+		t.Fatalf("render: %q", out)
+	}
+	// The strided row prints "-" for its gathered dX and uses the strips.
+	if line := out[strings.Index(out, "strided"):]; !strings.HasSuffix(strings.TrimSpace(line), "-  strips") {
+		t.Fatalf("strided row: %q", line)
 	}
 }
 

@@ -308,13 +308,15 @@ func ZooConvs(netName string) ([]ZooConv, error) {
 
 // ConvSweepRow is one convolution's forward product timed with the
 // lowered matrix gathered in place and with it packed into panels, both
-// forced past blas.ConvGathers, and its weight gradient on its one route
-// (the transposed product, col read in place as its A operand).
+// forced past blas.ConvGathers, its weight gradient on its one route (the
+// transposed product, col read in place as its A operand), and its input
+// gradient in strips and gathered, both forced past blas.ConvDataGathers.
 type ConvSweepRow struct {
 	ZooConv
 	// Microseconds per sample; FwdGatherUS is 0 where the forward product
-	// cannot gather (StrideW != 1).
-	FwdGatherUS, FwdPackedUS, DWUS float64
+	// cannot gather (StrideW != 1), DXGatherUS where dX cannot (a stride
+	// other than 1, a pad beyond the kernel reach, O > 256).
+	FwdGatherUS, FwdPackedUS, DWUS, DXStripsUS, DXGatherUS float64
 	// FwdUse is the forward gather kernel's lane utilisation
 	// (blas.ConvPlan.LaneUse), FwdGathers what dispatch picks.
 	FwdUse     float64
@@ -326,14 +328,15 @@ func (c *ConvSweepRow) DWGFLOPS() float64 {
 	return 2 * float64(c.O) * float64(c.Geom.Rows()) * float64(c.Geom.Cols()) / (c.DWUS * 1e3)
 }
 
-// ConvSweepResult is the measurement blas.ConvGathers is read off.
+// ConvSweepResult is the measurement blas.ConvGathers and
+// blas.ConvDataGathers are read off.
 type ConvSweepResult struct{ Rows []ConvSweepRow }
 
 // Render prints the sweep, one line per convolution.
 func (r *ConvSweepResult) Render(w io.Writer) {
-	fmt.Fprintln(w, "== lowered conv sweep: forward gathered vs packed B, dW as col·dTopᵀ; us/sample (this host) ==")
-	fmt.Fprintf(w, "%-22s %5s %5s | %9s %9s %7s %5s %7s | %9s %7s\n", "conv (C,HxW,k,p,s)", "O", "outW",
-		"fwd gath", "fwd pack", "pk/gath", "lanes", "uses", "dW", "GFLOP/s")
+	fmt.Fprintln(w, "== lowered conv sweep: forward gathered vs packed B, dW as col·dTopᵀ, dX gathered vs strips; us/sample (this host) ==")
+	fmt.Fprintf(w, "%-22s %5s %5s | %9s %9s %7s %5s %7s | %9s %7s | %9s %9s %7s %7s\n", "conv (C,HxW,k,p,s)", "O", "outW",
+		"fwd gath", "fwd pack", "pk/gath", "lanes", "uses", "dW", "GFLOP/s", "dX strip", "dX gath", "st/gath", "uses")
 	for _, c := range r.Rows {
 		fwd := fmt.Sprintf("%9s %9.1f %7s %5s", "-", c.FwdPackedUS, "-", "-")
 		if c.FwdGatherUS > 0 {
@@ -343,20 +346,33 @@ func (r *ConvSweepResult) Render(w io.Writer) {
 		if c.FwdGathers {
 			uses = "gather"
 		}
-		fmt.Fprintf(w, "%-22s %5d %5d | %s %7s | %9.1f %7.1f\n",
-			c.Name, c.O, c.Geom.OutW(), fwd, uses, c.DWUS, c.DWGFLOPS())
+		dx := fmt.Sprintf("%9.1f %9s %7s", c.DXStripsUS, "-", "-")
+		if c.DXGatherUS > 0 {
+			dx = fmt.Sprintf("%9.1f %9.1f %6.2fx", c.DXStripsUS, c.DXGatherUS, ratio(c.DXStripsUS, c.DXGatherUS))
+		}
+		dxUses := "strips"
+		if blas.ConvDataGathers(c.Geom, c.O) {
+			dxUses = "gather"
+		}
+		fmt.Fprintf(w, "%-22s %5d %5d | %s %7s | %9.1f %7.1f | %s %7s\n",
+			c.Name, c.O, c.Geom.OutW(), fwd, uses, c.DWUS, c.DWGFLOPS(), dx, dxUses)
 	}
 }
 
 // sweepGeoms are the geometries beside the zoo's that show where each
 // product's choice could flip: output rows that leave a lane group mostly
-// empty, kernel rows of 1, 3 and 7 columns, a strided convolution.
+// empty, kernel rows of 1, 3 and 7 columns, dX images 1.1-3.2x the size of
+// the output, few output channels, a strided convolution.
 var sweepGeoms = []ZooConv{
 	{"c16,12x12,k5 outW=8", blas.ConvGeom{Channels: 16, Height: 12, Width: 12, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}, 32},
 	{"c16,9x9,k5 outW=5", blas.ConvGeom{Channels: 16, Height: 9, Width: 9, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}, 32},
 	{"c16,14x14,k3 outW=12", blas.ConvGeom{Channels: 16, Height: 14, Width: 14, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}, 32},
+	{"c16,14x14,k3 O=8", blas.ConvGeom{Channels: 16, Height: 14, Width: 14, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}, 8},
+	{"c16,20x20,k5", blas.ConvGeom{Channels: 16, Height: 20, Width: 20, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}, 32},
 	{"c16,16x16,k3,p1", blas.ConvGeom{Channels: 16, Height: 16, Width: 16, KernelH: 3, KernelW: 3, PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}, 32},
 	{"c16,16x16,k4,p1", blas.ConvGeom{Channels: 16, Height: 16, Width: 16, KernelH: 4, KernelW: 4, PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}, 32},
+	{"c16,16x16,k5,p1", blas.ConvGeom{Channels: 16, Height: 16, Width: 16, KernelH: 5, KernelW: 5, PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}, 32},
+	{"c16,30x30,k3", blas.ConvGeom{Channels: 16, Height: 30, Width: 30, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}, 32},
 	{"c64,16x16,k1", blas.ConvGeom{Channels: 64, Height: 16, Width: 16, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}, 32},
 	{"c8,28x28,k7,p3", blas.ConvGeom{Channels: 8, Height: 28, Width: 28, KernelH: 7, KernelW: 7, PadH: 3, PadW: 3, StrideH: 1, StrideW: 1}, 16},
 	{"c16,31x31,k5,p2,s2", blas.ConvGeom{Channels: 16, Height: 31, Width: 31, KernelH: 5, KernelW: 5, PadH: 2, PadW: 2, StrideH: 2, StrideW: 2}, 32},
@@ -389,19 +405,37 @@ func timeConv(c ZooConv) ConvSweepRow {
 	dTop := randomFloats(r, o*ohw)
 	out := make([]float32, o*ohw)
 	wGrad := make([]float32, o*ckk)
-	gather, packed := blas.NewConvPlanForced(g, true), blas.NewConvPlanForced(g, false)
+	dX := make([]float32, g.Channels*g.Height*g.Width)
+	gather := blas.NewConvPlanForced(g, blas.ConvRoute{FwdGather: true, DXGather: true})
+	packed := blas.NewConvPlanForced(g, blas.ConvRoute{})
 	row := ConvSweepRow{ZooConv: c, FwdGathers: blas.ConvGathers(g), FwdUse: gather.LaneUse()}
-	s := blas.GetScratch()
+	// A scratch per packed layout: the forward's, and each dX route's.
+	s, gs, ss := blas.GetScratch(), blas.GetScratch(), blas.GetScratch()
 	defer blas.PutScratch(s)
+	defer blas.PutScratch(gs)
+	defer blas.PutScratch(ss)
 	s.PackA(blas.NoTrans, o, ckk, w, ckk)
+	gs.PackBackwardData(gather, o, w, 0, g.Channels)
+	ss.PackBackwardData(packed, o, w, 0, g.Channels)
 	secs := timeKernels(
 		func() { blas.ConvForward(s, gather, o, im, nil, out) },
 		func() { blas.ConvForward(s, packed, o, im, nil, out) },
 		func() { blas.ConvBackwardWeights(s, packed, o, dTop, im, wGrad) },
+		func() { blas.ConvBackwardData(ss, packed, o, dTop, dX, 0, g.Channels) },
+		func() { blas.ConvBackwardData(gs, gather, o, dTop, dX, 0, g.Channels) },
 	)
-	row.FwdPackedUS, row.DWUS = secs[1]*1e6, secs[2]*1e6
+	row.FwdPackedUS, row.DWUS, row.DXStripsUS = secs[1]*1e6, secs[2]*1e6, secs[3]*1e6
 	if row.FwdUse > 0 { // else both timed the packed path
 		row.FwdGatherUS = secs[0] * 1e6
 	}
+	if dxCanGather(g, o) { // else both timed the strips
+		row.DXGatherUS = secs[4] * 1e6
+	}
 	return row
+}
+
+// dxCanGather is where a forced plan's dX gathers (blas.NewConvPlanForced):
+// stride 1, a pad inside the kernel reach, at most 256 output channels.
+func dxCanGather(g blas.ConvGeom, o int) bool {
+	return g.StrideH == 1 && g.StrideW == 1 && g.PadH < g.KernelH && g.PadW < g.KernelW && o <= 256
 }

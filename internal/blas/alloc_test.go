@@ -16,8 +16,9 @@ import (
 // products whose time is mostly the vector packers and writeback: ip1's
 // forward at M = 1 (a served request) and its weight gradient at K = 8 (a
 // band of 8 samples); and the transposed conv weight gradient
-// (ConvBackwardWeights) on the zoo nets' five convolutions; each on every
-// kernel set.
+// (ConvBackwardWeights) and the bottom gradient (ConvBackwardData, in
+// strips and gathered, each forced) on the zoo nets' five convolutions;
+// each on every kernel set.
 func TestGemmAllocations(t *testing.T) {
 	forEachSet(t, func(t *testing.T) {
 		r := rng.New(55, 55)
@@ -50,6 +51,16 @@ func TestGemmAllocations(t *testing.T) {
 			dW()
 			if got := testing.AllocsPerRun(10, dW); got != 0 {
 				t.Errorf("%s dW: ConvBackwardWeights allocates %v objects per call, want 0", l.name, got)
+			}
+			w, dX := randomSlice(r, o*g.Rows()), make([]float32, g.Channels*g.Height*g.Width)
+			for _, route := range []ConvRoute{{}, {DXGather: true}} {
+				p := NewConvPlanForced(g, route)
+				s.PackBackwardData(p, o, w, 0, g.Channels)
+				data := func() { ConvBackwardData(s, p, o, dTop, dX, 0, g.Channels) }
+				data()
+				if got := testing.AllocsPerRun(10, data); got != 0 {
+					t.Errorf("%s dX (gathers: %v): ConvBackwardData allocates %v objects per call, want 0", l.name, p.dataGathers(o), got)
+				}
 			}
 		}
 	})

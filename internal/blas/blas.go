@@ -36,14 +36,20 @@
 // step) and writes each tile back transposed into dW: one bordered copy
 // per sample, no panel pack of col. A forward lane group's spare lanes
 // read whatever follows in the image and are dropped in the writeback;
-// lanes never mix, so they are harmless. What is still packed: the
-// weights (once per band, GemmScratch.PackA), dTop (dW's B, dX's B) and
-// the forward's B panels at StrideW != 1, which ConvGathers turns away.
-// The input gradient produces dcol = Wᵀ·dTop gemmMC rows at a time and
-// scatters each strip while it is cache-resident — strips rather than a
-// fused writeback because Col2im's summation order is dcol's row order,
-// which a strip keeps and a tile does not. Every route is bit for bit
-// Im2col, the blocked Gemm and Col2im.
+// lanes never mix, so they are harmless. The input gradient, at stride 1,
+// reads dTop in place too: bordered by the kernel reach minus the pad, it
+// is a gathered B operand read once per kernel position at a fixed shift,
+// and gatherSumKernel runs each position's K = O chain (the dcol element)
+// into zeroed accumulators and adds it into a tile sum that starts at +0,
+// in the (kh, kw) order Col2im adds dcol's rows in, so no column matrix is
+// formed (cuDNN's implicit-GEMM backward-data, with Col2im's bits).
+// ConvDataGathers sends it there where that pays; elsewhere it produces
+// dcol = Wᵀ·dTop gemmMC rows at a time and scatters each strip while it
+// is cache-resident. What is still packed: the weights (once per band,
+// GemmScratch.PackA and PackBackwardData), dTop (dW's B, and dX's B in
+// strips) and the forward's B panels at StrideW != 1, which ConvGathers
+// turns away. Every route is bit for bit Im2col, the blocked Gemm and
+// Col2im.
 //
 // MaxPoolWindows (pool.go) is the one kernel here that is not linear
 // algebra: max pooling's window scan, eight windows to a vector, here

@@ -52,14 +52,55 @@ import "fmt"
 // a row it has), so it needs no slack.
 //
 // What is still packed. The weights, once per band by the caller
-// (GemmScratch.PackA). dW's B operand, dTopᵀ: ohw x O, small, packed per
-// sample one gemmKC block at a time. The forward product's B at StrideW
-// != 1, which ConvGathers turns away, through packBConv. And dX's B
-// operand, dTop: a dense matrix, packed once per sample for all its
+// (GemmScratch.PackA for the forward, GemmScratch.PackBackwardData for
+// dX). dW's B operand, dTopᵀ: ohw x O, small, packed per sample one
+// gemmKC block at a time. The forward product's B at StrideW != 1, which
+// ConvGathers turns away, through packBConv. And, where dX runs in strips,
+// its B operand dTop: a dense matrix, packed once per sample for all its
 // strips.
 //
-// Why dX is strips, not fused. See ConvBackwardData: Col2im's summation
-// order is row order of dcol, a strip of rows keeps it, a tile does not.
+// How dX gathers. At stride 1 an element of dX is a sum over kernel
+// positions of a K = O chain,
+//
+//	dX[c, ih, iw] = Σ(kh,kw) Σo W[o, c, kh, kw] · dTop[o, ih+PadH-kh, iw+PadW-kw]
+//
+// in which a tap off dTop's edge is no term. With D the copy of dTop
+// bordered by (KernelH-1-PadH, KernelW-1-PadW) — hd x wd = (Height +
+// KernelH - 1) x (Width + KernelW - 1) per channel, channels cs >= hd·wd
+// floats apart — the tap is
+//
+//	D[o·cs + ih·wd + iw + shift(kh, kw)]   shift = (KernelH-1-kh)·wd + KernelW-1-kw
+//
+// so dTop is a gathered B operand like the forward's lowered matrix: steps
+// o·cs, lane groups that are runs of dX pixels inside one dX row, read
+// once per kernel position at that position's shift. The gather-sum
+// kernel (gatherSumKernel) runs, for each position in (kh, kw) order, that
+// position's K = O chain into zeroed accumulators and adds it into a tile
+// sum that starts at +0; each tile is written to dX once, by the beta = 0,
+// alpha = 1 copy. Its bits are Col2im's:
+//
+//   - a position's chain is the dcol element the strips compute: the same
+//     kernel over the same o in the same order, and one K block, which the
+//     strips write back with that same copy;
+//   - Col2im adds the rows (c, kh, kw) of dcol into a cleared dX in that
+//     same (kh, kw) order, the sum as the first operand of each add;
+//   - a tap off dTop's edge reads the border's +0, so its chain is a sum
+//     of ±0 products started at +0, which is +0; and adding +0 to a sum
+//     that started at +0 changes nothing, because such a sum is never −0.
+//
+// So the positions stay separate chains — one chain over (kh, kw, o), the
+// forward's structure, would round differently from Col2im's per-row
+// sums — and the route needs O <= gemmKC: past it a strip's dcol element
+// is two K blocks written back one after the other, and dX + acc₀ + acc₁
+// is not dX + (acc₀ + acc₁). The one divergence is a non-finite weight: an
+// Inf times a border zero is NaN where Col2im skips the tap. The guard
+// refuses non-finite weights before they reach a backward pass, and
+// nothing else depends on it.
+//
+// The route computes every dX pixel's taps, H·W per channel and position,
+// where the strips compute the OutH·OutW that exist; an unpadded
+// convolution (LeNet's conv2: 144 against 64) pays the difference in
+// flops. ConvDataGathers is the rule, read off a sweep.
 
 // ConvGeom is the geometry of one sample's convolution: a (Channels,
 // Height, Width) image swept by a KernelH x KernelW window. Its lowered
@@ -202,7 +243,8 @@ type laneGroup struct{ base, col, n int32 }
 
 // gatherB describes an op(B) that is separable over a buffer P —
 // op(B)[l, g.col+t] = P[g.base + steps[l] + t] — which is what a lowered
-// matrix is over the zero-bordered image (see the file comment).
+// matrix is over the zero-bordered image, and what dTop is, moved by a
+// kernel position's shift, over its bordered copy (see the file comment).
 type gatherB struct {
 	steps  []int32
 	groups []laneGroup
@@ -216,13 +258,14 @@ type gatherA struct{ rows, steps []int32 }
 
 // ConvPlan is a ConvGeom plus what the three products need worked out
 // once per geometry rather than once per sample: whether the forward
-// product gathers (ConvGathers) and the offset tables the gathers read
-// through. Immutable once built, so one plan serves every worker of a
-// parallel region. The forward's lane groups are cut for the lane-group
-// width of the micro-kernel active when the plan was built.
+// product gathers (ConvGathers), whether dX does (ConvDataGathers), and the
+// offset tables the gathers read through. Immutable once built, so one
+// plan serves every worker of a parallel region. The lane groups are cut
+// for the lane-group width of the micro-kernel active when the plan was
+// built.
 type ConvPlan struct {
 	ConvGeom
-	gw     int // lane-group width the forward's groups were cut for
+	gw     int // lane-group width the groups were cut for
 	hp, wp int // bordered image: Height+2*PadH, Width+2*PadW
 	// lowered is the lowered matrix as dW's A operand: its rows (off) and
 	// output pixels (pix). Always built: dW has one route.
@@ -231,7 +274,22 @@ type ConvPlan struct {
 	// walk its rows, groups are runs of output pixels inside one output
 	// row). nil: the forward packs its panels.
 	fwd *gatherB
+	// dx gathers the bordered dTop as dX's B operand: steps walk dTop's
+	// channels, gemmKC of them, dcs apart; groups are runs of dX pixels
+	// inside one dX row; and shifts[kh*KernelW+kw] is where kernel position
+	// (kh, kw) reads (see the file comment). nil: dX runs in strips;
+	// else it gathers at every o <= gemmKC if dxForced, and where
+	// ConvDataGathers says it pays if not.
+	dx       *gatherB
+	dxForced bool
+	shifts   []int32
+	dcs      int
 }
+
+// ConvRoute is the route choice NewConvPlanForced makes in place of the
+// rules: whether the forward product gathers (else it packs) and whether
+// dX gathers (else it runs in strips).
+type ConvRoute struct{ FwdGather, DXGather bool }
 
 // ConvGathers reports whether a geometry's forward product W·col reads
 // the lowered matrix through the gather kernel instead of packing it.
@@ -264,18 +322,87 @@ func ConvGathers(g ConvGeom) bool {
 	return g.StrideW == 1
 }
 
-// NewConvPlan builds the plan the lowered convolution layer runs g on.
-func NewConvPlan(g ConvGeom) *ConvPlan {
-	return newConvPlan(g, ConvGathers(g))
+// ConvDataGathers reports whether the bottom gradient dX of a
+// convolution with o output channels sums its kernel positions on the
+// gather-sum kernel instead of scattering dcol in strips. Like ConvGathers
+// it only chooses between two ways to the same bits (see the file
+// comment). The route is legal at stride 1, with a pad inside the kernel
+// reach (the border of dTop is then KernelH-1-PadH >= 0 rows) and with
+// o <= gemmKC (each position one K block). Where it pays is a matter of
+// lanes: per kernel position, both routes run a K = o chain per lane, the
+// gathered route over every dX pixel of every channel — rows rounded up to
+// whole lane groups, channels to whole tiles — and the strips over the
+// C·OutH·OutW pixels of dcol, but each strip lane then costs a writeback
+// and a scatter add, as much as 16 more steps of its chain on the sweep.
+// So it gathers where
+//
+//	roundUp(C, 4)·H·roundUp(W, gw)·o <= C·OutH·OutW·(o + 16)
+//
+// which sends a "same"-padded convolution whose channels fill whole tiles
+// and whose rows fill whole lane groups (CIFAR's three) to the gather at
+// every o, a small o to the gather on larger dX images too, and LeNet's
+// conv1 (one channel in a four-channel tile) and conv2 (144 dX pixels per
+// 64 outputs) to the strips. Read off the sweep
+// `dnnbench -figure gemm` prints (PERFORMANCE.md §16; strips time over
+// gathered time, each forced, AVX2 kernel, 8-lane groups, median of three
+// sweeps):
+//
+//	                      O  H·W/ohw   dX         rule
+//	mnist.conv1          20    1.36    0.33x     strips
+//	mnist.conv2          50    2.25    0.48x     strips
+//	cifar.conv1          32    1       1.09x     gather
+//	cifar.conv2          32    1       1.67x     gather
+//	cifar.conv3          64    1       1.41x     gather
+//	16ch 12x12 k5        32    2.25    0.58x     strips
+//	16ch 9x9 k5          32    3.24    0.58x     strips
+//	16ch 14x14 k3        32    1.36    0.96x     strips
+//	16ch 14x14 k3         8    1.36    1.88x     gather
+//	16ch 20x20 k5        32    1.56    0.86x     strips
+//	16ch 16x16 k3 p1     32    1       1.42x     gather
+//	16ch 16x16 k4 p1     32    1.14    1.51x     gather
+//	16ch 16x16 k5 p1     32    1.31    1.39x     gather
+//	16ch 30x30 k3        32    1.15    1.14x     gather
+//	64ch 16x16 k1        32    1       1.05x     gather
+//	8ch 28x28 k7 p3      16    1       1.78x     gather
+//
+// The rule picks the faster route on every row but 16ch 14x14 k3 at O =
+// 32, a draw (0.95-1.15x over the three sweeps).
+func ConvDataGathers(g ConvGeom, o int) bool {
+	return dataGatherLegal(g) && o <= gemmKC && dataGatherPays(g, o)
 }
 
-// NewConvPlanForced builds a plan with the forward's gather-or-pack choice
-// made by the caller instead of ConvGathers, for the sweep the predicate
-// is read off (internal/bench) and for tests; use NewConvPlan everywhere
-// else. A forward product at StrideW != 1 packs regardless: its lanes are
-// not contiguous in the image.
-func NewConvPlanForced(g ConvGeom, gather bool) *ConvPlan {
-	return newConvPlan(g, gather && ConvGathers(g))
+// dataGatherLegal is where the gathered dX route can run at all, o aside:
+// stride 1 and a non-negative dTop border.
+func dataGatherLegal(g ConvGeom) bool {
+	return g.StrideH == 1 && g.StrideW == 1 && g.PadH < g.KernelH && g.PadW < g.KernelW
+}
+
+// dataGatherPays is ConvDataGathers' cost rule.
+func dataGatherPays(g ConvGeom, o int) bool {
+	return roundUp(g.Channels, gemmMR)*g.Height*roundUp(g.Width, active.gw)*o <= g.Channels*g.OutH()*g.OutW()*(o+16)
+}
+
+// NewConvPlan builds the plan the lowered convolution layer runs g on: the
+// forward gathers where ConvGathers says, dX where ConvDataGathers says for
+// the o it is called with.
+func NewConvPlan(g ConvGeom) *ConvPlan {
+	return newConvPlan(g, ConvRoute{FwdGather: ConvGathers(g), DXGather: dataGatherLegal(g)}, false)
+}
+
+// NewConvPlanForced builds a plan on the routes r forces instead of
+// ConvGathers and ConvDataGathers, for the sweep the rules are read off
+// (internal/bench) and for tests; use NewConvPlan everywhere else. A
+// route the product cannot take is not taken: the forward packs at
+// StrideW != 1, and dX runs in strips at a stride other than 1, a pad
+// beyond the kernel reach or more than gemmKC output channels.
+func NewConvPlanForced(g ConvGeom, r ConvRoute) *ConvPlan {
+	return newConvPlan(g, ConvRoute{FwdGather: r.FwdGather && ConvGathers(g), DXGather: r.DXGather && dataGatherLegal(g)}, true)
+}
+
+// dataGathers reports whether ConvBackwardData gathers on p for o output
+// channels.
+func (p *ConvPlan) dataGathers(o int) bool {
+	return p.dx != nil && o <= gemmKC && (p.dxForced || dataGatherPays(p.ConvGeom, o))
 }
 
 // LaneUse returns the share of the forward gather kernel's lanes that are
@@ -292,9 +419,9 @@ func (p *ConvPlan) LaneUse() float64 {
 	return float64(cols) / float64(len(p.fwd.groups)*p.gw)
 }
 
-func newConvPlan(g ConvGeom, fwd bool) *ConvPlan {
-	p := &ConvPlan{ConvGeom: g, gw: active.gw, hp: g.Height + 2*g.PadH, wp: g.Width + 2*g.PadW}
-	outH, outW, gw := g.OutH(), g.OutW(), p.gw
+func newConvPlan(g ConvGeom, r ConvRoute, forced bool) *ConvPlan {
+	p := &ConvPlan{ConvGeom: g, gw: active.gw, hp: g.Height + 2*g.PadH, wp: g.Width + 2*g.PadW, dxForced: forced}
+	outH, outW := g.OutH(), g.OutW()
 	// off: lowered row (c,kh,kw) -> its window corner in the bordered image.
 	off := make([]int32, g.Rows())
 	for ckh := range g.Channels * g.KernelH {
@@ -311,45 +438,84 @@ func newConvPlan(g ConvGeom, fwd bool) *ConvPlan {
 		}
 	}
 	p.lowered = gatherA{rows: off, steps: pix}
-	if fwd {
-		// Each output row cut into lane groups: runs of the image at
-		// StrideW = 1, the one case the forward product gathers at.
-		perORow := (outW + gw - 1) / gw
-		pixels := make([]laneGroup, outH*perORow)
-		for oh := range outH {
-			row := oh * g.StrideH * p.wp
-			for i := range perORow {
-				pixels[oh*perORow+i] = laneGroup{int32(row + i*gw), int32(oh*outW + i*gw), int32(min(gw, outW-i*gw))}
+	if r.FwdGather {
+		// Output rows at StrideW = 1, the one case the forward gathers at,
+		// are runs of the bordered image StrideH rows apart.
+		p.fwd = &gatherB{steps: off, groups: laneGroups(outH, outW, g.StrideH*p.wp, p.gw)}
+	}
+	if r.DXGather {
+		hd, wd := g.Height+g.KernelH-1, g.Width+g.KernelW-1
+		// A step reads one channel of dTop per rank-1 update, so a channel
+		// stride of a multiple of 4 KiB (a 32x32 bordered dTop) would put
+		// every step's B rows in one L1 set; an odd number of 64-byte lines
+		// spreads them over all 64.
+		p.dcs = roundUp(hd*wd, 16)
+		if p.dcs/16%2 == 0 {
+			p.dcs += 16
+		}
+		steps := make([]int32, gemmKC)
+		for o := range steps {
+			steps[o] = int32(o * p.dcs)
+		}
+		p.shifts = make([]int32, g.KernelH*g.KernelW)
+		for kh := range g.KernelH {
+			for kw := range g.KernelW {
+				p.shifts[kh*g.KernelW+kw] = int32((g.KernelH-1-kh)*wd + g.KernelW - 1 - kw)
 			}
 		}
-		p.fwd = &gatherB{steps: off, groups: pixels}
+		p.dx = &gatherB{steps: steps, groups: laneGroups(g.Height, g.Width, wd, p.gw)}
 	}
 	return p
 }
 
-// border writes im's zero-bordered copy into the scratch and returns it,
-// a lane group of slack included: a ragged last group reads up to gw-1
-// floats past the copy's end, into lanes nobody keeps, so the slack only
-// has to be there, not to hold anything.
+// laneGroups cuts rows runs of rowLen columns each into gw-wide lane
+// groups: row r's run starts at r*stride in the buffer the groups read
+// and at column r*rowLen of the product.
+func laneGroups(rows, rowLen, stride, gw int) []laneGroup {
+	perRow := (rowLen + gw - 1) / gw
+	groups := make([]laneGroup, rows*perRow)
+	for r := range rows {
+		for i := range perRow {
+			groups[r*perRow+i] = laneGroup{int32(r*stride + i*gw), int32(r*rowLen + i*gw), int32(min(gw, rowLen-i*gw))}
+		}
+	}
+	return groups
+}
+
+// border writes im's zero-bordered copy into the scratch and returns it
+// (see bordered).
 func (s *GemmScratch) border(p *ConvPlan, im []float32) []float32 {
+	return s.bordered(p, im, p.Channels, p.Height, p.Width, p.PadH, p.PadW, p.hp*p.wp)
+}
+
+// bordered writes a copy of the (channels, h, w) image src, bordered by ph
+// rows above and below and pw columns left and right, into the scratch
+// with its channels cs >= (h+2ph)(w+2pw) floats apart, and returns it, a
+// lane group of slack included: a ragged last group reads up to gw-1
+// floats past a channel's end — into the gap before the next one, or the
+// slack after the last — into lanes nobody keeps, so gap and slack only
+// have to be there, not to hold anything. The forward's and dW's image
+// and dX's dTop share the one buffer: each product borders its operand
+// before it reads it.
+func (s *GemmScratch) bordered(p *ConvPlan, src []float32, channels, h, w, ph, pw, cs int) []float32 {
 	if p.gw != active.gw {
 		panic(fmt.Sprintf("blas: ConvPlan built for %d-lane groups, kernel has %d", p.gw, active.gw))
 	}
-	h, w, hp, wp := p.Height, p.Width, p.hp, p.wp
-	if need := p.Channels*hp*wp + p.gw; cap(s.img) < need {
+	hp, wp := h+2*ph, w+2*pw
+	if need := channels*cs + p.gw; cap(s.img) < need {
 		s.img = make([]float32, need)
 	}
 	dst := s.img[:cap(s.img)]
-	if hp == h && wp == w {
-		copy(dst, im[:p.Channels*h*w])
+	if hp == h && wp == w && cs == h*w {
+		copy(dst, src[:channels*h*w])
 		return dst
 	}
-	for c := 0; c < p.Channels; c++ {
-		d := dst[c*hp*wp : (c+1)*hp*wp]
-		top := p.PadH*wp + p.PadW // the rows above, and the first row's left border
+	for c := 0; c < channels; c++ {
+		d := dst[c*cs : c*cs+hp*wp]
+		top := ph*wp + pw // the rows above, and the first row's left border
 		clear(d[:top])
 		for y := 0; y < h; y++ {
-			copy(d[top+y*wp:top+y*wp+w], im[(c*h+y)*w:])
+			copy(d[top+y*wp:top+y*wp+w], src[(c*h+y)*w:])
 			// this row's right border and the next one's left (or the rows below)
 			clear(d[top+y*wp+w : min(top+(y+1)*wp, len(d))])
 		}
@@ -363,7 +529,7 @@ func (s *GemmScratch) border(p *ConvPlan, im []float32) []float32 {
 // into s with s.PackA(NoTrans, o, p.Rows(), w, p.Rows()).
 func ConvForward(s *GemmScratch, p *ConvPlan, o int, im, bias, out []float32) {
 	ckk, ohw := p.Rows(), p.Cols()
-	checkPacked(s, "ConvForward", o, ckk)
+	checkPacked(s, "ConvForward", o, ckk, false)
 	checkLen("ConvForward im", len(im), p.Channels*p.Height*p.Width)
 	checkLen("ConvForward out", len(out), o*ohw)
 	if bias != nil {
@@ -393,33 +559,81 @@ func ConvBackwardWeights(s *GemmScratch, p *ConvPlan, o int, dTop, im, wGrad []f
 	gemmBlocked(s, &op, 0, ckk)
 }
 
+// PackBackwardData packs the weights ConvBackwardData reads for channels
+// [c0, c1) of p's image, out of the o x Rows weight matrix w, in the
+// layout p's dX route for o reads: Wᵀ's rows (c, kh, kw) for c in [c0, c1)
+// as PackA(Trans, (c1-c0)*kk, o, w[c0*kk:], p.Rows()) packs them for the
+// strips, or, where dX gathers, one gemmMR-tall panel per group of four
+// channels and kernel position, positions in (kh, kw) order within a
+// group, each the K = o chain of that position's weights (channels past c1
+// zero). A band packs once for all its samples; the panels stay valid
+// until the next pack on this scratch.
+func (s *GemmScratch) PackBackwardData(p *ConvPlan, o int, w []float32, c0, c1 int) {
+	kk, ckk := p.KernelH*p.KernelW, p.Rows()
+	checkRange("PackBackwardData", p, c0, c1)
+	if !p.dataGathers(o) {
+		s.PackA(Trans, (c1-c0)*kk, o, w[c0*kk:], ckk)
+		return
+	}
+	checkLen("PackBackwardData w", len(w), o*ckk)
+	n := roundUp(c1-c0, gemmMR) * kk * o
+	if cap(s.pa) < n {
+		s.pa = make([]float32, n)
+	}
+	s.pa = s.pa[:n]
+	d := 0
+	for cg := c0; cg < c1; cg += gemmMR {
+		for pos := range kk {
+			for l := range o {
+				for i := range gemmMR {
+					v := float32(0)
+					if c := cg + i; c < c1 {
+						v = w[l*ckk+c*kk+pos]
+					}
+					s.pa[d] = v
+					d++
+				}
+			}
+		}
+	}
+	s.pm, s.pk, s.pdx = (c1-c0)*kk, o, true
+}
+
 // ConvBackwardData computes channels [c0, c1) of one sample's bottom
 // gradient dX (Channels x Height x Width; those channels overwritten, the
-// rest untouched) = Col2im(Wᵀ · dTop). The rows of Wᵀ that feed them must
-// have been packed into s: with kk = KernelH*KernelW,
-// s.PackA(Trans, (c1-c0)*kk, o, w[c0*kk:], p.Rows()) — for the whole image,
-// c0 = 0 and c1 = Channels, that is all of Wᵀ.
+// rest untouched) = Col2im(Wᵀ · dTop), bit for bit. The weights that feed
+// them must have been packed into s with s.PackBackwardData(p, o, w, c0,
+// c1).
 //
-// dcol = Wᵀ·dTop (Rows x Cols) is produced gemmMC rows at a time into the
-// scratch and each strip is scattered while it is still in cache, so the
-// Rows x Cols matrix never exists. The strips go in ascending row order,
-// which is the order Col2im adds in: an element of dX receives at most one
-// term from each row of dcol, so row order is the whole of its summation
-// order, and dX is bit for bit Col2im of the full matrix wherever the
-// strips are cut — which is why a channel range, whose strips start at row
-// c0*kk, gives the same bits as the whole image. Scattering from the tile
-// writeback instead — true fusion — would add in tile order, rows 4-7 of
-// one block of columns before rows 0-3 of the next, and an element fed by
-// both would round differently.
+// Where p gathers dX for o (ConvDataGathers), dTop is bordered into the
+// scratch and each tile of four channels by two lane groups of dX pixels
+// sums its kernel positions' K = o chains on the gather-sum kernel and is
+// written once (see the file comment for why that is Col2im's sum).
+//
+// Elsewhere dcol = Wᵀ·dTop (Rows x Cols) is produced gemmMC rows at a
+// time into the scratch and each strip is scattered while it is still in
+// cache, so the Rows x Cols matrix never exists. The strips go in
+// ascending row order, which is the order Col2im adds in: an element of
+// dX receives at most one term from each row of dcol, so row order is the
+// whole of its summation order, and dX is bit for bit Col2im of the full
+// matrix wherever the strips are cut — which is why a channel range,
+// whose strips start at row c0*kk, gives the same bits as the whole image.
+// Scattering each tile of a product over all kernel positions at once
+// instead would add in tile order, rows 4-7 of one block of columns before
+// rows 0-3 of the next, and an element fed by both would round
+// differently.
 func ConvBackwardData(s *GemmScratch, p *ConvPlan, o int, dTop, dX []float32, c0, c1 int) {
 	kk, ohw, hw := p.KernelH*p.KernelW, p.Cols(), p.Height*p.Width
-	if c0 < 0 || c1 > p.Channels || c0 >= c1 {
-		panic(fmt.Sprintf("blas: ConvBackwardData: channel range [%d, %d) of %d", c0, c1, p.Channels))
-	}
-	rows := (c1 - c0) * kk
-	checkPacked(s, "ConvBackwardData", rows, o)
+	checkRange("ConvBackwardData", p, c0, c1)
+	rows, gathers := (c1-c0)*kk, p.dataGathers(o)
+	checkPacked(s, "ConvBackwardData", rows, o, gathers)
 	checkLen("ConvBackwardData dTop", len(dTop), o*ohw)
 	checkLen("ConvBackwardData dX", len(dX), p.Channels*hw)
+	if gathers {
+		d := s.bordered(p, dTop, o, p.OutH(), p.OutW(), p.KernelH-1-p.PadH, p.KernelW-1-p.PadW, p.dcs)
+		s.dataTiles(p, o, d, dX, c0, c1)
+		return
+	}
 	if cap(s.strip) < gemmMC*ohw {
 		s.strip = make([]float32, gemmMC*ohw)
 	}
@@ -435,9 +649,42 @@ func ConvBackwardData(s *GemmScratch, p *ConvPlan, o int, dTop, dX []float32, c0
 	}
 }
 
-func checkPacked(s *GemmScratch, who string, m, k int) {
-	if s.pm != m || s.pk != k {
-		panic(fmt.Sprintf("blas: %s: scratch holds a packed %dx%d A, need %dx%d (PackA first)", who, s.pm, s.pk, m, k))
+// dataTiles is the gathered dX route's tile loop: for every pair of lane
+// groups (tileGroups) and every four channels of [c0, c1), the gather-sum
+// kernel over the bordered dTop d, then one beta = 0, alpha = 1 writeback
+// per group into dX, clipped to the group's pixels and the range's
+// channels.
+func (s *GemmScratch) dataTiles(p *ConvPlan, o int, d, dX []float32, c0, c1 int) {
+	groups, steps, shifts := p.dx.groups, p.dx.steps[:o], p.shifts
+	nr, gw, hw, panel := active.nr, active.gw, p.Height*p.Width, gemmMR*len(shifts)*o
+	acc := &s.acc
+	for gi := 0; gi < len(groups); gi += nr / gw {
+		g0, g1, n0, n1 := tileGroups(groups, gi, nr, gw)
+		for c := c0; c < c1; c += gemmMR {
+			mrr := min(gemmMR, c1-c)
+			active.gatherSumKernel(s.pa[(c-c0)/gemmMR*panel:], d, int(g0.base), int(g1.base), steps, shifts, acc)
+			crow := dX[c*hw:]
+			writebackTile(acc[:], nr, 1, 0, true, nil, crow[g0.col:], hw, mrr, n0)
+			if n1 > 0 {
+				writebackTile(acc[gw:], nr, 1, 0, true, nil, crow[g1.col:], hw, mrr, n1)
+			}
+		}
+	}
+}
+
+func checkRange(who string, p *ConvPlan, c0, c1 int) {
+	if c0 < 0 || c1 > p.Channels || c0 >= c1 {
+		panic(fmt.Sprintf("blas: %s: channel range [%d, %d) of %d", who, c0, c1, p.Channels))
+	}
+}
+
+// checkPacked panics unless s holds m x k packed weights in the layout
+// named by gathered: the gathered dX route's per-position panels, or
+// PackA's.
+func checkPacked(s *GemmScratch, who string, m, k int, gathered bool) {
+	if s.pm != m || s.pk != k || s.pdx != gathered {
+		panic(fmt.Sprintf("blas: %s: scratch holds a packed %dx%d A (gathered dX layout: %v), need %dx%d (%v); pack first",
+			who, s.pm, s.pk, s.pdx, m, k, gathered))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"coarsegrain/internal/rng"
@@ -207,21 +208,32 @@ func (c *convCase) check(t *testing.T, r *rng.RNG, name string, p *ConvPlan) {
 		sameBits(t, name+" dW outside the band", band[ohi*ckk:], c.w0[ohi*ckk:])
 	}
 
+	// dX borders dTop into a freshly poisoned scratch: what the forward
+	// and dW left in the buffer must not stand in for a border.
+	s = poisonedScratch()
 	gotX := randomSlice(r, len(c.im))
-	s.PackA(Trans, ckk, o, c.w, ckk)
+	s.PackBackwardData(p, o, c.w, 0, c.g.Channels)
 	ConvBackwardData(s, p, o, c.dTop, gotX, 0, c.g.Channels)
 	sameBits(t, name+" dX", gotX, c.wantX)
 }
 
-// convRoutes returns g's plan on the route ConvGathers picks and on both
-// forward routes forced. dW takes its one route under each.
+// convRoutes returns g's plan on the routes ConvGathers and
+// ConvDataGathers pick, and with every product's route forced each way:
+// "gather" gathers the forward and dX wherever they can, "packed" packs
+// the forward's panels and runs dX in strips. dW takes its one route
+// under each.
 func convRoutes(t *testing.T, g ConvGeom) map[string]*ConvPlan {
 	t.Helper()
-	gather, packed := NewConvPlanForced(g, true), NewConvPlanForced(g, false)
+	gather := NewConvPlanForced(g, ConvRoute{FwdGather: true, DXGather: true})
+	packed := NewConvPlanForced(g, ConvRoute{})
 	if (gather.fwd != nil) != (g.StrideW == 1) {
 		t.Fatalf("%s: forced gather plan gathers fwd=%v", geomName(g), gather.fwd != nil)
 	}
-	if packed.fwd != nil {
+	// dX gathers at stride 1 with a non-negative dTop border, never past it.
+	if dxLegal := g.StrideH == 1 && g.StrideW == 1 && g.PadH < g.KernelH && g.PadW < g.KernelW; (gather.dx != nil) != dxLegal {
+		t.Fatalf("%s: forced gather plan gathers dX=%v", geomName(g), gather.dx != nil)
+	}
+	if packed.fwd != nil || packed.dx != nil {
 		t.Fatalf("%s: forced packed plan gathers", geomName(g))
 	}
 	return map[string]*ConvPlan{"dispatch": NewConvPlan(g), "gather": gather, "packed": packed}
@@ -235,10 +247,12 @@ func col2im(col []float32, g ConvGeom, im []float32) {
 // forward, dW and dX are bitwise Im2col followed by the blocked Gemm (plus
 // a separate bias pass, plus Col2im of the whole dcol), on every odd and
 // swept geometry, with and without bias, on every kernel set, and on
-// both routes to the forward's B operand — gathered and packed, each
-// forced, beside the one ConvGathers picks. dW, the transposed product
+// both routes of each product that has two — the forward's B operand
+// gathered and packed, dX gathered and in strips, each forced, beside the
+// ones ConvGathers and ConvDataGathers pick. dW, the transposed product
 // dWᵀ = col·dTopᵀ, must equal the untransposed dense Gemm dTop·colᵀ, and
-// a band of its output channels the full product's rows.
+// a band of its output channels the full product's rows. At O > gemmKC
+// dX's chains span two K blocks, so it stays in strips on every plan.
 func TestConvMatchesIm2colGemm(t *testing.T) {
 	check := func(t *testing.T) {
 		r := rng.New(32, 32)
@@ -250,6 +264,14 @@ func TestConvMatchesIm2colGemm(t *testing.T) {
 				}
 			}
 		}
+		g, o := ConvGeom{2, 6, 6, 3, 3, 1, 1, 1, 1}, gemmKC+4
+		c := newConvCase(r, g, o, im2col, col2im)
+		for route, p := range convRoutes(t, g) {
+			if p.dataGathers(o) || ConvDataGathers(g, o) {
+				t.Fatalf("%s %s: dX gathers at O = %d > gemmKC", geomName(g), route, o)
+			}
+			c.check(t, r, route, p)
+		}
 	}
 	forEachSet(t, check)
 }
@@ -257,12 +279,31 @@ func TestConvMatchesIm2colGemm(t *testing.T) {
 // TestConvGatherTablesStayInsideBorder: every float the forward gather
 // kernel can touch — group base + step + a full lane group — lies inside
 // the bordered copy plus its one group of slack, on every set's lane
-// width; and every float the dW gather-A kernel touches — row base + pixel
-// step, a single float — inside the bordered copy itself.
+// width; every float the dW gather-A kernel touches — row base + pixel
+// step, a single float — inside the bordered copy itself; and every float
+// the dX gather-sum kernel touches — group base + position shift + dTop
+// channel step + a full lane group — inside the bordered dTop plus its
+// slack, at every O up to gemmKC, while its groups cover each dX row.
 func TestConvGatherTablesStayInsideBorder(t *testing.T) {
 	forEachSet(t, func(t *testing.T) {
 		for _, g := range append(sweepGeoms(), oddGeoms...) {
-			p := NewConvPlanForced(g, true)
+			p := NewConvPlanForced(g, ConvRoute{FwdGather: true, DXGather: true})
+			if p.dx != nil {
+				if len(p.shifts) != g.KernelH*g.KernelW || len(p.dx.steps) != gemmKC {
+					t.Fatalf("%s dX: %d shifts, %d steps", geomName(g), len(p.shifts), len(p.dx.steps))
+				}
+				checkGroups(t, geomName(g)+" dX", p.dx.groups, g.Height*g.Width, p.gw)
+				hdwd := (g.Height + g.KernelH - 1) * (g.Width + g.KernelW - 1)
+				if p.dcs < hdwd || int(p.dx.steps[1]) != p.dcs {
+					t.Fatalf("%s dX: channel stride %d (steps %d) under a %d-float bordered channel", geomName(g), p.dcs, p.dx.steps[1], hdwd)
+				}
+				reach := int(maxGroupBase(p.dx.groups)+slices.Max(p.shifts)) + p.gw
+				for _, o := range []int{1, 2, 67, gemmKC} {
+					if r, size := reach+int(p.dx.steps[o-1]), (o-1)*p.dcs+hdwd; r > size+p.gw {
+						t.Errorf("%s dX o=%d: kernel reads up to %d, bordered dTop + slack is %d", geomName(g), o, r, size+p.gw)
+					}
+				}
+			}
 			size := g.Channels * p.hp * p.wp
 			if len(p.lowered.rows) != g.Rows() || len(p.lowered.steps) != g.Cols() {
 				t.Fatalf("%s dW: %d row bases and %d steps for a %dx%d col", geomName(g), len(p.lowered.rows), len(p.lowered.steps), g.Rows(), g.Cols())
@@ -273,30 +314,49 @@ func TestConvGatherTablesStayInsideBorder(t *testing.T) {
 			if p.fwd == nil {
 				continue
 			}
-			var maxBase int32
-			cols := 0
-			for _, lg := range p.fwd.groups {
-				maxBase = max(maxBase, lg.base)
-				if int(lg.col) != cols || lg.n < 1 || int(lg.n) > p.gw {
-					t.Fatalf("%s fwd: group %+v does not continue the columns at %d", geomName(g), lg, cols)
-				}
-				cols += int(lg.n)
-			}
-			if reach := int(maxBase+slices.Max(p.fwd.steps)) + p.gw; reach > size+p.gw {
+			checkGroups(t, geomName(g)+" fwd", p.fwd.groups, g.Cols(), p.gw)
+			if reach := int(maxGroupBase(p.fwd.groups)+slices.Max(p.fwd.steps)) + p.gw; reach > size+p.gw {
 				t.Errorf("%s fwd: kernel reads up to %d, bordered copy + slack is %d", geomName(g), reach, size+p.gw)
 			}
 		}
 	})
 }
 
+// checkGroups fails unless groups cover columns [0, cols) in order, each
+// 1 to gw lanes.
+func checkGroups(t *testing.T, what string, groups []laneGroup, cols, gw int) {
+	t.Helper()
+	n := 0
+	for _, lg := range groups {
+		if int(lg.col) != n || lg.n < 1 || int(lg.n) > gw {
+			t.Fatalf("%s: group %+v does not continue the columns at %d", what, lg, n)
+		}
+		n += int(lg.n)
+	}
+	if n != cols {
+		t.Fatalf("%s: groups cover %d columns of %d", what, n, cols)
+	}
+}
+
+func maxGroupBase(groups []laneGroup) int32 {
+	var m int32
+	for _, lg := range groups {
+		m = max(m, lg.base)
+	}
+	return m
+}
+
 // TestConvBackwardDataStripInvariant: dX does not depend on where the
-// strips are cut. gemmMC is a constant, so the cut is moved by growing the
-// product instead: a convolution over C channels scatters channel c from
-// rows [c*kk, (c+1)*kk) of dcol only, so its dX on a channel must equal the
-// dX of the single-channel convolution with that channel's weights, whose
-// strips start at row 0 rather than wherever c*kk falls in a 64-row strip —
-// and both must equal the full dcol of the blocked Gemm, scattered by
-// Col2im.
+// strips are cut, nor on which channels a call computes. gemmMC is a
+// constant, so the cut is moved by growing the product instead: a
+// convolution over C channels scatters channel c from rows [c*kk,
+// (c+1)*kk) of dcol only, so its dX on a channel must equal the dX of the
+// single-channel convolution with that channel's weights, whose strips
+// start at row 0 rather than wherever c*kk falls in a 64-row strip — and
+// both must equal the full dcol of the blocked Gemm, scattered by Col2im.
+// The same holds on the gathered route, where a range's tiles of four
+// channels start at c0 rather than at a multiple of four; and a channel
+// range of either route writes those channels' bits and nothing else.
 func TestConvBackwardDataStripInvariant(t *testing.T) {
 	check := func(t *testing.T) {
 		r := rng.New(34, 34)
@@ -305,41 +365,49 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 		kk, ckk, ohw, hw := 25, g.Rows(), g.Cols(), g.Height*g.Width
 		w := randomSlice(r, o*ckk)
 		dTop := randomSlice(r, o*ohw)
-		s := &GemmScratch{}
-		s.PackA(Trans, ckk, o, w, ckk)
-		dX := randomSlice(r, g.Channels*hw)
-		ConvBackwardData(s, NewConvPlan(g), o, dTop, dX, 0, g.Channels)
-
 		dcol := make([]float32, ckk*ohw)
 		GemmBlocked(Trans, NoTrans, ckk, ohw, o, 1, w, ckk, dTop, ohw, 0, dcol, ohw)
 		want := make([]float32, g.Channels*hw)
 		col2im(dcol, g, want)
-		sameBits(t, "dX vs full dcol + Col2im", dX, want)
 
 		g1 := g
 		g1.Channels = 1
-		for c := 0; c < g.Channels; c++ {
-			wc := make([]float32, o*kk)
-			for oc := 0; oc < o; oc++ {
-				copy(wc[oc*kk:(oc+1)*kk], w[oc*ckk+c*kk:])
+		for _, route := range []ConvRoute{{}, {DXGather: true}} {
+			p, p1 := NewConvPlanForced(g, route), NewConvPlanForced(g1, route)
+			name := map[bool]string{false: "strips", true: "gather"}[route.DXGather]
+			if p.dataGathers(o) != route.DXGather {
+				t.Fatalf("%s: dX gathers = %v", name, p.dataGathers(o))
 			}
-			s.PackA(Trans, kk, o, wc, kk)
-			one := make([]float32, hw)
-			ConvBackwardData(s, NewConvPlan(g1), o, dTop, one, 0, 1)
-			sameBits(t, fmt.Sprintf("channel %d alone", c), dX[c*hw:(c+1)*hw], one)
-		}
+			s := poisonedScratch()
+			s.PackBackwardData(p, o, w, 0, g.Channels)
+			dX := randomSlice(r, g.Channels*hw)
+			ConvBackwardData(s, p, o, dTop, dX, 0, g.Channels)
+			sameBits(t, name+" dX vs full dcol + Col2im", dX, want)
 
-		// A channel range of the full convolution (what a Fine band computes)
-		// writes those channels' bits and leaves every other channel alone.
-		for _, cr := range [][2]int{{0, 1}, {0, 3}, {2, 5}, {3, 7}, {6, 7}} {
-			c0, c1 := cr[0], cr[1]
-			s.PackA(Trans, (c1-c0)*kk, o, w[c0*kk:], ckk)
-			got := randomSlice(r, g.Channels*hw)
-			before := append([]float32(nil), got...)
-			ConvBackwardData(s, NewConvPlan(g), o, dTop, got, c0, c1)
-			sameBits(t, fmt.Sprintf("channels [%d,%d)", c0, c1), got[c0*hw:c1*hw], dX[c0*hw:c1*hw])
-			sameBits(t, fmt.Sprintf("channels before %d", c0), got[:c0*hw], before[:c0*hw])
-			sameBits(t, fmt.Sprintf("channels from %d", c1), got[c1*hw:], before[c1*hw:])
+			for c := 0; c < g.Channels; c++ {
+				wc := make([]float32, o*kk)
+				for oc := 0; oc < o; oc++ {
+					copy(wc[oc*kk:(oc+1)*kk], w[oc*ckk+c*kk:])
+				}
+				s.PackBackwardData(p1, o, wc, 0, 1)
+				one := randomSlice(r, hw)
+				ConvBackwardData(s, p1, o, dTop, one, 0, 1)
+				sameBits(t, fmt.Sprintf("%s channel %d alone", name, c), dX[c*hw:(c+1)*hw], one)
+			}
+
+			// A channel range of the full convolution (what a Fine band
+			// computes) writes those channels' bits and leaves every other
+			// channel alone.
+			for _, cr := range [][2]int{{0, 1}, {0, 3}, {2, 5}, {3, 7}, {6, 7}, {1, 6}} {
+				c0, c1 := cr[0], cr[1]
+				s.PackBackwardData(p, o, w, c0, c1)
+				got := randomSlice(r, g.Channels*hw)
+				before := append([]float32(nil), got...)
+				ConvBackwardData(s, p, o, dTop, got, c0, c1)
+				sameBits(t, fmt.Sprintf("%s channels [%d,%d)", name, c0, c1), got[c0*hw:c1*hw], dX[c0*hw:c1*hw])
+				sameBits(t, fmt.Sprintf("%s channels before %d", name, c0), got[:c0*hw], before[:c0*hw])
+				sameBits(t, fmt.Sprintf("%s channels from %d", name, c1), got[c1*hw:], before[c1*hw:])
+			}
 		}
 	}
 	forEachSet(t, check)
@@ -348,11 +416,11 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 // FuzzConv runs random convolution geometries through every route on
 // every kernel set — the forward gathered and packed, dW as the transposed
 // product col·dTopᵀ with col gathered on its A side, whole and in a band
-// of output channels — with the naive per-entry lowering and scatter as
-// the oracle's ends and the set's micro-kernels with the Go data movement
-// between them, so a set's vector data movement (packers and both
-// writebacks, the transposed one included) must agree with the Go loops
-// bit for bit.
+// of output channels, dX gathered (wherever the geometry allows it) and in
+// strips — with the naive per-entry lowering and scatter as the oracle's
+// ends and the set's micro-kernels with the Go data movement between them,
+// so a set's vector data movement (packers and both writebacks, the
+// transposed one included) must agree with the Go loops bit for bit.
 func FuzzConv(f *testing.F) {
 	for _, g := range append(sweepGeoms()[:12], oddGeoms...) {
 		f.Add(uint8(g.Channels), uint8(g.Height), uint8(g.Width), uint8(g.KernelH), uint8(g.KernelW),
@@ -377,18 +445,29 @@ func FuzzConv(f *testing.F) {
 	})
 }
 
-// TestConvPackedAMismatchPanics: a scratch whose packed A is not the
-// weights the call needs must be refused, not multiplied.
+// TestConvPackedAMismatchPanics: a scratch whose packed weights are not
+// the ones the call needs must be refused, not multiplied: weights packed
+// for the forward pass, and weights packed for one dX route run on the
+// other — strips on a gathering plan and the reverse.
 func TestConvPackedAMismatchPanics(t *testing.T) {
-	g := ConvGeom{2, 6, 6, 3, 3, 0, 0, 1, 1}
-	s := &GemmScratch{}
-	s.PackA(NoTrans, 4, g.Rows(), make([]float32, 4*g.Rows()), g.Rows())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ConvBackwardData accepted a scratch packed for the forward pass")
+	g, o := ConvGeom{2, 6, 6, 3, 3, 1, 1, 1, 1}, 4
+	w, dTop, dX := make([]float32, o*g.Rows()), make([]float32, o*g.Cols()), make([]float32, 2*6*6)
+	gather, strips := NewConvPlanForced(g, ConvRoute{DXGather: true}), NewConvPlanForced(g, ConvRoute{})
+	for _, c := range []struct {
+		name        string
+		packed, ran *ConvPlan
+	}{{"strips on a gathering plan", strips, gather}, {"gathered on a strips plan", gather, strips}} {
+		s := &GemmScratch{}
+		s.PackBackwardData(c.packed, o, w, 0, 2)
+		if msg := panicMessage(func() { ConvBackwardData(s, c.ran, o, dTop, dX, 0, 2) }); !strings.Contains(msg, "pack first") {
+			t.Errorf("ConvBackwardData accepted weights packed %s (recovered %q)", c.name, msg)
 		}
-	}()
-	ConvBackwardData(s, NewConvPlan(g), 4, make([]float32, 4*g.Cols()), make([]float32, 2*6*6), 0, 2)
+	}
+	s := &GemmScratch{}
+	s.PackA(NoTrans, o, g.Rows(), w, g.Rows())
+	if msg := panicMessage(func() { ConvBackwardData(s, strips, o, dTop, dX, 0, 2) }); !strings.Contains(msg, "pack first") {
+		t.Errorf("ConvBackwardData accepted a scratch packed for the forward pass (recovered %q)", msg)
+	}
 }
 
 // zooConvs are the zoo nets' convolutions: per-sample geometry and output
@@ -406,11 +485,12 @@ var zooConvs = []struct {
 }
 
 // BenchmarkConvLowered times one sample's three conv products on the zoo
-// nets' layers: the implicit GEMM with weights packed once ("implicit")
-// against the sequence it replaced, with today's packers ("col":
-// materialise col with Im2col, dense blocked Gemm packing both operands
-// per call, separate bias pass, the whole dcol then Col2im). PERFORMANCE.md
-// §10, §11 and §15 record runs.
+// nets' layers: the implicit GEMM with weights packed once ("implicit";
+// dX's two routes forced, "strips" and "gather") against the sequence it
+// replaced, with today's packers ("col": materialise col with Im2col,
+// dense blocked Gemm packing both operands per call, separate bias pass,
+// the whole dcol then Col2im). PERFORMANCE.md §10, §11, §15 and §16
+// record runs.
 func BenchmarkConvLowered(b *testing.B) {
 	r := rng.New(33, 33)
 	for _, l := range zooConvs {
@@ -427,6 +507,7 @@ func BenchmarkConvLowered(b *testing.B) {
 		inDiff := make([]float32, len(im))
 		s := &GemmScratch{}
 		plan := NewConvPlan(g)
+		strips, gather := NewConvPlanForced(g, ConvRoute{FwdGather: true}), NewConvPlanForced(g, ConvRoute{FwdGather: true, DXGather: true})
 		for _, bm := range []struct {
 			name string
 			prep func()
@@ -449,7 +530,8 @@ func BenchmarkConvLowered(b *testing.B) {
 				gemmDense(s, Trans, NoTrans, ohw, o, 1, w, ckk, dTop, ohw, 0, dcol, ohw, 0, ckk)
 				col2im(dcol, g, inDiff)
 			}},
-			{"bwdX/implicit", func() { s.PackA(Trans, ckk, o, w, ckk) }, func() { ConvBackwardData(s, plan, o, dTop, inDiff, 0, g.Channels) }},
+			{"bwdX/strips", func() { s.PackBackwardData(strips, o, w, 0, g.Channels) }, func() { ConvBackwardData(s, strips, o, dTop, inDiff, 0, g.Channels) }},
+			{"bwdX/gather", func() { s.PackBackwardData(gather, o, w, 0, g.Channels) }, func() { ConvBackwardData(s, gather, o, dTop, inDiff, 0, g.Channels) }},
 		} {
 			b.Run(l.name+"/"+bm.name, func(b *testing.B) {
 				bm.prep()

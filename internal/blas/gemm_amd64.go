@@ -12,7 +12,7 @@ package blas
 // routine bit for bit the Go loop it stands in for.
 var avx2 = kernels{
 	name: "avx2", nr: 16, gw: 8,
-	microKernel: microKernelAVX4x16, gatherKernel: gatherKernelAVX4x16, gatherAKernel: gatherAKernelAVX4x16,
+	microKernel: microKernelAVX4x16, gatherKernel: gatherKernelAVX4x16, gatherAKernel: gatherAKernelAVX4x16, gatherSumKernel: gatherSumKernelAVX4x16,
 	packBDense: packBDense16Vec, packBTransposed: packBTransVec,
 	packARows: packARows4Vec, packARuns: packARuns4Vec,
 	writeback: writebackTileVec, writebackT: writebackTileTVec,
@@ -78,6 +78,20 @@ func sgemmGather4x16(ap, b0, b1 *float32, off *int32, kc int, acc *[gemmMR * gem
 
 func gatherKernelAVX4x16(ap, p []float32, b0, b1 int, off []int32, acc *[gemmMR * gemmNRMax]float32) {
 	sgemmGather4x16(&ap[0], &p[b0], &p[b1], &off[0], len(off), acc)
+}
+
+// sgemmGatherSum4x16 (assembly) is sgemmGather4x16 once per kernel
+// position, summed: acc = Σq (sum over l of ap[(q*kc+l)*4+i] *
+// b[shifts[q]+off[l]+j%8]) for q < npos, each position's chain from zero,
+// the sum from +0 and added in q order. The caller vouches that every
+// shifts[q]+off[l]+8 is inside both B bases' buffer.
+//
+//go:noescape
+func sgemmGatherSum4x16(ap, b0, b1 *float32, off *int32, kc int, shifts *int32, npos int, acc *[gemmMR * gemmNRMax]float32)
+
+func gatherSumKernelAVX4x16(ap, p []float32, b0, b1 int, off, shifts []int32, acc *[gemmMR * gemmNRMax]float32) {
+	_ = ap[gemmMR*len(off)*len(shifts)-1]
+	sgemmGatherSum4x16(&ap[0], &p[b0], &p[b1], &off[0], len(off), &shifts[0], len(shifts), acc)
 }
 
 // sgemmGatherA4x16 (assembly) is sgemmKernel4x16 reading its A rows in

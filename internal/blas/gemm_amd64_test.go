@@ -1,14 +1,16 @@
 package blas
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
 // TestActiveKernelSet: init makes avx2 the active set iff the host runs
-// AVX2+FMA; every set's nr and gw are the tile its micro-kernels compute;
-// and a ConvPlan, whose lane groups are the active set's gw wide, is
-// refused under a set of another width.
+// AVX2+FMA; every set's nr and gw are the tile its micro-kernels compute,
+// the gather-sum kernel's sum over two shifts included; and a ConvPlan,
+// whose lane groups are the active set's gw wide, is refused under a set
+// of another width.
 func TestActiveKernelSet(t *testing.T) {
 	if (active.name == avx2.name) != hasAVX2FMA() {
 		t.Fatalf("active set is %s, host has AVX2+FMA: %v", active.name, hasAVX2FMA())
@@ -39,6 +41,20 @@ func TestActiveKernelSet(t *testing.T) {
 		tile("gatherKernel", func(j int) float32 { return p[j/ks.gw*b1+j%ks.gw] })
 		ks.gatherAKernel(p, [gemmMR]int32{0, 9, 99, 999}, []int32{0}, p, &acc)
 		tile("gatherAKernel", func(j int) float32 { return p[j] })
+		// Two kernel positions, one step each: the first position's panel
+		// is ap at shift 0, the second's is 3*ap at shift 200, so lane
+		// (i, j) is ap[i] * (p[b+j] + 3*p[b+200+j]), b the lane's group
+		// base — exact in float32, whichever order the sum runs in. acc
+		// starts as NaN: the sum must start at +0, not from acc.
+		twoPos := append(append([]float32(nil), ap...), 3, 30, 300, 3000)
+		for i := range acc {
+			acc[i] = float32(math.NaN())
+		}
+		ks.gatherSumKernel(twoPos, p, 0, b1, []int32{0}, []int32{0, 200}, &acc)
+		tile("gatherSumKernel", func(j int) float32 {
+			b := j/ks.gw*b1 + j%ks.gw
+			return p[b] + 3*p[b+200]
+		})
 	}
 
 	if active.gw == portable.gw {

@@ -47,9 +47,12 @@ import (
 // full 4-row A panel (a 4x8 transpose per eight steps, or one 4-float run
 // per step of a transposed A), a tile row of 8 or 16 lanes (every mode and
 // the bias) and a 4-row tile into a transposed C. Each set's micro-kernel
-// has two gather twins reading one operand in place from a convolution's
-// bordered image (conv.go): gatherKernel its B rows, gatherAKernel its A
-// rows. packA, packB, writebackTile and writebackTileT hand the active
+// has three gather twins reading one operand in place from a
+// convolution's bordered image or dTop (conv.go): gatherKernel its B rows,
+// gatherAKernel its A rows, and gatherSumKernel (the avx2 set's
+// sgemmGatherSum4x16) its B rows once per kernel position at that
+// position's shift, summing the positions' chains in the tile. packA,
+// packB, writebackTile and writebackTileT hand the active
 // set's vector routines what they cover and run their own Go loops on the
 // rest — ragged panels, rows and tiles, the depth steps past the last
 // multiple of 8 — and on everything when the set has none. The vector
@@ -136,6 +139,13 @@ type kernels struct {
 	// conv.go): step l takes row i of the tile from p[rows[i]+steps[l]] and
 	// the B row from the packed panel bp, as microKernel does.
 	gatherAKernel func(p []float32, rows [gemmMR]int32, steps []int32, bp []float32, acc *[gemmMR * gemmNRMax]float32)
+	// gatherSumKernel is gatherKernel once per shift, summed (the gathered
+	// dX route, conv.go): for each shifts[q] in order it runs the K =
+	// len(off) chain of ap's q-th panel (ap[q*gemmMR*len(off):]) against
+	// B rows read at p[b+shifts[q]+off[l]:] into zeroed accumulators, and
+	// adds the result into a tile sum that starts at +0, the sum the first
+	// operand of each add. acc receives the sum.
+	gatherSumKernel func(ap, p []float32, b0, b1 int, off, shifts []int32, acc *[gemmMR * gemmNRMax]float32)
 
 	// The vector data movement; nil in a set that has none, and then the
 	// Go loops of packA, packB, writebackTile and writebackTileT do all of
@@ -178,7 +188,7 @@ type kernels struct {
 // tile is a single 4-lane group, and Go loops for everything else.
 var portable = kernels{
 	name: "portable", nr: 4, gw: 4,
-	microKernel: microKernelScalar4x4, gatherKernel: gatherKernelScalar4x4, gatherAKernel: gatherAKernelScalar4x4,
+	microKernel: microKernelScalar4x4, gatherKernel: gatherKernelScalar4x4, gatherAKernel: gatherAKernelScalar4x4, gatherSumKernel: gatherSumKernelScalar4x4,
 	addRuns: addRunsGo,
 }
 
@@ -198,11 +208,15 @@ type GemmScratch struct {
 	// products sharing it (pm x pk; per KC block, every mr-tall panel).
 	pa     []float32
 	pm, pk int
+	// pdx: pa holds the gathered dX route's per-position weight panels
+	// (PackBackwardData), not PackA's layout.
+	pdx bool
 	// row stages one lowered row of a convolution's B block (conv.go).
 	row [gemmNC]float32
-	// img is one sample's zero-bordered image, the buffer the gather kernel
-	// reads a convolution's op(B) from; strip is gemmMC rows of a
-	// convolution's dcol on their way into the bottom gradient (conv.go).
+	// img is one sample's zero-bordered image (or dTop), the buffer the
+	// gather kernels read a convolution's operand from; strip is gemmMC
+	// rows of a convolution's dcol on their way into the bottom gradient
+	// (conv.go).
 	img, strip []float32
 	// acc is the micro-kernel's accumulator tile. It lives here rather
 	// than on gemmBlocked's stack because the kernel is called through a
@@ -358,7 +372,7 @@ func (s *GemmScratch) PackA(transA Transpose, m, k int, a []float32, lda int) {
 	for pc := 0; pc < k; pc += gemmKC {
 		packA(s.pa[mp*pc:], transA, a, lda, 0, m, pc, min(gemmKC, k-pc))
 	}
-	s.pm, s.pk = m, k
+	s.pm, s.pk, s.pdx = m, k, false
 }
 
 // packBAhead packs all of a dense op(B) (k x n) into the scratch's B
@@ -486,16 +500,7 @@ func (s *GemmScratch) gatherTiles(op *gemmOp, ap []float32, ic, mc, pc, kc int, 
 	nr, gw := active.nr, active.gw
 	acc := &s.acc
 	for gi := 0; gi < len(groups); gi += nr / gw {
-		g0 := groups[gi]
-		g1, n1 := g0, 0 // the tile's second group; a dropped repeat of the first when it has none
-		if nr > gw && gi+1 < len(groups) {
-			g1 = groups[gi+1]
-			n1 = int(g1.n)
-		}
-		n0 := int(g0.n)
-		if n0 == gw && g1.col == g0.col+g0.n {
-			n0, n1 = n0+n1, 0
-		}
+		g0, g1, n0, n1 := tileGroups(groups, gi, nr, gw)
 		for ir := 0; ir < mc; ir += gemmMR {
 			mrr := min(gemmMR, mc-ir)
 			active.gatherKernel(ap[ir*kc:], op.b, int(g0.base), int(g1.base), steps, acc)
@@ -510,6 +515,24 @@ func (s *GemmScratch) gatherTiles(op *gemmOp, ap []float32, ic, mc, pc, kc int, 
 			}
 		}
 	}
+}
+
+// tileGroups returns the lane groups of the gathered tile that starts at
+// group gi — the second a dropped repeat of the first when there is none —
+// and the columns to write back from each: two groups that are neighbours
+// in C go back as the one run they form (n1 = 0).
+func tileGroups(groups []laneGroup, gi, nr, gw int) (g0, g1 laneGroup, n0, n1 int) {
+	g0 = groups[gi]
+	g1 = g0
+	if nr > gw && gi+1 < len(groups) {
+		g1 = groups[gi+1]
+		n1 = int(g1.n)
+	}
+	n0 = int(g0.n)
+	if n0 == gw && g1.col == g0.col+g0.n {
+		n0, n1 = n0+n1, 0
+	}
+	return g0, g1, n0, n1
 }
 
 // writebackTile folds one accumulated micro-tile into C:
@@ -841,6 +864,21 @@ func gatherAKernelScalar4x4(p []float32, rows [gemmMR]int32, steps []int32, bp [
 	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
 	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
 	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
+}
+
+// gatherSumKernelScalar4x4 is the portable gatherSumKernel: the 4x4
+// gather kernel once per shift (one lane group per tile, so b1 is unused),
+// each tile added into the sum lane by lane.
+func gatherSumKernelScalar4x4(ap, p []float32, b, _ int, off, shifts []int32, acc *[gemmMR * gemmNRMax]float32) {
+	var sum [gemmMR * 4]float32
+	panel := gemmMR * len(off)
+	for q, sh := range shifts {
+		gatherKernelScalar4x4(ap[q*panel:], p, b+int(sh), 0, off, acc)
+		for j, v := range acc[:len(sum)] {
+			sum[j] += v
+		}
+	}
+	copy(acc[:], sum[:])
 }
 
 // tileRows returns the row bases of a gathered A tile of 1-4 rows; a

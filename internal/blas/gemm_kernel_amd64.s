@@ -121,6 +121,113 @@ gloop:
 	VZEROUPPER
 	RET
 
+// func sgemmGatherSum4x16(ap, b0, b1 *float32, off *int32, kc int, shifts *int32, npos int, acc *[64]float32)
+//
+// sgemmGather4x16 once per kernel position, summed: for each shifts[q]
+// (q < npos, in order) it zeroes Y0..Y7, runs the kc-step chain of the
+// next A panel (ap walks on from one position's panel into the next's)
+// against lanes 0..7 from b0[shifts[q]+off[l]:] and lanes 8..15 from
+// b1[shifts[q]+off[l]:], and adds the tile into the sum held in acc,
+// which starts at +0: sum = sum + tile, the sum the first operand. Eight
+// accumulators and eight sums do not fit beside the B and broadcast
+// registers, so the sum lives in the (L1) acc tile: 8 loads, adds and
+// stores per position against 8 FMAs per step.
+// Per step: 1 offset load + 2 B loads + 4 A broadcasts + 8 FMAs.
+TEXT ·sgemmGatherSum4x16(SB), NOSPLIT, $0-64
+	MOVQ ap+0(FP), DI
+	MOVQ b0+8(FP), SI
+	MOVQ b1+16(FP), BX
+	MOVQ off+24(FP), R9
+	MOVQ kc+32(FP), DX
+	MOVQ shifts+40(FP), R11
+	MOVQ npos+48(FP), R12
+	MOVQ acc+56(FP), R8
+	SHLQ $2, DX                  // kc in bytes of off
+
+	VXORPS  Y8, Y8, Y8
+	VMOVUPS Y8, (R8)
+	VMOVUPS Y8, 32(R8)
+	VMOVUPS Y8, 64(R8)
+	VMOVUPS Y8, 96(R8)
+	VMOVUPS Y8, 128(R8)
+	VMOVUPS Y8, 160(R8)
+	VMOVUPS Y8, 192(R8)
+	VMOVUPS Y8, 224(R8)
+
+spos:
+	MOVLQSX (R11), R10
+	LEAQ    (SI)(R10*4), AX      // b0 + shift
+	LEAQ    (BX)(R10*4), R13     // b1 + shift
+	XORQ    CX, CX
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+sstep:
+	MOVLQSX (R9)(CX*1), R10
+	VMOVUPS (AX)(R10*4), Y8      // b0[shift+off[l] : +8]
+	VMOVUPS (R13)(R10*4), Y9     // b1[shift+off[l] : +8]
+
+	VBROADCASTSS (DI), Y10       // a0
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+
+	VBROADCASTSS 4(DI), Y11      // a1
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+
+	VBROADCASTSS 8(DI), Y12      // a2
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+
+	VBROADCASTSS 12(DI), Y13     // a3
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+
+	ADDQ $16, DI
+	ADDQ $4, CX
+	CMPQ CX, DX
+	JNE  sstep
+
+	// sum = sum + tile (Intel operand order: vaddps sum, sum, tile)
+	VMOVUPS (R8), Y8
+	VMOVUPS 32(R8), Y9
+	VMOVUPS 64(R8), Y10
+	VMOVUPS 96(R8), Y11
+	VADDPS  Y0, Y8, Y8
+	VADDPS  Y1, Y9, Y9
+	VADDPS  Y2, Y10, Y10
+	VADDPS  Y3, Y11, Y11
+	VMOVUPS Y8, (R8)
+	VMOVUPS Y9, 32(R8)
+	VMOVUPS Y10, 64(R8)
+	VMOVUPS Y11, 96(R8)
+	VMOVUPS 128(R8), Y12
+	VMOVUPS 160(R8), Y13
+	VMOVUPS 192(R8), Y14
+	VMOVUPS 224(R8), Y15
+	VADDPS  Y4, Y12, Y12
+	VADDPS  Y5, Y13, Y13
+	VADDPS  Y6, Y14, Y14
+	VADDPS  Y7, Y15, Y15
+	VMOVUPS Y12, 128(R8)
+	VMOVUPS Y13, 160(R8)
+	VMOVUPS Y14, 192(R8)
+	VMOVUPS Y15, 224(R8)
+
+	ADDQ $4, R11
+	DECQ R12
+	JNE  spos
+
+	VZEROUPPER
+	RET
+
 // func sgemmGatherA4x16(a0, a1, a2, a3 *float32, steps *int32, bp *float32, kc int, acc *[64]float32)
 //
 // sgemmKernel4x16 with the A panel read in place instead of packed: step

@@ -12,13 +12,14 @@ import (
 // engine.
 //
 // Neither the matrix nor its gradient is ever written: blas.ConvForward
-// and blas.ConvBackwardWeights read the GEMM's B operand out of the image
-// (blas/conv.go) and blas.ConvBackwardData scatters dcol = Wᵀ·dTop into
-// the bottom gradient a cache-sized strip at a time. What a worker
-// privatizes inside a coarse-grain region — the "object privatization"
-// step of Algorithm 4 (line 2) — is therefore one blas.GemmScratch,
-// holding the weights packed once for the whole band, one bordered image
-// and one strip.
+// and blas.ConvBackwardWeights read the lowered matrix out of the image
+// (blas/conv.go), and blas.ConvBackwardData either sums dX's kernel
+// positions straight out of a bordered dTop or scatters dcol = Wᵀ·dTop
+// into the bottom gradient a cache-sized strip at a time
+// (blas.ConvDataGathers picks). What a worker privatizes inside a
+// coarse-grain region — the "object privatization" step of Algorithm 4
+// (line 2) — is therefore one blas.GemmScratch, holding the weights packed
+// once for the whole band, one bordered image (or dTop) and one strip.
 //
 // Each pass is one body over a (sample range × channel range) rectangle.
 // A coarse-grain range is a band of samples with every channel; a channel
@@ -51,16 +52,16 @@ func (l *Convolution) forwardLowered(lo, hi, olo, ohi int, bottom, top *blob.Blo
 // backwardLowered computes the gradients of samples [slo, shi): rows
 // [olo, ohi) of dW += dTop·colᵀ (col implicit) and of db accumulate into
 // grads, and input channels [clo, chi) of dX = col2im(Wᵀ·dTop) are
-// written. The rows of Wᵀ feeding those channels are packed once for the
-// band; then each sample does its dW product, then its dX product. An
-// empty range skips its product.
+// written. The weights feeding those channels are packed once for the
+// band, in the layout the plan's dX route reads; then each sample does its
+// dW product, then its dX product. An empty range skips its product.
 func (l *Convolution) backwardLowered(slo, shi, olo, ohi, clo, chi int, bottom, top *blob.Blob, grads []*blob.Blob) {
 	o, ckk, ohw := l.cfg.NumOutput, l.plan.Rows(), l.outH*l.outW
-	kk, chw := l.cfg.KernelH*l.cfg.KernelW, l.channels*l.height*l.width
+	chw := l.channels * l.height * l.width
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
 	if clo < chi {
-		gs.PackA(blas.Trans, (chi-clo)*kk, o, l.params[0].Data()[clo*kk:], ckk)
+		gs.PackBackwardData(l.plan, o, l.params[0].Data(), clo, chi)
 	}
 	for s := slo; s < shi; s++ {
 		dTop := top.Diff()[s*o*ohw : (s+1)*o*ohw]

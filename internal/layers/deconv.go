@@ -109,11 +109,11 @@ func (l *Deconvolution) ForwardExtent() int { return l.num }
 
 // ForwardRange implements Layer.
 func (l *Deconvolution) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
-	o, ckk := l.cfg.NumOutput, l.plan.Rows()
+	o := l.cfg.NumOutput
 	chw, ohw := l.channels*l.plan.Cols(), l.plan.Height*l.plan.Width
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
-	gs.PackA(blas.Trans, ckk, l.channels, l.params[0].Data(), ckk)
+	gs.PackBackwardData(l.plan, l.channels, l.params[0].Data(), 0, o)
 	for s := lo; s < hi; s++ {
 		out := top[0].Data()[s*o*ohw : (s+1)*o*ohw]
 		blas.ConvBackwardData(gs, l.plan, l.channels, bottom[0].Data()[s*chw:(s+1)*chw], out, 0, o)

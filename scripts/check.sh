@@ -25,9 +25,9 @@
 # every kernel set, gemmRef as oracle, and each set's vector data
 # movement against the Go one bit for bit) and a 5-second FuzzConv smoke
 # (random convolution geometries through the gathered and the packed
-# forward and the transposed weight gradient on every kernel set, the
-# naive lowering around the set's micro-kernels with the Go data movement
-# as oracle), a 5-second FuzzLRN smoke (random channel counts,
+# forward, the transposed weight gradient and dX gathered or in strips on
+# every kernel set, the naive lowering and scatter around the set's
+# micro-kernels with the Go data movement as oracle), a 5-second FuzzLRN smoke (random channel counts,
 # windows, plane sizes, splits and constants through LRN's block kernels,
 # the position-at-a-time loops as oracle), a 5-second FuzzCodec smoke
 # (arbitrary float32 bits through every gradient wire format: exact
@@ -147,7 +147,7 @@ go test -race -count 20 -run 'Flush|Idle|Busy|Close|Routing|Golden' ./internal/s
 echo "== FuzzGemm smoke (5 s: Gemm and GemmBlocked on every kernel set vs gemmRef, band invariance, C padding, Go vs vector data movement bit for bit) =="
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 5s ./internal/blas
 
-echo "== FuzzConv smoke (5 s: forward gathered and packed, dW as the transposed product col·dTopᵀ whole and in a channel band, every kernel set, vs the naive lowering around its micro-kernels with the Go data movement bit for bit) =="
+echo "== FuzzConv smoke (5 s: forward gathered and packed, dW as the transposed product col·dTopᵀ whole and in a channel band, dX gathered or in strips, every kernel set, vs the naive lowering and scatter around its micro-kernels with the Go data movement bit for bit) =="
 go test -run '^$' -fuzz '^FuzzConv$' -fuzztime 5s ./internal/blas
 
 echo "== FuzzLRN smoke (5 s: LRN's block kernels vs the position-at-a-time loops bit for bit) =="
