@@ -122,8 +122,6 @@ func main() {
 				fmt.Println("### GEMM kernel comparison ###")
 				res.Render(os.Stdout)
 			}
-			fmt.Println("### GEMM dispatch sweep ###")
-			bench.DispatchSweep().Render(os.Stdout)
 			fmt.Println("### Lowered conv operand sweep ###")
 			sweep, err := bench.ConvSweep()
 			if err != nil {

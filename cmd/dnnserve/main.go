@@ -46,7 +46,6 @@ func main() {
 		scores   = flag.String("scores", "", "score blob name (default: the loss layer's input)")
 		shape    = flag.String("shape", "", "per-sample input shape as C,H,W (default: the model's dataset)")
 		classes  = flag.Int("classes", 0, "output classes (default: the model's dataset)")
-		seed     = flag.Uint64("seed", 1, "weight-init seed (overwritten by the snapshot; kept for reproducible builds)")
 		traceOut = flag.String("trace", "", "write a Chrome trace of batch/request spans here on shutdown")
 	)
 	flag.Parse()
@@ -55,7 +54,7 @@ func main() {
 	}
 
 	// One sample is enough to learn the input shape and class count.
-	m, err := zoo.Load(zoo.Ref{Zoo: *zooName, Model: *model, Seed: *seed, Samples: 1})
+	m, err := zoo.Load(zoo.Ref{Zoo: *zooName, Model: *model, Seed: 1, Samples: 1})
 	if err != nil {
 		fatal(err)
 	}

@@ -408,10 +408,9 @@ func TestGemmKernelsReportsEveryShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Shapes) == 0 || len(res.RefMFLOPS) != len(res.Shapes) ||
-			len(res.BlockedMFLOPS) != len(res.Shapes) || len(res.Blocked) != len(res.Shapes) {
-			t.Fatalf("%s: ragged result: %d shapes, %d ref, %d blocked, %d dispatch",
-				netName, len(res.Shapes), len(res.RefMFLOPS), len(res.BlockedMFLOPS), len(res.Blocked))
+		if len(res.Shapes) == 0 || len(res.RefMFLOPS) != len(res.Shapes) || len(res.BlockedMFLOPS) != len(res.Shapes) {
+			t.Fatalf("%s: ragged result: %d shapes, %d ref, %d blocked",
+				netName, len(res.Shapes), len(res.RefMFLOPS), len(res.BlockedMFLOPS))
 		}
 		for i, s := range res.Shapes {
 			if res.RefMFLOPS[i] <= 0 || res.BlockedMFLOPS[i] <= 0 {
@@ -421,7 +420,7 @@ func TestGemmKernelsReportsEveryShape(t *testing.T) {
 		var buf bytes.Buffer
 		res.Render(&buf)
 		// Ref and blocked side by side for all three GEMMs of a conv layer.
-		for _, want := range []string{"conv2-fwd", "conv2-bwdW", "conv2-bwdX", "ip1-bwdX", "Gemm uses"} {
+		for _, want := range []string{"conv2-fwd", "conv2-bwdW", "conv2-bwdX", "ip1-bwdX", "blk/ref"} {
 			if !strings.Contains(buf.String(), want) {
 				t.Fatalf("%s: render missing %q:\n%s", netName, want, buf.String())
 			}
@@ -429,37 +428,18 @@ func TestGemmKernelsReportsEveryShape(t *testing.T) {
 	}
 }
 
-// TestZooShapesAllBlocked keeps the dispatch hole closed: every GEMM
-// the zoo nets' convolutions and inner products issue — forward, bwdW and
-// bwdX, at the training batch, at the cluster's per-rank batch of 8, and
-// at the bands a 2- or 4-worker coarse team cuts those into — must go to
-// the blocked kernel. (LeNet's conv2-bwdX, 500x64x50, sat on the
-// reference kernel at 4 % of the roof until PR 13.) It also pins the
-// ledger's hand-kept NetGemmShapes to the derived list.
-func TestZooShapesAllBlocked(t *testing.T) {
-	for netName, batches := range map[string][]int{"mnist": {64, 8}, "cifar": {100, 8}} {
-		for _, batch := range batches {
-			for _, workers := range []int{1, 2, 4} {
-				band := batch / workers
-				shapes, err := ZooShapes(netName, band)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// LeNet: 2 conv + 2 ip; CIFAR-10-full: 3 conv + 1 ip.
-				if len(shapes) != 12 {
-					t.Fatalf("%s: %d shapes, want 12 (fwd, bwdW, bwdX per conv and ip layer)", netName, len(shapes))
-				}
-				for _, s := range shapes {
-					if !blas.GemmIsBlocked(s.M, s.N, s.K) {
-						t.Errorf("%s band %d: %s (%dx%dx%d) falls through to the reference kernel",
-							netName, band, s.Name, s.M, s.N, s.K)
-					}
-				}
-			}
-		}
-		derived, err := ZooShapes(netName, map[string]int{"mnist": 64, "cifar": 100}[netName])
+// TestNetGemmShapesAreZooShapes pins the ledger's hand-kept
+// NetGemmShapes to the list derived from the zoo nets at their training
+// batch: fwd, bwdW and bwdX of every convolution and inner product.
+func TestNetGemmShapesAreZooShapes(t *testing.T) {
+	for netName, batch := range map[string]int{"mnist": 64, "cifar": 100} {
+		derived, err := ZooShapes(netName, batch)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// LeNet: 2 conv + 2 ip; CIFAR-10-full: 3 conv + 1 ip.
+		if len(derived) != 12 {
+			t.Fatalf("%s: %d shapes, want 12 (fwd, bwdW, bwdX per conv and ip layer)", netName, len(derived))
 		}
 		for _, s := range NetGemmShapes(netName) {
 			found := false
@@ -536,27 +516,6 @@ func TestConvSweepRow(t *testing.T) {
 	// The strided row prints "-" for its gathered dX and uses the strips.
 	if line := out[strings.Index(out, "strided"):]; !strings.HasSuffix(strings.TrimSpace(line), "-  strips") {
 		t.Fatalf("strided row: %q", line)
-	}
-}
-
-func TestDispatchSweepShape(t *testing.T) {
-	res := dispatchSweep([]int{1, 8}, []int{4, 16}, []int{1, 8})
-	if len(res.Speedup) != 2 || len(res.Speedup[0]) != 2 || len(res.Speedup[0][0]) != 2 {
-		t.Fatalf("ragged sweep: %v", res.Speedup)
-	}
-	for _, block := range res.Speedup {
-		for _, row := range block {
-			for _, v := range row {
-				if v <= 0 {
-					t.Fatalf("non-positive speed ratio in %v", res.Speedup)
-				}
-			}
-		}
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if out := buf.String(); !strings.Contains(out, "M=8") || !strings.Contains(out, "*") {
-		t.Fatalf("render missing a block or the ref marks:\n%s", out)
 	}
 }
 

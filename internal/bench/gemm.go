@@ -52,10 +52,9 @@ func NetGemmShapes(netName string) []GemmShape {
 // lowered convolutions and inner products issue on a batch (or coarse
 // band) of the given size: forward, weight gradient (bwdW) and input
 // gradient (bwdX) per layer. NetGemmShapes is a fixed subset of these;
-// this is the list the kernel figure reports and the dispatch test walks,
-// so a layer added to a zoo net cannot miss either. The first
-// convolution's bwdX is listed although the net skips it (its bottom is
-// the data blob).
+// this is the list the kernel figure reports, so a layer added to a zoo
+// net cannot miss it. The first convolution's bwdX is listed although the
+// net skips it (its bottom is the data blob).
 func ZooShapes(netName string, batch int) ([]GemmShape, error) {
 	o := Options{Net: netName, Batch: batch}
 	if err := o.normalize(); err != nil {
@@ -100,23 +99,18 @@ func ZooShapes(netName string, batch int) ([]GemmShape, error) {
 type GemmKernelResult struct {
 	Net    string
 	Shapes []GemmShape
-	// RefMFLOPS[i] and BlockedMFLOPS[i] are throughputs for Shapes[i],
-	// each kernel forced; Blocked[i] is the one blas.Gemm dispatches to.
+	// RefMFLOPS[i] and BlockedMFLOPS[i] are the throughputs of
+	// blas.GemmReference and blas.Gemm for Shapes[i].
 	RefMFLOPS, BlockedMFLOPS []float64
-	Blocked                  []bool
 }
 
 // Render prints the kernel comparison table.
 func (r *GemmKernelResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s GEMM kernel throughput (reference vs blocked, this host) ==\n", r.Net)
-	fmt.Fprintf(w, "%-12s %6s %6s %6s %12s %12s %8s %9s\n", "shape", "M", "N", "K", "ref MFLOP/s", "blk MFLOP/s", "blk/ref", "Gemm uses")
+	fmt.Fprintf(w, "%-12s %6s %6s %6s %12s %12s %8s\n", "shape", "M", "N", "K", "ref MFLOP/s", "blk MFLOP/s", "blk/ref")
 	for i, s := range r.Shapes {
-		uses := "ref"
-		if r.Blocked[i] {
-			uses = "blocked"
-		}
-		fmt.Fprintf(w, "%-12s %6d %6d %6d %12.0f %12.0f %7.2fx %9s\n",
-			s.Name, s.M, s.N, s.K, r.RefMFLOPS[i], r.BlockedMFLOPS[i], ratio(r.BlockedMFLOPS[i], r.RefMFLOPS[i]), uses)
+		fmt.Fprintf(w, "%-12s %6d %6d %6d %12.0f %12.0f %7.2fx\n",
+			s.Name, s.M, s.N, s.K, r.RefMFLOPS[i], r.BlockedMFLOPS[i], ratio(r.BlockedMFLOPS[i], r.RefMFLOPS[i]))
 	}
 }
 
@@ -128,8 +122,8 @@ func ratio(a, b float64) float64 {
 }
 
 // GemmKernels runs the kernel comparison for the selected network at its
-// training batch size, each kernel forced past the dispatch, so the table
-// shows what the dispatch chose between.
+// training batch size: the seed's kernel, kept as the baseline, against
+// the blocked one every product runs.
 func GemmKernels(o Options) (*GemmKernelResult, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
@@ -142,68 +136,11 @@ func GemmKernels(o Options) (*GemmKernelResult, error) {
 		Net: o.Net, Shapes: shapes,
 		RefMFLOPS:     make([]float64, len(shapes)),
 		BlockedMFLOPS: make([]float64, len(shapes)),
-		Blocked:       make([]bool, len(shapes)),
 	}
 	for i, s := range shapes {
 		res.RefMFLOPS[i], res.BlockedMFLOPS[i] = timeGemmPair(s)
-		res.Blocked[i] = blas.GemmIsBlocked(s.M, s.N, s.K)
 	}
 	return res, nil
-}
-
-// DispatchSweepResult is the measurement blas.GemmIsBlocked is read off: the
-// blocked kernel's speed over the reference kernel's on a grid of small
-// shapes around where packing stops paying.
-type DispatchSweepResult struct {
-	Ms, Ns, Ks []int
-	// Speedup[mi][ni][ki] = blocked MFLOP/s / reference MFLOP/s.
-	Speedup [][][]float64
-}
-
-// Render prints one N x K block per M, marking the cells the dispatch
-// sends to the reference kernel.
-func (r *DispatchSweepResult) Render(w io.Writer) {
-	fmt.Fprintln(w, "== GEMM dispatch sweep: blocked/ref speed, A*B untransposed (* = Gemm uses ref) ==")
-	for mi, m := range r.Ms {
-		fmt.Fprintf(w, "M=%-5d", m)
-		for _, k := range r.Ks {
-			fmt.Fprintf(w, " %7s", fmt.Sprintf("K=%d", k))
-		}
-		fmt.Fprintln(w)
-		for ni, n := range r.Ns {
-			fmt.Fprintf(w, " N=%-4d", n)
-			for ki, k := range r.Ks {
-				mark := " "
-				if !blas.GemmIsBlocked(m, n, k) {
-					mark = "*"
-				}
-				fmt.Fprintf(w, " %6.2f%s", r.Speedup[mi][ni][ki], mark)
-			}
-			fmt.Fprintln(w)
-		}
-	}
-}
-
-// DispatchSweep measures the default grid.
-func DispatchSweep() *DispatchSweepResult {
-	return dispatchSweep([]int{1, 8, 64}, []int{1, 4, 16, 64, 512}, []int{1, 2, 4, 8, 32, 256})
-}
-
-func dispatchSweep(ms, ns, ks []int) *DispatchSweepResult {
-	res := &DispatchSweepResult{Ms: ms, Ns: ns, Ks: ks}
-	for _, m := range ms {
-		var block [][]float64
-		for _, n := range ns {
-			var row []float64
-			for _, k := range ks {
-				ref, blk := timeGemmPair(GemmShape{"sweep", blas.NoTrans, blas.NoTrans, m, n, k})
-				row = append(row, ratio(blk, ref))
-			}
-			block = append(block, row)
-		}
-		res.Speedup = append(res.Speedup, block)
-	}
-	return res
 }
 
 // timeKernels returns the seconds one call of each kernel takes. The
@@ -252,8 +189,8 @@ func randomFloats(r *rng.RNG, n int) []float32 {
 	return out
 }
 
-// timeGemmPair returns the throughput of the reference and of the blocked
-// kernel on shape s in MFLOP/s.
+// timeGemmPair returns the throughput of blas.GemmReference and of
+// blas.Gemm on shape s in MFLOP/s.
 func timeGemmPair(s GemmShape) (ref, blocked float64) {
 	arows, acols := s.M, s.K
 	if s.TransA == blas.Trans {
@@ -269,7 +206,7 @@ func timeGemmPair(s GemmShape) (ref, blocked float64) {
 	c := make([]float32, s.M*s.N)
 	secs := timeKernels(
 		func() { blas.GemmReference(s.TransA, s.TransB, s.M, s.N, s.K, 1, a, acols, b, bcols, 0, c, s.N) },
-		func() { blas.GemmBlocked(s.TransA, s.TransB, s.M, s.N, s.K, 1, a, acols, b, bcols, 0, c, s.N) },
+		func() { blas.Gemm(s.TransA, s.TransB, s.M, s.N, s.K, 1, a, acols, b, bcols, 0, c, s.N) },
 	)
 	flops := 2 * float64(s.M) * float64(s.N) * float64(s.K)
 	return flops / secs[0] / 1e6, flops / secs[1] / 1e6

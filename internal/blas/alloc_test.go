@@ -11,8 +11,8 @@ import (
 	"coarsegrain/internal/rng"
 )
 
-// TestGemmAllocations pins a held-scratch GemmWithScratch at 0 heap
-// allocations once the scratch has grown, on the small-M and small-K
+// TestGemmAllocations pins a warm Gemm (its scratch borrowed from the
+// package free list) at 0 heap allocations, on the small-M and small-K
 // products whose time is mostly the vector packers and writeback: ip1's
 // forward at M = 1 (a served request) and its weight gradient at K = 8 (a
 // band of 8 samples); and the transposed conv weight gradient
@@ -35,11 +35,10 @@ func TestGemmAllocations(t *testing.T) {
 			brows, bcols := storage(sh.tb, sh.k, sh.n)
 			a, b := randomSlice(r, arows*acols), randomSlice(r, brows*bcols)
 			c := make([]float32, sh.m*sh.n)
-			s := &GemmScratch{}
-			gemm := func() { GemmWithScratch(s, sh.ta, sh.tb, sh.m, sh.n, sh.k, 1, a, acols, b, bcols, sh.beta, c, sh.n) }
+			gemm := func() { Gemm(sh.ta, sh.tb, sh.m, sh.n, sh.k, 1, a, acols, b, bcols, sh.beta, c, sh.n) }
 			gemm()
 			if got := testing.AllocsPerRun(20, gemm); got != 0 {
-				t.Errorf("%s: GemmWithScratch allocates %v objects per call, want 0", sh.name, got)
+				t.Errorf("%s: Gemm allocates %v objects per call, want 0", sh.name, got)
 			}
 		}
 		for _, l := range zooConvs {

@@ -9,11 +9,13 @@
 // Gemm is organised as three levels, the same structure OpenBLAS uses
 // (see PERFORMANCE.md for block sizes and measurements):
 //
-//   - Gemm / GemmRows: dispatch. Every product with at least two
-//     rank-1 steps (GemmIsBlocked, read off a measured sweep) goes to the
-//     cache-blocked kernel; an outer product runs gemmRef, the original
-//     i-k-j loop, which also serves as the reference for differential
-//     tests.
+//   - Gemm: one path. Every dense product runs the cache-blocked
+//     kernel, whatever its shape. The only outer products (K = 1) the
+//     nets issue, an inner product's weight gradient over a one-sample
+//     band, accumulate into a C that either kernel reads and writes once,
+//     and take as long on the blocked kernel as on the seed's i-k-j loop
+//     (PERFORMANCE.md §1). GemmReference keeps that loop as the kernel
+//     figures' baseline and the differential tests' oracle.
 //   - macro-tiles: the blocked kernel walks C in gemmMC x gemmNC tiles,
 //     packing gemmKC-deep panels of op(A) and op(B) into contiguous
 //     scratch (GemmScratch) so the inner loops read two linear streams.
@@ -88,65 +90,18 @@ const (
 // op(A) is M x K, op(B) is K x N, C is M x N. lda/ldb/ldc are the leading
 // (row) strides of the *stored* matrices.
 //
-// All but outer products (GemmIsBlocked) run the cache-blocked packed
-// kernel (gemm_blocked.go) with packing buffers drawn from a package pool;
-// callers issuing many Gemms in a loop should use GemmWithScratch to reuse
-// one set of buffers.
+// Every product runs the cache-blocked packed kernel (gemm_blocked.go)
+// with packing buffers borrowed from the package free list (GetScratch)
+// for the call, so a warm Gemm allocates nothing.
 func Gemm(transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	checkGemm(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
-	gemmBand(nil, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
-}
-
-// GemmWithScratch is Gemm with caller-owned packing buffers. The scratch
-// is only touched for shapes that take the blocked path; its zero value
-// is ready to use and grows on demand.
-func GemmWithScratch(s *GemmScratch, transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	checkGemm(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
-	gemmBand(s, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
-}
-
-// GemmRows computes rows [rowLo, rowHi) of the Gemm result, the
-// work-splittable core of Gemm (full range). Distinct bands touch disjoint
-// rows of C, so a parallel composition is race-free; the band split does
-// not change the computed values (see gemm_blocked.go).
-func GemmRows(transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
-	if rowLo < 0 || rowHi > m || rowLo > rowHi {
-		panic(fmt.Sprintf("blas: bad row band [%d,%d) for m=%d", rowLo, rowHi, m))
-	}
-	gemmBand(nil, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, rowLo, rowHi)
-}
-
-// GemmReference runs the pre-blocking i-k-j kernel unconditionally,
-// bypassing the blocked-path dispatch. It exists as the baseline for
-// benchmarks (see internal/bench and PERFORMANCE.md) and as an external
-// check against the blocked kernel; use Gemm everywhere else.
-func GemmReference(transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	checkGemm(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
-	gemmRef(transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
-}
-
-// GemmBlocked runs the blocked packed kernel unconditionally, bypassing
-// the dispatch — GemmReference's counterpart, for the ref-vs-blocked sweep
-// the dispatch predicate is chosen from (internal/bench) and for tests.
-func GemmBlocked(transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	checkGemm(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
 	gemmDense(nil, transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
 }
 
-// gemmBand dispatches rows [rowLo, rowHi) to the blocked or reference
-// kernel. The choice ignores both the band and M (GemmIsBlocked), so
-// every band of one logical Gemm takes the same path — a prerequisite for
-// bit-identical results at any worker count.
-func gemmBand(s *GemmScratch, transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
-	if !GemmIsBlocked(m, n, k) {
-		gemmRef(transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, rowLo, rowHi)
-		return
-	}
-	gemmDense(s, transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, rowLo, rowHi)
-}
-
 // gemmDense runs rows [rowLo, rowHi) of a dense product on the blocked
-// kernel. A nil scratch borrows one from the package pool.
+// kernel: Gemm's band driver. Distinct bands write disjoint rows of C and
+// the band split never changes the bits (see gemm_blocked.go). A nil
+// scratch borrows one from the package free list.
 func gemmDense(s *GemmScratch, transA, transB Transpose, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
 	if s == nil {
 		s = GetScratch()
@@ -156,13 +111,14 @@ func gemmDense(s *GemmScratch, transA, transB Transpose, n, k int, alpha float32
 		a: a, lda: lda, b: b, ldb: ldb, c: c, ldc: ldc}, rowLo, rowHi)
 }
 
-// gemmRef is the original i-k-j kernel with a row accumulator: B accesses
-// stay sequential and the axpyTo inner loop unrolls. It remains the
-// kernel for outer products (k = 1, nothing to block over) and the
-// reference implementation the blocked kernel is differentially tested
-// against.
-func gemmRef(transA, transB Transpose, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
-	for i := rowLo; i < rowHi; i++ {
+// GemmReference runs the seed's i-k-j kernel with a row accumulator: B
+// accesses stay sequential and the axpyTo inner loop unrolls. It is the
+// baseline the blocked kernel is measured against (internal/bench and
+// PERFORMANCE.md) and the oracle it is differentially tested against;
+// use Gemm everywhere else.
+func GemmReference(transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+	checkGemm(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
+	for i := 0; i < m; i++ {
 		ci := c[i*ldc : i*ldc+n]
 		if beta == 0 {
 			for j := range ci {

@@ -108,7 +108,6 @@ func TestGemmBadArgsPanic(t *testing.T) {
 	check(func() { Gemm(NoTrans, NoTrans, -1, 2, 2, 1, a, 2, a, 2, 0, a, 2) })
 	check(func() { Gemm(NoTrans, NoTrans, 2, 2, 2, 1, a, 1, a, 2, 0, a, 2) })
 	check(func() { Gemm(NoTrans, NoTrans, 4, 4, 4, 1, a, 4, a, 4, 0, a, 4) })
-	check(func() { GemmRows(NoTrans, NoTrans, 2, 2, 2, 1, a, 2, a, 2, 0, a, 2, 1, 3) })
 }
 
 func TestAxpyFamily(t *testing.T) {

@@ -293,7 +293,7 @@ type ConvRoute struct{ FwdGather, DXGather bool }
 
 // ConvGathers reports whether a geometry's forward product W·col reads
 // the lowered matrix through the gather kernel instead of packing it.
-// Like GemmIsBlocked it only chooses between two ways to the same bits.
+// It only chooses between two ways to the same bits.
 // It gathers whenever it can, which is at StrideW == 1: its lanes are
 // neighbouring output pixels, and only there are they neighbours in the
 // image. The weight gradient has no choice to make: it always reads col

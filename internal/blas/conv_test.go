@@ -166,9 +166,9 @@ func newConvCase(r *rng.RNG, g ConvGeom, o int, lower, scatter func([]float32, C
 	c.wantW = append([]float32(nil), c.w0...) // dW accumulates into what is there
 	dcol := make([]float32, ckk*ohw)
 	withKernels(goMovement(active), func() {
-		GemmBlocked(NoTrans, NoTrans, o, ohw, ckk, 1, c.w, ckk, col, ohw, 0, c.wantOut, ohw)
-		GemmBlocked(NoTrans, Trans, o, ckk, ohw, 1, c.dTop, ohw, col, ohw, 1, c.wantW, ckk)
-		GemmBlocked(Trans, NoTrans, ckk, ohw, o, 1, c.w, ckk, c.dTop, ohw, 0, dcol, ohw)
+		Gemm(NoTrans, NoTrans, o, ohw, ckk, 1, c.w, ckk, col, ohw, 0, c.wantOut, ohw)
+		Gemm(NoTrans, Trans, o, ckk, ohw, 1, c.dTop, ohw, col, ohw, 1, c.wantW, ckk)
+		Gemm(Trans, NoTrans, ckk, ohw, o, 1, c.w, ckk, c.dTop, ohw, 0, dcol, ohw)
 	})
 	c.wantBiased = append([]float32(nil), c.wantOut...)
 	for oc := 0; oc < o; oc++ {
@@ -366,7 +366,7 @@ func TestConvBackwardDataStripInvariant(t *testing.T) {
 		w := randomSlice(r, o*ckk)
 		dTop := randomSlice(r, o*ohw)
 		dcol := make([]float32, ckk*ohw)
-		GemmBlocked(Trans, NoTrans, ckk, ohw, o, 1, w, ckk, dTop, ohw, 0, dcol, ohw)
+		Gemm(Trans, NoTrans, ckk, ohw, o, 1, w, ckk, dTop, ohw, 0, dcol, ohw)
 		want := make([]float32, g.Channels*hw)
 		col2im(dcol, g, want)
 

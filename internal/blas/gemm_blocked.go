@@ -72,8 +72,6 @@ import (
 //   - partial edge tiles run the exact same micro-kernel on zero-padded
 //     packed panels (x + a*0 == x for finite a), and the writeback loop
 //     is the same code for full and partial tiles;
-//   - the blocked-vs-reference dispatch (GemmIsBlocked) looks only at k,
-//     which every band of the same Gemm shares;
 //   - where a packed panel comes from — a dense operand, the (C,H,W) image
 //     of a lowered convolution (conv.go), or panels PackA left in the
 //     scratch — changes how it is filled, never what it holds; and the
@@ -84,10 +82,11 @@ import (
 //     follow the image's rows) never enters a lane's sum, nor does
 //     whether a tile is written to C or, transposed, to Cᵀ.
 //
-// Consequently Gemm, GemmRows on any band partition, and a product over
-// any band of C's columns (B and C offset, N the band width) all produce
-// bit-identical C — the property TestBlockedGemmBandInvariance and the
-// engines' bit-identity tests pin down.
+// Consequently Gemm, its band driver gemmDense on any row partition, and
+// a product over any band of C's columns (B and C offset, N the band
+// width) all produce bit-identical C — the property
+// TestBlockedGemmBandInvariance and the engines' bit-identity tests pin
+// down.
 const (
 	// gemmMR is the micro-tile height shared by every kernel set.
 	gemmMR = 4
@@ -237,7 +236,7 @@ func (s *GemmScratch) ensure(apLen, bpLen int) {
 	s.bp = s.bp[:cap(s.bp)]
 }
 
-// scratches backs plain Gemm/GemmRows calls that do not thread an
+// scratches backs Gemm and every other product that does not thread an
 // explicit scratch: a last-in, first-out free list that holds as many
 // scratches as were ever in use at once, each grown to the largest
 // products it served, so repeated calls are allocation-free after
@@ -251,9 +250,9 @@ var scratches struct {
 }
 
 // GetScratch hands out a packing-buffer scratch from the package free
-// list. Callers that issue many Gemms back to back (per-sample lowered
-// convolutions, banded inner products) should hold one for the whole loop
-// and return it with PutScratch.
+// list. Callers that issue many products on one scratch (the per-sample
+// lowered convolutions) hold one for the whole loop and return it with
+// PutScratch; Gemm borrows one per call.
 func GetScratch() *GemmScratch {
 	scratches.Lock()
 	defer scratches.Unlock()
@@ -271,29 +270,6 @@ func PutScratch(s *GemmScratch) {
 	scratches.Lock()
 	scratches.free = append(scratches.free, s)
 	scratches.Unlock()
-}
-
-// GemmIsBlocked reports whether Gemm runs an m x n x k product on the
-// blocked kernel (true) or on the reference kernel. The decision
-// deliberately ignores M and N: GemmRows and the coarse engine split M
-// into bands (the inner-product layers pass the band height as M), their
-// channel ranges split N (the band width), the serving path runs the same
-// layer at batch 1 and batch 32, and every one of those must take the
-// same path for the results to be bit-identical.
-//
-// The rule is read off the ref-vs-blocked sweep `dnnbench -figure gemm`
-// prints (PERFORMANCE.md §1): from M = 8 up the blocked kernel wins from
-// K = 4 at every N — N = 1 included — and from K = 2 wherever N fills a
-// micro-tile (K = 2 with N <= 4 is a draw), rising to 15-50x at K = 256.
-// Only K = 1, an outer product with nothing to reuse a packed panel for,
-// stays on the reference kernel. (At M = 1 the reference kernel is the
-// faster one below N = 16 at any K and at K <= 4 at any N, by microseconds
-// at most. The M = 1 products a net emits — a served request's inner
-// products — have K of 500 or more, and the one below N = 16, LeNet's ip2
-// with its transposed weights, takes ~16 µs blocked against the
-// reference kernel's ~18 µs.)
-func GemmIsBlocked(_, _, k int) bool {
-	return k >= 2
 }
 
 // gemmScaleRows applies C = beta*C over the row band; used for the
@@ -314,10 +290,10 @@ func gemmScaleRows(n int, beta float32, c []float32, ldc, rowLo, rowHi int) {
 }
 
 // gemmOp is one product on the blocked kernel: C = alpha*op(A)*op(B) +
-// beta*C, plus where the operands come from. The plain Gemm entry points
-// fill in the dense fields only; the lowered convolution (conv.go) sets
-// gather, gatherA or conv, bias, cRow0 and transC, and leaves a (b) nil
-// after a PackA (packBAhead).
+// beta*C, plus where the operands come from. Gemm fills in the dense
+// fields only; the lowered convolution (conv.go) sets gather, gatherA or
+// conv, bias, cRow0 and transC, and leaves a (b) nil after a PackA
+// (packBAhead).
 type gemmOp struct {
 	transA, transB Transpose
 	n, k           int

@@ -9,12 +9,6 @@ import (
 	"coarsegrain/internal/rng"
 )
 
-// refFull runs the reference kernel over all rows — the baseline every
-// blocked result is differentially checked against.
-func refFull(transA, transB Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	gemmRef(transA, transB, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0, m)
-}
-
 // storage returns the stored extent (rows, cols) of an operand under op.
 func storage(trans Transpose, rows, cols int) (int, int) {
 	if trans == Trans {
@@ -23,13 +17,13 @@ func storage(trans Transpose, rows, cols int) (int, int) {
 	return rows, cols
 }
 
-// TestBlockedGemmDifferential sweeps the blocked kernel against gemmRef
+// TestBlockedGemmDifferential sweeps the blocked kernel against GemmReference
 // over odd/prime dimensions (so every M, N and K edge-tile path runs),
 // all four transpose combinations, the beta values the layers use, and
 // non-trivial leading strides (operands embedded in wider matrices).
 //
 // Tolerance: the two kernels accumulate in float32 in different orders
-// (gemmRef keeps a running row sum; the blocked kernel sums KC-sized
+// (GemmReference keeps a running row sum; the blocked kernel sums KC-sized
 // partials in registers). For |entries| <= 1 and K <= 384 the worst-case
 // reassociation error is a few hundred ulps of the K-term dot product,
 // comfortably below 1e-3 absolute; 1e-4 held over the full sweep in
@@ -60,9 +54,8 @@ func TestBlockedGemmDifferential(t *testing.T) {
 					c0 := randomSlice(r, d.m*ldc)
 					got := append([]float32(nil), c0...)
 					want := append([]float32(nil), c0...)
-					s := &GemmScratch{}
-					GemmWithScratch(s, ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, got, ldc)
-					refFull(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, want, ldc)
+					Gemm(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, got, ldc)
+					GemmReference(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, want, ldc)
 					if diff := maxAbsDiff(got, want); diff > 1e-4 {
 						t.Errorf("m=%d n=%d k=%d ta=%v tb=%v beta=%v: max diff %g",
 							d.m, d.n, d.k, ta, tb, beta, diff)
@@ -85,10 +78,7 @@ func TestBlockedGemmDifferential(t *testing.T) {
 // reduce to C = beta*C without reading A or B.
 func TestBlockedGemmAlphaZero(t *testing.T) {
 	r := rng.New(12, 12)
-	m, n, k := 9, 130, 40 // blocked-path shape
-	if !GemmIsBlocked(m, n, k) {
-		t.Fatal("shape unexpectedly below blocked threshold")
-	}
+	m, n, k := 9, 130, 40
 	c0 := randomSlice(r, m*n)
 	for _, beta := range []float32{0, 1, 0.5} {
 		got := append([]float32(nil), c0...)
@@ -113,9 +103,6 @@ func TestBlockedGemmBandInvariance(t *testing.T) {
 	forEachSet(t, func(t *testing.T) {
 		r := rng.New(13, 13)
 		m, n, k := gemmMC+6, 129, 300
-		if !GemmIsBlocked(m, n, k) {
-			t.Fatal("shape unexpectedly below blocked threshold")
-		}
 		a := randomSlice(r, m*k)
 		b := randomSlice(r, k*n)
 		want := make([]float32, m*n)
@@ -123,7 +110,7 @@ func TestBlockedGemmBandInvariance(t *testing.T) {
 		for _, cuts := range [][]int{{0, m}, {0, 1, m}, {0, 5, 9, m}, {0, 4, 8, 12, 16, 20, m}} {
 			got := make([]float32, m*n)
 			for ci := 0; ci+1 < len(cuts); ci++ {
-				GemmRows(NoTrans, NoTrans, m, n, k, 1, a, k, b, n, 0, got, n, cuts[ci], cuts[ci+1])
+				gemmDense(nil, NoTrans, NoTrans, n, k, 1, a, k, b, n, 0, got, n, cuts[ci], cuts[ci+1])
 			}
 			for i := range got {
 				if got[i] != want[i] {
@@ -173,8 +160,8 @@ func TestGemmScratchReuse(t *testing.T) {
 		b := randomSlice(r, d.k*d.n)
 		got := make([]float32, d.m*d.n)
 		want := make([]float32, d.m*d.n)
-		GemmWithScratch(s, NoTrans, NoTrans, d.m, d.n, d.k, 1, a, d.k, b, d.n, 0, got, d.n)
-		refFull(NoTrans, NoTrans, d.m, d.n, d.k, 1, a, d.k, b, d.n, 0, want, d.n)
+		gemmDense(s, NoTrans, NoTrans, d.n, d.k, 1, a, d.k, b, d.n, 0, got, d.n, 0, d.m)
+		GemmReference(NoTrans, NoTrans, d.m, d.n, d.k, 1, a, d.k, b, d.n, 0, want, d.n)
 		if diff := maxAbsDiff(got, want); diff > 1e-4 {
 			t.Fatalf("shape %+v after reuse: max diff %g", d, diff)
 		}
@@ -254,13 +241,12 @@ func BenchmarkGemmNetShapes(b *testing.B) {
 		flops := 2 * int64(sh.m) * int64(sh.n) * int64(sh.k)
 		for _, impl := range []string{"ref", "blocked"} {
 			b.Run(fmt.Sprintf("%s/impl=%s", sh.name, impl), func(b *testing.B) {
-				s := &GemmScratch{}
 				b.SetBytes(flops) // report "MB/s" as MFLOP/s
 				for i := 0; i < b.N; i++ {
 					if impl == "ref" {
-						gemmRef(sh.ta, sh.tb, sh.n, sh.k, 1, a, acols, bm, bcols, 0, c, sh.n, 0, sh.m)
+						GemmReference(sh.ta, sh.tb, sh.m, sh.n, sh.k, 1, a, acols, bm, bcols, 0, c, sh.n)
 					} else {
-						GemmWithScratch(s, sh.ta, sh.tb, sh.m, sh.n, sh.k, 1, a, acols, bm, bcols, 0, c, sh.n)
+						Gemm(sh.ta, sh.tb, sh.m, sh.n, sh.k, 1, a, acols, bm, bcols, 0, c, sh.n)
 					}
 				}
 			})
@@ -269,23 +255,22 @@ func BenchmarkGemmNetShapes(b *testing.B) {
 }
 
 // FuzzGemm drives random shapes, transposes, alpha/beta and leading
-// strides through the dispatching Gemm and, dispatch aside, through the
-// blocked kernel, on every kernel set, with gemmRef as the oracle. It
-// checks the values (the two kernels sum in different orders, hence the
-// K-scaled tolerance), that C's padding columns are never written, that a
-// random row-band split reproduces the full call bit for bit, and that
-// the blocked kernel writes the same bits as on the set's goMovement copy
-// (its micro-kernels, the Go packers and writeback). The seed corpus
-// straddles the dispatch boundary (k = 1 | 2), the boundary it replaced
-// (n*k = 4096, with LeNet's conv2-bwdX just under it) and every blocking
-// constant.
+// strides through Gemm on every kernel set, with GemmReference as the
+// oracle. It checks the values (the two kernels sum in different orders,
+// hence the K-scaled tolerance), that C's padding columns are never
+// written, that a random row-band split through the band driver
+// reproduces the full call bit for bit, and that Gemm writes the same
+// bits as on the set's goMovement copy (its micro-kernels, the Go packers
+// and writeback). The seed corpus straddles the old dispatch boundary
+// (k = 1 | 2), the boundary before it (n*k = 4096, with LeNet's
+// conv2-bwdX just under it) and every blocking constant.
 func FuzzGemm(f *testing.F) {
 	for _, s := range []struct {
 		m, n, k uint16
 		flags   uint8
 	}{
-		{37, 29, 1, 0}, {37, 29, 2, 0}, {1, 1, 2, 3}, // the dispatch boundary
-		{500, 64, 50, 1}, {9, 64, 63, 0}, {9, 64, 64, 2}, // the old one; flags 1 = transA (conv2-bwdX)
+		{37, 29, 1, 0}, {37, 29, 2, 0}, {1, 1, 2, 3}, // the old dispatch boundary
+		{500, 64, 50, 1}, {9, 64, 63, 0}, {9, 64, 64, 2}, // the one before it; flags 1 = transA (conv2-bwdX)
 		{4, 4, 257, 0}, {67, 129, 263, 3}, {65, 17, 9, 1}, {3, 513, 5, 2}, // MR/NR/MC/KC/NC edges
 		{20, 576, 25, 0}, {50, 500, 64, 2}, {8, 10, 500, 2}, // LeNet conv1-fwd, conv2-bwdW, ip2-fwd at batch 8
 	} {
@@ -309,7 +294,7 @@ func FuzzGemm(f *testing.F) {
 		b := randomSlice(r, brows*ldb)
 		c0 := randomSlice(r, m*ldc)
 		want := append([]float32(nil), c0...)
-		gemmRef(ta, tb, n, k, alpha, a, lda, b, ldb, beta, want, ldc, 0, m)
+		GemmReference(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
 		tol := 2e-6*float64(k+1) + 1e-6
 
 		cut := 0
@@ -318,27 +303,24 @@ func FuzzGemm(f *testing.F) {
 		}
 		for _, ks := range kernelSets() {
 			withKernels(ks, func() {
-				full, blocked, goMoved, banded := slices.Clone(c0), slices.Clone(c0), slices.Clone(c0), slices.Clone(c0)
+				full, goMoved, banded := slices.Clone(c0), slices.Clone(c0), slices.Clone(c0)
 				Gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, full, ldc)
-				GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, blocked, ldc)
-				withKernels(goMovement(ks), func() { GemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, goMoved, ldc) })
-				GemmRows(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, 0, cut)
-				GemmRows(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, cut, m)
+				withKernels(goMovement(ks), func() { Gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, goMoved, ldc) })
+				gemmDense(nil, ta, tb, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, 0, cut)
+				gemmDense(nil, ta, tb, n, k, alpha, a, lda, b, ldb, beta, banded, ldc, cut, m)
 				what := fmt.Sprintf("%s m=%d n=%d k=%d ta=%v tb=%v alpha=%v beta=%v", ks.name, m, n, k, ta, tb, alpha, beta)
-				for name, got := range map[string][]float32{"Gemm": full, "GemmBlocked": blocked} {
-					for i := 0; i < m; i++ {
-						row := got[i*ldc : (i+1)*ldc]
-						if d := maxAbsDiff(row[:n], want[i*ldc:i*ldc+n]); d > tol {
-							t.Fatalf("%s %s: row %d off by %g (tol %g)", name, what, i, d, tol)
-						}
-						for j := n; j < ldc; j++ {
-							if row[j] != c0[i*ldc+j] {
-								t.Fatalf("%s %s: C padding clobbered at (%d,%d)", name, what, i, j)
-							}
+				for i := 0; i < m; i++ {
+					row := full[i*ldc : (i+1)*ldc]
+					if d := maxAbsDiff(row[:n], want[i*ldc:i*ldc+n]); d > tol {
+						t.Fatalf("%s: row %d off by %g (tol %g)", what, i, d, tol)
+					}
+					for j := n; j < ldc; j++ {
+						if row[j] != c0[i*ldc+j] {
+							t.Fatalf("%s: C padding clobbered at (%d,%d)", what, i, j)
 						}
 					}
 				}
-				sameBits(t, what+": Go data movement", goMoved, blocked)
+				sameBits(t, what+": Go data movement", goMoved, full)
 				sameBits(t, fmt.Sprintf("%s: rows [0,%d) and [%d,%d) banded", what, cut, cut, m), banded, full)
 			})
 		}

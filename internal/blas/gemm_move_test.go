@@ -244,8 +244,8 @@ func TestDataMovementMatchesGo(t *testing.T) {
 						c0 := specialSlice(r, d.m*ldc)
 						got := append([]float32(nil), c0...)
 						want := append([]float32(nil), c0...)
-						withKernels(vec, func() { GemmBlocked(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, got, ldc) })
-						withKernels(oracle, func() { GemmBlocked(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, want, ldc) })
+						withKernels(vec, func() { Gemm(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, got, ldc) })
+						withKernels(oracle, func() { Gemm(ta, tb, d.m, d.n, d.k, 0.75, a, lda, b, ldb, beta, want, ldc) })
 						sameBits(t, fmt.Sprintf("gemm %+v ta=%v tb=%v beta=%v", d, ta == Trans, tb == Trans, beta), got, want)
 					}
 				}

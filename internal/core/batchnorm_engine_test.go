@@ -27,7 +27,7 @@ func buildBN(t *testing.T, seed uint64) (*layers.BatchNorm, []*blob.Blob, []*blo
 	return l, []*blob.Blob{bottom}, tops
 }
 
-// BatchNorm exercises the backward prepare/finish hooks: the coarse
+// BatchNorm exercises the backward prepare hook: the coarse
 // engine must produce the same gradients as sequential, including the
 // whole-batch reduction terms.
 func TestBatchNormCoarseMatchesSequential(t *testing.T) {

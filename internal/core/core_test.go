@@ -192,9 +192,6 @@ func TestTreeReductionCloseToOrdered(t *testing.T) {
 	for i, p := range params {
 		p.AccumulateDiffFrom(privs[0][i])
 	}
-	if f, ok := any(l).(layers.BackwardFinisher); ok {
-		f.BackwardFinish(bot, top)
-	}
 	for pi := range params {
 		if d := maxAbsDiff(params[pi].Diff(), lRef.Params()[pi].Diff()); d > 1e-4 {
 			t.Fatalf("tree reduction param %d deviates by %g", pi, d)

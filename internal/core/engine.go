@@ -291,9 +291,6 @@ func (e *engine) Backward(l layers.Layer, bottom, top []*blob.Blob) {
 		e.pool.For(in, e.bandBody)
 	}
 	e.pass = pass{}
-	if f, ok := l.(layers.BackwardFinisher); ok {
-		f.BackwardFinish(bottom, top)
-	}
 }
 
 // privatized is Algorithm 5: each worker receives private, zero-initialized

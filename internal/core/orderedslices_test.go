@@ -62,9 +62,6 @@ func referenceOrderedBackward(l layers.Layer, bottom, top []*blob.Blob, workers 
 			p.AccumulateDiffFrom(privs[r][i])
 		}
 	}
-	if f, ok := l.(layers.BackwardFinisher); ok {
-		f.BackwardFinish(bottom, top)
-	}
 }
 
 // TestOrderedSlicesMergeBitIdenticalAcrossWorkers is the determinism

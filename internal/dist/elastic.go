@@ -129,8 +129,6 @@ type ElasticConfig struct {
 	// SnapshotPath, when set on the coordinator, receives the final
 	// solver state on successful completion (dnntrain-compatible).
 	SnapshotPath string
-	// Keep bounds checkpoint retention in FenceDir (<= 0 keeps all).
-	Keep int
 	// MinRanks aborts the run when a fence would shrink the membership
 	// below it (default 1 — degrade all the way to solo). At or above
 	// the initial membership size no shrink is allowed at all, which —
@@ -149,12 +147,10 @@ type ElasticConfig struct {
 	// coordinator; on expiry the wait chain's straggler is evicted and
 	// the iteration re-runs at the reduced membership.
 	IterDeadline time.Duration
-	// FenceTimeout bounds the fence's ACK barrier and a worker's wait
-	// for a fence after its lockstep loop unwound (default 10s).
+	// FenceTimeout bounds the fence's ACK barrier, a worker's wait for a
+	// fence after its lockstep loop unwound, and how long a non-member
+	// keeps asking to join (default 10s).
 	FenceTimeout time.Duration
-	// JoinWait bounds how long a non-member keeps asking to join
-	// (default FenceTimeout).
-	JoinWait time.Duration
 	// OnCommit, when set, is called on the coordinator's run goroutine
 	// after every committed iteration with the committed-update count
 	// and that iteration's global loss — a live view of Report.Losses.
@@ -170,9 +166,6 @@ func (c ElasticConfig) withDefaults(size int) ElasticConfig {
 	}
 	if c.FenceTimeout <= 0 {
 		c.FenceTimeout = 10 * time.Second
-	}
-	if c.JoinWait <= 0 {
-		c.JoinWait = c.FenceTimeout
 	}
 	if c.MinRanks < 1 {
 		c.MinRanks = 1
@@ -708,7 +701,8 @@ func (c *coordinator) ping() {
 func (c *coordinator) fence(downs map[int]error, joins []int) error {
 	start := time.Now()
 	fenceIter := c.node.Solver().Iter()
-	ckpt, err := snapshot.SaveCheckpoint(c.cfg.FenceDir, c.node.Solver(), c.cfg.Keep)
+	// keep = 0: every fence checkpoint stays, each a resume point.
+	ckpt, err := snapshot.SaveCheckpoint(c.cfg.FenceDir, c.node.Solver(), 0)
 	if err != nil {
 		return fmt.Errorf("dist: fence checkpoint at iteration %d: %w", fenceIter, err)
 	}
@@ -934,8 +928,8 @@ func (w *elasticWorker) run() (*Report, error) {
 	for {
 		if nd == nil {
 			// Joining: ask, then wait a beat for the admitting fence.
-			if time.Since(joinStart) > w.cfg.JoinWait {
-				return nil, fmt.Errorf("dist: rank %d not admitted within %v", me, w.cfg.JoinWait)
+			if time.Since(joinStart) > w.cfg.FenceTimeout {
+				return nil, fmt.Errorf("dist: rank %d not admitted within %v", me, w.cfg.FenceTimeout)
 			}
 			joinTag := transport.MakeTagE(transport.KindJoin, 0, 0, 0, me)
 			//dnnlint:ignore transerr join requests repeat until a fence admits this rank

@@ -85,9 +85,6 @@ func backward(l layers.Layer, bottoms, tops []*blob.Blob) {
 		p.BackwardPrepare(bottoms, tops)
 	}
 	l.BackwardRange(0, n, bottoms, tops, l.Params())
-	if f, ok := l.(layers.BackwardFinisher); ok {
-		f.BackwardFinish(bottoms, tops)
-	}
 }
 
 // Check sets the layer up on the given bottoms and verifies its

@@ -113,9 +113,7 @@ func (l *InnerProduct) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 // then the bias.
 func (l *InnerProduct) forward(lo, hi, olo, ohi int, bottom, top *blob.Blob) {
 	n, y := l.cfg.NumOutput, top.Data()
-	gs := blas.GetScratch()
-	defer blas.PutScratch(gs)
-	blas.GemmWithScratch(gs, blas.NoTrans, blas.Trans, hi-lo, ohi-olo, l.k, 1,
+	blas.Gemm(blas.NoTrans, blas.Trans, hi-lo, ohi-olo, l.k, 1,
 		bottom.Data()[lo*l.k:hi*l.k], l.k, l.params[0].Data()[olo*l.k:], l.k, 0, y[lo*n+olo:], n)
 	if !l.cfg.NoBias {
 		bias := l.params[1].Data()[olo:ohi]
@@ -150,9 +148,7 @@ func (l *InnerProduct) BackwardRange(lo, hi int, bottom, top []*blob.Blob, param
 // matching db entries summed in sample order.
 func (l *InnerProduct) paramGrad(lo, hi, olo, ohi int, bottom, top *blob.Blob, paramGrads []*blob.Blob) {
 	n, dy := l.cfg.NumOutput, top.Diff()
-	gs := blas.GetScratch()
-	defer blas.PutScratch(gs)
-	blas.GemmWithScratch(gs, blas.Trans, blas.NoTrans, ohi-olo, l.k, hi-lo, 1,
+	blas.Gemm(blas.Trans, blas.NoTrans, ohi-olo, l.k, hi-lo, 1,
 		dy[lo*n+olo:], n, bottom.Data()[lo*l.k:hi*l.k], l.k, 1, paramGrads[0].Diff()[olo*l.k:], l.k)
 	if !l.cfg.NoBias {
 		bGrad := paramGrads[1].Diff()[olo:ohi]
@@ -166,9 +162,7 @@ func (l *InnerProduct) paramGrad(lo, hi, olo, ohi int, bottom, top *blob.Blob, p
 // [lo, hi): that block of the product, one GEMM.
 func (l *InnerProduct) dataGrad(lo, hi, clo, chi int, bottom, top *blob.Blob) {
 	n := l.cfg.NumOutput
-	gs := blas.GetScratch()
-	defer blas.PutScratch(gs)
-	blas.GemmWithScratch(gs, blas.NoTrans, blas.NoTrans, hi-lo, chi-clo, n, 1,
+	blas.Gemm(blas.NoTrans, blas.NoTrans, hi-lo, chi-clo, n, 1,
 		top.Diff()[lo*n:], n, l.params[0].Data()[clo:], l.k, 0, bottom.Diff()[lo*l.k+clo:], l.k)
 }
 

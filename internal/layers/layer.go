@@ -48,10 +48,11 @@
 // New* constructor here needs a case there.
 //
 // Work that is inherently sequential — loading a data batch, summing
-// per-sample losses — lives in the optional ForwardPreparer /
-// ForwardFinisher hooks, which engines run serially around the parallel
-// region. Per-sample results are always stored by sample index, so the
-// serial finish step is deterministic for any worker count.
+// per-sample losses, a whole-batch reduction of the top gradient — lives
+// in the optional hooks, which engines run serially: ForwardPreparer and
+// ForwardFinisher around the forward region, BackwardPreparer before the
+// backward one. Per-sample results are always stored by sample index, so
+// the serial finish step is deterministic for any worker count.
 package layers
 
 import (
@@ -127,12 +128,6 @@ type InPlacer interface {
 // parallel range computes per-sample gradients from them.
 type BackwardPreparer interface {
 	BackwardPrepare(bottom, top []*blob.Blob)
-}
-
-// BackwardFinisher is implemented by layers that need a serial step after
-// the parallel backward region.
-type BackwardFinisher interface {
-	BackwardFinish(bottom, top []*blob.Blob)
 }
 
 // ChannelRanger is implemented by layers with parameters whose passes can

@@ -21,8 +21,8 @@
 # scans on the engine's team, the datasets every Data band reads
 # concurrently and the serving layer), twenty race passes
 # over the serving batcher's tests, a 5-second FuzzGemm
-# smoke (random shapes/transposes/strides through Gemm and GemmBlocked on
-# every kernel set, gemmRef as oracle, and each set's vector data
+# smoke (random shapes/transposes/strides through Gemm on every kernel
+# set, GemmReference as oracle, and each set's vector data
 # movement against the Go one bit for bit) and a 5-second FuzzConv smoke
 # (random convolution geometries through the gathered and the packed
 # forward, the transposed weight gradient and dX gathered or in strips on
@@ -144,7 +144,7 @@ go test -race -count=1 -run 'TestLoweredLeNetCoarseSweep' ./internal/zoo
 echo "== batcher stress under race (20 passes: the select between an idle replica and the next arrival) =="
 go test -race -count 20 -run 'Flush|Idle|Busy|Close|Routing|Golden' ./internal/serve
 
-echo "== FuzzGemm smoke (5 s: Gemm and GemmBlocked on every kernel set vs gemmRef, band invariance, C padding, Go vs vector data movement bit for bit) =="
+echo "== FuzzGemm smoke (5 s: Gemm on every kernel set vs GemmReference, band invariance, C padding, Go vs vector data movement bit for bit) =="
 go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 5s ./internal/blas
 
 echo "== FuzzConv smoke (5 s: forward gathered and packed, dW as the transposed product col·dTopᵀ whole and in a channel band, dX gathered or in strips, every kernel set, vs the naive lowering and scatter around its micro-kernels with the Go data movement bit for bit) =="
