@@ -14,6 +14,11 @@
 //	dnnbench -figure comm     # gradient exchange: bytes/step per wire format
 //	dnnbench -figure all      # everything
 //
+// -net picks the network where a figure allows; -data, -samples, -seed
+// and -batch are the data half of a zoo.Ref, as in dnntrain, with -batch
+// 0 meaning the paper's 64 (MNIST) / 100 (CIFAR) and -samples 0 four
+// batches.
+//
 // Serial per-layer costs are measured on this host; multi-thread numbers
 // are modeled by the calibrated machine model (add -measure on a real
 // multicore host for wall-clock numbers as well).
@@ -30,19 +35,19 @@ import (
 	"strings"
 
 	"coarsegrain/internal/bench"
+	"coarsegrain/internal/zoo"
 )
 
 func main() {
+	// The data half of a model reference; the figure picks the net.
+	ref := zoo.Ref{Seed: 1}
+	ref.BindFlags(flag.CommandLine, false, true)
 	var (
 		figure  = flag.String("figure", "all", "figure to reproduce: 4-9, gemm, mem, conv, ablation, engines, comm, all")
 		netName = flag.String("net", "", "override benchmark network (mnist|cifar)")
-		batch   = flag.Int("batch", 0, "override batch size (default: paper's 64/100)")
-		samples = flag.Int("samples", 0, "synthetic dataset size (default 4*batch)")
 		iters   = flag.Int("iters", 3, "timed iterations per measurement")
 		warmup  = flag.Int("warmup", 1, "warm-up iterations")
 		threads = flag.String("threads", "1,2,4,8,12,16", "comma-separated worker counts")
-		seed    = flag.Uint64("seed", 1, "seed for weights and synthetic data")
-		dataDir = flag.String("data", "", "directory with real MNIST/CIFAR files (synthetic otherwise)")
 		measure = flag.Bool("measure", false, "also measure real parallel wall-clock runs")
 		convIt  = flag.Int("conv-iters", 20, "training iterations for the convergence experiment")
 	)
@@ -58,9 +63,9 @@ func main() {
 			n = *netName
 		}
 		return bench.Options{
-			Net: n, Batch: *batch, Samples: *samples,
+			Net: n, Batch: ref.Batch, Samples: ref.Samples,
 			Iterations: *iters, Warmup: *warmup,
-			Threads: ths, Seed: *seed, DataDir: *dataDir, Measure: *measure,
+			Threads: ths, Seed: ref.Seed, DataDir: ref.DataDir, Measure: *measure,
 		}
 	}
 

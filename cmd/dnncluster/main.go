@@ -17,10 +17,13 @@
 //
 // Every role builds the same seeded network over its shard of the global
 // batch, on the coarse engine with -workers ranks (default 1, which is
-// the sequential run bit for bit). Gradients are reduced by one route:
-// each slice owner folds the k contributions in rank order, and the
-// reduction tree (-fanout) gathers the result to rank 0 and broadcasts
-// the new weights. So a k-rank run — local or TCP, any -fanout, even
+// the sequential run bit for bit). The model flags are dnntrain's
+// (zoo.Ref, default -zoo lenet), but -batch is the *global* batch, split
+// across the replicas (default: the model file's batch_size), and
+// -samples 0, the default, means 32 global batches. Gradients are
+// reduced by one route: each slice owner folds the k contributions in
+// rank order, and the reduction tree (-fanout) gathers the result to
+// rank 0 and broadcasts the new weights. So a k-rank run — local or TCP, any -fanout, even
 // with -flaky-* faults injected — produces the same snapshot bytes as
 // the in-process ordered fold over k shards (the determinism contract
 // tested in internal/dist and internal/cluster). -grad-wire f16|int8
@@ -53,24 +56,19 @@ import (
 	"os"
 
 	"coarsegrain/internal/cluster"
+	"coarsegrain/internal/zoo"
 )
 
 func main() {
-	var c cluster.Config
+	c := cluster.Config{Ref: zoo.Ref{Zoo: "lenet", Seed: 1}}
+	c.BindFlags(flag.CommandLine, true, true)
 	flag.StringVar(&c.Role, "role", "local", "local | coordinator | worker")
 	flag.IntVar(&c.Replicas, "replicas", 2, "total rank count (local and coordinator roles)")
 	flag.IntVar(&c.Fanout, "fanout", 2, "reduction tree fan-out")
 	flag.StringVar(&c.GradWire, "grad-wire", "f32", "gradient wire format: f32 | f16 | int8 (lossy formats use error feedback)")
 	flag.IntVar(&c.Iters, "iters", 100, "training iterations")
 	flag.IntVar(&c.Display, "display", 20, "print loss every N iterations (root only)")
-	flag.StringVar(&c.Model, "model", "", "network prototxt file")
-	flag.StringVar(&c.Zoo, "zoo", "lenet", "built-in network: lenet | cifar10-full (-model, when given, wins)")
 	flag.IntVar(&c.Workers, "workers", 1, "per-rank coarse engine worker count (1: each rank runs sequentially)")
-	flag.IntVar(&c.Batch, "batch", 0, "global batch size, split across replicas (default: the -model file's batch_size, else 64 lenet / 100 cifar10-full)")
-	flag.IntVar(&c.Samples, "samples", 0, "synthetic dataset size (default: 32 global batches)")
-	flag.Uint64Var(&c.Seed, "seed", 1, "weight/data seed (must match across all ranks)")
-	flag.StringVar(&c.DataDir, "data", "", "directory with real dataset files")
-	flag.StringVar(&c.Dataset, "dataset", "", "force dataset: mnist | cifar (default inferred)")
 	flag.StringVar(&c.Addr, "addr", "", "coordinator: listen address (default 127.0.0.1:0); worker: coordinator address")
 	flag.StringVar(&c.AddrFile, "addr-file", "", "coordinator: write rendezvous address here; worker: read it from here")
 	flag.StringVar(&c.Snapshot, "snapshot", "", "root: write the final solver snapshot here (dnntrain-compatible)")

@@ -5,13 +5,21 @@
 //
 // It loads the parameters saved by dnntrain (solver snapshots are
 // accepted too — the extra state is ignored), runs the requested number
-// of forward-only batches in test mode, and reports mean loss and
-// accuracy.
+// of forward-only batches in test mode, and reports mean loss, accuracy
+// and the confusion matrix. The model flags are dnntrain's (zoo.Ref):
+// a net trained with -dataset is evaluated with the same -dataset,
+//
+//	dnntrain -model configs/lenet.prototxt -dataset cifar -snapshot /tmp/c.cgdnn
+//	dnneval  -model configs/lenet.prototxt -dataset cifar -snapshot /tmp/c.cgdnn
+//
+// and -seed (default 2) draws a synthetic test stream other than
+// dnntrain's default training stream.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"coarsegrain/internal/core"
@@ -23,45 +31,47 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "dnneval:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, evaluates the snapshot and writes the report to w.
+func run(args []string, w io.Writer) error {
+	ref := zoo.Ref{Samples: 2048, Seed: 2}
+	fs := flag.NewFlagSet("dnneval", flag.ExitOnError)
+	ref.BindFlags(fs, true, true)
 	var (
-		model    = flag.String("model", "", "network prototxt file")
-		zooName  = flag.String("zoo", "", "built-in network: lenet | cifar10-full")
-		snapPath = flag.String("snapshot", "", "model or solver snapshot to evaluate (required)")
-		batches  = flag.Int("batches", 16, "test batches to average over")
-		batch    = flag.Int("batch", 0, "override batch size")
-		samples  = flag.Int("samples", 2048, "synthetic dataset size")
-		seed     = flag.Uint64("seed", 2, "seed for the synthetic test stream")
-		workers  = flag.Int("workers", 1, "coarse workers for the forward passes")
-		dataDir  = flag.String("data", "", "directory with real dataset files")
-		scores   = flag.String("scores", "", "score blob for the confusion matrix (default: the loss layer's input)")
+		snapPath = fs.String("snapshot", "", "model or solver snapshot to evaluate (required)")
+		batches  = fs.Int("batches", 16, "test batches to average over")
+		workers  = fs.Int("workers", 1, "coarse workers for the forward passes")
+		scores   = fs.String("scores", "", "score blob for the confusion matrix (default: the loss layer's input)")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: never returns an error
 	if *snapPath == "" {
-		fatal(fmt.Errorf("need -snapshot"))
+		return fmt.Errorf("need -snapshot")
 	}
 
-	m, err := zoo.Load(zoo.Ref{
-		Zoo: *zooName, Model: *model, DataDir: *dataDir,
-		Samples: *samples, Seed: *seed, Batch: *batch,
-	})
+	m, err := zoo.Load(ref)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	specs, err := m.Specs(m.Source, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	eng := core.NewCoarse(*workers)
 	defer eng.Close()
 	n, err := net.New(specs, eng)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := snapshot.LoadNetFile(*snapPath, n); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("loaded %s into a %d-layer net; evaluating %d batches\n",
+	fmt.Fprintf(w, "loaded %s into a %d-layer net; evaluating %d batches\n",
 		*snapPath, len(specs), *batches)
 
 	outputs := []string{"loss"}
@@ -70,11 +80,11 @@ func main() {
 	}
 	res, err := solver.Evaluate(n, outputs, *batches)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("mean loss: %.6f\n", res["loss"])
+	fmt.Fprintf(w, "mean loss: %.6f\n", res["loss"])
 	if acc, ok := res["accuracy"]; ok {
-		fmt.Printf("mean accuracy: %.4f\n", acc)
+		fmt.Fprintf(w, "mean accuracy: %.4f\n", acc)
 	}
 
 	// Confusion matrix over the score blob: the one the loss reads,
@@ -82,17 +92,13 @@ func main() {
 	sb := *scores
 	if sb == "" {
 		if sb, err = m.ScoreBlob(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	cm, err := metrics.Collect(n, sb, "label", *batches)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\nconfusion matrix (%s vs label):\n%s", sb, cm)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dnneval:", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "\nconfusion matrix (%s vs label):\n%s", sb, cm)
+	return nil
 }

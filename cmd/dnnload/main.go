@@ -72,26 +72,26 @@ func main() {
 		endpoint = "/v1/predict"
 	}
 	fmt.Printf("dnnload: endpoint %s, %v per level after %v warm-up\n\n", endpoint, *duration, *warmup)
-	fmt.Printf("%5s %9s %7s %12s %9s %9s %9s\n", "conc", "requests", "429s", "req/s", "p50(ms)", "p95(ms)", "p99(ms)")
+	fmt.Printf("%5s %9s %7s %7s %12s %9s %9s %9s\n", "conc", "requests", "429s", "errors", "req/s", "p50(ms)", "p95(ms)", "p99(ms)")
 	for _, c := range concs {
 		res := runLevel(base, info, c, *duration, *warmup, *useJSON)
-		fmt.Printf("%5d %9d %7d %12.1f %9.2f %9.2f %9.2f\n",
-			c, res.requests, res.rejected, res.throughput,
+		fmt.Printf("%5d %9d %7d %7d %12.1f %9.2f %9.2f %9.2f\n",
+			c, res.requests, res.rejected, res.errors, res.throughput,
 			ms(res.p50), ms(res.p95), ms(res.p99))
 	}
 }
 
 // sweepResult aggregates one concurrency level.
 type sweepResult struct {
-	requests, rejected int64
-	throughput         float64
-	p50, p95, p99      time.Duration
+	requests, rejected, errors int64
+	throughput                 float64
+	p50, p95, p99              time.Duration
 }
 
 // worker state: per-client latency log, merged after the level ends.
 type worker struct {
-	lats     []time.Duration
-	rejected int64
+	lats             []time.Duration
+	rejected, errors int64
 }
 
 // runLevel drives c clients for warmup+duration and aggregates the
@@ -127,9 +127,6 @@ func runLevel(base string, info serverInfo, c int, duration, warmup time.Duratio
 				t0 := time.Now()
 				status, err := post(client, base, body, useJSON)
 				lat := time.Since(t0)
-				if err != nil {
-					continue // connection hiccup; keep offering load
-				}
 				mu.Lock()
 				inWindow := !start.IsZero() && t0.After(start) && time.Now().Before(stop)
 				mu.Unlock()
@@ -139,7 +136,13 @@ func runLevel(base string, info serverInfo, c int, duration, warmup time.Duratio
 						w.rejected++
 					}
 					time.Sleep(time.Millisecond) // back off as Retry-After suggests, scaled down
-				case status == http.StatusOK && inWindow:
+				case err != nil || status != http.StatusOK:
+					// A transport error or any other status: counted,
+					// and the client keeps offering load.
+					if inWindow {
+						w.errors++
+					}
+				case inWindow:
 					w.lats = append(w.lats, lat)
 				}
 			}
@@ -160,6 +163,7 @@ func runLevel(base string, info serverInfo, c int, duration, warmup time.Duratio
 	for _, w := range workers {
 		all = append(all, w.lats...)
 		res.rejected += w.rejected
+		res.errors += w.errors
 	}
 	res.requests = int64(len(all))
 	res.throughput = float64(len(all)) / duration.Seconds()

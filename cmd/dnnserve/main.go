@@ -8,35 +8,40 @@
 //	curl -s localhost:8080/v1/info
 //	dnnload  -addr localhost:8080 -concurrency 1,8,32
 //
-// SIGINT/SIGTERM drain in-flight requests before exiting; -addr :0
-// picks a free port and -addr-file publishes the bound address for
-// scripts.
+// The model flags are the model half of dnntrain's (zoo.Ref: -zoo,
+// -model, -dataset); the dataset decides the input shape and the class
+// count, so a net trained with -dataset cifar is served with -dataset
+// cifar. SIGINT/SIGTERM drain in-flight requests before exiting; -addr
+// :0 picks a free port and -addr-file publishes the bound address for
+// scripts, written atomically so a poller never reads part of it.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	stdnet "net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/serve"
+	"coarsegrain/internal/snapshot"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
 )
 
 func main() {
+	// One sample is enough to learn the input shape and class count; the
+	// snapshot overwrites every weight the seed initialised.
+	ref := zoo.Ref{Samples: 1, Seed: 1}
+	ref.BindFlags(flag.CommandLine, true, false)
 	var (
-		model    = flag.String("model", "", "network prototxt file")
-		zooName  = flag.String("zoo", "", "built-in network: lenet | cifar10-full")
 		snapPath = flag.String("snapshot", "", "trained snapshot to serve (required)")
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for a random port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file (for scripts)")
@@ -44,8 +49,6 @@ func main() {
 		replicas = flag.Int("replicas", 1, "pre-warmed forward-only net replicas sharing one weight copy")
 		queue    = flag.Int("queue", 0, "admission queue depth (default 4*max-batch)")
 		scores   = flag.String("scores", "", "score blob name (default: the loss layer's input)")
-		shape    = flag.String("shape", "", "per-sample input shape as C,H,W (default: the model's dataset)")
-		classes  = flag.Int("classes", 0, "output classes (default: the model's dataset)")
 		traceOut = flag.String("trace", "", "write a Chrome trace of batch/request spans here on shutdown")
 	)
 	flag.Parse()
@@ -53,8 +56,7 @@ func main() {
 		fatal(fmt.Errorf("need -snapshot (train one with: dnntrain -zoo lenet -iters 500 -snapshot model.cgdnn)"))
 	}
 
-	// One sample is enough to learn the input shape and class count.
-	m, err := zoo.Load(zoo.Ref{Zoo: *zooName, Model: *model, Seed: 1, Samples: 1})
+	m, err := zoo.Load(ref)
 	if err != nil {
 		fatal(err)
 	}
@@ -63,14 +65,6 @@ func main() {
 		// The replica constructor sizes the net; the batch built here is irrelevant.
 		Build:    func(src layers.Source) ([]net.LayerSpec, error) { return m.Specs(src, 0) },
 		MaxBatch: *maxBatch, Replicas: *replicas, QueueDepth: *queue,
-	}
-	if *shape != "" {
-		if cfg.SampleShape, err = parseShape(*shape); err != nil {
-			fatal(err)
-		}
-	}
-	if *classes > 0 {
-		cfg.Classes = *classes
 	}
 	if cfg.ScoreBlob == "" {
 		if cfg.ScoreBlob, err = m.ScoreBlob(); err != nil {
@@ -98,7 +92,10 @@ func main() {
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
+		if err := snapshot.WriteFileAtomic(*addrFile, func(w io.Writer) error {
+			_, err := io.WriteString(w, bound)
+			return err
+		}); err != nil {
 			fatal(err)
 		}
 	}
@@ -133,19 +130,6 @@ func main() {
 		}
 		fmt.Printf("dnnserve: wrote %d spans to %s\n", tracer.Len(), *traceOut)
 	}
-}
-
-func parseShape(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	shape := make([]int, 0, len(parts))
-	for _, p := range parts {
-		d, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("bad -shape %q: want positive ints like 1,28,28", s)
-		}
-		shape = append(shape, d)
-	}
-	return shape, nil
 }
 
 func fatal(err error) {

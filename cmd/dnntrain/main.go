@@ -8,10 +8,13 @@
 //	dnntrain -zoo cifar10-full -workers 1 -iters 100
 //
 // Data comes from real MNIST/CIFAR files under -data when present, and
-// from the deterministic synthetic generators otherwise. The reference is
-// resolved by zoo.Load, as in every command: dataset from the zoo net or
-// the prototxt's base name (-dataset overrides), batch from -batch, else
-// the file's batch_size, else the zoo default, convolutions lowered.
+// from the deterministic synthetic generators otherwise. The model flags
+// (-zoo, -model, -dataset, -data, -samples, -seed, -batch) are a
+// zoo.Ref's, bound by Ref.BindFlags and resolved by zoo.Load, as in
+// every command: dataset from the zoo net or the prototxt's base name
+// (-dataset overrides, and the snapshot is then evaluated, profiled and
+// served with the same -dataset), batch from -batch, else the file's
+// batch_size, convolutions lowered.
 //
 // With -trace out.json the whole run is recorded by the span tracer
 // (internal/trace) and exported as Chrome trace-event JSON — load it in
@@ -52,18 +55,13 @@ import (
 )
 
 func main() {
+	ref := zoo.Ref{Samples: 2048, Seed: 1}
+	ref.BindFlags(flag.CommandLine, true, true)
 	var (
-		model    = flag.String("model", "", "network prototxt file")
 		solverP  = flag.String("solver", "", "solver prototxt file")
-		zooName  = flag.String("zoo", "", "built-in network instead of -model: lenet | cifar10-full")
 		workers  = flag.Int("workers", 4, "coarse engine worker count (1: the sequential run)")
 		iters    = flag.Int("iters", 200, "training iterations")
 		display  = flag.Int("display", 20, "print loss every N iterations")
-		batch    = flag.Int("batch", 0, "override batch size")
-		samples  = flag.Int("samples", 2048, "synthetic dataset size")
-		seed     = flag.Uint64("seed", 1, "seed")
-		dataDir  = flag.String("data", "", "directory with real dataset files")
-		datasetF = flag.String("dataset", "", "force dataset: mnist | cifar (default inferred)")
 		snapPath = flag.String("snapshot", "", "write a solver snapshot here when training ends")
 		resume   = flag.String("resume", "", "resume from a snapshot file, or from the newest valid checkpoint in a directory")
 		tracePth = flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing / Perfetto) of the run here")
@@ -83,10 +81,7 @@ func main() {
 	)
 	flag.Parse()
 
-	m, err := zoo.Load(zoo.Ref{
-		Zoo: *zooName, Model: *model, Dataset: *datasetF, DataDir: *dataDir,
-		Samples: *samples, Seed: *seed, Batch: *batch,
-	})
+	m, err := zoo.Load(ref)
 	if err != nil {
 		fatal(err)
 	}

@@ -5,6 +5,9 @@
 //	layerprof -zoo lenet -workers 8 -iters 5
 //	layerprof -model configs/cifar10_full.prototxt   # -workers 1: the serial baseline
 //
+// The model flags are dnntrain's (zoo.Ref, -dataset included), so a net
+// trained with -dataset cifar is profiled with -dataset cifar.
+//
 // It prints mean per-layer forward/backward times and each layer's share
 // of the iteration, plus the engine's privatization footprint. The table
 // is trace.PerLayer over the timed iterations' driver spans, on a tracer
@@ -30,7 +33,7 @@ import (
 // options collects everything main parses from flags, so tests can call
 // run directly with a synthetic configuration.
 type options struct {
-	zoo.Ref   // -model | -zoo, -batch, -samples, -seed, -data
+	zoo.Ref   // -zoo | -model, -dataset, -data, -samples, -seed, -batch
 	Workers   int
 	Iters     int
 	Warmup    int
@@ -39,17 +42,12 @@ type options struct {
 
 // parseFlags binds layerprof's flags and parses args.
 func parseFlags(args []string) options {
-	var o options
+	o := options{Ref: zoo.Ref{Samples: 512, Seed: 1}}
 	fs := flag.NewFlagSet("layerprof", flag.ExitOnError)
-	fs.StringVar(&o.Model, "model", "", "network prototxt file")
-	fs.StringVar(&o.Zoo, "zoo", "", "built-in network: lenet | cifar10-full")
+	o.BindFlags(fs, true, true)
 	fs.IntVar(&o.Workers, "workers", 1, "coarse engine worker count (1: the serial baseline)")
 	fs.IntVar(&o.Iters, "iters", 5, "timed iterations")
 	fs.IntVar(&o.Warmup, "warmup", 1, "warm-up iterations")
-	fs.IntVar(&o.Batch, "batch", 0, "override batch size")
-	fs.IntVar(&o.Samples, "samples", 512, "synthetic dataset size")
-	fs.Uint64Var(&o.Seed, "seed", 1, "seed")
-	fs.StringVar(&o.DataDir, "data", "", "directory with real dataset files")
 	fs.StringVar(&o.TracePath, "trace", "", "also write a Chrome trace-event JSON of the timed iterations here")
 	fs.Parse(args) // ExitOnError: never returns an error
 	return o

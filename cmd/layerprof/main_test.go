@@ -103,3 +103,21 @@ func TestRunNeedsModelOrZoo(t *testing.T) {
 		t.Fatal("expected error when neither -model nor -zoo given")
 	}
 }
+
+// TestRunDatasetOverride profiles LeNet's prototxt over CIFAR-10: the
+// -dataset flag reaches the model reference and the net builds for
+// three-channel 32x32 input.
+func TestRunDatasetOverride(t *testing.T) {
+	o := parseFlags([]string{"-model", "../../configs/lenet.prototxt", "-dataset", "cifar",
+		"-batch", "4", "-samples", "8", "-iters", "1"})
+	if o.Dataset != "cifar" || o.Samples != 8 || o.Seed != 1 {
+		t.Fatalf("parsed %+v", o.Ref)
+	}
+	var out strings.Builder
+	if err := run(o, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\nconv1 ") {
+		t.Fatalf("no conv1 row:\n%s", out.String())
+	}
+}

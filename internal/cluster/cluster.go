@@ -47,8 +47,9 @@ type Config struct {
 	Iters    int
 	Display  int
 
-	// The model and data: -model | -zoo, -dataset, -data, -samples,
-	// -seed, and -batch, which here is the global batch the ranks share.
+	// The model and data, bound by zoo.Ref.BindFlags: -model | -zoo,
+	// -dataset, -data, -samples, -seed, and -batch, which here is the
+	// global batch the ranks share.
 	zoo.Ref
 	Workers int // per-rank coarse engine team
 
@@ -223,6 +224,6 @@ func (c Config) chaosScenario(size int) (*faultinject.ClusterScenario, error) {
 	if c.ChaosIter >= 0 {
 		s.AtIter = c.ChaosIter
 	}
-	s.Delay = c.ChaosDelay
+	s.StraggleDelay = c.ChaosDelay
 	return &s, nil
 }

@@ -224,7 +224,10 @@ func RunCoordinator(c Config, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "coordinator listening on %s (%d replicas)\n", coord.Addr(), c.Replicas)
 	if c.AddrFile != "" {
-		if err := writeAddrFile(c.AddrFile, coord.Addr()); err != nil {
+		if err := snapshot.WriteFileAtomic(c.AddrFile, func(w io.Writer) error {
+			_, err := fmt.Fprintln(w, coord.Addr())
+			return err
+		}); err != nil {
 			return err
 		}
 	}
@@ -274,16 +277,6 @@ func RunWorker(c Config, out io.Writer) error {
 	}
 	_, err = c.Rank(t, m, out)
 	return err
-}
-
-// writeAddrFile publishes the rendezvous address atomically (write to a
-// temp name, rename) so a polling worker never reads a partial file.
-func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func waitAddrFile(path string, timeout time.Duration) (string, error) {

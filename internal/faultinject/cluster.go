@@ -12,29 +12,21 @@ package faultinject
 
 import (
 	"fmt"
-	"time"
 
 	"coarsegrain/internal/transport"
 )
 
 // ClusterScenario is one fully resolved cluster failure: which rank
-// fails, how, and at which training iteration.
+// fails, and the transport.ChaosConfig its endpoint is wrapped with —
+// how (Mode), at which training iteration (AtIter), the partition cut
+// (Peers: always the coordinator, so the failure is detectable) and the
+// straggle delay (zero means the transport.Chaos default).
 type ClusterScenario struct {
 	// Victim is the failing base rank — never 0: killing the
 	// coordinator is unrecoverable by design (it owns the solver), so
 	// seeded drills always target a worker.
 	Victim int
-	// Mode is the injected failure.
-	Mode transport.ChaosMode
-	// AtIter is the iteration whose first data-plane operation triggers
-	// the failure.
-	AtIter int
-	// Peers is the outbound cut for ChaosPartition (always includes the
-	// coordinator, so the failure is detectable); nil otherwise.
-	Peers []int
-	// Delay is the per-iteration slowdown for ChaosStraggle (zero means
-	// the transport.Chaos default).
-	Delay time.Duration
+	transport.ChaosConfig
 }
 
 // ClusterScenario draws a scenario from the injector's stream: a victim
@@ -49,9 +41,8 @@ func (in *Injector) ClusterScenario(ranks, iters int, mode transport.ChaosMode) 
 		return ClusterScenario{}, fmt.Errorf("faultinject: cluster scenario needs >= 2 iterations, got %d", iters)
 	}
 	s := ClusterScenario{
-		Victim: 1 + in.r.Intn(ranks-1),
-		Mode:   mode,
-		AtIter: 1 + in.r.Intn(iters-1),
+		Victim:      1 + in.r.Intn(ranks-1),
+		ChaosConfig: transport.ChaosConfig{Mode: mode, AtIter: 1 + in.r.Intn(iters-1)},
 	}
 	if mode == transport.ChaosPartition {
 		s.Peers = []int{0}
@@ -60,16 +51,11 @@ func (in *Injector) ClusterScenario(ranks, iters int, mode transport.ChaosMode) 
 }
 
 // Chaos wraps one endpoint — the victim's — in the transport.Chaos
-// carrying the planned failure: the single place a scenario becomes a
-// transport.ChaosConfig, for a whole in-process group (Wrap) and for a
-// TCP worker that is told it is the victim (internal/cluster) alike.
+// carrying the planned failure, for a whole in-process group (Wrap) and
+// for a TCP worker that is told it is the victim (internal/cluster)
+// alike.
 func (s ClusterScenario) Chaos(t transport.Transport) *transport.Chaos {
-	return transport.NewChaos(t, transport.ChaosConfig{
-		Mode:          s.Mode,
-		AtIter:        s.AtIter,
-		Peers:         s.Peers,
-		StraggleDelay: s.Delay,
-	})
+	return transport.NewChaos(t, s.ChaosConfig)
 }
 
 // Wrap applies the scenario to a group's transports (index = base

@@ -217,12 +217,13 @@ func readSections(r io.Reader) ([]section, error) {
 	return secs, nil
 }
 
-// writeFileAtomic writes via write() to a temporary file in path's
+// WriteFileAtomic writes via write() to a temporary file in path's
 // directory, fsyncs it, and renames it over path, so that path either
-// keeps its previous contents or holds the complete new snapshot — never
-// a torn prefix. The directory is fsynced best-effort afterwards so the
-// rename itself survives a crash.
-func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+// keeps its previous contents or holds the complete new file — never a
+// torn prefix. The directory is fsynced best-effort afterwards so the
+// rename itself survives a crash. Snapshots are written through it, and
+// so is every address file a script polls for.
+func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -457,9 +458,9 @@ func LoadSolver(r io.Reader, s *solver.Solver) error {
 }
 
 // SaveSolverFile atomically writes solver state to path
-// (temp + fsync + rename; see writeFileAtomic).
+// (temp + fsync + rename; see WriteFileAtomic).
 func SaveSolverFile(path string, s *solver.Solver) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return SaveSolver(w, s) })
+	return WriteFileAtomic(path, func(w io.Writer) error { return SaveSolver(w, s) })
 }
 
 // PeekSolverIter reads just the iteration counter out of a solver

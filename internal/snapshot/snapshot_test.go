@@ -62,7 +62,7 @@ func TestNetRoundTrip(t *testing.T) {
 // saveNetFile writes SaveNet's bytes to path through the package's atomic
 // file writer.
 func saveNetFile(path string, n *net.Net) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return SaveNet(w, n) })
+	return WriteFileAtomic(path, func(w io.Writer) error { return SaveNet(w, n) })
 }
 
 func TestNetFileRoundTrip(t *testing.T) {
@@ -655,7 +655,7 @@ func TestAtomicSavePreservesOldFileOnFailure(t *testing.T) {
 		w.Write([]byte("partial"))
 		return os.ErrClosed // simulated mid-write crash
 	}
-	if err := writeFileAtomic(path, boom); err == nil {
+	if err := WriteFileAtomic(path, boom); err == nil {
 		t.Fatal("failed write reported success")
 	}
 	got, err := os.ReadFile(path)

@@ -1,6 +1,7 @@
 package zoo
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,9 +15,10 @@ import (
 
 // Ref is a model reference as a front end takes it from its flags:
 // which network (-zoo | -model), over which data (-dataset, -data,
-// -samples), from which seed, at which batch. Load turns it into
-// everything dnntrain, dnneval, dnnserve, layerprof, dnncluster and
-// dnnbench need, so none of them resolves any of it itself.
+// -samples), from which seed, at which batch. BindFlags declares those
+// flags and Load turns them into everything dnntrain, dnneval,
+// dnnserve, layerprof, dnncluster and dnnbench need, so none of them
+// declares or resolves any of it itself.
 type Ref struct {
 	Zoo     string // built-in network: lenet | cifar10-full
 	Model   string // network prototxt file; wins over Zoo when both are set
@@ -25,6 +27,25 @@ type Ref struct {
 	Samples int    // synthetic dataset size, and the cap on a real one
 	Seed    uint64 // weight initialization and synthetic data
 	Batch   int    // > 0 overrides the prototxt's batch_size
+}
+
+// BindFlags binds r's fields to fs, each flag defaulting to the
+// field's current value, so a command sets its defaults in the Ref it
+// binds. The model half (-zoo, -model, -dataset) is bound when model
+// is set, the data half (-data, -samples, -seed, -batch) when data is:
+// dnnserve reads no data, and dnnbench picks its nets per figure.
+func (r *Ref) BindFlags(fs *flag.FlagSet, model, data bool) {
+	if model {
+		fs.StringVar(&r.Zoo, "zoo", r.Zoo, "built-in network: lenet | cifar10-full (-model, when given, wins)")
+		fs.StringVar(&r.Model, "model", r.Model, "network prototxt file")
+		fs.StringVar(&r.Dataset, "dataset", r.Dataset, "dataset: mnist | cifar (default: the zoo net's, or cifar iff the -model file's name says so)")
+	}
+	if data {
+		fs.StringVar(&r.DataDir, "data", r.DataDir, "directory with real dataset files (synthetic data otherwise)")
+		fs.IntVar(&r.Samples, "samples", r.Samples, "synthetic dataset size, and the cap on a real one")
+		fs.Uint64Var(&r.Seed, "seed", r.Seed, "seed for the weights and the synthetic data")
+		fs.IntVar(&r.Batch, "batch", r.Batch, "batch size (default: the model file's batch_size)")
+	}
 }
 
 // Model is a resolved Ref.

@@ -58,12 +58,16 @@
 # one-definition pin
 # (dnntrain -zoo lenet|cifar10-full must write the snapshot bytes that
 # -model configs/lenet.prototxt|cifar10_full.prototxt writes), the
+# examples (quickstart, convergence and customlayer must exit 0, and
+# convergence must print its two coarse/4 runs bit-identical), the
 # robustness drills (ROBUSTNESS.md): the
 # fault-injection suite, a seeded corrupt-checkpoint recovery smoke and a
 # guard NaN-poison smoke, a serving smoke (SERVING.md): dnnserve on a
 # random port answering a dnnload probe and draining cleanly on SIGTERM,
-# once for -zoo lenet and once for a dnntrain -model configs/lenet.prototxt
-# snapshot served and dnneval'd with no -shape/-classes/-scores,
+# once for -zoo lenet, once for a dnntrain -model configs/lenet.prototxt
+# snapshot served and dnneval'd with no -scores, and once for that
+# prototxt trained on CIFAR-10 (-dataset cifar), served, dnneval'd and
+# layerprof'd with the same -dataset flag and nothing else,
 # and a distributed smoke (DISTRIBUTED.md): a coordinator + 2 workers
 # over loopback TCP whose final snapshot must be bit-identical to the
 # single-process run, a compressed-wire smoke (f16 and int8 each
@@ -243,6 +247,16 @@ zoo_pin() { # zoo_pin <zoo name> <configs file>
 zoo_pin lenet lenet.prototxt
 zoo_pin cifar10-full cifar10_full.prototxt
 
+echo "== examples: quickstart, convergence and customlayer run to exit 0 =="
+for ex in quickstart convergence customlayer; do
+	go build -o "$tmpdir/$ex" "./examples/$ex"
+	"$tmpdir/$ex" >"$tmpdir/$ex.txt" 2>&1 ||
+		{ echo "FAIL: examples/$ex exited nonzero" >&2; cat "$tmpdir/$ex.txt" >&2; exit 1; }
+done
+grep -qxF "two coarse/4 runs bit-identical: true" "$tmpdir/convergence.txt" ||
+	{ echo "FAIL: examples/convergence did not print its two coarse/4 runs bit-identical" >&2; cat "$tmpdir/convergence.txt" >&2; exit 1; }
+echo "examples ran, convergence's coarse/4 runs bit-identical, as required"
+
 echo "== recovery smoke: corrupt newest checkpoint, resume must fall back =="
 "$tmpdir/dnntrain" -zoo lenet -iters 20 -snapshot-every 10 -snapshot-dir "$tmpdir/ck" \
 	-samples 8 -batch 8 -display 10 -workers 2 >/dev/null
@@ -258,7 +272,7 @@ echo "== guard smoke: injected gradient NaN must be caught and skipped =="
 	grep -q "1 faults (1 skipped" || { echo "FAIL: guard missed the injected NaN" >&2; exit 1; }
 echo "injected NaN caught and skipped, as required"
 
-echo "== serving smoke: dnnserve answers a dnnload probe, drains on SIGTERM (zoo and prototxt models) =="
+echo "== serving smoke: dnnserve answers a dnnload probe, drains on SIGTERM (zoo, prototxt and -dataset override models) =="
 go build -o "$tmpdir/dnnserve" ./cmd/dnnserve
 go build -o "$tmpdir/dnnload" ./cmd/dnnload
 go build -o "$tmpdir/dnneval" ./cmd/dnneval
@@ -280,14 +294,24 @@ serve_smoke() { # serve_smoke <dnnserve model and snapshot flags>
 "$tmpdir/dnntrain" -zoo lenet -iters 10 -samples 8 -batch 8 -display 10 -workers 2 \
 	-snapshot "$tmpdir/lenet.cgdnn" >/dev/null
 serve_smoke -zoo lenet -snapshot "$tmpdir/lenet.cgdnn"
-# The prototxt leg: the same front door must need no -shape/-classes/-scores
-# for the repo's own configs, and dnneval must find the score blob itself.
+# The prototxt leg: the same front door must need no -scores for the
+# repo's own configs, and dnneval must find the score blob itself.
 "$tmpdir/dnntrain" -model configs/lenet.prototxt -solver configs/lenet_solver.prototxt -iters 10 \
 	-snapshot "$tmpdir/m.cgdnn" >/dev/null
 serve_smoke -model configs/lenet.prototxt -snapshot "$tmpdir/m.cgdnn"
 "$tmpdir/dnneval" -model configs/lenet.prototxt -snapshot "$tmpdir/m.cgdnn" -batches 2 |
 	grep -q "confusion matrix (ip2 vs label)" || { echo "FAIL: dnneval -model printed no confusion matrix" >&2; exit 1; }
-echo "probes answered, SIGTERM drained, prototxt model served and evaluated with no shape flags, as required"
+# The dataset leg: LeNet's prototxt trained on CIFAR-10 is one model
+# reference, -model configs/lenet.prototxt -dataset cifar, in every
+# command that takes one; its conv1 takes three channels, so a command
+# that dropped -dataset would build the MNIST net and refuse the snapshot.
+"$tmpdir/dnntrain" -model configs/lenet.prototxt -dataset cifar -iters 4 -samples 16 -batch 8 -display 4 \
+	-snapshot "$tmpdir/c.cgdnn" >/dev/null
+serve_smoke -model configs/lenet.prototxt -dataset cifar -snapshot "$tmpdir/c.cgdnn"
+"$tmpdir/dnneval" -model configs/lenet.prototxt -dataset cifar -snapshot "$tmpdir/c.cgdnn" -batch 8 -samples 16 -batches 2 |
+	grep -q "confusion matrix (ip2 vs label)" || { echo "FAIL: dnneval -dataset cifar printed no confusion matrix" >&2; exit 1; }
+"$tmpdir/layerprof" -model configs/lenet.prototxt -dataset cifar -iters 1 -batch 8 -samples 16 >/dev/null
+echo "probes answered, SIGTERM drained, prototxt and -dataset cifar models served and evaluated with no shape flags, as required"
 
 echo "== distributed smoke: 3-rank TCP run bit-identical to in-process run =="
 # Coordinator + 2 workers over loopback TCP must write the exact bytes
