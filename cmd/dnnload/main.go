@@ -137,11 +137,14 @@ func runLevel(base string, info serverInfo, c int, duration, warmup time.Duratio
 					}
 					time.Sleep(time.Millisecond) // back off as Retry-After suggests, scaled down
 				case err != nil || status != http.StatusOK:
-					// A transport error or any other status: counted,
-					// and the client keeps offering load.
+					// A transport error or any other status: counted, and
+					// the client backs off as it does on a 429, so a
+					// refused port costs a connection a millisecond, not a
+					// busy loop of them.
 					if inWindow {
 						w.errors++
 					}
+					time.Sleep(time.Millisecond)
 				case inWindow:
 					w.lats = append(w.lats, lat)
 				}

@@ -7,8 +7,6 @@ package blas
 
 import (
 	"testing"
-
-	"coarsegrain/internal/rng"
 )
 
 // TestGemmAllocations pins a warm Gemm (its scratch borrowed from the
@@ -21,7 +19,7 @@ import (
 // each on every kernel set.
 func TestGemmAllocations(t *testing.T) {
 	forEachSet(t, func(t *testing.T) {
-		r := rng.New(55, 55)
+		r := newPCG(55, 55)
 		for _, sh := range []struct {
 			name    string
 			ta, tb  Transpose

@@ -6,8 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"coarsegrain/internal/rng"
 )
 
 // im2colNaive and col2imNaive are the pre-fast-path lowering, one bounds
@@ -89,7 +87,7 @@ func im2col(im []float32, g ConvGeom, col []float32) {
 // per-entry bounds-tested loops it replaced.
 func TestIm2colCol2imMatchNaive(t *testing.T) {
 	check := func(t *testing.T) {
-		r := rng.New(31, 31)
+		r := newPCG(31, 31)
 		for _, g := range append(sweepGeoms(), oddGeoms...) {
 			im := randomSlice(r, g.Channels*g.Height*g.Width)
 			got := randomSlice(r, g.Rows()*g.Cols()) // garbage: every entry must be written
@@ -155,7 +153,7 @@ type convCase struct {
 	wantOut, wantBiased, wantW, wantX []float32
 }
 
-func newConvCase(r *rng.RNG, g ConvGeom, o int, lower, scatter func([]float32, ConvGeom, []float32)) *convCase {
+func newConvCase(r *pcg, g ConvGeom, o int, lower, scatter func([]float32, ConvGeom, []float32)) *convCase {
 	ckk, ohw := g.Rows(), g.Cols()
 	c := &convCase{g: g, o: o,
 		im: randomSlice(r, g.Channels*g.Height*g.Width), w: randomSlice(r, o*ckk), bias: randomSlice(r, o),
@@ -182,7 +180,7 @@ func newConvCase(r *rng.RNG, g ConvGeom, o int, lower, scatter func([]float32, C
 // check runs the case on plan p. The scratch's bordered image is
 // NaN-poisoned, so a border left unwritten or a slack lane that reaches C
 // fails the comparison; the outputs start as garbage, so must be written.
-func (c *convCase) check(t *testing.T, r *rng.RNG, name string, p *ConvPlan) {
+func (c *convCase) check(t *testing.T, r *pcg, name string, p *ConvPlan) {
 	t.Helper()
 	o, ckk, ohw := c.o, c.g.Rows(), c.g.Cols()
 	name = fmt.Sprintf("%s_o%d %s", geomName(c.g), o, name)
@@ -255,7 +253,7 @@ func col2im(col []float32, g ConvGeom, im []float32) {
 // dX's chains span two K blocks, so it stays in strips on every plan.
 func TestConvMatchesIm2colGemm(t *testing.T) {
 	check := func(t *testing.T) {
-		r := rng.New(32, 32)
+		r := newPCG(32, 32)
 		for _, g := range append(sweepGeoms(), oddGeoms...) {
 			for _, o := range []int{1, 6, 20, 67} { // below, across and past one 16-lane panel and one MC block
 				c := newConvCase(r, g, o, im2col, col2im)
@@ -359,7 +357,7 @@ func maxGroupBase(groups []laneGroup) int32 {
 // range of either route writes those channels' bits and nothing else.
 func TestConvBackwardDataStripInvariant(t *testing.T) {
 	check := func(t *testing.T) {
-		r := rng.New(34, 34)
+		r := newPCG(34, 34)
 		g := ConvGeom{7, 9, 10, 5, 5, 2, 2, 1, 1} // kk = 25: channels start at rows 0, 25, ..., 150 of three strips
 		o := 13
 		kk, ckk, ohw, hw := 25, g.Rows(), g.Cols(), g.Height*g.Width
@@ -435,7 +433,7 @@ func FuzzConv(f *testing.F) {
 		o := 1 + int(o8%70)
 		for _, ks := range kernelSets() {
 			withKernels(ks, func() {
-				r := rng.New(seed, 43)
+				r := newPCG(seed, 43)
 				c := newConvCase(r, g, o, im2colNaive, col2imNaive)
 				for route, p := range convRoutes(t, g) {
 					c.check(t, r, ks.name+" "+route, p)
@@ -492,7 +490,7 @@ var zooConvs = []struct {
 // the whole dcol then Col2im). PERFORMANCE.md §10, §11, §15 and §16
 // record runs.
 func BenchmarkConvLowered(b *testing.B) {
-	r := rng.New(33, 33)
+	r := newPCG(33, 33)
 	for _, l := range zooConvs {
 		g, o := l.g, l.o
 		ckk, ohw := g.Rows(), g.Cols()

@@ -16,7 +16,7 @@ var avx2 = kernels{
 	packBDense: packBDense16Vec, packBTransposed: packBTransVec,
 	packARows: packARows4Vec, packARuns: packARuns4Vec,
 	writeback: writebackTileVec, writebackT: writebackTileTVec,
-	maxPool8: maxPool8AVX2, addRuns: addRunsVec,
+	maxPool8: maxPool8AVX2, addRuns: addRunsVec, normals: normalsAVX2,
 }
 
 // init makes avx2 the active set where the CPU and the OS support it. It
@@ -192,4 +192,36 @@ func writebackMode(alpha, beta float32, firstK bool) int {
 		return 2
 	}
 	return 3
+}
+
+// boxMuller4AVX2 (assembly) writes groups*4 normals to dst, four per step:
+// lane i starts at s_i, the stream 4i steps past the first state, takes its
+// words from its state and the states 1-3 steps on (add2, add3 and inc the
+// increments of those jumps), and jumps 16 steps (add16) per group. It stops
+// before a group in which some u1 is 0 and returns lane 0's state at the
+// first group it did not write, and how many it wrote.
+//
+//go:noescape
+func boxMuller4AVX2(dst *float32, groups int, s0, s1, s2, s3, add2, add3, inc, add16 uint64) (state uint64, done int)
+
+// normalsAVX2 is Normals on the assembly: the lanes' first states and the
+// jumps' increments are worked out here, once per call, and a tail of fewer
+// than four goes to normalsGo.
+func normalsAVX2(state, inc uint64, dst []float32) (uint64, int) {
+	written := 0
+	if groups := len(dst) / 4; groups > 0 {
+		_, add2 := pcgJump(inc, 2)
+		_, add3 := pcgJump(inc, 3)
+		mul4, add4 := pcgJump(inc, 4)
+		_, add16 := pcgJump(inc, 16)
+		s1 := mul4*state + add4
+		s2 := mul4*s1 + add4
+		var done int
+		state, done = boxMuller4AVX2(&dst[0], groups, state, s1, s2, mul4*s2+add4, add2, add3, inc, add16)
+		if written = 4 * done; done < groups {
+			return state, written
+		}
+	}
+	state, n := normalsGo(state, inc, dst[written:])
+	return state, written + n
 }

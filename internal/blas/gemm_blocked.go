@@ -110,7 +110,7 @@ const (
 )
 
 // kernels is one instruction set's kernel set: the micro-kernels, the tile
-// they compute, the data movement written for them, and the two loops
+// they compute, the data movement written for them, and the three loops
 // outside the GEMM that have a vector form. One value exists per ISA —
 // portable below, avx2 in gemm_amd64.go — and active is the one every call
 // runs: chosen once, at package init, and never changed afterwards
@@ -181,6 +181,10 @@ type kernels struct {
 	// src[k*ss+i] (ConvGeom.scatter): a plain float add, lane by lane, so
 	// the sums are the same bits in every set.
 	addRuns func(dst, src []float32, runs, n, ds, ss int)
+
+	// normals is Normals (normal.go): the Box–Muller draws of an rng
+	// stream, stopping before a normal whose first uniform is 0.
+	normals func(state, inc uint64, dst []float32) (uint64, int)
 }
 
 // portable is the set every host can run: the 4x4 Go micro-kernels, whose
@@ -188,7 +192,7 @@ type kernels struct {
 var portable = kernels{
 	name: "portable", nr: 4, gw: 4,
 	microKernel: microKernelScalar4x4, gatherKernel: gatherKernelScalar4x4, gatherAKernel: gatherAKernelScalar4x4, gatherSumKernel: gatherSumKernelScalar4x4,
-	addRuns: addRunsGo,
+	addRuns: addRunsGo, normals: normalsGo,
 }
 
 // active is the kernel set in use: portable unless init picks a set the

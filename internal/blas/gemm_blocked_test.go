@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"coarsegrain/internal/rng"
 )
 
 // storage returns the stored extent (rows, cols) of an operand under op.
@@ -29,7 +27,7 @@ func storage(trans Transpose, rows, cols int) (int, int) {
 // comfortably below 1e-3 absolute; 1e-4 held over the full sweep in
 // practice, so that is the bound we pin.
 func TestBlockedGemmDifferential(t *testing.T) {
-	r := rng.New(11, 11)
+	r := newPCG(11, 11)
 	dims := []struct{ m, n, k int }{
 		{1, 7, 64},     // single row, K beyond one register tile
 		{3, 5, 11},     // everything smaller than one micro-tile pair
@@ -77,7 +75,7 @@ func TestBlockedGemmDifferential(t *testing.T) {
 // TestBlockedGemmAlphaZero checks the degenerate path: alpha == 0 must
 // reduce to C = beta*C without reading A or B.
 func TestBlockedGemmAlphaZero(t *testing.T) {
-	r := rng.New(12, 12)
+	r := newPCG(12, 12)
 	m, n, k := 9, 130, 40
 	c0 := randomSlice(r, m*n)
 	for _, beta := range []float32{0, 1, 0.5} {
@@ -101,7 +99,7 @@ func TestBlockedGemmAlphaZero(t *testing.T) {
 // kernel set.
 func TestBlockedGemmBandInvariance(t *testing.T) {
 	forEachSet(t, func(t *testing.T) {
-		r := rng.New(13, 13)
+		r := newPCG(13, 13)
 		m, n, k := gemmMC+6, 129, 300
 		a := randomSlice(r, m*k)
 		b := randomSlice(r, k*n)
@@ -153,7 +151,7 @@ func TestBlockedGemmBandInvariance(t *testing.T) {
 // TestGemmScratchReuse checks a scratch can serve differently shaped
 // calls back to back (the per-sample lowered-convolution pattern).
 func TestGemmScratchReuse(t *testing.T) {
-	r := rng.New(15, 15)
+	r := newPCG(15, 15)
 	s := &GemmScratch{}
 	for _, d := range []struct{ m, n, k int }{{20, 576, 25}, {32, 1024, 75}, {50, 64, 500}} {
 		a := randomSlice(r, d.m*d.k)
@@ -231,7 +229,7 @@ var netGemmShapes = []struct {
 // shapes; the impl=ref numbers are the seed kernel's (the i-k-j loop is
 // unchanged), so one run of this benchmark is the before/after table.
 func BenchmarkGemmNetShapes(b *testing.B) {
-	r := rng.New(16, 16)
+	r := newPCG(16, 16)
 	for _, sh := range netGemmShapes {
 		arows, acols := storage(sh.ta, sh.m, sh.k)
 		brows, bcols := storage(sh.tb, sh.k, sh.n)
@@ -289,7 +287,7 @@ func FuzzGemm(f *testing.F) {
 		brows, bcols := storage(tb, k, n)
 		lda, ldb, ldc := acols+int(padA%9), bcols+int(padB%9), n+int(padC%9)
 		lda, ldb, ldc = max(lda, 1), max(ldb, 1), max(ldc, 1)
-		r := rng.New(seed, 41)
+		r := newPCG(seed, 41)
 		a := randomSlice(r, arows*lda)
 		b := randomSlice(r, brows*ldb)
 		c0 := randomSlice(r, m*ldc)

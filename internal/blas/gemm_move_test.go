@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"coarsegrain/internal/rng"
 )
 
 // withKernels runs f with ks as the active kernel set. Not safe beside
@@ -56,7 +54,7 @@ var specialBits = []uint32{
 }
 
 // specialSlice is randomSlice with every third entry one of specialBits.
-func specialSlice(r *rng.RNG, n int) []float32 {
+func specialSlice(r *pcg, n int) []float32 {
 	s := randomSlice(r, n)
 	for i := 0; i < n; i += 3 {
 		s[i] = math.Float32frombits(specialBits[r.Intn(len(specialBits))])
@@ -95,10 +93,10 @@ func TestDataMovementMatchesGo(t *testing.T) {
 	if vec.writeback == nil {
 		t.Skip("no avx2 kernel set on this host, and the portable set has no vector data movement")
 	}
-	r := rng.New(51, 51)
+	r := newPCG(51, 51)
 	nr := vec.nr
 	kcs := []int{1, 7, 8, 9, 16, 23, 64, 256}
-	poison := func(n int) []float32 { return specialSlice(rng.New(uint64(n), 52), n) }
+	poison := func(n int) []float32 { return specialSlice(newPCG(uint64(n), 52), n) }
 
 	t.Run("packB", func(t *testing.T) {
 		for _, tb := range []Transpose{NoTrans, Trans} {
@@ -259,7 +257,7 @@ func TestDataMovementMatchesGo(t *testing.T) {
 // transposed B of 10 columns (one ragged panel, ip2's width), on every
 // kernel set. GB/s counts the floats read once and written once.
 func BenchmarkPackB(b *testing.B) {
-	r := rng.New(53, 53)
+	r := newPCG(53, 53)
 	const n, k = 500, 800
 	w := randomSlice(r, n*k)
 	for _, bc := range []struct {
@@ -290,7 +288,7 @@ func BenchmarkPackB(b *testing.B) {
 // on every kernel set. GB/s counts acc read, C read where the mode reads
 // it, and C written.
 func BenchmarkWriteback(b *testing.B) {
-	r := rng.New(54, 54)
+	r := newPCG(54, 54)
 	const m, n = 500, 800
 	acc := randomSlice(r, gemmMR*gemmNRMax)
 	bias := randomSlice(r, m)

@@ -3,8 +3,6 @@ package blas
 import (
 	"math"
 	"testing"
-
-	"coarsegrain/internal/rng"
 )
 
 // TestMaxPoolWindowsMatchScalar: the avx2 set's runs of eight (and the
@@ -16,7 +14,7 @@ func TestMaxPoolWindowsMatchScalar(t *testing.T) {
 	if active.maxPool8 == nil {
 		t.Skip("no avx2 kernel set on this host, and the portable set has only the scalar scan")
 	}
-	r := rng.New(41, 1)
+	r := newPCG(41, 1)
 	nan, inf, negZero := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
 	for trial := 0; trial < 400; trial++ {
 		rows, kw, sw := 1+int(r.Uint32()%4), 1+int(r.Uint32()%5), 1+int(r.Uint32()%3)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -180,6 +181,30 @@ func TestSyntheticCIFARDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical samples")
+	}
+	// Concurrent reads must reproduce the same pixels (Source contract).
+	ref := make([][]float32, 5)
+	for i := range ref {
+		ref[i] = make([]float32, 3*32*32)
+		a.Read(i, ref[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 10)
+	for i := 0; i < 10; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out := make([]float32, 3*32*32)
+			a.Read(i%5, out)
+			if !slices.Equal(out, ref[i%5]) {
+				errs <- "concurrent read differs"
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
 	}
 }
 
@@ -363,11 +388,7 @@ func TestSyntheticSamplesPinned(t *testing.T) {
 		{"mnist", NewSyntheticMNIST(100, 7), []pin{{0, 0, 0x06441008}, {1, 1, 0x01c35cc5}, {13, 3, 0x28ccbbc2}, {99, 9, 0xc3a152fa}}},
 		{"cifar", NewSyntheticCIFAR(100, 7), []pin{{0, 0, 0x5b512d54}, {1, 1, 0x41603d39}, {13, 3, 0x6cf1fb52}, {99, 9, 0x2af3abd8}}},
 	} {
-		n := 1
-		for _, d := range src.s.SampleShape() {
-			n *= d
-		}
-		out := make([]float32, n)
+		out := make([]float32, sampleLen(src.s))
 		for _, p := range src.pins {
 			label := src.s.Read(p.i, out)
 			h := crc32.NewIEEE()
@@ -384,4 +405,29 @@ func TestSyntheticSamplesPinned(t *testing.T) {
 			t.Errorf("%s Read allocates %v times per sample, want 0", src.name, a)
 		}
 	}
+}
+
+// BenchmarkSyntheticRead renders one sample per iteration, as the Data
+// layer's bands call Read: the noise, one normal per pixel value, is
+// most of it (and, for cifar, the per-pixel pattern's math.Sin).
+func BenchmarkSyntheticRead(b *testing.B) {
+	for _, src := range []struct {
+		name string
+		s    layers.Source
+	}{{"mnist", NewSyntheticMNIST(1000, 7)}, {"cifar", NewSyntheticCIFAR(1000, 7)}} {
+		out := make([]float32, sampleLen(src.s))
+		b.Run(src.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				src.s.Read(i%1000, out)
+			}
+		})
+	}
+}
+
+func sampleLen(s layers.Source) int {
+	n := 1
+	for _, d := range s.SampleShape() {
+		n *= d
+	}
+	return n
 }

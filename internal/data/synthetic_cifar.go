@@ -64,6 +64,11 @@ func (d *SyntheticCIFAR) Read(i int, out []float32) int {
 	cx := 16 + 6*(r.Float64()-0.5)
 	cy := 16 + 6*(r.Float64()-0.5)
 	cosA, sinA := math.Cos(c.angle), math.Sin(c.angle)
+	// The noise, three normals per pixel (r, g, b), drawn in one batch
+	// straight into out (a stack buffer would escape through the draw's
+	// kernel call), then copied out of the way of the planes it becomes.
+	r.NormFloat32s(out)
+	noise := [3 * 32 * 32]float32(out)
 
 	for y := 0; y < 32; y++ {
 		for x := 0; x < 32; x++ {
@@ -88,9 +93,9 @@ func (d *SyntheticCIFAR) Read(i int, out []float32) int {
 			}
 			mod := float32(contrast * t)
 			idx := y*32 + x
-			out[0*1024+idx] = clamp01(c.r + mod + 0.06*r.NormFloat32())
-			out[1*1024+idx] = clamp01(c.g + mod + 0.06*r.NormFloat32())
-			out[2*1024+idx] = clamp01(c.b + mod + 0.06*r.NormFloat32())
+			out[0*1024+idx] = clamp01(c.r + mod + 0.06*noise[3*idx])
+			out[1*1024+idx] = clamp01(c.g + mod + 0.06*noise[3*idx+1])
+			out[2*1024+idx] = clamp01(c.b + mod + 0.06*noise[3*idx+2])
 		}
 	}
 	return label

@@ -32,11 +32,13 @@ func (f ConstantFiller) String() string { return fmt.Sprintf("constant(%g)", f.V
 // GaussianFiller draws from N(Mean, Std²) (Caffe "gaussian").
 type GaussianFiller struct{ Mean, Std float32 }
 
-// Fill implements Filler.
+// Fill implements Filler: r.Gaussian per element, the normals drawn in
+// one batch.
 func (f GaussianFiller) Fill(b *blob.Blob, r *rng.RNG) {
 	d := b.Data()
-	for i := range d {
-		d[i] = r.Gaussian(f.Mean, f.Std)
+	r.NormFloat32s(d)
+	for i, n := range d {
+		d[i] = f.Mean + f.Std*n
 	}
 }
 
@@ -86,11 +88,7 @@ func (MSRAFiller) Fill(b *blob.Blob, r *rng.RNG) {
 	if b.AxisCount() > 0 && b.Dim(0) > 0 {
 		fanIn = b.Count() / b.Dim(0)
 	}
-	std := float32(math.Sqrt(2.0 / float64(fanIn)))
-	d := b.Data()
-	for i := range d {
-		d[i] = r.Gaussian(0, std)
-	}
+	GaussianFiller{Std: float32(math.Sqrt(2.0 / float64(fanIn)))}.Fill(b, r)
 }
 
 func (MSRAFiller) String() string { return "msra" }

@@ -826,6 +826,32 @@ func TestFillers(t *testing.T) {
 	}
 }
 
+// TestGaussianFillersDrawGaussian: the Gaussian and MSRA fillers, which
+// draw their normals in one batch, write what r.Gaussian per element
+// writes, bit for bit, and leave r where it would.
+func TestGaussianFillersDrawGaussian(t *testing.T) {
+	for _, c := range []struct {
+		f         Filler
+		mean, std float32
+	}{
+		{GaussianFiller{Mean: 1, Std: 0.1}, 1, 0.1},
+		{GaussianFiller{Std: 0.3}, 0, 0.3},
+		{MSRAFiller{}, 0, float32(math.Sqrt(2.0 / 75))},
+	} {
+		b := blob.New(10, 3, 5, 5)
+		r, want := rng.New(5, 9), rng.New(5, 9)
+		c.f.Fill(b, r)
+		for i, v := range b.Data() {
+			if w := want.Gaussian(c.mean, c.std); math.Float32bits(v) != math.Float32bits(w) {
+				t.Fatalf("%s: element %d is %v, r.Gaussian draws %v", c.f, i, v, w)
+			}
+		}
+		if *r != *want {
+			t.Fatalf("%s: the filler leaves its stream elsewhere than r.Gaussian", c.f)
+		}
+	}
+}
+
 func TestFillerByName(t *testing.T) {
 	for _, name := range []string{"constant", "gaussian", "uniform", "xavier", "msra", ""} {
 		if _, err := FillerByName(name, 0.5); err != nil {

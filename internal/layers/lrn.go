@@ -162,13 +162,31 @@ func (l *LRN) forwardColumns(in, out, sc []float32, plo, phi int) {
 // (CVTSS2SD writes only its low lane) would make it wait for the previous
 // call's result still held there, chaining every Pow behind the one
 // before; a float64 load starts each call afresh, so calls overlap.
+//
+// At e = -0.75, Caffe's β, the power is two square roots instead,
+// 1/(r*sqrt(r)) with r = sqrt(s): float32 of it is float32 of math.Pow(s,
+// -0.75) for every non-negative float32 s (TestPowRowMatchesPow; the
+// whole range was swept once), which is all a caller keeps; BenchmarkLRN's
+// pow rows run ~7x faster for it. A scale of exactly 1, which is every
+// scale while k + α/n·Σx² rounds to 1 (k = 1), returns 1 at once, as
+// math.Pow does: the square roots would cost ~5x what Pow(1, e) does.
 func powRow(p []float64, s []float32, e float64) {
 	p = p[:len(s)]
 	for j, v := range s {
 		p[j] = float64(v)
 	}
+	if e != -0.75 {
+		for j, v := range p {
+			p[j] = math.Pow(v, e)
+		}
+		return
+	}
 	for j, v := range p {
-		p[j] = math.Pow(v, e)
+		if v == 1 {
+			continue
+		}
+		r := math.Sqrt(v)
+		p[j] = 1 / (r * math.Sqrt(r))
 	}
 }
 

@@ -235,3 +235,42 @@ func BenchmarkLRN(b *testing.B) {
 		})
 	}
 }
+
+// TestPowRowMatchesPow: at β = 0.75 powRow's square roots give float32 of
+// math.Pow(s, -0.75), bit for bit, exhaustively over [1, 4) — every scale
+// LRN forms at k = 1 while α/n·Σx² < 3 — and at a fixed stride over every
+// other non-negative float32, plus the special values. Negative s and NaN
+// give NaN both ways; -Inf, which no scale is (k > 0), gives NaN where
+// math.Pow gives 0, and is left out.
+func TestPowRowMatchesPow(t *testing.T) {
+	var s [lrnBlock]float32
+	var p [lrnBlock]float64
+	check := func(n int) {
+		powRow(p[:n], s[:n], -0.75)
+		for j, v := range s[:n] {
+			got, want := float32(p[j]), float32(math.Pow(float64(v), -0.75))
+			if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+				t.Fatalf("s = %v (%#08x): powRow gives %v, math.Pow %v", v, math.Float32bits(v), got, want)
+			}
+		}
+	}
+	sweep := func(lo, hi, stride uint32) {
+		n := 0
+		for b := uint64(lo); b < uint64(hi); b += uint64(stride) {
+			s[n] = math.Float32frombits(uint32(b))
+			if n++; n == lrnBlock {
+				check(n)
+				n = 0
+			}
+		}
+		check(n)
+	}
+	one, four := math.Float32bits(1), math.Float32bits(4)
+	sweep(one, four, 1)
+	sweep(0, one, 4099)
+	sweep(four, math.Float32bits(float32(math.Inf(1)))+1, 4099)
+	specials := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, math.Float32frombits(0x007fffff),
+		math.Float32frombits(0x00800000), 1, math.MaxFloat32, float32(math.Inf(1)), float32(math.NaN()), -1, -math.MaxFloat32}
+	copy(s[:], specials)
+	check(len(specials))
+}

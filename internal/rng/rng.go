@@ -9,7 +9,11 @@
 // communicating" — no global RNG state is shared between goroutines).
 package rng
 
-import "math"
+import (
+	"math"
+
+	"coarsegrain/internal/blas"
+)
 
 // RNG is a PCG-XSH-RR 64/32 generator. The zero value is NOT valid; use New.
 // RNG is not safe for concurrent use; give each goroutine its own stream
@@ -105,6 +109,22 @@ func (r *RNG) NormFloat32() float32 {
 	}
 	u2 := r.Float64()
 	return float32(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
+}
+
+// NormFloat32s fills dst with what len(dst) successive NormFloat32 calls
+// return, and leaves r where they would. The active blas kernel set draws
+// them (blas.Normals: on AVX2, four per step, the same bits); a normal it
+// stops before, one whose first uniform is 0, is drawn here by NormFloat32,
+// whose redraw loop stays the only one.
+func (r *RNG) NormFloat32s(dst []float32) {
+	for len(dst) > 0 {
+		var n int
+		r.state, n = blas.Normals(r.state, r.inc, dst)
+		if dst = dst[n:]; len(dst) > 0 {
+			dst[0] = r.NormFloat32()
+			dst = dst[1:]
+		}
+	}
 }
 
 // Gaussian returns a normally distributed float32 with the given mean and

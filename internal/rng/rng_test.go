@@ -196,3 +196,51 @@ func TestQuickDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// checkBatch fails unless NormFloat32s(n) on a copy of r writes what n
+// NormFloat32 calls on r return, bit for bit, and ends in r's state.
+func checkBatch(t *testing.T, r RNG, n int) {
+	t.Helper()
+	batch := r
+	got := make([]float32, n)
+	batch.NormFloat32s(got)
+	for i, g := range got {
+		if w := r.NormFloat32(); math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("normal %d of %d: NormFloat32s wrote %v, NormFloat32 returns %v", i, n, g, w)
+		}
+	}
+	if batch != r {
+		t.Fatalf("NormFloat32s(%d) ends at %+v, NormFloat32 at %+v", n, batch, r)
+	}
+}
+
+// TestNormFloat32sMatchesNormFloat32: a batch is the NormFloat32 sequence,
+// at every length up to a few groups of the vector kernel and at a
+// sample's length, and across a u1 of 0 that NormFloat32 redraws: state 0
+// makes the first word 0, and a searched increment makes the next below
+// 2^11, so u1 = (0<<21 | w>>11) * 2^-53 = 0.
+func TestNormFloat32sMatchesNormFloat32(t *testing.T) {
+	for n := 0; n <= 13; n++ {
+		checkBatch(t, Seeded(uint64(n), 5), n)
+	}
+	checkBatch(t, Seeded(7, 1), 3*1024)
+	zero := RNG{inc: 1}
+	for (&RNG{state: zero.inc}).Uint32() >= 1<<11 { // the second word is state inc's
+		zero.inc += 2
+	}
+	if u := zero; u.Float64() != 0 {
+		t.Fatalf("state 0, inc %#x: u1 is not 0", zero.inc)
+	}
+	for _, n := range []int{1, 4, 7, 64} {
+		checkBatch(t, zero, n)
+	}
+}
+
+// TestNormFloat32sAllocatesNothing pins the batch draw at 0 allocations.
+func TestNormFloat32sAllocatesNothing(t *testing.T) {
+	r := New(3, 4)
+	dst := make([]float32, 784)
+	if a := testing.AllocsPerRun(20, func() { r.NormFloat32s(dst) }); a != 0 {
+		t.Errorf("NormFloat32s allocates %v times per batch, want 0", a)
+	}
+}

@@ -27,7 +27,10 @@
 # (random convolution geometries through the gathered and the packed
 # forward, the transposed weight gradient and dX gathered or in strips on
 # every kernel set, the naive lowering and scatter around the set's
-# micro-kernels with the Go data movement as oracle), a 5-second FuzzLRN smoke (random channel counts,
+# micro-kernels with the Go data movement as oracle), a 5-second
+# FuzzNormFloat32s smoke (random streams and lengths through every kernel
+# set's batch of Box–Muller normals, successive NormFloat32 calls as
+# oracle, bit for bit and to the end state), a 5-second FuzzLRN smoke (random channel counts,
 # windows, plane sizes, splits and constants through LRN's block kernels,
 # the position-at-a-time loops as oracle), a 5-second FuzzCodec smoke
 # (arbitrary float32 bits through every gradient wire format: exact
@@ -153,6 +156,9 @@ go test -run '^$' -fuzz '^FuzzGemm$' -fuzztime 5s ./internal/blas
 
 echo "== FuzzConv smoke (5 s: forward gathered and packed, dW as the transposed product col·dTopᵀ whole and in a channel band, dX gathered or in strips, every kernel set, vs the naive lowering and scatter around its micro-kernels with the Go data movement bit for bit) =="
 go test -run '^$' -fuzz '^FuzzConv$' -fuzztime 5s ./internal/blas
+
+echo "== FuzzNormFloat32s smoke (5 s: a batch of 0-300 normals from a random stream on every kernel set vs successive NormFloat32 calls, bits and end state) =="
+go test -run '^$' -fuzz '^FuzzNormFloat32s$' -fuzztime 5s ./internal/blas
 
 echo "== FuzzLRN smoke (5 s: LRN's block kernels vs the position-at-a-time loops bit for bit) =="
 go test -run '^$' -fuzz '^FuzzLRN$' -fuzztime 5s ./internal/layers
