@@ -85,7 +85,6 @@ func main() {
 	flag.IntVar(&c.ChaosIter, "chaos-iter", -1, "chaos trigger iteration (-1: seeded choice)")
 	flag.DurationVar(&c.ChaosDelay, "chaos-delay", 0, "straggle: injected per-iteration delay (default 250ms)")
 	flag.Uint64Var(&c.ChaosSeed, "chaos-seed", 1, "seed for the unset -chaos-* choices")
-	flag.BoolVar(&c.NoOverlap, "no-overlap", false, "disable the backward-hook scatter overlap (values are identical)")
 	flag.Float64Var(&c.FlakyDrop, "flaky-drop", 0, "inject send drops with this probability (deterministic per -flaky-seed)")
 	flag.Float64Var(&c.FlakyDup, "flaky-dup", 0, "inject duplicate sends with this probability")
 	flag.Float64Var(&c.FlakyDelay, "flaky-delay", 0, "inject send delays with this probability")

@@ -2,10 +2,7 @@
 // contracts by static analysis (LINTING.md has the full catalogue):
 //
 //	dnnlint ./...                 # the whole module, tests included
-//	dnnlint -tests=false ./...    # non-test code only
 //	dnnlint -only transerr ./internal/dist
-//	dnnlint -json ./...           # one JSON object per finding, per line
-//	dnnlint -list                 # describe the analyzers
 //
 // Diagnostics print as file:line:col: analyzer: message, one per line;
 // the exit status is 1 when anything is found, 2 on load or usage
@@ -20,9 +17,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,37 +27,26 @@ import (
 	"coarsegrain/internal/lint/analyzers"
 )
 
-// jsonDiag is the -json wire form of one finding.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	var (
-		tests  = flag.Bool("tests", true, "also analyze in-package _test.go files")
-		only   = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		src    = flag.String("src", "", "comma-separated extra source roots for import resolution (fixture testing)")
-		asJSON = flag.Bool("json", false, "emit one JSON object per finding instead of plain text")
-		list   = flag.Bool("list", false, "list analyzers and exit")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dnnlint [flags] [packages]\n\nFlags:\n")
-		flag.PrintDefaults()
+// run is the command: it parses args, lints the named packages and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dnnlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+	src := fs.String("src", "", "comma-separated extra source roots for import resolution (fixture testing)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: dnnlint [flags] [packages]\n\nFlags:\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	all := analyzers.All()
-	if *list {
-		for _, a := range all {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
 	selected := all
 	if *only != "" {
 		byName := map[string]*lint.Analyzer{}
@@ -71,62 +57,44 @@ func main() {
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "dnnlint: unknown analyzer %q\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "dnnlint: unknown analyzer %q\n", name)
+				return 2
 			}
 			selected = append(selected, a)
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	cfg := lint.Config{Tests: *tests}
+	cfg := lint.Config{Tests: true}
 	if *src != "" {
 		cfg.SrcDirs = strings.Split(*src, ",")
 	}
 	loader, err := lint.NewLoader(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dnnlint: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dnnlint: %v\n", err)
+		return 2
 	}
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dnnlint: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dnnlint: %v\n", err)
+		return 2
 	}
 	if err := lint.FirstError(pkgs); err != nil {
-		fmt.Fprintf(os.Stderr, "dnnlint: packages do not type-check:\n%v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dnnlint: packages do not type-check:\n%v\n", err)
+		return 2
 	}
 
 	diags := lint.Run(pkgs, selected, all)
-	if *asJSON {
-		// One object per line (JSON Lines): trivially consumed by jq,
-		// editors and the GitHub Actions problem matcher without
-		// buffering the whole run.
-		enc := json.NewEncoder(os.Stdout)
-		for _, d := range diags {
-			if err := enc.Encode(jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "dnnlint: %v\n", err)
-				os.Exit(2)
-			}
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "dnnlint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dnnlint: %d finding(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }

@@ -73,7 +73,6 @@ type Config struct {
 	ChaosDelay time.Duration
 	ChaosSeed  uint64
 
-	NoOverlap  bool
 	FlakyDrop  float64
 	FlakyDup   float64
 	FlakyDelay float64
@@ -167,9 +166,8 @@ func (c Config) elasticConfig(size int) dist.ElasticConfig {
 	return dist.ElasticConfig{
 		Iters: c.Iters,
 		Opts: dist.Options{
-			Fanout:    c.Fanout,
-			NoOverlap: c.NoOverlap,
-			GradWire:  c.GradWire,
+			Fanout:   c.Fanout,
+			GradWire: c.GradWire,
 		},
 		ResumePath:   c.Resume,
 		MinRanks:     minRanks,

@@ -108,10 +108,6 @@ func DefaultRetry() RetryConfig {
 type Options struct {
 	// Fanout is the reduction tree's fan-out (default 2).
 	Fanout int
-	// NoOverlap disables the backward-hook scatter: all gradient slices
-	// ship only after the full backward pass. Values are identical
-	// either way (the EXPERIMENTS.md ablation flips this).
-	NoOverlap bool
 	// Retry bounds transient-send retries; zero value = DefaultRetry.
 	Retry RetryConfig
 	// Epoch is the membership epoch stamped into every tag (0 for a
@@ -376,26 +372,24 @@ func (nd *Node) step() (float64, error) {
 		nd.sent[i] = false
 	}
 	nd.hookErr = nil
-	if !nd.opts.NoOverlap {
-		nd.network.SetBackwardLayerHook(func(lo, hi int) {
-			if nd.hookErr != nil {
+	nd.network.SetBackwardLayerHook(func(lo, hi int) {
+		if nd.hookErr != nil {
+			return
+		}
+		for p := lo; p < hi; p++ {
+			if err := nd.scatterParam(p); err != nil {
+				nd.hookErr = err
 				return
 			}
-			for p := lo; p < hi; p++ {
-				if err := nd.scatterParam(p); err != nil {
-					nd.hookErr = err
-					return
-				}
-			}
-		})
-	}
+		}
+	})
 	loss := nd.network.ForwardBackward()
 	nd.network.SetBackwardLayerHook(nil)
 	if nd.hookErr != nil {
 		return 0, nd.hookErr
 	}
-	// Whatever the hook did not cover (all of it under NoOverlap) ships
-	// now, in the same canonical order.
+	// Whatever the hook did not cover ships now, in the same canonical
+	// order.
 	for _, p := range nd.paramOrder {
 		if !nd.sent[p] {
 			if err := nd.scatterParam(p); err != nil {

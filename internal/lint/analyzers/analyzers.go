@@ -4,9 +4,9 @@
 // catalogue of invariants, violating examples and fixes).
 //
 // The analyzers identify the runtime's types structurally — a method
-// named For on a type Pool in a package named par — rather than by full
-// import path, so the fixture packages under testdata/src can stand in
-// for the real internal/par, internal/blob and internal/trace.
+// named Reshape on a type Blob in a package named blob — rather than by
+// full import path, so the fixture packages under testdata/src can stand
+// in for the real internal/blob and internal/transport.
 package analyzers
 
 import (
@@ -20,15 +20,14 @@ import (
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*lint.Analyzer {
-	return []*lint.Analyzer{OrderedReduce, BlobAlias, TraceNil, TransErr, GoroLife, PhaseSpan, ChanMisuse}
+	return []*lint.Analyzer{OrderedReduce, BlobAlias, TransErr, GoroLife, ChanMisuse}
 }
 
 // prodFiles returns the pass's non-test files. The concurrency and
-// transport contract analyzers (transerr, gorolife, phasespan,
-// chanmisuse) scope themselves to production code: tests deliberately
-// exercise the forbidden shapes — dropping Send errors to provoke
-// reconnects, leaving spans open to prove End is unbalanced-safe — and
-// a violated contract there fails the test itself.
+// transport contract analyzers (transerr, gorolife, chanmisuse) scope
+// themselves to production code: tests deliberately exercise the
+// forbidden shapes — dropping Send errors to provoke reconnects — and a
+// violated contract there fails the test itself.
 func prodFiles(pass *lint.Pass) []*ast.File {
 	out := make([]*ast.File, 0, len(pass.Files))
 	for _, f := range pass.Files {

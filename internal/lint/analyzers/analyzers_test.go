@@ -9,7 +9,7 @@ import (
 // Each analyzer is pinned to its fixture package: the positive `// want`
 // expectations fail the test if the detection logic is disabled, the
 // negative sections fail it if the analyzer over-reports the sanctioned
-// idioms (sorted-key reductions, nil-guarded methods, joined goroutines).
+// idioms (sorted-key reductions, handled errors, joined goroutines).
 
 func TestOrderedReduce(t *testing.T) {
 	lint.Fixture(t, OrderedReduce, "orderedreduce")
@@ -17,14 +17,6 @@ func TestOrderedReduce(t *testing.T) {
 
 func TestBlobAlias(t *testing.T) {
 	lint.Fixture(t, BlobAlias, "blobalias")
-}
-
-func TestTraceNilCallSites(t *testing.T) {
-	lint.Fixture(t, TraceNil, "tracenil")
-}
-
-func TestTraceNilDefiningPackage(t *testing.T) {
-	lint.Fixture(t, TraceNil, "tracedef")
 }
 
 func TestTransErr(t *testing.T) {
@@ -35,19 +27,14 @@ func TestGoroLife(t *testing.T) {
 	lint.Fixture(t, GoroLife, "gorolife")
 }
 
-func TestPhaseSpan(t *testing.T) {
-	lint.Fixture(t, PhaseSpan, "phasespan")
-}
-
 func TestChanMisuse(t *testing.T) {
 	lint.Fixture(t, ChanMisuse, "chanmisuse")
 }
 
 func TestAllIsComplete(t *testing.T) {
 	want := map[string]bool{
-		"orderedreduce": true, "blobalias": true,
-		"tracenil": true, "transerr": true,
-		"gorolife": true, "phasespan": true, "chanmisuse": true,
+		"orderedreduce": true, "blobalias": true, "transerr": true,
+		"gorolife": true, "chanmisuse": true,
 	}
 	got := map[string]bool{}
 	for _, a := range All() {

@@ -1,6 +1,6 @@
 // Package transerr exercises the transerr analyzer: dropped transport
-// errors (directly and through wrapper helpers, resolved via effect
-// summaries) and == comparisons against the ErrTransient sentinel.
+// errors, directly and through wrapper helpers resolved via effect
+// summaries.
 package transerr
 
 import (
@@ -82,34 +82,6 @@ func dropWrappedCtrl(c *transport.Conn, m transport.Msg) {
 func goodCtrlWaived(c *transport.Conn) {
 	//dnnlint:ignore transerr heartbeat loss is indistinguishable from peer death; the timeout handles both
 	c.SendCtrl(transport.Msg{})
-}
-
-// --- sentinel comparison --------------------------------------------
-
-func retryCompareEq(c *transport.Conn, m transport.Msg) error {
-	err := c.Send(m)
-	if err == transport.ErrTransient { // want `comparing against transport\.ErrTransient with ==`
-		return c.Send(m)
-	}
-	return err
-}
-
-func retryCompareNeq(err error) bool {
-	return err != transport.ErrTransient // want `comparing against transport\.ErrTransient with !=`
-}
-
-func peerDownCompare(err error) bool {
-	return err == transport.ErrPeerDown // want `comparing against transport\.ErrPeerDown with ==`
-}
-
-// peerErr implements the errors.Is protocol; the == inside Is is the
-// sanctioned comparison that makes errors.Is work in the first place.
-type peerErr struct{ rank int }
-
-func (e *peerErr) Error() string { return "peer down" }
-
-func (e *peerErr) Is(target error) bool {
-	return target == transport.ErrPeerDown // ok: errors.Is protocol method
 }
 
 // --- the sanctioned shapes ------------------------------------------

@@ -1,8 +1,8 @@
 // Package transport is a miniature stand-in for
 // coarsegrain/internal/transport: the transerr analyzer matches the
 // real package structurally (a method named Send/Recv with an error
-// result on a type in a package named transport, a variable named
-// ErrTransient), so this skeleton is all the fixtures need.
+// result on a type in a package named transport), so this skeleton is
+// all the fixtures need.
 package transport
 
 import "errors"

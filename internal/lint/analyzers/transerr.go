@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"coarsegrain/internal/lint"
@@ -13,36 +12,26 @@ import (
 // transport.ErrTransient specifically marks a failure the caller is
 // expected to absorb with a bounded retry. Dropping one of these errors
 // silently desynchronizes a rank — the reduction tree then blocks or
-// folds stale gradients — and matching the sentinel with == instead of
-// errors.Is breaks as soon as a wrapper (Flaky's %w, a future annotated
-// transport) adds context.
+// folds stale gradients.
 //
-// Three shapes are flagged:
+// Two shapes are flagged:
 //   - a call to a transport Send/Recv whose error result is discarded
 //     (expression statement, blank assignment, go/defer);
 //   - the same discard on a call to any function whose effect summary
 //     says its error can originate from a transport Send/Recv (the
 //     interprocedural part: helpers that wrap Send are held to the same
-//     standard as Send itself);
-//   - comparing an error against transport.ErrTransient with == or !=.
+//     standard as Send itself).
 var TransErr = &lint.Analyzer{
 	Name: "transerr",
 	Doc: "flags dropped errors from transport Send/Recv/SendCtrl/RecvCtrl (directly or through " +
-		"wrappers, via effect summaries) and ==/!= comparisons against transport.ErrTransient " +
-		"or transport.ErrPeerDown (use errors.Is so wrapped sentinels still match)",
+		"wrappers, via effect summaries)",
 	Run: runTransErr,
 }
 
 func runTransErr(pass *lint.Pass) {
 	for _, f := range prodFiles(pass) {
-		var inIsMethod bool
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
-			case *ast.FuncDecl:
-				// An errors.Is protocol method — `func (e *E) Is(target
-				// error) bool` — is the one sanctioned home of a ==
-				// sentinel comparison: it is what makes errors.Is work.
-				inIsMethod = isErrorsIsMethod(pass, st)
 			case *ast.ExprStmt:
 				if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
 					checkDropped(pass, call, "discarded")
@@ -53,30 +42,10 @@ func runTransErr(pass *lint.Pass) {
 				checkDropped(pass, st.Call, "discarded by defer")
 			case *ast.AssignStmt:
 				checkBlankAssign(pass, st)
-			case *ast.BinaryExpr:
-				if !inIsMethod {
-					checkSentinelCompare(pass, st)
-				}
 			}
 			return true
 		})
 	}
-}
-
-// isErrorsIsMethod reports whether decl is an errors.Is protocol
-// implementation: a method named Is taking one error and returning one
-// bool.
-func isErrorsIsMethod(pass *lint.Pass, decl *ast.FuncDecl) bool {
-	if decl.Recv == nil || decl.Name.Name != "Is" {
-		return false
-	}
-	fn, ok := pass.Info.Defs[decl.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig := fn.Type().(*types.Signature)
-	return sig.Params().Len() == 1 && isErrType(sig.Params().At(0).Type()) &&
-		sig.Results().Len() == 1 && types.Identical(sig.Results().At(0).Type(), types.Typ[types.Bool])
 }
 
 // transportErrCall reports whether call's error result carries a
@@ -143,49 +112,6 @@ func checkBlankAssign(pass *lint.Pass, st *ast.AssignStmt) {
 		"error from %s is assigned to _: a lost link failure silently desynchronizes the rank — "+
 			"retry transient failures (errors.Is(err, transport.ErrTransient)) or propagate the error",
 		origin)
-}
-
-// checkSentinelCompare flags err == transport.ErrTransient and
-// err == transport.ErrPeerDown (and !=): both sentinels arrive wrapped
-// (Flaky wraps with %w, PeerDownError carries its cause), so only
-// errors.Is matches them reliably.
-func checkSentinelCompare(pass *lint.Pass, be *ast.BinaryExpr) {
-	if be.Op != token.EQL && be.Op != token.NEQ {
-		return
-	}
-	for _, side := range []ast.Expr{be.X, be.Y} {
-		if name, ok := transportSentinel(pass, side); ok {
-			pass.Reportf(be.Pos(),
-				"comparing against transport.%s with %s misses wrapped sentinels "+
-					"(Flaky wraps with %%w, PeerDownError wraps its cause): use errors.Is(err, transport.%s)",
-				name, be.Op, name)
-			return
-		}
-	}
-}
-
-// transportSentinel reports whether e names the ErrTransient or
-// ErrPeerDown variable of a package named transport (matched
-// structurally, so the fixture stand-in exercises the same rule as the
-// real package), returning the sentinel's name.
-func transportSentinel(pass *lint.Pass, e ast.Expr) (string, bool) {
-	var id *ast.Ident
-	switch x := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		id = x.Sel
-	case *ast.Ident:
-		id = x
-	default:
-		return "", false
-	}
-	v, ok := pass.Info.Uses[id].(*types.Var)
-	if !ok || v.Pkg() == nil || v.Pkg().Name() != "transport" {
-		return "", false
-	}
-	if v.Name() != "ErrTransient" && v.Name() != "ErrPeerDown" {
-		return "", false
-	}
-	return v.Name(), true
 }
 
 // callReturnsError reports whether the call has an error among its

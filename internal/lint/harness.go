@@ -20,7 +20,7 @@ import (
 // expectation must be matched by a diagnostic on its line, and every
 // diagnostic must be claimed by an expectation. The fixture package must
 // type-check; its imports resolve against testdata/src (so fixtures can
-// import miniature stand-ins for par, blob and trace).
+// import miniature stand-ins for blob and transport).
 //
 // Because unmatched expectations fail the test, every analyzer's fixture
 // also proves the detection logic is alive: disable the analyzer and the

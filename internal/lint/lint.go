@@ -2,11 +2,10 @@
 // the repository's determinism and parallelism contracts (LINTING.md).
 //
 // The runtime guarantees the paper's headline property — parallel training
-// that is bit-identical to sequential training — only by convention: static
-// scheduling in internal/par, ordered gradient reduction via Pool.Ordered,
-// nil-safe tracer handles in internal/trace, alias discipline on blob
-// buffers. Those conventions are one careless closure away from being
-// silently broken, so this package machine-checks them.
+// that is bit-identical to sequential training — partly by convention:
+// float reductions in a fixed order, alias discipline on blob buffers,
+// checked transport errors, joined goroutines. The conventions no test
+// can reach are machine-checked here.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools/go/
 // analysis (Analyzer, Pass, position-accurate Diagnostics) but is built

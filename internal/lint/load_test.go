@@ -93,7 +93,7 @@ func TestLoaderTestOnlyDirectory(t *testing.T) {
 }
 
 // With Tests unset, in-package test files must not leak into analysis:
-// dnnlint -tests=false and the fixture harness rely on this.
+// the fixture harness relies on this.
 func TestLoaderExcludesTestFilesByDefault(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod":      "module example.com/m\n\ngo 1.22\n",

@@ -122,10 +122,10 @@ type ChromeStats struct {
 }
 
 // The validator accepts exactly the categories the exporters emit: the
-// shared phase vocabulary (PhaseNames in trace.go). Adding a Phase
-// without adding its table row fails CI's trace smoke instead of
-// shipping unlabeled spans; dnnlint's phasespan analyzer enforces the
-// same vocabulary statically at every span construction site.
+// shared phase vocabulary (phaseNames in trace.go). A span whose Phase
+// has no table row exports as category phase(N), so adding a Phase
+// without its row fails CI's trace smoke instead of shipping unlabeled
+// spans (TestValidateRejectsOutOfRangePhase).
 
 // ValidateChromeTrace parses trace-event JSON from r and checks the
 // invariants the exporters guarantee: a non-empty traceEvents array,

@@ -32,6 +32,7 @@
 package trace
 
 import (
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -84,10 +85,9 @@ const (
 
 // phaseNames is the single source of truth for the phase vocabulary,
 // indexed by Phase value. Everything that names a phase derives from
-// this table: Phase.String, the Chrome-trace validator (chrome.go), the
-// OBSERVABILITY.md phase table, and dnnlint's phasespan analyzer (which
-// imports it via PhaseNames/KnownPhase). Adding a Phase means adding a
-// row here — and nowhere else.
+// this table: Phase.String, the Chrome-trace validator (chrome.go) and
+// the OBSERVABILITY.md phase table. Adding a Phase means adding a row
+// here — and nowhere else.
 var phaseNames = [...]string{
 	PhaseForward:   "forward",
 	PhaseBackward:  "backward",
@@ -101,18 +101,10 @@ var phaseNames = [...]string{
 	PhaseRecover:   "recover",
 }
 
-// PhaseNames returns the canonical phase vocabulary in Phase order.
-// The returned slice is a copy; callers may keep it.
-func PhaseNames() []string {
-	out := make([]string, len(phaseNames))
-	copy(out, phaseNames[:])
-	return out
-}
-
 // KnownPhase reports whether name is in the phase vocabulary — the
 // exact acceptance test the Chrome-trace validator applies to span
-// categories, shared so tools (dnnlint's phasespan analyzer, external
-// trace consumers) cannot drift from the exporter.
+// categories, shared so external trace consumers cannot drift from the
+// exporter.
 func KnownPhase(name string) bool {
 	for _, n := range phaseNames {
 		if n == name {
@@ -122,12 +114,13 @@ func KnownPhase(name string) bool {
 	return false
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. A value outside the vocabulary
+// renders as phase(N), which the Chrome-trace validator rejects.
 func (p Phase) String() string {
 	if int(p) < len(phaseNames) {
 		return phaseNames[p]
 	}
-	return "region"
+	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
 // short is the compact phase tag used in exported span names.
@@ -143,6 +136,8 @@ func (p Phase) short() string {
 		return "upd"
 	case PhaseIteration:
 		return "iter"
+	case PhaseRegion:
+		return "region"
 	case PhaseGuard:
 		return "guard"
 	case PhaseServe:
@@ -152,7 +147,7 @@ func (p Phase) short() string {
 	case PhaseRecover:
 		return "rcv"
 	default:
-		return "region"
+		return p.String()
 	}
 }
 

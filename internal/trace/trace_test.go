@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,18 +14,39 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
 	}
-	// None of these may panic.
-	tr.Record(Span{Name: "x", Rank: 0})
-	tr.SetScope("conv1", PhaseForward)
-	tr.Reset()
+	// Every exported method, called on a nil receiver with zero-value
+	// arguments, must return without panicking: untraced call sites hold
+	// a nil handle and call it unguarded.
+	v := reflect.ValueOf(tr)
+	for i := 0; i < v.NumMethod(); i++ {
+		m, name := v.Method(i), v.Type().Method(i).Name
+		args := make([]reflect.Value, m.Type().NumIn())
+		for j := range args {
+			args[j] = reflect.Zero(m.Type().In(j))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("nil (*Tracer).%s panicked: %v", name, r)
+				}
+			}()
+			m.Call(args)
+		}()
+	}
+	if t.Failed() {
+		return
+	}
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Workers() != 0 {
 		t.Fatal("nil tracer has state")
 	}
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil tracer snapshot = %v", got)
 	}
-	if tr.Now() != 0 || tr.Stamp(time.Now()) != 0 {
+	if tr.Now() != 0 || tr.Stamp(time.Now()) != 0 || !tr.Epoch().IsZero() {
 		t.Fatal("nil tracer clock not zero")
+	}
+	if name, phase := tr.Scope(); name != "" || phase != PhaseRegion {
+		t.Fatalf("nil tracer scope = (%q, %v)", name, phase)
 	}
 	if err := tr.WriteChromeTrace(&bytes.Buffer{}); err == nil {
 		t.Fatal("nil tracer export succeeded")

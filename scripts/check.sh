@@ -111,9 +111,8 @@ go build -o "$tmpdir/dnnlint" ./cmd/dnnlint
 
 # Self-test: the gate is worthless if the linter silently stops seeing
 # violations, so prove each invariant still fires on a known-bad fixture.
-# One probe per analyzer, in the catalogue order of LINTING.md §1–7
-# (orderedreduce, blobalias, tracenil, transerr, gorolife, phasespan,
-# chanmisuse). The band contract and the allocation contract are tests,
+# One probe per analyzer, in the catalogue order of LINTING.md §1–5
+# (orderedreduce, blobalias, transerr, gorolife, chanmisuse). The band contract and the allocation contract are tests,
 # not probes: internal/core's TestBandContract and
 # TestWarmPassesAllocateNothing, run by `go test` below. The probes reuse
 # the dnnlint binary built above — one `go build`, many runs.
@@ -127,10 +126,8 @@ lint_probe() { # lint_probe <analyzer> <fixture-pkg>
 }
 lint_probe orderedreduce orderedreduce
 lint_probe blobalias blobalias
-lint_probe tracenil tracenil
 lint_probe transerr transerr
 lint_probe gorolife gorolife
-lint_probe phasespan phasespan
 lint_probe chanmisuse chanmisuse
 echo "seeded violations detected, as required"
 
