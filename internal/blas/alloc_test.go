@@ -62,3 +62,39 @@ func TestGemmAllocations(t *testing.T) {
 		}
 	})
 }
+
+// TestMaxPoolTableAllocations pins a warm MaxPoolTable on a held scratch
+// at 0 allocations, at LeNet's pool2 (8x8 -> 4x4, 2x2 stride 2: every
+// window through the table), on every kernel set.
+func TestMaxPoolTableAllocations(t *testing.T) {
+	forEachSet(t, func(t *testing.T) {
+		in := randomSlice(newPCG(56, 56), 64)
+		tab, out, idx := windowTable(8, 8, 2, 2, 2, 2, 0, 0, 4, 4), make([]float32, 16), make([]int32, 16)
+		s := &GemmScratch{}
+		pool := func() { MaxPoolTable(s, in, tab, out, idx) }
+		pool()
+		if got := testing.AllocsPerRun(20, pool); got != 0 {
+			t.Errorf("MaxPoolTable allocates %v objects per call, want 0", got)
+		}
+	})
+}
+
+// windowTable lists every window of an outH x outW max pooling of an h x
+// w plane (kernel kh x kw, stride sh x sw, padding ph x pw) in a
+// PoolTable, clipped elements -1, each window at its output position.
+func windowTable(h, w, kh, kw, sh, sw, ph, pw, outH, outW int) *PoolTable {
+	n := outH * outW
+	t := &PoolTable{K: kh * kw, Out: make([]int32, n), At: make([]int32, kh*kw*n)}
+	for i := range t.Out {
+		t.Out[i] = int32(i)
+		hs, ws := i/outW*sh-ph, i%outW*sw-pw
+		for k := 0; k < kh*kw; k++ {
+			ih, iw := hs+k/kw, ws+k%kw
+			t.At[k*n+i] = -1
+			if ih >= 0 && ih < h && iw >= 0 && iw < w {
+				t.At[k*n+i] = int32(ih*w + iw)
+			}
+		}
+	}
+	return t
+}

@@ -53,9 +53,10 @@
 // turns away. Every route is bit for bit Im2col, the blocked Gemm and
 // Col2im.
 //
-// MaxPoolWindows (pool.go) is the one kernel here that is not linear
-// algebra: max pooling's window scan, eight windows to a vector, here
-// because the CPUID dispatch and the assembly live here.
+// MaxPoolWindows and MaxPoolTable (pool.go) are the kernels here that are
+// not linear algebra: max pooling's window scan, eight windows to a
+// vector — in place along a row, or gathered through a window table —
+// here because the CPUID dispatch and the assembly live here.
 //
 // Every kernel here is serial: the caller owns the threads, whichever of
 // the paper's parallelism sources (§3.1) it schedules. A coarse-grain

@@ -175,7 +175,8 @@ type kernels struct {
 	writebackT func(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, nrr int)
 
 	// maxPool8 is MaxPoolWindows for eight adjacent windows of stride 1
-	// or 2, one per lane (pool.go); nil in a set without it.
+	// or 2, one per lane (pool.go), and MaxPoolTable's column fold; nil
+	// in a set without it.
 	maxPool8 func(src *float32, base, w, rows, kw, sw int, out *float32, idx *int32)
 	// addRuns adds runs runs of n floats into dst, dst[k*ds+i] +=
 	// src[k*ss+i] (ConvGeom.scatter): a plain float add, lane by lane, so
@@ -221,6 +222,12 @@ type GemmScratch struct {
 	// rows of a convolution's dcol on their way into the bottom gradient
 	// (conv.go).
 	img, strip []float32
+	// win holds MaxPoolTable's gathered columns; winOut and winIdx take
+	// one run of eight windows' maxima and column indices from the kernel
+	// (arrays here, not on the caller's stack, for the reason acc is).
+	win    []float32
+	winOut [8]float32
+	winIdx [8]int32
 	// acc is the micro-kernel's accumulator tile. It lives here rather
 	// than on gemmBlocked's stack because the kernel is called through a
 	// function value (the active set's microKernel), which defeats escape

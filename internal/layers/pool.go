@@ -72,6 +72,14 @@ func (c *PoolConfig) normalize() error {
 // outermost loops into an S*C iteration space — the finest race-free
 // granularity, matching the paper's observation that pooling layers keep
 // the same data-thread distribution as the convolutions they follow.
+//
+// MAX pooling's forward splits a plane's windows two ways, fixed by the
+// geometry in Reshape: where an output row holds at least eight windows
+// wholly inside the input, those run in place, eight to a vector
+// (blas.MaxPoolWindows); every other window — the ones the padding or a
+// ragged last window clips, or all of them when the rows are shorter
+// than eight (LeNet's pool2) — is listed in a window table and folded by
+// blas.MaxPoolTable, one call per plane.
 type Pooling struct {
 	base
 	cfg PoolConfig
@@ -82,6 +90,13 @@ type Pooling struct {
 	// mask records, for MAX pooling, the flat input index (within the
 	// (s,c) plane) of each output's maximum, for the backward scatter.
 	mask []int32
+	// runLo, runHi are the output columns MAX pooling runs in place on
+	// every row (empty when the rows are too short); tab lists the rest
+	// of a plane's windows. Both are built for tabH x tabW inputs, by
+	// the Reshape that first sees that size.
+	runLo, runHi int
+	tab          blas.PoolTable
+	tabH, tabW   int
 
 	propagateDown bool
 }
@@ -126,28 +141,67 @@ func (l *Pooling) Reshape(bottom, top []*blob.Blob) {
 			l.mask = make([]int32, n)
 		}
 		l.mask = l.mask[:n]
+		if l.tabH != l.height || l.tabW != l.width {
+			l.buildTable()
+		}
 	}
+}
+
+// buildTable splits the MAX windows between the in-place run and the
+// window table for the current input size (see Pooling).
+func (l *Pooling) buildTable() {
+	kh, kw := l.cfg.KernelH, l.cfg.KernelW
+	l.tabH, l.tabW = l.height, l.width
+	l.runLo, l.runHi = l.interiorCols()
+	if l.runHi-l.runLo < 8 {
+		l.runLo, l.runHi = 0, 0
+	}
+	var out []int32
+	for oh := 0; oh < l.outH; oh++ {
+		for ow := 0; ow < l.outW; ow++ {
+			if ow < l.runLo || ow >= l.runHi {
+				out = append(out, int32(oh*l.outW+ow))
+			}
+		}
+	}
+	n := len(out)
+	at := make([]int32, kh*kw*n)
+	for i, o := range out {
+		hs := int(o)/l.outW*l.cfg.StrideH - l.cfg.PadH
+		ws := int(o)%l.outW*l.cfg.StrideW - l.cfg.PadW
+		for k := 0; k < kh*kw; k++ {
+			ih, iw := hs+k/kw, ws+k%kw
+			at[k*n+i] = -1
+			if ih >= 0 && ih < l.height && iw >= 0 && iw < l.width {
+				at[k*n+i] = int32(ih*l.width + iw)
+			}
+		}
+	}
+	l.tab = blas.PoolTable{K: kh * kw, Out: out, At: at}
 }
 
 // ForwardExtent implements Layer: one iteration per (sample, channel)
 // plane.
 func (l *Pooling) ForwardExtent() int { return l.num * l.channels }
 
-// ForwardRange implements Layer.
+// ForwardRange implements Layer. A MAX band with a window table borrows
+// one GEMM scratch for all its planes, MaxPoolTable's column buffer.
 func (l *Pooling) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
-	for civ := lo; civ < hi; civ++ {
-		l.forwardPlane(civ, bottom[0], top[0])
+	hw, ohw := l.height*l.width, l.outH*l.outW
+	in, out := bottom[0].Data(), top[0].Data()
+	if l.cfg.Method == AvePool {
+		for p := lo; p < hi; p++ {
+			l.avePlane(in[p*hw:(p+1)*hw], out[p*ohw:(p+1)*ohw])
+		}
+		return
 	}
-}
-
-// forwardPlane pools one (s,c) plane. plane is the flattened (s*C + c).
-func (l *Pooling) forwardPlane(plane int, bottom, top *blob.Blob) {
-	in := bottom.Data()[plane*l.height*l.width : (plane+1)*l.height*l.width]
-	out := top.Data()[plane*l.outH*l.outW : (plane+1)*l.outH*l.outW]
-	if l.cfg.Method == MaxPool {
-		l.maxPlane(in, out, l.mask[plane*l.outH*l.outW:(plane+1)*l.outH*l.outW])
-	} else {
-		l.avePlane(in, out)
+	var gs *blas.GemmScratch
+	if len(l.tab.Out) > 0 {
+		gs = blas.GetScratch()
+		defer blas.PutScratch(gs)
+	}
+	for p := lo; p < hi; p++ {
+		l.maxPlane(gs, in[p*hw:(p+1)*hw], out[p*ohw:(p+1)*ohw], l.mask[p*ohw:(p+1)*ohw])
 	}
 }
 
@@ -162,35 +216,26 @@ func (l *Pooling) interiorCols() (lo, hi int) {
 	return min((l.cfg.PadW+sw-1)/sw, hi), hi
 }
 
-// maxPlane is MAX pooling of one plane, an output row at a time: the
-// interior columns are one run of unclipped windows, which
-// blas.MaxPoolWindows scans eight to a vector; each column the padding or
-// a ragged last window clips goes in on its own, as the smaller window
-// that is left of it. Either way a window is scanned in row-major order
-// with a strict >: the first of equal maxima wins, a NaN never does, and
-// an all-NaN or empty window yields -Inf and mask -1.
-func (l *Pooling) maxPlane(in, out []float32, mask []int32) {
-	w, kw, sw, padW := l.width, l.cfg.KernelW, l.cfg.StrideW, l.cfg.PadW
-	lo, hi := l.interiorCols()
-	for oh := 0; oh < l.outH; oh++ {
-		hs := oh*l.cfg.StrideH - l.cfg.PadH
-		he := min(hs+l.cfg.KernelH, l.height)
-		hs = max(hs, 0)
-		o, m := out[oh*l.outW:(oh+1)*l.outW], mask[oh*l.outW:(oh+1)*l.outW]
-		if lo < hi {
-			blas.MaxPoolWindows(in, hs*w+lo*sw-padW, w, he-hs, kw, sw, hi-lo, o[lo:hi], m[lo:hi])
+// maxPlane is MAX pooling of one plane: the columns [runLo, runHi) of
+// every output row are one run of unclipped windows (the window's rows
+// cut to the input), which blas.MaxPoolWindows scans eight to a vector,
+// and every other window is folded through the window table. Either way
+// a window is scanned in row-major order with a strict >: the first of
+// equal maxima wins, a NaN never does, and an all-NaN or empty window
+// yields -Inf and mask -1.
+func (l *Pooling) maxPlane(gs *blas.GemmScratch, in, out []float32, mask []int32) {
+	if lo, hi := l.runLo, l.runHi; lo < hi {
+		w, sw := l.width, l.cfg.StrideW
+		for oh := 0; oh < l.outH; oh++ {
+			hs := oh*l.cfg.StrideH - l.cfg.PadH
+			he := min(hs+l.cfg.KernelH, l.height)
+			hs = max(hs, 0)
+			o, m := out[oh*l.outW:(oh+1)*l.outW], mask[oh*l.outW:(oh+1)*l.outW]
+			blas.MaxPoolWindows(in, hs*w+lo*sw-l.cfg.PadW, w, he-hs, l.cfg.KernelW, sw, hi-lo, o[lo:hi], m[lo:hi])
 		}
-		for ow := 0; ow < l.outW; ow++ {
-			if ow == lo {
-				ow = hi // past the interior run
-				if ow == l.outW {
-					break
-				}
-			}
-			ws := max(ow*sw-padW, 0)
-			we := min(ow*sw-padW+kw, w)
-			blas.MaxPoolWindows(in, hs*w+ws, w, he-hs, we-ws, sw, 1, o[ow:], m[ow:])
-		}
+	}
+	if len(l.tab.Out) > 0 {
+		blas.MaxPoolTable(gs, in, &l.tab, out, mask)
 	}
 }
 

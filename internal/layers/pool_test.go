@@ -1,10 +1,12 @@
 package layers
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
 
+	"coarsegrain/internal/blas"
 	"coarsegrain/internal/blob"
 	"coarsegrain/internal/rng"
 )
@@ -65,8 +67,10 @@ func (l *Pooling) forwardPlaneNaive(plane int, bottom, top *blob.Blob, maskOut [
 // TestPoolForwardMatchesNaive sweeps kernel/stride/pad/size combinations —
 // the zoo's 3x3/s2 on 32, 16 and 8 and 2x2/s2 on 24 and 8, padded and
 // ragged (ceil-mode) windows, non-square kernels, strides past the kernel
-// (windows wholly outside the input) — over inputs salted with ties, NaN
-// and ±Inf, and requires output and mask bitwise equal to the old loop.
+// (windows wholly outside the input), rows of 1-8 windows (all of the
+// plane through the window table) padded and ragged — over inputs salted
+// with ties, NaN and ±Inf, and requires output and mask bitwise equal to
+// the old loop.
 func TestPoolForwardMatchesNaive(t *testing.T) {
 	type tc struct {
 		h, w int
@@ -92,9 +96,24 @@ func TestPoolForwardMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+	// Rows of 1-8 windows, every one through the window table, each
+	// geometry clipping some window: padded on the left, and ragged past
+	// the right edge at even widths; mostly padding; ragged and unpadded.
+	// Their finite inputs are made non-positive, so a clipped entry read
+	// as anything above -Inf would beat the window's maximum.
+	short := len(cases)
+	for w := 1; w <= 14; w++ {
+		cases = append(cases,
+			tc{5, w, PoolConfig{Kernel: 3, Stride: 2, Pad: 1}},
+			tc{3, w, PoolConfig{KernelH: 1, KernelW: 4, PadW: 3, StrideH: 1, StrideW: 3}},
+		)
+		if w%2 == 0 {
+			cases = append(cases, tc{4, w, PoolConfig{KernelH: 2, KernelW: 3, Stride: 2}})
+		}
+	}
 	r := rng.New(71, 1)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
-	for _, c := range cases {
+	for ci, c := range cases {
 		for _, m := range []PoolMethod{MaxPool, AvePool} {
 			cfg := c.cfg
 			cfg.Method = m
@@ -116,6 +135,9 @@ func TestPoolForwardMatchesNaive(t *testing.T) {
 					bottom.Data()[i] = -inf
 				default:
 					bottom.Data()[i] = float32(int(v*4)) / 4 // few distinct values: ties in most windows
+				}
+				if x := bottom.Data()[i]; ci >= short && x > 0 && x < inf {
+					bottom.Data()[i] = -x
 				}
 			}
 			want := blob.New(tops[0].Shape()...)
@@ -215,8 +237,85 @@ func TestAvePoolDividesLikeCaffe(t *testing.T) {
 	}
 }
 
+// FuzzPool: for random geometries — H and W 1-20, per axis a kernel of
+// 1-8, a padding below it and a stride of 1-8 (past the kernel, so some
+// windows miss the input), ceil-mode ragged last windows — MAX and AVE
+// pooling of planes drawn from a palette of arbitrary float32 bits (NaN,
+// ±Inf and ties whenever the palette holds them) equal the old loop bit
+// for bit, mask included, with the six planes split over two ForwardRange
+// bands at a random cut.
+func FuzzPool(f *testing.F) {
+	bits := func(vs ...uint32) []byte {
+		b := make([]byte, 4*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		return b
+	}
+	mixed := bits(0x7fc00000, 0x7f800000, 0xff800000, 0x80000000, 0, 0xbf800000, 0x3f000000, 0xbe800000)
+	f.Add(uint8(8), uint8(8), uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(0), false, uint8(3), mixed, uint64(1))   // LeNet pool2
+	f.Add(uint8(16), uint8(16), uint8(3), uint8(3), uint8(2), uint8(2), uint8(0), uint8(0), false, uint8(1), mixed, uint64(2)) // ragged last column
+	f.Add(uint8(20), uint8(19), uint8(3), uint8(3), uint8(1), uint8(2), uint8(2), uint8(1), false, uint8(5), mixed, uint64(3)) // wide rows, padded
+	f.Add(uint8(5), uint8(7), uint8(3), uint8(2), uint8(2), uint8(1), uint8(1), uint8(1), true, uint8(0), mixed, uint64(4))
+	f.Add(uint8(4), uint8(4), uint8(1), uint8(1), uint8(4), uint8(5), uint8(0), uint8(0), false, uint8(6), bits(0xff800000), uint64(5))
+	f.Add(uint8(1), uint8(1), uint8(3), uint8(3), uint8(1), uint8(1), uint8(2), uint8(2), false, uint8(2), bits(0x7fc00001, 0xffc00000), uint64(6))
+	f.Fuzz(func(t *testing.T, h8, w8, kh8, kw8, sh8, sw8, ph8, pw8 uint8, ave bool, cut8 uint8, palette []byte, seed uint64) {
+		h, w := 1+int(h8%20), 1+int(w8%20)
+		cfg := PoolConfig{KernelH: 1 + int(kh8%8), KernelW: 1 + int(kw8%8), StrideH: 1 + int(sh8%8), StrideW: 1 + int(sw8%8)}
+		cfg.PadH, cfg.PadW = int(ph8)%cfg.KernelH, int(pw8)%cfg.KernelW
+		if ave {
+			cfg.Method = AvePool
+		}
+		if blas.PoolOutSize(h, cfg.KernelH, cfg.PadH, cfg.StrideH) < 1 || blas.PoolOutSize(w, cfg.KernelW, cfg.PadW, cfg.StrideW) < 1 {
+			return // a kernel past the padded input: no output
+		}
+		vals := []uint32{0}
+		if len(palette) >= 4 {
+			vals = vals[:0]
+			for i := 0; i+4 <= len(palette) && i < 64; i += 4 {
+				vals = append(vals, binary.LittleEndian.Uint32(palette[i:]))
+			}
+		}
+		l, err := NewPooling("p", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bottom := blob.New(2, 3, h, w)
+		tops := setup(t, l, []*blob.Blob{bottom})
+		r := rng.New(seed, 31)
+		for i := range bottom.Data() {
+			bottom.Data()[i] = math.Float32frombits(vals[r.Intn(len(vals))])
+		}
+		want := blob.New(tops[0].Shape()...)
+		wantMask := make([]int32, want.Count())
+		for i := range tops[0].Data() {
+			tops[0].Data()[i] = 7
+			if !ave {
+				l.mask[i] = -7
+			}
+		}
+		for plane := 0; plane < 6; plane++ {
+			l.forwardPlaneNaive(plane, bottom, want, wantMask)
+		}
+		cut := int(cut8) % 7
+		l.ForwardRange(0, cut, []*blob.Blob{bottom}, tops)
+		l.ForwardRange(cut, 6, []*blob.Blob{bottom}, tops)
+		for i, wv := range want.Data() {
+			if g := tops[0].Data()[i]; math.Float32bits(g) != math.Float32bits(wv) {
+				t.Fatalf("%dx%d %+v: out[%d] = %v, old loop %v", h, w, cfg, i, g, wv)
+			}
+			if !ave && l.mask[i] != wantMask[i] {
+				t.Fatalf("%dx%d %+v: mask[%d] = %d, old loop %d", h, w, cfg, i, l.mask[i], wantMask[i])
+			}
+		}
+	})
+}
+
 // BenchmarkPoolForward times one batch of the zoo's pooling layers, the
-// layer's forward ("now") against the oracle loop it replaced.
+// layer's forward ("now") against the oracle loop it replaced. LeNet's
+// pool2 has rows of four windows, so all of it runs through the window
+// table; CIFAR-10-full's pool1 has a ragged last column, the table's
+// share of that layer.
 func BenchmarkPoolForward(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -226,7 +325,9 @@ func BenchmarkPoolForward(b *testing.B) {
 	}{
 		{"lenet-pool1", 64, 20, 24, MaxPool, 2, 2},
 		{"cifar-pool1", 100, 32, 32, MaxPool, 3, 2},
+		{"lenet-pool2", 64, 50, 8, MaxPool, 2, 2},
 		{"cifar-pool2", 100, 32, 16, AvePool, 3, 2},
+		{"cifar-pool3", 100, 64, 8, AvePool, 3, 2},
 	} {
 		l, _ := NewPooling("p", PoolConfig{Method: c.m, Kernel: c.kernel, Stride: c.st})
 		bottom := blob.New(c.n, c.ch, c.hw, c.hw)

@@ -205,6 +205,33 @@ func TestTCPPeerDeathSurfacesPeerDown(t *testing.T) {
 	}
 }
 
+// TestTCPSendAfterPeerDeathIsPeerDown pins Send's side of link death:
+// once the peer's process is gone and the link writer's socket write has
+// failed, Send returns a *PeerDownError naming the peer, with the socket
+// error in its chain.
+func TestTCPSendAfterPeerDeathIsPeerDown(t *testing.T) {
+	group := dialTCPGroup(t, 2)
+	defer group[0].Close()
+	group[1].Close() // the "process" dies
+	tag := MakeTag(KindGrad, 0, 0, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := group[0].Send(1, tag, make([]float32, 1024))
+		if err != nil {
+			var pd *PeerDownError
+			var op *gonet.OpError
+			if !errors.As(err, &pd) || pd.Rank != 1 || !errors.As(err, &op) {
+				t.Fatalf("Send after peer death: err = %v, want *PeerDownError{Rank: 1} wrapping the socket error", err)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Send kept succeeding after the peer died")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // --- bounded close (shutdown-race satellite) -------------------------
 
 // TestWriterCloseFlushBounded pins that closeFlush gives up after its

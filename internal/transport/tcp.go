@@ -340,7 +340,7 @@ func (t *TCP) Send(to int, tag Tag, payload []float32) error {
 	b := w.buffer(frameHeader + 4*len(payload))
 	encodeFrame(b, tag, payload)
 	if err := w.enqueue(b); err != nil {
-		if errors.Is(err, ErrClosed) || errors.Is(err, ErrPeerDown) {
+		if errors.Is(err, ErrClosed) {
 			return err
 		}
 		return &PeerDownError{Rank: to, Cause: err}

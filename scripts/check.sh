@@ -32,7 +32,9 @@
 # set's batch of Box–Muller normals, successive NormFloat32 calls as
 # oracle, bit for bit and to the end state), a 5-second FuzzLRN smoke (random channel counts,
 # windows, plane sizes, splits and constants through LRN's block kernels,
-# the position-at-a-time loops as oracle), a 5-second FuzzCodec smoke
+# the position-at-a-time loops as oracle), a 5-second FuzzPool smoke
+# (random pooling geometries, MAX and AVE, on arbitrary float32 bits in
+# two bands, the old per-window loop as oracle, mask included), a 5-second FuzzCodec smoke
 # (arbitrary float32 bits through every gradient wire format: exact
 # WireLen, documented error bounds, non-finite in stays non-finite out),
 # a 5-second FuzzReadFrame smoke (arbitrary bytes through the TCP frame
@@ -46,7 +48,8 @@
 # (the element-parallel ordered merge must stay bit-identical to the serial
 # ordered merge at every worker count), one pass each of the A-red
 # ablation benchmark (ordered vs tree merge), of the LRN and ReLU layer
-# benchmarks at CIFAR-10-full's norm1/relu1 shapes, of the TCP frame
+# benchmarks at CIFAR-10-full's norm1/relu1 shapes and the pooling
+# benchmark at the zoo's pooling shapes, of the TCP frame
 # round trip (one LeNet-sized frame) and of the GEMM data-movement
 # benchmarks (the net shapes with the small-M ones, packB, writeback, the
 # zoo convolutions' per-product times), plus a dedicated race pass over
@@ -160,6 +163,9 @@ go test -run '^$' -fuzz '^FuzzNormFloat32s$' -fuzztime 5s ./internal/blas
 echo "== FuzzLRN smoke (5 s: LRN's block kernels vs the position-at-a-time loops bit for bit) =="
 go test -run '^$' -fuzz '^FuzzLRN$' -fuzztime 5s ./internal/layers
 
+echo "== FuzzPool smoke (5 s: MAX and AVE pooling of random geometries on arbitrary float32 bits, two bands, vs the per-window loop bit for bit, mask included) =="
+go test -run '^$' -fuzz '^FuzzPool$' -fuzztime 5s ./internal/layers
+
 echo "== FuzzCodec smoke (5 s: every gradient wire format on arbitrary float32 bits: WireLen, error bounds, non-finite kept) =="
 go test -run '^$' -fuzz '^FuzzCodec$' -fuzztime 5s ./internal/transport
 
@@ -184,8 +190,8 @@ go test -count=1 -run 'TestOrderedSlicesBitIdenticalToOrdered|TestOrderedSlicesM
 echo "== reduction ablation (A-red): ordered vs tree merge, one pass so the bench cannot rot =="
 go test -run '^$' -bench BenchmarkOrderedReduce -benchtime 1x ./internal/core
 
-echo "== layer benchmarks (LRN at norm1, ReLU at relu1), one pass so they cannot rot =="
-go test -run '^$' -bench 'BenchmarkLRN|BenchmarkReLU' -benchtime 1x ./internal/layers
+echo "== layer benchmarks (LRN at norm1, ReLU at relu1, pooling at the zoo's pooling shapes), one pass so they cannot rot =="
+go test -run '^$' -bench 'BenchmarkLRN|BenchmarkReLU|BenchmarkPoolForward' -benchtime 1x ./internal/layers
 
 echo "== TCP frame benchmark (one LeNet-sized frame out and back over loopback), one pass so it cannot rot =="
 go test -run '^$' -bench BenchmarkTCPFrame -benchtime 1x ./internal/transport
