@@ -35,8 +35,14 @@ type Swish struct {
 	propagateDown bool
 }
 
-// Interface conformance is the whole integration story.
-var _ layers.Layer = (*Swish)(nil)
+// Interface conformance is the whole integration story. Swish has a
+// parameter, so it runs backward even when its bottom needs no gradient:
+// it takes the net's flags to skip dx then, and the assertion makes a
+// misspelt method a compile error rather than a silent miss.
+var (
+	_ layers.Layer           = (*Swish)(nil)
+	_ layers.PropagateDowner = (*Swish)(nil)
+)
 
 // NewSwish creates a Swish layer with beta initialized to 1.
 func NewSwish(name string) *Swish {

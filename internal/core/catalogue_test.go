@@ -58,7 +58,8 @@ func labelBottom(n, classes int) *blob.Blob {
 // layerCases is the whole layer catalogue, one case per constructor of
 // package layers and a variant for each way an engine cuts a layer
 // differently: both convolution kernels and InnerProduct (channel ranges;
-// with and without a bias, with and without a bottom gradient), the
+// with and without a bias, with and without a bottom gradient),
+// BatchNorm and Deconvolution with and without a bottom gradient, the
 // parameter-free range bodies, the two layers with parameters but no
 // channel axis (serial backward under Fine), the layers with several
 // bottoms or tops, the loss and accuracy layers (serial finish) and Data
@@ -79,13 +80,14 @@ func layerCases() []layerCase {
 		for _, v := range variants {
 			cases = append(cases, layerCase{name: "Convolution/" + kernel + "/" + v.name, reluGrad: true, mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
 				l, err := layers.NewConvolution("conv", layers.ConvConfig{
-					NumOutput: 4, Kernel: 3, Pad: 1, Stride: 2, NoBias: v.noBias, DisablePropagation: v.noGrad,
+					NumOutput: 4, Kernel: 3, Pad: 1, Stride: 2, NoBias: v.noBias,
 					Lowered: lowered, WeightFiller: layers.GaussianFiller{Std: 0.2},
 					BiasFiller: layers.GaussianFiller{Std: 0.2}, RNG: rng.New(31, 1),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				l.SetPropagateDown([]bool{!v.noGrad})
 				return l, []*blob.Blob{randomBottom(31, 3, 3, 7, 6)}
 			}})
 		}
@@ -106,6 +108,34 @@ func layerCases() []layerCase {
 			return l, []*blob.Blob{randomBottom(32, 4, 2, 3, 3)}
 		}})
 	}
+	// The two other layers with parameters and a bottom gradient, with
+	// and without that gradient.
+	for _, noGrad := range []bool{false, true} {
+		suffix := ""
+		if noGrad {
+			suffix = "/nograd"
+		}
+		cases = append(cases,
+			layerCase{name: "BatchNorm" + suffix, mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
+				l, err := layers.NewBatchNorm("bn", layers.BNConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.SetPropagateDown([]bool{!noGrad})
+				return l, []*blob.Blob{randomBottom(38, 6, 3, 4, 4)}
+			}},
+			layerCase{name: "Deconvolution" + suffix, mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
+				l, err := layers.NewDeconvolution("deconv", layers.ConvConfig{NumOutput: 3, Kernel: 3, Stride: 2,
+					WeightFiller: layers.GaussianFiller{Std: 0.3}, BiasFiller: layers.GaussianFiller{Std: 0.3},
+					RNG: rng.New(39, 1)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.SetPropagateDown([]bool{!noGrad})
+				return l, []*blob.Blob{randomBottom(39, 3, 4, 4, 4)}
+			}},
+		)
+	}
 	cases = append(cases,
 		layerCase{name: "LRN", mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
 			l, err := layers.NewLRN("norm", layers.LRNConfig{LocalSize: 3, Alpha: 0.5})
@@ -125,22 +155,6 @@ func layerCases() []layerCase {
 		}},
 		layerCase{name: "SoftmaxWithLoss", mk: func(*testing.T) (layers.Layer, []*blob.Blob) {
 			return layers.NewSoftmaxWithLoss("loss"), []*blob.Blob{randomBottom(37, 5, 7), labelBottom(5, 7)}
-		}},
-		layerCase{name: "BatchNorm", mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
-			l, err := layers.NewBatchNorm("bn", layers.BNConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l, []*blob.Blob{randomBottom(38, 6, 3, 4, 4)}
-		}},
-		layerCase{name: "Deconvolution", mk: func(t *testing.T) (layers.Layer, []*blob.Blob) {
-			l, err := layers.NewDeconvolution("deconv", layers.ConvConfig{NumOutput: 3, Kernel: 3, Stride: 2,
-				WeightFiller: layers.GaussianFiller{Std: 0.3}, BiasFiller: layers.GaussianFiller{Std: 0.3},
-				RNG: rng.New(39, 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l, []*blob.Blob{randomBottom(39, 3, 4, 4, 4)}
 		}},
 		layerCase{name: "Accuracy", mk: func(*testing.T) (layers.Layer, []*blob.Blob) {
 			return layers.NewAccuracy("acc", 2), []*blob.Blob{randomBottom(42, 5, 7), labelBottom(5, 7)}

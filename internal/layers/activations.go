@@ -24,20 +24,12 @@ type elementwise struct {
 	backward func(x, y, dy, dx []float32)
 
 	extent, plane int
-	propagateDown bool
 }
 
 // CanRunInPlace implements InPlacer: every activation here differentiates
 // through its output (or a sign test the output preserves), so top may
 // alias bottom.
 func (l *elementwise) CanRunInPlace() bool { return true }
-
-// SetPropagateDown implements the optional propagation control.
-func (l *elementwise) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
-}
 
 // SetUp implements Layer.
 func (l *elementwise) SetUp(bottom, top []*blob.Blob) error {
@@ -68,12 +60,7 @@ func (l *elementwise) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 }
 
 // BackwardExtent implements Layer.
-func (l *elementwise) BackwardExtent() int {
-	if !l.propagateDown {
-		return 0
-	}
-	return l.extent
-}
+func (l *elementwise) BackwardExtent() int { return l.extent }
 
 // BackwardRange implements Layer.
 func (l *elementwise) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.Blob) {
@@ -85,10 +72,9 @@ func (l *elementwise) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*b
 // optional leaky negative slope (Caffe negative_slope).
 func NewReLU(name string, negativeSlope float32) *elementwise {
 	return &elementwise{
-		base:          base{name: name, typ: "ReLU"},
-		forward:       func(in, out []float32) { reluForward(negativeSlope, in, out) },
-		backward:      func(x, _, dy, dx []float32) { reluBackward(negativeSlope, x, dy, dx) },
-		propagateDown: true,
+		base:     base{name: name, typ: "ReLU"},
+		forward:  func(in, out []float32) { reluForward(negativeSlope, in, out) },
+		backward: func(x, _, dy, dx []float32) { reluBackward(negativeSlope, x, dy, dx) },
 	}
 }
 
@@ -125,10 +111,9 @@ func reluBackward(slope float32, x, dy, dx []float32) {
 // NewSigmoid creates a logistic sigmoid layer: y = 1/(1+exp(-x)).
 func NewSigmoid(name string) *elementwise {
 	return &elementwise{
-		base:          base{name: name, typ: "Sigmoid"},
-		forward:       sigmoidForward,
-		backward:      sigmoidBackward,
-		propagateDown: true,
+		base:     base{name: name, typ: "Sigmoid"},
+		forward:  sigmoidForward,
+		backward: sigmoidBackward,
 	}
 }
 
@@ -150,10 +135,9 @@ func sigmoidBackward(_, y, dy, dx []float32) {
 // NewTanH creates a hyperbolic tangent layer.
 func NewTanH(name string) *elementwise {
 	return &elementwise{
-		base:          base{name: name, typ: "TanH"},
-		forward:       tanhForward,
-		backward:      tanhBackward,
-		propagateDown: true,
+		base:     base{name: name, typ: "TanH"},
+		forward:  tanhForward,
+		backward: tanhBackward,
 	}
 }
 

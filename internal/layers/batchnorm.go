@@ -44,8 +44,7 @@ type BatchNorm struct {
 	// Per-backward cached reductions.
 	sumDy, sumDyXhat []float32
 
-	train         bool
-	propagateDown bool
+	train bool
 }
 
 // BNConfig configures a BatchNorm layer.
@@ -68,25 +67,17 @@ func NewBatchNorm(name string, cfg BNConfig) (*BatchNorm, error) {
 		return nil, fmt.Errorf("layer %s: bad batchnorm config %+v", name, cfg)
 	}
 	return &BatchNorm{
-		base:          base{name: name, typ: "BatchNorm"},
-		eps:           cfg.Eps,
-		momentum:      cfg.Momentum,
-		movingMean:    blob.New(),
-		movingVar:     blob.New(),
-		train:         true,
-		propagateDown: true,
+		base:       base{name: name, typ: "BatchNorm"},
+		eps:        cfg.Eps,
+		momentum:   cfg.Momentum,
+		movingMean: blob.New(),
+		movingVar:  blob.New(),
+		train:      true,
 	}, nil
 }
 
 // SetTrain toggles batch statistics (train) vs moving averages (test).
 func (l *BatchNorm) SetTrain(train bool) { l.train = train }
-
-// SetPropagateDown implements the optional propagation control.
-func (l *BatchNorm) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
-}
 
 // StateBlobs exposes the non-learnable state (moving mean and variance)
 // for snapshotting.
@@ -225,6 +216,7 @@ func (l *BatchNorm) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramGra
 	gGrad := paramGrads[0].Diff()
 	bGrad := paramGrads[1].Diff()
 	m := float32(l.num * l.spatial)
+	down := l.propagates(0)
 	for plane := lo; plane < hi; plane++ {
 		c := plane % l.channels
 		base := plane * l.spatial
@@ -233,7 +225,7 @@ func (l *BatchNorm) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramGra
 			xhat := (in[i] - l.mean[c]) * l.invStd[c]
 			pDy += dy[i]
 			pDyX += dy[i] * xhat
-			if l.propagateDown {
+			if down {
 				if l.train {
 					dx[i] = gamma[c] * l.invStd[c] / m * (m*dy[i] - l.sumDy[c] - xhat*l.sumDyXhat[c])
 				} else {

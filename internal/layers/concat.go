@@ -12,24 +12,14 @@ import (
 // segment is assembled from the corresponding segments of every bottom.
 type Concat struct {
 	base
-	num       int
-	chunks    []int // per-bottom elements per sample (CountFrom(1))
-	total     int   // sum of chunks
-	propagate []bool
+	num    int
+	chunks []int // per-bottom elements per sample (CountFrom(1))
+	total  int   // sum of chunks
 }
 
 // NewConcat creates a channel concatenation layer.
 func NewConcat(name string) *Concat {
 	return &Concat{base: base{name: name, typ: "Concat"}}
-}
-
-// SetPropagateDown implements the optional propagation control.
-func (l *Concat) SetPropagateDown(flags []bool) {
-	l.propagate = append(l.propagate[:0], flags...)
-}
-
-func (l *Concat) propagateTo(i int) bool {
-	return i >= len(l.propagate) || l.propagate[i]
 }
 
 // SetUp implements Layer.
@@ -96,7 +86,7 @@ func (l *Concat) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.B
 		off := s * l.total
 		for bi, b := range bottom {
 			c := l.chunks[bi]
-			if l.propagateTo(bi) {
+			if l.propagates(bi) {
 				copy(b.Diff()[s*c:(s+1)*c], outDiff[off:off+c])
 			}
 			off += c
@@ -109,20 +99,12 @@ func (l *Concat) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.B
 // buffers), coalesced over samples.
 type Flatten struct {
 	base
-	num, dim      int
-	propagateDown bool
+	num, dim int
 }
 
 // NewFlatten creates a flatten layer.
 func NewFlatten(name string) *Flatten {
-	return &Flatten{base: base{name: name, typ: "Flatten"}, propagateDown: true}
-}
-
-// SetPropagateDown implements the optional propagation control.
-func (l *Flatten) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
+	return &Flatten{base: base{name: name, typ: "Flatten"}}
 }
 
 // SetUp implements Layer.
@@ -153,12 +135,7 @@ func (l *Flatten) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 }
 
 // BackwardExtent implements Layer.
-func (l *Flatten) BackwardExtent() int {
-	if !l.propagateDown {
-		return 0
-	}
-	return l.num
-}
+func (l *Flatten) BackwardExtent() int { return l.num }
 
 // BackwardRange implements Layer.
 func (l *Flatten) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.Blob) {

@@ -12,18 +12,17 @@ import (
 // Stride default to 0 and 1. Per-axis values (KernelH...) override the
 // square settings when non-zero.
 type ConvConfig struct {
-	NumOutput          int
-	Kernel             int
-	KernelH, KernelW   int
-	Pad                int
-	PadH, PadW         int
-	Stride             int
-	StrideH, StrideW   int
-	NoBias             bool // disable the bias term
-	WeightFiller       Filler
-	BiasFiller         Filler
-	RNG                *rng.RNG
-	DisablePropagation bool // skip gradient w.r.t. bottom (first conv after data)
+	NumOutput        int
+	Kernel           int
+	KernelH, KernelW int
+	Pad              int
+	PadH, PadW       int
+	Stride           int
+	StrideH, StrideW int
+	NoBias           bool // disable the bias term
+	WeightFiller     Filler
+	BiasFiller       Filler
+	RNG              *rng.RNG
 	// Lowered selects the im2col+GEMM implementation (Caffe's CPU path,
 	// the cuDNN analogue) instead of the direct loop nest, under every
 	// engine: the coarse unit becomes one sample, a Fine band a run of
@@ -102,8 +101,6 @@ type Convolution struct {
 	num, channels, height, width int
 	outH, outW                   int
 	plan                         *blas.ConvPlan // the same, with the lowered path's gather tables
-
-	propagateDown bool
 }
 
 // NewConvolution creates a convolution layer. It returns an error for
@@ -112,11 +109,7 @@ func NewConvolution(name string, cfg ConvConfig) (*Convolution, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, fmt.Errorf("layer %s: %w", name, err)
 	}
-	return &Convolution{
-		base:          base{name: name, typ: "Convolution"},
-		cfg:           cfg,
-		propagateDown: !cfg.DisablePropagation,
-	}, nil
+	return &Convolution{base: base{name: name, typ: "Convolution"}, cfg: cfg}, nil
 }
 
 // Geom returns the layer's per-sample geometry (valid after SetUp).
@@ -125,14 +118,6 @@ func (l *Convolution) Geom() blas.ConvGeom { return l.plan.ConvGeom }
 // Lowered reports whether the layer runs as the implicit GEMM
 // (ConvConfig.Lowered) rather than the direct loop nest.
 func (l *Convolution) Lowered() bool { return l.cfg.Lowered }
-
-// SetPropagateDown lets the net disable the input-gradient computation
-// when the bottom blob needs no gradient (e.g. it comes from a data layer).
-func (l *Convolution) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
-}
 
 // SetUp implements Layer.
 func (l *Convolution) SetUp(bottom, top []*blob.Blob) error {
@@ -252,7 +237,7 @@ func (l *Convolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramG
 		l.backwardLowered(lo, hi, 0, l.cfg.NumOutput, 0, in, bottom[0], top[0], paramGrads)
 		return
 	}
-	l.backwardDirect(lo, hi, 0, l.cfg.NumOutput, l.propagateDown, bottom[0], top[0], paramGrads)
+	l.backwardDirect(lo, hi, 0, l.cfg.NumOutput, l.propagates(0), bottom[0], top[0], paramGrads)
 }
 
 // backwardDirect is the direct kernel's dW loop nest: rows [olo, ohi) of
@@ -323,7 +308,7 @@ func (l *Convolution) backwardDirect(slo, shi, olo, ohi int, dX bool, bottom, to
 // ChannelExtents implements ChannelRanger: output channels, and input
 // channels when the bottom gradient propagates.
 func (l *Convolution) ChannelExtents() (out, in int) {
-	if l.propagateDown {
+	if l.propagates(0) {
 		in = l.channels
 	}
 	return l.cfg.NumOutput, in
@@ -421,7 +406,7 @@ func (l *Convolution) BackwardFLOPs() int64 {
 	macs := int64(l.num) * int64(l.cfg.NumOutput) * int64(l.outH) * int64(l.outW) *
 		int64(l.channels) * int64(l.cfg.KernelH) * int64(l.cfg.KernelW)
 	passes := int64(1)
-	if l.propagateDown {
+	if l.propagates(0) {
 		passes = 2
 	}
 	flops := 2 * macs * passes

@@ -40,8 +40,6 @@ type Deconvolution struct {
 
 	num, channels int
 	plan          *blas.ConvPlan // the adjoint convolution: output geometry -> input
-
-	propagateDown bool
 }
 
 // NewDeconvolution creates a transposed-convolution layer. NumOutput is
@@ -50,18 +48,7 @@ func NewDeconvolution(name string, cfg ConvConfig) (*Deconvolution, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, fmt.Errorf("layer %s: %w", name, err)
 	}
-	return &Deconvolution{
-		base:          base{name: name, typ: "Deconvolution"},
-		cfg:           cfg,
-		propagateDown: !cfg.DisablePropagation,
-	}, nil
-}
-
-// SetPropagateDown implements the optional propagation control.
-func (l *Deconvolution) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
+	return &Deconvolution{base: base{name: name, typ: "Deconvolution"}, cfg: cfg}, nil
 }
 
 // SetUp implements Layer.
@@ -136,7 +123,8 @@ func (l *Deconvolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, para
 	chw, ohw := l.channels*l.plan.Cols(), l.plan.Height*l.plan.Width
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
-	if l.propagateDown {
+	down := l.propagates(0)
+	if down {
 		gs.PackA(blas.NoTrans, l.channels, ckk, l.params[0].Data(), ckk)
 	}
 	for s := lo; s < hi; s++ {
@@ -145,7 +133,7 @@ func (l *Deconvolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, para
 		if !l.cfg.NoBias {
 			addRowSums(paramGrads[1].Diff(), outDiff, ohw)
 		}
-		if l.propagateDown {
+		if down {
 			blas.ConvForward(gs, l.plan, l.channels, outDiff, nil, bottom[0].Diff()[s*chw:(s+1)*chw])
 		}
 	}

@@ -23,7 +23,6 @@ type Dropout struct {
 	mask          []float32
 	train         bool
 	extent, plane int
-	propagateDown bool
 }
 
 // NewDropout creates a dropout layer with the given drop ratio in [0, 1).
@@ -35,11 +34,10 @@ func NewDropout(name string, ratio float32, r *rng.RNG) (*Dropout, error) {
 		r = rng.New(7, 7)
 	}
 	return &Dropout{
-		base:          base{name: name, typ: "Dropout"},
-		ratio:         ratio,
-		rng:           r,
-		train:         true,
-		propagateDown: true,
+		base:  base{name: name, typ: "Dropout"},
+		ratio: ratio,
+		rng:   r,
+		train: true,
 	}, nil
 }
 
@@ -48,13 +46,6 @@ func (l *Dropout) SetTrain(train bool) { l.train = train }
 
 // CanRunInPlace implements InPlacer: the backward needs only the mask.
 func (l *Dropout) CanRunInPlace() bool { return true }
-
-// SetPropagateDown implements the optional propagation control.
-func (l *Dropout) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
-}
 
 // SetUp implements Layer.
 func (l *Dropout) SetUp(bottom, top []*blob.Blob) error {
@@ -109,12 +100,7 @@ func (l *Dropout) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 }
 
 // BackwardExtent implements Layer.
-func (l *Dropout) BackwardExtent() int {
-	if !l.propagateDown {
-		return 0
-	}
-	return l.extent
-}
+func (l *Dropout) BackwardExtent() int { return l.extent }
 
 // BackwardRange implements Layer.
 func (l *Dropout) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.Blob) {

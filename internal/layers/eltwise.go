@@ -45,7 +45,6 @@ type Eltwise struct {
 	argmax []int32
 
 	extent, plane int
-	propagate     []bool
 }
 
 // NewEltwise creates an elementwise combination layer. For EltwiseSum,
@@ -57,15 +56,6 @@ func NewEltwise(name string, op EltwiseOp, coeffs []float32) *Eltwise {
 		op:     op,
 		coeffs: append([]float32(nil), coeffs...),
 	}
-}
-
-// SetPropagateDown implements the optional propagation control.
-func (l *Eltwise) SetPropagateDown(flags []bool) {
-	l.propagate = append(l.propagate[:0], flags...)
-}
-
-func (l *Eltwise) propagateTo(i int) bool {
-	return i >= len(l.propagate) || l.propagate[i]
 }
 
 // SetUp implements Layer.
@@ -157,7 +147,7 @@ func (l *Eltwise) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.
 	outDiff := top[0].Diff()
 	start, end := lo*l.plane, hi*l.plane
 	for bi, b := range bottom {
-		if !l.propagateTo(bi) {
+		if !l.propagates(bi) {
 			continue
 		}
 		inDiff := b.Diff()

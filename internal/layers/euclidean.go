@@ -15,8 +15,6 @@ type EuclideanLoss struct {
 	num, dim   int
 	perSample  []float32
 	lossWeight float32
-	// propagate[i] reports whether bottom i receives a gradient.
-	propagate [2]bool
 }
 
 // NewEuclideanLoss creates the loss layer with loss weight 1.
@@ -24,19 +22,11 @@ func NewEuclideanLoss(name string) *EuclideanLoss {
 	return &EuclideanLoss{
 		base:       base{name: name, typ: "EuclideanLoss"},
 		lossWeight: 1,
-		propagate:  [2]bool{true, true},
 	}
 }
 
 // LossWeight implements LossWeighter.
 func (l *EuclideanLoss) LossWeight() float32 { return l.lossWeight }
-
-// SetPropagateDown implements the optional propagation control.
-func (l *EuclideanLoss) SetPropagateDown(flags []bool) {
-	for i := 0; i < len(flags) && i < 2; i++ {
-		l.propagate[i] = flags[i]
-	}
-}
 
 // SetUp implements Layer.
 func (l *EuclideanLoss) SetUp(bottom, top []*blob.Blob) error {
@@ -95,13 +85,14 @@ func (l *EuclideanLoss) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []
 	a := bottom[0].Data()
 	b := bottom[1].Data()
 	seed := top[0].Diff()[0] / float32(l.num)
+	da, db := l.propagates(0), l.propagates(1)
 	for s := lo; s < hi; s++ {
 		for i := s * l.dim; i < (s+1)*l.dim; i++ {
 			d := (a[i] - b[i]) * seed
-			if l.propagate[0] {
+			if da {
 				bottom[0].Diff()[i] = d
 			}
-			if l.propagate[1] {
+			if db {
 				bottom[1].Diff()[i] = -d
 			}
 		}

@@ -47,8 +47,7 @@ type InnerProduct struct {
 	base
 	cfg IPConfig
 
-	num, k        int // batch size, input features
-	propagateDown bool
+	num, k int // batch size, input features
 }
 
 // NewInnerProduct creates a fully connected layer.
@@ -56,14 +55,7 @@ func NewInnerProduct(name string, cfg IPConfig) (*InnerProduct, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, fmt.Errorf("layer %s: %w", name, err)
 	}
-	return &InnerProduct{base: base{name: name, typ: "InnerProduct"}, cfg: cfg, propagateDown: true}, nil
-}
-
-// SetPropagateDown implements the optional propagation control.
-func (l *InnerProduct) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
+	return &InnerProduct{base: base{name: name, typ: "InnerProduct"}, cfg: cfg}, nil
 }
 
 // SetUp implements Layer.
@@ -138,7 +130,7 @@ func (l *InnerProduct) BackwardExtent() int { return l.num }
 // ordered reduction already provides.
 func (l *InnerProduct) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramGrads []*blob.Blob) {
 	l.paramGrad(lo, hi, 0, l.cfg.NumOutput, bottom[0], top[0], paramGrads)
-	if l.propagateDown {
+	if l.propagates(0) {
 		l.dataGrad(lo, hi, 0, l.k, bottom[0], top[0])
 	}
 }
@@ -169,7 +161,7 @@ func (l *InnerProduct) dataGrad(lo, hi, clo, chi int, bottom, top *blob.Blob) {
 // ChannelExtents implements ChannelRanger: output features, and input
 // features when the bottom gradient propagates.
 func (l *InnerProduct) ChannelExtents() (out, in int) {
-	if l.propagateDown {
+	if l.propagates(0) {
 		in = l.k
 	}
 	return l.cfg.NumOutput, in
@@ -209,7 +201,7 @@ func (l *InnerProduct) ForwardFLOPs() int64 {
 func (l *InnerProduct) BackwardFLOPs() int64 {
 	gemm := 2 * int64(l.num) * int64(l.k) * int64(l.cfg.NumOutput)
 	flops := gemm
-	if l.propagateDown {
+	if l.propagates(0) {
 		flops += gemm
 	}
 	if !l.cfg.NoBias {

@@ -53,6 +53,35 @@
 // ForwardFinisher around the forward region, BackwardPreparer before the
 // backward one. Per-sample results are always stored by sample index, so
 // the serial finish step is deterministic for any worker count.
+//
+// # Optional capabilities
+//
+// Beyond Layer, a layer opts into a service of the net or the engines by
+// implementing one of these interfaces, all declared in this file:
+//
+//   - ForwardPreparer, ForwardFinisher, BackwardPreparer: serial steps
+//     around the parallel regions;
+//   - InPlacer: the layer may run with top == bottom;
+//   - ChannelRanger: the fine-grain engine's channel cut;
+//   - Coster: a pass's FLOPs, attached to the tracer's spans;
+//   - LossWeighter: the layer is a loss, whose top gradient the net seeds;
+//   - PropagateDowner: the net's per-bottom gradient flags (every layer
+//     here has it through base);
+//   - TrainSetter: a forward that differs between training and testing;
+//   - Stater: non-learnable state blobs, which snapshots save and
+//     forward-only replicas share.
+//
+// # Which layers run backward
+//
+// The net decides once, when it is built, which bottoms need a gradient
+// (Caffe's need-backward analysis) and hands each layer its flags through
+// PropagateDowner. A layer with no parameters that is not a loss and none
+// of whose bottoms needs a gradient never runs backward: the net skips
+// it. A layer therefore needs no guard of its own for that case. It reads
+// the flags only where it runs backward for another reason and must leave
+// some bottom's diff alone: it has a parameter gradient to compute
+// (Convolution, Deconvolution, InnerProduct, BatchNorm), or another
+// bottom does need a gradient (Concat, Eltwise, EuclideanLoss).
 package layers
 
 import (
@@ -170,16 +199,49 @@ type LossWeighter interface {
 	LossWeight() float32
 }
 
-// base carries the boilerplate shared by all layers.
+// PropagateDowner is implemented by layers that take the net's per-bottom
+// gradient flags: flags[i] is false when nothing consumes bottom i's
+// gradient (the data blob under the first convolution, as in Caffe), and
+// the layer then leaves that bottom's diff untouched. The net calls it
+// once, when it is built.
+type PropagateDowner interface {
+	SetPropagateDown(flags []bool)
+}
+
+// TrainSetter is implemented by layers whose forward differs between
+// training and testing (Dropout's mask, BatchNorm's batch statistics).
+type TrainSetter interface {
+	SetTrain(train bool)
+}
+
+// Stater is implemented by layers carrying non-learnable state blobs that
+// a snapshot must save and forward-only replicas share (BatchNorm's moving
+// averages).
+type Stater interface {
+	StateBlobs() []*blob.Blob
+}
+
+// base carries the boilerplate shared by all layers, the net's
+// propagate-down flags included.
 type base struct {
 	name   string
 	typ    string
 	params []*blob.Blob
+	// propagate[i] reports whether bottom i needs a gradient; a bottom
+	// past its end does (see propagates).
+	propagate []bool
 }
 
 func (b *base) Name() string         { return b.name }
 func (b *base) Type() string         { return b.typ }
 func (b *base) Params() []*blob.Blob { return b.params }
+
+// SetPropagateDown implements PropagateDowner.
+func (b *base) SetPropagateDown(flags []bool) { b.propagate = append(b.propagate[:0], flags...) }
+
+// propagates reports whether bottom i receives a gradient: true until the
+// net says otherwise.
+func (b *base) propagates(i int) bool { return i >= len(b.propagate) || b.propagate[i] }
 
 // checkBottomTop validates arity; every SetUp starts with it.
 func checkBottomTop(l Layer, bottom, top []*blob.Blob, nBottom, nTop int) error {

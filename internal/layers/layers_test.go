@@ -265,7 +265,7 @@ func TestConvPropagateDownSkipsBottomDiff(t *testing.T) {
 	l.BackwardRange(0, l.BackwardExtent(), []*blob.Blob{bottom}, tops, l.Params())
 	for i := range bottom.Diff() {
 		if bottom.Diff()[i] != 42 {
-			t.Fatal("bottom diff touched despite propagateDown=false")
+			t.Fatal("bottom diff touched despite SetPropagateDown(false)")
 		}
 	}
 	// Weight gradient must still be computed.
@@ -1003,7 +1003,7 @@ func im2colBackward(l *Convolution, bottom, top *blob.Blob) {
 				l.params[1].Diff()[oc] += sum
 			}
 		}
-		if !l.propagateDown {
+		if !l.propagates(0) {
 			continue
 		}
 		blas.Gemm(blas.Trans, blas.NoTrans, ckk, ohw, o, 1, w, ckk, outDiff, ohw, 0, dcol, ohw)
@@ -1066,12 +1066,13 @@ func TestAddRowSumsMatchesOneRowLoop(t *testing.T) {
 // stride, non-square kernels and an outW no micro-tile divides.
 func TestConvLoweredBitIdenticalToIm2colOracle(t *testing.T) {
 	r := rng.New(63, 1)
+	const dWOnly = 3 // the config whose bottom gradient does not propagate
 	for ci, cfg := range []ConvConfig{
-		{NumOutput: 6, Kernel: 5},                                              // LeNet-like, no padding
-		{NumOutput: 5, Kernel: 3, Pad: 1, NoBias: true},                        // padded, no bias
-		{NumOutput: 4, KernelH: 3, KernelW: 2, PadH: 2, StrideH: 2},            // non-square, pad beyond need
-		{NumOutput: 7, Kernel: 3, Pad: 2, Stride: 2, DisablePropagation: true}, // strided, dW only
-		{NumOutput: 3, Kernel: 1},                                              // 1x1
+		{NumOutput: 6, Kernel: 5},                                   // LeNet-like, no padding
+		{NumOutput: 5, Kernel: 3, Pad: 1, NoBias: true},             // padded, no bias
+		{NumOutput: 4, KernelH: 3, KernelW: 2, PadH: 2, StrideH: 2}, // non-square, pad beyond need
+		{NumOutput: 7, Kernel: 3, Pad: 2, Stride: 2},                // strided, dW only
+		{NumOutput: 3, Kernel: 1},                                   // 1x1
 	} {
 		mk := func() (*Convolution, *blob.Blob, []*blob.Blob) {
 			c := cfg
@@ -1081,6 +1082,7 @@ func TestConvLoweredBitIdenticalToIm2colOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			l.SetPropagateDown([]bool{ci != dWOnly})
 			bottom := blob.New(5, 12, 9, 11) // ckk = 300 at kernel 5: two KC blocks
 			return l, bottom, setup(t, l, []*blob.Blob{bottom})
 		}
@@ -1098,7 +1100,7 @@ func TestConvLoweredBitIdenticalToIm2colOracle(t *testing.T) {
 			t.Helper()
 			name = fmt.Sprintf("config %d %s", ci, name)
 			bitIdentical(t, name+" forward", top[0].Data(), tw[0].Data())
-			if !cfg.DisablePropagation {
+			if ci != dWOnly {
 				bitIdentical(t, name+" bottom grad", b.Diff(), bw.Diff())
 			}
 			for pi := range lw.Params() {

@@ -53,8 +53,7 @@ type LRN struct {
 	num, channels, height, width int
 
 	// scale caches the normalization denominators for the backward pass.
-	scale         *blob.Blob
-	propagateDown bool
+	scale *blob.Blob
 }
 
 // NewLRN creates a local response normalization layer.
@@ -62,14 +61,7 @@ func NewLRN(name string, cfg LRNConfig) (*LRN, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, fmt.Errorf("layer %s: %w", name, err)
 	}
-	return &LRN{base: base{name: name, typ: "LRN"}, cfg: cfg, scale: blob.New(), propagateDown: true}, nil
-}
-
-// SetPropagateDown implements the optional propagation control.
-func (l *LRN) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
+	return &LRN{base: base{name: name, typ: "LRN"}, cfg: cfg, scale: blob.New()}, nil
 }
 
 // SetUp implements Layer.
@@ -207,12 +199,7 @@ func subSquares(sum, row []float32) {
 }
 
 // BackwardExtent implements Layer.
-func (l *LRN) BackwardExtent() int {
-	if !l.propagateDown {
-		return 0
-	}
-	return l.num
-}
+func (l *LRN) BackwardExtent() int { return l.num }
 
 // BackwardRange implements Layer. LRN has no parameters.
 func (l *LRN) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.Blob) {

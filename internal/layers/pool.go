@@ -97,8 +97,6 @@ type Pooling struct {
 	runLo, runHi int
 	tab          blas.PoolTable
 	tabH, tabW   int
-
-	propagateDown bool
 }
 
 // NewPooling creates a pooling layer.
@@ -106,14 +104,7 @@ func NewPooling(name string, cfg PoolConfig) (*Pooling, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, fmt.Errorf("layer %s: %w", name, err)
 	}
-	return &Pooling{base: base{name: name, typ: "Pooling"}, cfg: cfg, propagateDown: true}, nil
-}
-
-// SetPropagateDown implements the optional propagation control.
-func (l *Pooling) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
+	return &Pooling{base: base{name: name, typ: "Pooling"}, cfg: cfg}, nil
 }
 
 // SetUp implements Layer.
@@ -271,12 +262,7 @@ func aveSpan(o, n, kernel, stride, pad int) (s, e, extent int) {
 
 // BackwardExtent implements Layer: same (sample, channel) granularity —
 // each plane's input gradient is private to its iteration.
-func (l *Pooling) BackwardExtent() int {
-	if !l.propagateDown {
-		return 0
-	}
-	return l.num * l.channels
-}
+func (l *Pooling) BackwardExtent() int { return l.num * l.channels }
 
 // BackwardRange implements Layer. Pooling has no parameters; paramGrads is
 // empty.

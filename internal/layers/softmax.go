@@ -32,20 +32,12 @@ func softmaxSample(in, out []float32) {
 // (over axis 1, flattening trailing axes).
 type Softmax struct {
 	base
-	num, classes  int
-	propagateDown bool
+	num, classes int
 }
 
 // NewSoftmax creates a softmax layer.
 func NewSoftmax(name string) *Softmax {
-	return &Softmax{base: base{name: name, typ: "Softmax"}, propagateDown: true}
-}
-
-// SetPropagateDown implements the optional propagation control.
-func (l *Softmax) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
+	return &Softmax{base: base{name: name, typ: "Softmax"}}
 }
 
 // SetUp implements Layer.
@@ -78,12 +70,7 @@ func (l *Softmax) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 }
 
 // BackwardExtent implements Layer.
-func (l *Softmax) BackwardExtent() int {
-	if !l.propagateDown {
-		return 0
-	}
-	return l.num
-}
+func (l *Softmax) BackwardExtent() int { return l.num }
 
 // BackwardRange implements Layer: dx = (dy − <dy, y>) ⊙ y per sample.
 func (l *Softmax) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.Blob) {

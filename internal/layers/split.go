@@ -15,19 +15,11 @@ import (
 type Split struct {
 	base
 	extent, plane int
-	propagateDown bool
 }
 
 // NewSplit creates a split layer.
 func NewSplit(name string) *Split {
-	return &Split{base: base{name: name, typ: "Split"}, propagateDown: true}
-}
-
-// SetPropagateDown implements the optional propagation control.
-func (l *Split) SetPropagateDown(flags []bool) {
-	if len(flags) > 0 {
-		l.propagateDown = flags[0]
-	}
+	return &Split{base: base{name: name, typ: "Split"}}
 }
 
 // SetUp implements Layer.
@@ -63,12 +55,7 @@ func (l *Split) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 }
 
 // BackwardExtent implements Layer.
-func (l *Split) BackwardExtent() int {
-	if !l.propagateDown {
-		return 0
-	}
-	return l.extent
-}
+func (l *Split) BackwardExtent() int { return l.extent }
 
 // BackwardRange implements Layer: bottom diff = Σ top diffs.
 func (l *Split) BackwardRange(lo, hi int, bottom, top []*blob.Blob, _ []*blob.Blob) {

@@ -76,12 +76,6 @@ func NewForward(specs []LayerSpec, engine core.Engine) (*Net, error) {
 	return build(specs, engine, true)
 }
 
-// stater matches snapshot.Stater structurally (layers carrying
-// non-learnable state blobs, e.g. BatchNorm's moving averages).
-type stater interface {
-	StateBlobs() []*blob.Blob
-}
-
 func build(specs []LayerSpec, engine core.Engine, forwardOnly bool) (*Net, error) {
 	if engine == nil {
 		engine = core.NewSequential()
@@ -147,25 +141,23 @@ func build(specs []LayerSpec, engine core.Engine, forwardOnly bool) (*Net, error
 			n.params = append(n.params, p)
 			n.paramNames = append(n.paramNames, fmt.Sprintf("%s[%d]", name, pi))
 		}
-		if _, ok := spec.Layer.(layers.LossWeighter); ok {
+		_, isLoss := spec.Layer.(layers.LossWeighter)
+		if isLoss {
 			n.lossIdx = append(n.lossIdx, i)
 		}
 
-		// Gradient-need analysis: a layer backpropagates iff it has
-		// parameters or any bottom needs a gradient; its tops then need
-		// gradients for upstream... (downstream in backward order).
-		layerNeeds := len(spec.Layer.Params()) > 0
+		// Gradient-need analysis, the one propagate-down decision: a
+		// layer backpropagates iff it has parameters, is a loss or any
+		// bottom needs a gradient, and then its tops need gradients too.
+		// Backward skips every other layer, so no layer guards against
+		// running with no gradient to produce.
+		layerNeeds := isLoss || len(spec.Layer.Params()) > 0
 		flags := make([]bool, len(spec.Bottoms))
 		for bi, bn := range spec.Bottoms {
 			flags[bi] = needsGrad[bn]
-			if needsGrad[bn] {
-				layerNeeds = true
-			}
+			layerNeeds = layerNeeds || flags[bi]
 		}
-		if _, isLoss := spec.Layer.(layers.LossWeighter); isLoss {
-			layerNeeds = true
-		}
-		if ps, ok := spec.Layer.(interface{ SetPropagateDown([]bool) }); ok {
+		if ps, ok := spec.Layer.(layers.PropagateDowner); ok {
 			ps.SetPropagateDown(flags)
 		}
 		n.needsBackward = append(n.needsBackward, layerNeeds)
@@ -203,7 +195,7 @@ func build(specs []LayerSpec, engine core.Engine, forwardOnly bool) (*Net, error
 			p.DropDiff()
 		}
 		for _, l := range n.Layers() {
-			if st, ok := l.(stater); ok {
+			if st, ok := l.(layers.Stater); ok {
 				for _, b := range st.StateBlobs() {
 					b.DropDiff()
 				}
@@ -247,11 +239,11 @@ func (n *Net) ShareParamsWith(ref *Net) error {
 		return fmt.Errorf("net: layer count mismatch %d vs %d", len(nl), len(rl))
 	}
 	for i, l := range nl {
-		st, ok := l.(stater)
+		st, ok := l.(layers.Stater)
 		if !ok {
 			continue
 		}
-		rst, ok := rl[i].(stater)
+		rst, ok := rl[i].(layers.Stater)
 		if !ok {
 			return fmt.Errorf("net: layer %d state mismatch", i)
 		}
@@ -454,7 +446,7 @@ func (n *Net) ZeroParamDiffs() {
 // (Dropout).
 func (n *Net) SetTrain(train bool) {
 	for _, s := range n.specs {
-		if d, ok := s.Layer.(interface{ SetTrain(bool) }); ok {
+		if d, ok := s.Layer.(layers.TrainSetter); ok {
 			d.SetTrain(train)
 		}
 	}

@@ -302,7 +302,8 @@ func TestNetSetTrainTogglesDropout(t *testing.T) {
 }
 
 // Propagation analysis: the first conv's bottom (data) needs no gradient,
-// so its propagateDown must be disabled and the data blob diff untouched.
+// so the net must tell the conv not to propagate and leave the data blob
+// diff untouched.
 func TestNetDisablesGradientIntoData(t *testing.T) {
 	n := tinyNet(t, 8, 11, nil)
 	dataBlob := n.Blob("data")

@@ -165,13 +165,8 @@ func buildLayer(m *Message, opt BuildOptions, r *rng.RNG) (net.LayerSpec, error)
 			default:
 				return net.LayerSpec{}, fmt.Errorf("prototxt: layer %s: unsupported pool %q", name, pp.String("pool", ""))
 			}
-			if cfg.Kernel, err = pp.Int("kernel_size", 0); err != nil {
-				return net.LayerSpec{}, err
-			}
-			if cfg.Pad, err = pp.Int("pad", 0); err != nil {
-				return net.LayerSpec{}, err
-			}
-			if cfg.Stride, err = pp.Int("stride", 0); err != nil {
+			if err = readWindow(pp, [9]*int{&cfg.Kernel, &cfg.KernelH, &cfg.KernelW,
+				&cfg.Pad, &cfg.PadH, &cfg.PadW, &cfg.Stride, &cfg.StrideH, &cfg.StrideW}); err != nil {
 				return net.LayerSpec{}, err
 			}
 		}
@@ -310,16 +305,12 @@ func convConfig(m *Message, opt BuildOptions, r *rng.RNG) (layers.ConvConfig, er
 		return cfg, nil
 	}
 	var err error
-	for _, f := range []struct {
-		key string
-		dst *int
-	}{
-		{"num_output", &cfg.NumOutput}, {"kernel_size", &cfg.Kernel}, {"kernel_h", &cfg.KernelH},
-		{"kernel_w", &cfg.KernelW}, {"pad", &cfg.Pad}, {"stride", &cfg.Stride},
-	} {
-		if *f.dst, err = cp.Int(f.key, 0); err != nil {
-			return cfg, err
-		}
+	if cfg.NumOutput, err = cp.Int("num_output", 0); err != nil {
+		return cfg, err
+	}
+	if err = readWindow(cp, [9]*int{&cfg.Kernel, &cfg.KernelH, &cfg.KernelW,
+		&cfg.Pad, &cfg.PadH, &cfg.PadW, &cfg.Stride, &cfg.StrideH, &cfg.StrideW}); err != nil {
+		return cfg, err
 	}
 	if cfg.WeightFiller, err = fillerFrom(cp.Msg("weight_filler")); err != nil {
 		return cfg, err
@@ -329,6 +320,24 @@ func convConfig(m *Message, opt BuildOptions, r *rng.RNG) (layers.ConvConfig, er
 	}
 	cfg.NoBias, err = noBias(cp)
 	return cfg, err
+}
+
+// windowKeys are the window fields Caffe's convolution_param and
+// pooling_param share: kernel, pad and stride, each a square size and its
+// per-axis overrides.
+var windowKeys = [9]string{"kernel_size", "kernel_h", "kernel_w", "pad", "pad_h", "pad_w", "stride", "stride_h", "stride_w"}
+
+// readWindow reads p's window fields into dst, the config fields of the
+// same meaning in windowKeys order. A field left out is 0, which
+// ConvConfig and PoolConfig read as "not set".
+func readWindow(p *Message, dst [9]*int) error {
+	for i, key := range windowKeys {
+		var err error
+		if *dst[i], err = p.Int(key, 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // noBias reads a parameter block's bias_term, which Caffe defaults to

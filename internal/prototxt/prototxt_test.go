@@ -571,3 +571,57 @@ layer { name: "n" type: "LRN" bottom: "data" top: "n" lrn_param { local_size: 1 
 		}
 	}
 }
+
+// TestPerAxisWindowFields: Convolution, Deconvolution and Pooling read
+// Caffe's per-axis kernel_h/_w, pad_h/_w and stride_h/_w beside the square
+// fields, and build the output shape Caffe's formulas give on a 28x28
+// input: floor for convolution, ceil (less a window starting in the
+// padding) for pooling, and the transpose of convolution's for
+// deconvolution.
+func TestPerAxisWindowFields(t *testing.T) {
+	conv := func(in, k, p, s int) int { return (in+2*p-k)/s + 1 }
+	pool := func(in, k, p, s int) int {
+		out := (in+2*p-k+s-1)/s + 1
+		if p > 0 && (out-1)*s >= in+p {
+			out--
+		}
+		return out
+	}
+	deconv := func(in, k, p, s int) int { return s*(in-1) + k - 2*p }
+	for _, tc := range []struct {
+		typ, param string
+		out        func(in, k, p, s int) int
+		// The window the param spells out, per axis.
+		kh, kw, ph, pw, sh, sw int
+	}{
+		{"Convolution", `convolution_param { num_output: 2 kernel_size: 3 pad_h: 1 pad_w: 1 stride_h: 2 stride_w: 2 }`,
+			conv, 3, 3, 1, 1, 2, 2},
+		{"Convolution", `convolution_param { num_output: 2 kernel_h: 5 kernel_w: 3 pad_h: 2 stride_h: 1 stride_w: 3 }`,
+			conv, 5, 3, 2, 0, 1, 3},
+		{"Convolution", `convolution_param { num_output: 2 kernel_size: 4 pad: 1 pad_w: 3 stride: 2 stride_h: 3 }`,
+			conv, 4, 4, 1, 3, 3, 2},
+		{"Pooling", `pooling_param { pool: MAX kernel_size: 2 stride_h: 2 stride_w: 2 }`,
+			pool, 2, 2, 0, 0, 2, 2},
+		{"Pooling", `pooling_param { pool: AVE kernel_h: 3 kernel_w: 2 pad_h: 1 stride_h: 2 stride_w: 3 }`,
+			pool, 3, 2, 1, 0, 2, 3},
+		{"Pooling", `pooling_param { pool: MAX kernel_size: 3 pad_w: 1 stride_h: 3 stride_w: 2 }`,
+			pool, 3, 3, 0, 1, 3, 2},
+		{"Deconvolution", `convolution_param { num_output: 1 kernel_size: 4 pad_h: 1 stride_h: 2 stride_w: 3 }`,
+			deconv, 4, 4, 1, 0, 2, 3},
+	} {
+		text := `layer { name: "d" type: "Data" top: "data" top: "label" data_param { batch_size: 2 } }
+layer { name: "w" type: "` + tc.typ + `" bottom: "data" top: "w" ` + tc.param + ` }`
+		specs, err := ParseNet(text, BuildOptions{Source: data.NewSyntheticMNIST(4, 1), Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.param, err)
+		}
+		n, err := net.New(specs, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.param, err)
+		}
+		s := n.Blob("w").Shape()
+		if h, w := tc.out(28, tc.kh, tc.ph, tc.sh), tc.out(28, tc.kw, tc.pw, tc.sw); s[2] != h || s[3] != w {
+			t.Errorf("%s %s: top %dx%d, want Caffe's %dx%d", tc.typ, tc.param, s[2], s[3], h, w)
+		}
+	}
+}

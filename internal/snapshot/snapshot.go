@@ -35,7 +35,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"coarsegrain/internal/blob"
+	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/solver"
 )
@@ -264,12 +264,6 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// Stater is implemented by layers carrying non-learnable state that must
-// survive a snapshot (BatchNorm's moving averages).
-type Stater interface {
-	StateBlobs() []*blob.Blob
-}
-
 func netSections(n *net.Net) []section {
 	params := n.Params()
 	names := n.ParamNames()
@@ -278,7 +272,7 @@ func netSections(n *net.Net) []section {
 		secs[i] = section{name: names[i], shape: p.Shape(), data: p.Data()}
 	}
 	for _, l := range n.Layers() {
-		st, ok := l.(Stater)
+		st, ok := l.(layers.Stater)
 		if !ok {
 			continue
 		}
@@ -335,7 +329,7 @@ func (f *fills) addNet(n *net.Net) error {
 		}
 	}
 	for _, l := range n.Layers() {
-		st, ok := l.(Stater)
+		st, ok := l.(layers.Stater)
 		if !ok {
 			continue
 		}
