@@ -29,8 +29,9 @@
 // newest *valid* checkpoint is auto-discovered, falling back past corrupt
 // or truncated files), -guard-policy arms the training health monitor
 // (NaN/Inf and gradient-norm guardrails with halt / skip / rollback
-// recovery), and SIGINT checkpoints before exiting. The -inject-* flags
-// drive the deterministic fault-injection harness for drills:
+// recovery), and SIGINT stops at the next display boundary, checkpointing
+// first when there is a -snapshot-dir. -snapshot-every and the rollback
+// policy need -snapshot-dir and are refused without it:
 //
 //	dnntrain -zoo lenet -iters 200 -snapshot-every 50 -snapshot-dir ckpt \
 //	         -guard-policy rollback
@@ -38,13 +39,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/faultinject"
 	"coarsegrain/internal/guard"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/prototxt"
@@ -55,40 +57,61 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "dnntrain:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, trains and writes the run's report to w.
+func run(args []string, w io.Writer) error {
 	ref := zoo.Ref{Samples: 2048, Seed: 1}
-	ref.BindFlags(flag.CommandLine, true, true)
+	fs := flag.NewFlagSet("dnntrain", flag.ExitOnError)
+	ref.BindFlags(fs, true, true)
 	var (
-		solverP  = flag.String("solver", "", "solver prototxt file")
-		workers  = flag.Int("workers", 4, "coarse engine worker count (1: the sequential run)")
-		iters    = flag.Int("iters", 200, "training iterations")
-		display  = flag.Int("display", 20, "print loss every N iterations")
-		snapPath = flag.String("snapshot", "", "write a solver snapshot here when training ends")
-		resume   = flag.String("resume", "", "resume from a snapshot file, or from the newest valid checkpoint in a directory")
-		tracePth = flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing / Perfetto) of the run here")
+		solverP  = fs.String("solver", "", "solver prototxt file")
+		workers  = fs.Int("workers", 4, "coarse engine worker count (1: the sequential run)")
+		iters    = fs.Int("iters", 200, "training iterations")
+		display  = fs.Int("display", 20, "print loss every N iterations")
+		snapPath = fs.String("snapshot", "", "write a solver snapshot here when training ends")
+		resume   = fs.String("resume", "", "resume from a snapshot file, or from the newest valid checkpoint in a directory")
+		tracePth = fs.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing / Perfetto) of the run here")
 
-		snapEvery = flag.Int("snapshot-every", 0, "write a checkpoint to -snapshot-dir every N iterations (0 = off)")
-		snapDir   = flag.String("snapshot-dir", "", "checkpoint directory for -snapshot-every and guard rollbacks")
-		snapKeep  = flag.Int("snapshot-keep", 3, "retain only the newest K checkpoints (0 = keep all)")
+		snapEvery = fs.Int("snapshot-every", 0, "write a checkpoint to -snapshot-dir every N iterations (0 = off)")
+		snapDir   = fs.String("snapshot-dir", "", "checkpoint directory for -snapshot-every and guard rollbacks")
+		snapKeep  = fs.Int("snapshot-keep", 3, "retain only the newest K checkpoints (0 = keep all)")
 
-		guardPol     = flag.String("guard-policy", "off", "training health monitor: off | halt | skip | rollback")
-		guardNorm    = flag.Float64("guard-max-norm", 0, "fault when the gradient L2 norm exceeds this (0 = NaN/Inf checks only)")
-		guardBackoff = flag.Float64("guard-lr-backoff", 0.5, "learning-rate multiplier applied on each guard rollback")
-		guardEvery   = flag.Int("guard-every", 1, "run the guard scan every N iterations")
-
-		injectSeed    = flag.Uint64("inject-seed", 1, "fault-injection seed (deterministic drills)")
-		injectNaN     = flag.Int("inject-grad-nan", -1, "fault drill: poison one gradient value with NaN at this iteration")
-		injectCorrupt = flag.Bool("inject-corrupt-resume", false, "fault drill: corrupt the newest checkpoint before resuming")
+		guardPol     = fs.String("guard-policy", "off", "training health monitor: off | halt | skip | rollback")
+		guardNorm    = fs.Float64("guard-max-norm", 0, "fault when the gradient L2 norm exceeds this (0 = NaN/Inf checks only)")
+		guardBackoff = fs.Float64("guard-lr-backoff", 0.5, "learning-rate multiplier applied on each guard rollback")
+		guardEvery   = fs.Int("guard-every", 1, "run the guard scan every N iterations")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: never returns an error
+
+	var pol guard.Policy
+	if *guardPol != "off" {
+		var err error
+		if pol, err = guard.ParsePolicy(*guardPol); err != nil {
+			return err
+		}
+	}
+	if *snapDir == "" {
+		if *snapEvery > 0 {
+			return errors.New("-snapshot-every needs -snapshot-dir to write its checkpoints into")
+		}
+		if pol == guard.Rollback {
+			return errors.New("-guard-policy rollback needs -snapshot-dir to roll back to")
+		}
+	}
 
 	m, err := zoo.Load(ref)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("dataset: %s\n", m.DataString())
+	fmt.Fprintf(w, "dataset: %s\n", m.DataString())
 	specs, err := m.Specs(m.Source, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	eng := core.NewCoarse(*workers)
@@ -96,58 +119,44 @@ func main() {
 
 	n, err := net.New(specs, eng)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("network (%d layers, engine %s/%d workers):\n%s",
+	fmt.Fprintf(w, "network (%d layers, engine %s/%d workers):\n%s",
 		len(specs), eng.Name(), eng.Workers(), n)
 
 	cfg := m.Solver
 	if *solverP != "" {
-		raw, rerr := os.ReadFile(*solverP)
-		if rerr != nil {
-			fatal(rerr)
+		raw, err := os.ReadFile(*solverP)
+		if err != nil {
+			return err
 		}
 		if cfg, err = prototxt.ParseSolver(string(raw)); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	s, err := solver.New(cfg, n)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	inj := faultinject.New(*injectSeed)
 	if *resume != "" {
 		st, err := os.Stat(*resume)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		path := *resume
 		if st.IsDir() {
-			if *injectCorrupt {
-				cks, err := snapshot.Checkpoints(*resume)
-				if err != nil || len(cks) == 0 {
-					fatal(fmt.Errorf("inject-corrupt-resume: no checkpoints in %s", *resume))
-				}
-				newest := cks[len(cks)-1]
-				off, err := inj.CorruptFile(newest)
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Printf("fault injected: flipped byte %d of %s\n", off, newest)
-			}
-			path, skipped, err := snapshot.LoadLatestValid(*resume, s)
+			var skipped []string
+			path, skipped, err = snapshot.LoadLatestValid(*resume, s)
 			for _, sk := range skipped {
-				fmt.Printf("checkpoint %s invalid, falling back\n", sk)
+				fmt.Fprintf(w, "checkpoint %s invalid, falling back\n", sk)
 			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("resumed from %s at iteration %d\n", path, s.Iter())
 		} else {
-			if err := snapshot.LoadSolverFile(*resume, s); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("resumed from %s at iteration %d\n", *resume, s.Iter())
+			err = snapshot.LoadSolverFile(*resume, s)
 		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "resumed from %s at iteration %d\n", path, s.Iter())
 	}
 
 	var tr *trace.Tracer
@@ -156,15 +165,8 @@ func main() {
 		s.SetTracer(tr)
 	}
 
-	// Health monitor + optional fault drill, composed into one pre-update
-	// hook (poison first, so the guard sees the damaged gradient).
 	var mon *guard.Monitor
-	var hook solver.PreUpdateHook
 	if *guardPol != "off" {
-		pol, err := guard.ParsePolicy(*guardPol)
-		if err != nil {
-			fatal(err)
-		}
 		mon, err = guard.New(guard.Config{
 			Policy:      pol,
 			MaxGradNorm: *guardNorm,
@@ -172,7 +174,7 @@ func main() {
 			CheckEvery:  *guardEvery,
 		}, s)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		mon.SetTracer(tr)
 		if *snapDir != "" {
@@ -182,37 +184,25 @@ func main() {
 				return path, err
 			})
 		}
-		hook = mon.Check
-	}
-	if *injectNaN >= 0 {
-		poison, err := inj.GradPoisoner(n, *injectNaN)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("fault armed: gradient NaN at iteration %d\n", *injectNaN)
-		hook = poison.Hook(hook)
-	}
-	if hook != nil {
-		s.SetPreUpdate(hook)
+		s.SetPreUpdate(mon.Check)
 	}
 
 	// SIGINT requests a graceful stop: finish the current chunk, write a
-	// checkpoint, exit cleanly.
+	// checkpoint when there is a -snapshot-dir, exit cleanly.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt)
+	defer signal.Stop(sigc)
 
-	checkpoint := func() {
-		if *snapDir == "" {
-			return
-		}
+	checkpoint := func() error {
 		path, err := snapshot.SaveCheckpoint(*snapDir, s, *snapKeep)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("checkpoint written to %s (iteration %d)\n", path, s.Iter())
+		fmt.Fprintf(w, "checkpoint written to %s (iteration %d)\n", path, s.Iter())
+		return nil
 	}
 
-	fmt.Printf("training %d iterations (%s, base_lr %g)\n", *iters, cfg.Type, cfg.BaseLR)
+	fmt.Fprintf(w, "training %d iterations (%s, base_lr %g)\n", *iters, cfg.Type, cfg.BaseLR)
 	interrupted := false
 	remaining := *iters
 	for remaining > 0 && !interrupted {
@@ -231,47 +221,51 @@ func main() {
 		if acc, err := n.Output("accuracy"); err == nil {
 			line += fmt.Sprintf("  batch-accuracy %.3f", acc)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 		if mon != nil && mon.Err() != nil {
 			break
 		}
 		if *snapEvery > 0 && s.Iter()%*snapEvery == 0 {
-			checkpoint()
+			if err := checkpoint(); err != nil {
+				return err
+			}
 		}
 		select {
 		case <-sigc:
-			fmt.Println("interrupt: checkpointing before exit")
+			if *snapDir != "" {
+				fmt.Fprintln(w, "interrupt: checkpointing before exit")
+			} else {
+				fmt.Fprintln(w, "interrupt: stopping without a checkpoint (no -snapshot-dir)")
+			}
 			interrupted = true
 		default:
 		}
 	}
-	if interrupted {
-		checkpoint()
+	if interrupted && *snapDir != "" {
+		if err := checkpoint(); err != nil {
+			return err
+		}
 	}
 	if mon != nil {
 		st := mon.Stats()
-		fmt.Printf("guard: %d checks, %d faults (%d skipped, %d rollbacks, %d halts)\n",
+		fmt.Fprintf(w, "guard: %d checks, %d faults (%d skipped, %d rollbacks, %d halts)\n",
 			st.Checks, st.Faults, st.Skips, st.Rollbacks, st.Halts)
 	}
 	if *snapPath != "" {
 		if err := snapshot.SaveSolverFile(*snapPath, s); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("snapshot written to %s (iteration %d)\n", *snapPath, s.Iter())
+		fmt.Fprintf(w, "snapshot written to %s (iteration %d)\n", *snapPath, s.Iter())
 	}
 	if tr.Enabled() {
 		if err := tr.WriteChromeTraceFile(*tracePth); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("trace: %d spans (%d dropped) written to %s — open in chrome://tracing or https://ui.perfetto.dev\n",
+		fmt.Fprintf(w, "trace: %d spans (%d dropped) written to %s — open in chrome://tracing or https://ui.perfetto.dev\n",
 			tr.Len(), tr.Dropped(), *tracePth)
 	}
-	if mon != nil && mon.Err() != nil {
-		fatal(mon.Err())
+	if mon != nil {
+		return mon.Err()
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dnntrain:", err)
-	os.Exit(1)
+	return nil
 }

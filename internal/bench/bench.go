@@ -52,8 +52,6 @@ type Options struct {
 	// Measure additionally times real parallel engine runs at each
 	// thread count (only meaningful on a multi-core host).
 	Measure bool
-	// Machine overrides the modeled hardware (DefaultMachine otherwise).
-	Machine *simtime.Machine
 
 	// model is Net resolved by normalize: the dataset (real files when
 	// present, synthetic otherwise) and the Caffe solver it ships with.
@@ -81,10 +79,6 @@ func (o *Options) normalize() error {
 	}
 	if len(o.Threads) == 0 {
 		o.Threads = []int{1, 2, 4, 8, 12, 16}
-	}
-	if o.Machine == nil {
-		m := simtime.DefaultMachine()
-		o.Machine = &m
 	}
 	return nil
 }

@@ -78,7 +78,7 @@ func PerLayerTimes(o Options) (*PerLayerResult, error) {
 		res.Layers = append(res.Layers, m.Name)
 	}
 	for _, t := range o.Threads {
-		fwd, bwd, _ := o.Machine.NetworkTime(models, t)
+		fwd, bwd, _ := simtime.DefaultMachine().NetworkTime(models, t)
 		res.FwdUS[t] = fwd
 		res.BwdUS[t] = bwd
 		if o.Measure && t > 1 {
@@ -257,7 +257,7 @@ func Overall(o Options) (*OverallResult, error) {
 		serialMean = float64(sm.Microseconds())
 	}
 	for _, t := range o.Threads {
-		res.CoarseModeled[t] = o.Machine.Speedup(models, t)
+		res.CoarseModeled[t] = simtime.DefaultMachine().Speedup(models, t)
 		if o.Measure && t > 1 {
 			eng := core.NewCoarse(t)
 			mean, _, err := MeasureEngine(o, eng, false)
@@ -499,12 +499,13 @@ func Ablation(o Options) (*AblationResult, error) {
 		CoalescedSpeedup:   map[int]float64{},
 		UncoalescedSpeedup: map[int]float64{},
 	}
+	mach := simtime.DefaultMachine()
+	perElem := mach.MergePerElemNS / 1000
 	for _, t := range o.Threads {
-		perElem := o.Machine.MergePerElemNS / 1000
 		res.ReductionOrderedUS[t] = float64(largest) * float64(t) * perElem
 		res.ReductionTreeUS[t] = float64(largest) * math.Ceil(math.Log2(float64(t))) * perElem
-		res.CoalescedSpeedup[t] = o.Machine.Speedup(models, t)
-		res.UncoalescedSpeedup[t] = o.Machine.Speedup(unco, t)
+		res.CoalescedSpeedup[t] = mach.Speedup(models, t)
+		res.UncoalescedSpeedup[t] = mach.Speedup(unco, t)
 	}
 	return res, nil
 }

@@ -11,6 +11,7 @@ import (
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/dist"
 	"coarsegrain/internal/net"
+	"coarsegrain/internal/simtime"
 	"coarsegrain/internal/snapshot"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/transport"
@@ -70,9 +71,9 @@ func (c Config) Rank(t transport.Transport, m *zoo.Model, out io.Writer) (*dist.
 		if cfg.Supervised(t.Size()) {
 			kind = fmt.Sprintf("supervised: heartbeats and fences, down to %d rank(s)", cfg.MinRanks)
 		}
-		tree := dist.NewTree(t.Size(), c.Fanout)
+		fanout := dist.NewTree(t.Size(), c.Fanout).Fanout()
 		fmt.Fprintf(out, "training to iteration %d: %d replicas, %s wire, fanout %d, tree depth %d (%s)\n",
-			c.Iters, t.Size(), c.GradWire, tree.Fanout(), tree.Depth(), kind)
+			c.Iters, t.Size(), c.GradWire, fanout, simtime.TreeDepth(t.Size(), fanout), kind)
 	}
 	rpt, err := dist.RunElastic(t, cfg)
 	if err != nil {

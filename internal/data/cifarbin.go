@@ -43,12 +43,12 @@ func ReadCIFAR10Binary(r io.Reader, ds *InMemory) error {
 
 // loadCIFAR10Files reads a set of CIFAR-10 binary batch files into one
 // in-memory dataset. Each file is read whole with bounded retry/backoff
-// (DefaultRetry), so a transient storage failure mid-file is retried from
+// (readFileRetry), so a transient storage failure mid-file is retried from
 // the start instead of leaving a half-parsed batch in the dataset.
 func loadCIFAR10Files(paths ...string) (*InMemory, error) {
 	ds := NewInMemory([]int{3, 32, 32}, 10)
 	for _, p := range paths {
-		raw, err := readFileRetry(p, DefaultRetry)
+		raw, err := readFileRetry(p)
 		if err != nil {
 			return nil, err
 		}

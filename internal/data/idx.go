@@ -54,9 +54,9 @@ func ReadIDX(r io.Reader) (dims []int, payload []byte, err error) {
 }
 
 // readMaybeGzip reads path fully with bounded retry/backoff
-// (DefaultRetry), transparently decompressing ".gz" files in memory.
+// (readFileRetry), transparently decompressing ".gz" files in memory.
 func readMaybeGzip(path string) ([]byte, error) {
-	raw, err := readFileRetry(path, DefaultRetry)
+	raw, err := readFileRetry(path)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func readMaybeGzip(path string) ([]byte, error) {
 
 // LoadMNISTFiles reads an MNIST image/label file pair into an in-memory
 // dataset with pixel values scaled to [0, 1] (Caffe's 1/256 transform).
-// File reads go through the bounded retry policy (DefaultRetry).
+// File reads go through the bounded retry (readFileRetry).
 func LoadMNISTFiles(imagePath, labelPath string) (*InMemory, error) {
 	imraw, err := readMaybeGzip(imagePath)
 	if err != nil {

@@ -21,35 +21,26 @@ func SetOpenFile(open func(string) (io.ReadCloser, error)) (restore func()) {
 	return func() { openFile = prev }
 }
 
-// RetryPolicy bounds how persistently the loaders re-read a failing
-// dataset file. Transient storage failures (network filesystems, object
+// The loaders re-read a failing dataset file up to readAttempts times,
+// sleeping readBackoff before the first retry and doubling it after each
+// later failure. Transient storage failures (network filesystems, object
 // stores) are common enough at training scale that a single hiccup must
 // not kill a run, but the retry is strictly bounded — a genuinely missing
 // or unreadable file still surfaces promptly.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (default 3).
-	Attempts int
-	// Backoff is the sleep before the first retry, doubled after each
-	// subsequent failure (default 5ms).
-	Backoff time.Duration
-}
+const (
+	readAttempts = 3
+	readBackoff  = 5 * time.Millisecond
+)
 
-// DefaultRetry is the policy the MNIST/CIFAR loaders use. Tests shrink
-// the backoff to keep fault drills fast.
-var DefaultRetry = RetryPolicy{Attempts: 3, Backoff: 5 * time.Millisecond}
-
-// readFileRetry reads path fully under the policy: each attempt opens and
-// reads the whole file, so a failure partway through an attempt (a
-// truncated read) discards the partial data instead of corrupting the
-// dataset being assembled.
-func readFileRetry(path string, pol RetryPolicy) ([]byte, error) {
-	if pol.Attempts <= 0 {
-		pol.Attempts = 1
-	}
+// readFileRetry reads path fully under the retry budget: each attempt
+// opens and reads the whole file, so a failure partway through an
+// attempt (a truncated read) discards the partial data instead of
+// corrupting the dataset being assembled.
+func readFileRetry(path string) ([]byte, error) {
 	var last error
-	for a := 0; a < pol.Attempts; a++ {
+	for a := 0; a < readAttempts; a++ {
 		if a > 0 {
-			time.Sleep(pol.Backoff << (a - 1))
+			time.Sleep(readBackoff << (a - 1))
 		}
 		rc, err := openFile(path)
 		if err != nil {
@@ -66,5 +57,5 @@ func readFileRetry(path string, pol RetryPolicy) ([]byte, error) {
 		}
 		last = err
 	}
-	return nil, fmt.Errorf("data: reading %s failed after %d attempts: %w", path, pol.Attempts, last)
+	return nil, fmt.Errorf("data: reading %s failed after %d attempts: %w", path, readAttempts, last)
 }

@@ -68,10 +68,10 @@
 // iteration, and re-forms a smaller (or, on rejoin, larger) membership
 // that resumes from the fenced checkpoint.
 //
-// Options.Epoch and Options.StartIter exist so a re-formed Node is
-// indistinguishable from one freshly built for a clean run resumed at
-// that iteration. That is the whole determinism argument for degraded
-// continuation.
+// A Node is built at a membership epoch and a start iteration so a
+// re-formed Node is indistinguishable from one freshly built for a clean
+// run resumed at that iteration. That is the whole determinism argument
+// for degraded continuation.
 package dist
 
 import (
@@ -88,38 +88,20 @@ import (
 	"coarsegrain/internal/transport"
 )
 
-// RetryConfig bounds the transient-send retry loop.
-type RetryConfig struct {
-	// MaxAttempts is the total number of Send attempts per message
-	// (minimum 1). With the default 16 and a 20% injected drop rate, the
-	// chance of exhausting the budget on one message is ~3e-12.
-	MaxAttempts int
-	// BaseBackoff is the sleep after the first failed attempt; it
-	// doubles per retry up to MaxBackoff.
-	BaseBackoff, MaxBackoff time.Duration
-}
-
-// DefaultRetry returns the retry policy used when Options.Retry is zero.
-func DefaultRetry() RetryConfig {
-	return RetryConfig{MaxAttempts: 16, BaseBackoff: 20 * time.Microsecond, MaxBackoff: 2 * time.Millisecond}
-}
+// The transient-send retry budget: 16 attempts per message, sleeping
+// 20µs after the first failure and doubling up to 2ms. With a 20%
+// injected drop rate the chance of exhausting it on one message is
+// ~3e-12.
+const (
+	sendAttempts    = 16
+	sendBaseBackoff = 20 * time.Microsecond
+	sendMaxBackoff  = 2 * time.Millisecond
+)
 
 // Options configures a Node.
 type Options struct {
 	// Fanout is the reduction tree's fan-out (default 2).
 	Fanout int
-	// Retry bounds transient-send retries; zero value = DefaultRetry.
-	Retry RetryConfig
-	// Epoch is the membership epoch stamped into every tag (0 for a
-	// group that has never fenced). The elastic supervisor bumps it at
-	// each fence so stale frames from an abandoned membership can never
-	// alias the new one's.
-	Epoch int
-	// StartIter is the iteration numbering starts at (0 for a fresh
-	// run). A node resuming from a fenced checkpoint at iteration F is
-	// built with StartIter F so its tags, and therefore its protocol
-	// state, match a clean run resumed there.
-	StartIter int
 	// GradWire names the gradient wire format: "f32" (default,
 	// identity), "f16" (packed binary16) or "int8" (grouped max-abs
 	// quantization) — see transport.CodecByName. Lossy formats carry a
@@ -133,15 +115,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Fanout < 1 {
 		o.Fanout = 2
-	}
-	if o.Retry.MaxAttempts < 1 {
-		o.Retry = DefaultRetry()
-	}
-	if o.Retry.BaseBackoff <= 0 {
-		o.Retry.BaseBackoff = 20 * time.Microsecond
-	}
-	if o.Retry.MaxBackoff < o.Retry.BaseBackoff {
-		o.Retry.MaxBackoff = o.Retry.BaseBackoff
 	}
 	return o
 }
@@ -211,37 +184,47 @@ type Node struct {
 // and broadcasts updates. n must be built exactly like every worker's
 // net (same seed, same architecture) on shard 0 of the global batch.
 func NewRoot(t transport.Transport, n *net.Net, cfg solver.Config, opts Options) (*Node, error) {
-	if t.Rank() != 0 {
-		return nil, fmt.Errorf("dist: root must hold transport rank 0, got %d", t.Rank())
-	}
-	s, err := solver.New(cfg, n)
-	if err != nil {
-		return nil, err
-	}
-	return newNode(t, n, s, opts)
+	return newNode(t, n, &cfg, opts, 0, 0)
 }
 
 // NewWorker creates a worker node (transport rank ≥ 1): it computes its
 // shard's gradients, participates in the ordered reduce-scatter, routes
 // tree traffic and receives weight broadcasts. Workers have no solver.
 func NewWorker(t transport.Transport, n *net.Net, opts Options) (*Node, error) {
-	if t.Rank() == 0 {
-		return nil, fmt.Errorf("dist: transport rank 0 is the root; use NewRoot")
-	}
-	return newNode(t, n, nil, opts)
+	return newNode(t, n, nil, opts, 0, 0)
 }
 
-func newNode(t transport.Transport, n *net.Net, s *solver.Solver, opts Options) (*Node, error) {
+// newNode builds the root when cfg is non-nil, else a worker. epoch is
+// the membership epoch stamped into every tag (0 for a group that has
+// never fenced): the elastic supervisor bumps it at each fence so stale
+// frames from an abandoned membership can never alias the new one's.
+// startIter is the iteration numbering starts at (0 for a fresh run): a
+// node resuming from a fenced checkpoint at iteration F is built at F so
+// its tags, and therefore its protocol state, match a clean run resumed
+// there.
+func newNode(t transport.Transport, n *net.Net, cfg *solver.Config, opts Options, epoch, startIter int) (*Node, error) {
+	if root := t.Rank() == 0; root && cfg == nil {
+		return nil, fmt.Errorf("dist: transport rank 0 is the root; use NewRoot")
+	} else if !root && cfg != nil {
+		return nil, fmt.Errorf("dist: root must hold transport rank 0, got %d", t.Rank())
+	}
 	opts = opts.withDefaults()
 	size := t.Size()
 	if size < 1 {
 		return nil, fmt.Errorf("dist: transport group size %d", size)
 	}
-	if opts.Epoch < 0 || opts.Epoch > transport.MaxEpoch {
-		return nil, fmt.Errorf("dist: membership epoch %d out of range [0,%d]", opts.Epoch, transport.MaxEpoch)
+	if epoch < 0 || epoch > transport.MaxEpoch {
+		return nil, fmt.Errorf("dist: membership epoch %d out of range [0,%d]", epoch, transport.MaxEpoch)
 	}
-	if opts.StartIter < 0 || opts.StartIter > transport.MaxIter {
-		return nil, fmt.Errorf("dist: start iteration %d out of range [0,%d]", opts.StartIter, transport.MaxIter)
+	if startIter < 0 || startIter > transport.MaxIter {
+		return nil, fmt.Errorf("dist: start iteration %d out of range [0,%d]", startIter, transport.MaxIter)
+	}
+	var s *solver.Solver
+	if cfg != nil {
+		var err error
+		if s, err = solver.New(*cfg, n); err != nil {
+			return nil, err
+		}
 	}
 	params := n.Params()
 	if len(params) == 0 {
@@ -256,8 +239,8 @@ func newNode(t transport.Transport, n *net.Net, s *solver.Solver, opts Options) 
 		opts: opts, tracer: n.Tracer(),
 		paramOrder: n.BackwardParamOrder(),
 		scale:      1 / float32(size),
-		epoch:      opts.Epoch,
-		iter:       opts.StartIter,
+		epoch:      epoch,
+		iter:       startIter,
 		parent:     tree.Parent(t.Rank()),
 		children:   tree.Children(t.Rank()),
 		pre:        tree.Preorder(t.Rank()),
@@ -655,19 +638,19 @@ func (nd *Node) SyncWeights() error {
 // sendRetry sends with bounded exponential backoff on transient
 // failures; any other error is fatal and returned as-is.
 func (nd *Node) sendRetry(to int, tag transport.Tag, payload []float32) error {
-	backoff := nd.opts.Retry.BaseBackoff
+	backoff := sendBaseBackoff
 	var err error
-	for attempt := 0; attempt < nd.opts.Retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < sendAttempts; attempt++ {
 		if err = nd.tr.Send(to, tag, payload); err == nil || !errors.Is(err, transport.ErrTransient) {
 			return err
 		}
 		time.Sleep(backoff)
-		if backoff *= 2; backoff > nd.opts.Retry.MaxBackoff {
-			backoff = nd.opts.Retry.MaxBackoff
+		if backoff *= 2; backoff > sendMaxBackoff {
+			backoff = sendMaxBackoff
 		}
 	}
 	return fmt.Errorf("dist: send %v to rank %d failed after %d attempts: %w",
-		tag, to, nd.opts.Retry.MaxAttempts, err)
+		tag, to, sendAttempts, err)
 }
 
 // now reads the tracer clock (zero when tracing is off).

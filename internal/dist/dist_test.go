@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"coarsegrain/internal/data"
 	"coarsegrain/internal/layers"
@@ -367,7 +366,7 @@ func TestDistFlakyConvergesBitwise(t *testing.T) {
 	flaky := make([]transport.Transport, 4)
 	for i, l := range locals {
 		flaky[i] = transport.NewFlaky(l, transport.FlakyConfig{
-			DropProb: 0.15, DupProb: 0.15, DelayProb: 0.05, MaxDelay: 200 * time.Microsecond,
+			DropProb: 0.15, DupProb: 0.15, DelayProb: 0.05,
 		}, uint64(100+i))
 	}
 	w, l := runDist(t, flaky, Options{}, testIters)
@@ -376,14 +375,14 @@ func TestDistFlakyConvergesBitwise(t *testing.T) {
 }
 
 // When faults exceed the retry budget the run must fail loudly, not
-// silently diverge: a 100% drop rate with a tiny budget aborts Step.
+// silently diverge: a 100% drop rate exhausts every send's budget and
+// aborts Step.
 func TestDistExhaustedRetriesFailLoudly(t *testing.T) {
 	locals := transport.NewLocalGroup(2)
 	trs := []transport.Transport{
 		transport.NewFlaky(locals[0], transport.FlakyConfig{DropProb: 1}, 1),
 		transport.NewFlaky(locals[1], transport.FlakyConfig{DropProb: 1}, 2),
 	}
-	opts := Options{Retry: RetryConfig{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for r := 0; r < 2; r++ {
@@ -394,9 +393,9 @@ func TestDistExhaustedRetriesFailLoudly(t *testing.T) {
 			var nd *Node
 			var err error
 			if r == 0 {
-				nd, err = NewRoot(trs[r], n, solverCfg(), opts)
+				nd, err = NewRoot(trs[r], n, solverCfg(), Options{})
 			} else {
-				nd, err = NewWorker(trs[r], n, opts)
+				nd, err = NewWorker(trs[r], n, Options{})
 			}
 			if err == nil {
 				_, err = nd.Step(1)

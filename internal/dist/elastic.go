@@ -107,8 +107,7 @@ type ElasticConfig struct {
 	Rebuild RebuildFunc
 	// Solver configures the coordinator's solver.
 	Solver solver.Config
-	// Opts carries the dist options (fanout, retry, overlap); Epoch and
-	// StartIter are managed by the supervisor and ignored here.
+	// Opts carries the dist options (fanout, gradient wire format).
 	Opts Options
 	// Members lists the initial base-rank membership (must include 0,
 	// ascending). Nil means every base rank. A base rank outside the
@@ -317,15 +316,11 @@ func buildNode(base transport.Transport, cfg ElasticConfig, members []int, epoch
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: rebuild rank %d/%d at iter %d: %w", view.Rank(), len(members), startIter, err)
 	}
-	opts := cfg.Opts
-	opts.Epoch = epoch
-	opts.StartIter = startIter
-	var nd *Node
+	var sc *solver.Config
 	if view.Rank() == 0 {
-		nd, err = NewRoot(view, n, cfg.Solver, opts)
-	} else {
-		nd, err = NewWorker(view, n, opts)
+		sc = &cfg.Solver
 	}
+	nd, err := newNode(view, n, sc, cfg.Opts, epoch, startIter)
 	if err != nil {
 		return nil, nil, err
 	}

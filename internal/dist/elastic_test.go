@@ -12,6 +12,7 @@ import (
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/snapshot"
+	"coarsegrain/internal/solver"
 	"coarsegrain/internal/transport"
 )
 
@@ -104,7 +105,6 @@ func startElastic(trs []transport.Transport, cfg ElasticConfig) ([]*Report, []er
 // bit-identical to what this returns.
 func cleanResume(t *testing.T, k, startIter, total int, ckpt string, opts Options) ([][]float32, []float64) {
 	t.Helper()
-	opts.StartIter = startIter
 	trs := localGroup(k)
 	var (
 		wg      sync.WaitGroup
@@ -129,14 +129,14 @@ func cleanResume(t *testing.T, k, startIter, total int, ckpt string, opts Option
 				return
 			}
 			skipData(n, startIter)
-			var nd *Node
+			var sc *solver.Config
 			if r == 0 {
-				nd, err = NewRoot(trs[r], n, solverCfg(), opts)
-				if err == nil {
-					err = snapshot.LoadSolverFile(ckpt, nd.Solver())
-				}
-			} else {
-				nd, err = NewWorker(trs[r], n, opts)
+				cfg := solverCfg()
+				sc = &cfg
+			}
+			nd, err := newNode(trs[r], n, sc, opts, 0, startIter)
+			if err == nil && r == 0 {
+				err = snapshot.LoadSolverFile(ckpt, nd.Solver())
 			}
 			if err == nil {
 				err = nd.SyncWeights()

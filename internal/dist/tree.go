@@ -59,15 +59,3 @@ func (t Tree) Preorder(r int) []int {
 	}
 	return out
 }
-
-// Depth returns the depth of the deepest rank (root = 0) — the number
-// of sequential hops a gather or broadcast takes.
-func (t Tree) Depth() int {
-	depth, levelCap, total := 0, 1, 1
-	for total < t.size {
-		levelCap *= t.fanout
-		total += levelCap
-		depth++
-	}
-	return depth
-}

@@ -47,14 +47,3 @@ func TestTreePreorderCoversSubtreeOnce(t *testing.T) {
 		t.Fatalf("Preorder(5) = %v", got)
 	}
 }
-
-func TestTreeDepths(t *testing.T) {
-	cases := []struct{ size, fanout, want int }{
-		{1, 2, 0}, {2, 2, 1}, {4, 2, 2}, {7, 2, 2}, {8, 2, 3}, {4, 3, 1}, {4, 1, 3},
-	}
-	for _, c := range cases {
-		if got := NewTree(c.size, c.fanout).Depth(); got != c.want {
-			t.Errorf("Depth(size=%d, fanout=%d) = %d, want %d", c.size, c.fanout, got, c.want)
-		}
-	}
-}

@@ -1,7 +1,7 @@
 package faultinject
 
 // This file is the cluster arm of the injector: where the rest of the
-// package breaks one process (a torn checkpoint, a poisoned gradient),
+// package breaks one process (a torn checkpoint, a flaky read),
 // ClusterScenario breaks one *rank* of a distributed group — crash,
 // hang, partition or straggle, via transport.Chaos — with every choice
 // (victim, trigger iteration, partition cut) drawn from the same seeded

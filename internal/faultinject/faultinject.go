@@ -1,26 +1,23 @@
 // Package faultinject is the deterministic fault-injection harness behind
-// the robustness test suite (ROBUSTNESS.md): every recovery path the
-// runtime claims to handle — a corrupt or torn checkpoint, a NaN poisoned
-// into a gradient, a flaky dataset read — can be triggered on purpose,
-// reproducibly, from a single seed.
+// the robustness test suite (ROBUSTNESS.md): a corrupt or torn
+// checkpoint, a flaky dataset read and a cluster failure scenario
+// (cluster.go) can each be triggered on purpose, reproducibly, from a
+// single seed. A poisoned gradient needs no harness: internal/guard's
+// tests write the NaN into a gradient themselves.
 //
 // Determinism is the point. Chaos that cannot be replayed cannot be
 // debugged; the Injector derives every decision (which byte to flip,
-// which gradient element to poison, where a read breaks) from a private
-// internal/rng stream, so a failing scenario reruns bit-identically under
-// the same seed — the same property the paper demands of the training
-// computation itself.
+// where a read breaks) from a private internal/rng stream, so a failing
+// scenario reruns bit-identically under the same seed — the same
+// property the paper demands of the training computation itself.
 package faultinject
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 
-	"coarsegrain/internal/net"
 	"coarsegrain/internal/rng"
-	"coarsegrain/internal/solver"
 )
 
 // Injector derives fault decisions from a seeded RNG stream.
@@ -79,59 +76,6 @@ func (in *Injector) TruncateFile(path string) (int64, error) {
 	}
 	n := 1 + int64(in.r.Intn(int(st.Size()-1)))
 	return n, os.Truncate(path, n)
-}
-
-// GradPoisoner writes a NaN into one seeded element of one seeded
-// parameter gradient when training reaches a fixed iteration — the
-// minimal numerical fault a divergence guard must catch.
-type GradPoisoner struct {
-	n     *net.Net
-	at    int
-	param int
-	index int
-	// Fired reports whether the poison has been delivered.
-	Fired bool
-}
-
-// GradPoisoner arms a poisoner for iteration at. The target element is
-// chosen from the injector's stream at arming time, so the scenario is
-// fixed before training starts.
-func (in *Injector) GradPoisoner(n *net.Net, at int) (*GradPoisoner, error) {
-	params := n.Params()
-	if len(params) == 0 {
-		return nil, fmt.Errorf("faultinject: net has no parameters")
-	}
-	p := in.r.Intn(len(params))
-	if params[p].Count() == 0 {
-		return nil, fmt.Errorf("faultinject: parameter %d is empty", p)
-	}
-	return &GradPoisoner{
-		n: n, at: at, param: p, index: in.r.Intn(params[p].Count()),
-	}, nil
-}
-
-// Apply delivers the poison when iter matches the armed iteration;
-// call it after the backward pass (e.g. from a solver pre-update hook).
-func (g *GradPoisoner) Apply(iter int) bool {
-	if iter != g.at {
-		return false
-	}
-	g.n.Params()[g.param].Diff()[g.index] = float32(math.NaN())
-	g.Fired = true
-	return true
-}
-
-// Hook composes the poisoner with a downstream solver pre-update hook
-// (nil means proceed): the poison lands first, then the downstream hook —
-// typically guard.Monitor.Check — sees the damaged gradient.
-func (g *GradPoisoner) Hook(next solver.PreUpdateHook) solver.PreUpdateHook {
-	return func(iter int, loss float64) solver.PreUpdateAction {
-		g.Apply(iter)
-		if next == nil {
-			return solver.ActProceed
-		}
-		return next(iter, loss)
-	}
 }
 
 // ErrTransient is the error flaky readers return; it models a recoverable

@@ -3,17 +3,11 @@ package faultinject
 import (
 	"errors"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"coarsegrain/internal/data"
-	"coarsegrain/internal/layers"
-	"coarsegrain/internal/net"
-	"coarsegrain/internal/rng"
-	"coarsegrain/internal/solver"
 )
 
 func writeTemp(t *testing.T, content []byte) string {
@@ -99,104 +93,6 @@ func TestTruncateFileIsDeterministicStrictPrefix(t *testing.T) {
 	}
 }
 
-func tinyTrainNet(t *testing.T) *net.Net {
-	t.Helper()
-	d, err := layers.NewData("data", microSource{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, err := layers.NewInnerProduct("ip", layers.IPConfig{NumOutput: 2, RNG: rng.New(5, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.New([]net.LayerSpec{
-		{Layer: d, Tops: []string{"data", "label"}},
-		{Layer: ip, Bottoms: []string{"data"}, Tops: []string{"ip"}},
-		{Layer: layers.NewSoftmaxWithLoss("loss"), Bottoms: []string{"ip", "label"}, Tops: []string{"loss"}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// microSource is a 4-pixel 2-class toy dataset for poisoning tests.
-type microSource struct{}
-
-func (microSource) Len() int           { return 4 }
-func (microSource) SampleShape() []int { return []int{1, 2, 2} }
-func (microSource) Classes() int       { return 2 }
-func (microSource) Read(i int, out []float32) int {
-	for j := range out {
-		out[j] = float32(j)
-	}
-	return i % 2
-}
-
-func TestGradPoisonerFiresOnceAtArmedIteration(t *testing.T) {
-	n := tinyTrainNet(t)
-	g1, err := New(3).GradPoisoner(n, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := New(3).GradPoisoner(n, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1.param != g2.param || g1.index != g2.index {
-		t.Fatalf("same seed armed different targets: (%d,%d) vs (%d,%d)",
-			g1.param, g1.index, g2.param, g2.index)
-	}
-	if g1.Apply(4) || g1.Fired {
-		t.Fatal("poison fired before its iteration")
-	}
-	if !g1.Apply(5) || !g1.Fired {
-		t.Fatal("poison did not fire at its iteration")
-	}
-	v := n.Params()[g1.param].Diff()[g1.index]
-	if !math.IsNaN(float64(v)) {
-		t.Fatalf("target gradient = %v, want NaN", v)
-	}
-}
-
-func TestGradPoisonerHookComposes(t *testing.T) {
-	n := tinyTrainNet(t)
-	g, err := New(9).GradPoisoner(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawNaN bool
-	downstream := func(iter int, loss float64) solver.PreUpdateAction {
-		x := n.Params()[g.param].Diff()[g.index]
-		if x != x {
-			sawNaN = true
-			return solver.ActHalt
-		}
-		return solver.ActProceed
-	}
-	hook := g.Hook(downstream)
-	if act := hook(1, 0.5); act != solver.ActProceed {
-		t.Fatalf("pre-poison iteration returned %v", act)
-	}
-	if act := hook(2, 0.5); act != solver.ActHalt {
-		t.Fatalf("poisoned iteration returned %v: downstream must see the NaN", act)
-	}
-	if !sawNaN {
-		t.Fatal("downstream hook ran before the poison landed")
-	}
-	// nil downstream: poison still lands, training proceeds.
-	g2, err := New(9).GradPoisoner(tinyTrainNet(t), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if act := g2.Hook(nil)(0, 0.5); act != solver.ActProceed {
-		t.Fatalf("nil downstream returned %v", act)
-	}
-	if !g2.Fired {
-		t.Fatal("nil downstream swallowed the poison")
-	}
-}
-
 func TestFlakyOpenerFailsExactlyNTimes(t *testing.T) {
 	content := make([]byte, 10000)
 	path := writeTemp(t, content)
@@ -236,15 +132,12 @@ func TestFlakyOpenerFailsExactlyNTimes(t *testing.T) {
 
 func TestLoaderRetryAbsorbsTransientFailures(t *testing.T) {
 	// Two MNIST files (images + labels), each failing twice before
-	// succeeding: DefaultRetry's 3 attempts must absorb that.
+	// succeeding: the loaders' 3 attempts must absorb that.
 	dir := t.TempDir()
 	imgPath, lblPath := writeMNIST(t, dir, 4)
 	fo := New(21).FlakyOpener(2)
 	restore := data.SetOpenFile(fo.Open)
 	defer restore()
-	old := data.DefaultRetry
-	data.DefaultRetry = data.RetryPolicy{Attempts: 3, Backoff: time.Microsecond}
-	defer func() { data.DefaultRetry = old }()
 
 	ds, err := data.LoadMNISTFiles(imgPath, lblPath)
 	if err != nil {
@@ -264,9 +157,6 @@ func TestLoaderRetryGivesUpBeyondBudget(t *testing.T) {
 	fo := New(22).FlakyOpener(5) // more failures than attempts
 	restore := data.SetOpenFile(fo.Open)
 	defer restore()
-	old := data.DefaultRetry
-	data.DefaultRetry = data.RetryPolicy{Attempts: 3, Backoff: time.Microsecond}
-	defer func() { data.DefaultRetry = old }()
 
 	if _, err := data.LoadMNISTFiles(imgPath, lblPath); err == nil {
 		t.Fatal("5 consecutive faults absorbed by a 3-attempt budget")

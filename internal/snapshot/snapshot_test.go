@@ -757,7 +757,7 @@ func TestDirectConvSnapshotLoadsIntoLoadedNet(t *testing.T) {
 		}
 		return s
 	}
-	direct := newSolver(zoo.LeNet(m.Source, zoo.Options{BatchSize: 8, Seed: 4, Accuracy: true}))
+	direct := newSolver(zoo.LeNet(m.Source, zoo.Options{BatchSize: 8, Seed: 4}))
 	direct.Step(2)
 	path := filepath.Join(t.TempDir(), "direct.cgdnn")
 	if err := SaveSolverFile(path, direct); err != nil {

@@ -274,9 +274,9 @@ func (s *Solver) Step(iters int) []float64 {
 
 // UpdateFromGradients applies one update step using gradients already
 // accumulated in the network's parameter diffs (without running any
-// passes), then advances the iteration counter. Used by the replica
-// trainer, which computes the global-batch gradient across devices before
-// handing it to the solver.
+// passes), then advances the iteration counter. Used by the root of a
+// distributed group (internal/dist), which assembles the global-batch
+// gradient across ranks before handing it to the solver.
 func (s *Solver) UpdateFromGradients() {
 	s.applyUpdate()
 	s.iter++

@@ -18,13 +18,13 @@ type FlakyConfig struct {
 	// DupProb is the probability a Send transmits the frame twice,
 	// exercising the receiver's dedupe.
 	DupProb float32
-	// DelayProb is the probability a Send sleeps up to MaxDelay first,
-	// exercising ordering under skew.
+	// DelayProb is the probability a Send sleeps up to maxFlakyDelay
+	// first, exercising ordering under skew.
 	DelayProb float32
-	// MaxDelay bounds the injected delay (default 2ms when zero and
-	// DelayProb > 0).
-	MaxDelay time.Duration
 }
+
+// maxFlakyDelay bounds the delay a Flaky Send injects.
+const maxFlakyDelay = 2 * time.Millisecond
 
 // FlakyStats counts the faults a Flaky wrapper has injected.
 type FlakyStats struct {
@@ -56,9 +56,6 @@ var _ Transport = (*Flaky)(nil)
 
 // NewFlaky wraps t with seeded faults. A zero config injects nothing.
 func NewFlaky(t Transport, cfg FlakyConfig, seed uint64) *Flaky {
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 2 * time.Millisecond
-	}
 	return &Flaky{Transport: t, cfg: cfg, r: rng.New(seed, 0xF1A2B)}
 }
 
@@ -78,7 +75,7 @@ func (f *Flaky) Send(to int, tag Tag, payload []float32) error {
 	dup := !drop && f.r.Bernoulli(f.cfg.DupProb)
 	var delay time.Duration
 	if !drop && f.r.Bernoulli(f.cfg.DelayProb) {
-		delay = time.Duration(f.r.Intn(int(f.cfg.MaxDelay)))
+		delay = time.Duration(f.r.Intn(int(maxFlakyDelay)))
 		f.stats.Delays++
 	}
 	if drop {

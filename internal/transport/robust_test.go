@@ -655,7 +655,7 @@ func TestFlakyDelayOverCrashDeliveryCounts(t *testing.T) {
 	g := NewLocalGroup(2)
 	defer g[0].Close()
 	chaos := NewChaos(g[1], ChaosConfig{Mode: ChaosCrash, AtIter: 1})
-	f := NewFlaky(chaos, FlakyConfig{DelayProb: 1, MaxDelay: time.Millisecond}, 11)
+	f := NewFlaky(chaos, FlakyConfig{DelayProb: 1}, 11)
 	defer f.Close()
 	buf := make([]float32, 1)
 	for p := 0; p < 3; p++ {

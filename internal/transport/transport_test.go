@@ -450,7 +450,7 @@ func TestFlakyConvergesWithRetry(t *testing.T) {
 	group := make([]Transport, 3)
 	for i, l := range locals {
 		group[i] = &retrying{Transport: NewFlaky(l, FlakyConfig{
-			DropProb: 0.2, DupProb: 0.2, DelayProb: 0.1, MaxDelay: 100 * time.Microsecond,
+			DropProb: 0.2, DupProb: 0.2, DelayProb: 0.1,
 		}, uint64(7+i))}
 	}
 	exchangeAllPairs(t, group, 10)

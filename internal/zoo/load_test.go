@@ -113,7 +113,7 @@ func TestLoadedLeNetIsLoweredZooLeNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := LeNet(m.Source, Options{BatchSize: 8, Seed: 5, Accuracy: true, LoweredConv: true})
+	want, err := LeNet(m.Source, Options{BatchSize: 8, Seed: 5, LoweredConv: true})
 	if err != nil {
 		t.Fatal(err)
 	}

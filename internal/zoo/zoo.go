@@ -28,8 +28,6 @@ type Options struct {
 	// Seed drives weight initialization; equal seeds give bit-identical
 	// initial parameters.
 	Seed uint64
-	// Accuracy keeps the file's Accuracy layer next to the loss.
-	Accuracy bool
 	// LoweredConv selects the im2col+GEMM convolution implementation
 	// (Caffe's CPU path) instead of the direct loop nest.
 	LoweredConv bool
@@ -114,7 +112,7 @@ func solverFile(name string) func() solver.Config {
 
 // build builds e's net at the file's batch_size unless opt.BatchSize
 // says otherwise, on the direct loop nest unless opt.LoweredConv, and
-// without the file's Accuracy layer unless opt.Accuracy.
+// without the file's Accuracy layer.
 func (e entry) build(src layers.Source, opt Options) ([]net.LayerSpec, error) {
 	doc, err := e.net()
 	if err != nil {
@@ -123,8 +121,8 @@ func (e entry) build(src layers.Source, opt Options) ([]net.LayerSpec, error) {
 	specs, err := prototxt.BuildNet(doc, prototxt.BuildOptions{
 		Source: src, Seed: opt.Seed, BatchOverride: opt.BatchSize, DirectConv: !opt.LoweredConv,
 	})
-	if err != nil || opt.Accuracy {
-		return specs, err
+	if err != nil {
+		return nil, err
 	}
 	return slices.DeleteFunc(specs, func(sp net.LayerSpec) bool {
 		_, ok := sp.Layer.(*layers.Accuracy)

@@ -90,7 +90,7 @@ func TestCIFARFullArchitecture(t *testing.T) {
 
 func TestLeNetTrainsUnderCoarseEngine(t *testing.T) {
 	src := data.NewSyntheticMNIST(256, 3)
-	specs, err := LeNet(src, Options{BatchSize: 16, Seed: 3, Accuracy: true})
+	specs, err := LeNet(src, Options{BatchSize: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,33 +185,39 @@ func TestSolversMatchCaffeLiterals(t *testing.T) {
 }
 
 // The zero Options are the paper-figure build: direct convolutions, the
-// file's batch, no Accuracy layer; Accuracy: true adds exactly that one
-// spec back.
+// file's batch, and every layer of the file but its Accuracy layer,
+// which the loader's build (Model.Specs) keeps as the last spec.
 func TestZeroOptionsAndAccuracy(t *testing.T) {
 	for _, c := range []struct {
 		name   string
-		src    layers.Source
 		batch  int
 		layers int
 	}{
-		{"lenet", data.NewSyntheticMNIST(8, 1), 64, 9},
-		{"cifar10-full", data.NewSyntheticCIFAR(8, 1), 100, 14},
+		{"lenet", 64, 9},
+		{"cifar10-full", 100, 14},
 	} {
-		plain, err := Build(c.name, c.src, Options{})
+		m, err := Load(Ref{Zoo: c.name, Samples: 8, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		withAcc, err := Build(c.name, c.src, Options{Accuracy: true})
+		plain, err := Build(c.name, m.Source, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plain) != c.layers || len(withAcc) != c.layers+1 {
-			t.Errorf("%s: %d specs, %d with Accuracy, want %d and %d", c.name, len(plain), len(withAcc), c.layers, c.layers+1)
+		file, err := m.Specs(m.Source, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, ok := withAcc[c.layers].Layer.(*layers.Accuracy); !ok {
-			t.Errorf("%s: last spec with Accuracy is %s", c.name, withAcc[c.layers].Layer.Name())
+		if len(plain) != c.layers || len(file) != c.layers+1 {
+			t.Errorf("%s: %d specs, %d in the file, want %d and %d", c.name, len(plain), len(file), c.layers, c.layers+1)
+		}
+		if _, ok := file[c.layers].Layer.(*layers.Accuracy); !ok {
+			t.Errorf("%s: last spec of the file is %s", c.name, file[c.layers].Layer.Name())
 		}
 		for _, sp := range plain {
+			if _, ok := sp.Layer.(*layers.Accuracy); ok {
+				t.Errorf("%s: zero Options kept %s", c.name, sp.Layer.Name())
+			}
 			if conv, ok := sp.Layer.(*layers.Convolution); ok && conv.Lowered() {
 				t.Errorf("%s: zero Options built %s lowered", c.name, conv.Name())
 			}

@@ -67,8 +67,10 @@
 # examples (quickstart, convergence and customlayer must exit 0, and
 # convergence must print its two coarse/4 runs bit-identical), the
 # robustness drills (ROBUSTNESS.md): the
-# fault-injection suite, a seeded corrupt-checkpoint recovery smoke and a
-# guard NaN-poison smoke, a serving smoke (SERVING.md): dnnserve on a
+# fault-injection suite, a recovery smoke (the newest checkpoint sheared
+# from the shell, -resume must fall back to the one before) and a guard
+# smoke (a gradient-norm bound no step meets, every step skipped), a
+# serving smoke (SERVING.md): dnnserve on a
 # random port answering a dnnload probe and draining cleanly on SIGTERM,
 # once for -zoo lenet, once for a dnntrain -model configs/lenet.prototxt
 # snapshot served and dnneval'd with no -scores, and once for that
@@ -266,20 +268,25 @@ grep -qxF "two coarse/4 runs bit-identical: true" "$tmpdir/convergence.txt" ||
 	{ echo "FAIL: examples/convergence did not print its two coarse/4 runs bit-identical" >&2; cat "$tmpdir/convergence.txt" >&2; exit 1; }
 echo "examples ran, convergence's coarse/4 runs bit-identical, as required"
 
-echo "== recovery smoke: corrupt newest checkpoint, resume must fall back =="
+echo "== recovery smoke: shear the newest checkpoint, resume must fall back =="
 "$tmpdir/dnntrain" -zoo lenet -iters 20 -snapshot-every 10 -snapshot-dir "$tmpdir/ck" \
 	-samples 8 -batch 8 -display 10 -workers 2 >/dev/null
-out="$("$tmpdir/dnntrain" -zoo lenet -resume "$tmpdir/ck" -inject-corrupt-resume -inject-seed 7 \
-	-iters 10 -samples 8 -batch 8 -display 10 -workers 2)"
-echo "$out" | grep -q "falling back" || { echo "FAIL: corrupt checkpoint not skipped" >&2; exit 1; }
-echo "$out" | grep -q "resumed from .*ckpt-00000010" || { echo "FAIL: did not resume from the surviving checkpoint" >&2; exit 1; }
-echo "fell back past the corrupted checkpoint, as required"
+newest="$(ls "$tmpdir/ck"/ckpt-*.cgdnn | tail -n 1)"
+head -c "$(($(wc -c <"$newest") / 2))" "$newest" >"$tmpdir/torn.cgdnn"
+mv "$tmpdir/torn.cgdnn" "$newest"
+out="$("$tmpdir/dnntrain" -zoo lenet -resume "$tmpdir/ck" \
+	-iters 10 -samples 8 -batch 8 -display 10 -workers 2)" ||
+	{ echo "FAIL: resume of a directory with a sheared newest checkpoint failed" >&2; exit 1; }
+echo "$out" | grep -q "ckpt-00000020.cgdnn invalid, falling back" || { echo "FAIL: sheared checkpoint not skipped" >&2; echo "$out" >&2; exit 1; }
+echo "$out" | grep -q "resumed from .*ckpt-00000010" || { echo "FAIL: did not resume from the surviving checkpoint" >&2; echo "$out" >&2; exit 1; }
+echo "fell back past the sheared checkpoint, as required"
 
-echo "== guard smoke: injected gradient NaN must be caught and skipped =="
-"$tmpdir/dnntrain" -zoo lenet -iters 10 -inject-grad-nan 5 -guard-policy skip \
-	-samples 8 -batch 8 -display 10 -workers 2 |
-	grep -q "1 faults (1 skipped" || { echo "FAIL: guard missed the injected NaN" >&2; exit 1; }
-echo "injected NaN caught and skipped, as required"
+echo "== guard smoke: a gradient-norm bound no step can meet must fault and skip every step =="
+out="$("$tmpdir/dnntrain" -zoo lenet -iters 10 -guard-max-norm 1e-30 -guard-policy skip \
+	-samples 8 -batch 8 -display 10 -workers 2)" ||
+	{ echo "FAIL: guarded run with -guard-policy skip failed" >&2; exit 1; }
+echo "$out" | grep -q "10 checks, 10 faults (10 skipped" || { echo "FAIL: guard did not skip all 10 steps" >&2; echo "$out" >&2; exit 1; }
+echo "every step faulted and was skipped, as required"
 
 echo "== serving smoke: dnnserve answers a dnnload probe, drains on SIGTERM (zoo, prototxt and -dataset override models) =="
 go build -o "$tmpdir/dnnserve" ./cmd/dnnserve
