@@ -46,6 +46,7 @@ import (
 	"os"
 	"os/signal"
 
+	"coarsegrain/internal/blas"
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/guard"
 	"coarsegrain/internal/net"
@@ -121,8 +122,8 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "network (%d layers, engine %s/%d workers):\n%s",
-		len(specs), eng.Name(), eng.Workers(), n)
+	fmt.Fprintf(w, "network (%d layers, engine %s/%d workers, kernels %s):\n%s",
+		len(specs), eng.Name(), eng.Workers(), blas.KernelSet(), n)
 
 	cfg := m.Solver
 	if *solverP != "" {

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"coarsegrain/internal/blas"
 	"coarsegrain/internal/snapshot"
 )
 
@@ -65,9 +67,17 @@ func TestRunResumeFallsBackPastTruncatedCheckpoint(t *testing.T) {
 		"checkpoint " + cks[1] + " invalid, falling back",
 		"resumed from " + filepath.Join(dir, "ckpt-00000010.cgdnn") + " at iteration 10",
 		"iter    12",
+		"kernels " + blas.KernelSet() + "):",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output lacks %q:\n%s", want, got)
 		}
+	}
+
+	// Resuming the torn file itself fails with an error that says which
+	// file and which section.
+	err = run(small("-iters", "2", "-resume", cks[1]), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), cks[1]) || !strings.Contains(err.Error(), "snapshot: section ") {
+		t.Errorf("-resume of a checkpoint cut to half: %v, want an error naming %s and the section", err, cks[1])
 	}
 }

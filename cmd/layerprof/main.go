@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 
+	"coarsegrain/internal/blas"
 	"coarsegrain/internal/core"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/trace"
@@ -91,7 +92,7 @@ func run(o options, w io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "engine %s, %d workers, %d timed iterations\n\n", eng.Name(), eng.Workers(), o.Iters)
+	fmt.Fprintf(w, "engine %s, %d workers, %d timed iterations, kernels %s\n\n", eng.Name(), eng.Workers(), o.Iters, blas.KernelSet())
 	fmt.Fprint(w, lt.Table())
 	fmt.Fprintf(w, "\ndominating layers (80%% of time): %v\n", lt.Dominating(0.8))
 	fmt.Fprintf(w, "network memory: %.1f MB, privatization scratch: %.1f KB\n",

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"coarsegrain/internal/blas"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
 )
@@ -24,7 +25,7 @@ func TestRunGoldenTableStructure(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"engine coarse, 2 workers, 2 timed iterations",
+		"engine coarse, 2 workers, 2 timed iterations, kernels " + blas.KernelSet(),
 		"layer", "fwd (us)", "bwd (us)", "weight",
 		"TOTAL",
 		"dominating layers (80% of time):",

@@ -606,9 +606,10 @@ func (s *GemmScratch) PackBackwardData(p *ConvPlan, o int, w []float32, c0, c1 i
 // c1).
 //
 // Where p gathers dX for o (ConvDataGathers), dTop is bordered into the
-// scratch and each tile of four channels by two lane groups of dX pixels
-// sums its kernel positions' K = o chains on the gather-sum kernel and is
-// written once (see the file comment for why that is Col2im's sum).
+// scratch and each tile of four channels (eight on a set whose backward
+// tiles take two quads) by two lane groups of dX pixels sums its kernel
+// positions' K = o chains on the gather-sum kernel and is written once
+// (see the file comment for why that is Col2im's sum).
 //
 // Elsewhere dcol = Wᵀ·dTop (Rows x Cols) is produced gemmMC rows at a
 // time into the scratch and each strip is scattered while it is still in
@@ -650,23 +651,25 @@ func ConvBackwardData(s *GemmScratch, p *ConvPlan, o int, dTop, dX []float32, c0
 }
 
 // dataTiles is the gathered dX route's tile loop: for every pair of lane
-// groups (tileGroups) and every four channels of [c0, c1), the gather-sum
-// kernel over the bordered dTop d, then one beta = 0, alpha = 1 writeback
-// per group into dX, clipped to the group's pixels and the range's
-// channels.
+// groups (tileGroups) and every mb channels of [c0, c1) (the set's
+// backward tile height), the gather-sum kernel over the bordered dTop d,
+// then, per quad of four channels, one beta = 0, alpha = 1 writeback per
+// group into dX, clipped to the group's pixels and the range's channels.
 func (s *GemmScratch) dataTiles(p *ConvPlan, o int, d, dX []float32, c0, c1 int) {
 	groups, steps, shifts := p.dx.groups, p.dx.steps[:o], p.shifts
-	nr, gw, hw, panel := active.nr, active.gw, p.Height*p.Width, gemmMR*len(shifts)*o
+	nr, gw, mb, hw, panel := active.nr, active.gw, active.mb, p.Height*p.Width, gemmMR*len(shifts)*o
 	acc := &s.acc
 	for gi := 0; gi < len(groups); gi += nr / gw {
 		g0, g1, n0, n1 := tileGroups(groups, gi, nr, gw)
-		for c := c0; c < c1; c += gemmMR {
-			mrr := min(gemmMR, c1-c)
+		for c := c0; c < c1; c += mb {
+			mrr := min(mb, c1-c)
 			active.gatherSumKernel(s.pa[(c-c0)/gemmMR*panel:], d, int(g0.base), int(g1.base), steps, shifts, acc)
-			crow := dX[c*hw:]
-			writebackTile(acc[:], nr, 1, 0, true, nil, crow[g0.col:], hw, mrr, n0)
-			if n1 > 0 {
-				writebackTile(acc[gw:], nr, 1, 0, true, nil, crow[g1.col:], hw, mrr, n1)
+			for q := 0; q < mrr; q += gemmMR {
+				crow, qrr := dX[(c+q)*hw:], min(gemmMR, mrr-q)
+				writebackTile(acc[q*nr:], nr, 1, 0, true, nil, crow[g0.col:], hw, qrr, n0)
+				if n1 > 0 {
+					writebackTile(acc[q*nr+gw:], nr, 1, 0, true, nil, crow[g1.col:], hw, qrr, n1)
+				}
 			}
 		}
 	}

@@ -487,8 +487,10 @@ var zooConvs = []struct {
 // dX's two routes forced, "strips" and "gather") against the sequence it
 // replaced, with today's packers ("col": materialise col with Im2col,
 // dense blocked Gemm packing both operands per call, separate bias pass,
-// the whole dcol then Col2im). PERFORMANCE.md §10, §11, §15 and §16
-// record runs.
+// the whole dcol then Col2im). The implicit rows run on every kernel set
+// the host has (set=NAME). Each row reports GFLOP/s of the product's
+// 2·O·ckk·ohw flops. PERFORMANCE.md §10, §11, §15, §16 and §19 record
+// runs.
 func BenchmarkConvLowered(b *testing.B) {
 	r := newPCG(33, 33)
 	for _, l := range zooConvs {
@@ -504,8 +506,8 @@ func BenchmarkConvLowered(b *testing.B) {
 		dcol := make([]float32, ckk*ohw)
 		inDiff := make([]float32, len(im))
 		s := &GemmScratch{}
-		plan := NewConvPlan(g)
-		strips, gather := NewConvPlanForced(g, ConvRoute{FwdGather: true}), NewConvPlanForced(g, ConvRoute{FwdGather: true, DXGather: true})
+		var plan, strips, gather *ConvPlan // built under the set a row runs on: their lane groups are its
+		flops := float64(2 * o * ckk * ohw)
 		for _, bm := range []struct {
 			name string
 			prep func()
@@ -531,13 +533,28 @@ func BenchmarkConvLowered(b *testing.B) {
 			{"bwdX/strips", func() { s.PackBackwardData(strips, o, w, 0, g.Channels) }, func() { ConvBackwardData(s, strips, o, dTop, inDiff, 0, g.Channels) }},
 			{"bwdX/gather", func() { s.PackBackwardData(gather, o, w, 0, g.Channels) }, func() { ConvBackwardData(s, gather, o, dTop, inDiff, 0, g.Channels) }},
 		} {
-			b.Run(l.name+"/"+bm.name, func(b *testing.B) {
-				bm.prep()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					bm.f()
+			col, sets := strings.HasSuffix(bm.name, "/col"), hostSets()
+			if col {
+				sets = []kernels{active}
+			}
+			for _, ks := range sets {
+				name := l.name + "/" + bm.name
+				if !col {
+					name += "/set=" + ks.name
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					withKernels(ks, func() {
+						plan = NewConvPlan(g)
+						strips, gather = NewConvPlanForced(g, ConvRoute{FwdGather: true}), NewConvPlanForced(g, ConvRoute{FwdGather: true, DXGather: true})
+						bm.prep()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							bm.f()
+						}
+						b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+					})
+				})
+			}
 		}
 	}
 }

@@ -11,7 +11,7 @@ package blas
 // and 16-lane tile rows and the 4-row tiles of a transposed C, each
 // routine bit for bit the Go loop it stands in for.
 var avx2 = kernels{
-	name: "avx2", nr: 16, gw: 8,
+	name: "avx2", nr: 16, gw: 8, mb: gemmMR,
 	microKernel: microKernelAVX4x16, gatherKernel: gatherKernelAVX4x16, gatherAKernel: gatherAKernelAVX4x16, gatherSumKernel: gatherSumKernelAVX4x16,
 	packBDense: packBDense16Vec, packBTransposed: packBTransVec,
 	packARows: packARows4Vec, packARuns: packARuns4Vec,
@@ -19,14 +19,43 @@ var avx2 = kernels{
 	maxPool8: maxPool8AVX2, addRuns: addRunsVec, normals: normalsAVX2,
 }
 
-// init makes avx2 the active set where the CPU and the OS support it. It
-// runs once, before any product, so every Gemm in the process (and every
-// band of every Gemm) uses the same kernels; see the determinism contract
-// in gemm_blocked.go.
-func init() {
+// avx512 is avx2 with its two training-only kernels on 16-lane ZMM
+// registers (gemm_avx512_amd64.s): the conv weight gradient's gather-A
+// kernel and the gathered dX route's gather-sum kernel, each on 8x16
+// tiles — two row quads per call, eight accumulator chains, on avx2's
+// 16-lane dTopᵀ panels and 8-lane dX groups — so mb is 8. Each lane's
+// chain is avx2's, FMA for FMA, so the set writes avx2's bits. Everything
+// else is avx2's: nr, gw, the forward and GEMM micro-kernels, the packers,
+// the writebacks and the loops outside the GEMM, so a forward pass runs
+// the same code under either set.
+var avx512 = func() kernels {
+	ks := avx2
+	ks.name, ks.mb = "avx512", gemmMBMax
+	ks.gatherAKernel, ks.gatherSumKernel = gatherAKernelAVX8x16, gatherSumKernelAVX8x16
+	return ks
+}()
+
+// hostSets lists the kernel sets this host runs, best last: portable, then
+// avx2 where the CPU and the OS support AVX2+FMA, then avx512 where they
+// support AVX-512F too.
+func hostSets() []kernels {
+	sets := []kernels{portable}
 	if hasAVX2FMA() {
-		active = avx2
+		sets = append(sets, avx2)
 	}
+	if hasAVX512F() {
+		sets = append(sets, avx512)
+	}
+	return sets
+}
+
+// init makes the best set the host runs active. It runs once, before any
+// product, so every Gemm in the process (and every band of every Gemm)
+// uses the same kernels; see the determinism contract in gemm_blocked.go.
+// The choice is the CPU's alone.
+func init() {
+	sets := hostSets()
+	active = sets[len(sets)-1]
 }
 
 // cpuidAsm executes CPUID with the given EAX/ECX inputs.
@@ -58,13 +87,29 @@ func hasAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
+// hasAVX512F reports whether both the CPU and the OS support the avx512
+// set: the avx2 set's AVX2+FMA, AVX-512F from CPUID.7:EBX, and the opmask,
+// upper-ZMM and high-ZMM state enabled in XCR0 (bits 5-7) beside the XMM
+// and YMM state (bits 1-2).
+func hasAVX512F() bool {
+	if !hasAVX2FMA() {
+		return false
+	}
+	if xcr0, _ := xgetbvAsm(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuidAsm(7, 0)
+	const avx512f = 1 << 16
+	return ebx7&avx512f != 0
+}
+
 // sgemmKernel4x16 (assembly) accumulates a 4x16 micro-tile:
 // acc[i*16+j] = sum over l of ap[l*4+i] * bp[l*16+j], for kc > 0.
 //
 //go:noescape
-func sgemmKernel4x16(ap, bp *float32, kc int, acc *[gemmMR * gemmNRMax]float32)
+func sgemmKernel4x16(ap, bp *float32, kc int, acc *[gemmMBMax * gemmNRMax]float32)
 
-func microKernelAVX4x16(ap, bp []float32, kc int, acc *[gemmMR * gemmNRMax]float32) {
+func microKernelAVX4x16(ap, bp []float32, kc int, acc *[gemmMBMax * gemmNRMax]float32) {
 	sgemmKernel4x16(&ap[0], &bp[0], kc, acc)
 }
 
@@ -74,9 +119,9 @@ func microKernelAVX4x16(ap, bp []float32, kc int, acc *[gemmMR * gemmNRMax]float
 // off[l]+8 is inside both.
 //
 //go:noescape
-func sgemmGather4x16(ap, b0, b1 *float32, off *int32, kc int, acc *[gemmMR * gemmNRMax]float32)
+func sgemmGather4x16(ap, b0, b1 *float32, off *int32, kc int, acc *[gemmMBMax * gemmNRMax]float32)
 
-func gatherKernelAVX4x16(ap, p []float32, b0, b1 int, off []int32, acc *[gemmMR * gemmNRMax]float32) {
+func gatherKernelAVX4x16(ap, p []float32, b0, b1 int, off []int32, acc *[gemmMBMax * gemmNRMax]float32) {
 	sgemmGather4x16(&ap[0], &p[b0], &p[b1], &off[0], len(off), acc)
 }
 
@@ -87,9 +132,9 @@ func gatherKernelAVX4x16(ap, p []float32, b0, b1 int, off []int32, acc *[gemmMR 
 // shifts[q]+off[l]+8 is inside both B bases' buffer.
 //
 //go:noescape
-func sgemmGatherSum4x16(ap, b0, b1 *float32, off *int32, kc int, shifts *int32, npos int, acc *[gemmMR * gemmNRMax]float32)
+func sgemmGatherSum4x16(ap, b0, b1 *float32, off *int32, kc int, shifts *int32, npos int, acc *[gemmMBMax * gemmNRMax]float32)
 
-func gatherSumKernelAVX4x16(ap, p []float32, b0, b1 int, off, shifts []int32, acc *[gemmMR * gemmNRMax]float32) {
+func gatherSumKernelAVX4x16(ap, p []float32, b0, b1 int, off, shifts []int32, acc *[gemmMBMax * gemmNRMax]float32) {
 	_ = ap[gemmMR*len(off)*len(shifts)-1]
 	sgemmGatherSum4x16(&ap[0], &p[b0], &p[b1], &off[0], len(off), &shifts[0], len(shifts), acc)
 }
@@ -100,11 +145,42 @@ func gatherSumKernelAVX4x16(ap, p []float32, b0, b1 int, off, shifts []int32, ac
 // image.
 //
 //go:noescape
-func sgemmGatherA4x16(a0, a1, a2, a3 *float32, steps *int32, bp *float32, kc int, acc *[gemmMR * gemmNRMax]float32)
+func sgemmGatherA4x16(a0, a1, a2, a3 *float32, steps *int32, bp *float32, kc int, acc *[gemmMBMax * gemmNRMax]float32)
 
-func gatherAKernelAVX4x16(p []float32, rows [gemmMR]int32, steps []int32, bp []float32, acc *[gemmMR * gemmNRMax]float32) {
+func gatherAKernelAVX4x16(p []float32, rows [gemmMBMax]int32, steps []int32, bp []float32, acc *[gemmMBMax * gemmNRMax]float32) {
 	_ = bp[16*len(steps)-1]
 	sgemmGatherA4x16(&p[rows[0]], &p[rows[1]], &p[rows[2]], &p[rows[3]], &steps[0], &bp[0], len(steps), acc)
+}
+
+// sgemmGatherA8x16 (assembly) is sgemmGatherA4x16 on eight rows, a0-a7,
+// in ZMM registers.
+//
+//go:noescape
+func sgemmGatherA8x16(a0, a1, a2, a3, a4, a5, a6, a7 *float32, steps *int32, bp *float32, kc int, acc *[gemmMBMax * gemmNRMax]float32)
+
+func gatherAKernelAVX8x16(p []float32, rows [gemmMBMax]int32, steps []int32, bp []float32, acc *[gemmMBMax * gemmNRMax]float32) {
+	_ = bp[16*len(steps)-1]
+	sgemmGatherA8x16(&p[rows[0]], &p[rows[1]], &p[rows[2]], &p[rows[3]], &p[rows[4]], &p[rows[5]], &p[rows[6]], &p[rows[7]],
+		&steps[0], &bp[0], len(steps), acc)
+}
+
+// sgemmGatherSum8x16 (assembly) is sgemmGatherSum4x16 on two row quads in
+// ZMM registers, the second quad's panels 4*kc*npos floats past the
+// first's. The caller vouches for the B reads as for sgemmGatherSum4x16.
+//
+//go:noescape
+func sgemmGatherSum8x16(ap, b0, b1 *float32, off *int32, kc int, shifts *int32, npos int, acc *[gemmMBMax * gemmNRMax]float32)
+
+// gatherSumKernelAVX8x16 runs a tile of one quad — the last of a channel
+// range that is not a multiple of eight — on avx2's kernel, which computes
+// the same lanes.
+func gatherSumKernelAVX8x16(ap, p []float32, b0, b1 int, off, shifts []int32, acc *[gemmMBMax * gemmNRMax]float32) {
+	panels := gemmMR * len(off) * len(shifts)
+	if len(ap) < 2*panels {
+		gatherSumKernelAVX4x16(ap, p, b0, b1, off, shifts, acc)
+		return
+	}
+	sgemmGatherSum8x16(&ap[0], &p[b0], &p[b1], &off[0], len(off), &shifts[0], len(shifts), acc)
 }
 
 // maxPool8AVX2 (assembly) is MaxPoolWindows for eight windows, one per

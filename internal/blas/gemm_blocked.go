@@ -51,7 +51,10 @@ import (
 // convolution's bordered image or dTop (conv.go): gatherKernel its B rows,
 // gatherAKernel its A rows, and gatherSumKernel (the avx2 set's
 // sgemmGatherSum4x16) its B rows once per kernel position at that
-// position's shift, summing the positions' chains in the tile. packA,
+// position's shift, summing the positions' chains in the tile. The avx512
+// set (gemm_amd64.go), active where the host adds AVX-512F, is avx2 with
+// its two training-only kernels, gatherAKernel and gatherSumKernel, on
+// 8x16 ZMM tiles: every forward product runs avx2's code. packA,
 // packB, writebackTile and writebackTileT hand the active
 // set's vector routines what they cover and run their own Go loops on the
 // rest — ragged panels, rows and tiles, the depth steps past the last
@@ -88,8 +91,12 @@ import (
 // TestBlockedGemmBandInvariance and the engines' bit-identity tests pin
 // down.
 const (
-	// gemmMR is the micro-tile height shared by every kernel set.
+	// gemmMR is the micro-tile height shared by every kernel set: the
+	// forward tiles', the packed A panels' and the writebacks' row quad.
 	gemmMR = 4
+	// gemmMBMax bounds the height of a set's backward tiles (mb, below):
+	// the gather-A and gather-sum kernels may compute two row quads at once.
+	gemmMBMax = 2 * gemmMR
 	// gemmNRMax bounds the micro-tile width across kernels; the
 	// writeback accumulator buffer is sized for it.
 	gemmNRMax = 16
@@ -112,39 +119,47 @@ const (
 // kernels is one instruction set's kernel set: the micro-kernels, the tile
 // they compute, the data movement written for them, and the three loops
 // outside the GEMM that have a vector form. One value exists per ISA —
-// portable below, avx2 in gemm_amd64.go — and active is the one every call
-// runs: chosen once, at package init, and never changed afterwards
-// (tests aside), so every product in the process (and every band of every
-// product) runs the same kernels — see the determinism contract above.
+// portable below, avx2 and avx512 in gemm_amd64.go — and active is the
+// one every call runs: chosen once, at package init, and never changed
+// afterwards (tests aside), so every product in the process (and every
+// band of every product) runs the same kernels — see the determinism
+// contract above.
 // Code reads a set's fields straight from active, a package variable at a
 // fixed address, so a field costs a tile loop one load, as a plain
 // package variable would.
 type kernels struct {
 	name string
 	// nr is the micro-tile width, gw the width of one lane group of a
-	// gathered B tile (nr/gw groups to a tile); both are the kernels'.
-	nr, gw int
+	// gathered B tile (nr/gw groups to a tile); both are the kernels'. mb
+	// is the height of the two backward kernels' tiles, gatherAKernel's and
+	// gatherSumKernel's: gemmMR, or gemmMBMax where they take two row quads
+	// per call. Every other tile is gemmMR rows.
+	nr, gw, mb int
 	// microKernel accumulates a gemmMR x nr product tile of the packed
 	// panels ap and bp into acc (row stride nr) without touching C.
-	microKernel func(ap, bp []float32, kc int, acc *[gemmMR * gemmNRMax]float32)
+	microKernel func(ap, bp []float32, kc int, acc *[gemmMBMax * gemmNRMax]float32)
 	// gatherKernel is microKernel reading its B rows in place (see gatherB
 	// in conv.go): step l takes each gw-lane group of the tile from
 	// p[b+off[l]:], b0 for the first group and b1 for the second (a tile of
 	// one group ignores b1). Same accumulators, same order, so a lane ends
 	// up with what the packed kernel would compute from a panel holding the
 	// same values.
-	gatherKernel func(ap, p []float32, b0, b1 int, off []int32, acc *[gemmMR * gemmNRMax]float32)
+	gatherKernel func(ap, p []float32, b0, b1 int, off []int32, acc *[gemmMBMax * gemmNRMax]float32)
 	// gatherAKernel reads its A rows in place instead (see gatherA in
-	// conv.go): step l takes row i of the tile from p[rows[i]+steps[l]] and
-	// the B row from the packed panel bp, as microKernel does.
-	gatherAKernel func(p []float32, rows [gemmMR]int32, steps []int32, bp []float32, acc *[gemmMR * gemmNRMax]float32)
+	// conv.go): step l takes row i of the mb-row tile from
+	// p[rows[i]+steps[l]] and the B row from the packed panel bp, as
+	// microKernel does.
+	gatherAKernel func(p []float32, rows [gemmMBMax]int32, steps []int32, bp []float32, acc *[gemmMBMax * gemmNRMax]float32)
 	// gatherSumKernel is gatherKernel once per shift, summed (the gathered
 	// dX route, conv.go): for each shifts[q] in order it runs the K =
 	// len(off) chain of ap's q-th panel (ap[q*gemmMR*len(off):]) against
 	// B rows read at p[b+shifts[q]+off[l]:] into zeroed accumulators, and
 	// adds the result into a tile sum that starts at +0, the sum the first
-	// operand of each add. acc receives the sum.
-	gatherSumKernel func(ap, p []float32, b0, b1 int, off, shifts []int32, acc *[gemmMR * gemmNRMax]float32)
+	// operand of each add. acc receives the sum. An mb-row tile reads its
+	// second quad's panels one quad's panels on (ap[panels:], panels =
+	// gemmMR*len(off)*len(shifts)); an ap shorter than two quads' panels
+	// is a tile of one quad.
+	gatherSumKernel func(ap, p []float32, b0, b1 int, off, shifts []int32, acc *[gemmMBMax * gemmNRMax]float32)
 
 	// The vector data movement; nil in a set that has none, and then the
 	// Go loops of packA, packB, writebackTile and writebackTileT do all of
@@ -191,7 +206,7 @@ type kernels struct {
 // portable is the set every host can run: the 4x4 Go micro-kernels, whose
 // tile is a single 4-lane group, and Go loops for everything else.
 var portable = kernels{
-	name: "portable", nr: 4, gw: 4,
+	name: "portable", nr: 4, gw: 4, mb: gemmMR,
 	microKernel: microKernelScalar4x4, gatherKernel: gatherKernelScalar4x4, gatherAKernel: gatherAKernelScalar4x4, gatherSumKernel: gatherSumKernelScalar4x4,
 	addRuns: addRunsGo, normals: normalsGo,
 }
@@ -199,6 +214,10 @@ var portable = kernels{
 // active is the kernel set in use: portable unless init picks a set the
 // host has (gemm_amd64.go).
 var active = portable
+
+// KernelSet names the kernel set every product of this process runs on:
+// "portable", "avx2" or "avx512", chosen by the CPU at start-up.
+func KernelSet() string { return active.name }
 
 // GemmScratch holds the packing buffers of the blocked kernel so callers
 // sitting in a hot loop (one Gemm per sample inside a coarse-grain batch
@@ -232,8 +251,9 @@ type GemmScratch struct {
 	// than on gemmBlocked's stack because the kernel is called through a
 	// function value (the active set's microKernel), which defeats escape
 	// analysis and would heap-allocate the tile on every call — one GC
-	// object per GEMM on the serving hot path.
-	acc [gemmMR * gemmNRMax]float32
+	// object per GEMM on the serving hot path. It holds the tallest tile of
+	// any set, mb rows of nr lanes.
+	acc [gemmMBMax * gemmNRMax]float32
 }
 
 func (s *GemmScratch) ensure(apLen, bpLen int) {
@@ -314,8 +334,9 @@ type gemmOp struct {
 	b              []float32 // nil: the panels packBAhead left in the scratch
 	ldb            int
 	// gatherA non-nil: a is a bordered image and op(A) is read from it in
-	// place by the gather-A kernel; nothing is packed and transA, lda are
-	// unused.
+	// place by the gather-A kernel; nothing is packed, transA and lda are
+	// unused, and C must be stored transposed (transC): gatherATiles
+	// writes no other layout.
 	gatherA *gatherA
 	// gather non-nil: b is a bordered image and op(B) is read from it in
 	// place by the gather kernel; nothing is packed and transB, ldb are
@@ -450,13 +471,13 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 					} else {
 						bpPanel = bp[(jr/nr)*kc*nr:]
 					}
+					if op.gatherA != nil {
+						s.gatherATiles(op, bpPanel, ic, mc, pc, kc, jc+jr, nrr, firstK)
+						continue
+					}
 					for ir := 0; ir < mc; ir += gemmMR {
 						mrr := min(gemmMR, mc-ir)
-						if op.gatherA != nil {
-							active.gatherAKernel(op.a, tileRows(op.gatherA.rows[ic+ir:ic+ir+mrr]), op.gatherA.steps[pc:pc+kc], bpPanel, acc)
-						} else {
-							active.microKernel(ap[ir*kc:], bpPanel, kc, acc)
-						}
+						active.microKernel(ap[ir*kc:], bpPanel, kc, acc)
 						if op.transC {
 							writebackTileT(acc[:], nr, op.alpha, op.beta, firstK, op.c[(jc+jr)*op.ldc+ic+ir:], op.ldc, mrr, nrr)
 							continue
@@ -470,6 +491,24 @@ func gemmBlocked(s *GemmScratch, op *gemmOp, rowLo, rowHi int) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// gatherATiles is gemmBlocked's row loop for a gathered op(A) against one
+// packed B panel (columns [col, col+nrr) of the product): tiles of the
+// set's backward height mb, mc rows from row ic, each written back into
+// the transposed C one gemmMR-row quad at a time — the writebacks every
+// set shares, so the tile height never reaches C.
+func (s *GemmScratch) gatherATiles(op *gemmOp, bp []float32, ic, mc, pc, kc, col, nrr int, firstK bool) {
+	rows, steps := op.gatherA.rows[ic:ic+mc], op.gatherA.steps[pc:pc+kc]
+	nr, mb := active.nr, active.mb
+	acc := &s.acc
+	for ir := 0; ir < mc; ir += mb {
+		mrr := min(mb, mc-ir)
+		active.gatherAKernel(op.a, tileRows(rows[ir:ir+mrr]), steps, bp, acc)
+		for q := 0; q < mrr; q += gemmMR {
+			writebackTileT(acc[q*nr:], nr, op.alpha, op.beta, firstK, op.c[col*op.ldc+ic+ir+q:], op.ldc, min(gemmMR, mrr-q), nrr)
 		}
 	}
 }
@@ -741,7 +780,7 @@ func packB(dst []float32, transB Transpose, b []float32, ldb, pc, kc, jc, nc int
 // a 4x4 tile held in 16 register accumulators, 8 contiguous float32
 // loads per 32 flops. acc receives the tile with row stride 4, the
 // portable set's nr.
-func microKernelScalar4x4(ap, bp []float32, kc int, acc *[gemmMR * gemmNRMax]float32) {
+func microKernelScalar4x4(ap, bp []float32, kc int, acc *[gemmMBMax * gemmNRMax]float32) {
 	var c00, c01, c02, c03 float32
 	var c10, c11, c12, c13 float32
 	var c20, c21, c22, c23 float32
@@ -780,7 +819,7 @@ func microKernelScalar4x4(ap, bp []float32, kc int, acc *[gemmMR * gemmNRMax]flo
 // read in place at p[base+off[l]:]: one 4-lane group per tile, so b1 is
 // unused. The accumulation is the packed kernel's, expression for
 // expression.
-func gatherKernelScalar4x4(ap, p []float32, base, _ int, off []int32, acc *[gemmMR * gemmNRMax]float32) {
+func gatherKernelScalar4x4(ap, p []float32, base, _ int, off []int32, acc *[gemmMBMax * gemmNRMax]float32) {
 	var c00, c01, c02, c03 float32
 	var c10, c11, c12, c13 float32
 	var c20, c21, c22, c23 float32
@@ -819,7 +858,7 @@ func gatherKernelScalar4x4(ap, p []float32, base, _ int, off []int32, acc *[gemm
 // panel read in place at p[rows[i]+steps[l]]. The accumulation is the
 // packed kernel's, expression for expression; a product of an A and a B
 // float is the same float in either order.
-func gatherAKernelScalar4x4(p []float32, rows [gemmMR]int32, steps []int32, bp []float32, acc *[gemmMR * gemmNRMax]float32) {
+func gatherAKernelScalar4x4(p []float32, rows [gemmMBMax]int32, steps []int32, bp []float32, acc *[gemmMBMax * gemmNRMax]float32) {
 	var c00, c01, c02, c03 float32
 	var c10, c11, c12, c13 float32
 	var c20, c21, c22, c23 float32
@@ -856,7 +895,7 @@ func gatherAKernelScalar4x4(p []float32, rows [gemmMR]int32, steps []int32, bp [
 // gatherSumKernelScalar4x4 is the portable gatherSumKernel: the 4x4
 // gather kernel once per shift (one lane group per tile, so b1 is unused),
 // each tile added into the sum lane by lane.
-func gatherSumKernelScalar4x4(ap, p []float32, b, _ int, off, shifts []int32, acc *[gemmMR * gemmNRMax]float32) {
+func gatherSumKernelScalar4x4(ap, p []float32, b, _ int, off, shifts []int32, acc *[gemmMBMax * gemmNRMax]float32) {
 	var sum [gemmMR * 4]float32
 	panel := gemmMR * len(off)
 	for q, sh := range shifts {
@@ -868,10 +907,10 @@ func gatherSumKernelScalar4x4(ap, p []float32, b, _ int, off, shifts []int32, ac
 	copy(acc[:], sum[:])
 }
 
-// tileRows returns the row bases of a gathered A tile of 1-4 rows; a
-// ragged tile repeats its last row in the rows it lacks, which the kernel
-// computes and the writeback drops.
-func tileRows(rows []int32) (r [gemmMR]int32) {
+// tileRows returns the row bases of a gathered A tile of 1-gemmMBMax rows;
+// a ragged tile repeats its last row in the rows it lacks, which the
+// kernel computes and the writeback drops.
+func tileRows(rows []int32) (r [gemmMBMax]int32) {
 	for i := range r {
 		r[i] = rows[min(i, len(rows)-1)]
 	}

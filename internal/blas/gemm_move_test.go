@@ -15,13 +15,18 @@ func withKernels(ks kernels, f func()) {
 	f()
 }
 
-// kernelSets lists the kernel sets this host runs: portable and, where
-// init chose another, that one and its goMovement copy.
+// kernelSets lists every kernel set this host runs (hostSets: portable,
+// and avx2 and avx512 where the host has them, whichever init made
+// active), each vector set followed by its goMovement copy.
 func kernelSets() []kernels {
-	if active.name == portable.name {
-		return []kernels{portable}
+	var sets []kernels
+	for _, ks := range hostSets() {
+		sets = append(sets, ks)
+		if ks.writeback != nil {
+			sets = append(sets, goMovement(ks))
+		}
 	}
-	return []kernels{portable, active, goMovement(active)}
+	return sets
 }
 
 // goMovement is ks with its vector data movement cleared: ks's

@@ -102,8 +102,13 @@ func Run(c Config, out io.Writer) error {
 // parsed here, not per rank per rebuild) and loads the global sample
 // stream the size ranks shard. The sample count is rounded up to a whole
 // number of global batches so shard epochs align (a data.NewShard
-// requirement).
+// requirement). A fan-out below 1 is refused here, before any rank
+// starts: the banner would print the tree's clamp to 1 while the ranks
+// trained on dist's default of 2.
 func (c Config) load(size int, out io.Writer) (*zoo.Model, error) {
+	if c.Fanout < 1 {
+		return nil, fmt.Errorf("-fanout %d: the reduction tree needs a fan-out of at least 1", c.Fanout)
+	}
 	m, err := zoo.Resolve(c.Ref)
 	if err != nil {
 		return nil, err

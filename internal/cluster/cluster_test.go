@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -195,6 +196,27 @@ func TestChaosNeedsSupervisedRun(t *testing.T) {
 	c.ChaosMode, c.ChaosRank, c.ChaosIter = "crash", 2, 2
 	if _, err := RunGroup(c, logWriter{t}); err == nil || !strings.Contains(err.Error(), "supervised") {
 		t.Fatalf("rigid run accepted a chaos drill: %v", err)
+	}
+}
+
+// A fan-out below 1 is refused before any rank starts, in every mode that
+// loads the model, and the error names the flag; 1 is a chain and runs.
+func TestFanoutBelowOneRefused(t *testing.T) {
+	for _, tc := range []struct {
+		fanout  int
+		predict bool
+	}{{0, false}, {-1, false}, {-3, true}, {0, true}} {
+		c := testConfig()
+		c.Fanout, c.Predict = tc.fanout, tc.predict
+		err := Run(c, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-fanout") {
+			t.Errorf("fanout %d (predict %v): got %v, want an error naming -fanout", tc.fanout, tc.predict, err)
+		}
+	}
+	c := testConfig()
+	c.Fanout, c.Iters = 1, 1
+	if _, err := RunGroup(c, io.Discard); err != nil {
+		t.Errorf("fanout 1: %v", err)
 	}
 }
 

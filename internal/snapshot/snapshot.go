@@ -131,38 +131,52 @@ func writeSections(w io.Writer, secs []section) error {
 }
 
 // readSectionBody parses one section (everything but the checksum) from r.
+// Its errors name what was being read; readSections adds which section.
+// The returned section carries its name from the moment it has been read,
+// error or not.
 func readSectionBody(r io.Reader) (section, error) {
 	var s section
 	var nameLen uint16
 	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-		return s, err
+		return s, fmt.Errorf("reading name length: %w", err)
 	}
 	nameBuf := make([]byte, nameLen)
 	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return s, err
+		return s, fmt.Errorf("reading name: %w", err)
 	}
+	s.name = string(nameBuf)
 	var rank [1]byte
 	if _, err := io.ReadFull(r, rank[:]); err != nil {
-		return s, err
+		return s, fmt.Errorf("reading rank: %w", err)
 	}
 	shape := make([]int, rank[0])
 	total := 1
 	for j := range shape {
 		var d uint32
 		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-			return s, err
+			return s, fmt.Errorf("reading shape: %w", err)
 		}
 		if d > 1<<28 {
-			return s, fmt.Errorf("snapshot: dimension %d too large", d)
+			return s, fmt.Errorf("dimension %d too large", d)
 		}
 		shape[j] = int(d)
 		total *= int(d)
 	}
 	data := make([]float32, total)
 	if err := binary.Read(r, binary.LittleEndian, data); err != nil {
-		return s, fmt.Errorf("snapshot: reading %q payload: %w", nameBuf, err)
+		return s, fmt.Errorf("reading payload: %w", err)
 	}
-	return section{name: string(nameBuf), shape: shape, data: data}, nil
+	s.shape, s.data = shape, data
+	return s, nil
+}
+
+// sectionError says which section of the file err is about: its index,
+// and its name once that has been read.
+func sectionError(i uint32, name string, err error) error {
+	if name == "" {
+		return fmt.Errorf("snapshot: section %d: %w", i, err)
+	}
+	return fmt.Errorf("snapshot: section %d (%q): %w", i, name, err)
 }
 
 func readSections(r io.Reader) ([]section, error) {
@@ -176,14 +190,14 @@ func readSections(r io.Reader) ([]section, error) {
 	}
 	v, err := br.ReadByte()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("snapshot: reading version: %w", err)
 	}
 	if v != version1 && v != version2 {
 		return nil, fmt.Errorf("snapshot: unsupported version %d", v)
 	}
 	var count uint32
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("snapshot: reading section count: %w", err)
 	}
 	if count > 1<<20 {
 		return nil, fmt.Errorf("snapshot: implausible section count %d", count)
@@ -193,7 +207,7 @@ func readSections(r io.Reader) ([]section, error) {
 		if v == version1 {
 			s, err := readSectionBody(br)
 			if err != nil {
-				return nil, err
+				return nil, sectionError(i, s.name, err)
 			}
 			secs = append(secs, s)
 			continue
@@ -201,16 +215,15 @@ func readSections(r io.Reader) ([]section, error) {
 		cr := &crcReader{r: br, crc: crc32.NewIEEE()}
 		s, err := readSectionBody(cr)
 		if err != nil {
-			return nil, err
+			return nil, sectionError(i, s.name, err)
 		}
 		sum := cr.crc.Sum32()
 		var stored uint32
 		if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("snapshot: reading %q checksum: %w", s.name, err)
+			return nil, sectionError(i, s.name, fmt.Errorf("reading checksum: %w", err))
 		}
 		if sum != stored {
-			return nil, fmt.Errorf("snapshot: section %q checksum mismatch (stored %08x, computed %08x): file is corrupt",
-				s.name, stored, sum)
+			return nil, sectionError(i, s.name, fmt.Errorf("checksum mismatch (stored %08x, computed %08x): file is corrupt", stored, sum))
 		}
 		secs = append(secs, s)
 	}
@@ -372,14 +385,24 @@ func LoadNet(r io.Reader, n *net.Net) error {
 	return nil
 }
 
-// LoadNetFile restores parameters from a file written by SaveNet.
+// LoadNetFile restores parameters from a file written by SaveNet. Its
+// errors name the file.
 func LoadNetFile(path string, n *net.Net) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return LoadNet(f, n)
+	return inFile(path, LoadNet(f, n))
+}
+
+// inFile prefixes a load error with the file it came from; os.Open's own
+// errors already name it.
+func inFile(path string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%s: %w", path, err)
 }
 
 // solver state is stored as extra sections with reserved names.
@@ -473,7 +496,7 @@ func PeekSolverIter(path string) (int, error) {
 	defer f.Close()
 	secs, err := readSections(f)
 	if err != nil {
-		return 0, err
+		return 0, inFile(path, err)
 	}
 	for _, sec := range secs {
 		if sec.name == iterSection && len(sec.data) == 1 {
@@ -484,12 +507,12 @@ func PeekSolverIter(path string) (int, error) {
 }
 
 // LoadSolverFile restores solver state from a file written by
-// SaveSolverFile.
+// SaveSolverFile. Its errors name the file.
 func LoadSolverFile(path string, s *solver.Solver) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return LoadSolver(f, s)
+	return inFile(path, LoadSolver(f, s))
 }

@@ -200,6 +200,61 @@ func TestSolverFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTruncatedFileErrorsNameFileAndSection cuts a solver snapshot at
+// several points — inside the magic, the header, the first section's
+// header and its payload, half way (which falls between two sections, the
+// cut that once failed with a bare "EOF") and inside the last checksum —
+// and requires
+// every file-level load to fail with an error that names the file, and,
+// past the header, the section it stopped in, by index and, once read, by
+// name: a resume of a torn checkpoint must not end in a bare "EOF".
+func TestTruncatedFileErrorsNameFileAndSection(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.cgdnn")
+	n := buildNet(t, 8)
+	s, err := solver.New(zoo.LeNetSolver(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSolverFile(full, s); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []struct {
+		at      int
+		section string // a substring the error must hold; "" for a header cut
+	}{
+		{3, ""},
+		{8, ""},
+		{12, "section 0"},
+		{500, `section 0 ("conv1[0]"): reading payload`},
+		{len(whole) / 2, `section `},
+		{len(whole) - 2, `section `},
+	} {
+		path := filepath.Join(dir, "cut.cgdnn")
+		if err := os.WriteFile(path, whole[:cut.at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, peekErr := PeekSolverIter(path)
+		for what, err := range map[string]error{
+			"LoadSolverFile": LoadSolverFile(path, s),
+			"LoadNetFile":    LoadNetFile(path, n),
+			"PeekSolverIter": peekErr,
+		} {
+			if err == nil {
+				t.Fatalf("%s of a file cut to %d of %d bytes succeeded", what, cut.at, len(whole))
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, path) || !strings.Contains(msg, cut.section) {
+				t.Errorf("%s, cut at %d of %d bytes: %q names neither the file nor %q", what, cut.at, len(whole), msg, cut.section)
+			}
+		}
+	}
+}
+
 func TestPeekSolverIterReadsWithoutASolver(t *testing.T) {
 	// PeekSolverIter is what a resuming rank calls before it has built
 	// anything: the iteration decides the data-cursor skip and the

@@ -210,8 +210,13 @@ go test -count=1 ./internal/faultinject ./internal/snapshot
 echo "== trace smoke: layerprof -trace | tracecheck =="
 go build -o "$tmpdir/layerprof" ./cmd/layerprof
 go build -o "$tmpdir/tracecheck" ./cmd/tracecheck
-"$tmpdir/layerprof" -zoo lenet -workers 2 -iters 2 -batch 4 -samples 8 -trace "$tmpdir/out.json" >/dev/null
+"$tmpdir/layerprof" -zoo lenet -workers 2 -iters 2 -batch 4 -samples 8 -trace "$tmpdir/out.json" >"$tmpdir/prof.txt"
 "$tmpdir/tracecheck" "$tmpdir/out.json"
+
+echo "== kernel set: the CPU's choice (portable, avx2 or avx512), which every pin below must hold on =="
+kernels=$(sed -n 's/^engine .*, \(kernels [a-z0-9]*\)$/\1/p' "$tmpdir/prof.txt")
+[ -n "$kernels" ] || { echo "FAIL: layerprof's header names no kernel set" >&2; cat "$tmpdir/prof.txt" >&2; exit 1; }
+echo "$kernels"
 
 echo "== engine grid: {sequential, coarse/2, fine/2} x {direct, lowered} conv, one loss per kernel =="
 # The grid updates no weights and every engine's forward pass is
