@@ -23,8 +23,8 @@
 // -samples 0, the default, means 32 global batches. Gradients are
 // reduced by one route: each slice owner folds the k contributions in
 // rank order, and the reduction tree (-fanout) gathers the result to
-// rank 0 and broadcasts the new weights. So a k-rank run — local or TCP, any -fanout, even
-// with -flaky-* faults injected — produces the same snapshot bytes as
+// rank 0 and broadcasts the new weights. So a k-rank run — local or TCP,
+// any -fanout — produces the same snapshot bytes as
 // the in-process ordered fold over k shards (the determinism contract
 // tested in internal/dist and internal/cluster). -grad-wire f16|int8
 // compresses the gradient contributions on the wire; each format is
@@ -53,6 +53,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"coarsegrain/internal/cluster"
@@ -60,40 +61,47 @@ import (
 )
 
 func main() {
-	c := cluster.Config{Ref: zoo.Ref{Zoo: "lenet", Seed: 1}}
-	c.BindFlags(flag.CommandLine, true, true)
-	flag.StringVar(&c.Role, "role", "local", "local | coordinator | worker")
-	flag.IntVar(&c.Replicas, "replicas", 2, "total rank count (local and coordinator roles)")
-	flag.IntVar(&c.Fanout, "fanout", 2, "reduction tree fan-out")
-	flag.StringVar(&c.GradWire, "grad-wire", "f32", "gradient wire format: f32 | f16 | int8 (lossy formats use error feedback)")
-	flag.IntVar(&c.Iters, "iters", 100, "training iterations")
-	flag.IntVar(&c.Display, "display", 20, "print loss every N iterations (root only)")
-	flag.IntVar(&c.Workers, "workers", 1, "per-rank coarse engine worker count (1: each rank runs sequentially)")
-	flag.StringVar(&c.Addr, "addr", "", "coordinator: listen address (default 127.0.0.1:0); worker: coordinator address")
-	flag.StringVar(&c.AddrFile, "addr-file", "", "coordinator: write rendezvous address here; worker: read it from here")
-	flag.StringVar(&c.Snapshot, "snapshot", "", "root: write the final solver snapshot here (dnntrain-compatible)")
-	flag.StringVar(&c.Trace, "trace", "", "write a Chrome trace-event JSON of this rank's run here")
-	flag.StringVar(&c.Resume, "resume", "", "resume from this solver snapshot (-iters is the absolute target iteration)")
-	flag.IntVar(&c.MinRanks, "min-ranks", 0, "abort rather than shrink the group below this many ranks (default: the group size — a rigid run; lower it to run supervised and survive dead ranks)")
-	flag.BoolVar(&c.Rejoin, "rejoin", false, "supervised: evicted ranks wait to rejoin instead of exiting")
-	flag.DurationVar(&c.IterDeadline, "iter-deadline", 0, "supervised: evict the straggler when an iteration takes longer than this (0 disables)")
-	flag.StringVar(&c.FenceDir, "fence-dir", "", "supervised: fence checkpoint directory (required on rank 0)")
-	flag.DurationVar(&c.Heartbeat, "heartbeat", 0, "supervised: coordinator ping period (default 20ms)")
-	flag.DurationVar(&c.PeerTimeout, "peer-timeout", 0, "supervised: silence after which a member is declared dead (default 10 heartbeats)")
-	flag.StringVar(&c.ChaosMode, "chaos-mode", "none", "inject a cluster failure into a supervised run: none | crash | hang | partition | straggle")
-	flag.IntVar(&c.ChaosRank, "chaos-rank", -1, "chaos victim rank (-1: seeded choice, never rank 0)")
-	flag.IntVar(&c.ChaosIter, "chaos-iter", -1, "chaos trigger iteration (-1: seeded choice)")
-	flag.DurationVar(&c.ChaosDelay, "chaos-delay", 0, "straggle: injected per-iteration delay (default 250ms)")
-	flag.Uint64Var(&c.ChaosSeed, "chaos-seed", 1, "seed for the unset -chaos-* choices")
-	flag.Float64Var(&c.FlakyDrop, "flaky-drop", 0, "inject send drops with this probability (deterministic per -flaky-seed)")
-	flag.Float64Var(&c.FlakyDup, "flaky-dup", 0, "inject duplicate sends with this probability")
-	flag.Float64Var(&c.FlakyDelay, "flaky-delay", 0, "inject send delays with this probability")
-	flag.Uint64Var(&c.FlakySeed, "flaky-seed", 1, "fault-injection seed (offset by rank)")
-	flag.BoolVar(&c.Predict, "predict", false, "run the simtime cluster model vs measured in-process scaling, then exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := cluster.Run(c, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "dnncluster:", err)
-		os.Exit(1)
+// run is the command: it parses args, runs the invocation they describe
+// and returns the exit status — 2 for a flag error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cluster.Config{Ref: zoo.Ref{Zoo: "lenet", Seed: 1}}
+	fs := flag.NewFlagSet("dnncluster", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c.BindFlags(fs, true, true)
+	fs.StringVar(&c.Role, "role", "local", "local | coordinator | worker")
+	fs.IntVar(&c.Replicas, "replicas", 2, "total rank count (local and coordinator roles)")
+	fs.IntVar(&c.Fanout, "fanout", 2, "reduction tree fan-out")
+	fs.StringVar(&c.GradWire, "grad-wire", "f32", "gradient wire format: f32 | f16 | int8 (lossy formats use error feedback)")
+	fs.IntVar(&c.Iters, "iters", 100, "training iterations")
+	fs.IntVar(&c.Display, "display", 20, "print loss every N iterations (root only)")
+	fs.IntVar(&c.Workers, "workers", 1, "per-rank coarse engine worker count (1: each rank runs sequentially)")
+	fs.StringVar(&c.Addr, "addr", "", "coordinator: listen address (default 127.0.0.1:0); worker: coordinator address")
+	fs.StringVar(&c.AddrFile, "addr-file", "", "coordinator: write rendezvous address here; worker: read it from here")
+	fs.StringVar(&c.Snapshot, "snapshot", "", "root: write the final solver snapshot here (dnntrain-compatible)")
+	fs.StringVar(&c.Trace, "trace", "", "write a Chrome trace-event JSON of this rank's run here")
+	fs.StringVar(&c.Resume, "resume", "", "resume from this solver snapshot (-iters is the absolute target iteration)")
+	fs.IntVar(&c.MinRanks, "min-ranks", 0, "abort rather than shrink the group below this many ranks (default: the group size — a rigid run; lower it to run supervised and survive dead ranks)")
+	fs.BoolVar(&c.Rejoin, "rejoin", false, "supervised: evicted ranks wait to rejoin instead of exiting")
+	fs.DurationVar(&c.IterDeadline, "iter-deadline", 0, "supervised: evict the straggler when an iteration takes longer than this (0 disables)")
+	fs.StringVar(&c.FenceDir, "fence-dir", "", "supervised: fence checkpoint directory (required on rank 0)")
+	fs.DurationVar(&c.Heartbeat, "heartbeat", 0, "supervised: coordinator ping period (default 20ms)")
+	fs.DurationVar(&c.PeerTimeout, "peer-timeout", 0, "supervised: silence after which a member is declared dead (default 10 heartbeats)")
+	fs.StringVar(&c.ChaosMode, "chaos-mode", "none", "inject a cluster failure into a supervised run: none | crash | hang | partition | straggle")
+	fs.IntVar(&c.ChaosRank, "chaos-rank", -1, "chaos victim rank (-1: seeded choice, never rank 0)")
+	fs.IntVar(&c.ChaosIter, "chaos-iter", -1, "chaos trigger iteration (-1: seeded choice)")
+	fs.DurationVar(&c.ChaosDelay, "chaos-delay", 0, "straggle: injected per-iteration delay (default 250ms)")
+	fs.Uint64Var(&c.ChaosSeed, "chaos-seed", 1, "seed for the unset -chaos-* choices")
+	fs.BoolVar(&c.Predict, "predict", false, "run the simtime cluster model vs measured in-process scaling, then exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+
+	if err := cluster.Run(c, stdout); err != nil {
+		fmt.Fprintln(stderr, "dnncluster:", err)
+		return 1
+	}
+	return 0
 }

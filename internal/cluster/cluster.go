@@ -73,11 +73,6 @@ type Config struct {
 	ChaosDelay time.Duration
 	ChaosSeed  uint64
 
-	FlakyDrop  float64
-	FlakyDup   float64
-	FlakyDelay float64
-	FlakySeed  uint64
-
 	Predict bool
 }
 
@@ -181,20 +176,6 @@ func (c Config) elasticConfig(size int) dist.ElasticConfig {
 		PeerTimeout:  c.PeerTimeout,
 		IterDeadline: c.IterDeadline,
 	}
-}
-
-// wrapFlaky injects the seeded fault layer when any -flaky-* probability
-// is set. Each rank gets a distinct stream (seed offset by rank) so the
-// fault pattern is deterministic for the whole group.
-func (c Config) wrapFlaky(t transport.Transport) transport.Transport {
-	if c.FlakyDrop == 0 && c.FlakyDup == 0 && c.FlakyDelay == 0 {
-		return t
-	}
-	return transport.NewFlaky(t, transport.FlakyConfig{
-		DropProb:  float32(c.FlakyDrop),
-		DupProb:   float32(c.FlakyDup),
-		DelayProb: float32(c.FlakyDelay),
-	}, c.FlakySeed+uint64(t.Rank()))
 }
 
 // chaosScenario resolves the -chaos-* flags into a concrete failure

@@ -29,7 +29,7 @@ func testConfig() Config {
 		Role: "local", Replicas: 3, Fanout: 2, GradWire: "f32",
 		Iters: 5, Display: 2, Workers: 1,
 		Ref:       zoo.Ref{Zoo: "lenet", Batch: 6, Samples: 12, Seed: 1},
-		ChaosMode: "none", ChaosRank: -1, ChaosIter: -1, ChaosSeed: 1, FlakySeed: 1,
+		ChaosMode: "none", ChaosRank: -1, ChaosIter: -1, ChaosSeed: 1,
 	}
 }
 
@@ -137,7 +137,7 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 	requireSameFile(t, "resumed vs uninterrupted", rest.Snapshot, whole.Snapshot)
 }
 
-// (c) + (f) The crash drill: rank 2 of 3 dies at iteration 2 of a
+// (c) + (e) The crash drill: rank 2 of 3 dies at iteration 2 of a
 // supervised run. The structured result names the fence, the survivors'
 // snapshot is a clean 2-rank resume from the fence checkpoint, and
 // -trace wrote the root's trace with the fence's PhaseRecover span in it.
@@ -220,22 +220,7 @@ func TestFanoutBelowOneRefused(t *testing.T) {
 	}
 }
 
-// (d) The -flaky-* faults (drops retried, duplicates deduped, delays)
-// never reach the training result.
-func TestFlakyRunMatchesCleanRun(t *testing.T) {
-	dir := t.TempDir()
-	clean := testConfig()
-	clean.Snapshot = filepath.Join(dir, "clean.cgdnn")
-	mustRunGroup(t, clean)
-
-	flaky := testConfig()
-	flaky.FlakyDrop, flaky.FlakyDup, flaky.FlakyDelay, flaky.FlakySeed = 0.15, 0.15, 0.1, 7
-	flaky.Snapshot = filepath.Join(dir, "flaky.cgdnn")
-	mustRunGroup(t, flaky)
-	requireSameFile(t, "flaky vs clean", flaky.Snapshot, clean.Snapshot)
-}
-
-// (e) One rank failing in set-up — rank 0 cannot load a LeNet snapshot
+// (d) One rank failing in set-up — rank 0 cannot load a LeNet snapshot
 // into a CIFAR net — fails the run promptly with that rank's error, rigid
 // and supervised alike, instead of leaving rank 1 blocked in its first
 // Recv (the hang this runner was written to fix).

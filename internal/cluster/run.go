@@ -143,7 +143,7 @@ func runGroup(c Config, m *zoo.Model, out io.Writer) (*GroupResult, error) {
 	}
 	trs := make([]transport.Transport, k)
 	for r, l := range transport.NewLocalGroup(k) {
-		trs[r] = c.wrapFlaky(l)
+		trs[r] = l
 	}
 	res := &GroupResult{Victim: -1}
 	if scenario != nil {
@@ -241,7 +241,7 @@ func RunCoordinator(c Config, out io.Writer) error {
 		return err
 	}
 	defer t.Close()
-	_, err = c.Rank(c.wrapFlaky(t), m, out)
+	_, err = c.Rank(t, m, out)
 	return err
 }
 
@@ -269,7 +269,7 @@ func RunWorker(c Config, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	t := c.wrapFlaky(tcp)
+	var t transport.Transport = tcp
 	if s, err := c.chaosScenario(tcp.Size()); err != nil {
 		return err
 	} else if s != nil && s.Victim == tcp.Rank() {

@@ -29,8 +29,8 @@
 // Consequences, asserted by this package's tests: a k-replica dist run
 // is bit-identical to the reference fold with k shards (same fold, same
 // scale, same update); a 1-replica dist run is bit-identical to plain
-// solver.Step; and Local vs TCP vs any fan-out vs flaky-with-retry all
-// produce the same snapshots to the last bit.
+// solver.Step; and Local vs TCP vs any fan-out all produce the same
+// snapshots to the last bit.
 //
 // Options.GradWire changes only how a contribution crosses the wire
 // (f16, or int8 with error feedback): it is encoded once at its origin
@@ -50,17 +50,11 @@
 //
 // # Fault handling
 //
-// Sends that fail with transport.ErrTransient (a flaky link, an
-// injected drop) are retried with bounded exponential backoff; the
-// receiver's dedupe makes retries and duplicates exactly-once, so a
-// seeded transport.Flaky run converges to the bit-identical result or —
-// when the fault budget exceeds the retry budget — fails loudly, never
-// silently diverges. This is the guard/faultinject philosophy
-// (ROBUSTNESS.md) extended to the network.
-//
-// Failures beyond a transient frame — a crashed rank, a hang, a
-// partition — surface as transport.ErrPeerDown (or unwind via
-// transport.Interrupt). They are handled one level up, in RunElastic
+// Links are reliable and FIFO, so a Send either delivers its frame once
+// or fails for good, and every send error is returned as-is. A failed
+// rank — a crash, a hang, a partition — surfaces as
+// transport.ErrPeerDown (or unwinds via transport.Interrupt). Such
+// failures are handled one level up, in RunElastic
 // (elastic.go), the one loop that drives a Node to its target
 // iteration. In the rigid case, where the membership may not change, it
 // returns the error at once. Otherwise it supervises: it detects
@@ -75,7 +69,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -86,16 +79,6 @@ import (
 	"coarsegrain/internal/solver"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/transport"
-)
-
-// The transient-send retry budget: 16 attempts per message, sleeping
-// 20µs after the first failure and doubling up to 2ms. With a 20%
-// injected drop rate the chance of exhausting it on one message is
-// ~3e-12.
-const (
-	sendAttempts    = 16
-	sendBaseBackoff = 20 * time.Microsecond
-	sendMaxBackoff  = 2 * time.Millisecond
 )
 
 // Options configures a Node.
@@ -388,7 +371,7 @@ func (nd *Node) step() (float64, error) {
 	if nd.rank != 0 {
 		lossBits := encodeF64(loss)
 		tag := nd.tag(transport.KindLoss, 0, nd.rank)
-		if err := nd.sendRetry(0, tag, lossBits[:]); err != nil {
+		if err := nd.tr.Send(0, tag, lossBits[:]); err != nil {
 			return 0, err
 		}
 	}
@@ -457,7 +440,7 @@ func (nd *Node) scatterParam(pi int) error {
 			payload = nd.encodeChunk(pi, lo, hi, diff)
 		}
 		tag := nd.tag(transport.KindGrad, pi, nd.rank)
-		if err := nd.sendRetry(o, tag, payload); err != nil {
+		if err := nd.tr.Send(o, tag, payload); err != nil {
 			return err
 		}
 		shipped += hi - lo
@@ -583,7 +566,7 @@ func (nd *Node) gather() error {
 					continue
 				}
 				tag := nd.tag(transport.KindGather, pi, s)
-				if err := nd.sendRetry(nd.parent, tag, diff[lo:hi]); err != nil {
+				if err := nd.tr.Send(nd.parent, tag, diff[lo:hi]); err != nil {
 					return err
 				}
 				moved += hi - lo
@@ -612,7 +595,7 @@ func (nd *Node) treeBcast(kind transport.Kind) error {
 			moved += len(data)
 		}
 		for _, c := range nd.children {
-			if err := nd.sendRetry(c, tag, data); err != nil {
+			if err := nd.tr.Send(c, tag, data); err != nil {
 				return err
 			}
 			moved += len(data)
@@ -633,24 +616,6 @@ func (nd *Node) SyncWeights() error {
 		return nil
 	}
 	return nd.treeBcast(transport.KindSync)
-}
-
-// sendRetry sends with bounded exponential backoff on transient
-// failures; any other error is fatal and returned as-is.
-func (nd *Node) sendRetry(to int, tag transport.Tag, payload []float32) error {
-	backoff := sendBaseBackoff
-	var err error
-	for attempt := 0; attempt < sendAttempts; attempt++ {
-		if err = nd.tr.Send(to, tag, payload); err == nil || !errors.Is(err, transport.ErrTransient) {
-			return err
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > sendMaxBackoff {
-			backoff = sendMaxBackoff
-		}
-	}
-	return fmt.Errorf("dist: send %v to rank %d failed after %d attempts: %w",
-		tag, to, sendAttempts, err)
 }
 
 // now reads the tracer clock (zero when tracing is off).

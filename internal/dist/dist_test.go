@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -352,63 +351,6 @@ func TestDistTCPMatchesLocalBitwise(t *testing.T) {
 			requireBitIdentical(t, "weights", w, refW)
 			requireSameLosses(t, "TCP losses", l, refL)
 		})
-	}
-}
-
-// Seeded drop/duplicate/delay faults on every link: the bounded retry
-// plus receiver dedupe must absorb them all and converge to the
-// bit-identical result (satellite: flaky-transport coverage, run under
-// -race by check.sh).
-func TestDistFlakyConvergesBitwise(t *testing.T) {
-	refW, refL := runDist(t, localGroup(4), Options{}, testIters)
-
-	locals := transport.NewLocalGroup(4)
-	flaky := make([]transport.Transport, 4)
-	for i, l := range locals {
-		flaky[i] = transport.NewFlaky(l, transport.FlakyConfig{
-			DropProb: 0.15, DupProb: 0.15, DelayProb: 0.05,
-		}, uint64(100+i))
-	}
-	w, l := runDist(t, flaky, Options{}, testIters)
-	requireBitIdentical(t, "weights", w, refW)
-	requireSameLosses(t, "flaky losses", l, refL)
-}
-
-// When faults exceed the retry budget the run must fail loudly, not
-// silently diverge: a 100% drop rate exhausts every send's budget and
-// aborts Step.
-func TestDistExhaustedRetriesFailLoudly(t *testing.T) {
-	locals := transport.NewLocalGroup(2)
-	trs := []transport.Transport{
-		transport.NewFlaky(locals[0], transport.FlakyConfig{DropProb: 1}, 1),
-		transport.NewFlaky(locals[1], transport.FlakyConfig{DropProb: 1}, 2),
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			n := shardNet(t, r, 2)
-			var nd *Node
-			var err error
-			if r == 0 {
-				nd, err = NewRoot(trs[r], n, solverCfg(), Options{})
-			} else {
-				nd, err = NewWorker(trs[r], n, Options{})
-			}
-			if err == nil {
-				_, err = nd.Step(1)
-			}
-			errs[r] = err
-			locals[r].Close()
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if !errors.Is(err, transport.ErrTransient) {
-			t.Fatalf("rank %d: err = %v, want a retry-exhaustion error wrapping ErrTransient", r, err)
-		}
 	}
 }
 

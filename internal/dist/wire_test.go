@@ -31,26 +31,6 @@ func TestDistCodecDeterministicAcrossRunsAndTransports(t *testing.T) {
 	}
 }
 
-// Encoded gradient frames ride the same retry/dedupe machinery as raw
-// ones: seeded drop/duplicate/delay faults on every link of an int8 run
-// must be absorbed without changing a bit — including duplicated
-// encoded frames, which the receiver's tag dedupe discards.
-func TestDistCompressedFlakyConvergesBitwise(t *testing.T) {
-	opts := Options{GradWire: "int8"}
-	refW, refL := runDist(t, localGroup(3), opts, testIters)
-
-	locals := transport.NewLocalGroup(3)
-	flaky := make([]transport.Transport, 3)
-	for i, l := range locals {
-		flaky[i] = transport.NewFlaky(l, transport.FlakyConfig{
-			DropProb: 0.15, DupProb: 0.15, DelayProb: 0.05,
-		}, uint64(40+i))
-	}
-	w, l := runDist(t, flaky, opts, testIters)
-	requireBitIdentical(t, "weights", w, refW)
-	requireSameLosses(t, "flaky losses", l, refL)
-}
-
 // lenetLosses builds a k-rank LeNet group over synthetic MNIST and runs
 // it, returning the root's loss trace — the convergence harness for the
 // error-feedback pin.

@@ -52,6 +52,9 @@ func (c *ConvConfig) normalize() error {
 	if c.PadW == 0 {
 		c.PadW = c.Pad
 	}
+	if c.PadH < 0 || c.PadW < 0 {
+		return fmt.Errorf("convolution: pad must not be negative, got %dx%d", c.PadH, c.PadW)
+	}
 	if c.StrideH == 0 {
 		c.StrideH = c.Stride
 	}
@@ -127,6 +130,9 @@ func (l *Convolution) SetUp(bottom, top []*blob.Blob) error {
 	if bottom[0].AxisCount() != 4 {
 		return fmt.Errorf("layer %s: convolution needs a 4-D bottom, got %v", l.name, bottom[0].Shape())
 	}
+	if g := l.geom(bottom[0]); g.OutH() <= 0 || g.OutW() <= 0 {
+		return outSizeError(l.name, bottom[0], g.OutH(), g.OutW())
+	}
 	c := bottom[0].Channels()
 	weights := blob.Named(l.name+"_w", l.cfg.NumOutput, c, l.cfg.KernelH, l.cfg.KernelW)
 	l.cfg.WeightFiller.Fill(weights, l.cfg.RNG)
@@ -147,9 +153,7 @@ func (l *Convolution) Reshape(bottom, top []*blob.Blob) {
 	if l.channels != l.params[0].Dim(1) {
 		panic(fmt.Sprintf("layer %s: channel count changed from %d to %d", l.name, l.params[0].Dim(1), l.channels))
 	}
-	geom := blas.ConvGeom{Channels: l.channels, Height: l.height, Width: l.width,
-		KernelH: l.cfg.KernelH, KernelW: l.cfg.KernelW, PadH: l.cfg.PadH, PadW: l.cfg.PadW,
-		StrideH: l.cfg.StrideH, StrideW: l.cfg.StrideW}
+	geom := l.geom(b)
 	if l.plan == nil || l.plan.ConvGeom != geom { // a batch-size Reshape keeps the plan
 		l.plan = blas.NewConvPlan(geom)
 	}
@@ -158,6 +162,19 @@ func (l *Convolution) Reshape(bottom, top []*blob.Blob) {
 		panic(fmt.Sprintf("layer %s: output size %dx%d not positive", l.name, l.outH, l.outW))
 	}
 	top[0].Reshape(l.num, l.cfg.NumOutput, l.outH, l.outW)
+}
+
+// geom is the convolution of one sample of bottom b.
+func (l *Convolution) geom(b *blob.Blob) blas.ConvGeom {
+	return blas.ConvGeom{Channels: b.Channels(), Height: b.Height(), Width: b.Width(),
+		KernelH: l.cfg.KernelH, KernelW: l.cfg.KernelW, PadH: l.cfg.PadH, PadW: l.cfg.PadW,
+		StrideH: l.cfg.StrideH, StrideW: l.cfg.StrideW}
+}
+
+// outSizeError is SetUp's refusal of a window geometry that leaves layer
+// name no output over bottom, returned before Reshape would panic on it.
+func outSizeError(name string, bottom *blob.Blob, h, w int) error {
+	return fmt.Errorf("layer %s: output size %dx%d over bottom %v is not positive", name, h, w, bottom.Shape())
 }
 
 // ForwardExtent implements Layer: in the direct implementation the

@@ -59,6 +59,9 @@ func (l *Deconvolution) SetUp(bottom, top []*blob.Blob) error {
 	if bottom[0].AxisCount() != 4 {
 		return fmt.Errorf("layer %s: deconvolution needs a 4-D bottom, got %v", l.name, bottom[0].Shape())
 	}
+	if h, w := l.outSize(bottom[0]); h <= 0 || w <= 0 {
+		return outSizeError(l.name, bottom[0], h, w)
+	}
 	c := bottom[0].Channels()
 	weights := blob.Named(l.name+"_w", c, l.cfg.NumOutput, l.cfg.KernelH, l.cfg.KernelW)
 	l.cfg.WeightFiller.Fill(weights, l.cfg.RNG)
@@ -76,8 +79,7 @@ func (l *Deconvolution) SetUp(bottom, top []*blob.Blob) error {
 func (l *Deconvolution) Reshape(bottom, top []*blob.Blob) {
 	b := bottom[0]
 	l.num, l.channels = b.Num(), b.Channels()
-	outH := (b.Height()-1)*l.cfg.StrideH - 2*l.cfg.PadH + l.cfg.KernelH
-	outW := (b.Width()-1)*l.cfg.StrideW - 2*l.cfg.PadW + l.cfg.KernelW
+	outH, outW := l.outSize(b)
 	if outH <= 0 || outW <= 0 {
 		panic(fmt.Sprintf("layer %s: output size %dx%d not positive", l.name, outH, outW))
 	}
@@ -88,6 +90,13 @@ func (l *Deconvolution) Reshape(bottom, top []*blob.Blob) {
 		l.plan = blas.NewConvPlan(geom)
 	}
 	top[0].Reshape(l.num, l.cfg.NumOutput, outH, outW)
+}
+
+// outSize is the height and width the transposed convolution grows
+// bottom b to.
+func (l *Deconvolution) outSize(b *blob.Blob) (h, w int) {
+	return (b.Height()-1)*l.cfg.StrideH - 2*l.cfg.PadH + l.cfg.KernelH,
+		(b.Width()-1)*l.cfg.StrideW - 2*l.cfg.PadW + l.cfg.KernelW
 }
 
 // ForwardExtent implements Layer: one sample per iteration (the scatter

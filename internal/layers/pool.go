@@ -52,6 +52,9 @@ func (c *PoolConfig) normalize() error {
 	if c.PadW == 0 {
 		c.PadW = c.Pad
 	}
+	if c.PadH < 0 || c.PadW < 0 {
+		return fmt.Errorf("pooling: pad must not be negative, got %dx%d", c.PadH, c.PadW)
+	}
 	if c.StrideH == 0 {
 		c.StrideH = c.Stride
 	}
@@ -115,6 +118,9 @@ func (l *Pooling) SetUp(bottom, top []*blob.Blob) error {
 	if bottom[0].AxisCount() != 4 {
 		return fmt.Errorf("layer %s: pooling needs a 4-D bottom, got %v", l.name, bottom[0].Shape())
 	}
+	if h, w := l.outSize(bottom[0]); h <= 0 || w <= 0 {
+		return outSizeError(l.name, bottom[0], h, w)
+	}
 	l.Reshape(bottom, top)
 	return nil
 }
@@ -123,8 +129,7 @@ func (l *Pooling) SetUp(bottom, top []*blob.Blob) error {
 func (l *Pooling) Reshape(bottom, top []*blob.Blob) {
 	b := bottom[0]
 	l.num, l.channels, l.height, l.width = b.Num(), b.Channels(), b.Height(), b.Width()
-	l.outH = blas.PoolOutSize(l.height, l.cfg.KernelH, l.cfg.PadH, l.cfg.StrideH)
-	l.outW = blas.PoolOutSize(l.width, l.cfg.KernelW, l.cfg.PadW, l.cfg.StrideW)
+	l.outH, l.outW = l.outSize(b)
 	top[0].Reshape(l.num, l.channels, l.outH, l.outW)
 	if l.cfg.Method == MaxPool {
 		n := l.num * l.channels * l.outH * l.outW
@@ -136,6 +141,12 @@ func (l *Pooling) Reshape(bottom, top []*blob.Blob) {
 			l.buildTable()
 		}
 	}
+}
+
+// outSize is the pooled height and width of bottom b.
+func (l *Pooling) outSize(b *blob.Blob) (h, w int) {
+	return blas.PoolOutSize(b.Height(), l.cfg.KernelH, l.cfg.PadH, l.cfg.StrideH),
+		blas.PoolOutSize(b.Width(), l.cfg.KernelW, l.cfg.PadW, l.cfg.StrideW)
 }
 
 // buildTable splits the MAX windows between the in-place run and the

@@ -88,10 +88,7 @@ func goodCtrlWaived(c *transport.Conn) {
 
 func good(c *transport.Conn, m transport.Msg) error {
 	if err := c.Send(m); err != nil {
-		if errors.Is(err, transport.ErrTransient) {
-			return c.Send(m) // one bounded retry, error propagated
-		}
-		return err
+		return err // propagated: a link failure is never retried
 	}
 	_, err := c.Recv()
 	return err
@@ -148,8 +145,8 @@ func okEncodedHandled(c *transport.Conn, cod transport.Codec, m transport.Msg) i
 
 // --- decorators that embed the link they wrap -------------------------
 
-// counted is the shape of internal/transport's decorators (Flaky, Chaos,
-// View, Meter): it embeds the link and redefines only Send, so Recv and
+// counted is the shape of internal/transport's decorators (Chaos, View,
+// Meter): it embeds the link and redefines only Send, so Recv and
 // the control plane are the embedded link's methods, promoted. A
 // promoted method is still the transport's, and so is its error.
 type counted struct {

@@ -7,8 +7,8 @@ package transport
 
 import "errors"
 
-// ErrTransient marks a link failure the caller should retry.
-var ErrTransient = errors.New("transient transport failure")
+// ErrClosed is returned by operations on a closed link.
+var ErrClosed = errors.New("transport closed")
 
 // ErrPeerDown marks a peer declared dead by failure detection; it
 // arrives wrapped in a PeerDownError carrying the rank and cause.
@@ -28,7 +28,7 @@ type Conn struct {
 // Send ships m to the peer.
 func (c *Conn) Send(m Msg) error {
 	if c.closed {
-		return ErrTransient
+		return ErrClosed
 	}
 	return nil
 }
@@ -36,7 +36,7 @@ func (c *Conn) Send(m Msg) error {
 // Recv blocks for the next message from the peer.
 func (c *Conn) Recv() (Msg, error) {
 	if c.closed {
-		return Msg{}, ErrTransient
+		return Msg{}, ErrClosed
 	}
 	return Msg{Seq: 1}, nil
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // TransErr machine-checks the transport error contract (DISTRIBUTED.md):
-// Send and Recv report link failures through their error results, and
-// transport.ErrTransient specifically marks a failure the caller is
-// expected to absorb with a bounded retry. Dropping one of these errors
-// silently desynchronizes a rank — the reduction tree then blocks or
+// Send and Recv report link failures — a closed endpoint, a dead peer, a
+// protocol violation — through their error results, and none of them is
+// retryable, so the caller checks the error or propagates it. Dropping
+// one silently desynchronizes a rank — the reduction tree then blocks or
 // folds stale gradients.
 //
 // Two shapes are flagged:
@@ -76,7 +76,7 @@ func checkDropped(pass *lint.Pass, call *ast.CallExpr, how string) {
 	}
 	pass.Reportf(call.Pos(),
 		"error from %s is %s: a lost link failure silently desynchronizes the rank — "+
-			"retry transient failures (errors.Is(err, transport.ErrTransient)) or propagate the error",
+			"check the error or propagate it",
 		origin, how)
 }
 
@@ -110,7 +110,7 @@ func checkBlankAssign(pass *lint.Pass, st *ast.AssignStmt) {
 	}
 	pass.Reportf(call.Pos(),
 		"error from %s is assigned to _: a lost link failure silently desynchronizes the rank — "+
-			"retry transient failures (errors.Is(err, transport.ErrTransient)) or propagate the error",
+			"check the error or propagate it",
 		origin)
 }
 

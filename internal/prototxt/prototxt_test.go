@@ -292,6 +292,31 @@ func TestBuildNetErrors(t *testing.T) {
 	}
 }
 
+// A window geometry with no output over a 1x28x28 MNIST sample is an
+// error from building the net, never a panic: a negative pad is refused
+// by the layer's constructor (ParseNet), an empty output by the layer's
+// SetUp (net.New), each naming the layer.
+func TestBuildRefusesEmptyGeometry(t *testing.T) {
+	const dataLayer = `layer { name: "d" type: "Data" top: "data" top: "label" data_param { batch_size: 1 } }
+`
+	for _, tc := range []struct{ layer, want string }{
+		{`layer { name: "c" type: "Convolution" bottom: "data" top: "c"
+  convolution_param { num_output: 2 kernel_size: 5 pad: -1 } }`, "layer c: convolution: pad must not be negative"},
+		{`layer { name: "c" type: "Convolution" bottom: "data" top: "c"
+  convolution_param { num_output: 2 kernel_size: 40 } }`, "layer c: output size -11x-11 over bottom [1 1 28 28]"},
+		{`layer { name: "p" type: "Pooling" bottom: "data" top: "p"
+  pooling_param { pool: MAX kernel_size: 40 } }`, "layer p: output size -11x-11 over bottom [1 1 28 28]"},
+	} {
+		specs, err := ParseNet(dataLayer+tc.layer, BuildOptions{Source: data.NewSyntheticMNIST(4, 1), Seed: 1})
+		if err == nil {
+			_, err = net.New(specs, nil)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want %q", err, tc.want)
+		}
+	}
+}
+
 func TestBuildAllLayerTypes(t *testing.T) {
 	// One prototxt exercising every supported type.
 	src := data.NewSyntheticMNIST(32, 1)

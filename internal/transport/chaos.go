@@ -80,9 +80,9 @@ type ChaosConfig struct {
 // Chaos wraps a Transport with one reproducible failure —
 // crash, hang, partition, or straggle — triggered when the data plane
 // first touches the configured iteration. It is the cluster-level
-// member of the faultinject family: Flaky perturbs individual frames,
-// Chaos removes (or degrades) a whole rank, which is what the elastic
-// fault-tolerance layer in internal/dist exists to survive.
+// member of the faultinject family: Chaos removes (or degrades) a whole
+// rank, which is what the elastic fault-tolerance layer in internal/dist
+// exists to survive.
 type Chaos struct {
 	// Transport is the wrapped endpoint; Rank, Size, Interrupt and
 	// Resume are its own, every operation a failure can bite is

@@ -24,8 +24,7 @@ import (
 //     preallocates every buffer once per run.
 //   - Self-contained frames: a message decodes from its own words alone
 //     (the int8 scales travel inside the frame), so the slice owner
-//     needs no codec state shared with the sender, and a retried or
-//     duplicated frame decodes exactly as the original.
+//     needs no codec state shared with the sender.
 //   - Non-finite stays non-finite: a NaN or ±Inf source element never
 //     decodes to a finite value, so a diverging rank's gradient reaches
 //     the fold (and the divergence guard) as what it is.

@@ -10,11 +10,9 @@ import "sync/atomic"
 // sized by KindCount, so a newly added kind is counted from its first
 // frame rather than falling through a stale switch.
 //
-// Only successful Sends are counted (a dropped frame under fault
-// injection never left the rank, and its retry is a real resend that
-// did). Counting happens on the send side because every data-plane frame
-// is sent exactly once per link — Recv-side counting would double-count
-// the duplicates the inbox discards. Control-plane traffic (SendCtrl) is
+// Only successful Sends are counted: a failed one put nothing on the
+// wire. Counting happens on the send side because every data-plane frame
+// is sent exactly once per link. Control-plane traffic (SendCtrl) is
 // counted in frames only; its payloads are a few words of heartbeat
 // state and never carry gradient. The receive side, Interrupt, Resume
 // and Close are the embedded endpoint's own.

@@ -1,26 +1,23 @@
 package transport
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 )
 
 // TestInjectorsPassAllKindsThrough is the future-proofing audit for the
-// fault injectors: Chaos and Flaky must forward every message kind —
-// including ones added after they were written — byte-for-byte when no
-// fault fires. Both wrappers are deliberately
-// kind-agnostic (Chaos switches on its ChaosMode, Flaky rolls its dice
-// per Send), and this test iterates 0..KindCount so adding a kind
+// fault injector: Chaos must forward every message kind — including ones
+// added after it was written — byte-for-byte when no fault fires. The
+// wrapper is deliberately kind-agnostic (it switches on its ChaosMode),
+// and this test iterates 0..KindCount so adding a kind
 // without passthrough coverage is impossible: the new kind lands here
 // automatically.
 func TestInjectorsPassAllKindsThrough(t *testing.T) {
 	wrap := map[string]func(tr Transport) Transport{
 		"chaos-none": func(tr Transport) Transport {
 			return NewChaos(tr, ChaosConfig{Mode: ChaosNone})
-		},
-		"flaky-clean": func(tr Transport) Transport {
-			return NewFlaky(tr, FlakyConfig{}, 1)
 		},
 	}
 	for name, w := range wrap {
@@ -109,12 +106,13 @@ func TestMeterCountsPerKind(t *testing.T) {
 		t.Errorf("SentWords(KindLoss) = %d, want 0", got)
 	}
 
-	// A failed send must not count: drop everything via Flaky.
-	fm := NewMeter(NewFlaky(NewLocalGroup(2)[1], FlakyConfig{DropProb: 1}, 3))
-	if err := fm.Send(0, MakeTag(KindGrad, 0, 0, 1), make([]float32, 50)); err == nil {
-		t.Fatal("expected dropped send to error")
+	// A failed send must not count: send through a closed endpoint.
+	fm := NewMeter(NewLocalGroup(2)[1])
+	fm.Close()
+	if err := fm.Send(0, MakeTag(KindGrad, 0, 0, 1), make([]float32, 50)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send on a closed endpoint: err = %v, want ErrClosed", err)
 	}
 	if got := fm.SentWords(KindGrad); got != 0 {
-		t.Errorf("dropped send counted: SentWords = %d, want 0", got)
+		t.Errorf("failed send counted: SentWords = %d, want 0", got)
 	}
 }

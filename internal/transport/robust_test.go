@@ -170,9 +170,6 @@ func TestPeerDownErrorMatchesSentinel(t *testing.T) {
 	if !errors.Is(err, ErrPeerDown) {
 		t.Fatal("PeerDownError does not match ErrPeerDown")
 	}
-	if errors.Is(err, ErrTransient) {
-		t.Fatal("PeerDownError must not match ErrTransient: it is not retryable")
-	}
 	if !errors.Is(err, inner) {
 		t.Fatal("PeerDownError does not unwrap its cause")
 	}
@@ -600,78 +597,6 @@ func TestChaosStraggleDelaysOncePerIteration(t *testing.T) {
 		if err := g[0].Recv(1, tag, buf); err != nil {
 			t.Fatalf("Recv %d from straggler: %v", i, err)
 		}
-	}
-}
-
-// --- flaky × chaos composition ---------------------------------------
-
-// TestFlakyDupOverPartitionDeliveryCounts composes Flaky duplication
-// over a Chaos partition: duplicates of partitioned frames must all be
-// shed, duplicates of unpartitioned ones must all arrive (then be
-// deduped on delivery). Seeded and fully deterministic: DupProb 1.
-func TestFlakyDupOverPartitionDeliveryCounts(t *testing.T) {
-	g := NewLocalGroup(3)
-	for _, l := range g {
-		defer l.Close()
-	}
-	chaos := NewChaos(g[1], ChaosConfig{Mode: ChaosPartition, AtIter: 0, Peers: []int{0}})
-	f := NewFlaky(chaos, FlakyConfig{DupProb: 1}, 7)
-	tag := MakeTag(KindGrad, 0, 0, 1)
-	if err := f.Send(0, tag, []float32{1}); err != nil {
-		t.Fatalf("Send to cut peer: %v", err)
-	}
-	if err := f.Send(2, tag, []float32{2}); err != nil {
-		t.Fatalf("Send to open peer: %v", err)
-	}
-	if s := f.Stats(); s.Sends != 2 || s.Dups != 2 {
-		t.Fatalf("stats = %+v, want 2 sends and 2 dups", s)
-	}
-	// Raw delivery counts, observed at the shared inboxes before any
-	// Recv dedupes them: 0 frames through the partition, 2 (original +
-	// duplicate) on the open link.
-	if n := g[0].boxes[0][1].frames.len(); n != 0 {
-		t.Fatalf("cut link delivered %d frames, want 0", n)
-	}
-	if n := g[2].boxes[2][1].frames.len(); n != 2 {
-		t.Fatalf("open link delivered %d frames, want 2", n)
-	}
-	// And the receiver still sees exactly one copy.
-	buf := make([]float32, 1)
-	if err := g[2].Recv(1, tag, buf); err != nil || buf[0] != 2 {
-		t.Fatalf("Recv: %v (got %v), want 2", err, buf)
-	}
-	next := MakeTag(KindGrad, 0, 1, 1)
-	g[1].Send(2, next, []float32{4})
-	if err := g[2].Recv(1, next, buf); err != nil || buf[0] != 4 {
-		t.Fatalf("Recv after dedupe: %v (got %v), want 4", err, buf)
-	}
-}
-
-// TestFlakyDelayOverCrashDeliveryCounts composes Flaky delay over a
-// Chaos crash: delayed frames before the trigger all arrive; the crash
-// then dominates every later send, and the flaky layer propagates
-// ErrClosed untouched.
-func TestFlakyDelayOverCrashDeliveryCounts(t *testing.T) {
-	g := NewLocalGroup(2)
-	defer g[0].Close()
-	chaos := NewChaos(g[1], ChaosConfig{Mode: ChaosCrash, AtIter: 1})
-	f := NewFlaky(chaos, FlakyConfig{DelayProb: 1}, 11)
-	defer f.Close()
-	buf := make([]float32, 1)
-	for p := 0; p < 3; p++ {
-		tag := MakeTag(KindGrad, 0, p, 1)
-		if err := f.Send(0, tag, []float32{float32(p)}); err != nil {
-			t.Fatalf("delayed Send %d: %v", p, err)
-		}
-		if err := g[0].Recv(1, tag, buf); err != nil || buf[0] != float32(p) {
-			t.Fatalf("Recv %d: %v (got %v)", p, err, buf)
-		}
-	}
-	if s := f.Stats(); s.Sends != 3 || s.Delays != 3 {
-		t.Fatalf("stats = %+v, want 3 delayed sends", s)
-	}
-	if err := f.Send(0, MakeTag(KindGrad, 1, 0, 1), []float32{9}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Send after crash: err = %v, want ErrClosed", err)
 	}
 }
 

@@ -235,7 +235,7 @@ func (w *tcpWriter) closeFlush(limit time.Duration) {
 // TCP is the cross-process Transport: a full mesh of TCP connections
 // carrying length-prefixed binary frames, built by a coordinator
 // rendezvous (NewCoordinator on rank 0, DialTCP on workers). Delivery
-// semantics are identical to Local — per-link FIFO with duplicate and
+// semantics are identical to Local — reliable per-link FIFO with
 // stale-frame discard — so a distributed run over TCP is bit-identical
 // to the same run over the in-process fabric.
 type TCP struct {

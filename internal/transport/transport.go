@@ -35,13 +35,13 @@
 // one sender arrive in send order. Send is asynchronous (it enqueues and
 // returns, which is what lets internal/dist overlap gradient shipping
 // with backward compute) and Recv blocks until the expected message
-// arrives. Recv discards stale frames — duplicates of already-delivered
-// tags and leftovers from completed iterations or abandoned membership
-// epochs — so an at-least-once sender (the bounded-retry loop in
-// internal/dist, or the Flaky fault injector's duplicates) still yields
-// exactly-once delivery; any other unexpected tag is a protocol
-// violation and fails loudly with *UnexpectedTagError rather than
-// silently desynchronizing the group.
+// arrives. Links are reliable: a frame is delivered once, or the link
+// fails (ErrClosed, *PeerDownError) and the error is final. Recv
+// discards only stale frames — leftovers from a completed iteration or
+// an abandoned membership epoch, which a fence leaves behind; any other
+// unexpected tag, a repeated one included, is a protocol violation and
+// fails loudly with *UnexpectedTagError rather than silently
+// desynchronizing the group.
 //
 // # Implementations
 //
@@ -63,8 +63,7 @@
 //
 // # Decorators
 //
-// Four types wrap another Transport: NewFlaky adds seeded, reproducible
-// drop/delay/duplicate faults to Send; NewChaos injects one
+// Three types wrap another Transport: NewChaos injects one
 // crash/hang/partition/straggle failure at a configured iteration
 // (faultinject.ClusterScenario draws a seeded one); NewView re-ranks a subset of a
 // group after an elastic membership change (ROBUSTNESS.md); NewMeter
@@ -73,10 +72,8 @@
 // whatever it does not mention — and any method the interface grows —
 // passes through by construction rather than by a hand-written
 // forwarder (TestInjectorsPassAllKindsThrough is the audit). They stay
-// four types because they compose (dnncluster stacks Flaky under Chaos
-// under dist's View) and each has one job: a single type branching on
-// two fault models would be harder to reason about than two that each
-// know one.
+// three types because they compose (dnncluster stacks Chaos under dist's
+// View) and each has one job.
 package transport
 
 import (
@@ -171,7 +168,7 @@ func (k Kind) String() string {
 // Tag labels one message: kind (4 bits) | membership epoch (8 bits) |
 // iteration (22 bits) | parameter index (14 bits) | origin rank
 // (16 bits). The iteration field is what lets receivers recognize and
-// discard stale duplicates from finished iterations; the epoch field
+// discard stale leftovers from finished iterations; the epoch field
 // does the same across elastic membership changes, where ranks are
 // re-numbered and tag fields from the abandoned group would otherwise
 // alias the new one's.
@@ -235,18 +232,13 @@ func (t Tag) String() string {
 	return fmt.Sprintf("%s{iter %d, param %d, origin %d}", t.Kind(), t.Iter(), t.Param(), t.Origin())
 }
 
-// ErrTransient marks a send failure that a bounded retry should absorb
-// (a dropped frame under fault injection, a full outbound queue). The
-// retry policy lives in internal/dist, not here.
-var ErrTransient = errors.New("transport: transient send failure")
-
 // ErrClosed is returned by operations on a closed transport.
 var ErrClosed = errors.New("transport: closed")
 
 // ErrPeerDown marks a peer the group has given up on: its link died or
-// its heartbeats stopped for longer than the configured timeout. Unlike
-// ErrTransient it must not be retried against the same membership — the
-// caller fences and re-forms the group without the peer (or aborts).
+// its heartbeats stopped for longer than the configured timeout. It must
+// not be retried against the same membership — the caller fences and
+// re-forms the group without the peer (or aborts).
 // Match with errors.Is; the concrete *PeerDownError names the rank.
 var ErrPeerDown = errors.New("transport: peer down")
 
@@ -277,7 +269,8 @@ func (e *PeerDownError) Unwrap() error { return e.Cause }
 func (e *PeerDownError) Is(target error) bool { return target == ErrPeerDown }
 
 // UnexpectedTagError reports a protocol violation: a frame arrived that
-// is neither the expected message, a duplicate, nor a stale leftover.
+// is neither the expected message nor a stale leftover (a repeat of a
+// tag already delivered this iteration is one).
 // The lock-step reduction protocol cannot recover from this; callers
 // must fail the run loudly.
 type UnexpectedTagError struct {
@@ -370,8 +363,8 @@ type frame struct {
 const ctrlQueueCap = 256
 
 // inbox is the per-link receive queue shared by the Local and TCP
-// transports: a FIFO of frames plus the stale-frame bookkeeping that
-// turns at-least-once links into exactly-once delivery. One writer side
+// transports: a FIFO of frames and the matching discipline of Recv. One
+// writer side
 // (push/fail/close) and one reader side (recv) may run concurrently;
 // interrupt/resume may be called from a supervisor goroutine.
 type inbox struct {
@@ -381,21 +374,14 @@ type inbox struct {
 	// free holds the payload buffers recv has copied out, keyed by length,
 	// for the writer side's next frames on this link (take). Control
 	// frames never pass through an inbox, so never through free.
-	free freeList[float32]
-	// delivered tracks tags consumed in the current (epoch, iteration) so
-	// that duplicates (fault-injected or retry-induced) are recognized; it
-	// is generational — reset whenever delivery advances — so it stays
-	// bounded by one iteration's message count.
-	delivered map[Tag]bool
-	curEpoch  int
-	curIter   int
-	err       error // permanent failure (dead link)
-	intr      error // soft interrupt, cleared by resume
-	closed    bool
+	free   freeList[float32]
+	err    error // permanent failure (dead link)
+	intr   error // soft interrupt, cleared by resume
+	closed bool
 }
 
 func newInbox() *inbox {
-	ib := &inbox{delivered: make(map[Tag]bool), free: freeList[float32]{}}
+	ib := &inbox{free: freeList[float32]{}}
 	ib.cond = sync.NewCond(&ib.mu)
 	return ib
 }
@@ -469,8 +455,7 @@ func staleTag(got, want Tag) bool {
 }
 
 // recv implements the matching discipline documented on Transport.Recv:
-// deliver want, discard duplicates and stale iterations/epochs, reject
-// anything else. from is only used for error reporting. Every frame it
+// deliver want, discard stale iterations/epochs, reject anything else. from is only used for error reporting. Every frame it
 // takes off the queue, delivered or not, returns its payload buffer to
 // the free list.
 func (ib *inbox) recv(from int, want Tag, buf []float32) error {
@@ -497,23 +482,10 @@ func (ib *inbox) recv(from int, want Tag, buf []float32) error {
 				err = &SizeMismatchError{From: from, Tag: f.tag, Got: len(f.payload), Want: len(buf)}
 				break
 			}
-			if e, it := want.Epoch(), want.Iter(); e > ib.curEpoch || (e == ib.curEpoch && it > ib.curIter) {
-				// New iteration (or epoch): previous generations are complete
-				// on this link, so their dedupe entries can never match again.
-				ib.curEpoch, ib.curIter = e, it
-				clear(ib.delivered)
-			}
-			ib.delivered[want] = true
 			copy(buf, f.payload)
 		case staleTag(f.tag, want):
 			// Stale leftover from a finished iteration or an abandoned
-			// epoch (a duplicate whose original was consumed before the
-			// link advanced, or lock-step traffic cut short by a fence):
-			// discard.
-			ib.free.put(f.payload)
-			continue
-		case ib.delivered[f.tag]:
-			// Duplicate within the current iteration: discard.
+			// epoch (lock-step traffic cut short by a fence): discard.
 			ib.free.put(f.payload)
 			continue
 		default:

@@ -139,23 +139,37 @@ func TestLocalFIFOPerLink(t *testing.T) {
 	}
 }
 
-func TestRecvDiscardsDuplicates(t *testing.T) {
-	g := NewLocalGroup(2)
-	a := MakeTag(KindGrad, 0, 0, 1)
-	b := MakeTag(KindGrad, 0, 1, 1)
-	// a, a(dup), b: the second a must be discarded while waiting for b.
-	g[1].Send(0, a, []float32{1})
-	g[1].Send(0, a, []float32{1})
-	g[1].Send(0, b, []float32{2})
-	buf := make([]float32, 1)
-	if err := g[0].Recv(1, a, buf); err != nil {
-		t.Fatalf("Recv a: %v", err)
-	}
-	if err := g[0].Recv(1, b, buf); err != nil {
-		t.Fatalf("Recv b after duplicate: %v", err)
-	}
-	if buf[0] != 2 {
-		t.Fatalf("got %v, want 2", buf[0])
+// TestRecvRejectsDuplicateFrame pins the reliable-link contract: a link
+// delivers each frame once, so a tag repeated within an iteration is a
+// protocol violation, not a copy to discard. Sending a, a, b and
+// receiving a then b must fail the Recv of b naming both tags, on Local
+// and on TCP alike.
+func TestRecvRejectsDuplicateFrame(t *testing.T) {
+	for _, fabric := range twoRanks {
+		t.Run(fabric.name, func(t *testing.T) {
+			g := fabric.group(t)
+			defer g[0].Close()
+			defer g[1].Close()
+			a := MakeTag(KindGrad, 0, 0, 1)
+			b := MakeTag(KindGrad, 0, 1, 1)
+			for _, tag := range []Tag{a, a, b} {
+				if err := g[1].Send(0, tag, []float32{1}); err != nil {
+					t.Fatalf("Send %v: %v", tag, err)
+				}
+			}
+			buf := make([]float32, 1)
+			if err := g[0].Recv(1, a, buf); err != nil {
+				t.Fatalf("Recv a: %v", err)
+			}
+			err := g[0].Recv(1, b, buf)
+			var ute *UnexpectedTagError
+			if !errors.As(err, &ute) {
+				t.Fatalf("Recv b after a repeated a: err = %v, want *UnexpectedTagError", err)
+			}
+			if ute.From != 1 || ute.Got != a || ute.Want != b {
+				t.Fatalf("error = %+v, want from 1, got %v, want %v", ute, a, b)
+			}
+		})
 	}
 }
 
@@ -386,90 +400,4 @@ func TestTCPCloseFlushesInFlight(t *testing.T) {
 		t.Fatalf("last frame corrupted: %v", buf[255])
 	}
 	group[0].Close()
-}
-
-func TestFlakyDropReturnsTransient(t *testing.T) {
-	g := NewLocalGroup(2)
-	f := NewFlaky(g[1], FlakyConfig{DropProb: 1}, 1)
-	err := f.Send(0, MakeTag(KindGrad, 0, 0, 1), []float32{1})
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("Send under DropProb=1: err = %v, want ErrTransient", err)
-	}
-	if s := f.Stats(); s.Drops != 1 || s.Sends != 1 {
-		t.Fatalf("stats = %+v, want 1 send, 1 drop", s)
-	}
-}
-
-func TestFlakyDuplicatesAreDeduped(t *testing.T) {
-	g := NewLocalGroup(2)
-	f := NewFlaky(g[1], FlakyConfig{DupProb: 1}, 2)
-	a := MakeTag(KindGrad, 0, 0, 1)
-	b := MakeTag(KindGrad, 0, 1, 1)
-	if err := f.Send(0, a, []float32{1}); err != nil {
-		t.Fatalf("Send a: %v", err)
-	}
-	if err := f.Send(0, b, []float32{2}); err != nil {
-		t.Fatalf("Send b: %v", err)
-	}
-	buf := make([]float32, 1)
-	if err := g[0].Recv(1, a, buf); err != nil || buf[0] != 1 {
-		t.Fatalf("Recv a: %v (got %v)", err, buf[0])
-	}
-	if err := g[0].Recv(1, b, buf); err != nil || buf[0] != 2 {
-		t.Fatalf("Recv b: %v (got %v)", err, buf[0])
-	}
-	if s := f.Stats(); s.Dups != 2 {
-		t.Fatalf("stats = %+v, want 2 dups", s)
-	}
-}
-
-func TestFlakyIsSeededDeterministic(t *testing.T) {
-	run := func() FlakyStats {
-		g := NewLocalGroup(2)
-		f := NewFlaky(g[1], FlakyConfig{DropProb: 0.3, DupProb: 0.3}, 42)
-		tag := func(i int) Tag { return MakeTag(KindGrad, 0, i%(1<<14), 1) }
-		for i := 0; i < 200; i++ {
-			f.Send(0, tag(i), []float32{float32(i)})
-		}
-		return f.Stats()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed, different fault sequences: %+v vs %+v", a, b)
-	}
-	if a.Drops == 0 || a.Dups == 0 {
-		t.Fatalf("faults not exercised: %+v", a)
-	}
-}
-
-// TestFlakyConvergesWithRetry drives an all-pairs exchange through flaky
-// endpoints with a bounded retry loop: the values delivered must be
-// exactly the ones sent, despite drops, duplicates and delays.
-func TestFlakyConvergesWithRetry(t *testing.T) {
-	locals := NewLocalGroup(3)
-	group := make([]Transport, 3)
-	for i, l := range locals {
-		group[i] = &retrying{Transport: NewFlaky(l, FlakyConfig{
-			DropProb: 0.2, DupProb: 0.2, DelayProb: 0.1,
-		}, uint64(7+i))}
-	}
-	exchangeAllPairs(t, group, 10)
-	for _, l := range locals {
-		l.Close()
-	}
-}
-
-// retrying is the minimal bounded-retry send wrapper the dist package
-// implements for real; here it makes the flaky conformance test
-// self-contained.
-type retrying struct{ Transport }
-
-func (r *retrying) Send(to int, tag Tag, payload []float32) error {
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		if err = r.Transport.Send(to, tag, payload); !errors.Is(err, ErrTransient) {
-			return err
-		}
-	}
-	return err
 }

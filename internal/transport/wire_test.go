@@ -178,8 +178,7 @@ var lenetCounts = []int{500, 20, 25000, 50, 400000, 500, 5000, 10}
 // TestWarmRoundAllocatesNothing pins that a warm link moves frames
 // without allocating: a round is every LeNet parameter's 2-rank scatter
 // slice sent from rank 0 to rank 1 and the other slice sent back, and
-// after one round every buffer, queue slot and dedupe entry it needs is
-// recycled.
+// after one round every buffer and queue slot it needs is recycled.
 func TestWarmRoundAllocatesNothing(t *testing.T) {
 	for _, fabric := range twoRanks {
 		t.Run(fabric.name, func(t *testing.T) {

@@ -19,7 +19,8 @@
 # coarse-engine sweep, the worker pool, the span tracer, the instrumented
 # net loop, the coarse engine, the solver's update sweep and the guard's
 # scans on the engine's team, the datasets every Data band reads
-# concurrently and the serving layer), twenty race passes
+# concurrently, the serving layer and dnncluster's in-process rank
+# group), twenty race passes
 # over the serving batcher's tests, a 5-second FuzzGemm
 # smoke (random shapes/transposes/strides through Gemm on every kernel
 # set, GemmReference as oracle, and each set's vector data
@@ -145,9 +146,10 @@ go test -C benchmark ./...
 echo "== go test -run Example (doc examples) =="
 go test -run Example ./...
 
-echo "== go test -race (blas, layers, par, trace, net, core, solver, guard, data, faultinject, serve, transport incl. Close-delivers-every-frame, dist, cluster) =="
+echo "== go test -race (blas, layers, par, trace, net, core, solver, guard, data, faultinject, serve, transport incl. Close-delivers-every-frame, dist, cluster, cmd/dnncluster) =="
 go test -race -count=1 ./internal/blas ./internal/layers ./internal/par ./internal/trace ./internal/net ./internal/core \
-	./internal/solver ./internal/guard ./internal/data ./internal/faultinject ./internal/serve ./internal/transport ./internal/dist ./internal/cluster
+	./internal/solver ./internal/guard ./internal/data ./internal/faultinject ./internal/serve ./internal/transport ./internal/dist ./internal/cluster \
+	./cmd/dnncluster
 go test -race -count=1 -run 'TestLoweredLeNetCoarseSweep' ./internal/zoo
 
 echo "== batcher stress under race (20 passes: the select between an idle replica and the next arrival) =="
